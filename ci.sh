@@ -61,6 +61,13 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== bench module (vet + tests under -race) =="
+# bench/ is its own Go module (replace graql => ../), so the root
+# build and test above never compile it; an API move in internal/server,
+# internal/web or internal/client would otherwise break the benchmark
+# harness silently.
+(cd bench && go vet ./... && go test -race ./...)
+
 # Everything below needs scratch space, and the smoke test starts a
 # background server. Install the cleanup trap BEFORE anything that can
 # leave a process or directory behind, with the pid guarded so teardown
@@ -91,6 +98,49 @@ cleanup() {
     rm -rf "$tmpdir"
 }
 trap cleanup EXIT INT TERM
+
+echo "== Go line counts (per package, delta against the parent commit) =="
+# ROADMAP: "Net line count is reported in every PR; growth needs a
+# reason." The base is the parent commit, or HEAD itself while the tree
+# has uncommitted changes; a shallow checkout without it reports totals
+# only.
+golines() { # golines <root>: "<package dir> <non-test lines> <test lines>"
+    (cd "$1" && find . -name '*.go' -not -path './.bench_build/*' -print0 | xargs -0 wc -l) |
+        awk '$2 != "total" {
+                p = $2; sub(/^\.\//, "", p); n = split(p, a, "/")
+                pkg = n == 1 ? "." : (n == 2 ? a[1] : a[1] "/" a[2])
+                if (p ~ /_test\.go$/) t[pkg] += $1; else s[pkg] += $1
+                seen[pkg] = 1
+            }
+            END { for (k in seen) printf "%s %d %d\n", k, s[k], t[k] }' | LC_ALL=C sort
+}
+golines . >"$tmpdir/lines.now"
+base=HEAD~1
+git diff --quiet HEAD 2>/dev/null || base=HEAD
+: >"$tmpdir/lines.base"
+if git rev-parse -q --verify "$base^{commit}" >/dev/null 2>&1; then
+    mkdir "$tmpdir/base-src"
+    git archive "$base" | tar -x -C "$tmpdir/base-src"
+    golines "$tmpdir/base-src" >"$tmpdir/lines.base"
+fi
+LC_ALL=C join -a1 -a2 -e0 -o 0,1.2,1.3,2.2,2.3 "$tmpdir/lines.now" "$tmpdir/lines.base" |
+    awk 'BEGIN {
+            print "| package | non-test | delta | test | delta |"
+            print "|---|---:|---:|---:|---:|"
+        }
+        {
+            printf "| %s | %d | %+d | %d | %+d |\n", $1, $2, $2 - $4, $3, $3 - $5
+            S += $2; T += $3; BS += $4; BT += $5
+        }
+        END { printf "| **total** | %d | %+d | %d | %+d |\n", S, S - BS, T, T - BT }' >"$tmpdir/lines.md"
+cat "$tmpdir/lines.md"
+if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+    {
+        echo "## Go line counts (delta against $base)"
+        echo
+        cat "$tmpdir/lines.md"
+    } >>"$GITHUB_STEP_SUMMARY"
+fi
 
 # One invocation runs the whole suite under the race detector AND
 # collects the coverage profile, halving test wall time versus separate
@@ -213,6 +263,17 @@ curl -fsS http://127.0.0.1:17688/debug/traces | grep -c '"spanCount"' >/dev/null
 curl -fsS http://127.0.0.1:17688/debug/statements >"$tmpdir/statements.out"
 grep -q '"fingerprint"' "$tmpdir/statements.out"
 curl -fsS http://127.0.0.1:17688/debug/queries | grep -q '"queries"'
+# Request bodies are bounded: 17 MiB of input is refused with 413
+# rather than buffered.
+big_code=$({
+    printf '{"script": "'
+    head -c 17825792 /dev/zero | tr '\0' x
+    printf '"}'
+} | curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary @- http://127.0.0.1:17688/query)
+if [ "$big_code" != "413" ]; then
+    echo "oversized /query body: HTTP $big_code, want 413" >&2
+    exit 1
+fi
 
 echo "== smoke: prepared statements over both wires =="
 # Prepare over TCP, execute the same handle over HTTP (the registry is
@@ -316,6 +377,49 @@ kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
 grep -q '"trace_id"' "$tmpdir/server.log"
+
+echo "== smoke: -token guards both wires =="
+# One service sits behind TCP and HTTP, so the token must gate both:
+# requests without it fail with code auth (401 over HTTP); the probes
+# and the scrape endpoint stay open.
+"$tmpdir/gems-server" -addr 127.0.0.1:17690 -http 127.0.0.1:17691 -token smoketok \
+    -log-level off >"$tmpdir/token-server.log" 2>&1 &
+server_pid=$!
+for i in $(seq 1 50); do
+    if "$tmpdir/gems-client" -addr 127.0.0.1:17690 -token smoketok ping >/dev/null 2>&1; then
+        break
+    fi
+    if [ "$i" = 50 ]; then
+        echo "token server did not become ready" >&2
+        cat "$tmpdir/token-server.log" >&2
+        exit 1
+    fi
+    sleep 0.2
+done
+if "$tmpdir/gems-client" -addr 127.0.0.1:17690 ping >/dev/null 2>&1; then
+    echo "TCP ping without the token must fail" >&2
+    exit 1
+fi
+expect_401() { # expect_401 <path> [curl args...]
+    path=$1
+    shift
+    code=$(curl -s -o "$tmpdir/auth.out" -w '%{http_code}' "$@" "http://127.0.0.1:17691$path")
+    if [ "$code" != "401" ] || ! grep -q '"code":"auth"' "$tmpdir/auth.out"; then
+        echo "HTTP $path without the token: $code, want 401 with code auth" >&2
+        cat "$tmpdir/auth.out" >&2
+        exit 1
+    fi
+}
+expect_401 /query -X POST -d '{"script": "create table T(a integer)"}'
+expect_401 /execute -X POST -d '{"stmt": "s1"}' -H 'Authorization: Bearer wrong'
+expect_401 /catalog
+expect_401 /debug/statements
+curl -fsS -H 'Authorization: Bearer smoketok' http://127.0.0.1:17691/catalog >/dev/null
+curl -fsS http://127.0.0.1:17691/healthz | grep -q '"ok":true'
+curl -fsS http://127.0.0.1:17691/metrics >/dev/null
+kill "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
 
 echo "== smoke: crash recovery (kill -9 a durable server) =="
 # Boot a durable server, stream acknowledged single-row inserts at it,

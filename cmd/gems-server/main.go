@@ -18,7 +18,7 @@
 //
 // With -worker the process is one shard of a distributed cluster: it
 // owns partition -partition of -partitions and serves BSP supersteps on
-// -addr over the length-prefixed frame protocol. With -dist the server
+// -addr over the cluster's length-prefixed frame protocol. With -dist the server
 // is the cluster's coordinator: it scatters eligible chain queries to
 // the listed worker processes (address order = partition order) instead
 // of simulating partitions in-process; a worker that fails a superstep
@@ -224,23 +224,22 @@ func main() {
 	}
 	fmt.Printf("gems-server listening on %s\n", ln.Addr())
 
-	// One admission gate bounds the process across both front-ends, and
-	// one Limits value gives them identical deadline semantics.
-	limits := server.Limits{DefaultTimeout: *queryTimeout, MaxTimeout: *maxTimeout}
-	gate := server.NewGate(*maxInFlight, *maxQueue, opts.Obs)
-	// One registry of prepared-statement handles spans both front-ends: a
+	// One Service sits behind both wires: one admission gate bounds the
+	// process, one Limits value gives identical deadline semantics, and a
 	// statement prepared over TCP is executable over HTTP and vice versa.
-	prepared := server.NewPreparedSet(0)
+	srv := server.New(eng, *token)
+	srv.IdleTimeout = *idleTimeout
+	srv.WriteTimeout = *writeTimeout
+	srv.Limits = server.Limits{DefaultTimeout: *queryTimeout, MaxTimeout: *maxTimeout}
+	srv.Gate = server.NewGate(*maxInFlight, *maxQueue, opts.Obs)
+	srv.Log = logger
+	srv.Dist = dist
 
 	var hs *http.Server
 	if *httpAddr != "" {
 		fmt.Printf("web console on http://%s/\n", *httpAddr)
 		wh := web.New(eng)
-		wh.Log = logger
-		wh.Limits = limits
-		wh.Gate = gate
-		wh.Prepared = prepared
-		wh.Dist = dist
+		wh.Service = srv.Service
 		hs = &http.Server{
 			Addr:              *httpAddr,
 			Handler:           wh,
@@ -255,14 +254,6 @@ func main() {
 			}
 		}()
 	}
-	srv := server.New(eng, *token)
-	srv.IdleTimeout = *idleTimeout
-	srv.WriteTimeout = *writeTimeout
-	srv.Limits = limits
-	srv.Gate = gate
-	srv.Prepared = prepared
-	srv.Log = logger
-	srv.Dist = dist
 	if logger != nil {
 		logger.Info("listening", "addr", ln.Addr().String(), "traces", *traces, "partitions", *partitions,
 			"default_timeout", queryTimeout.String(), "max_inflight", *maxInFlight)

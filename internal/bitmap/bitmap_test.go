@@ -152,6 +152,11 @@ func TestSetAtomicConcurrent(t *testing.T) {
 				if b.SetAtomic(i) {
 					firsts[w]++
 				}
+				// Whoever won the bit, it is visible to a concurrent reader.
+				if !b.GetAtomic(i) {
+					t.Errorf("bit %d not visible after SetAtomic", i)
+					return
+				}
 			}
 		}(w)
 	}
@@ -165,6 +170,22 @@ func TestSetAtomicConcurrent(t *testing.T) {
 	}
 	if total != n {
 		t.Errorf("each bit must be won exactly once: %d wins for %d bits", total, n)
+	}
+}
+
+// TestWordsRoundTrip: Words/NewFromWords are the wire form of a
+// frontier; bits past the capacity are cleared and a short slice leaves
+// the tail empty.
+func TestWordsRoundTrip(t *testing.T) {
+	b := FromSlice(130, []uint32{0, 64, 129})
+	if c := NewFromWords(b.Len(), b.Words()); !c.Equal(b) {
+		t.Errorf("round trip = %v, want %v", c.Slice(), b.Slice())
+	}
+	if c := NewFromWords(130, []uint64{1, 1, ^uint64(0)}); c.Count() != 4 {
+		t.Errorf("bits past the capacity survived: %v", c.Slice())
+	}
+	if c := NewFromWords(130, []uint64{1}); c.Count() != 1 || !c.Get(0) {
+		t.Errorf("short slice = %v, want only bit 0", c.Slice())
 	}
 }
 

@@ -46,7 +46,7 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 		w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges))}
 		var inner error
 		visit := func(t, eid uint32) {
-			if inner != nil || out.Get(t) {
+			if inner != nil || out.GetAtomic(t) {
 				return
 			}
 			if cond != nil {

@@ -87,7 +87,7 @@ func Decode(data []byte) (*ast.Script, error) {
 	if v := r.u8(); v < minVersion || v > Version {
 		return nil, fmt.Errorf("graql: unsupported IR version %d", v)
 	}
-	n := r.uvarint()
+	n := r.count()
 	s := &ast.Script{}
 	for i := uint64(0); i < n; i++ {
 		st, err := r.stmt()
@@ -172,6 +172,18 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.pos += n
 	return v
+}
+
+// count reads an element count. Every element occupies at least one
+// byte of input, so a count beyond what remains is corruption; it is
+// refused here instead of being looped over.
+func (r *reader) count() uint64 {
+	n := r.uvarint()
+	if n > uint64(len(r.data)-r.pos) {
+		r.fail("count %d exceeds input", n)
+		return 0
+	}
+	return n
 }
 
 func (r *reader) varint() int64 {

@@ -64,14 +64,14 @@ func (r *reader) stmt() (ast.Stmt, error) {
 	switch tag := r.u8(); tag {
 	case tagCreateTable:
 		s := &ast.CreateTable{Name: r.str()}
-		n := r.uvarint()
+		n := r.count()
 		for i := uint64(0); i < n; i++ {
 			s.Cols = append(s.Cols, ast.ColDef{Name: r.str(), Type: r.typ()})
 		}
 		return s, r.err
 	case tagCreateVertex:
 		s := &ast.CreateVertex{Name: r.str()}
-		n := r.uvarint()
+		n := r.count()
 		for i := uint64(0); i < n; i++ {
 			s.KeyCols = append(s.KeyCols, r.str())
 		}
@@ -87,7 +87,7 @@ func (r *reader) stmt() (ast.Stmt, error) {
 			DstType:  r.str(),
 			DstAlias: r.str(),
 		}
-		n := r.uvarint()
+		n := r.count()
 		for i := uint64(0); i < n; i++ {
 			s.FromTables = append(s.FromTables, r.str())
 		}
@@ -162,7 +162,7 @@ func (r *reader) selectStmt() (*ast.Select, error) {
 	s.Top = int(r.uvarint())
 	s.Distinct = r.bool_()
 	s.Star = r.bool_()
-	nItems := r.uvarint()
+	nItems := r.count()
 	for i := uint64(0); i < nItems; i++ {
 		it := ast.SelectItem{Agg: ast.AggFunc(r.u8())}
 		it.AggStar = r.bool_()
@@ -171,6 +171,9 @@ func (r *reader) selectStmt() (*ast.Select, error) {
 		it.Expr, err = r.expr()
 		if err != nil {
 			return nil, err
+		}
+		if it.Expr == nil && !it.AggStar {
+			return nil, fmt.Errorf("ir: projection item %d has no expression", i+1)
 		}
 		s.Items = append(s.Items, it)
 	}
@@ -188,13 +191,13 @@ func (r *reader) selectStmt() (*ast.Select, error) {
 	if err != nil {
 		return nil, err
 	}
-	nGroup := r.uvarint()
+	nGroup := r.count()
 	for i := uint64(0); i < nGroup; i++ {
 		q := r.str()
 		n := r.str()
 		s.GroupBy = append(s.GroupBy, expr.NewRef(q, n))
 	}
-	nOrder := r.uvarint()
+	nOrder := r.count()
 	for i := uint64(0); i < nOrder; i++ {
 		q := r.str()
 		n := r.str()
@@ -220,10 +223,10 @@ func (w *writer) pathOr(p *ast.PathOr) error {
 
 func (r *reader) pathOr() (*ast.PathOr, error) {
 	out := &ast.PathOr{}
-	nTerms := r.uvarint()
+	nTerms := r.count()
 	for i := uint64(0); i < nTerms; i++ {
 		and := &ast.PathAnd{}
-		nPaths := r.uvarint()
+		nPaths := r.count()
 		for j := uint64(0); j < nPaths; j++ {
 			p, err := r.path()
 			if err != nil {
@@ -248,7 +251,7 @@ func (w *writer) path(p *ast.Path) error {
 
 func (r *reader) path() (*ast.Path, error) {
 	p := &ast.Path{}
-	n := r.uvarint()
+	n := r.count()
 	for i := uint64(0); i < n; i++ {
 		el, err := r.pathElem()
 		if err != nil {
@@ -319,7 +322,7 @@ func (r *reader) pathElem() (ast.PathElem, error) {
 		return e, err
 	case tagRegexGroup:
 		g := &ast.RegexGroup{Min: int(r.varint()), Max: int(r.varint())}
-		n := r.uvarint()
+		n := r.count()
 		for i := uint64(0); i < n; i++ {
 			el, err := r.pathElem()
 			if err != nil {

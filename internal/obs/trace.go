@@ -150,6 +150,15 @@ type Span struct {
 	attrs   []Attr // guarded by tr.mu
 }
 
+// Trace returns the trace the span belongs to (nil for a nil or
+// detached span).
+func (s *Span) Trace() *Trace {
+	if s == nil {
+		return nil
+	}
+	return s.tr
+}
+
 // ID returns the span's id (zero for a nil or detached span).
 func (s *Span) ID() SpanID {
 	if s == nil {

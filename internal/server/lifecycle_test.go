@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -14,14 +16,13 @@ import (
 	"graql/internal/server"
 )
 
-// startServerWith is startServer with limits and an admission gate, and
-// it also hands back the Server for shutdown tests.
-func startServerWith(t *testing.T, limits server.Limits, gate *server.Gate) (addr string, eng *exec.Engine, srv *server.Server, done chan struct{}) {
+// startServerWith is startServer with the Server configured before it
+// serves, and handed back for the lifecycle tests.
+func startServerWith(t *testing.T, configure func(*server.Server)) (addr string, eng *exec.Engine, srv *server.Server, done chan struct{}) {
 	t.Helper()
 	eng = exec.New(exec.DefaultOptions())
 	srv = server.New(eng, "")
-	srv.Limits = limits
-	srv.Gate = gate
+	configure(srv)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -74,132 +75,6 @@ const denseSlowQuery = `
 select a.id as src, d.id as dst from graph
 def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( )
 into table SlowT`
-
-const denseQuickQuery = `select B.id from graph N (id = 'v0') --link--> def B: N ( )`
-
-// TestDeadlineOverWire sends timeoutMs=50 on an expensive query and
-// expects a structured "deadline" error well under 500ms, with the
-// server staying healthy afterwards.
-func TestDeadlineOverWire(t *testing.T) {
-	addr, eng, _, _ := startServerWith(t, server.Limits{}, nil)
-	loadDense(t, eng)
-
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	start := time.Now()
-	resp, err := cl.ExecTimeout(denseSlowQuery, nil, 50*time.Millisecond)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("want deadline error, got success")
-	}
-	if resp == nil || resp.Code != server.CodeDeadline {
-		t.Fatalf("response code = %+v, want %q", resp, server.CodeDeadline)
-	}
-	if elapsed > 500*time.Millisecond {
-		t.Errorf("deadline round trip took %v, want < 500ms", elapsed)
-	}
-
-	// The session and server survive the abort.
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("ping after abort: %v", err)
-	}
-	if resp, err := cl.Exec(denseQuickQuery, nil); err != nil {
-		t.Fatalf("quick query after abort: %v", err)
-	} else if len(resp.Results) != 1 {
-		t.Fatalf("quick query results = %+v", resp.Results)
-	}
-}
-
-// TestServerDefaultDeadline checks Limits.DefaultTimeout applies when a
-// request carries no timeoutMs, and MaxTimeout clamps oversized asks.
-func TestServerDefaultDeadline(t *testing.T) {
-	limits := server.Limits{DefaultTimeout: 50 * time.Millisecond, MaxTimeout: 100 * time.Millisecond}
-	addr, eng, _, _ := startServerWith(t, limits, nil)
-	loadDense(t, eng)
-
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	resp, err := cl.Exec(denseSlowQuery, nil)
-	if err == nil {
-		t.Fatal("want default-deadline error, got success")
-	}
-	if resp.Code != server.CodeDeadline {
-		t.Fatalf("code = %q, want %q", resp.Code, server.CodeDeadline)
-	}
-
-	// An explicit oversized timeout is clamped to MaxTimeout, so the
-	// slow query still aborts with the deadline code.
-	start := time.Now()
-	resp, err = cl.ExecTimeout(denseSlowQuery, nil, time.Hour)
-	if err == nil {
-		t.Fatal("want clamped-deadline error, got success")
-	}
-	if resp.Code != server.CodeDeadline {
-		t.Fatalf("clamped code = %q, want %q", resp.Code, server.CodeDeadline)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("clamped query took %v, want well under 1s", elapsed)
-	}
-}
-
-// TestAdmissionRejection saturates a 1-slot gate with a slow query and
-// checks the concurrent query is rejected with the overloaded code, and
-// that capacity frees up once the slow query finishes.
-func TestAdmissionRejection(t *testing.T) {
-	gate := server.NewGate(1, 0, nil)
-	addr, eng, _, _ := startServerWith(t, server.Limits{}, gate)
-	loadDense(t, eng)
-
-	slow, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	fast, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fast.Close()
-
-	slowDone := make(chan error, 1)
-	go func() {
-		_, err := slow.Exec(denseSlowQuery, nil)
-		slowDone <- err
-	}()
-
-	// Wait until the slow query actually occupies the gate.
-	deadline := time.Now().Add(2 * time.Second)
-	for gate.InFlight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow query never acquired the gate")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	resp, err := fast.Exec(denseQuickQuery, nil)
-	if err == nil {
-		t.Fatal("want overloaded rejection, got success")
-	}
-	if resp == nil || resp.Code != server.CodeOverloaded {
-		t.Fatalf("response = %+v, want code %q", resp, server.CodeOverloaded)
-	}
-
-	if err := <-slowDone; err != nil {
-		t.Fatalf("slow query failed: %v", err)
-	}
-	// Pressure gone: the same session is served now.
-	if _, err := fast.Exec(denseQuickQuery, nil); err != nil {
-		t.Fatalf("query after pressure released: %v", err)
-	}
-}
 
 // TestGate exercises the admission gate directly: in-flight cap, queue
 // overflow, context-bounded waits and release.
@@ -259,12 +134,15 @@ func TestGate(t *testing.T) {
 		t.Fatalf("nil gate acquire: %v", err)
 	}
 	nilGate.Release()
+	if nilGate.Pending() != 0 || nilGate.InFlight() != 0 {
+		t.Error("nil gate reports load")
+	}
 }
 
 // TestShutdownDrains checks Shutdown lets an in-flight query finish
 // inside the drain window, then refuses new connections.
 func TestShutdownDrains(t *testing.T) {
-	addr, eng, srv, done := startServerWith(t, server.Limits{}, nil)
+	addr, eng, srv, done := startServerWith(t, func(*server.Server) {})
 	loadDense(t, eng)
 
 	cl, err := client.Dial(addr, "")
@@ -296,5 +174,48 @@ func TestShutdownDrains(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
 		conn.Close()
 		t.Error("listener still accepting after Shutdown")
+	}
+}
+
+// TestFraming pins the TCP wire format: newline-delimited JSON, one
+// response line per request line in order (so requests may be
+// pipelined), a frame that does not decode drops the session, and so
+// does sitting idle past IdleTimeout.
+func TestFraming(t *testing.T) {
+	addr, _, _, _ := startServerWith(t, func(s *server.Server) { s.IdleTimeout = 100 * time.Millisecond })
+	dial := func() (net.Conn, *bufio.Reader) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn, bufio.NewReader(conn)
+	}
+
+	conn, r := dial()
+	if _, err := conn.Write([]byte(`{"op":"ping"}` + "\n" + `{"op":"frobnicate"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`{"ok":true,`, `{"ok":false,"error":"unknown op \"frobnicate\"","code":"bad_request",`} {
+		line, err := r.ReadString('\n')
+		if err != nil || !strings.HasPrefix(line, want) {
+			t.Fatalf("response line = %q (%v), want prefix %s", line, err, want)
+		}
+	}
+	if _, err := conn.Write([]byte("{not json\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("after a broken frame: %q, %v; want the session dropped", line, err)
+	}
+
+	_, r = dial()
+	start := time.Now()
+	if line, err := r.ReadString('\n'); err != io.EOF {
+		t.Fatalf("idle session: %q, %v; want the server to close it", line, err)
+	}
+	if idle := time.Since(start); idle < 50*time.Millisecond || idle > 3*time.Second {
+		t.Errorf("idle session closed after %v, want about 100ms", idle)
 	}
 }

@@ -1,56 +1,18 @@
 package server_test
 
 import (
-	"encoding/json"
-	"net"
 	"strings"
 	"testing"
 
 	"graql/internal/client"
-	"graql/internal/exec"
-	"graql/internal/obs"
-	"graql/internal/server"
 )
-
-// startObsServer is startServer with a metrics registry attached to the
-// engine, for exercising the "metrics" op and the observability wiring.
-func startObsServer(t *testing.T, token string) (addr string, eng *exec.Engine, shutdown func()) {
-	t.Helper()
-	opts := exec.DefaultOptions()
-	opts.Obs = obs.New()
-	eng = exec.New(opts)
-	srv := server.New(eng, token)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln)
-	}()
-	return ln.Addr().String(), eng, func() {
-		srv.Close()
-		ln.Close()
-		<-done
-	}
-}
 
 // TestConcurrentClientsWithMetrics hammers one obs-enabled server from
 // several sessions mixing exec, stats and metrics ops; run under -race it
 // checks the registry's lock-free counters and the per-connection state.
 func TestConcurrentClientsWithMetrics(t *testing.T) {
-	addr, eng, shutdown := startObsServer(t, "")
-	defer shutdown()
-	if _, err := eng.ExecScript(setupScript, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Cities", strings.NewReader("p,US\nq,US\nr,CA\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Roads", strings.NewReader("p,q\nq,r\n")); err != nil {
-		t.Fatal(err)
-	}
+	fx := newFixture(t, fixtureConfig{})
+	addr, eng := serveTCP(t, fx), fx.eng
 
 	const clients = 8
 	errs := make(chan error, clients)
@@ -106,49 +68,5 @@ func TestConcurrentClientsWithMetrics(t *testing.T) {
 	}
 	if c := eng.Opts.Obs.Counter("graql_queries_total", ""); c.Value() < clients*15 {
 		t.Errorf("query counter = %d, want >= %d", c.Value(), clients*15)
-	}
-}
-
-// TestErrorCodes checks the structured error classification on the wire.
-func TestErrorCodes(t *testing.T) {
-	addr, _, shutdown := startObsServer(t, "sekrit")
-	defer shutdown()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := json.NewEncoder(conn), json.NewDecoder(conn)
-	roundTrip := func(req server.Request) server.Response {
-		t.Helper()
-		var resp server.Response
-		if err := enc.Encode(req); err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	if resp := roundTrip(server.Request{Op: "ping", Auth: "wrong"}); resp.OK || resp.Code != server.CodeAuth {
-		t.Errorf("wrong token: ok=%v code=%q, want code %q", resp.OK, resp.Code, server.CodeAuth)
-	}
-	if resp := roundTrip(server.Request{Op: "frobnicate", Auth: "sekrit"}); resp.OK || resp.Code != server.CodeBadRequest {
-		t.Errorf("unknown op: ok=%v code=%q, want code %q", resp.OK, resp.Code, server.CodeBadRequest)
-	}
-	if resp := roundTrip(server.Request{Op: "exec", Auth: "sekrit", Script: "select from from"}); resp.OK || resp.Code != server.CodeParse {
-		t.Errorf("parse error: ok=%v code=%q, want code %q", resp.OK, resp.Code, server.CodeParse)
-	}
-	if resp := roundTrip(server.Request{Op: "exec", Auth: "sekrit", Script: "select x from table Missing"}); resp.OK || resp.Code != server.CodeExec {
-		t.Errorf("exec error: ok=%v code=%q, want code %q", resp.OK, resp.Code, server.CodeExec)
-	}
-	resp := roundTrip(server.Request{Op: "ping", Auth: "sekrit"})
-	if !resp.OK || resp.Code != "" {
-		t.Errorf("ping: ok=%v code=%q, want ok with empty code", resp.OK, resp.Code)
-	}
-	if resp.ElapsedUs < 0 {
-		t.Errorf("ElapsedUs = %d, want >= 0", resp.ElapsedUs)
 	}
 }

@@ -1,10 +1,8 @@
 package server_test
 
 import (
-	"strings"
 	"testing"
 
-	"graql/internal/client"
 	"graql/internal/exec"
 	"graql/internal/server"
 )
@@ -48,161 +46,5 @@ func TestPreparedSetLRUAndRemove(t *testing.T) {
 	}
 	if s.Remove(id1) {
 		t.Error("second Remove of the same id reported true")
-	}
-}
-
-func TestPreparedOverWire(t *testing.T) {
-	addr, eng, shutdown := startServer(t, "")
-	defer shutdown()
-
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Exec(setupScript, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Cities", strings.NewReader("p,US\nq,US\nr,CA\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Roads", strings.NewReader("p,q\nq,r\n")); err != nil {
-		t.Fatal(err)
-	}
-
-	stmt, err := cl.Prepare(`select B.id from graph City (id = %Start%) --road--> def B: City ( )`)
-	if err != nil {
-		t.Fatalf("prepare over wire: %v", err)
-	}
-	if stmt == "" {
-		t.Fatal("prepare returned an empty handle id")
-	}
-
-	// Same handle, rebound parameters: each execute sees its own binding.
-	for start, want := range map[string]string{"p": "q", "q": "r"} {
-		resp, err := cl.Execute(stmt, map[string]server.Param{
-			"Start": {Type: "varchar", Value: start},
-		})
-		if err != nil {
-			t.Fatalf("execute Start=%s: %v", start, err)
-		}
-		rows := resp.Results[0].Rows
-		if len(rows) != 1 || rows[0][0] != want {
-			t.Errorf("Start=%s rows = %v, want [[%s]]", start, rows, want)
-		}
-	}
-
-	if err := cl.Deallocate(stmt); err != nil {
-		t.Fatalf("deallocate: %v", err)
-	}
-	resp, err := cl.Execute(stmt, nil)
-	if err == nil {
-		t.Fatal("execute of a deallocated handle succeeded")
-	}
-	if resp == nil || resp.Code != server.CodeBadRequest {
-		t.Errorf("code = %v, want %s", resp, server.CodeBadRequest)
-	}
-	if !strings.Contains(err.Error(), "unknown prepared statement") {
-		t.Errorf("error = %v", err)
-	}
-}
-
-// The wire also accepts prepare-by-IR: compile once, prepare the
-// compiled artifact directly (no text front-end on the second hop).
-func TestPrepareFromIROverWire(t *testing.T) {
-	addr, _, shutdown := startServer(t, "")
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Exec(`create table T(a integer)
-insert into T values (42)`, nil); err != nil {
-		t.Fatal(err)
-	}
-	irB64, err := cl.Compile(`select a from table T`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.RoundTrip(&server.Request{Op: "prepare", IR: irB64})
-	if err != nil {
-		t.Fatalf("prepare from IR: %v", err)
-	}
-	out, err := cl.Execute(resp.Stmt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows := out.Results[0].Rows; len(rows) != 1 || rows[0][0] != "42" {
-		t.Errorf("rows = %v", rows)
-	}
-
-	// Corrupt base64 → structured bad_request, not a parse error.
-	bad, err := cl.RoundTrip(&server.Request{Op: "prepare", IR: "!!not-base64!!"})
-	if err == nil || bad == nil || bad.Code != server.CodeBadRequest {
-		t.Errorf("bad base64: resp=%v err=%v", bad, err)
-	}
-	// Neither script nor IR → bad_request.
-	none, err := cl.RoundTrip(&server.Request{Op: "prepare"})
-	if err == nil || none == nil || none.Code != server.CodeBadRequest {
-		t.Errorf("empty prepare: resp=%v err=%v", none, err)
-	}
-}
-
-func TestPrepareErrorsOverWire(t *testing.T) {
-	addr, _, shutdown := startServer(t, "")
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Prepare("select from where"); err == nil {
-		t.Error("parse error must fail the wire prepare")
-	}
-	if _, err := cl.Prepare(""); err == nil {
-		t.Error("empty script must fail the wire prepare")
-	}
-	if err := cl.Deallocate("s999"); err == nil {
-		t.Error("deallocate of an unknown handle must fail")
-	}
-	if _, err := cl.Execute("", nil); err == nil {
-		t.Error("execute without a handle id must fail")
-	}
-}
-
-// A statement prepared after DML over the same wire sees the data; a
-// statement prepared before DML re-plans after the epoch moves (the
-// wire-level view of the plan-cache invalidation contract).
-func TestPreparedSeesWireDML(t *testing.T) {
-	addr, _, shutdown := startServer(t, "")
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Exec(`create table KV(id integer, v varchar(8))`, nil); err != nil {
-		t.Fatal(err)
-	}
-	stmt, err := cl.Prepare(`select count(*) as c from table KV`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []string{"0", "1", "2"} {
-		resp, err := cl.Execute(stmt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resp.Results[0].Rows[0][0]; got != want {
-			t.Fatalf("execute %d: count = %s, want %s", i, got, want)
-		}
-		if _, err := cl.Exec(`insert into KV values (1, 'x')`, nil); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -39,135 +39,6 @@ from table Roads
 where Roads.src = A.id and Roads.dst = B.id
 `
 
-func TestExecOverWire(t *testing.T) {
-	addr, eng, shutdown := startServer(t, "")
-	defer shutdown()
-
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Exec(setupScript, nil); err != nil {
-		t.Fatalf("DDL over wire: %v", err)
-	}
-	// Populate server-side via the engine's in-memory ingest (the wire
-	// path for data is ingest of files on the server's filesystem).
-	if err := eng.IngestReader("Cities", strings.NewReader("p,US\nq,US\nr,CA\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Roads", strings.NewReader("p,q\nq,r\n")); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := cl.Exec(`select B.id from graph City (id = %Start%) --road--> def B: City ( )`,
-		map[string]server.Param{"Start": {Type: "varchar", Value: "p"}})
-	if err != nil {
-		t.Fatalf("query over wire: %v", err)
-	}
-	rows := resp.Results[0].Rows
-	if len(rows) != 1 || rows[0][0] != "q" {
-		t.Errorf("rows = %v", rows)
-	}
-}
-
-func TestCheckAndErrorsOverWire(t *testing.T) {
-	addr, _, shutdown := startServer(t, "")
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Check(setupScript); err != nil {
-		t.Errorf("valid script rejected: %v", err)
-	}
-	_, err = cl.Check(`select x from table Missing`)
-	if err == nil || !strings.Contains(err.Error(), "unknown table") {
-		t.Errorf("check error = %v", err)
-	}
-	// Execution errors come back as frames, not dropped connections.
-	_, err = cl.Exec(`select x from table Missing`, nil)
-	if err == nil {
-		t.Error("exec of bad script must error")
-	}
-	// The session must still work afterwards.
-	if _, err := cl.Stats(); err != nil {
-		t.Errorf("session broken after error: %v", err)
-	}
-}
-
-// TestCompileAndExecIR exercises the §III front-end/backend split: compile
-// once, ship IR, execute.
-func TestCompileAndExecIR(t *testing.T) {
-	addr, eng, shutdown := startServer(t, "")
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	if _, err := cl.Exec(setupScript, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Cities", strings.NewReader("p,US\nq,US\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Roads", strings.NewReader("p,q\n")); err != nil {
-		t.Fatal(err)
-	}
-
-	irB64, err := cl.Compile(`select B.id from graph City (id = 'p') --road--> def B: City ( )`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if irB64 == "" {
-		t.Fatal("empty IR")
-	}
-	resp, err := cl.ExecIR(irB64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results[0].Rows) != 1 || resp.Results[0].Rows[0][0] != "q" {
-		t.Errorf("IR execution rows = %v", resp.Results[0].Rows)
-	}
-	if _, err := cl.ExecIR("!!!notbase64", nil); err == nil {
-		t.Error("bad IR must error")
-	}
-}
-
-func TestStatsOverWire(t *testing.T) {
-	addr, eng, shutdown := startServer(t, "")
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Exec(setupScript, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Cities", strings.NewReader("p,US\n")); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range resp.Catalog {
-		if e.Kind == "vertex" && e.Name == "City" && e.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("catalog missing City stats: %+v", resp.Catalog)
-	}
-}
-
 func TestAuthentication(t *testing.T) {
 	addr, _, shutdown := startServer(t, "sekrit")
 	defer shutdown()

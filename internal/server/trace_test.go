@@ -2,49 +2,12 @@ package server_test
 
 import (
 	"net"
-	"strings"
 	"sync"
 	"testing"
 
 	"graql/internal/client"
-	"graql/internal/exec"
 	"graql/internal/obs"
-	"graql/internal/server"
 )
-
-// startTracedServer is startObsServer with trace retention enabled and
-// the road chain p→q→r loaded.
-func startTracedServer(t *testing.T, ring int) (addr string, eng *exec.Engine, shutdown func()) {
-	t.Helper()
-	opts := exec.DefaultOptions()
-	opts.Obs = obs.New()
-	opts.Obs.EnableTracing(ring)
-	eng = exec.New(opts)
-	if _, err := eng.ExecScript(setupScript, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Cities", strings.NewReader("p,US\nq,US\nr,CA\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.IngestReader("Roads", strings.NewReader("p,q\nq,r\n")); err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(eng, "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln)
-	}()
-	return ln.Addr().String(), eng, func() {
-		srv.Close()
-		ln.Close()
-		<-done
-	}
-}
 
 // countSpans walks a span forest counting nodes and verifying parent
 // links: every child's ParentID must equal its parent's SpanID.
@@ -64,8 +27,7 @@ func countSpans(t *testing.T, nodes []*obs.SpanNode, parentID string) int {
 // originates a traceparent, the server builds one connected span tree
 // under it, and the tree reaches the client through the "trace" op.
 func TestClientServerSpanTree(t *testing.T) {
-	addr, _, shutdown := startTracedServer(t, 8)
-	defer shutdown()
+	addr := serveTCP(t, newFixture(t, fixtureConfig{tracing: true}))
 
 	cl, err := client.Dial(addr, "")
 	if err != nil {
@@ -128,40 +90,11 @@ into subgraph SG`, nil)
 	}
 }
 
-// TestServerAssignsTraceID: a request without a client traceparent still
-// gets a server-assigned trace id.
-func TestServerAssignsTraceID(t *testing.T) {
-	addr, eng, shutdown := startTracedServer(t, 8)
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	// No EnableTracing: the request carries no traceId field.
-	resp, err := cl.Exec(`select a.id from graph def a: City (id = 'p')`, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.TraceID == "" {
-		t.Fatal("server did not assign a trace id")
-	}
-	if n := eng.Opts.Obs.TraceCount(); n != 1 {
-		t.Fatalf("TraceCount = %d, want 1", n)
-	}
-	// Server-originated root has no remote parent.
-	trees := eng.Opts.Obs.Traces()
-	if len(trees) != 1 || len(trees[0].Roots) != 1 || trees[0].Roots[0].ParentID != "" {
-		t.Fatalf("unexpected forest: %+v", trees)
-	}
-}
-
 // TestConcurrentTraceIDUniqueness hammers a traced server from several
 // sessions; every response must carry a distinct trace id (and -race
 // checks the trace machinery under concurrency).
 func TestConcurrentTraceIDUniqueness(t *testing.T) {
-	addr, _, shutdown := startTracedServer(t, 128)
-	defer shutdown()
+	addr := serveTCP(t, newFixture(t, fixtureConfig{tracing: true}))
 
 	const clients, perClient = 6, 10
 	var mu sync.Mutex
@@ -203,24 +136,5 @@ func TestConcurrentTraceIDUniqueness(t *testing.T) {
 	}
 	if len(ids) != clients*perClient {
 		t.Fatalf("distinct trace ids = %d, want %d", len(ids), clients*perClient)
-	}
-}
-
-// TestTraceOpWithoutTracing: the "trace" op answers an empty forest when
-// the server retains no traces, rather than failing.
-func TestTraceOpWithoutTracing(t *testing.T) {
-	addr, _, shutdown := startObsServer(t, "")
-	defer shutdown()
-	cl, err := client.Dial(addr, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	trees, err := cl.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trees) != 0 {
-		t.Fatalf("traces = %d, want 0", len(trees))
 	}
 }

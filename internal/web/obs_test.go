@@ -75,19 +75,6 @@ func TestWebMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestWebQueryMethodNotAllowed: /query is POST-only.
-func TestWebQueryMethodNotAllowed(t *testing.T) {
-	ts, _ := obsServer(t)
-	resp, err := http.Get(ts.URL + "/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /query status = %d, want %d", resp.StatusCode, http.StatusMethodNotAllowed)
-	}
-}
-
 func TestWebSlowQueryLog(t *testing.T) {
 	ts, eng := obsServer(t)
 	// Threshold 0 with an explicit opt-in flag is not supported; use 1ns so

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"graql/internal/exec"
-	"graql/internal/obs"
 )
 
 // tracedServer is obsServer with trace retention enabled.
@@ -103,39 +102,10 @@ func TestWebDebugTraces(t *testing.T) {
 		t.Fatalf("roots = %d, want 1", len(roots))
 	}
 	root := roots[0].(map[string]any)
-	if root["action"] != "web" || root["detail"] != "/query" {
+	if root["action"] != "server" || root["detail"] != "exec" {
 		t.Fatalf("root = %v", root)
 	}
 	if _, ok := root["children"].([]any); !ok {
-		t.Fatalf("web root has no children: %v", root)
-	}
-}
-
-// TestWebTraceparentJoin: an incoming W3C traceparent header pins the
-// request's trace id and parents the web span under the caller's span.
-func TestWebTraceparentJoin(t *testing.T) {
-	ts, eng := tracedServer(t)
-	caller := obs.FormatTraceParent(obs.NewTraceID(), obs.NewSpanID())
-	req, err := http.NewRequest("POST", ts.URL+"/query",
-		strings.NewReader(`{"script": "select a.id from graph def a: City (id = 'p')"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("traceparent", caller)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	wantTID := caller[3:35]
-	if got := resp.Header.Get("X-Trace-Id"); got != wantTID {
-		t.Fatalf("X-Trace-Id = %s, want %s", got, wantTID)
-	}
-	trees := eng.Opts.Obs.Traces()
-	if len(trees) != 1 || trees[0].TraceID != wantTID {
-		t.Fatalf("retained: %+v", trees)
-	}
-	if trees[0].Roots[0].ParentID != caller[36:52] {
-		t.Fatalf("web root parent = %s, want %s", trees[0].Roots[0].ParentID, caller[36:52])
+		t.Fatalf("server root has no children: %v", root)
 	}
 }

@@ -1,106 +1,266 @@
-// Package web implements the paper's second client class: "clients can
-// range from a simple command-line interface to web-based front-ends"
-// (§III). It exposes the engine over HTTP with a JSON query endpoint, a
-// catalog endpoint, and a minimal self-contained HTML console.
+// Package web is the HTTP wire adapter over server.Service — the paper's
+// second client class: "clients can range from a simple command-line
+// interface to web-based front-ends" (§III). It is a codec, not a second
+// front-end: each op route maps its body and headers ("Authorization:
+// Bearer <token>", "traceparent") onto a server.Request, calls
+// Service.Do, and maps the Response back to a status, headers and a JSON
+// body. Authentication, deadlines, admission, tracing, execution and the
+// request log all happen in the service, exactly as they do for a TCP
+// request. To expose an op over HTTP, add one route line in New.
+//
+// Besides the op routes the handler serves what only HTTP has: the
+// liveness/readiness probes, the Prometheus scrape endpoint, pprof, the
+// slow-query ring and a minimal self-contained HTML console.
 package web
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"html/template"
-	"log/slog"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"graql/internal/cluster"
 	"graql/internal/diag"
 	"graql/internal/exec"
-	"graql/internal/obs"
 	"graql/internal/server"
-	"graql/internal/value"
 )
 
-// Handler serves the GEMS web front-end for one engine.
+// maxBodyBytes bounds a request body; larger bodies are refused with 413
+// instead of buffering unbounded client input.
+const maxBodyBytes = 16 << 20
+
+// Handler serves the HTTP wire for one service. The embedded Service's
+// fields (Limits, Gate, Prepared, Log, Dist) configure it; New installs
+// a private Service, and a process that also serves TCP replaces it with
+// the TCP server's (gems-server does) so both wires share one gate, one
+// set of deadlines and one registry of prepared handles. Set before
+// serving.
 type Handler struct {
-	eng *exec.Engine
+	*server.Service
+	eng *exec.Engine // for the probes and scrape endpoints, which are not ops
 	mux *http.ServeMux
-
-	// Log, when non-nil, receives one structured line per /query request
-	// (trace_id, op, code, elapsed_us). Set before serving.
-	Log *slog.Logger
-
-	// Limits configures per-query deadlines for /query (same semantics
-	// as the TCP front-end). Set before serving.
-	Limits server.Limits
-
-	// Gate, when non-nil, admission-controls /query and /execute;
-	// overflow requests get 503 with code "overloaded". Share one gate
-	// with the TCP front-end to bound the process globally. Set before
-	// serving.
-	Gate *server.Gate
-
-	// Prepared is the prepared-statement registry backing /prepare and
-	// /execute. New installs a private set; replace it before serving to
-	// share handles with the TCP front-end (gems-server does).
-	Prepared *server.PreparedSet
-
-	// Dist, when non-nil, is the coordinator's transport to the
-	// distributed worker processes: /readyz probes it and reports 503
-	// with the degraded worker set while any worker is down, and
-	// /workers exposes the per-worker health view. Set before serving.
-	Dist *cluster.TCPTransport
 }
 
-// New returns the front-end handler.
+// New returns the HTTP handler over a fresh Service for the engine.
 //
 //	GET  /             the HTML console
-//	POST /query        {"script": "...", "params": {"P": {"type": "varchar", "value": "x"}}}
-//	POST /prepare      {"script": "..."} → {"stmt": "s1"} (compile once, keep the handle)
-//	POST /execute      {"stmt": "s1", "params": {...}} → results (run the compiled handle)
-//	POST /vet          {"script": "..."} → every static-analysis finding as JSON
-//	GET  /catalog      the catalog snapshot as JSON
-//	GET  /metrics      Prometheus text exposition of the engine registry
+//	POST /query        {"script": "...", "params": {"P": {"type": "varchar", "value": "x"}}} (op exec;
+//	                   with "check": true, op check)
+//	POST /prepare      {"script": "..."} → {"stmt": "s1"} (op prepare)
+//	POST /execute      {"stmt": "s1", "params": {...}} → results (op execute)
+//	POST /vet          {"script": "..."} → every static-analysis finding with counts (op check)
+//	GET  /catalog      the catalog snapshot as a JSON array (op stats)
+//	GET  /workers      distributed worker health, actively probed (op workers)
+//	GET  /debug/traces retained trace trees, oldest first (op trace)
+//	GET  /debug/statements  per-statement-shape statistics (op statements)
+//	GET  /debug/queries     in-flight query table (op ps)
+//	DELETE /debug/queries/{id}  cancel the in-flight query with that id (op cancelq)
 //	GET  /debug/slow   retained slow queries as JSON
-//	GET  /debug/traces retained trace trees as JSON (oldest first)
-//	GET  /debug/statements  per-statement-shape statistics as JSON
-//	GET  /debug/queries     in-flight query table as JSON
-//	DELETE /debug/queries/{id}  cancel the in-flight query with that id
+//	GET  /debug/pprof/ the standard Go profiling endpoints
+//	GET  /metrics      Prometheus text exposition of the engine registry
 //	GET  /healthz      liveness probe (200 once serving)
 //	GET  /readyz       readiness probe (catalog reachable + worker pool responsive
 //	                   + every distributed worker answering, when running distributed)
-//	GET  /workers      distributed worker health as JSON (actively probed)
-//	GET  /debug/pprof/ the standard Go profiling endpoints
 //
-// Non-POST methods on /query are rejected with 405 (the method pattern
-// restricts the route). /metrics and the debug endpoints work — with an
-// empty exposition — when the engine has no observability registry.
+// The op routes answer with the server.Response body the TCP wire sends
+// (the GET routes wrap the one field they serve in a small envelope).
+// Failures are 200 with the structured code in the body, except: code
+// auth → 401, overloaded → 503 + Retry-After, an undecodable body → 400
+// and an oversized one → 413 (both code bad_request). When the service
+// has a token, everything but the console page, /healthz, /readyz and
+// /metrics requires it. Wrong methods are rejected with 405 by the
+// route patterns.
 func New(eng *exec.Engine) *Handler {
-	h := &Handler{eng: eng, mux: http.NewServeMux(), Prepared: server.NewPreparedSet(0)}
+	h := &Handler{Service: server.NewService(eng, ""), eng: eng, mux: http.NewServeMux()}
 	h.mux.HandleFunc("GET /{$}", h.console)
-	h.mux.HandleFunc("POST /query", h.query)
-	h.mux.HandleFunc("POST /prepare", h.prepare)
-	h.mux.HandleFunc("POST /execute", h.execute)
+	h.mux.HandleFunc("POST /query", h.post("exec"))
+	h.mux.HandleFunc("POST /prepare", h.post("prepare"))
+	h.mux.HandleFunc("POST /execute", h.post("execute"))
 	h.mux.HandleFunc("POST /vet", h.vet)
-	h.mux.HandleFunc("GET /catalog", h.catalog)
-	h.mux.HandleFunc("GET /metrics", h.metrics)
-	h.mux.HandleFunc("GET /debug/slow", h.slow)
-	h.mux.HandleFunc("GET /debug/traces", h.traces)
-	h.mux.HandleFunc("GET /debug/statements", h.statements)
-	h.mux.HandleFunc("GET /debug/queries", h.liveQueries)
+	h.mux.HandleFunc("GET /catalog", h.get("stats", func(r *server.Response) any { return r.Catalog }))
+	h.mux.HandleFunc("GET /workers", h.get("workers", func(r *server.Response) any {
+		return map[string]any{"distributed": h.Dist != nil, "workers": orEmpty(r.Workers)}
+	}))
+	h.mux.HandleFunc("GET /debug/traces", h.get("trace", func(r *server.Response) any {
+		reg := h.eng.Opts.Obs
+		return map[string]any{"enabled": reg.TracingEnabled(), "total": reg.TraceCount(), "traces": orEmpty(r.Traces)}
+	}))
+	h.mux.HandleFunc("GET /debug/statements", h.get("statements", func(r *server.Response) any {
+		return map[string]any{"evicted": h.eng.Opts.Obs.StatementsEvicted(), "statements": orEmpty(r.Statements)}
+	}))
+	h.mux.HandleFunc("GET /debug/queries", h.get("ps", func(r *server.Response) any {
+		return map[string]any{"queries": orEmpty(r.Queries)}
+	}))
 	h.mux.HandleFunc("DELETE /debug/queries/{id}", h.cancelQuery)
+	h.mux.HandleFunc("GET /debug/slow", h.guard(h.slow))
+	// Importing net/http/pprof registers its handlers on the default mux.
+	h.mux.HandleFunc("/debug/pprof/", h.guard(http.DefaultServeMux.ServeHTTP))
+	h.mux.HandleFunc("GET /metrics", h.metrics)
 	h.mux.HandleFunc("GET /healthz", h.healthz)
 	h.mux.HandleFunc("GET /readyz", h.readyz)
-	h.mux.HandleFunc("GET /workers", h.workers)
-	h.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	h.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	h.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	h.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	h.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return h
+}
+
+// ServeHTTP implements http.Handler.
+func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
+
+// call runs one op for an HTTP request. Credentials and trace context
+// come from the headers, never the body; the request context ties the
+// execution to the connection, so a client that disconnects mid-query
+// cancels it.
+func (h *Handler) call(r *http.Request, req *server.Request) *server.Response {
+	req.Auth, _ = strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	req.Trace = r.Header.Get("traceparent")
+	return h.Do(r.Context(), req)
+}
+
+// write sends a Response as the body, mapping its code to the status
+// and headers HTTP clients and proxies act on.
+func write(w http.ResponseWriter, resp *server.Response) {
+	status := http.StatusOK
+	switch resp.Code {
+	case server.CodeAuth:
+		status = http.StatusUnauthorized
+		w.Header().Set("WWW-Authenticate", "Bearer")
+	case server.CodeOverloaded:
+		status = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", "1")
+	}
+	if resp.TraceID != "" {
+		w.Header().Set("X-Trace-Id", resp.TraceID)
+	}
+	writeJSON(w, status, resp)
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// requestBody is the JSON body of the POST routes: the Request fields
+// (script, params, stmt, ir, timeoutMs) plus the /query check switch.
+type requestBody struct {
+	server.Request
+	// Check runs static analysis only.
+	Check bool `json:"check,omitempty"`
+}
+
+// decode reads a bounded JSON body, answering 400 (or 413) itself when
+// it cannot.
+func decode(w http.ResponseWriter, r *http.Request, body *requestBody) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(body)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, &server.Response{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
+	return false
+}
+
+// post serves a body-carrying op route.
+func (h *Handler) post(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body requestBody
+		if !decode(w, r, &body) {
+			return
+		}
+		body.Op = op
+		if op == "exec" && body.Check {
+			body.Op = "check"
+		}
+		write(w, h.call(r, &body.Request))
+	}
+}
+
+// get serves a read-only op route whose body is an envelope around the
+// one Response field it reads; a failure is written as the Response.
+func (h *Handler) get(op string, envelope func(*server.Response) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		resp := h.call(r, &server.Request{Op: op})
+		if !resp.OK {
+			write(w, resp)
+			return
+		}
+		writeJSON(w, http.StatusOK, envelope(resp))
+	}
+}
+
+// guard applies the service's authentication to a route that reads
+// process state without being an op.
+func (h *Handler) guard(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if resp := h.call(r, &server.Request{Op: "ping"}); !resp.OK {
+			write(w, resp)
+			return
+		}
+		next(w, r)
+	}
+}
+
+// orEmpty keeps a field a JSON array even when empty.
+func orEmpty[S ~[]E, E any](s S) S {
+	if s == nil {
+		return S{}
+	}
+	return s
+}
+
+// vetResponse is the /vet body: every static-analysis finding, sorted
+// by source position, plus severity counts. ok means "no errors"
+// (warnings alone do not fail a vet).
+type vetResponse struct {
+	OK          bool      `json:"ok"`
+	Errors      int       `json:"errors"`
+	Warnings    int       `json:"warnings"`
+	Diagnostics diag.List `json:"diagnostics"`
+}
+
+// vet runs op check and reports every finding with its stable code and
+// line:col position. A failure that is not a finding (authentication,
+// an empty script) is written as the Response.
+func (h *Handler) vet(w http.ResponseWriter, r *http.Request) {
+	var body requestBody
+	if !decode(w, r, &body) {
+		return
+	}
+	body.Op = "check"
+	resp := h.call(r, &body.Request)
+	if !resp.OK && resp.Diagnostics == nil {
+		write(w, resp)
+		return
+	}
+	nerr := len(resp.Diagnostics.Errors())
+	writeJSON(w, http.StatusOK, vetResponse{
+		OK:          resp.OK,
+		Errors:      nerr,
+		Warnings:    len(resp.Diagnostics) - nerr,
+		Diagnostics: orEmpty(resp.Diagnostics),
+	})
+}
+
+// cancelQuery cooperatively cancels one in-flight query by id: 400 for
+// an id that does not parse, 404 for one that names no live query.
+func (h *Handler) cancelQuery(w http.ResponseWriter, r *http.Request) {
+	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+	if err != nil || id == 0 {
+		writeJSON(w, http.StatusBadRequest, &server.Response{Code: server.CodeBadRequest, Error: "bad query id"})
+		return
+	}
+	resp := h.call(r, &server.Request{Op: "cancelq", QueryID: id})
+	if resp.Code == server.CodeBadRequest {
+		writeJSON(w, http.StatusNotFound, resp)
+		return
+	}
+	write(w, resp)
 }
 
 // metrics renders the engine's observability registry in the Prometheus
@@ -119,64 +279,6 @@ func (h *Handler) slow(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// traces dumps the retained complete trace trees as JSON, oldest first.
-func (h *Handler) traces(w http.ResponseWriter, _ *http.Request) {
-	reg := h.eng.Opts.Obs
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled": reg.TracingEnabled(),
-		"total":   reg.TraceCount(),
-		"traces":  emptyNotNull(reg.Traces()),
-	})
-}
-
-// statements dumps the per-statement-shape statistics as JSON, most
-// expensive shape first.
-func (h *Handler) statements(w http.ResponseWriter, _ *http.Request) {
-	reg := h.eng.Opts.Obs
-	stats := reg.Statements()
-	if stats == nil {
-		stats = []obs.StmtStat{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"evicted":    reg.StatementsEvicted(),
-		"statements": stats,
-	})
-}
-
-// liveQueries dumps the in-flight query table as JSON, oldest query
-// first.
-func (h *Handler) liveQueries(w http.ResponseWriter, _ *http.Request) {
-	qs := h.eng.Opts.Obs.LiveQueries()
-	if qs == nil {
-		qs = []obs.QueryInfo{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"queries": qs})
-}
-
-// cancelQuery cooperatively cancels one in-flight query by id.
-func (h *Handler) cancelQuery(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil || id == 0 {
-		writeJSON(w, http.StatusBadRequest,
-			map[string]any{"ok": false, "error": "bad query id"})
-		return
-	}
-	if !h.eng.Opts.Obs.CancelQuery(id) {
-		writeJSON(w, http.StatusNotFound,
-			map[string]any{"ok": false, "error": fmt.Sprintf("no such query id %d", id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "canceled": id})
-}
-
-// emptyNotNull keeps the traces field a JSON array even when empty.
-func emptyNotNull(t []obs.TraceTree) []obs.TraceTree {
-	if t == nil {
-		return []obs.TraceTree{}
-	}
-	return t
-}
-
 // healthz is the liveness probe: the process serves HTTP.
 func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
@@ -189,7 +291,7 @@ func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 // failing partitions so orchestrators stop routing to this coordinator.
 func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	h.eng.Cat.RLock()
-	objects := len(h.eng.Cat.Stats())
+	ready := map[string]any{"ok": true, "catalogObjects": len(h.eng.Cat.Stats())}
 	h.eng.Cat.RUnlock()
 	if !h.eng.Ready(2 * time.Second) {
 		writeJSON(w, http.StatusServiceUnavailable,
@@ -211,349 +313,9 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ok": true, "catalogObjects": objects, "workers": len(status),
-		})
-		return
+		ready["workers"] = len(status)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "catalogObjects": objects})
-}
-
-// workers exposes the distributed cluster's per-worker health (actively
-// probed). Without a distributed transport the list is empty.
-func (h *Handler) workers(w http.ResponseWriter, _ *http.Request) {
-	if h.Dist == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"distributed": false, "workers": []cluster.WorkerStatus{}})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"distributed": true, "workers": h.Dist.Probe(2 * time.Second)})
-}
-
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
-
-// queryRequest is the /query body (parameter encoding shared with the TCP
-// protocol).
-type queryRequest struct {
-	Script string                  `json:"script"`
-	Params map[string]server.Param `json:"params,omitempty"`
-	// Stmt names a prepared-statement handle (for /execute).
-	Stmt string `json:"stmt,omitempty"`
-	// Check runs static analysis only.
-	Check bool `json:"check,omitempty"`
-	// TimeoutMs optionally bounds this request's execution in
-	// milliseconds; it overrides the handler's default timeout and is
-	// clamped to the maximum (same semantics as the TCP protocol).
-	TimeoutMs int `json:"timeoutMs,omitempty"`
-}
-
-type queryResponse struct {
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-	// Code classifies a failure with the TCP protocol's vocabulary
-	// (parse | bad_request | exec | canceled | deadline | overloaded).
-	Code    string              `json:"code,omitempty"`
-	Results []server.StmtResult `json:"results,omitempty"`
-	// Stmt is the prepared-statement handle assigned by /prepare.
-	Stmt string `json:"stmt,omitempty"`
-	// TraceID reports the request's trace id when the engine's registry
-	// retains traces (also sent as the X-Trace-Id response header).
-	TraceID string `json:"traceId,omitempty"`
-}
-
-func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
-		return
-	}
-	if req.Check {
-		if err := exec.CheckScript(req.Script); err != nil {
-			writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeParse, Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, queryResponse{OK: true,
-			Results: []server.StmtResult{{Message: "script is statically valid"}}})
-		return
-	}
-	params, err := decodeParams(req.Params)
-	if err != nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeBadRequest, Error: err.Error()})
-		return
-	}
-
-	// The request context carries both the per-query deadline and the
-	// connection's lifetime: a client that disconnects mid-query cancels
-	// the execution through r.Context().
-	ctx := r.Context()
-	if d := h.Limits.TimeoutFor(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	// While queued for admission the request is visible in the live query
-	// table (state "queued") and cancelable by id; the measured wait rides
-	// the context into per-statement accounting.
-	qctx, qcancel := context.WithCancel(ctx)
-	defer qcancel()
-	fp, text := h.eng.Opts.Obs.FingerprintCached(req.Script)
-	lq := h.eng.Opts.Obs.StartQueuedQuery(fp, text, qcancel)
-	waitStart := time.Now()
-	gateErr := h.Gate.Acquire(qctx)
-	lq.Finish()
-	if gateErr != nil {
-		resp := queryResponse{Error: gateErr.Error()}
-		status := http.StatusOK
-		switch {
-		case errors.Is(gateErr, server.ErrOverloaded):
-			resp.Code = server.CodeOverloaded
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
-		case errors.Is(gateErr, context.DeadlineExceeded):
-			resp.Code = server.CodeDeadline
-		default:
-			resp.Code = server.CodeCanceled
-		}
-		h.logQuery(resp, start)
-		writeJSON(w, status, resp)
-		return
-	}
-	defer h.Gate.Release()
-	ctx = exec.WithQueueWait(qctx, time.Since(waitStart))
-
-	// Request tracing: when the registry retains traces, the whole script
-	// runs under a "web" root span; an incoming W3C traceparent header
-	// joins the request to the caller's trace.
-	eng := h.eng
-	reg := h.eng.Opts.Obs
-	var tr *obs.Trace
-	var root *obs.Span
-	if reg.TracingEnabled() {
-		tid, parent, _ := obs.ParseTraceParent(r.Header.Get("traceparent"))
-		tr = obs.NewTrace(tid)
-		root = tr.SpanUnder(parent, "web", "/query")
-		eng = h.eng.WithTrace(tr, root)
-	}
-
-	results, err := eng.ExecScriptContext(ctx, req.Script, params)
-	resp := queryResponse{OK: err == nil}
-	if err != nil {
-		resp.Error = err.Error()
-		resp.Code = server.ErrorCode(err)
-	}
-	for _, res := range results {
-		resp.Results = append(resp.Results, server.EncodeResult(res))
-	}
-	if tr != nil {
-		root.End()
-		resp.TraceID = tr.ID().String()
-		w.Header().Set("X-Trace-Id", resp.TraceID)
-		reg.ObserveTrace(tr)
-	}
-	h.logQuery(resp, start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// logQuery emits the per-request structured line with the shared schema
-// fields (trace_id, op, code, elapsed_us).
-func (h *Handler) logQuery(resp queryResponse, start time.Time) {
-	h.logOp(resp, "/query", start)
-}
-
-func (h *Handler) logOp(resp queryResponse, op string, start time.Time) {
-	if h.Log == nil {
-		return
-	}
-	h.Log.Info("request",
-		"trace_id", resp.TraceID,
-		"op", op,
-		"code", resp.Code,
-		"elapsed_us", time.Since(start).Microseconds())
-}
-
-// prepare compiles a script into a server-side prepared statement
-// (parse → binary IR → fingerprints, plus eager analysis for read-only
-// scripts) and returns the assigned handle id in the stmt field.
-func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
-		return
-	}
-	if req.Script == "" {
-		writeJSON(w, http.StatusOK,
-			queryResponse{Code: server.CodeBadRequest, Error: "prepare requires script"})
-		return
-	}
-	p, err := h.eng.Prepare(req.Script)
-	if err != nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeParse, Error: err.Error()})
-		return
-	}
-	id := h.Prepared.Add(p)
-	writeJSON(w, http.StatusOK, queryResponse{
-		OK: true, Stmt: id,
-		Results: []server.StmtResult{{Message: fmt.Sprintf("prepared %d statement(s) as %s", p.NumStmts(), id)}},
-	})
-}
-
-// execute runs a prepared handle, binding the request's parameters. It
-// passes the same admission gate and deadline clamp as /query.
-func (h *Handler) execute(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
-		return
-	}
-	p := h.Prepared.Get(req.Stmt)
-	if p == nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeBadRequest,
-			Error: fmt.Sprintf("unknown prepared statement %q", req.Stmt)})
-		return
-	}
-	params, err := decodeParams(req.Params)
-	if err != nil {
-		writeJSON(w, http.StatusOK, queryResponse{Code: server.CodeBadRequest, Error: err.Error()})
-		return
-	}
-
-	ctx := r.Context()
-	if d := h.Limits.TimeoutFor(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	qctx, qcancel := context.WithCancel(ctx)
-	defer qcancel()
-	fp, text := h.eng.Opts.Obs.FingerprintCached(p.Text())
-	lq := h.eng.Opts.Obs.StartQueuedQuery(fp, text, qcancel)
-	waitStart := time.Now()
-	gateErr := h.Gate.Acquire(qctx)
-	lq.Finish()
-	if gateErr != nil {
-		resp := queryResponse{Error: gateErr.Error()}
-		status := http.StatusOK
-		switch {
-		case errors.Is(gateErr, server.ErrOverloaded):
-			resp.Code = server.CodeOverloaded
-			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", "1")
-		case errors.Is(gateErr, context.DeadlineExceeded):
-			resp.Code = server.CodeDeadline
-		default:
-			resp.Code = server.CodeCanceled
-		}
-		h.logOp(resp, "/execute", start)
-		writeJSON(w, status, resp)
-		return
-	}
-	defer h.Gate.Release()
-	ctx = exec.WithQueueWait(qctx, time.Since(waitStart))
-
-	eng := h.eng
-	reg := h.eng.Opts.Obs
-	var tr *obs.Trace
-	var root *obs.Span
-	if reg.TracingEnabled() {
-		tid, parent, _ := obs.ParseTraceParent(r.Header.Get("traceparent"))
-		tr = obs.NewTrace(tid)
-		root = tr.SpanUnder(parent, "web", "/execute")
-		eng = h.eng.WithTrace(tr, root)
-	}
-
-	results, err := eng.ExecPreparedContext(ctx, p, params)
-	resp := queryResponse{OK: err == nil}
-	if err != nil {
-		resp.Error = err.Error()
-		resp.Code = server.ErrorCode(err)
-	}
-	for _, res := range results {
-		resp.Results = append(resp.Results, server.EncodeResult(res))
-	}
-	if tr != nil {
-		root.End()
-		resp.TraceID = tr.ID().String()
-		w.Header().Set("X-Trace-Id", resp.TraceID)
-		reg.ObserveTrace(tr)
-	}
-	h.logOp(resp, "/execute", start)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// vetResponse is the /vet body: every static-analysis finding, sorted
-// by source position, plus severity counts. ok means "no errors"
-// (warnings alone do not fail a vet).
-type vetResponse struct {
-	OK          bool      `json:"ok"`
-	Errors      int       `json:"errors"`
-	Warnings    int       `json:"warnings"`
-	Diagnostics diag.List `json:"diagnostics"`
-}
-
-// vet runs the full static-analysis front-end — multi-error recovery
-// and the lint tier — over a self-contained script and reports every
-// finding with its stable code and line:col position.
-func (h *Handler) vet(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			queryResponse{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
-		return
-	}
-	diags := h.eng.VetScript(req.Script)
-	nerr := len(diags.Errors())
-	if diags == nil {
-		diags = diag.List{} // keep the field a JSON array
-	}
-	writeJSON(w, http.StatusOK, vetResponse{
-		OK:          nerr == 0,
-		Errors:      nerr,
-		Warnings:    len(diags) - nerr,
-		Diagnostics: diags,
-	})
-}
-
-func (h *Handler) catalog(w http.ResponseWriter, _ *http.Request) {
-	h.eng.Cat.RLock()
-	defer h.eng.Cat.RUnlock()
-	var out []server.CatalogEntry
-	for _, s := range h.eng.Cat.Stats() {
-		out = append(out, server.CatalogEntry{
-			Kind: s.Kind, Name: s.Name, Count: s.Count,
-			AvgOutDegree: s.AvgOutDegree, AvgInDegree: s.AvgInDegree,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func decodeParams(raw map[string]server.Param) (map[string]value.Value, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]value.Value, len(raw))
-	for name, p := range raw {
-		t, err := value.ParseType(p.Type)
-		if err != nil {
-			return nil, fmt.Errorf("parameter %s: %v", name, err)
-		}
-		v, err := value.Parse(p.Value, t)
-		if err != nil {
-			return nil, fmt.Errorf("parameter %s: %v", name, err)
-		}
-		out[name] = v
-	}
-	return out, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	writeJSON(w, http.StatusOK, ready)
 }
 
 var consoleTmpl = template.Must(template.New("console").Parse(`<!DOCTYPE html>

@@ -50,42 +50,6 @@ func postQuery(t *testing.T, ts *httptest.Server, body string) map[string]any {
 	return out
 }
 
-func TestWebQuery(t *testing.T) {
-	ts, _ := testServer(t)
-	out := postQuery(t, ts, `{"script": "select B.id from graph City (id = %Start%) --road--> def B: City ( )",
-		"params": {"Start": {"type": "varchar", "value": "p"}}}`)
-	if out["ok"] != true {
-		t.Fatalf("response: %v", out)
-	}
-	results := out["results"].([]any)
-	first := results[0].(map[string]any)
-	rows := first["rows"].([]any)
-	if len(rows) != 1 || rows[0].([]any)[0] != "q" {
-		t.Errorf("rows = %v", rows)
-	}
-}
-
-func TestWebQueryErrorsAndCheck(t *testing.T) {
-	ts, _ := testServer(t)
-	out := postQuery(t, ts, `{"script": "select x from table Missing"}`)
-	if out["ok"] == true || !strings.Contains(out["error"].(string), "unknown table") {
-		t.Errorf("error response: %v", out)
-	}
-	out = postQuery(t, ts, `{"script": "create table T(a date)\nselect a from table T where a > 1.5", "check": true}`)
-	if out["ok"] == true {
-		t.Errorf("check should fail: %v", out)
-	}
-	// Malformed JSON → 400.
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status = %d", resp.StatusCode)
-	}
-}
-
 func TestWebCatalog(t *testing.T) {
 	ts, _ := testServer(t)
 	resp, err := http.Get(ts.URL + "/catalog")
@@ -123,18 +87,5 @@ func TestWebConsoleServed(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/html") {
 		t.Errorf("content type = %s", ct)
-	}
-}
-
-// TestWebSubgraphResult: subgraph results arrive with their sizes.
-func TestWebSubgraphResult(t *testing.T) {
-	ts, _ := testServer(t)
-	out := postQuery(t, ts, `{"script": "select * from graph City (country = 'US') --road--> City ( ) into subgraph us"}`)
-	if out["ok"] != true {
-		t.Fatalf("response: %v", out)
-	}
-	first := out["results"].([]any)[0].(map[string]any)
-	if first["subgraphName"] != "us" || first["subgraphVertices"].(float64) != 3 {
-		t.Errorf("subgraph result: %v", first)
 	}
 }
