@@ -387,3 +387,39 @@ func BenchmarkManyToOne(b *testing.B) {
 		})
 	}
 }
+
+// --- E18: table-space selects through typed kernels ---
+
+// BenchmarkRelOps runs the four table-space selects of the rel_ops
+// workload (bench/w_pass.go) as prepared statements over Berlin SF20.
+func BenchmarkRelOps(b *testing.B) {
+	e := berlinEngine(b, 20, 0, true)
+	params := map[string]value.Value{
+		"MinRating": value.NewInt(5), "MaxDays": value.NewInt(4), "MaxPrice": value.NewFloat(4000),
+		"From": value.DateFromYMD(2006, 6, 1), "R3": value.NewInt(5), "R4": value.NewInt(5),
+	}
+	for _, q := range []struct{ name, script string }{
+		{"rq1", `select top 10 reviewFor, avg(ratings_1) as avgRating, count(*) as n
+from table Reviews where ratings_2 >= %MinRating%
+group by reviewFor order by avgRating desc, n desc, reviewFor asc`},
+		{"rq2", `select top 20 id, price, deliveryDays from table Offers
+where deliveryDays <= %MaxDays% and price < %MaxPrice% and validFrom >= %From%
+order by price asc, id asc`},
+		{"rq3", `select vendor, min(price) as lo, max(price) as hi, count(*) as n
+from table Offers group by vendor order by vendor asc`},
+		{"rq4", `select distinct reviewer from table Reviews where ratings_3 = %R3% and ratings_4 >= %R4%`},
+	} {
+		h, err := e.Prepare(q.script)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ExecPrepared(h, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

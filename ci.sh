@@ -167,6 +167,7 @@ go test -run='^$' -fuzz='^FuzzIRVerify$' -fuzztime="$FUZZTIME" ./internal/ir
 go test -run='^$' -fuzz='^FuzzAnalyze$' -fuzztime="$FUZZTIME" ./internal/sema
 go test -run='^$' -fuzz='^FuzzWALDecode$' -fuzztime="$FUZZTIME" ./internal/storage
 go test -run='^$' -fuzz='^FuzzFingerprint$' -fuzztime="$FUZZTIME" ./internal/obs
+go test -run='^$' -fuzz='^FuzzFilterKernel$' -fuzztime="$FUZZTIME" ./internal/table
 
 echo "== graql vet gate =="
 # The shipped example scripts must vet clean (exit 0), and the seeded

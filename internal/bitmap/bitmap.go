@@ -216,3 +216,24 @@ func NewFromWords(n int, words []uint64) *Bitmap {
 	b.trim()
 	return b
 }
+
+// Mask is a growable bit mask in Bitmap's word layout (bit i of word w is
+// id w*64+i) for sets that are usually empty or sparse at the front, such
+// as a column's NULL rows: the zero value is the empty mask, Set grows it
+// to reach the bit, and ids beyond the last word read as unset.
+type Mask []uint64
+
+// Set sets bit i, growing the mask as needed.
+func (m *Mask) Set(i uint32) {
+	w := int(i / wordBits)
+	if w >= len(*m) {
+		*m = append(*m, make(Mask, w+1-len(*m))...)
+	}
+	(*m)[w] |= 1 << (i % wordBits)
+}
+
+// Get reports whether bit i is set.
+func (m Mask) Get(i uint32) bool {
+	w := int(i / wordBits)
+	return w < len(m) && m[w]&(1<<(i%wordBits)) != 0
+}

@@ -195,3 +195,21 @@ func TestFromSlice(t *testing.T) {
 		t.Errorf("FromSlice wrong: %v", b.Slice())
 	}
 }
+
+func TestMaskGrowsOnSet(t *testing.T) {
+	var m Mask
+	if m.Get(0) || m.Get(1<<20) {
+		t.Fatal("the zero mask must be empty")
+	}
+	for _, i := range []uint32{3, 64, 1000, 3} {
+		m.Set(i)
+	}
+	for i := uint32(0); i < 2000; i++ {
+		if want := i == 3 || i == 64 || i == 1000; m.Get(i) != want {
+			t.Fatalf("bit %d = %v, want %v", i, m.Get(i), want)
+		}
+	}
+	if len(m) != 1000/64+1 {
+		t.Fatalf("mask holds %d words, want it to end at its highest bit", len(m))
+	}
+}

@@ -204,19 +204,14 @@ func (e *Engine) buildUpdate(s *sema.Update, params map[string]value.Value) (*dm
 	if err != nil {
 		return nil, err
 	}
-	affected := 0
+	hit, affected, err := matchingRows(s.Table, where)
+	if err != nil {
+		return nil, fmt.Errorf("graql: update %s: %w", s.Table.Name, err)
+	}
 	for r := uint32(0); r < uint32(s.Table.NumRows()); r++ {
 		env := singleTableEnv{t: s.Table, row: r}
-		match := true
-		if where != nil {
-			match, err = evalBool(where, env)
-			if err != nil {
-				return nil, fmt.Errorf("graql: update %s: %w", s.Table.Name, err)
-			}
-		}
 		vals := s.Table.Row(r)
-		if match {
-			affected++
+		if hit[r] {
 			// Set expressions read the row's pre-update values (standard
 			// SQL semantics: "set a = b, b = a" swaps).
 			for _, sc := range sets {
@@ -251,21 +246,15 @@ func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dm
 	if err != nil {
 		return nil, err
 	}
-	var keep []uint32
-	affected := 0
-	for r := uint32(0); r < uint32(s.Table.NumRows()); r++ {
-		match := true
-		if where != nil {
-			match, err = evalBool(where, singleTableEnv{t: s.Table, row: r})
-			if err != nil {
-				return nil, fmt.Errorf("graql: delete from %s: %w", s.Table.Name, err)
-			}
+	hit, affected, err := matchingRows(s.Table, where)
+	if err != nil {
+		return nil, fmt.Errorf("graql: delete from %s: %w", s.Table.Name, err)
+	}
+	keep := make([]uint32, 0, s.Table.NumRows()-affected)
+	for r, gone := range hit {
+		if !gone {
+			keep = append(keep, uint32(r))
 		}
-		if match {
-			affected++
-			continue
-		}
-		keep = append(keep, r)
 	}
 	nt := s.Table.Gather(s.Table.Name, keep)
 	g, notes, err := e.buildViewsAside(nt, -1)
@@ -276,6 +265,23 @@ func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dm
 		verb: "delete", table: nt, graph: g, affected: affected,
 		notes: notes, buildDur: time.Since(start), analyze: s.Explain && s.Analyze,
 	}, nil
+}
+
+// matchingRows is the where scan of update and delete: it marks the rows of
+// t on which the bound condition is TRUE, found through the same compiled
+// filter a select uses, and counts them. A nil condition matches every row.
+func matchingRows(t *table.Table, where expr.Expr) (hit []bool, n int, err error) {
+	rows := table.AllRows(t)
+	if where != nil {
+		if rows, err = table.CompileFilter(t, where).Select(table.Par{}); err != nil {
+			return nil, 0, err
+		}
+	}
+	hit = make([]bool, t.NumRows())
+	for i := 0; i < rows.Len(); i++ {
+		hit[rows.At(i)] = true
+	}
+	return hit, rows.Len(), nil
 }
 
 // convertStore coerces an evaluated value into a column's type: NULL to a

@@ -70,6 +70,11 @@ func (e *Engine) runExplain(s *sema.Select, params map[string]value.Value) (Resu
 			return Result{}, err
 		}
 	}
+	if lateProject(s) {
+		if err := add(iv.String(), "project", "%d output column(s)", len(s.Items)); err != nil {
+			return Result{}, err
+		}
+	}
 	switch s.Into.Kind {
 	case ast.IntoTable:
 		if err := add(iv.String(), "materialise", "register result as table %s", s.Into.Name); err != nil {
@@ -101,8 +106,10 @@ func (e *Engine) explainTableSelect(s *sema.Select, add func(string, string, str
 		if err := add(iv.String(), "group", "group by %d key column(s), %d aggregate(s)", len(s.GroupBy), countAggs(s)); err != nil {
 			return iv, err
 		}
-	} else if err := add(iv.String(), "project", "%d output column(s)", len(s.Items)); err != nil {
-		return iv, err
+	} else if !lateProject(s) {
+		if err := add(iv.String(), "project", "%d output column(s)", len(s.Items)); err != nil {
+			return iv, err
+		}
 	}
 	return iv, nil
 }

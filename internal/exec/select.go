@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"graql/internal/ast"
@@ -64,144 +65,189 @@ func astAggToTable(f ast.AggFunc) table.AggFunc {
 	panic("graql: not an aggregate")
 }
 
+// runTableSelect is late-materialising (DESIGN.md §16): the compiled
+// where clause yields a selection vector over the source table, group-by /
+// distinct / order-by / top-n pass (table, selection) pairs along, and the
+// surviving rows of the projected columns are gathered once, at the end.
 func (e *Engine) runTableSelect(s *sema.Select, params map[string]value.Value) (Result, error) {
 	t := s.Table
-	e.opSpan("scan", fmt.Sprintf("table %s", t.Name)).Record(int64(t.NumRows()), 0)
+	if e.tracing() {
+		e.opSpan("scan", fmt.Sprintf("table %s", t.Name)).Record(int64(t.NumRows()), 0)
+	}
 
-	// Selection.
 	tp := e.tablePar()
-	rows := t
+	rows := table.AllRows(t)
 	if s.Where != nil {
 		where, err := expr.BindParams(s.Where, params)
 		if err != nil {
 			return Result{}, err
 		}
 		t0 := time.Now()
-		filtered, err := table.FilterPar(t, t.Name, func(r uint32) (bool, error) {
-			return evalBool(where, singleTableEnv{t: t, row: r})
-		}, tp)
-		if err != nil {
+		if rows, err = table.CompileFilter(t, where).Select(tp); err != nil {
 			return Result{}, err
 		}
-		rows = filtered
-		e.opSpan("filter", parDetail(fmt.Sprintf("%s", s.Where), tp, t.NumRows())).
-			Record(int64(rows.NumRows()), time.Since(t0))
+		if e.tracing() {
+			e.opSpan("filter", parDetail(s.Where.String(), tp, t.NumRows())).
+				Record(int64(rows.Len()), time.Since(t0))
+		}
 	}
 	opStart := time.Now()
 
-	var out *table.Table
-	outName := s.Into.Name
-	if outName == "" {
-		outName = "result"
-	}
-	if s.Grouped {
+	// cols maps every output column to the column of rows' table holding
+	// it; the projection itself happens in finishTable's gather.
+	cols, schema := make([]int, len(s.Items)), s.OutSchema
+	switch {
+	case s.Grouped:
 		var aggs []table.AggSpec
 		for _, it := range s.Items {
-			if it.Agg == ast.AggNone {
-				continue
+			if it.Agg != ast.AggNone {
+				aggs = append(aggs, table.AggSpec{Func: astAggToTable(it.Agg), Col: it.Col, Name: it.Name})
 			}
-			aggs = append(aggs, table.AggSpec{Func: astAggToTable(it.Agg), Col: it.Col, Name: it.Name})
 		}
-		grouped, err := table.GroupByPar(rows, outName, s.GroupBy, aggs, tp)
+		grouped, err := rows.GroupBy(resultName(s), s.GroupBy, aggs)
 		if err != nil {
 			return Result{}, err
 		}
-		// Reproject to the item order of the select list.
-		var colIdx []int
-		var names []string
+		// The group-by emits keys then aggregates, typed by kind alone;
+		// the select list may interleave and rename them.
 		aggPos := len(s.GroupBy)
-		for _, it := range s.Items {
+		schema = make(table.Schema, len(s.Items))
+		for i, it := range s.Items {
 			if it.Agg == ast.AggNone {
-				pos := -1
-				for ki, kc := range s.GroupBy {
-					if kc == it.Col {
-						pos = ki
-						break
-					}
-				}
-				colIdx = append(colIdx, pos)
+				cols[i] = slices.Index(s.GroupBy, it.Col)
 			} else {
-				colIdx = append(colIdx, aggPos)
+				cols[i] = aggPos
 				aggPos++
 			}
-			names = append(names, it.Name)
+			schema[i] = table.ColumnDef{Name: it.Name, Type: grouped.Schema()[cols[i]].Type}
 		}
-		out = grouped.ProjectCols(outName, colIdx, names)
-		e.opSpan("group", parDetail(fmt.Sprintf("group by %d key column(s), %d aggregate(s)", len(s.GroupBy), countAggs(s)), tp, rows.NumRows())).
-			Record(int64(out.NumRows()), time.Since(opStart))
-	} else {
-		fresh, err := table.New(outName, s.OutSchema)
+		rows = table.AllRows(grouped)
+		if e.tracing() {
+			e.opSpan("group", fmt.Sprintf("group by %d key column(s), %d aggregate(s)", len(s.GroupBy), countAggs(s))).
+				Record(int64(rows.Len()), time.Since(opStart))
+		}
+	case !lateProject(s):
+		// Computed items are evaluated row by row into a fresh table.
+		fresh, err := e.projectComputed(s, rows, params)
 		if err != nil {
 			return Result{}, err
 		}
-		row := make([]value.Value, len(s.Items))
-		boundExprs := make([]expr.Expr, len(s.Items))
+		for i := range cols {
+			cols[i] = i
+		}
+		rows = table.AllRows(fresh)
+		if e.tracing() {
+			e.opSpan("project", fmt.Sprintf("%d output column(s)", len(s.Items))).
+				Record(int64(rows.Len()), time.Since(opStart))
+		}
+	default:
 		for i, it := range s.Items {
-			if it.Expr != nil {
-				be, err := expr.BindParams(it.Expr, params)
-				if err != nil {
-					return Result{}, err
-				}
-				boundExprs[i] = be
-			}
+			cols[i] = it.Col
 		}
-		for r := uint32(0); r < uint32(rows.NumRows()); r++ {
-			for i, it := range s.Items {
-				if it.Col >= 0 {
-					row[i] = rows.Value(r, it.Col)
-					continue
-				}
-				v, err := boundExprs[i].Eval(singleTableEnv{t: rows, row: r})
-				if err != nil {
-					return Result{}, err
-				}
-				row[i] = v
-			}
-			if err := fresh.AppendRow(row); err != nil {
-				return Result{}, err
-			}
-		}
-		out = fresh
-		e.opSpan("project", fmt.Sprintf("%d output column(s)", len(s.Items))).
-			Record(int64(out.NumRows()), time.Since(opStart))
 	}
 
-	out, err := e.finishTable(out, s)
+	out, err := e.finishTable(rows, cols, schema, s)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Kind: ResultTable, Table: out}, nil
 }
 
-// finishTable applies distinct / order by / top n and registers the table
-// when the statement has an into clause.
-func (e *Engine) finishTable(out *table.Table, s *sema.Select) (*table.Table, error) {
+// projectComputed materialises a select list that holds computed
+// expressions: every item of every selected row is evaluated and appended.
+func (e *Engine) projectComputed(s *sema.Select, rows table.Rows, params map[string]value.Value) (*table.Table, error) {
+	fresh, err := table.New(resultName(s), s.OutSchema)
+	if err != nil {
+		return nil, err
+	}
+	boundExprs := make([]expr.Expr, len(s.Items))
+	for i, it := range s.Items {
+		if boundExprs[i], err = expr.BindParams(it.Expr, params); err != nil {
+			return nil, err
+		}
+	}
+	row := make([]value.Value, len(s.Items))
+	for i, n := 0, rows.Len(); i < n; i++ {
+		env := singleTableEnv{t: s.Table, row: rows.At(i)}
+		for c, it := range s.Items {
+			if it.Col >= 0 {
+				row[c] = s.Table.Value(env.row, it.Col)
+				continue
+			}
+			if row[c], err = boundExprs[c].Eval(env); err != nil {
+				return nil, err
+			}
+		}
+		if err := fresh.AppendRow(row); err != nil {
+			return nil, err
+		}
+	}
+	return fresh, nil
+}
+
+// finishTable applies distinct / order by / top n to the selection and
+// gathers the result table: output column i is column cols[i] of rows'
+// table, defined by schema[i]. Order by with top n runs as one
+// bounded-heap operator. A plain column projection of a table select
+// happens here, in the gather, and is reported as the plan's last operator.
+func (e *Engine) finishTable(rows table.Rows, cols []int, schema table.Schema, s *sema.Select) (*table.Table, error) {
 	if s.Distinct {
 		t0 := time.Now()
-		out = table.Distinct(out, nil)
-		e.opSpan("distinct", "eliminate duplicate rows").Record(int64(out.NumRows()), time.Since(t0))
+		rows = rows.Distinct(cols)
+		if e.tracing() {
+			e.opSpan("distinct", "eliminate duplicate rows").Record(int64(rows.Len()), time.Since(t0))
+		}
 	}
+	top := s.Top
 	if len(s.OrderBy) > 0 {
 		keys := make([]table.SortKey, len(s.OrderBy))
 		for i, k := range s.OrderBy {
-			keys[i] = table.SortKey{Col: k.Col, Desc: k.Desc}
+			keys[i] = table.SortKey{Col: cols[k.Col], Desc: k.Desc}
 		}
 		tp := e.tablePar()
+		in := rows.Len()
 		t0 := time.Now()
-		sorted, err := table.OrderByPar(out, keys, tp)
-		if err != nil {
+		var err error
+		if rows, err = rows.OrderBy(keys, top, tp); err != nil {
 			return nil, err
 		}
-		e.opSpan("sort", parDetail(fmt.Sprintf("order by %d key(s)", len(keys)), tp, out.NumRows())).
-			Record(int64(sorted.NumRows()), time.Since(t0))
-		out = sorted
+		if e.tracing() {
+			detail := fmt.Sprintf("order by %d key(s)", len(keys))
+			if top > 0 && top < in {
+				detail += fmt.Sprintf(", top-%d heap", top)
+			} else {
+				detail = parDetail(detail, tp, in)
+			}
+			e.opSpan("sort", detail).Record(int64(rows.Len()), time.Since(t0))
+		}
 	}
-	if s.Top > 0 {
+	if top > 0 {
 		t0 := time.Now()
-		out = table.TopN(out, s.Top)
-		e.opSpan("top", fmt.Sprintf("keep first %d rows", s.Top)).Record(int64(out.NumRows()), time.Since(t0))
+		rows = rows.Top(top)
+		if e.tracing() {
+			e.opSpan("top", fmt.Sprintf("keep first %d rows", top)).Record(int64(rows.Len()), time.Since(t0))
+		}
+	}
+	t0 := time.Now()
+	out := rows.Materialize(resultName(s), cols, schema)
+	if e.tracing() && lateProject(s) {
+		e.opSpan("project", fmt.Sprintf("%d output column(s)", len(cols))).Record(int64(out.NumRows()), time.Since(t0))
 	}
 	return out, nil
+}
+
+// resultName is the name of a select's result table.
+func resultName(s *sema.Select) string {
+	if s.Into.Name != "" {
+		return s.Into.Name
+	}
+	return "result"
+}
+
+// lateProject reports whether s is a table select whose projection is a
+// plain choice of columns, which the final gather performs.
+func lateProject(s *sema.Select) bool {
+	return s.Table != nil && !s.Grouped && !slices.ContainsFunc(s.Items, func(it sema.Item) bool { return it.Col < 0 })
 }
 
 // preparedAlt is one or-alternative with parameter-bound conditions.
@@ -269,11 +315,7 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 			Message: fmt.Sprintf("subgraph %s: %d vertices, %d edges", sub.Name, sub.NumVertices(), sub.NumEdges())}, nil
 	}
 
-	outName := s.Into.Name
-	if outName == "" {
-		outName = "result"
-	}
-	out, err := table.New(outName, s.OutSchema)
+	out, err := table.New(resultName(s), s.OutSchema)
 	if err != nil {
 		return Result{}, err
 	}
@@ -286,7 +328,11 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 			return Result{}, err
 		}
 	}
-	out, err = e.finishTable(out, s)
+	cols := make([]int, out.NumCols())
+	for i := range cols {
+		cols[i] = i
+	}
+	out, err = e.finishTable(table.AllRows(out), cols, s.OutSchema, s)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,7 +1,11 @@
 package exec
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"graql/internal/value"
 )
 
 // Table-select behaviours through the full language path (Table I).
@@ -81,4 +85,55 @@ ingest table TT tt.csv`, nil)
 	if len(rows) != 1 || rows[0][0] != "y" {
 		t.Fatalf("path date rows = %v", rows)
 	}
+}
+
+// TestSignedZeroVertexKey: 0.0 and -0.0 compare equal, so a float-keyed
+// vertex view holds one vertex for both.
+func TestSignedZeroVertexKey(t *testing.T) {
+	e := newTestEngine(map[string]string{"z.csv": "0.0\n-0.0\n1.5\n-0.0\n"})
+	mustExec(t, e, `
+create table Z(f float)
+create vertex ZV(f) from table Z
+ingest table Z z.csv`, nil)
+	if vt := e.Cat.Graph().VertexType("ZV"); vt.Count() != 2 || vt.OneToOne {
+		t.Fatalf("ZV has %d vertices (one-to-one %v), want 2 many-to-one", vt.Count(), vt.OneToOne)
+	}
+	rows := tableRows(t, mustExec(t, e, `select f, count(*) as n from table Z group by f order by n desc`, nil))
+	if len(rows) != 2 || rows[0][1] != "3" {
+		t.Fatalf("group by f = %v, want the zeros in one group of 3", rows)
+	}
+}
+
+// TestPreparedSelectAllocations: an RQ1-shaped prepared select (filter,
+// group-by with avg and count, order-by with top n) allocates per operator,
+// not per row. The boxed row-at-a-time pipeline spent about seven
+// allocations per input row on this statement; the ceiling leaves the
+// typed one (about 80, whatever the row count) room to grow, not to regress.
+func TestPreparedSelectAllocations(t *testing.T) {
+	const rows = 6000
+	var sb strings.Builder
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, "r%d,p%d,%d,%d\n", i, (i*7919)%500, i%10+1, (i*31)%10+1)
+	}
+	e := newTestEngine(map[string]string{"r.csv": sb.String()})
+	e.Opts.Workers = 1
+	mustExec(t, e, `
+create table R(id varchar(10), product varchar(10), r1 integer, r2 integer)
+ingest table R r.csv`, nil)
+	h, err := e.Prepare(`select top 10 product, avg(r1) as a, count(*) as n
+from table R where r2 >= %Min% group by product order by a desc, n desc, product asc`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]value.Value{"Min": value.NewInt(4)}
+	allocs := testing.AllocsPerRun(20, func() {
+		res, err := e.ExecPrepared(h, params)
+		if err != nil || res[0].Table.NumRows() != 10 {
+			t.Fatalf("rows = %v, err = %v", res, err)
+		}
+	})
+	if allocs > 150 {
+		t.Errorf("RQ1-shaped select: %.0f allocations per run over %d rows, ceiling 150", allocs, rows)
+	}
+	t.Logf("%.0f allocations per run", allocs)
 }

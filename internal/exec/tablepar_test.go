@@ -58,9 +58,10 @@ from table TP where k > 10 group by s order by sv desc, s asc`
 	if c := serial.Opts.Obs.Counter("graql_tableops_parallel_total", ""); c.Value() != 0 {
 		t.Errorf("serial engine recorded %d parallel table ops, want 0", c.Value())
 	}
-	// filter + group + sort all took the parallel path.
-	if c := parallel.Opts.Obs.Counter("graql_tableops_parallel_total", ""); c.Value() < 3 {
-		t.Errorf("parallel engine recorded %d parallel table ops, want >= 3", c.Value())
+	// filter and sort took the parallel path; group-by has no parallel
+	// form since the typed serial one beat it (EXPERIMENTS.md E18).
+	if c := parallel.Opts.Obs.Counter("graql_tableops_parallel_total", ""); c.Value() < 2 {
+		t.Errorf("parallel engine recorded %d parallel table ops, want >= 2", c.Value())
 	}
 }
 
@@ -81,7 +82,7 @@ func TestExplainAnalyzeParallelAnnotation(t *testing.T) {
 	const q = `explain analyze select s, count(*) as n from table TP where k > 10 group by s order by n desc`
 
 	rows := analyzeRows(t, tableParEngine(t, 4, 1, files), q)
-	for _, action := range []string{"filter", "group", "sort"} {
+	for _, action := range []string{"filter", "sort"} {
 		r := findRow(rows, action)
 		if r == nil {
 			t.Fatalf("no %s span in plan:\n%v", action, rows)

@@ -2,12 +2,14 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
+	"graql/internal/bitmap"
 	"graql/internal/value"
 )
 
 // Column is a typed columnar vector. Implementations store values densely
-// with a side null bitmap, giving cache-friendly scans for filters and
+// with a side null mask, giving cache-friendly scans for filters and
 // joins.
 type Column interface {
 	// Kind returns the scalar kind stored in the column.
@@ -16,13 +18,17 @@ type Column interface {
 	Len() int
 	// Value returns the value at row i.
 	Value(i uint32) value.Value
+	// IsNull reports whether row i is NULL, without boxing a Value.
+	IsNull(i uint32) bool
 	// Append appends v, which must match the column kind (or be NULL).
 	Append(v value.Value) error
 	// Gather returns a new column holding the rows named by idx, in order.
 	Gather(idx []uint32) Column
 	// Distinct returns the number of distinct values when cheaply known
 	// (dictionary-encoded columns), else -1. The planner uses it as the
-	// NDV statistic for equality selectivity (§III-B).
+	// NDV statistic for equality selectivity (§III-B). It is exact for a
+	// column filled by Append and an upper bound for a gathered or cloned
+	// one, which keeps its source's dictionary.
 	Distinct() int
 }
 
@@ -43,32 +49,46 @@ func NewColumn(t value.Type) Column {
 	panic(fmt.Sprintf("graql: NewColumn: invalid type %v", t))
 }
 
-// nulls tracks NULL rows for a column. nil means "no nulls so far".
-type nulls struct {
-	set map[uint32]bool
-}
+// noRow in a gather index yields a NULL cell; no table holds that many
+// rows. The group-by uses it for min/max over a group with no non-NULL
+// input.
+const noRow = ^uint32(0)
 
-func (n *nulls) mark(i uint32) {
-	if n.set == nil {
-		n.set = make(map[uint32]bool)
+// gatherNulls is the null mask of src's rows idx (noRow entries included).
+func gatherNulls(src bitmap.Mask, idx []uint32) bitmap.Mask {
+	var out bitmap.Mask
+	for j, i := range idx {
+		if i == noRow || src.Get(i) {
+			out.Set(uint32(j))
+		}
 	}
-	n.set[i] = true
+	return out
 }
 
-func (n *nulls) has(i uint32) bool { return n.set != nil && n.set[i] }
+// gatherData copies src's rows idx; noRow entries read as the zero value.
+func gatherData[T any](src []T, idx []uint32) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		if i != noRow {
+			out[j] = src[i]
+		}
+	}
+	return out
+}
 
 // intColumn stores integers and dates (days since epoch).
 type intColumn struct {
-	data []int64
-	nil_ nulls
-	kind value.Kind
+	data  []int64
+	nulls bitmap.Mask
+	kind  value.Kind
 }
 
-func (c *intColumn) Kind() value.Kind { return c.kind }
-func (c *intColumn) Len() int         { return len(c.data) }
+func (c *intColumn) Kind() value.Kind     { return c.kind }
+func (c *intColumn) Len() int             { return len(c.data) }
+func (c *intColumn) IsNull(i uint32) bool { return c.nulls.Get(i) }
 
 func (c *intColumn) Value(i uint32) value.Value {
-	if c.nil_.has(i) {
+	if c.nulls.Get(i) {
 		return value.NewNull(c.kind)
 	}
 	if c.kind == value.KindDate {
@@ -79,7 +99,7 @@ func (c *intColumn) Value(i uint32) value.Value {
 
 func (c *intColumn) Append(v value.Value) error {
 	if v.IsNull() {
-		c.nil_.mark(uint32(len(c.data)))
+		c.nulls.Set(uint32(len(c.data)))
 		c.data = append(c.data, 0)
 		return nil
 	}
@@ -91,31 +111,22 @@ func (c *intColumn) Append(v value.Value) error {
 }
 
 func (c *intColumn) Gather(idx []uint32) Column {
-	out := &intColumn{data: make([]int64, len(idx)), kind: c.kind}
-	for j, i := range idx {
-		out.data[j] = c.data[i]
-		if c.nil_.has(i) {
-			out.nil_.mark(uint32(j))
-		}
-	}
-	return out
+	return &intColumn{data: gatherData(c.data, idx), nulls: gatherNulls(c.nulls, idx), kind: c.kind}
 }
-
-// Int64s exposes the raw integer payload for fast typed scans.
-func (c *intColumn) Int64s() []int64 { return c.data }
 
 func (c *intColumn) Distinct() int { return -1 }
 
 type floatColumn struct {
-	data []float64
-	nil_ nulls
+	data  []float64
+	nulls bitmap.Mask
 }
 
-func (c *floatColumn) Kind() value.Kind { return value.KindFloat }
-func (c *floatColumn) Len() int         { return len(c.data) }
+func (c *floatColumn) Kind() value.Kind     { return value.KindFloat }
+func (c *floatColumn) Len() int             { return len(c.data) }
+func (c *floatColumn) IsNull(i uint32) bool { return c.nulls.Get(i) }
 
 func (c *floatColumn) Value(i uint32) value.Value {
-	if c.nil_.has(i) {
+	if c.nulls.Get(i) {
 		return value.NewNull(value.KindFloat)
 	}
 	return value.NewFloat(c.data[i])
@@ -123,7 +134,7 @@ func (c *floatColumn) Value(i uint32) value.Value {
 
 func (c *floatColumn) Append(v value.Value) error {
 	if v.IsNull() {
-		c.nil_.mark(uint32(len(c.data)))
+		c.nulls.Set(uint32(len(c.data)))
 		c.data = append(c.data, 0)
 		return nil
 	}
@@ -135,28 +146,22 @@ func (c *floatColumn) Append(v value.Value) error {
 }
 
 func (c *floatColumn) Gather(idx []uint32) Column {
-	out := &floatColumn{data: make([]float64, len(idx))}
-	for j, i := range idx {
-		out.data[j] = c.data[i]
-		if c.nil_.has(i) {
-			out.nil_.mark(uint32(j))
-		}
-	}
-	return out
+	return &floatColumn{data: gatherData(c.data, idx), nulls: gatherNulls(c.nulls, idx)}
 }
 
 func (c *floatColumn) Distinct() int { return -1 }
 
 type boolColumn struct {
-	data []bool
-	nil_ nulls
+	data  []bool
+	nulls bitmap.Mask
 }
 
-func (c *boolColumn) Kind() value.Kind { return value.KindBool }
-func (c *boolColumn) Len() int         { return len(c.data) }
+func (c *boolColumn) Kind() value.Kind     { return value.KindBool }
+func (c *boolColumn) Len() int             { return len(c.data) }
+func (c *boolColumn) IsNull(i uint32) bool { return c.nulls.Get(i) }
 
 func (c *boolColumn) Value(i uint32) value.Value {
-	if c.nil_.has(i) {
+	if c.nulls.Get(i) {
 		return value.NewNull(value.KindBool)
 	}
 	return value.NewBool(c.data[i])
@@ -164,7 +169,7 @@ func (c *boolColumn) Value(i uint32) value.Value {
 
 func (c *boolColumn) Append(v value.Value) error {
 	if v.IsNull() {
-		c.nil_.mark(uint32(len(c.data)))
+		c.nulls.Set(uint32(len(c.data)))
 		c.data = append(c.data, false)
 		return nil
 	}
@@ -176,14 +181,7 @@ func (c *boolColumn) Append(v value.Value) error {
 }
 
 func (c *boolColumn) Gather(idx []uint32) Column {
-	out := &boolColumn{data: make([]bool, len(idx))}
-	for j, i := range idx {
-		out.data[j] = c.data[i]
-		if c.nil_.has(i) {
-			out.nil_.mark(uint32(j))
-		}
-	}
-	return out
+	return &boolColumn{data: gatherData(c.data, idx), nulls: gatherNulls(c.nulls, idx)}
 }
 
 func (c *boolColumn) Distinct() int { return 2 }
@@ -191,20 +189,26 @@ func (c *boolColumn) Distinct() int { return 2 }
 // stringColumn stores varchar data with dictionary encoding: each distinct
 // string is stored once and rows hold 32-bit codes. Attribute data such as
 // country codes and product types in the Berlin schema is highly
-// repetitive, so this both saves memory and turns equality filters into
-// integer comparisons.
+// repetitive, so this both saves memory and turns equality filters,
+// group-by and distinct into integer work on the codes.
+//
+// Gather and clone copy the codes and share the dictionary entries
+// instead of re-hashing every string: dict is capped at its length there,
+// so a later Append of a new string copies it rather than write into the
+// source's array, and the string→code index is rebuilt only when an
+// Append first needs it.
 type stringColumn struct {
 	codes []uint32
 	dict  []string
-	index map[string]uint32
-	nil_  nulls
+	index map[string]uint32 // nil until an Append needs it
 	width int
 }
 
 const nullCode = ^uint32(0)
 
-func (c *stringColumn) Kind() value.Kind { return value.KindString }
-func (c *stringColumn) Len() int         { return len(c.codes) }
+func (c *stringColumn) Kind() value.Kind     { return value.KindString }
+func (c *stringColumn) Len() int             { return len(c.codes) }
+func (c *stringColumn) IsNull(i uint32) bool { return c.codes[i] == nullCode }
 
 func (c *stringColumn) Value(i uint32) value.Value {
 	code := c.codes[i]
@@ -227,7 +231,10 @@ func (c *stringColumn) Append(v value.Value) error {
 		return fmt.Errorf("graql: value %q exceeds varchar(%d)", s, c.width)
 	}
 	if c.index == nil {
-		c.index = make(map[string]uint32)
+		c.index = make(map[string]uint32, len(c.dict))
+		for code, d := range c.dict {
+			c.index[d] = uint32(code)
+		}
 	}
 	code, ok := c.index[s]
 	if !ok {
@@ -239,20 +246,48 @@ func (c *stringColumn) Append(v value.Value) error {
 	return nil
 }
 
-func (c *stringColumn) Gather(idx []uint32) Column {
-	out := &stringColumn{width: c.width}
-	for _, i := range idx {
-		code := c.codes[i]
-		if code == nullCode {
-			out.codes = append(out.codes, nullCode)
-			continue
-		}
-		_ = out.Append(value.NewString(c.dict[code]))
+// codeOf returns the dictionary code of s. It only reads, so concurrent
+// scans of a published column may call it.
+func (c *stringColumn) codeOf(s string) (uint32, bool) {
+	if c.index != nil {
+		code, ok := c.index[s]
+		return code, ok
 	}
-	return out
+	i := slices.Index(c.dict, s)
+	return uint32(i), i >= 0
 }
 
-// DictSize returns the number of distinct strings in the column dictionary.
+func (c *stringColumn) Gather(idx []uint32) Column {
+	codes := make([]uint32, len(idx))
+	for j, i := range idx {
+		codes[j] = nullCode
+		if i != noRow {
+			codes[j] = c.codes[i]
+		}
+	}
+	return &stringColumn{codes: codes, dict: slices.Clip(c.dict), width: c.width}
+}
+
+// DictSize returns the number of strings in the column dictionary.
 func (c *stringColumn) DictSize() int { return len(c.dict) }
 
 func (c *stringColumn) Distinct() int { return len(c.dict) }
+
+// cloneColumn returns a copy of c that shares nothing mutable with it.
+func cloneColumn(c Column) Column {
+	switch c := c.(type) {
+	case *intColumn:
+		return &intColumn{data: slices.Clone(c.data), nulls: slices.Clone(c.nulls), kind: c.kind}
+	case *floatColumn:
+		return &floatColumn{data: slices.Clone(c.data), nulls: slices.Clone(c.nulls)}
+	case *boolColumn:
+		return &boolColumn{data: slices.Clone(c.data), nulls: slices.Clone(c.nulls)}
+	case *stringColumn:
+		return &stringColumn{codes: slices.Clone(c.codes), dict: slices.Clip(c.dict), width: c.width}
+	}
+	idx := make([]uint32, c.Len())
+	for i := range idx {
+		idx[i] = uint32(i)
+	}
+	return c.Gather(idx)
+}

@@ -1,11 +1,6 @@
 package table
 
-import (
-	"fmt"
-	"sort"
-
-	"graql/internal/value"
-)
+import "graql/internal/value"
 
 // This file implements the relational operations of the paper's Table I:
 // select (selection + projection), order by, group by, distinct, count,
@@ -30,15 +25,6 @@ func FilterIdx(t *Table, pred Pred) ([]uint32, error) {
 	return idx, nil
 }
 
-// Filter returns a new table with the rows satisfying pred.
-func Filter(t *Table, name string, pred Pred) (*Table, error) {
-	idx, err := FilterIdx(t, pred)
-	if err != nil {
-		return nil, err
-	}
-	return t.Gather(name, idx), nil
-}
-
 // SortKey names one ordering column for OrderBy.
 type SortKey struct {
 	Col  int
@@ -49,89 +35,19 @@ type SortKey struct {
 // so that secondary insertion order is preserved, which keeps query output
 // deterministic.
 func OrderBy(t *Table, keys []SortKey) (*Table, error) {
-	idx := make([]uint32, t.NumRows())
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	if err := sortIdxStable(t, keys, idx); err != nil {
-		return nil, err
-	}
-	return t.Gather(t.Name, idx), nil
-}
-
-// compareKeys orders rows ra and rb of t under the sort keys: the first
-// key with a non-zero comparison decides, with descending keys
-// sign-flipped, so "less" is compareKeys < 0.
-func compareKeys(t *Table, keys []SortKey, ra, rb uint32) (int, error) {
-	for _, k := range keys {
-		c, err := value.Compare(t.Value(ra, k.Col), t.Value(rb, k.Col))
-		if err != nil {
-			return 0, err
-		}
-		if c == 0 {
-			continue
-		}
-		if k.Desc {
-			return -c, nil
-		}
-		return c, nil
-	}
-	return 0, nil
-}
-
-// sortIdxStable stably sorts idx by the keys. The first comparison error
-// is returned; once one occurs, every later comparison short-circuits to
-// false so the sort terminates deterministically instead of continuing
-// on a corrupt ordering.
-func sortIdxStable(t *Table, keys []SortKey, idx []uint32) error {
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		if sortErr != nil {
-			return false
-		}
-		c, err := compareKeys(t, keys, idx[a], idx[b])
-		if err != nil {
-			sortErr = err
-			return false
-		}
-		return c < 0
-	})
-	return sortErr
+	return OrderByPar(t, keys, Par{})
 }
 
 // Distinct returns a new table with duplicate rows (over the given columns;
 // nil means all columns) removed, keeping the first occurrence.
 func Distinct(t *Table, cols []int) *Table {
-	if cols == nil {
-		cols = make([]int, t.NumCols())
-		for i := range cols {
-			cols[i] = i
-		}
-	}
-	seen := make(map[string]bool, t.NumRows())
-	var idx []uint32
-	var key []byte
-	for r := uint32(0); r < uint32(t.NumRows()); r++ {
-		key = t.KeyOf(key[:0], r, cols)
-		if !seen[string(key)] {
-			seen[string(key)] = true
-			idx = append(idx, r)
-		}
-	}
-	return t.Gather(t.Name, idx)
+	return AllRows(t).Distinct(cols).Materialize(t.Name, nil, nil)
 }
 
 // TopN returns the first n rows of t (Table I's "top n"; callers order
 // first).
 func TopN(t *Table, n int) *Table {
-	if n > t.NumRows() {
-		n = t.NumRows()
-	}
-	idx := make([]uint32, n)
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	return t.Gather(t.Name, idx)
+	return AllRows(t).Top(n).Materialize(t.Name, nil, nil)
 }
 
 // AggFunc enumerates the aggregate functions of Table I.
@@ -171,121 +87,6 @@ type AggSpec struct {
 	Name string
 }
 
-type aggState struct {
-	count int64
-	sum   float64
-	sumI  int64
-	min   value.Value
-	max   value.Value
-	seen  bool
-	isInt bool
-}
-
-func (st *aggState) add(v value.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	st.count++
-	switch v.Kind() {
-	case value.KindInt:
-		st.sumI += v.Int()
-		st.sum += float64(v.Int())
-		if !st.seen {
-			st.isInt = true
-		}
-	case value.KindFloat:
-		st.sum += v.Float()
-		st.isInt = false
-	}
-	if !st.seen {
-		st.min, st.max, st.seen = v, v, true
-		return nil
-	}
-	if c, err := value.Compare(v, st.min); err != nil {
-		return err
-	} else if c < 0 {
-		st.min = v
-	}
-	if c, err := value.Compare(v, st.max); err != nil {
-		return err
-	} else if c > 0 {
-		st.max = v
-	}
-	return nil
-}
-
-// merge folds another partial state into st. Partial aggregation states
-// built over disjoint row subsets merge into exactly the state a single
-// sequential pass would have produced (floating-point sums may differ in
-// rounding because addition order changes); the parallel group-by relies
-// on this.
-func (st *aggState) merge(o *aggState) error {
-	if !o.seen {
-		return nil
-	}
-	if !st.seen {
-		*st = *o
-		return nil
-	}
-	st.count += o.count
-	st.sum += o.sum
-	st.sumI += o.sumI
-	st.isInt = st.isInt && o.isInt
-	if c, err := value.Compare(o.min, st.min); err != nil {
-		return err
-	} else if c < 0 {
-		st.min = o.min
-	}
-	if c, err := value.Compare(o.max, st.max); err != nil {
-		return err
-	} else if c > 0 {
-		st.max = o.max
-	}
-	return nil
-}
-
-func (st *aggState) result(f AggFunc, inKind value.Kind) (value.Value, error) {
-	switch f {
-	case AggCount:
-		return value.NewInt(st.count), nil
-	case AggSum:
-		if !inKind.Numeric() {
-			return value.Value{}, fmt.Errorf("graql: sum over non-numeric column (%s)", inKind)
-		}
-		if !st.seen {
-			// SQL: sum over an empty (or all-NULL) group is NULL, typed
-			// to match the output column.
-			if inKind == value.KindFloat {
-				return value.NewNull(value.KindFloat), nil
-			}
-			return value.NewNull(value.KindInt), nil
-		}
-		if st.isInt {
-			return value.NewInt(st.sumI), nil
-		}
-		return value.NewFloat(st.sum), nil
-	case AggAvg:
-		if !inKind.Numeric() {
-			return value.Value{}, fmt.Errorf("graql: avg over non-numeric column (%s)", inKind)
-		}
-		if st.count == 0 {
-			return value.NewNull(value.KindFloat), nil
-		}
-		return value.NewFloat(st.sum / float64(st.count)), nil
-	case AggMin:
-		if !st.seen {
-			return value.NewNull(inKind), nil
-		}
-		return st.min, nil
-	case AggMax:
-		if !st.seen {
-			return value.NewNull(inKind), nil
-		}
-		return st.max, nil
-	}
-	return value.Value{}, fmt.Errorf("graql: unknown aggregate")
-}
-
 func aggOutType(f AggFunc, in value.Type) value.Type {
 	switch f {
 	case AggCount:
@@ -300,33 +101,6 @@ func aggOutType(f AggFunc, in value.Type) value.Type {
 	default:
 		return in
 	}
-}
-
-// group is one group-by bucket: the first row that opened it (its key
-// values are read back from there) and one aggregation state per
-// aggregate.
-type group struct {
-	firstRow uint32
-	states   []aggState
-}
-
-// accum folds row r of t into the group's aggregation states.
-func (g *group) accum(t *Table, r uint32, aggs []AggSpec) error {
-	for i, a := range aggs {
-		var v value.Value
-		if a.Col < 0 {
-			v = value.NewInt(1) // count(*): count every row
-		} else {
-			v = t.Value(r, a.Col)
-			if a.Func == AggCount && v.IsNull() {
-				continue // count(col) skips NULLs
-			}
-		}
-		if err := g.states[i].add(v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // groupOutSchema is the output schema of a group-by: the key columns (in
@@ -350,64 +124,13 @@ func groupOutSchema(t *Table, keyCols []int, aggs []AggSpec) Schema {
 	return schema
 }
 
-// emitGroups materialises finished groups, in the given order, into the
-// group-by output table. Both the serial and the parallel group-by
-// finish here, so their outputs render identically.
-func emitGroups(t *Table, name string, keyCols []int, aggs []AggSpec, order []*group) (*Table, error) {
-	schema := groupOutSchema(t, keyCols, aggs)
-	out, err := New(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	if len(keyCols) == 0 && len(order) == 0 {
-		// Global aggregate over an empty table still yields one row.
-		order = append(order, &group{states: make([]aggState, len(aggs))})
-	}
-	row := make([]value.Value, len(schema))
-	for _, g := range order {
-		for i, c := range keyCols {
-			row[i] = t.Value(g.firstRow, c)
-		}
-		for i, a := range aggs {
-			inKind := value.KindInt
-			if a.Col >= 0 {
-				inKind = t.Col(a.Col).Kind()
-			}
-			v, err := g.states[i].result(a.Func, inKind)
-			if err != nil {
-				return nil, err
-			}
-			row[len(keyCols)+i] = v
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // GroupBy groups rows of t by the key columns and evaluates the given
 // aggregates per group. The output schema is the key columns (in order)
 // followed by one column per aggregate. Groups appear in order of first
 // occurrence, so output is deterministic. An empty keyCols computes global
 // aggregates over the whole table (one output row).
 func GroupBy(t *Table, name string, keyCols []int, aggs []AggSpec) (*Table, error) {
-	groups := make(map[string]*group)
-	order := make([]*group, 0)
-	var key []byte
-	for r := uint32(0); r < uint32(t.NumRows()); r++ {
-		key = t.KeyOf(key[:0], r, keyCols)
-		g, ok := groups[string(key)]
-		if !ok {
-			g = &group{firstRow: r, states: make([]aggState, len(aggs))}
-			groups[string(key)] = g
-			order = append(order, g)
-		}
-		if err := g.accum(t, r, aggs); err != nil {
-			return nil, err
-		}
-	}
-	return emitGroups(t, name, keyCols, aggs, order)
+	return AllRows(t).GroupBy(name, keyCols, aggs)
 }
 
 // HashJoinIdx computes the inner equi-join of l and r on the given key
@@ -454,7 +177,7 @@ func HashJoinIdx(l, r *Table, lCols, rCols []int) (lIdx, rIdx []uint32) {
 
 func anyNull(t *Table, row uint32, cols []int) bool {
 	for _, c := range cols {
-		if t.Value(row, c).IsNull() {
+		if t.cols[c].IsNull(row) {
 			return true
 		}
 	}

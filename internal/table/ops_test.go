@@ -24,12 +24,13 @@ func numTable(t *testing.T, rows [][2]int64) *Table {
 
 func TestFilter(t *testing.T) {
 	tb := numTable(t, [][2]int64{{1, 10}, {2, 20}, {3, 30}, {4, 40}})
-	out, err := Filter(tb, "F", func(r uint32) (bool, error) {
+	idx, err := FilterIdx(tb, func(r uint32) (bool, error) {
 		return tb.Value(r, 1).Int() >= 25, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := tb.Gather("F", idx)
 	if out.NumRows() != 2 || out.Value(0, 0).Int() != 3 {
 		t.Errorf("filter rows wrong: %d", out.NumRows())
 	}

@@ -1,21 +1,20 @@
 package table
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements morsel-driven parallel variants of the relational
-// operators (filter, hash join, group-by, order-by), mirroring the
-// multithreaded GEMS backend the paper targets. Each operator splits its
-// input into fixed-size row morsels, fans the morsels out over a small
-// worker pool, and recombines per-worker partial results so that the
-// output is deterministic and (except for floating-point summation
-// order) identical to the serial operator. Every variant degrades to the
+// This file implements the morsel-driven parallel forms of the relational
+// operators (filter, hash join, order-by), mirroring the multithreaded
+// GEMS backend the paper targets. Each splits its input into row morsels
+// or contiguous runs, fans them out over a small worker pool, and
+// recombines the per-worker results so that the output is deterministic
+// and identical to the serial operator's. Every form degrades to the
 // serial path when the input is below the parallelism threshold or the
 // caller grants at most one worker, so small inputs never pay goroutine
-// or merge overhead and fallback results stay byte-identical.
+// or merge overhead. Group-by has no parallel form: partial aggregation
+// lost to the typed serial operator (EXPERIMENTS.md E18).
 
 const (
 	// morselSize is the number of rows of one parallel work unit. Large
@@ -25,9 +24,11 @@ const (
 
 	// DefaultParThreshold is the input row count below which the
 	// parallel operators fall back to their serial forms when Par leaves
-	// Threshold zero: two morsels per worker at the minimum useful
-	// parallelism degree.
-	DefaultParThreshold = 2 * 2 * morselSize
+	// Threshold zero. It is the measured crossover at two workers
+	// (EXPERIMENTS.md E18): a two-conjunct typed filter loses 1.3x in
+	// parallel at 4k rows and wins 1.4x at 16k; a two-key sort breaks even
+	// at 16k and wins 1.6x at 64k.
+	DefaultParThreshold = 4 * morselSize
 
 	// joinParts is the number of hash partitions of the parallel join.
 	// A fixed power of two keeps partition assignment — and therefore
@@ -234,95 +235,12 @@ func filterIdxSerial(t *Table, pred Pred, p Par) ([]uint32, error) {
 	return idx, nil
 }
 
-// FilterPar is Filter on the parallel scan path.
-func FilterPar(t *Table, name string, pred Pred, p Par) (*Table, error) {
-	idx, err := FilterIdxPar(t, pred, p)
-	if err != nil {
-		return nil, err
-	}
-	return t.Gather(name, idx), nil
-}
-
-// GroupByPar is GroupBy with parallel partial aggregation: every worker
-// accumulates a static contiguous row range into a private group map,
-// the partials merge in a final combine step (aggState.merge), and
-// groups are re-ordered by first-occurrence row so the output rows match
-// the serial operator exactly. Row ranges are static — not dynamically
-// dealt morsels — so partial accumulation and merge order are fixed and
-// the output (including floating-point sums, which are sensitive to
-// addition order) is deterministic for a given worker count; group-by
-// work is uniform per row, so static ranges lose no balance.
-func GroupByPar(t *Table, name string, keyCols []int, aggs []AggSpec, p Par) (*Table, error) {
-	n := t.NumRows()
-	if !p.Parallel(n) {
-		return GroupBy(t, name, keyCols, aggs)
-	}
-	shards := p.Workers
-	if shards > n {
-		shards = n
-	}
-	ranges := make([][2]uint32, shards)
-	chunk, rem := n/shards, n%shards
-	lo := 0
-	for s := 0; s < shards; s++ {
-		hi := lo + chunk
-		if s < rem {
-			hi++
-		}
-		ranges[s] = [2]uint32{uint32(lo), uint32(hi)}
-		lo = hi
-	}
-	partials := make([]map[string]*group, shards)
-	err := p.run("group", shards, func(_, s int) error {
-		groups := make(map[string]*group)
-		partials[s] = groups
-		var key []byte
-		tick := 0
-		for r := ranges[s][0]; r < ranges[s][1]; r++ {
-			if err := p.poll(&tick); err != nil {
-				return err
-			}
-			key = t.KeyOf(key[:0], r, keyCols)
-			g, ok := groups[string(key)]
-			if !ok {
-				g = &group{firstRow: r, states: make([]aggState, len(aggs))}
-				groups[string(key)] = g
-			}
-			if err := g.accum(t, r, aggs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Combine in shard order: shard s covers strictly earlier rows than
-	// shard s+1, so the first partial holding a key also holds its
-	// first-occurrence row, and merging later partials into it
-	// accumulates in row-range order.
-	merged := make(map[string]*group)
-	for _, part := range partials {
-		for k, pg := range part {
-			g, ok := merged[k]
-			if !ok {
-				merged[k] = pg
-				continue
-			}
-			for i := range g.states {
-				if err := g.states[i].merge(&pg.states[i]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	order := make([]*group, 0, len(merged))
-	for _, g := range merged {
-		order = append(order, g)
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].firstRow < order[b].firstRow })
-	return emitGroups(t, name, keyCols, aggs, order)
+// GroupByPar is GroupBy: p is ignored. Parallel partial aggregation lost to
+// the serial typed group-by at two workers on every measured input except
+// a million rows in a hundred groups (EXPERIMENTS.md E18), so its body is
+// gone; the name stays for the callers that are pinned to it.
+func GroupByPar(t *Table, name string, keyCols []int, aggs []AggSpec, _ Par) (*Table, error) {
+	return GroupBy(t, name, keyCols, aggs)
 }
 
 // hashKey is FNV-1a over a canonical key encoding; it decides the join
@@ -470,127 +388,12 @@ func HashJoinPar(name string, l, r *Table, lCols, rCols []int, p Par) (*Table, e
 	return joinTable(name, l, r, lIdx, rIdx), nil
 }
 
-// OrderByPar is OrderBy with shard-local stable sorts and a k-way merge.
-// The input splits into one contiguous shard per worker; each shard
-// sorts stably in parallel (sharing sortIdxStable with the serial path)
-// and a loser-selection heap merges the shard runs, breaking key ties by
-// shard index. Because shards are contiguous ascending row ranges, the
-// tie-break reproduces sort.SliceStable's global stability exactly.
+// OrderByPar is OrderBy with shard-local stable sorts and a merge when t
+// clears p's threshold (Rows.OrderBy).
 func OrderByPar(t *Table, keys []SortKey, p Par) (*Table, error) {
-	n := t.NumRows()
-	if !p.Parallel(n) {
-		return OrderBy(t, keys)
-	}
-	shards := p.Workers
-	if shards > n {
-		shards = n
-	}
-	runs := make([][]uint32, shards)
-	chunk, rem := n/shards, n%shards
-	lo := 0
-	for s := 0; s < shards; s++ {
-		hi := lo + chunk
-		if s < rem {
-			hi++
-		}
-		run := make([]uint32, hi-lo)
-		for i := range run {
-			run[i] = uint32(lo + i)
-		}
-		runs[s] = run
-		lo = hi
-	}
-	err := p.run("sort", shards, func(_, s int) error {
-		return sortIdxStable(t, keys, runs[s])
-	})
+	r, err := AllRows(t).OrderBy(keys, 0, p)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := mergeRuns(t, keys, runs, p)
-	if err != nil {
-		return nil, err
-	}
-	return t.Gather(t.Name, idx), nil
-}
-
-// mergeSrc is one sorted shard run being merged, addressed by its
-// original shard index for stable tie-breaking.
-type mergeSrc struct {
-	shard int
-	run   []uint32
-	pos   int
-}
-
-// mergeRuns k-way merges sorted shard runs with a binary heap.
-// Comparison errors (incomparable key kinds that escaped static
-// analysis) abort the merge deterministically.
-func mergeRuns(t *Table, keys []SortKey, runs [][]uint32, p Par) ([]uint32, error) {
-	h := make([]*mergeSrc, 0, len(runs))
-	total := 0
-	for s, run := range runs {
-		if len(run) > 0 {
-			h = append(h, &mergeSrc{shard: s, run: run})
-			total += len(run)
-		}
-	}
-	less := func(a, b *mergeSrc) (bool, error) {
-		c, err := compareKeys(t, keys, a.run[a.pos], b.run[b.pos])
-		if err != nil {
-			return false, err
-		}
-		if c != 0 {
-			return c < 0, nil
-		}
-		return a.shard < b.shard, nil
-	}
-	var siftDown func(i int) error
-	siftDown = func(i int) error {
-		for {
-			kid := 2*i + 1
-			if kid >= len(h) {
-				return nil
-			}
-			if r := kid + 1; r < len(h) {
-				lt, err := less(h[r], h[kid])
-				if err != nil {
-					return err
-				}
-				if lt {
-					kid = r
-				}
-			}
-			lt, err := less(h[kid], h[i])
-			if err != nil {
-				return err
-			}
-			if !lt {
-				return nil
-			}
-			h[i], h[kid] = h[kid], h[i]
-			i = kid
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		if err := siftDown(i); err != nil {
-			return nil, err
-		}
-	}
-	idx := make([]uint32, 0, total)
-	tick := 0
-	for len(h) > 0 {
-		if err := p.poll(&tick); err != nil {
-			return nil, err
-		}
-		top := h[0]
-		idx = append(idx, top.run[top.pos])
-		top.pos++
-		if top.pos == len(top.run) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if err := siftDown(0); err != nil {
-			return nil, err
-		}
-	}
-	return idx, nil
+	return r.Materialize(t.Name, nil, nil), nil
 }

@@ -288,9 +288,6 @@ func TestParallelCancellation(t *testing.T) {
 	if _, err := FilterIdxPar(tb, func(uint32) (bool, error) { return true, nil }, p); !errors.Is(err, boom) {
 		t.Errorf("filter: err = %v, want %v", err, boom)
 	}
-	if _, err := GroupByPar(tb, "G", []int{0}, []AggSpec{{Func: AggCount, Col: -1, Name: "n"}}, p); !errors.Is(err, boom) {
-		t.Errorf("group-by: err = %v, want %v", err, boom)
-	}
 	if _, _, err := HashJoinIdxPar(tb, tb, []int{0}, []int{0}, p); !errors.Is(err, boom) {
 		t.Errorf("join: err = %v, want %v", err, boom)
 	}
@@ -328,6 +325,7 @@ func (c *mixedKindColumn) Value(i uint32) value.Value {
 	}
 	return value.NewDate(int64(i))
 }
+func (c *mixedKindColumn) IsNull(uint32) bool         { return false }
 func (c *mixedKindColumn) Append(value.Value) error   { return errors.New("read-only") }
 func (c *mixedKindColumn) Gather(idx []uint32) Column { return &mixedKindColumn{n: len(idx)} }
 func (c *mixedKindColumn) Distinct() int              { return -1 }

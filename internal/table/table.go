@@ -119,11 +119,12 @@ func (t *Table) Gather(name string, idx []uint32) *Table {
 // clone never disturbs the original, so mutations can build a new table
 // version aside while readers keep using the published one.
 func (t *Table) Clone() *Table {
-	idx := make([]uint32, t.rows)
-	for i := range idx {
-		idx[i] = uint32(i)
+	out := &Table{Name: t.Name, schema: t.schema.Clone(), rows: t.rows}
+	out.cols = make([]Column, len(t.cols))
+	for i, c := range t.cols {
+		out.cols[i] = cloneColumn(c)
 	}
-	return t.Gather(t.Name, idx)
+	return out
 }
 
 // ProjectCols returns a new table with only the named column indexes, in

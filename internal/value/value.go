@@ -259,6 +259,16 @@ func (e *TypeError) Error() string {
 	return fmt.Sprintf("graql: type error: cannot %s %s and %s", e.Op, e.A, e.B)
 }
 
+// FloatKey returns the hash-key image of f: its IEEE bits with -0 folded
+// onto +0, because Compare orders the two zeros as equal and equal values
+// must share a key.
+func FloatKey(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
+}
+
 // AppendKey appends a canonical, self-delimiting binary encoding of v to
 // dst, for use as a hash-map key in joins, group-by and vertex key indexes.
 // Distinct values produce distinct encodings; equal values (including an
@@ -276,7 +286,7 @@ func (v Value) AppendKey(dst []byte) []byte {
 		dst = append(dst, byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
 			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 	case KindFloat:
-		u := math.Float64bits(v.F)
+		u := FloatKey(v.F)
 		dst = append(dst, byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
 			byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 	case KindString:
