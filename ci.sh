@@ -168,6 +168,7 @@ go test -run='^$' -fuzz='^FuzzAnalyze$' -fuzztime="$FUZZTIME" ./internal/sema
 go test -run='^$' -fuzz='^FuzzWALDecode$' -fuzztime="$FUZZTIME" ./internal/storage
 go test -run='^$' -fuzz='^FuzzFingerprint$' -fuzztime="$FUZZTIME" ./internal/obs
 go test -run='^$' -fuzz='^FuzzFilterKernel$' -fuzztime="$FUZZTIME" ./internal/table
+go test -run='^$' -fuzz='^FuzzTextExecRoutes$' -fuzztime="$FUZZTIME" ./internal/exec
 
 echo "== graql vet gate =="
 # The shipped example scripts must vet clean (exit 0), and the seeded
@@ -290,6 +291,34 @@ if "$tmpdir/gems-client" -addr 127.0.0.1:17687 execute "$stmt" >/dev/null 2>&1; 
     exit 1
 fi
 
+echo "== smoke: one script cache behind both wires =="
+# The same text exec twice over TCP and once over HTTP: both wires reach
+# the engine's one script cache, so the second and third are served from
+# the plan the first stored (hits +2 at least); an insert then moves the
+# catalog epoch, and the re-exec re-plans exactly once (misses +1) and
+# sees the new row.
+plancache() { # plancache hits|misses: the counter's current value
+    curl -fsS http://127.0.0.1:17688/metrics |
+        awk -v name="graql_plancache_$1_total" '$1 == name { print $2 }'
+}
+printf 'create table CacheSmoke(id integer)\ninsert into CacheSmoke values (1)' |
+    "$tmpdir/gems-client" -addr 127.0.0.1:17687 exec - >/dev/null 2>&1
+cache_q='select count(*) as c from table CacheSmoke'
+printf '%s' "$cache_q" >"$tmpdir/cache.graql"
+"$tmpdir/gems-client" -addr 127.0.0.1:17687 exec "$tmpdir/cache.graql" >/dev/null 2>&1
+hits0=$(plancache hits)
+"$tmpdir/gems-client" -addr 127.0.0.1:17687 exec "$tmpdir/cache.graql" >/dev/null 2>&1
+curl -fsS -X POST http://127.0.0.1:17688/query -d "{\"script\": \"$cache_q\"}" | grep -q '"rows":\[\["1"\]\]'
+hits1=$(plancache hits)
+misses1=$(plancache misses)
+echo 'insert into CacheSmoke values (2)' | "$tmpdir/gems-client" -addr 127.0.0.1:17687 exec - >/dev/null 2>&1
+curl -fsS -X POST http://127.0.0.1:17688/query -d "{\"script\": \"$cache_q\"}" | grep -q '"rows":\[\["2"\]\]'
+misses2=$(plancache misses)
+if [ "$((hits1 - hits0))" -lt 2 ] || [ "$((misses2 - misses1))" -ne 1 ]; then
+    echo "script cache smoke: hits $hits0 -> $hits1 (want +2), misses $misses1 -> $misses2 (want +1)" >&2
+    exit 1
+fi
+
 echo "== load smoke: open-loop serving-path gate (100 QPS x 5s) =="
 # Drive the running smoke server through the admission gate with the
 # open-loop generator: prepared Berlin executes at a fixed rate across
@@ -351,7 +380,7 @@ awk 'BEGIN { for (i = 0; i < 120; i++) for (j = 0; j < 120; j++) printf "n%03d,n
     echo "ingest table Dense '$tmpdir/dense.csv'"
     echo "create vertex NV(id) from table Node"
     echo "create edge e with vertices (NV as A, NV as B) from table Dense where Dense.src = A.id and Dense.dst = B.id"
-} | "$tmpdir/gems-client" -addr 127.0.0.1:17687 exec - >/dev/null
+} | "$tmpdir/gems-client" -addr 127.0.0.1:17687 exec - >/dev/null 2>&1
 echo 'select A.id from graph def A: NV ( ) --e--> def B: NV ( ) --e--> def C: NV ( ) --e--> def D: NV (id < A.id and id > A.id)' |
     "$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 60s exec - >"$tmpdir/runaway.out" 2>&1 &
 runaway_pid=$!

@@ -75,7 +75,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-response TCP write deadline (0 = no limit)")
 		queryTimeout = flag.Duration("default-timeout", 0, "default per-query execution deadline when the client sends no timeoutMs (0 = none)")
 		maxTimeout   = flag.Duration("max-timeout", 5*time.Minute, "cap on the per-query deadline; client timeoutMs values are clamped to it (0 = no cap)")
-		planCache    = flag.Int("plan-cache", 0, "plan-cache capacity in cached shapes (0 = default 256, negative disables)")
+		planCache    = flag.Int("plan-cache", 0, "script cache capacity in compiled read-only scripts (0 = default 256, negative disables all plan reuse)")
 		irVerify     = flag.String("ir-verify", exec.IRVerifySample, "IR/plan verifier mode: always | sample | off (serving default samples every 64th)")
 		maxInFlight  = flag.Int("max-inflight", 0, "admission control: max queries executing concurrently (0 = unlimited)")
 		maxQueue     = flag.Int("max-queue", 16, "admission control: queries waiting for a slot beyond -max-inflight before rejection")

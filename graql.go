@@ -148,11 +148,11 @@ func WithTracing(n int) Option {
 	}
 }
 
-// WithPlanCache sets the capacity of the fingerprint-keyed plan cache:
-// read-only select shapes skip re-analysis and re-planning after their
-// first execution, re-planning only when a committed mutation moves the
-// catalog epoch. The cache is on by default with a capacity of 256
-// plans; n <= 0 disables it.
+// WithPlanCache sets the capacity of the script cache: a repeated
+// read-only script text runs its already compiled form (no lexing,
+// parsing, analysis or planning), re-planning only when a committed
+// mutation moves the catalog epoch. Default 256 scripts; n <= 0 turns
+// all reuse off, and prepared statements then re-analyze on every Exec.
 func WithPlanCache(n int) Option {
 	return func(o *exec.Options) {
 		if n <= 0 {
@@ -299,7 +299,7 @@ type Stmt struct {
 // Prepare compiles a script into a reusable handle. Parse errors — and,
 // for read-only scripts, semantic errors — surface here rather than at
 // the first Exec. Statements whose plans are cacheable are planned
-// eagerly, so the first Exec already hits the plan cache.
+// eagerly, so the first Exec already finds its plan stored.
 func (db *DB) Prepare(script string) (*Stmt, error) {
 	p, err := db.eng.Prepare(script)
 	if err != nil {
@@ -330,9 +330,9 @@ func (s *Stmt) ExecContext(ctx context.Context, params map[string]any) ([]Result
 // Text returns the canonical rendering of the prepared script.
 func (s *Stmt) Text() string { return s.p.Text() }
 
-// PlanCacheStats reports the database's plan cache counters: hits,
+// PlanCacheStats reports the database's plan reuse counters: hits,
 // misses, evictions (capacity plus stale-epoch invalidations) and the
-// current number of cached plans. All zeros when the cache is disabled.
+// current number of cached scripts. All zeros when reuse is disabled.
 func (db *DB) PlanCacheStats() (hits, misses, evictions, size int64) {
 	return db.eng.PlanCacheStats()
 }

@@ -9,18 +9,16 @@ import (
 )
 
 // stmtAcct is the per-statement accounting record behind the
-// observability layer's StmtEvent: ExecStmt creates one per executed
+// observability layer's StmtEvent: execStmtID creates one per executed
 // statement (when a registry is configured), the execution paths feed it
 // — matcher sweeps add scan work, the WAL append adds bytes, parallel
 // sweeps record their fan-out — and observeStmt folds it into the
 // statement's event. It travels on the engine's shallow fork, so nested
 // helpers reach it as e.acct without plumbing.
 type stmtAcct struct {
-	fp        uint64
-	text      string // fingerprint-normalized statement text
-	script    string // canonical statement rendering (st.String(), computed once)
+	id        *stmtIdent // the compiled statement's identity
 	queueWait time.Duration
-	planHit   bool // the statement's plan came from the plan cache
+	planHit   bool // the statement's plan slot was fresh (analysis skipped)
 
 	rowsScanned atomic.Int64
 	walBytes    atomic.Int64
@@ -31,7 +29,7 @@ type stmtAcct struct {
 	live *obs.LiveQuery
 }
 
-// notePlanHit marks the statement as served from the plan cache.
+// notePlanHit marks the statement as served from its stored plan.
 func (a *stmtAcct) notePlanHit() {
 	if a != nil {
 		a.planHit = true

@@ -12,11 +12,8 @@ import (
 )
 
 // stripExplainPrefix removes the leading explain [analyze] keywords from
-// a statement's source text, yielding the text a plain execution of the
-// same shape fingerprints. This reuses the span-sliced source (or, for
-// prepared statements, the canonical rendering the prepare fingerprinted)
-// instead of re-rendering a mutated AST copy, so the plan-cache probe
-// keys exactly like normal execution.
+// a statement's text, yielding the script text a plain execution of the
+// same statement is cached under.
 func stripExplainPrefix(src string) string {
 	s := strings.TrimSpace(src)
 	for _, kw := range []string{"explain", "analyze"} {
@@ -36,7 +33,7 @@ func stripExplainPrefix(src string) string {
 // statement's into-clause result is not registered. Operator times are
 // inclusive of nested operators and summed across parallel workers, so a
 // step's time can exceed the query's wall clock.
-func (e *Engine) runExplainAnalyze(s *sema.Select, params map[string]value.Value) (Result, error) {
+func (e *Engine) runExplainAnalyze(s *sema.Select, params map[string]value.Value, text string) (Result, error) {
 	// A shallow engine copy carries the trace through execution without
 	// widening any signatures; parent stays nil so operator spans land
 	// flat on this private trace (one plan row each), not nested under a
@@ -44,17 +41,16 @@ func (e *Engine) runExplainAnalyze(s *sema.Select, params map[string]value.Value
 	tr := &obs.Trace{}
 	shadow := e.fork(tr, nil)
 
-	// Report whether the plain query's shape is warm in the plan cache.
-	// EXPLAIN ANALYZE itself always re-instruments (its plan rows need a
-	// private trace), so the row describes what a plain execution of this
-	// statement would do right now. Matching is by fingerprint: the
-	// normalized text of the explain-stripped statement is what plain
-	// executions of any formatting of this shape key on.
-	if e.plans != nil && s.Decl != nil {
-		fp, _ := e.met.reg.FingerprintCached(stripExplainPrefix(e.stmtSrc(s.Decl)))
+	// Report whether a plain execution of this statement would find its
+	// plan stored right now. EXPLAIN ANALYZE itself always re-instruments
+	// (its plan rows need a private trace); the answer comes from the plan
+	// slot of the script-cache entry for the explain-stripped text.
+	if e.scripts != nil {
 		detail := "miss — shape not cached at current catalog epoch"
-		if e.plans.peekFP(fp, e.Cat.Epoch()) {
-			detail = "hit — shape cached at current catalog epoch"
+		if p := e.scripts.get(stripExplainPrefix(text), true); p != nil && len(p.stmts) == 1 {
+			if slot := p.stmts[0].plan.Load(); slot != nil && slot.epoch == e.Cat.Epoch() {
+				detail = "hit — shape cached at current catalog epoch"
+			}
 		}
 		tr.Span("plan cache", detail).Record(0, 0)
 	}

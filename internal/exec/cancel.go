@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"graql/internal/ast"
 	"graql/internal/value"
 )
 
@@ -70,11 +69,6 @@ func (e *Engine) canceled() error { return contextErr(e.ctx) }
 // ErrCanceled or ErrDeadlineExceeded when ctx ends mid-query.
 func (e *Engine) ExecScriptContext(ctx context.Context, src string, params map[string]value.Value) ([]Result, error) {
 	return e.WithContext(ctx).ExecScript(src, params)
-}
-
-// ExecStmtContext is ExecStmt bound to ctx.
-func (e *Engine) ExecStmtContext(ctx context.Context, st ast.Stmt, params map[string]value.Value) (Result, error) {
-	return e.WithContext(ctx).ExecStmt(st, params)
 }
 
 // ExecScriptStagedContext is ExecScriptStaged bound to ctx.

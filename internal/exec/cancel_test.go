@@ -214,7 +214,7 @@ func TestAbortMetricsAndTraceAttr(t *testing.T) {
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
 	tr2 := obs.NewTrace(obs.TraceID{})
-	if _, err := e.WithTrace(tr2, nil).ExecStmtContext(cctx, mustParseStmt(t, slowQuery), nil); !errors.Is(err, ErrCanceled) {
+	if _, err := e.WithTrace(tr2, nil).WithContext(cctx).ExecStmt(mustParseStmt(t, slowQuery), nil); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("errors.Is(err, ErrCanceled) = false; err = %v", err)
 	}
 	if got := e.met.canceled.Value(); got != 1 {

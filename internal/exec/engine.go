@@ -25,7 +25,6 @@ import (
 	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/obs"
-	"graql/internal/parser"
 	"graql/internal/plan"
 	"graql/internal/sema"
 	"graql/internal/storage"
@@ -71,17 +70,13 @@ type Options struct {
 	// and the slow-query log. nil disables metrics (the hot-path cost is
 	// then a handful of nil checks).
 	Obs *obs.Registry
-	// PlanCache sets the capacity of the fingerprint-keyed plan cache
-	// for read-only selects: repeated statement shapes skip
-	// lexer→parser→sema→plan after their first execution, re-planning
+	// PlanCache sets the capacity of the script cache: the LRU of
+	// compiled read-only scripts, keyed on exact script text, through
+	// which a repeated text skips lexer→parser→sema→plan, re-planning
 	// only when the catalog epoch moves. 0 means the default capacity
-	// (256 plans); negative disables caching.
+	// (256 scripts); negative disables all reuse — no script is cached
+	// and prepared handles re-analyze on every execute.
 	PlanCache int
-	// DisableStmtObs turns off the per-statement observability layer
-	// (fingerprinting, statement stats, live query registration,
-	// cancel-by-id) while keeping the registry's aggregate metrics. It
-	// exists for the E14 ablation, which prices that layer in isolation.
-	DisableStmtObs bool
 	// ClusterParts >= 2 routes eligible linear-chain subgraph queries
 	// through the simulated GEMS backend cluster (internal/cluster): one
 	// BSP superstep per chain edge over that many partitions, with
@@ -139,25 +134,17 @@ type Engine struct {
 	ctx    context.Context
 
 	// acct is the per-statement accounting record (nil without a
-	// registry): ExecStmt installs one on the executing fork, the sweep
+	// registry): execStmtID installs one on the executing fork, the sweep
 	// and WAL paths feed it, observeStmt folds it into the statement's
 	// observability event.
 	acct *stmtAcct
 
-	// src is the source text of the script being executed, set on the
-	// per-run fork by ExecScript/ExecScriptStaged when statement
-	// observability is on. ExecStmt fingerprints each statement by
-	// slicing its span out of src — far cheaper than re-rendering the
-	// AST — falling back to st.String() for statements without source
-	// (decoded IR, programmatic ASTs).
-	src string
-
 	// ids is shared across traced forks so DDL advances one sequence.
 	ids *idAlloc
 
-	// plans is the fingerprint-keyed LRU of analyzed read-only selects,
-	// shared across every fork (nil when Options.PlanCache < 0).
-	plans *planCache
+	// scripts is the LRU of compiled read-only scripts, shared across
+	// every fork (nil when Options.PlanCache < 0).
+	scripts *scriptCache
 
 	// store is the attached durability layer (nil runs in-memory only).
 	// replay is true while recovery replays the snapshot and WAL tail; it
@@ -170,7 +157,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	return &Engine{
 		Cat: catalog.New(), Opts: opts, met: newEngineMetrics(opts.Obs),
-		ids: &idAlloc{}, plans: newPlanCache(opts.PlanCache, opts.Obs),
+		ids: &idAlloc{}, scripts: newScriptCache(opts.PlanCache, opts.Obs),
 	}
 }
 
@@ -193,73 +180,31 @@ type Result struct {
 	Subgraph *graph.Subgraph
 }
 
-// ExecScript parses, statically checks and executes a GraQL script,
-// returning one result per statement. Parameters bind the script's
-// %name% placeholders.
-func (e *Engine) ExecScript(src string, params map[string]value.Value) ([]Result, error) {
-	script, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	run := e.withSrc(src)
-	var out []Result
-	for i, st := range script.Stmts {
-		if err := run.canceled(); err != nil {
-			return out, fmt.Errorf("statement %d: %w", i+1, err)
-		}
-		r, err := run.ExecStmt(st, params)
-		if err != nil {
-			return out, fmt.Errorf("statement %d: %w", i+1, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// withSrc returns an engine fork carrying the script's source text for
-// span-sliced statement fingerprinting; e itself when neither the
-// statement observability layer nor the plan cache would read the field.
-func (e *Engine) withSrc(src string) *Engine {
-	if (e.met.reg == nil || e.Opts.DisableStmtObs) && e.plans == nil {
-		return e
-	}
-	c := *e
-	c.src = src
-	return &c
-}
-
-// ExecStmt statically analyses and executes a single statement,
-// recording per-statement metrics and the slow-query log when the engine
-// has an observability registry. On a traced engine (WithTrace) each
-// statement gets a "statement" span and all operator, sweep and cluster
-// spans of its execution nest beneath it.
+// ExecStmt statically analyses and executes a single parsed statement
+// (vet scaffolding, programmatic ASTs) as a transient compiled statement.
 func (e *Engine) ExecStmt(st ast.Stmt, params map[string]value.Value) (Result, error) {
-	return e.execStmtID(st, params, nil)
+	var cs compiledStmt
+	cs.init(st, "")
+	return e.execStmtID(&cs, params)
 }
 
-// stmtIdent is a statement's precomputed observability identity:
-// prepared statements carry fingerprints and renderings resolved once at
-// Prepare, so the execute path pays no per-call re-render.
-type stmtIdent struct {
-	fp     uint64
-	norm   string // fingerprint-normalized text
-	script string // canonical statement rendering
+// ExecParsed executes an already parsed script (decoded IR, a
+// programmatic AST) as a transient compiled script: nothing is cached,
+// results and errors are those of ExecScript.
+func (e *Engine) ExecParsed(script *ast.Script, params map[string]value.Value) ([]Result, error) {
+	return e.execCompiled(compile(script.Stmts, ""), params)
 }
 
-// execStmtID is ExecStmt with an optional precomputed identity.
-func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmtIdent) (Result, error) {
+// execStmtID executes one compiled statement, recording per-statement
+// metrics and the slow-query log when the engine has an observability
+// registry. On a traced engine (WithTrace) each statement gets a
+// "statement" span and all operator, sweep and cluster spans of its
+// execution nest beneath it.
+func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value) (Result, error) {
 	if e.met.reg == nil && e.trace == nil {
-		run := e
-		if id != nil && e.plans != nil {
-			// No observability, but the plan cache still wants the
-			// precomputed identity: carry it on an accounting record of a
-			// private fork (nothing else reads it without a registry).
-			c := *e
-			c.acct = &stmtAcct{fp: id.fp, text: id.norm, script: id.script}
-			run = &c
-		}
-		return run.execStmt(st, params)
+		return e.execStmt(cs, params)
 	}
+	st := cs.st
 	run := e
 	var sp *obs.Span
 	if e.trace != nil {
@@ -272,16 +217,8 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 	// CancelQuery(id) can kill exactly this statement.
 	var acct *stmtAcct
 	var cancel context.CancelFunc
-	if e.met.reg != nil && !e.Opts.DisableStmtObs {
-		var fp uint64
-		var text, script string
-		if id != nil {
-			fp, text, script = id.fp, id.norm, id.script
-		} else {
-			script = e.stmtSrc(st)
-			fp, text = e.met.reg.FingerprintCached(script)
-		}
-		acct = &stmtAcct{fp: fp, text: text, script: script}
+	if e.met.reg != nil {
+		acct = &stmtAcct{id: &cs.id}
 		base := e.ctx
 		if base == nil {
 			base = context.Background()
@@ -295,18 +232,10 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 		}
 		run.ctx = cctx
 		run.acct = acct
-		acct.live = e.met.reg.StartQuery(fp, text, e.traceID(), cancel)
-	} else if id != nil && e.plans != nil {
-		// Statement observability is disabled but the plan cache still
-		// keys on the prepared identity.
-		if run == e {
-			c := *e
-			run = &c
-		}
-		run.acct = &stmtAcct{fp: id.fp, text: id.norm, script: id.script}
+		acct.live = e.met.reg.StartQuery(cs.id.fp, cs.id.norm, e.traceID(), cancel)
 	}
 	start := time.Now()
-	res, err := run.execStmt(st, params)
+	res, err := run.execStmt(cs, params)
 	elapsed := time.Since(start)
 	if cancel != nil {
 		acct.live.Finish()
@@ -337,19 +266,7 @@ func (e *Engine) execStmtID(st ast.Stmt, params map[string]value.Value, id *stmt
 	return res, err
 }
 
-// stmtSrc returns the statement's source text: its span sliced out of
-// the running script (set by withSrc) when available, else the
-// canonical AST rendering. Fingerprint normalization collapses the
-// formatting differences between the two forms.
-func (e *Engine) stmtSrc(st ast.Stmt) string {
-	if sp := st.Span(); e.src != "" && sp.Known() &&
-		sp.Start >= 0 && sp.Start < sp.End && sp.End <= len(e.src) {
-		return e.src[sp.Start:sp.End]
-	}
-	return st.String()
-}
-
-// execStmt is ExecStmt without instrumentation. DDL and ingest take the
+// execStmt is execStmtID without instrumentation. DDL and ingest take the
 // catalog write lock; DML builds its new versions aside under the read
 // lock (exec/dml.go); selects analyse and execute under the read lock so
 // that independent statements of a script can run concurrently (§III-B1),
@@ -357,10 +274,11 @@ func (e *Engine) stmtSrc(st ast.Stmt) string {
 // mutating statement first takes the catalog's writer mutex, which
 // serialises writers against each other (and against checkpoints) without
 // blocking readers.
-func (e *Engine) execStmt(st ast.Stmt, params map[string]value.Value) (Result, error) {
+func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value) (Result, error) {
 	if err := e.canceled(); err != nil {
 		return Result{}, err
 	}
+	st := cs.st
 	switch st.(type) {
 	case *ast.Insert, *ast.Update, *ast.Delete:
 		if !e.Opts.CheckOnly {
@@ -379,12 +297,12 @@ func (e *Engine) execStmt(st ast.Stmt, params map[string]value.Value) (Result, e
 	}
 
 	e.Cat.RLock()
-	sel, err := e.planSelect(st.(*ast.Select))
+	sel, err := e.planSelect(cs)
 	if err != nil {
 		e.Cat.RUnlock()
 		return Result{}, err
 	}
-	res, err := e.runSelect(sel, params)
+	res, err := e.runSelect(sel, params, cs.id.script)
 	e.Cat.RUnlock()
 	if err != nil {
 		return Result{}, err
@@ -450,7 +368,7 @@ func (e *Engine) execLocked(st ast.Stmt, params map[string]value.Value) (Result,
 	case *sema.Output:
 		return e.runOutput(s)
 	case *sema.Select:
-		return e.runSelect(s, params)
+		return e.runSelect(s, params, "") // CheckOnly: never explains
 	case *sema.Insert:
 		return Result{Message: fmt.Sprintf("checked insert into %s (skipped)", s.Table.Name)}, nil
 	case *sema.Update:
@@ -480,18 +398,17 @@ func (e *Engine) commitDDL(st ast.Stmt, params map[string]value.Value, res Resul
 // and the members of each stage run concurrently. Results keep script
 // order. Statement errors abort at the end of the failing stage.
 func (e *Engine) ExecScriptStaged(src string, params map[string]value.Value) ([]Result, error) {
-	script, err := parser.Parse(src)
+	p, err := e.compileCached(src)
 	if err != nil {
 		return nil, err
 	}
-	run := e.withSrc(src)
-	results := make([]Result, len(script.Stmts))
-	errs := make([]error, len(script.Stmts))
-	for _, stage := range plan.Stages(script) {
+	results := make([]Result, len(p.stmts))
+	errs := make([]error, len(p.stmts))
+	for _, stage := range plan.Stages(p.script()) {
 		stage := stage
 		_ = runShards(e.ctx, &e.met, len(stage), e.Opts.workers(), func(k int) error {
 			i := stage[k]
-			results[i], errs[i] = run.ExecStmt(script.Stmts[i], params)
+			results[i], errs[i] = e.execStmtID(&p.stmts[i], params)
 			return nil
 		})
 		for _, i := range stage {

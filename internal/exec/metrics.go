@@ -165,21 +165,15 @@ func (m *engineMetrics) observeStmt(st ast.Stmt, a *stmtAcct, elapsed time.Durat
 	if h := m.latency[stmtKind(st)]; h != nil {
 		h.Observe(elapsed.Seconds())
 	}
-	// No accounting record means the statement layer is disabled
-	// (Options.DisableStmtObs): keep the aggregate counters above but
-	// skip statement stats, the wide event, and the slow-query record.
-	if a == nil {
-		return
-	}
 	ev := obs.StmtEvent{
-		Script:      a.script,
+		Script:      a.id.script,
 		Kind:        stmtKind(st),
 		Code:        code,
 		Elapsed:     elapsed,
 		Rows:        rows,
 		Trace:       trace,
-		Fingerprint: a.fp,
-		Text:        a.text,
+		Fingerprint: a.id.fp,
+		Text:        a.id.norm,
 		QueueWait:   a.queueWait,
 		PlanHit:     a.planHit,
 		RowsScanned: a.rowsScanned.Load(),

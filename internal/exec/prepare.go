@@ -2,38 +2,79 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 
 	"graql/internal/ast"
 	"graql/internal/ir"
+	"graql/internal/obs"
 	"graql/internal/parser"
+	"graql/internal/sema"
 	"graql/internal/value"
 )
 
-// Prepared statements split one-time compilation from repeated
-// parameterized evaluation (the prepare/execute model of SQL and
-// GQL/SQL-PGQ). Prepare runs lexer→parser once and compiles the script
-// to the binary IR — the same artifact the GEMS front-end ships to the
-// backend (paper §III) — and, for read-only scripts, analyzes every
-// select eagerly so semantic errors surface at prepare time and the plan
-// cache is warm before the first execute. Execute binds %name%
-// parameters and runs the cached artifact: no lexing, no parsing, and —
-// via the plan cache — no re-analysis until the catalog epoch moves.
-
-// Prepared is a compiled statement handle. It is immutable after
-// Prepare and safe for concurrent Execute calls. Its statements are
-// materialized from the IR blob, so the handle shares no backing memory
-// with the source text it was prepared from.
+// Prepared is the one compiled form of a script and the only owner of
+// plans (paper §III: the front-end compiles a script once and ships the
+// compiled artifact). Every execution entry point reaches it: Prepare /
+// PrepareIR hand one to the caller as a reusable handle, ExecScript
+// looks the script text up in the engine's script cache
+// (scriptcache.go) and compiles on a miss, and ExecStmt / ExecParsed
+// wrap their ASTs in a transient one. Executing it binds %name%
+// parameters and runs each compiled statement; a read-only select whose
+// plan slot was filled under the current catalog epoch skips semantic
+// analysis and planning as well.
+//
+// A Prepared is immutable after compilation apart from its plan slots,
+// safe for concurrent execution, and belongs to the engine (and its
+// forks) that compiled it: the slots hold plans bound to that engine's
+// catalog.
 type Prepared struct {
-	text  string // canonical script rendering
-	blob  []byte // the binary IR — the handle's backing artifact
-	stmts []ast.Stmt
-	ids   []stmtIdent
+	// src is the handle's private copy of the script text; the
+	// statements' identifiers and literals slice into it, so the handle
+	// shares no backing memory with the caller's buffer. Empty when the
+	// statements were decoded from IR (fresh strings already).
+	src   string
+	blob  []byte // the binary IR; set by Prepare and PrepareIR only
+	stmts []compiledStmt
 	ro    bool // no statement mutates the catalog
 }
 
+// compiledStmt is one statement of a Prepared: its detached AST, its
+// observability identity and — for read-only selects — the slot holding
+// its latest plan.
+type compiledStmt struct {
+	st   ast.Stmt
+	id   stmtIdent
+	plan atomic.Pointer[planSlot]
+}
+
+// stmtIdent is a statement's observability identity, computed once at
+// compile so no execution re-renders or re-fingerprints it.
+type stmtIdent struct {
+	fp     uint64
+	norm   string // fingerprint-normalized text
+	script string // statement text: its source span, or the canonical rendering
+}
+
+// planSlot is an analyzed select with the catalog epoch it binds to.
+type planSlot struct {
+	epoch uint64
+	sel   *sema.Select
+}
+
 // Text returns the canonical rendering of the prepared script.
-func (p *Prepared) Text() string { return p.text }
+func (p *Prepared) Text() string { return p.script().String() }
+
+// script returns the handle's statements as a parsed script.
+func (p *Prepared) script() *ast.Script {
+	s := &ast.Script{Stmts: make([]ast.Stmt, len(p.stmts))}
+	for i := range p.stmts {
+		s.Stmts[i] = p.stmts[i].st
+	}
+	return s
+}
 
 // IR returns the handle's binary IR blob (the compiled artifact the
 // wire protocol ships).
@@ -48,95 +89,114 @@ func (p *Prepared) NumStmts() int { return len(p.stmts) }
 // statements that depend on earlier statements' effects to Execute.
 func (p *Prepared) ReadOnly() bool { return p.ro }
 
-// Prepare compiles a script into a reusable statement handle: parse →
-// binary IR → per-statement fingerprints, plus eager semantic analysis
-// (which also warms the plan cache) when the script is read-only.
-func (e *Engine) Prepare(src string) (*Prepared, error) {
+// ErrParse marks a script that failed to lex or parse: errors.Is(err,
+// ErrParse) holds for the error of any text entry point when no
+// statement ran because the text is not GraQL.
+var ErrParse = errors.New("graql: parse error")
+
+type parseError struct{ err error }
+
+func (p *parseError) Error() string        { return p.err.Error() }
+func (p *parseError) Unwrap() error        { return p.err }
+func (p *parseError) Is(target error) bool { return target == ErrParse }
+
+// compileText parses and compiles script text. The result retains src
+// (statement texts and AST strings slice into it), so callers that keep
+// the result pass a private copy.
+func compileText(src string) (*Prepared, error) {
 	script, err := parser.Parse(src)
 	if err != nil {
-		return nil, err
+		return nil, &parseError{err}
 	}
-	if len(script.Stmts) == 0 {
-		return nil, fmt.Errorf("graql: cannot prepare an empty script")
+	return compile(script.Stmts, src), nil
+}
+
+// compile builds the compiled form of parsed statements. src is the text
+// their spans index, or "" for statements without source (decoded IR,
+// programmatic ASTs), which are identified by their canonical rendering.
+func compile(stmts []ast.Stmt, src string) *Prepared {
+	p := &Prepared{src: src, stmts: make([]compiledStmt, len(stmts)), ro: true}
+	for i, st := range stmts {
+		p.stmts[i].init(st, src)
+		if mutatesCatalog(st) {
+			p.ro = false
+		}
 	}
-	blob, err := ir.Encode(script)
+	return p
+}
+
+func (cs *compiledStmt) init(st ast.Stmt, src string) {
+	// The statement's span sliced out of its source is far cheaper than
+	// re-rendering the AST; fingerprint normalization collapses the
+	// formatting differences between the two forms.
+	var text string
+	if sp := st.Span(); sp.Known() && sp.Start >= 0 && sp.Start < sp.End && sp.End <= len(src) {
+		text = src[sp.Start:sp.End]
+	} else {
+		text = st.String()
+	}
+	fp, norm := obs.Fingerprint(text)
+	cs.st, cs.id = st, stmtIdent{fp: fp, norm: norm, script: text}
+}
+
+// Prepare compiles a script into a reusable statement handle: parse →
+// compiled statements + binary IR, plus eager semantic analysis (which
+// fills the plan slots, so the first execute is already a hit) when the
+// script is read-only.
+func (e *Engine) Prepare(src string) (*Prepared, error) {
+	p, err := compileText(strings.Clone(src))
 	if err != nil {
 		return nil, err
 	}
-	return e.prepareIR(blob)
+	if p.blob, err = ir.Encode(p.script()); err != nil {
+		return nil, err
+	}
+	return e.analyzed(p)
 }
 
 // PrepareIR builds a statement handle directly from compiled IR bytes
 // (e.g. a client-side "compile" result), skipping the text front-end.
 func (e *Engine) PrepareIR(blob []byte) (*Prepared, error) {
-	return e.prepareIR(blob)
-}
-
-func (e *Engine) prepareIR(blob []byte) (*Prepared, error) {
-	// Decode a private copy of the statements from the IR: decoded
-	// strings are fresh allocations, so the handle cannot pin the
-	// caller's script buffer (or the IR input slice).
+	// Decoded strings are fresh allocations, so the handle pins neither a
+	// script buffer nor (beyond blob itself) the IR input.
 	decoded, err := ir.Decode(blob)
 	if err != nil {
 		return nil, err
 	}
 	// The decoder only rejects malformed framing; Verify closes the gap
 	// between "decoded" and "meaningful" before the statements reach sema
-	// and the executor. This matters most on PrepareIR, whose blob crossed
-	// the wire from an untrusted client.
+	// and the executor: the blob crossed the wire from an untrusted client.
 	if e.irVerifyDue() {
 		if err := ir.Verify(decoded); err != nil {
 			e.met.noteIRVerifyFailure()
 			return nil, err
 		}
 	}
-	if len(decoded.Stmts) == 0 {
+	p := compile(decoded.Stmts, "")
+	p.blob = blob
+	return e.analyzed(p)
+}
+
+// analyzed finishes a handle: empty scripts are rejected, and a
+// read-only script is analyzed now, so unknown tables, type errors and
+// malformed patterns fail the prepare rather than the first execute.
+// Scripts with writes skip this: their later statements may depend on
+// catalog objects the earlier ones create.
+func (e *Engine) analyzed(p *Prepared) (*Prepared, error) {
+	if len(p.stmts) == 0 {
 		return nil, fmt.Errorf("graql: cannot prepare an empty script")
 	}
-	p := &Prepared{
-		blob:  blob,
-		stmts: decoded.Stmts,
-		ids:   make([]stmtIdent, len(decoded.Stmts)),
-		ro:    true,
+	if !p.ro {
+		return p, nil
 	}
-	for i, st := range decoded.Stmts {
-		script := st.String()
-		fp, norm := e.met.reg.FingerprintCached(script)
-		p.ids[i] = stmtIdent{fp: fp, norm: norm, script: script}
-		if p.text != "" {
-			p.text += "\n"
+	e.Cat.RLock()
+	defer e.Cat.RUnlock()
+	for i := range p.stmts {
+		if _, ok := p.stmts[i].st.(*ast.Select); !ok {
+			continue
 		}
-		p.text += script
-		if mutatesCatalog(st) {
-			p.ro = false
-		}
-	}
-	if p.ro {
-		// Read-only script: run semantic analysis now, so unknown tables,
-		// type errors and malformed patterns fail the prepare rather than
-		// the first execute — and every cacheable plan is warm. Scripts
-		// with writes skip this: their later statements may depend on
-		// catalog objects the earlier ones create.
-		e.Cat.RLock()
-		defer e.Cat.RUnlock()
-		run := e
-		if e.plans != nil {
-			// planSelect keys the cache on the accounting identity; give
-			// it the prepared one so warm entries match later executes.
-			c := *e
-			run = &c
-		}
-		for i, st := range p.stmts {
-			sel, ok := st.(*ast.Select)
-			if !ok {
-				continue
-			}
-			if run != e {
-				run.acct = &stmtAcct{fp: p.ids[i].fp, text: p.ids[i].norm, script: p.ids[i].script}
-			}
-			if _, err := run.planSelect(sel); err != nil {
-				return nil, fmt.Errorf("statement %d: %w", i+1, err)
-			}
+		if _, err := e.planSelect(&p.stmts[i]); err != nil {
+			return nil, fmt.Errorf("statement %d: %w", i+1, err)
 		}
 	}
 	return p, nil
@@ -152,23 +212,81 @@ func mutatesCatalog(st ast.Stmt) bool {
 	return sel.Into.Kind != ast.IntoNone
 }
 
+// planCacheable reports whether a statement's plan may be reused across
+// executions: read-only selects only. Into-selects register results (a
+// catalog mutation), and explain variants render plans rather than
+// execute them.
+func planCacheable(sel *ast.Select) bool {
+	return sel.Into.Kind == ast.IntoNone && !sel.Explain
+}
+
+// planSelect resolves a compiled select to its analyzed plan: load the
+// statement's slot; same catalog epoch → hit, else analyze, verify and
+// store. The caller holds the catalog read lock: the epoch read here
+// stays valid for the whole execution that follows, because writers
+// (DDL, DML, ingest, select-into) bump it only under the full write
+// lock — so a plan observed fresh never refers to a superseded table or
+// view version.
+func (e *Engine) planSelect(cs *compiledStmt) (*sema.Select, error) {
+	sel := cs.st.(*ast.Select)
+	reuse := e.scripts != nil && planCacheable(sel)
+	var epoch uint64
+	if reuse {
+		epoch = e.Cat.Epoch()
+		if slot := cs.plan.Load(); slot != nil {
+			if slot.epoch == epoch {
+				// A stored plan outlives the execution that built it, so
+				// verify on the hit path too: a corruption bug anywhere in
+				// invalidation surfaces here as a loud error instead of a
+				// wrong answer.
+				if err := e.verifyPlanDue(slot.sel, "plan-cache"); err != nil {
+					return nil, err
+				}
+				e.scripts.hit()
+				e.acct.notePlanHit()
+				return slot.sel, nil
+			}
+			e.scripts.evicted() // planned under a superseded catalog version
+		}
+		e.scripts.miss()
+	}
+	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
+	analyzed, err := an.Analyze(sel)
+	if err != nil {
+		return nil, err
+	}
+	plan := analyzed.(*sema.Select)
+	if err := e.verifyPlanDue(plan, "plan"); err != nil {
+		return nil, err
+	}
+	if reuse {
+		cs.plan.Store(&planSlot{epoch: epoch, sel: plan})
+	}
+	return plan, nil
+}
+
 // ExecPrepared executes a prepared handle, binding the script's %name%
 // parameters. Results keep statement order, exactly like ExecScript on
 // the original text.
 func (e *Engine) ExecPrepared(p *Prepared, params map[string]value.Value) ([]Result, error) {
-	return e.ExecPreparedContext(context.Background(), p, params)
+	return e.execCompiled(p, params)
 }
 
 // ExecPreparedContext is ExecPrepared bound to ctx.
 func (e *Engine) ExecPreparedContext(ctx context.Context, p *Prepared, params map[string]value.Value) ([]Result, error) {
-	run := e.WithContext(ctx)
+	return e.WithContext(ctx).execCompiled(p, params)
+}
+
+// execCompiled runs the statements of a compiled script in order. On a
+// failure it returns the results of the statements that ran before it,
+// and an error naming the failing statement.
+func (e *Engine) execCompiled(p *Prepared, params map[string]value.Value) ([]Result, error) {
 	out := make([]Result, 0, len(p.stmts))
-	for i, st := range p.stmts {
-		if err := run.canceled(); err != nil {
+	for i := range p.stmts {
+		if err := e.canceled(); err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}
-		id := p.ids[i]
-		r, err := run.execStmtID(st, params, &id)
+		r, err := e.execStmtID(&p.stmts[i], params)
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}

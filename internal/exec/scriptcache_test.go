@@ -1,11 +1,17 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
+
+	"graql/internal/ast"
+	"graql/internal/obs"
 )
 
 // planCacheEngine builds an engine with the given plan-cache capacity
@@ -80,32 +86,83 @@ func TestPlanCacheLiteralVariantsOwnEntries(t *testing.T) {
 	}
 }
 
-// A committed DML mutation bumps the catalog epoch; the next execution
-// of a cached shape must drop the stale entry and re-plan against the
-// new catalog version — never serve the old plan.
+// Every committed mutation — DML, DDL, ingest, select-into — bumps the
+// catalog epoch; the next execution of a stored plan, from text or from
+// a handle, must drop it and re-plan against the new catalog version,
+// never serve the old one.
 func TestPlanCacheEpochInvalidation(t *testing.T) {
+	const q = `select count(*) as c from table Items`
+	for _, tc := range []struct {
+		name   string
+		mutate func(t *testing.T, e *Engine)
+		want   string
+	}{
+		{"dml", func(t *testing.T, e *Engine) { mustExec(t, e, `insert into Items values (4, 'four')`, nil) }, "4"},
+		{"ddl", func(t *testing.T, e *Engine) { mustExec(t, e, `create table Other(id integer)`, nil) }, "3"},
+		{"ingest", func(t *testing.T, e *Engine) {
+			if err := e.IngestReader("Items", strings.NewReader("9,nine\n")); err != nil {
+				t.Fatal(err)
+			}
+		}, "1"},
+		{"select-into", func(t *testing.T, e *Engine) { mustExec(t, e, `select id from table Items into table Snap`, nil) }, "3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := planCacheEngine(t, 0)
+			p, err := e.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(want string) {
+				t.Helper()
+				res := mustExec(t, e, q, nil)
+				if got := cellStr(t, res, 0, 0, 0); got != want {
+					t.Fatalf("text count = %s, want %s (stale plan served?)", got, want)
+				}
+				if res, err = e.ExecPrepared(p, nil); err != nil {
+					t.Fatal(err)
+				}
+				if got := cellStr(t, res, 0, 0, 0); got != want {
+					t.Fatalf("prepared count = %s, want %s (stale plan served?)", got, want)
+				}
+			}
+			run("3") // text: miss; handle: planned at Prepare, hit
+			run("3") // both hit
+			hits, misses, evictions, _ := e.PlanCacheStats()
+			if hits != 3 || misses != 2 || evictions != 0 {
+				t.Fatalf("before: hits=%d misses=%d evictions=%d, want 3/2/0", hits, misses, evictions)
+			}
+			tc.mutate(t, e)
+			run(tc.want) // both slots are stale: two misses, two evictions
+			run(tc.want)
+			hits, misses, evictions, _ = e.PlanCacheStats()
+			if hits != 5 || misses != 4 || evictions != 2 {
+				t.Fatalf("after: hits=%d misses=%d evictions=%d, want 5/4/2", hits, misses, evictions)
+			}
+		})
+	}
+}
+
+// Prepare analyzes a read-only script eagerly, so a semantic error in any
+// statement fails the prepare; text execution analyzes statement by
+// statement, so the results before the failing one come back with the
+// error — on the first run and on the cached one.
+func TestExecScriptKeepsResultsBeforeFailure(t *testing.T) {
 	e := planCacheEngine(t, 0)
-	q := `select count(*) as c from table Items`
-
-	res := mustExec(t, e, q, nil)
-	if got := cellStr(t, res, 0, 0, 0); got != "3" {
-		t.Fatalf("initial count = %s, want 3", got)
+	const src = "select name from table Items where id = 3\nselect x from table Missing"
+	if _, err := e.Prepare(src); err == nil || !strings.Contains(err.Error(), "statement 2") {
+		t.Fatalf("Prepare error = %v, want one naming statement 2", err)
 	}
-	mustExec(t, e, q, nil) // warm hit
-	hits, misses, evictions, _ := e.PlanCacheStats()
-	if hits != 1 || misses != 1 || evictions != 0 {
-		t.Fatalf("pre-DML stats hits=%d misses=%d evictions=%d, want 1/1/0", hits, misses, evictions)
+	for run := 0; run < 2; run++ {
+		res, err := e.ExecScript(src, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "statement 2:") || errors.Is(err, ErrParse) {
+			t.Fatalf("run %d: error = %v, want statement 2's semantic error", run, err)
+		}
+		if len(res) != 1 || cellStr(t, res, 0, 0, 0) != "three" {
+			t.Fatalf("run %d: results before the failure = %+v, want statement 1's row", run, res)
+		}
 	}
-
-	mustExec(t, e, `insert into Items values (4, 'four')`, nil)
-
-	res = mustExec(t, e, q, nil)
-	if got := cellStr(t, res, 0, 0, 0); got != "4" {
-		t.Fatalf("count after insert = %s, want 4 (stale plan served?)", got)
-	}
-	hits, misses, evictions, _ = e.PlanCacheStats()
-	if hits != 1 || misses != 2 || evictions != 1 {
-		t.Fatalf("post-DML stats hits=%d misses=%d evictions=%d, want 1/2/1", hits, misses, evictions)
+	if _, err := e.ExecScript("select from from", nil); !errors.Is(err, ErrParse) {
+		t.Fatalf("unparsable script: error %v does not match ErrParse", err)
 	}
 }
 
@@ -132,14 +189,26 @@ func TestPlanCacheCapacityEviction(t *testing.T) {
 	}
 }
 
+// A negative PlanCache turns all reuse off: no script is cached and a
+// handle stores no plan, so every execute re-analyzes.
 func TestPlanCacheDisabled(t *testing.T) {
 	e := planCacheEngine(t, -1)
 	q := `select name from table Items where id = 2`
+	p, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		res := mustExec(t, e, q, nil)
 		if got := cellStr(t, res, 0, 0, 0); got != "two" {
 			t.Fatalf("run %d: got %q, want two", i, got)
 		}
+		if res, err = e.ExecPrepared(p, nil); err != nil || cellStr(t, res, 0, 0, 0) != "two" {
+			t.Fatalf("run %d: prepared got %+v, %v", i, res, err)
+		}
+	}
+	if p.stmts[0].plan.Load() != nil {
+		t.Error("handle stored a plan with reuse disabled")
 	}
 	hits, misses, evictions, size := e.PlanCacheStats()
 	if hits != 0 || misses != 0 || evictions != 0 || size != 0 {
@@ -271,36 +340,83 @@ func TestPreparedHandleDoesNotPinSourceBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pointsInto(p.Text(), src) {
-		t.Error("Prepared.Text aliases the source script buffer")
+	assertDetached(t, "handle", p, src)
+}
+
+// assertDetached fails when anything a compiled script retains — its
+// text, its statements' identities or their identifiers — aliases buf.
+func assertDetached(t *testing.T, what string, p *Prepared, buf string) {
+	t.Helper()
+	if pointsInto(p.src, buf) {
+		t.Errorf("%s: script text aliases the caller's buffer", what)
 	}
-	for i, id := range p.ids {
-		if pointsInto(id.script, src) {
-			t.Errorf("ids[%d].script aliases the source script buffer", i)
+	for i := range p.stmts {
+		cs := &p.stmts[i]
+		if pointsInto(cs.id.script, buf) || pointsInto(cs.id.norm, buf) {
+			t.Errorf("%s: statement %d identity aliases the caller's buffer", what, i+1)
 		}
-		if pointsInto(id.norm, src) {
-			t.Errorf("ids[%d].norm aliases the source script buffer", i)
+		if sel, ok := cs.st.(*ast.Select); ok && pointsInto(sel.FromTable, buf) {
+			t.Errorf("%s: statement %d table name aliases the caller's buffer", what, i+1)
 		}
 	}
 }
 
-// Plan-cache entries outlive the request that created them, so neither
-// the key text nor anything the detached re-plan produced may alias the
-// per-run script buffer.
+// Script-cache entries outlive the request that created them, so neither
+// the key text nor anything compiled from it may alias the caller's
+// script buffer.
 func TestPlanCacheDoesNotPinScriptBuffer(t *testing.T) {
 	e := planCacheEngine(t, 0)
 	pad := strings.Repeat("y", 4096)
 	src := `select name from table Items where id = 2 and name <> '` + pad + `'`
 	mustExec(t, e, src, nil)
 
-	e.plans.mu.Lock()
-	defer e.plans.mu.Unlock()
-	if len(e.plans.m) == 0 {
+	e.scripts.mu.Lock()
+	defer e.scripts.mu.Unlock()
+	if len(e.scripts.m) == 0 {
 		t.Fatal("query was not cached")
 	}
-	for key := range e.plans.m {
-		if pointsInto(key.text, src) {
-			t.Error("plan cache key text aliases the script buffer")
+	for key, el := range e.scripts.m {
+		if pointsInto(key, src) {
+			t.Error("script cache key aliases the script buffer")
+		}
+		assertDetached(t, "cache entry", el.Value.(*Prepared), src)
+	}
+}
+
+// Scripts that mutate the catalog are never cached and every
+// literal-distinct insert is its own text, so executing one must retain
+// nothing of the caller's buffer — not in the script cache, and not in
+// the registry's statement layer (the fingerprint memo used to key on a
+// slice of it). The buffer is collectable once the call returns.
+func TestUncachedScriptDoesNotPinScriptBuffer(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		opts := DefaultOptions()
+		opts.PlanCache = capacity
+		opts.Obs = obs.New()
+		e := New(opts)
+		mustExec(t, e, `create table Items(id integer, name varchar(8192))`, nil)
+
+		freed := make(chan struct{})
+		func() {
+			buf := []byte(`insert into Items values (7, '` + strings.Repeat("z", 4096) + `')`)
+			runtime.SetFinalizer(&buf[0], func(*byte) { close(freed) })
+			if _, err := e.ExecScript(unsafe.String(&buf[0], len(buf)), nil); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		deadline := time.After(10 * time.Second)
+		for collected := false; !collected; {
+			runtime.GC()
+			select {
+			case <-freed:
+				collected = true
+			case <-deadline:
+				t.Fatalf("PlanCache=%d: the insert script's buffer is still reachable after execution", capacity)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		if _, _, _, size := e.PlanCacheStats(); size != 0 {
+			t.Errorf("PlanCache=%d: a mutating script was cached (size=%d)", capacity, size)
 		}
 	}
 }

@@ -14,13 +14,15 @@ import (
 	"graql/internal/value"
 )
 
-func (e *Engine) runSelect(s *sema.Select, params map[string]value.Value) (Result, error) {
+// runSelect executes an analyzed select. text is the statement's own
+// text, which EXPLAIN ANALYZE probes the script cache with.
+func (e *Engine) runSelect(s *sema.Select, params map[string]value.Value, text string) (Result, error) {
 	if e.Opts.CheckOnly {
 		return e.checkOnlySelect(s)
 	}
 	if s.Explain {
 		if s.Analyze {
-			return e.runExplainAnalyze(s, params)
+			return e.runExplainAnalyze(s, params, text)
 		}
 		return e.runExplain(s, params)
 	}

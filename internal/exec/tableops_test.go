@@ -104,15 +104,20 @@ ingest table Z z.csv`, nil)
 	}
 }
 
-// TestPreparedSelectAllocations: an RQ1-shaped prepared select (filter,
-// group-by with avg and count, order-by with top n) allocates per operator,
-// not per row. The boxed row-at-a-time pipeline spent about seven
-// allocations per input row on this statement; the ceiling leaves the
-// typed one (about 80, whatever the row count) room to grow, not to regress.
-func TestPreparedSelectAllocations(t *testing.T) {
-	const rows = 6000
+// rq1 is an RQ1-shaped select (filter, group-by with avg and count,
+// order-by with top n) over a 6000-row table. It allocates per operator,
+// not per row: the boxed row-at-a-time pipeline spent about seven
+// allocations per input row on it; the ceiling of 150 leaves the typed
+// one (about 80, whatever the row count) room to grow, not to regress.
+const (
+	rq1Rows = 6000
+	rq1     = `select top 10 product, avg(r1) as a, count(*) as n
+from table R where r2 >= %Min% group by product order by a desc, n desc, product asc`
+)
+
+func rq1Engine(t *testing.T) *Engine {
 	var sb strings.Builder
-	for i := 0; i < rows; i++ {
+	for i := 0; i < rq1Rows; i++ {
 		fmt.Fprintf(&sb, "r%d,p%d,%d,%d\n", i, (i*7919)%500, i%10+1, (i*31)%10+1)
 	}
 	e := newTestEngine(map[string]string{"r.csv": sb.String()})
@@ -120,20 +125,39 @@ func TestPreparedSelectAllocations(t *testing.T) {
 	mustExec(t, e, `
 create table R(id varchar(10), product varchar(10), r1 integer, r2 integer)
 ingest table R r.csv`, nil)
-	h, err := e.Prepare(`select top 10 product, avg(r1) as a, count(*) as n
-from table R where r2 >= %Min% group by product order by a desc, n desc, product asc`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := map[string]value.Value{"Min": value.NewInt(4)}
+	return e
+}
+
+func assertRQ1Allocations(t *testing.T, run func() ([]Result, error)) {
+	t.Helper()
 	allocs := testing.AllocsPerRun(20, func() {
-		res, err := e.ExecPrepared(h, params)
+		res, err := run()
 		if err != nil || res[0].Table.NumRows() != 10 {
 			t.Fatalf("rows = %v, err = %v", res, err)
 		}
 	})
 	if allocs > 150 {
-		t.Errorf("RQ1-shaped select: %.0f allocations per run over %d rows, ceiling 150", allocs, rows)
+		t.Errorf("RQ1-shaped select: %.0f allocations per run over %d rows, ceiling 150", allocs, rq1Rows)
 	}
 	t.Logf("%.0f allocations per run", allocs)
+}
+
+func TestPreparedSelectAllocations(t *testing.T) {
+	e := rq1Engine(t)
+	h, err := e.Prepare(rq1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]value.Value{"Min": value.NewInt(4)}
+	assertRQ1Allocations(t, func() ([]Result, error) { return e.ExecPrepared(h, params) })
+}
+
+// TestTextExecCachedAllocations: a warm text execution is the prepared
+// path plus one script-cache lookup — no lexing, parsing, fingerprinting
+// or planning — so it fits the prepared ceiling.
+func TestTextExecCachedAllocations(t *testing.T) {
+	e := rq1Engine(t)
+	params := map[string]value.Value{"Min": value.NewInt(4)}
+	mustExec(t, e, rq1, params)
+	assertRQ1Allocations(t, func() ([]Result, error) { return e.ExecScript(rq1, params) })
 }

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"graql/internal/bsbm"
@@ -8,7 +10,10 @@ import (
 )
 
 // corpus gathers real scripts: the whole Berlin setup plus the full query
-// suite — every statement kind and path construct the language has.
+// suite — every statement kind and path construct the language has —
+// and every shipped example and vet script that parses. No serving path
+// runs the codec on text requests, so this corpus is what keeps
+// Decode(Encode(s)) honest on real scripts.
 func corpus(t *testing.T) map[string]string {
 	t.Helper()
 	out := map[string]string{
@@ -27,6 +32,26 @@ func corpus(t *testing.T) map[string]string {
 	}
 	for _, q := range bsbm.Suite {
 		out[q.ID] = q.Script
+	}
+	files := 0
+	for _, glob := range []string{"../../examples/*.graql", "../../testdata/vet/*.graql"} {
+		paths, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := parser.Parse(string(src)); err == nil { // the vet corpus seeds parse errors
+				out[path] = string(src)
+				files++
+			}
+		}
+	}
+	if files < 6 {
+		t.Fatalf("only %d example/vet scripts found and parsed; the corpus moved?", files)
 	}
 	return out
 }

@@ -1,13 +1,9 @@
 package obs
 
-import (
-	"sync"
-)
-
 // Statement fingerprinting: the identity layer of the per-statement
-// observability stack (and the plan-cache key of ROADMAP item 1). A
-// fingerprint identifies a statement *shape* — what the statement does,
-// independent of the literal values it does it with — so statistics for
+// observability stack. A fingerprint identifies a statement *shape* —
+// what the statement does, independent of the literal values it does it
+// with — so statistics for
 // "select ... where price < 100" and "select ... where price < 2500"
 // aggregate under one id, like pg_stat_statements.
 //
@@ -32,50 +28,6 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fpCacheCap bounds the registry's fingerprint memo. The map is cleared
-// wholesale when full — workloads repeat a small set of statement
-// shapes, so the cache refills with the live set immediately.
-const fpCacheCap = 512
-
-// fpCache memoizes Fingerprint per exact source text, so an engine
-// re-executing the same script pays one map lookup instead of a full
-// normalization pass per statement.
-type fpCache struct {
-	mu sync.Mutex
-	m  map[string]fpResult
-}
-
-type fpResult struct {
-	fp   uint64
-	text string
-}
-
-// FingerprintCached is Fingerprint memoized in the registry (keyed on
-// the exact source text; different spellings of one shape still hash to
-// the same fingerprint, they just occupy separate cache slots). A nil
-// registry computes directly.
-func (r *Registry) FingerprintCached(script string) (uint64, string) {
-	if r == nil {
-		return Fingerprint(script)
-	}
-	c := &r.fpc
-	c.mu.Lock()
-	if res, ok := c.m[script]; ok {
-		c.mu.Unlock()
-		return res.fp, res.text
-	}
-	c.mu.Unlock()
-	fp, text := Fingerprint(script)
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= fpCacheCap {
-		c.m = make(map[string]fpResult, 64)
-	}
-	c.m[script] = fpResult{fp, text}
-	c.mu.Unlock()
-	return fp, text
-}
-
-// Fingerprint normalizes a GraQL statement (or script) and returns its
 // Byte-class bits for the normalization scanner: one table load replaces
 // the three-comparison range tests that otherwise dominate the pass.
 const (

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -113,30 +112,6 @@ func FuzzFingerprint(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestFingerprintCached(t *testing.T) {
-	r := New()
-	const q = "select * from table T where id = 100"
-	fp1, text1 := r.FingerprintCached(q)
-	fp2, text2 := r.FingerprintCached(q) // cache hit
-	dfp, dtext := Fingerprint(q)
-	if fp1 != fp2 || fp1 != dfp || text1 != text2 || text1 != dtext {
-		t.Fatalf("cached fingerprint diverged: %x/%q vs %x/%q vs direct %x/%q",
-			fp1, text1, fp2, text2, dfp, dtext)
-	}
-	// Overflow the cache: the memo resets and keeps answering correctly.
-	for i := 0; i < fpCacheCap+10; i++ {
-		r.FingerprintCached(fmt.Sprintf("select %d from table T", i))
-	}
-	if fp3, _ := r.FingerprintCached(q); fp3 != fp1 {
-		t.Fatalf("post-eviction fingerprint changed: %x vs %x", fp3, fp1)
-	}
-	// Nil registry computes directly.
-	var nr *Registry
-	if fp4, _ := nr.FingerprintCached(q); fp4 != fp1 {
-		t.Fatalf("nil-registry fingerprint = %x, want %x", fp4, fp1)
-	}
 }
 
 var sinkFP uint64

@@ -192,7 +192,6 @@ type Registry struct {
 	stmts stmtStats
 	live  liveTable
 	qlog  qlogHolder
-	fpc   fpCache
 }
 
 // New returns a registry pre-populated with the Go runtime gauges

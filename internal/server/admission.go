@@ -50,27 +50,41 @@ func NewGate(maxInFlight, maxQueue int, reg *obs.Registry) *Gate {
 	return g
 }
 
+// TryAcquire admits one query when an execution slot is free right now,
+// without entering the wait queue; false sends the caller to Acquire.
+// A successful TryAcquire must be paired with Release.
+func (g *Gate) TryAcquire() bool {
+	if g == nil {
+		return true
+	}
+	if g.sem != nil {
+		// Count only after taking the slot: a failed try must not overstate
+		// pending and make a concurrent Acquire reject a queueable request.
+		select {
+		case g.sem <- struct{}{}:
+			g.pending.Add(1)
+		default:
+			return false
+		}
+	}
+	g.admitted.Add(1)
+	g.inflight.Add(1)
+	return true
+}
+
 // Acquire admits one query, blocking in the wait queue when all
 // execution slots are busy. It fails with ErrOverloaded when the queue
 // is full, or with the context's error when the caller's deadline
 // expires (or is canceled) while waiting. Every successful Acquire must
 // be paired with Release.
 func (g *Gate) Acquire(ctx context.Context) error {
-	if g == nil {
-		return nil
-	}
-	if g.sem == nil {
-		g.admitted.Add(1)
-		g.inflight.Add(1)
+	if g.TryAcquire() {
 		return nil
 	}
 	if g.pending.Add(1) > g.capacity {
 		g.pending.Add(-1)
 		g.rejected.Inc()
 		return ErrOverloaded
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	select {
 	case g.sem <- struct{}{}:

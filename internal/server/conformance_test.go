@@ -497,6 +497,14 @@ var conformance = []confRow{
 		{req: server.Request{Op: "execute"}, code: server.CodeBadRequest, err: "unknown prepared statement"},
 		{req: server.Request{Op: "deallocate", Stmt: "s999"}, code: server.CodeBadRequest, err: "unknown prepared statement"},
 		{req: server.Request{Op: "deallocate"}, code: server.CodeBadRequest, err: "deallocate requires stmt"}}},
+	{name: "execute/partial results precede the failing statement", steps: []step{
+		// A script with a write is not analyzed at prepare, so its second
+		// statement fails only at execute, after the first one answered.
+		{req: server.Request{Op: "prepare", Script: "select id from table Cities where id = 'p'\ninsert into Missing values (1)"}},
+		{req: server.Request{Op: "execute", Stmt: "s1"}, code: server.CodeExec, err: "statement 2:", check: wantRows("p")}}},
+	{name: "execir/partial results precede the failing statement", steps: []step{
+		{req: server.Request{Op: "compile", Script: "select id from table Cities where id = 'p'\nselect x from table Missing"}},
+		{req: server.Request{Op: "execir"}, prep: prevIR, code: server.CodeExec, err: "statement 2:", check: wantRows("p")}}},
 	{name: "execute/sees dml between runs", steps: []step{
 		{req: server.Request{Op: "prepare", Script: `select count(*) as c from table Roads`}},
 		{req: server.Request{Op: "execute", Stmt: "s1"}, check: wantRows("2")},

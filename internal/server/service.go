@@ -1,7 +1,11 @@
 // Package server implements the GEMS front-end server (paper §III): it
 // centralises access to the database, authenticates clients, holds the
 // metadata catalog, statically checks incoming GraQL scripts, compiles
-// them to the binary IR, and executes them on the backend engine.
+// them, and executes them on the backend engine. Every execution op
+// runs an exec.Prepared: from the engine's script cache for text
+// ("exec"), from decoded IR ("execir") or from the handle registry
+// ("execute"). No request runs the IR codec unless it carries IR;
+// internal/ir round-trips the example, vet and Berlin corpora instead.
 //
 // There is one front-end, Service, and it is transport-free: Do takes a
 // Request and returns a Response. It owns everything a request needs
@@ -28,7 +32,6 @@ import (
 	"log/slog"
 	"time"
 
-	"graql/internal/ast"
 	"graql/internal/cluster"
 	"graql/internal/diag"
 	"graql/internal/exec"
@@ -328,12 +331,16 @@ func (s *Service) handle(ctx context.Context, req *Request) *Response {
 	return resp
 }
 
-// admit runs one op, passing gated ops through admission control first. While queued the
-// request is visible in the live query table (state "queued") and
-// cancelable by id; the wait rides the context into per-statement
-// accounting.
+// admit runs one op, passing gated ops through admission control first.
+// A request that finds a free slot runs at once; one that has to wait is
+// visible in the live query table (state "queued") and cancelable by id,
+// and its wait rides the context into per-statement accounting.
 func (s *Service) admit(ctx context.Context, o op, req *Request, root *obs.Span) *Response {
 	if !o.gated {
+		return o.run(s, ctx, req, root)
+	}
+	if s.Gate.TryAcquire() {
+		defer s.Gate.Release()
 		return o.run(s, ctx, req, root)
 	}
 	qctx, qcancel := context.WithCancel(ctx)
@@ -348,7 +355,7 @@ func (s *Service) admit(ctx context.Context, o op, req *Request, root *obs.Span)
 			label = p.Text()
 		}
 	}
-	fp, text := s.eng.Opts.Obs.FingerprintCached(label)
+	fp, text := obs.Fingerprint(label)
 	lq := s.eng.Opts.Obs.StartQueuedQuery(fp, text, qcancel)
 	waitStart := time.Now()
 	err := s.Gate.Acquire(qctx)
@@ -379,28 +386,14 @@ func (s *Service) engine(root *obs.Span) *exec.Engine {
 	return s.eng.WithTrace(root.Trace(), root)
 }
 
-// execScript is the front-end path per §III: parse → compile to IR →
-// ship the IR to the backend → decode and execute. Running the codec on
-// every script keeps the IR honest (round-trip exercised on real
-// traffic).
+// execScript runs script text through the engine's script cache: a
+// repeated read-only text skips the whole front end.
 func (s *Service) execScript(ctx context.Context, req *Request, root *obs.Span) *Response {
 	params, err := decodeParams(req.Params)
 	if err != nil {
 		return fail(CodeBadRequest, "%v", err)
 	}
-	script, err := parser.Parse(req.Script)
-	if err != nil {
-		return fail(CodeParse, "%v", err)
-	}
-	blob, err := ir.Encode(script)
-	if err != nil {
-		return fail(CodeExec, "%v", err)
-	}
-	decoded, err := ir.Decode(blob)
-	if err != nil {
-		return fail(CodeExec, "%v", err)
-	}
-	return run(ctx, s.engine(root), decoded, params)
+	return execResponse(s.engine(root).ExecScriptContext(ctx, req.Script, params))
 }
 
 func (s *Service) execIR(ctx context.Context, req *Request, root *obs.Span) *Response {
@@ -416,28 +409,39 @@ func (s *Service) execIR(ctx context.Context, req *Request, root *obs.Span) *Res
 	if err != nil {
 		return fail(CodeBadRequest, "%v", err)
 	}
-	return run(ctx, s.engine(root), script, params)
+	return execResponse(s.engine(root).WithContext(ctx).ExecParsed(script, params))
 }
 
-func run(ctx context.Context, eng *exec.Engine, script *ast.Script, params map[string]value.Value) *Response {
-	resp := &Response{}
-	for i, st := range script.Stmts {
-		r, err := eng.ExecStmtContext(ctx, st, params)
-		if err != nil {
-			resp.Code = ErrorCode(err)
-			resp.Error = fmt.Sprintf("statement %d: %v", i+1, err)
-			return resp
-		}
+// execPrepared runs a prepared handle, binding the request's parameters.
+func (s *Service) execPrepared(ctx context.Context, req *Request, root *obs.Span) *Response {
+	p := s.Prepared.Get(req.Stmt)
+	if p == nil {
+		return fail(CodeBadRequest, "unknown prepared statement %q", req.Stmt)
+	}
+	params, err := decodeParams(req.Params)
+	if err != nil {
+		return fail(CodeBadRequest, "%v", err)
+	}
+	return execResponse(s.engine(root).ExecPreparedContext(ctx, p, params))
+}
+
+// execResponse is the one response builder of the three execution ops.
+// A failure keeps the results of the statements that ran before it; the
+// engine's error already names the failing statement.
+func execResponse(results []exec.Result, err error) *Response {
+	resp := &Response{OK: err == nil}
+	for _, r := range results {
 		resp.Results = append(resp.Results, EncodeResult(r))
 	}
-	resp.OK = true
+	if err != nil {
+		resp.Code, resp.Error = ErrorCode(err), err.Error()
+	}
 	return resp
 }
 
 // prepare compiles a script (or already-compiled IR) into a server-side
-// prepared statement handle: parse → binary IR → fingerprints, plus
-// eager semantic analysis and plan-cache warming for read-only scripts.
-// The assigned handle id comes back in Response.Stmt.
+// handle; read-only scripts are analyzed now, so their first execute
+// re-plans nothing. The assigned id comes back in Response.Stmt.
 func (s *Service) prepare(_ context.Context, req *Request, _ *obs.Span) *Response {
 	var p *exec.Prepared
 	var err error
@@ -459,27 +463,6 @@ func (s *Service) prepare(_ context.Context, req *Request, _ *obs.Span) *Respons
 	id := s.Prepared.Add(p)
 	resp := okMessage("prepared %d statement(s) as %s", p.NumStmts(), id)
 	resp.Stmt = id
-	return resp
-}
-
-// execPrepared runs a prepared handle, binding the request's parameters.
-func (s *Service) execPrepared(ctx context.Context, req *Request, root *obs.Span) *Response {
-	p := s.Prepared.Get(req.Stmt)
-	if p == nil {
-		return fail(CodeBadRequest, "unknown prepared statement %q", req.Stmt)
-	}
-	params, err := decodeParams(req.Params)
-	if err != nil {
-		return fail(CodeBadRequest, "%v", err)
-	}
-	results, err := s.engine(root).ExecPreparedContext(ctx, p, params)
-	if err != nil {
-		return fail(ErrorCode(err), "%v", err)
-	}
-	resp := &Response{OK: true}
-	for _, r := range results {
-		resp.Results = append(resp.Results, EncodeResult(r))
-	}
 	return resp
 }
 
@@ -551,11 +534,14 @@ func (s *Service) workers(context.Context, *Request, *obs.Span) *Response {
 	return &Response{OK: true, Workers: s.Dist.Probe(2 * time.Second)}
 }
 
-// ErrorCode classifies an execution error: context aborts map to their
-// structured codes, worker failures on the distributed path map to
-// "partial", everything else is a plain exec failure.
+// ErrorCode classifies an execution error: a script that did not parse
+// is "parse", context aborts map to their structured codes, worker
+// failures on the distributed path map to "partial", everything else is
+// a plain exec failure.
 func ErrorCode(err error) string {
 	switch {
+	case errors.Is(err, exec.ErrParse):
+		return CodeParse
 	case errors.Is(err, exec.ErrDeadlineExceeded):
 		return CodeDeadline
 	case errors.Is(err, exec.ErrCanceled):
