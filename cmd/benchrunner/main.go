@@ -343,6 +343,66 @@ func dmlBench(out map[string]int64) {
 			os.RemoveAll(dir)
 		}).Nanoseconds()
 	}
+	selfEdgeBench(out)
+}
+
+// selfEdgeBench times one statement of each DML verb, in memory, on the
+// write_mixed schema of the repository benchmark at its size: 8,000 rows
+// under a one-to-one vertex view and a self-edge that joins an attribute
+// to the key. The table keeps its size — each timed insert of a batch is
+// undone by an untimed delete of it, and vice versa — so the keys price
+// view maintenance per verb.
+func selfEdgeBench(out map[string]int64) {
+	const rows, batch, iters = 8_000, 20, 25
+	e := exec.New(exec.DefaultOptions())
+	var csv strings.Builder
+	for id := 0; id < rows; id++ {
+		fmt.Fprintf(&csv, "%d,%d,%d.5\n", id, max(id-1-id%7, 0), id)
+	}
+	if _, err := e.ExecScript(`create table Node(id integer, prev integer, val float)
+create vertex NodeVtx(id) from table Node
+create edge prev with vertices (NodeVtx as A, NodeVtx as B) where A.prev = B.id`, nil); err != nil {
+		fatal(err)
+	}
+	if err := e.IngestReader("Node", strings.NewReader(csv.String())); err != nil {
+		fatal(err)
+	}
+	lo, hi := 0, rows
+	must := func(stmt string) {
+		if _, err := e.ExecScript(stmt, nil); err != nil {
+			fatal(err)
+		}
+	}
+	insert := func() {
+		var sb strings.Builder
+		sb.WriteString("insert into Node values ")
+		for i := 0; i < batch; i++ {
+			fmt.Fprintf(&sb, "(%d, %d, %d.25),", hi, hi-1-i%7, i)
+			hi++
+		}
+		must(strings.TrimSuffix(sb.String(), ","))
+	}
+	remove := func() {
+		lo += batch
+		must(fmt.Sprintf("delete from Node where id < %d", lo))
+	}
+	// timed reports the best per-statement time of fn over iters runs,
+	// undo restoring the table size off the clock.
+	timed := func(fn, undo func()) int64 {
+		best := time.Duration(1<<63 - 1)
+		for i := 0; i < iters; i++ {
+			start := time.Now()
+			fn()
+			best = min(best, time.Since(start))
+			undo()
+		}
+		return best.Nanoseconds()
+	}
+	out["dml/insert-selfedge"] = timed(insert, remove)
+	out["dml/delete"] = timed(remove, insert)
+	out["dml/update"] = timed(func() {
+		must(fmt.Sprintf("update Node set val = 1.5 where id = %d", lo+rows/2))
+	}, func() {})
 }
 
 // synthTable builds the synthetic relational-operator benchmark input:

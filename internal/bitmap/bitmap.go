@@ -232,6 +232,15 @@ func (m *Mask) Set(i uint32) {
 	(*m)[w] |= 1 << (i % wordBits)
 }
 
+// Put sets bit i when on and clears it otherwise.
+func (m *Mask) Put(i uint32, on bool) {
+	if on {
+		m.Set(i)
+	} else if w := int(i / wordBits); w < len(*m) {
+		(*m)[w] &^= 1 << (i % wordBits)
+	}
+}
+
 // Get reports whether bit i is set.
 func (m Mask) Get(i uint32) bool {
 	w := int(i / wordBits)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,11 +30,11 @@ import (
 //     finish on the old snapshot; readers that start after see the new
 //     one; nobody sees a mix.
 //
-// View maintenance is incremental where it is provably equivalent to a
-// rebuild: inserts extend vertex types in place of rebuilding them
-// (append-only key dedup) and join only the delta rows of the one changed
-// edge source against the other sources, seeding the dedup set with the
-// existing edges. Updates and deletes rebuild only the affected views.
+// View maintenance is by delta for every verb (DESIGN.md §10): each
+// build-aside states what it did to the table as a tableDelta — the old →
+// new row map, the new or rewritten rows, the written columns — and
+// maintainViews re-anchors, patches or (two documented cases) rebuilds
+// each view the table feeds.
 
 // dmlBuild is the outcome of the build-aside phase of one DML statement.
 type dmlBuild struct {
@@ -46,9 +47,43 @@ type dmlBuild struct {
 	analyze  bool
 }
 
-// maintNote records one view-maintenance action for explain analyze.
+// tableDelta is what a DML statement tells view maintenance about the
+// table version it built.
+type tableDelta struct {
+	// written marks the columns an update assigns; nil means whole rows
+	// came or went (insert, delete).
+	written []bool
+	// rows maps the old version's rows onto the new one's and lists the
+	// new or rewritten rows.
+	rows graph.Delta
+}
+
+// writes reports whether the statement wrote any of the columns.
+func (d *tableDelta) writes(cols []int) bool {
+	if d.written == nil {
+		return true
+	}
+	for _, c := range cols {
+		if d.written[c] {
+			return true
+		}
+	}
+	return false
+}
+
+// The view-maintenance actions, as explain and explain analyze name them.
+const (
+	carryVertex   = "carry-vertex"   // re-anchored on the new table version, all else shared
+	patchVertex   = "patch-vertex"   // dead rows' vertices removed, changed rows re-keyed
+	rebuildVertex = "rebuild-vertex" // built from scratch
+	carryEdge     = "carry-edge"     // re-anchored on the new endpoint types, edge set shared
+	patchEdge     = "patch-edge"     // dead edges removed, changed instances joined back in
+	rebuildEdge   = "rebuild-edge"   // built from scratch
+)
+
+// maintNote records one view-maintenance action.
 type maintNote struct {
-	action string // "extend-vertex", "rebuild-vertex", "extend-edge", "rebuild-edge"
+	action string
 	name   string
 	rows   int64
 	dur    time.Duration
@@ -69,35 +104,32 @@ func (e *Engine) execDML(st ast.Stmt, params map[string]value.Value) (Result, er
 	}
 
 	var b *dmlBuild
+	var plan Result
 	switch s := analyzed.(type) {
 	case *sema.Insert:
 		if s.Explain && !s.Analyze {
-			res, err := e.explainInsert(s)
-			e.Cat.RUnlock()
-			return res, err
+			plan, err = e.explainInsert(s)
+		} else {
+			b, err = e.buildInsert(s, params)
 		}
-		b, err = e.buildInsert(s, params)
 	case *sema.Update:
 		if s.Explain && !s.Analyze {
-			res, err := e.explainUpdate(s)
-			e.Cat.RUnlock()
-			return res, err
+			plan, err = e.explainUpdate(s)
+		} else {
+			b, err = e.buildUpdate(s, params)
 		}
-		b, err = e.buildUpdate(s, params)
 	case *sema.Delete:
 		if s.Explain && !s.Analyze {
-			res, err := e.explainDelete(s)
-			e.Cat.RUnlock()
-			return res, err
+			plan, err = e.explainDelete(s)
+		} else {
+			b, err = e.buildDelete(s, params)
 		}
-		b, err = e.buildDelete(s, params)
 	default:
-		e.Cat.RUnlock()
-		return Result{}, fmt.Errorf("graql: unsupported statement %T", analyzed)
+		err = fmt.Errorf("graql: unsupported statement %T", analyzed)
 	}
 	e.Cat.RUnlock()
-	if err != nil {
-		return Result{}, err
+	if err != nil || b == nil {
+		return plan, err
 	}
 
 	// Durability before visibility: the record is on stable storage before
@@ -110,14 +142,11 @@ func (e *Engine) execDML(st ast.Stmt, params map[string]value.Value) (Result, er
 
 	commitStart := time.Now()
 	e.Cat.Lock()
-	if err := e.Cat.SwapTable(b.table); err != nil {
-		e.Cat.Unlock()
+	err = e.commitTable(b.table, b.graph)
+	e.Cat.Unlock()
+	if err != nil {
 		return Result{}, err
 	}
-	e.Cat.SetGraph(b.graph)
-	e.Cat.ClearSubgraphs()
-	e.Cat.BumpEpoch()
-	e.Cat.Unlock()
 	commitDur := time.Since(commitStart)
 
 	if sp := e.opSpan(b.verb, fmt.Sprintf("table %s", b.table.Name)); sp != nil {
@@ -131,6 +160,19 @@ func (e *Engine) execDML(st ast.Stmt, params map[string]value.Value) (Result, er
 		return e.dmlAnalyzeResult(b, walDur, commitDur)
 	}
 	return Result{Message: dmlMessage(b.verb, b.affected, b.table.Name)}, nil
+}
+
+// commitTable publishes a table version and the view graph built aside for
+// it. The caller holds the catalog write lock and has made the change
+// durable.
+func (e *Engine) commitTable(t *table.Table, g *graph.Graph) error {
+	if err := e.Cat.SwapTable(t); err != nil {
+		return err
+	}
+	e.Cat.SetGraph(g)
+	e.Cat.ClearSubgraphs()
+	e.Cat.BumpEpoch()
+	return nil
 }
 
 func dmlMessage(verb string, n int, tbl string) string {
@@ -151,6 +193,7 @@ func (e *Engine) buildInsert(s *sema.Insert, params map[string]value.Value) (*dm
 	schema := s.Table.Schema()
 	nt := s.Table.Clone()
 	vals := make([]value.Value, len(schema))
+	d := &tableDelta{}
 	for _, row := range s.Rows {
 		for c := range vals {
 			vals[c] = value.NewNull(schema[c].Type.Kind)
@@ -171,17 +214,24 @@ func (e *Engine) buildInsert(s *sema.Insert, params map[string]value.Value) (*dm
 			}
 			vals[col] = cv
 		}
+		d.rows.Changed = append(d.rows.Changed, uint32(nt.NumRows()))
 		if err := nt.AppendRow(vals); err != nil {
 			return nil, err
 		}
 	}
-	g, notes, err := e.buildViewsAside(nt, s.Table.NumRows())
+	return e.finishBuild("insert", nt, d, len(s.Rows), start, s.Explain && s.Analyze)
+}
+
+// finishBuild maintains the views over the new table version nt and wraps
+// the build-aside outcome.
+func (e *Engine) finishBuild(verb string, nt *table.Table, d *tableDelta, affected int, start time.Time, analyze bool) (*dmlBuild, error) {
+	g, notes, err := e.maintainViews(nt, d, false)
 	if err != nil {
 		return nil, err
 	}
 	return &dmlBuild{
-		verb: "insert", table: nt, graph: g, affected: len(s.Rows),
-		notes: notes, buildDur: time.Since(start), analyze: s.Explain && s.Analyze,
+		verb: verb, table: nt, graph: g, affected: affected,
+		notes: notes, buildDur: time.Since(start), analyze: analyze,
 	}, nil
 }
 
@@ -192,52 +242,43 @@ func (e *Engine) buildUpdate(s *sema.Update, params map[string]value.Value) (*dm
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]sema.SetCol, len(s.Sets))
-	for i, sc := range s.Sets {
-		ex, err := expr.BindParams(sc.E, params)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = sema.SetCol{Col: sc.Col, E: ex}
-	}
-	nt, err := table.New(s.Table.Name, schema)
-	if err != nil {
-		return nil, err
-	}
-	hit, affected, err := matchingRows(s.Table, where)
+	hit, err := matchingRows(s.Table, where)
 	if err != nil {
 		return nil, fmt.Errorf("graql: update %s: %w", s.Table.Name, err)
 	}
-	for r := uint32(0); r < uint32(s.Table.NumRows()); r++ {
-		env := singleTableEnv{t: s.Table, row: r}
-		vals := s.Table.Row(r)
-		if hit[r] {
-			// Set expressions read the row's pre-update values (standard
-			// SQL semantics: "set a = b, b = a" swaps).
-			for _, sc := range sets {
-				v, err := sc.E.Eval(env)
-				if err != nil {
-					return nil, fmt.Errorf("graql: update %s: %w", s.Table.Name, err)
-				}
-				cv, err := convertStore(schema[sc.Col].Type, v)
-				if err != nil {
-					return nil, fmt.Errorf("graql: update %s column %s: %w", s.Table.Name, schema[sc.Col].Name, err)
-				}
-				vals[sc.Col] = cv
-			}
-		}
-		if err := nt.AppendRow(vals); err != nil {
+	d := &tableDelta{written: make([]bool, len(schema))}
+	d.rows.Changed = hit
+	cols := make([]int, len(s.Sets))
+	sets := make([]expr.Expr, len(s.Sets))
+	for i, sc := range s.Sets {
+		if sets[i], err = expr.BindParams(sc.E, params); err != nil {
 			return nil, err
 		}
+		cols[i] = sc.Col
+		d.written[sc.Col] = true
 	}
-	g, notes, err := e.buildViewsAside(nt, -1)
+	// Set expressions read the row's pre-update values (standard SQL
+	// semantics: "set a = b, b = a" swaps), so every new cell is computed
+	// before the written columns are copied and patched.
+	vals := make([][]value.Value, len(hit))
+	for i, r := range hit {
+		env := singleTableEnv{t: s.Table, row: r}
+		vals[i] = make([]value.Value, len(sets))
+		for j, ex := range sets {
+			v, err := ex.Eval(env)
+			if err != nil {
+				return nil, fmt.Errorf("graql: update %s: %w", s.Table.Name, err)
+			}
+			if vals[i][j], err = convertStore(schema[cols[j]].Type, v); err != nil {
+				return nil, fmt.Errorf("graql: update %s column %s: %w", s.Table.Name, schema[cols[j]].Name, err)
+			}
+		}
+	}
+	nt, err := s.Table.Patch(cols, hit, vals)
 	if err != nil {
 		return nil, err
 	}
-	return &dmlBuild{
-		verb: "update", table: nt, graph: g, affected: affected,
-		notes: notes, buildDur: time.Since(start), analyze: s.Explain && s.Analyze,
-	}, nil
+	return e.finishBuild("update", nt, d, len(hit), start, s.Explain && s.Analyze)
 }
 
 func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dmlBuild, error) {
@@ -246,42 +287,42 @@ func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dm
 	if err != nil {
 		return nil, err
 	}
-	hit, affected, err := matchingRows(s.Table, where)
+	hit, err := matchingRows(s.Table, where)
 	if err != nil {
 		return nil, fmt.Errorf("graql: delete from %s: %w", s.Table.Name, err)
 	}
-	keep := make([]uint32, 0, s.Table.NumRows()-affected)
-	for r, gone := range hit {
-		if !gone {
-			keep = append(keep, uint32(r))
+	d := &tableDelta{}
+	d.rows.Remap = make([]uint32, s.Table.NumRows())
+	keep := make([]uint32, 0, len(d.rows.Remap)-len(hit))
+	for r, h := uint32(0), 0; r < uint32(len(d.rows.Remap)); r++ {
+		if h < len(hit) && hit[h] == r {
+			d.rows.Remap[r] = graph.NoVertex
+			h++
+			continue
 		}
+		d.rows.Remap[r] = uint32(len(keep))
+		keep = append(keep, r)
 	}
 	nt := s.Table.Gather(s.Table.Name, keep)
-	g, notes, err := e.buildViewsAside(nt, -1)
-	if err != nil {
-		return nil, err
-	}
-	return &dmlBuild{
-		verb: "delete", table: nt, graph: g, affected: affected,
-		notes: notes, buildDur: time.Since(start), analyze: s.Explain && s.Analyze,
-	}, nil
+	return e.finishBuild("delete", nt, d, len(hit), start, s.Explain && s.Analyze)
 }
 
-// matchingRows is the where scan of update and delete: it marks the rows of
-// t on which the bound condition is TRUE, found through the same compiled
-// filter a select uses, and counts them. A nil condition matches every row.
-func matchingRows(t *table.Table, where expr.Expr) (hit []bool, n int, err error) {
+// matchingRows is the where scan of update and delete: the rows of t, in
+// ascending order, on which the bound condition is TRUE, found through the
+// same compiled filter a select uses. A nil condition matches every row.
+func matchingRows(t *table.Table, where expr.Expr) ([]uint32, error) {
 	rows := table.AllRows(t)
 	if where != nil {
+		var err error
 		if rows, err = table.CompileFilter(t, where).Select(table.Par{}); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
-	hit = make([]bool, t.NumRows())
-	for i := 0; i < rows.Len(); i++ {
-		hit[rows.At(i)] = true
+	hit := make([]uint32, rows.Len())
+	for i := range hit {
+		hit[i] = rows.At(i)
 	}
-	return hit, rows.Len(), nil
+	return hit, nil
 }
 
 // convertStore coerces an evaluated value into a column's type: NULL to a
@@ -302,21 +343,31 @@ func convertStore(dst value.Type, v value.Value) (value.Value, error) {
 	return value.Value{}, fmt.Errorf("cannot store %s value into %s column", v.Kind(), dst.Kind)
 }
 
-// --- build-aside: incremental view maintenance -----------------------------
+// --- build-aside: view maintenance by delta ---------------------------------
 
-// buildViewsAside derives the view graph that corresponds to replacing
-// the catalog's current version of newTbl.Name with newTbl, without
-// touching the live catalog (the caller holds only the read lock). Views
-// not reachable from the table are carried over by reference; affected
-// views are extended incrementally when deltaFrom >= 0 (an insert: rows
-// [deltaFrom, n) are new, earlier rows are untouched) and rebuilt from
-// scratch otherwise.
+// vertexMaint is how one vertex type fared in a maintenance pass, for the
+// edge types over it.
+type vertexMaint struct {
+	action string
+	old    *graph.VertexType
+	// delta tells how the VIDs moved (patch), or which vertices had an
+	// attribute rewritten (carry of a one-to-one type; filled on demand).
+	delta *graph.Delta
+}
+
+// maintainViews derives the view graph that corresponds to replacing the
+// catalog's current version of newTbl.Name with newTbl, without touching
+// the live catalog (the caller holds at least the read lock). d states how
+// newTbl differs from the version it replaces; nil means the whole table
+// was replaced (ingest) and every view it feeds is rebuilt. Views the
+// table does not feed are carried over untouched. With dry set nothing is
+// built: the notes name the action each view would take, decided exactly
+// as a real pass decides it (explain).
 //
 // Declarations are re-analysed against a shadow catalog holding the new
-// table version and the new graph, mirroring rebuildViews: vertex types
-// land in the shadow graph before edge analysis so endpoint resolution
-// sees them.
-func (e *Engine) buildViewsAside(newTbl *table.Table, deltaFrom int) (*graph.Graph, []maintNote, error) {
+// table version and the new graph: vertex types land in the shadow graph
+// before edge analysis so endpoint resolution sees them.
+func (e *Engine) maintainViews(newTbl *table.Table, d *tableDelta, dry bool) (*graph.Graph, []maintNote, error) {
 	old := e.Cat.Graph()
 	shadow := catalog.New()
 	for _, t := range e.Cat.Tables() {
@@ -329,161 +380,204 @@ func (e *Engine) buildViewsAside(newTbl *table.Table, deltaFrom int) (*graph.Gra
 	}
 	g := shadow.Graph()
 	an := &sema.Analyzer{Cat: shadow, NoFold: e.Opts.NoFold}
-	swapped := newTbl.Name
 
 	var notes []maintNote
-	dirtyVtx := map[string]bool{}
-	rebuiltVtx := map[string]bool{}
-	for _, d := range e.Cat.VertexDecls() {
-		oldVt := old.VertexType(d.Name)
-		if oldVt != nil && !equalFold(d.From, swapped) {
-			if err := g.AddVertexType(oldVt); err != nil {
+	touched := map[string]*vertexMaint{}
+	for _, decl := range e.Cat.VertexDecls() {
+		vt := old.VertexType(decl.Name)
+		if vt == nil {
+			return nil, nil, fmt.Errorf("graql: vertex %s is declared but has no view", decl.Name)
+		}
+		if !equalFold(decl.From, newTbl.Name) {
+			if err := g.AddVertexType(vt); err != nil {
 				return nil, nil, err
 			}
 			continue
 		}
 		start := time.Now()
-		s, err := an.Analyze(d)
+		s, err := an.Analyze(decl)
 		if err != nil {
-			return nil, nil, fmt.Errorf("graql: maintaining vertex %s: %w", d.Name, err)
+			return nil, nil, fmt.Errorf("graql: maintaining vertex %s: %w", decl.Name, err)
 		}
 		sv := s.(*sema.CreateVertex)
-		var vt *graph.VertexType
-		action := "rebuild-vertex"
-		if deltaFrom >= 0 && oldVt != nil {
-			nvt, ok, err := graph.ExtendVertexType(oldVt, sv.Base, vertexPred(sv))
-			if err != nil {
-				return nil, nil, err
+		m := &vertexMaint{action: vertexAction(sv, d), old: vt}
+		if !dry {
+			if m.action == patchVertex {
+				var ok bool
+				if vt, m.delta, ok, err = graph.PatchVertexType(m.old, sv.Base, &d.rows, vertexPred(sv)); err != nil {
+					return nil, nil, err
+				} else if !ok {
+					m.action = rebuildVertex
+				}
 			}
-			if ok {
-				vt = nvt
-				action = "extend-vertex"
+			switch m.action {
+			case carryVertex:
+				vt = graph.ReanchorVertexType(m.old, sv.Base)
+			case rebuildVertex:
+				if vt, err = buildVertexType(sv, m.old.ID); err != nil {
+					return nil, nil, err
+				}
 			}
-		}
-		if vt == nil {
-			vt, err = e.buildVertexType(sv)
-			if err != nil {
-				return nil, nil, err
-			}
-			rebuiltVtx[strings.ToLower(d.Name)] = true
 		}
 		if err := g.AddVertexType(vt); err != nil {
 			return nil, nil, err
 		}
-		dirtyVtx[strings.ToLower(d.Name)] = true
-		notes = append(notes, maintNote{action, d.Name, int64(vt.Count()), time.Since(start)})
+		touched[strings.ToLower(decl.Name)] = m
+		notes = append(notes, maintNote{m.action, decl.Name, int64(vt.Count()), time.Since(start)})
 	}
 
-	for _, d := range e.Cat.EdgeDecls() {
-		oldEt := old.EdgeType(d.Name)
-		if oldEt != nil && !edgeDependsOn(d, dirtyVtx, swapped) {
-			if err := g.AddEdgeType(oldEt); err != nil {
+	for _, decl := range e.Cat.EdgeDecls() {
+		et := old.EdgeType(decl.Name)
+		if et == nil {
+			return nil, nil, fmt.Errorf("graql: edge %s is declared but has no view", decl.Name)
+		}
+		if !edgeDependsOn(decl, touched, newTbl.Name) {
+			if err := g.AddEdgeType(et); err != nil {
 				return nil, nil, err
 			}
 			continue
 		}
 		start := time.Now()
-		s, err := an.Analyze(d)
+		s, err := an.Analyze(decl)
 		if err != nil {
-			return nil, nil, fmt.Errorf("graql: maintaining edge %s: %w", d.Name, err)
+			return nil, nil, fmt.Errorf("graql: maintaining edge %s: %w", decl.Name, err)
 		}
 		se := s.(*sema.CreateEdge)
-		var et *graph.EdgeType
-		action := "rebuild-edge"
-		if deltaFrom >= 0 && oldEt != nil &&
-			!rebuiltVtx[strings.ToLower(d.SrcType)] && !rebuiltVtx[strings.ToLower(d.DstType)] {
-			et, err = extendEdgeAside(se, oldEt, old, deltaFrom, swapped)
-			if err != nil {
-				return nil, nil, err
-			}
-			if et != nil {
-				action = "extend-edge"
-			}
-		}
-		if et == nil {
-			et, err = e.buildEdgeType(se)
-			if err != nil {
-				return nil, nil, err
+		p := planEdge(se, newTbl, d, touched)
+		if !dry {
+			src, dst := se.Sources[0].Vtx, se.Sources[1].Vtx
+			switch p.action {
+			case carryEdge:
+				var attrs *table.Table
+				if p.regather {
+					attrs = se.Sources[se.AttrSource].Tbl
+				}
+				et = graph.ReanchorEdgeType(et, src, dst, attrs)
+			case patchEdge:
+				added, err := deltaEdges(se, p.deltas)
+				if err != nil {
+					return nil, nil, err
+				}
+				var attrs *table.Table
+				var attrD *graph.Delta
+				if se.AttrSource >= 0 {
+					attrs, attrD = se.Sources[se.AttrSource].Tbl, p.deltas[se.AttrSource]
+				}
+				et = graph.PatchEdgeType(et, src, dst, p.deltas[0], p.deltas[1], attrD, added, attrs)
+			case rebuildEdge:
+				if et, err = e.buildEdgeType(se, et.ID); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 		if err := g.AddEdgeType(et); err != nil {
 			return nil, nil, err
 		}
-		notes = append(notes, maintNote{action, d.Name, int64(et.Count()), time.Since(start)})
+		notes = append(notes, maintNote{p.action, decl.Name, int64(et.Count()), time.Since(start)})
 	}
 	return g, notes, nil
 }
 
-// extendEdgeAside incrementally extends an edge type for an insert: when
-// exactly one of its sources gained rows (the changed vertex type, or the
-// inserted-into table when it is an associated table), only the delta
-// rows of that source are joined against the full candidate sets of the
-// others — every new result tuple must include a new row, and new rows
-// exist only there. The dedup set is seeded with the existing edges so
-// only genuinely new instances extend the type. Returns (nil, nil) when
-// the shape is not eligible (several sources changed) and the caller must
-// rebuild.
-func extendEdgeAside(s *sema.CreateEdge, oldEt *graph.EdgeType, oldG *graph.Graph, deltaFrom int, swapped string) (*graph.EdgeType, error) {
-	changed := -1
-	var changedFrom uint32
-	for i, src := range s.Sources {
-		var oldN, newN int
-		if src.IsVertex {
-			ov := oldG.VertexType(src.Vtx.Name)
-			if ov == nil {
-				return nil, nil
-			}
-			oldN, newN = ov.Count(), src.Vtx.Count()
-		} else {
-			if !equalFold(src.Tbl.Name, swapped) {
-				continue
-			}
-			oldN, newN = deltaFrom, src.Tbl.NumRows()
+// vertexAction decides how a vertex type over the written table is
+// maintained: an update that writes neither a key column nor a column its
+// where clause reads leaves identity and membership of every vertex alone;
+// anything else patches. A patch that flips the type between one-to-one
+// and many-to-one is found out while patching and becomes a rebuild.
+func vertexAction(sv *sema.CreateVertex, d *tableDelta) string {
+	if d == nil {
+		return rebuildVertex
+	}
+	cols := append([]int(nil), sv.KeyCols...)
+	for _, r := range expr.Refs(sv.Where) {
+		cols = append(cols, r.Col)
+	}
+	if !d.writes(cols) {
+		return carryVertex
+	}
+	return patchVertex
+}
+
+// edgePlan is the maintenance decision for one edge type.
+type edgePlan struct {
+	action string
+	// deltas holds, per source of the declaration, how that source's
+	// instances changed; nil where they did not (patch only).
+	deltas []*graph.Delta
+	// regather: the edge set stands but the associated table's attribute
+	// cells were rewritten (carry only).
+	regather bool
+}
+
+// planEdge decides how an edge type that reads the written table, or a
+// vertex type over it, is maintained. The sources whose instances changed
+// in a way the declaration can see — a source it filters or joins on a
+// written column, or one that gained or lost instances — each get a
+// delta. No such source: the edge set stands and the type is re-anchored.
+// Otherwise it is patched, unless the change cannot be attributed: the
+// deltas belong to more than one distinct source (a vertex type and its
+// own base table, two vertex types over one table), or the declaration
+// joins through further tables whose rows the edge instances do not
+// record. Those, and a rebuilt endpoint, rebuild the edge type.
+func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched map[string]*vertexMaint) edgePlan {
+	if d == nil {
+		return edgePlan{action: rebuildEdge}
+	}
+	reads := make([][]int, len(s.Sources))
+	for i, f := range s.Filters {
+		for _, r := range expr.Refs(f) {
+			reads[i] = append(reads[i], r.Col)
 		}
-		if newN == oldN {
+	}
+	for _, j := range s.Joins {
+		reads[j.ASource] = append(reads[j.ASource], j.ACol)
+		reads[j.BSource] = append(reads[j.BSource], j.BCol)
+	}
+	p := edgePlan{action: carryEdge, deltas: make([]*graph.Delta, len(s.Sources))}
+	var changed []any // the distinct sources with a delta
+	for i, src := range s.Sources {
+		var sd *graph.Delta
+		var id any = src.Tbl
+		if src.IsVertex {
+			m := touched[strings.ToLower(src.Vtx.Name)]
+			switch {
+			case m == nil:
+				continue
+			case m.action == rebuildVertex:
+				return edgePlan{action: rebuildEdge}
+			case m.action == carryVertex:
+				// No vertex moved; the declaration sees the write only
+				// through a rewritten attribute of a one-to-one type.
+				if !m.old.OneToOne || !d.writes(reads[i]) {
+					continue
+				}
+				if m.delta == nil {
+					m.delta = &graph.Delta{}
+					for _, r := range d.rows.Changed {
+						if v := m.old.VIDForRow(r); v != graph.NoVertex {
+							m.delta.Changed = append(m.delta.Changed, v)
+						}
+					}
+				}
+			}
+			sd, id = m.delta, m
+		} else if src.Tbl != newTbl {
+			continue
+		} else if d.writes(reads[i]) {
+			sd = &d.rows
+		} else {
+			p.regather = p.regather || i == s.AttrSource
 			continue
 		}
-		if newN < oldN || changed >= 0 {
-			return nil, nil
-		}
-		changed = i
-		changedFrom = uint32(oldN)
-	}
-
-	var delta []graph.Edge
-	if changed >= 0 {
-		cands := make([][]uint32, len(s.Sources))
-		for i := range s.Sources {
-			from := uint32(0)
-			if i == changed {
-				from = changedFrom
-			}
-			rows, err := edgeCandidates(s, i, from)
-			if err != nil {
-				return nil, err
-			}
-			cands[i] = rows
-		}
-		seen := make(map[[3]uint32]bool, oldEt.Count())
-		for ei := uint32(0); ei < uint32(oldEt.Count()); ei++ {
-			src, dst := oldEt.EdgeAt(ei)
-			var ar uint32
-			if oldEt.Attrs != nil {
-				ar = oldEt.OrigAttrRow(ei)
-			}
-			seen[[3]uint32{src, dst, ar}] = true
-		}
-		var err error
-		delta, err = joinEdgeTuples(s, cands, seen)
-		if err != nil {
-			return nil, err
+		p.action = patchEdge
+		p.deltas[i] = sd
+		if !slices.Contains(changed, id) {
+			changed = append(changed, id)
 		}
 	}
-	var attrs *table.Table
-	if s.AttrSource >= 0 {
-		attrs = s.Sources[s.AttrSource].Tbl
+	if p.action == patchEdge && (len(changed) > 1 || len(s.Sources) > 3) {
+		return edgePlan{action: rebuildEdge}
 	}
-	return graph.ExtendEdgeType(oldEt, s.Sources[0].Vtx, s.Sources[1].Vtx, delta, attrs)
+	return p
 }
 
 // --- explain ---------------------------------------------------------------
@@ -512,24 +606,19 @@ func newDMLPlan(analyze bool) (*table.Table, func(action, format string, args ..
 	return out, add
 }
 
-// maintPlan describes the view maintenance a mutation of tname would
-// trigger, without performing it (for plain explain).
-func (e *Engine) maintPlan(tname string, incremental bool, add func(string, string, ...any) error) error {
-	mode := map[bool]string{true: "incremental", false: "rebuild"}[incremental]
-	dirtyVtx := map[string]bool{}
-	for _, d := range e.Cat.VertexDecls() {
-		if e.Cat.Graph().VertexType(d.Name) == nil || equalFold(d.From, tname) {
-			dirtyVtx[strings.ToLower(d.Name)] = true
-			if err := add("maintain", "vertex %s (%s)", d.Name, mode); err != nil {
-				return err
-			}
-		}
+// maintPlan describes the view maintenance the statement that d stands for
+// would trigger on t, without performing it (plain explain): a dry pass of
+// maintainViews, so explain and explain analyze decide alike. Only a flip
+// between one-to-one and many-to-one, which depends on the rows written,
+// can turn a patch announced here into a rebuild.
+func (e *Engine) maintPlan(t *table.Table, d *tableDelta, add func(string, string, ...any) error) error {
+	_, notes, err := e.maintainViews(t, d, true)
+	if err != nil {
+		return err
 	}
-	for _, d := range e.Cat.EdgeDecls() {
-		if e.Cat.Graph().EdgeType(d.Name) == nil || edgeDependsOn(d, dirtyVtx, tname) {
-			if err := add("maintain", "edge %s (%s)", d.Name, mode); err != nil {
-				return err
-			}
+	for _, n := range notes {
+		if err := add("maintain", "%s %s", n.action, n.name); err != nil {
+			return err
 		}
 	}
 	return e.explainDurability(add)
@@ -549,7 +638,7 @@ func (e *Engine) explainInsert(s *sema.Insert) (Result, error) {
 	if err := add("insert", "%d tuple(s) into table %s", len(s.Rows), s.Table.Name); err != nil {
 		return Result{}, err
 	}
-	if err := e.maintPlan(s.Table.Name, true, add); err != nil {
+	if err := e.maintPlan(s.Table, &tableDelta{}, add); err != nil {
 		return Result{}, err
 	}
 	return Result{Kind: ResultTable, Table: out}, nil
@@ -567,7 +656,11 @@ func (e *Engine) explainUpdate(s *sema.Update) (Result, error) {
 	} else if err := add("filter", "no where clause: every row matches"); err != nil {
 		return Result{}, err
 	}
-	if err := e.maintPlan(s.Table.Name, false, add); err != nil {
+	d := &tableDelta{written: make([]bool, len(s.Table.Schema()))}
+	for _, sc := range s.Sets {
+		d.written[sc.Col] = true
+	}
+	if err := e.maintPlan(s.Table, d, add); err != nil {
 		return Result{}, err
 	}
 	return Result{Kind: ResultTable, Table: out}, nil
@@ -585,7 +678,7 @@ func (e *Engine) explainDelete(s *sema.Delete) (Result, error) {
 	} else if err := add("filter", "no where clause: every row matches"); err != nil {
 		return Result{}, err
 	}
-	if err := e.maintPlan(s.Table.Name, false, add); err != nil {
+	if err := e.maintPlan(s.Table, &tableDelta{}, add); err != nil {
 		return Result{}, err
 	}
 	return Result{Kind: ResultTable, Table: out}, nil

@@ -94,14 +94,7 @@ func (e *Engine) applyTableLoad(l *storage.TableLoad) error {
 		return nil
 	}
 	// An ingest swap: replace the rows and re-derive the views.
-	if err := e.Cat.SwapTable(l.Table); err != nil {
-		return err
-	}
-	if err := e.rebuildViews(l.Table.Name); err != nil {
-		return err
-	}
-	e.Cat.BumpEpoch()
-	return nil
+	return e.replaceTable(l.Table)
 }
 
 // logStmt appends a committed statement to the WAL as binary IR plus its

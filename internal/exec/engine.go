@@ -442,20 +442,21 @@ func (e *Engine) runCreateTable(s *sema.CreateTable) (Result, error) {
 }
 
 func (e *Engine) runCreateVertex(s *sema.CreateVertex) (Result, error) {
-	vt, err := e.buildVertexType(s)
+	vt, err := buildVertexType(s, e.ids.vertex)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := e.Cat.Graph().AddVertexType(vt); err != nil {
 		return Result{}, err
 	}
+	e.ids.vertex++
 	e.Cat.AddVertexDecl(s.Decl)
 	return Result{Message: fmt.Sprintf("created vertex %s (%d instances)", vt.Name, vt.Count())}, nil
 }
 
-func (e *Engine) buildVertexType(s *sema.CreateVertex) (*graph.VertexType, error) {
-	id := e.ids.vertex
-	e.ids.vertex++
+// buildVertexType builds a vertex type from scratch under the given type
+// id: a fresh one for DDL, the id of the type it replaces for maintenance.
+func buildVertexType(s *sema.CreateVertex, id int) (*graph.VertexType, error) {
 	return graph.BuildVertexType(id, s.Decl.Name, s.Base, s.KeyCols, vertexPred(s))
 }
 
@@ -478,20 +479,23 @@ func vertexPred(s *sema.CreateVertex) graph.RowPred {
 }
 
 func (e *Engine) runCreateEdge(s *sema.CreateEdge) (Result, error) {
-	et, err := e.buildEdgeType(s)
+	et, err := e.buildEdgeType(s, e.ids.edge)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := e.Cat.Graph().AddEdgeType(et); err != nil {
 		return Result{}, err
 	}
+	e.ids.edge++
 	e.Cat.AddEdgeDecl(s.Decl)
 	return Result{Message: fmt.Sprintf("created edge %s (%d instances)", et.Name, et.Count())}, nil
 }
 
 // runIngest implements the atomic ingest command: the CSV file is parsed
 // into a staging table; only if every record parses is the table swapped
-// in and every derived vertex/edge view rebuilt (paper §II-A2).
+// in and every derived vertex/edge view rebuilt (paper §II-A2: ingest
+// triggers "the generation of associated vertex and edge instances
+// derived from the table").
 func (e *Engine) runIngest(s *sema.Ingest) (Result, error) {
 	if e.Opts.CheckOnly {
 		return Result{Message: fmt.Sprintf("checked ingest into %s (skipped)", s.Table.Name)}, nil
@@ -505,19 +509,29 @@ func (e *Engine) runIngest(s *sema.Ingest) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := e.Cat.SwapTable(stage); err != nil {
+	if err := e.replaceTable(stage); err != nil {
 		return Result{}, err
 	}
-	if err := e.rebuildViews(s.Table.Name); err != nil {
-		return Result{}, err
-	}
-	// Ingests are durable as materialised rows, not as the statement: the
-	// source file may move or change between the ingest and a replay.
-	if err := e.logTableLoad(stage, false); err != nil {
-		return Result{}, err
-	}
-	e.Cat.BumpEpoch()
 	return Result{Message: fmt.Sprintf("ingested %d rows into %s", stage.NumRows(), s.Table.Name)}, nil
+}
+
+// replaceTable swaps a wholly new version of a table in, in the order
+// every write follows: the views it feeds are rebuilt aside, the rows are
+// logged, and only then are table, graph and epoch published together, so
+// a failure at either earlier step leaves the catalog as it was. The
+// caller holds the catalog write lock.
+//
+// An ingest is durable as materialised rows, not as the statement: the
+// source file may move or change between the ingest and a replay.
+func (e *Engine) replaceTable(stage *table.Table) error {
+	g, _, err := e.maintainViews(stage, nil, false)
+	if err != nil {
+		return err
+	}
+	if err := e.logTableLoad(stage, false); err != nil {
+		return err
+	}
+	return e.commitTable(stage, g)
 }
 
 // IngestReader loads CSV data from r into the named table through the
@@ -536,17 +550,7 @@ func (e *Engine) IngestReader(tableName string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if err := e.Cat.SwapTable(stage); err != nil {
-		return err
-	}
-	if err := e.rebuildViews(tableName); err != nil {
-		return err
-	}
-	if err := e.logTableLoad(stage, false); err != nil {
-		return err
-	}
-	e.Cat.BumpEpoch()
-	return nil
+	return e.replaceTable(stage)
 }
 
 func (e *Engine) openFile(path string) (io.ReadCloser, error) {
@@ -589,66 +593,11 @@ func (e *Engine) createFile(path string) (io.WriteCloser, error) {
 	return os.Create(path)
 }
 
-// rebuildViews re-derives the vertex and edge views affected by a swap of
-// the named table. Ingest triggers "the generation of associated vertex
-// and edge instances derived from the table" (§II-A2). Views not reachable
-// from the swapped table are carried over unchanged; named subgraph
-// results are invalidated because they reference the previous views.
-func (e *Engine) rebuildViews(swapped string) error {
-	old := e.Cat.Graph()
-	g := graph.NewGraph()
-	e.Cat.SetGraph(g)
-	e.Cat.ClearSubgraphs()
-	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
-
-	dirtyVtx := map[string]bool{}
-	for _, d := range e.Cat.VertexDecls() {
-		if old.VertexType(d.Name) == nil || equalFold(d.From, swapped) {
-			dirtyVtx[strings.ToLower(d.Name)] = true
-			s, err := an.Analyze(d)
-			if err != nil {
-				return fmt.Errorf("graql: rebuilding vertex %s: %w", d.Name, err)
-			}
-			vt, err := e.buildVertexType(s.(*sema.CreateVertex))
-			if err != nil {
-				return err
-			}
-			if err := g.AddVertexType(vt); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := g.AddVertexType(old.VertexType(d.Name)); err != nil {
-			return err
-		}
-	}
-	for _, d := range e.Cat.EdgeDecls() {
-		if old.EdgeType(d.Name) != nil && !edgeDependsOn(d, dirtyVtx, swapped) {
-			if err := g.AddEdgeType(old.EdgeType(d.Name)); err != nil {
-				return err
-			}
-			continue
-		}
-		s, err := an.Analyze(d)
-		if err != nil {
-			return fmt.Errorf("graql: rebuilding edge %s: %w", d.Name, err)
-		}
-		et, err := e.buildEdgeType(s.(*sema.CreateEdge))
-		if err != nil {
-			return err
-		}
-		if err := g.AddEdgeType(et); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // edgeDependsOn reports whether an edge declaration reads the swapped
-// table or a rebuilt vertex type (directly, via from-table clauses, or via
-// where-clause qualifiers).
-func edgeDependsOn(d *ast.CreateEdge, dirtyVtx map[string]bool, swapped string) bool {
-	if dirtyVtx[strings.ToLower(d.SrcType)] || dirtyVtx[strings.ToLower(d.DstType)] {
+// table or a maintained vertex type (directly, via from-table clauses, or
+// via where-clause qualifiers).
+func edgeDependsOn(d *ast.CreateEdge, touched map[string]*vertexMaint, swapped string) bool {
+	if touched[strings.ToLower(d.SrcType)] != nil || touched[strings.ToLower(d.DstType)] != nil {
 		return true
 	}
 	for _, t := range d.FromTables {

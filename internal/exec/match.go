@@ -257,7 +257,9 @@ func refSourcesOf(e expr.Expr) []int {
 
 // candidates returns (building on first use) the candidate bitmap for a
 // node: vertices of its type satisfying the self condition and the seed
-// restriction. The scan is data-parallel over the id space.
+// restriction. A condition that pins a single-column key to a constant is
+// answered by one probe of the key index; any other by a scan,
+// data-parallel over the id space.
 func (m *matcher) candidates(node int) (*bitmap.Bitmap, error) {
 	if m.cands[node] != nil {
 		return m.cands[node], nil
@@ -267,6 +269,22 @@ func (m *matcher) candidates(node int) (*bitmap.Bitmap, error) {
 	bm := bitmap.New(n)
 	cond := m.nodeSelf[node]
 	seed := m.seeds[node]
+	if key, ok := keyConstant(cond, node, vt); ok {
+		w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges)), scanned: 1}
+		if v, found := vt.LookupKeyValues([]value.Value{key}); found && (seed == nil || seed.Get(v)) {
+			w.b[node] = v
+			ok, err := evalBool(cond, w)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				bm.Set(v)
+			}
+		}
+		m.flush(w)
+		m.cands[node] = bm
+		return bm, nil
+	}
 	shards := shardRanges(n, m.workers*4)
 	err := m.e.runSweep(fmt.Sprintf("candidate scan %s", vt.Name), len(shards), m.workers, func(si int) error {
 		lo, hi := shards[si][0], shards[si][1]
@@ -635,6 +653,34 @@ func condSelectivity(cond expr.Expr, node int, vt *graph.VertexType) float64 {
 		}
 	}
 	return sel
+}
+
+// keyConstant finds, among the conjuncts of a node's self condition, one
+// that equates the type's single-column key with a non-NULL constant of
+// the key's own kind, and returns the constant: at most the one vertex
+// with that key can satisfy the condition.
+func keyConstant(cond expr.Expr, node int, vt *graph.VertexType) (value.Value, bool) {
+	if len(vt.KeyCols) != 1 {
+		return value.Value{}, false
+	}
+	for _, c := range expr.Conjuncts(cond) {
+		b, ok := c.(*expr.Binary)
+		if !ok || b.Op != expr.OpEq {
+			continue
+		}
+		ref := refOperandOf(b, node)
+		if ref == nil || !isKeyAttr(vt, ref.Col) {
+			continue
+		}
+		k, ok := b.R.(*expr.Const)
+		if !ok {
+			k = b.L.(*expr.Const)
+		}
+		if !k.V.IsNull() && k.V.Kind() == vt.AttrType(ref.Col).Kind {
+			return k.V, true
+		}
+	}
+	return value.Value{}, false
 }
 
 func refOperandOf(b *expr.Binary, node int) *expr.Ref {

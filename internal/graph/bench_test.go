@@ -89,8 +89,8 @@ func BenchmarkKeyLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := value.NewString(fmt.Sprintf("key-%d", i%n)).AppendKey(nil)
-		if _, ok := vt.LookupKey(key); !ok {
+		key := []value.Value{value.NewString(fmt.Sprintf("key-%d", i%n))}
+		if _, ok := vt.LookupKeyValues(key); !ok {
 			b.Fatal("missing key")
 		}
 	}

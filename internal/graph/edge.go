@@ -41,8 +41,8 @@ type EdgeType struct {
 	hasRev     bool
 	// origAttrRows maps each edge to the row of the associated source
 	// table it was derived from (Attrs itself is re-gathered so edge id ==
-	// attribute row). Incremental maintenance uses it to dedup delta edges
-	// against the existing edge set. nil when Attrs is nil.
+	// attribute row). Maintenance uses it to drop the edges of dead or
+	// rewritten rows and to gather Attrs again. nil when Attrs is nil.
 	origAttrRows []uint32
 }
 
@@ -93,11 +93,6 @@ func (et *EdgeType) Reverse() (*CSR, bool) { return &et.rev, et.hasRev }
 
 // HasReverse reports whether the reverse index was built.
 func (et *EdgeType) HasReverse() bool { return et.hasRev }
-
-// OrigAttrRow returns the row of the associated source table that edge e
-// was derived from at build time (meaningful only when the edge type has
-// an attribute table).
-func (et *EdgeType) OrigAttrRow(e uint32) uint32 { return et.origAttrRows[e] }
 
 // AttrIndex resolves an edge attribute name, addressing the Attrs table.
 func (et *EdgeType) AttrIndex(name string) (int, bool) {

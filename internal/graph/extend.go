@@ -3,115 +3,275 @@ package graph
 import (
 	"fmt"
 
+	"graql/internal/bitmap"
 	"graql/internal/table"
-	"graql/internal/value"
 )
 
-// ExtendVertexType builds a new vertex type over newBase, a version of
-// vt.Base whose existing rows are unchanged and whose new rows start at
-// index len(vt.rowToVID). Nothing mutable is shared with vt, so the old
-// type remains valid for concurrent readers while the new one is built.
+// This file maintains vertex and edge types across a row-level write to a
+// table they are views of, without rebuilding them: a view none of whose
+// inputs changed is re-anchored by reference, and any other is patched —
+// the instances derived from dead or rewritten rows are removed by
+// integer remapping, the caller joins only the changed rows back in, and
+// the indexes are re-frozen once. Nothing reachable from the old type is
+// written, so readers of the published graph are never disturbed.
+
+// Delta describes how one dense id space — the rows of a table, the
+// vertices of a vertex type — moved from one version to the next.
+type Delta struct {
+	// Remap maps each old id to its new id, or to NoVertex when the
+	// instance is gone; nil means no id moved and none is gone.
+	Remap []uint32
+	// Changed lists, ascending, the new ids of instances that are new or
+	// have a rewritten attribute. An old id that maps onto one of them
+	// stands for the instance as it was and is treated as gone.
+	Changed []uint32
+}
+
+// carry returns the map from an old id to the new id of the same,
+// unchanged instance, or NoVertex; nil stands for the identity. newN is
+// the size of the new id space.
+func (d *Delta) carry(newN int) []uint32 {
+	if d == nil || d.Remap == nil && len(d.Changed) == 0 {
+		return nil
+	}
+	if d.Remap == nil {
+		m := make([]uint32, newN)
+		for i := range m {
+			m[i] = uint32(i)
+		}
+		for _, id := range d.Changed {
+			m[id] = NoVertex
+		}
+		return m
+	}
+	m := append([]uint32(nil), d.Remap...)
+	changed := bitmap.FromSlice(newN, d.Changed)
+	for i, id := range m {
+		if id != NoVertex && changed.Get(id) {
+			m[i] = NoVertex
+		}
+	}
+	return m
+}
+
+// ReanchorVertexType returns vt over newBase, a version of vt.Base in
+// which no row was added, removed or moved and no key or filter cell was
+// rewritten. Everything but Base is shared with vt.
+func ReanchorVertexType(vt *VertexType, newBase *table.Table) *VertexType {
+	out := *vt
+	out.Base = newBase
+	return &out
+}
+
+// PatchVertexType derives the vertex type over newBase, the version of
+// vt.Base that d describes, evaluating where and hashing keys on the
+// changed rows only. The result equals BuildVertexType's over newBase,
+// vertex numbering included. The returned Delta tells edge maintenance how
+// the VIDs moved; for a one-to-one type its Changed also lists the
+// vertices whose base row was rewritten.
 //
-// ok is false when the extension would flip a one-to-one type to
-// many-to-one (a new row mapped to an existing key): the flip changes the
-// visible attribute schema, so the caller must rebuild from scratch.
-func ExtendVertexType(vt *VertexType, newBase *table.Table, where RowPred) (_ *VertexType, ok bool, _ error) {
-	oldRows := len(vt.rowToVID)
-	out := &VertexType{
-		ID:       vt.ID,
-		Name:     vt.Name,
-		Base:     newBase,
-		KeyCols:  append([]int(nil), vt.KeyCols...),
-		OneToOne: vt.OneToOne,
-		Keys:     vt.Keys.Clone(),
-		baseRow:  append([]uint32(nil), vt.baseRow...),
-		rowToVID: make([]uint32, newBase.NumRows()),
-		keyIndex: make(map[string]uint32, len(vt.keyIndex)),
+// ok is false when the write flips the type between one-to-one and
+// many-to-one: the flip changes the visible attribute schema, so the
+// caller must rebuild the type and the edge types over it.
+func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPred) (_ *VertexType, _ *Delta, ok bool, _ error) {
+	out := &VertexType{ID: vt.ID, Name: vt.Name, KeyCols: vt.KeyCols}
+	oldCount := uint32(vt.Count())
+
+	// Rows that survive untouched keep their vertex; for now rowToVID
+	// holds old VIDs.
+	rowToVID := make([]uint32, newBase.NumRows())
+	for i := range rowToVID {
+		rowToVID[i] = NoVertex
 	}
-	copy(out.rowToVID, vt.rowToVID)
-	for k, v := range vt.keyIndex {
-		out.keyIndex[k] = v
+	if carry := d.carry(len(rowToVID)); carry == nil {
+		copy(rowToVID, vt.rowToVID)
+	} else {
+		for r, v := range vt.rowToVID {
+			if nr := carry[r]; v != NoVertex && nr != NoVertex {
+				rowToVID[nr] = v
+			}
+		}
 	}
-	var keyBuf []byte
-	rowVals := make([]value.Value, len(vt.KeyCols))
-	for r := uint32(oldRows); r < uint32(newBase.NumRows()); r++ {
-		out.rowToVID[r] = NoVertex
+
+	// A changed row joins the vertex that has its key, or founds a new
+	// one, numbered from oldCount in order of first appearance.
+	var (
+		r         uint32
+		freshRows []uint32
+		fresh     = newKeyIndex(len(d.Changed))
+	)
+	sameOld := func(v VID) bool { return newBase.EqualKey(r, vt.KeyCols, vt.Keys, v, vt.keyIdent) }
+	sameFresh := func(k uint32) bool { return newBase.EqualKey(r, vt.KeyCols, newBase, freshRows[k], vt.KeyCols) }
+	freshHash := func(k uint32) uint64 {
+		h, _ := newBase.HashKey(freshRows[k], vt.KeyCols)
+		return h
+	}
+	for _, r = range d.Changed {
 		if where != nil {
 			accept, err := where(r)
 			if err != nil {
-				return nil, false, fmt.Errorf("graql: extend vertex %s: %w", vt.Name, err)
+				return nil, nil, false, fmt.Errorf("graql: maintain vertex %s: %w", vt.Name, err)
 			}
 			if !accept {
 				continue
 			}
 		}
-		nullKey := false
-		for i, c := range vt.KeyCols {
-			rowVals[i] = newBase.Value(r, c)
-			if rowVals[i].IsNull() {
-				nullKey = true
-				break
-			}
-		}
-		if nullKey {
+		h, hasKey := newBase.HashKey(r, vt.KeyCols)
+		if !hasKey {
 			continue
 		}
-		keyBuf = newBase.KeyOf(keyBuf[:0], r, vt.KeyCols)
-		vid, exists := out.keyIndex[string(keyBuf)]
-		if !exists {
-			vid = uint32(out.Keys.NumRows())
-			out.keyIndex[string(keyBuf)] = vid
-			if err := out.Keys.AppendRow(rowVals); err != nil {
-				return nil, false, fmt.Errorf("graql: extend vertex %s: %w", vt.Name, err)
-			}
-			out.baseRow = append(out.baseRow, r)
-		} else if vt.OneToOne {
-			// A duplicate key demotes the type to many-to-one, hiding the
-			// non-key attributes; callers must rebuild.
-			return nil, false, nil
+		if v, found := vt.keyIndex.find(h, sameOld); found {
+			rowToVID[r] = v
+		} else if k, found := fresh.find(h, sameFresh); found {
+			rowToVID[r] = oldCount + k
+		} else {
+			rowToVID[r] = oldCount + uint32(len(freshRows))
+			fresh.add(h, uint32(len(freshRows)), freshHash)
+			freshRows = append(freshRows, r)
 		}
-		out.rowToVID[r] = vid
 	}
-	return out, true, nil
+
+	// Renumber in order of first appearance, as a build from scratch
+	// would: a vertex whose rows are all gone drops out here.
+	vidMap := make([]uint32, int(oldCount)+len(freshRows))
+	for i := range vidMap {
+		vidMap[i] = NoVertex
+	}
+	out.baseRow = make([]uint32, 0, len(vidMap))
+	for r, v := range rowToVID {
+		if v == NoVertex {
+			continue
+		}
+		out.accepted++
+		if vidMap[v] == NoVertex {
+			vidMap[v] = uint32(len(out.baseRow))
+			out.baseRow = append(out.baseRow, uint32(r))
+		}
+		rowToVID[r] = vidMap[v]
+	}
+	out.rowToVID = rowToVID
+	out.seal(newBase)
+	if out.OneToOne != vt.OneToOne {
+		return nil, nil, false, nil
+	}
+
+	vd := &Delta{Remap: vidMap[:oldCount:oldCount]}
+	stable := true
+	for v, nv := range vd.Remap {
+		if nv != uint32(v) {
+			stable = false
+			break
+		}
+	}
+	if stable {
+		// No vertex moved or died: the index gains the new keys only.
+		vd.Remap = nil
+		out.keyIndex = vt.keyIndex.clone()
+		hashOf := func(v VID) uint64 {
+			h, _ := out.Keys.HashKey(v, out.keyIdent)
+			return h
+		}
+		for v := oldCount; v < VID(out.Count()); v++ {
+			out.keyIndex.add(hashOf(v), v, hashOf)
+		}
+	} else {
+		hashes, _ := out.Keys.HashKeys(out.keyIdent)
+		out.keyIndex = newKeyIndex(len(hashes))
+		for v, h := range hashes {
+			out.keyIndex.place(h, VID(v))
+		}
+		out.keyIndex.used = len(hashes)
+	}
+
+	if vt.OneToOne {
+		// Every base column is an attribute: a rewritten row is a
+		// rewritten vertex.
+		for _, r := range d.Changed {
+			if v := rowToVID[r]; v != NoVertex {
+				vd.Changed = append(vd.Changed, v)
+			}
+		}
+	} else {
+		vd.Changed = vidMap[oldCount:]
+	}
+	return out, vd, true, nil
 }
 
-// ExtendEdgeType builds a new edge type from an existing one plus a delta
-// edge list, re-anchored on the (possibly extended) endpoint vertex types.
-// attrs is the current version of the associated source table that the
-// delta edges' AttrRow fields index into (nil when the edge type carries
-// no attributes). The combined edge list is re-frozen into fresh CSR
-// indexes by the usual counting sort; nothing mutable is shared with et.
-func ExtendEdgeType(et *EdgeType, src, dst *VertexType, delta []Edge, attrs *table.Table) (*EdgeType, error) {
-	out := &EdgeType{ID: et.ID, Name: et.Name, Src: src, Dst: dst}
-	n := len(et.srcs) + len(delta)
+// ReanchorEdgeType returns et between src and dst, versions of its
+// endpoint types in which no vertex moved, over an unchanged edge set;
+// the edge list and both indexes are shared with et. attrs, when non-nil,
+// is a new version of the associated table in which only attribute cells
+// were rewritten: the edge attribute rows are gathered again from it.
+func ReanchorEdgeType(et *EdgeType, src, dst *VertexType, attrs *table.Table) *EdgeType {
+	out := *et
+	out.Src, out.Dst = src, dst
+	if attrs != nil && et.Attrs != nil {
+		out.Attrs = attrs.Gather(et.Name, et.origAttrRows)
+	}
+	return &out
+}
+
+// PatchEdgeType derives a new edge type between src and dst from et: an
+// edge survives when its source vertex, its target vertex and its
+// attribute row are all carried over by srcD, dstD and attrD (nil: that
+// side did not change), its ids are remapped, and added — the edges the
+// changed instances produce — is appended. attrs is the current version
+// of the associated table (nil when et carries no attributes). Both
+// indexes are re-frozen by one counting sort each.
+func PatchEdgeType(et *EdgeType, src, dst *VertexType, srcD, dstD, attrD *Delta, added []Edge, attrs *table.Table) *EdgeType {
+	out := &EdgeType{ID: et.ID, Name: et.Name, Src: src, Dst: dst, hasRev: et.hasRev}
+	n := len(et.srcs) + len(added)
 	out.srcs = make([]uint32, 0, n)
 	out.dsts = make([]uint32, 0, n)
-	out.srcs = append(out.srcs, et.srcs...)
-	out.dsts = append(out.dsts, et.dsts...)
-	for _, e := range delta {
+	if attrs != nil {
+		out.origAttrRows = make([]uint32, 0, n)
+	}
+	carrySrc := srcD.carry(src.Count())
+	carryDst := carrySrc
+	if dstD != srcD || et.Dst != et.Src {
+		carryDst = dstD.carry(dst.Count())
+	}
+	var carryAttr []uint32
+	if attrs != nil {
+		carryAttr = attrD.carry(attrs.NumRows())
+	}
+	for e, s := range et.srcs {
+		d := et.dsts[e]
+		if carrySrc != nil {
+			s = carrySrc[s]
+		}
+		if carryDst != nil {
+			d = carryDst[d]
+		}
+		if s == NoVertex || d == NoVertex {
+			continue
+		}
+		if attrs != nil {
+			a := et.origAttrRows[e]
+			if carryAttr != nil {
+				a = carryAttr[a]
+			}
+			if a == NoVertex {
+				continue
+			}
+			out.origAttrRows = append(out.origAttrRows, a)
+		}
+		out.srcs = append(out.srcs, s)
+		out.dsts = append(out.dsts, d)
+	}
+	for _, e := range added {
 		out.srcs = append(out.srcs, e.Src)
 		out.dsts = append(out.dsts, e.Dst)
-	}
-	if et.Attrs != nil {
-		if attrs == nil {
-			return nil, fmt.Errorf("graql: extend edge %s: missing attribute table", et.Name)
-		}
-		out.Attrs = et.Attrs.Clone()
-		out.origAttrRows = make([]uint32, 0, n)
-		out.origAttrRows = append(out.origAttrRows, et.origAttrRows...)
-		deltaIdx := make([]uint32, len(delta))
-		for i, e := range delta {
-			deltaIdx[i] = e.AttrRow
+		if attrs != nil {
 			out.origAttrRows = append(out.origAttrRows, e.AttrRow)
 		}
-		if err := out.Attrs.AppendTable(attrs.Gather(et.Name, deltaIdx)); err != nil {
-			return nil, fmt.Errorf("graql: extend edge %s: %w", et.Name, err)
-		}
+	}
+	if attrs != nil {
+		out.Attrs = attrs.Gather(et.Name, out.origAttrRows)
 	}
 	out.fwd = buildCSR(src.Count(), out.srcs, out.dsts)
 	if et.hasRev {
 		out.rev = buildCSR(dst.Count(), out.dsts, out.srcs)
-		out.hasRev = true
 	}
-	return out, nil
+	return out
 }

@@ -45,9 +45,11 @@ type VertexType struct {
 	// row ids coincide with VIDs.
 	Keys *table.Table
 
-	baseRow  []uint32          // vid -> representative base row
-	rowToVID []uint32          // base row -> vid (NoVertex if none)
-	keyIndex map[string]uint32 // encoded key -> vid
+	baseRow  []uint32 // vid -> representative (first) base row
+	rowToVID []uint32 // base row -> vid (NoVertex if none)
+	keyIndex keyIndex // key cells of Keys -> vid
+	keyIdent []int    // 0..len(KeyCols)-1: the key columns as Keys numbers them
+	accepted int      // base rows that map to a vertex
 }
 
 // RowPred filters base rows during view construction; nil accepts all rows.
@@ -55,30 +57,21 @@ type RowPred func(row uint32) (bool, error)
 
 // BuildVertexType materialises a vertex type from its base table per
 // Eq. 1. keyCols name the key attributes; where optionally filters base
-// rows. Rows whose key contains a NULL produce no vertex.
+// rows. Rows whose key contains a NULL produce no vertex. Vertices are
+// numbered in the order their keys first appear in the table.
 func BuildVertexType(id int, name string, base *table.Table, keyCols []int, where RowPred) (*VertexType, error) {
-	var keySchema table.Schema
-	for _, c := range keyCols {
-		cd := base.Schema()[c]
-		keySchema = append(keySchema, table.ColumnDef{Name: cd.Name, Type: cd.Type})
-	}
-	keys, err := table.New(name, keySchema)
-	if err != nil {
-		return nil, fmt.Errorf("graql: create vertex %s: %w", name, err)
-	}
 	vt := &VertexType{
 		ID:       id,
 		Name:     name,
-		Base:     base,
 		KeyCols:  append([]int(nil), keyCols...),
-		Keys:     keys,
 		rowToVID: make([]uint32, base.NumRows()),
-		keyIndex: make(map[string]uint32),
+		keyIndex: newKeyIndex(0),
 	}
-	var keyBuf []byte
-	keyVals := make([]value.Value, len(keyCols))
-	accepted := 0
-	for r := uint32(0); r < uint32(base.NumRows()); r++ {
+	hashes, nulls := base.HashKeys(keyCols)
+	hashOf := func(v VID) uint64 { return hashes[vt.baseRow[v]] }
+	var r uint32
+	same := func(v VID) bool { return base.EqualKey(r, keyCols, base, vt.baseRow[v], keyCols) }
+	for r = 0; r < uint32(base.NumRows()); r++ {
 		vt.rowToVID[r] = NoVertex
 		if where != nil {
 			ok, err := where(r)
@@ -89,32 +82,33 @@ func BuildVertexType(id int, name string, base *table.Table, keyCols []int, wher
 				continue
 			}
 		}
-		nullKey := false
-		for i, c := range keyCols {
-			keyVals[i] = base.Value(r, c)
-			if keyVals[i].IsNull() {
-				nullKey = true
-				break
-			}
-		}
-		if nullKey {
+		if nulls.Get(r) {
 			continue
 		}
-		accepted++
-		keyBuf = base.KeyOf(keyBuf[:0], r, keyCols)
-		vid, ok := vt.keyIndex[string(keyBuf)]
+		vt.accepted++
+		vid, ok := vt.keyIndex.find(hashes[r], same)
 		if !ok {
-			vid = uint32(keys.NumRows())
-			vt.keyIndex[string(keyBuf)] = vid
-			if err := keys.AppendRow(keyVals); err != nil {
-				return nil, fmt.Errorf("graql: create vertex %s: %w", name, err)
-			}
+			vid = uint32(len(vt.baseRow))
 			vt.baseRow = append(vt.baseRow, r)
+			vt.keyIndex.add(hashes[r], vid, hashOf)
 		}
 		vt.rowToVID[r] = vid
 	}
-	vt.OneToOne = accepted == keys.NumRows()
+	vt.seal(base)
 	return vt, nil
+}
+
+// seal derives what follows from baseRow and accepted once they are
+// final: the Keys table, gathered column-wise from base, and the mapping
+// kind.
+func (vt *VertexType) seal(base *table.Table) {
+	vt.Base = base
+	vt.Keys = base.GatherCols(vt.Name, vt.KeyCols, vt.baseRow)
+	vt.OneToOne = vt.accepted == len(vt.baseRow)
+	vt.keyIdent = make([]int, len(vt.KeyCols))
+	for i := range vt.keyIdent {
+		vt.keyIdent[i] = i
+	}
 }
 
 // Count returns the number of vertex instances.
@@ -127,19 +121,14 @@ func (vt *VertexType) BaseRow(v VID) uint32 { return vt.baseRow[v] }
 // VIDForRow returns the vertex derived from a base-table row, or NoVertex.
 func (vt *VertexType) VIDForRow(row uint32) VID { return vt.rowToVID[row] }
 
-// LookupKey returns the vertex whose encoded key equals key.
-func (vt *VertexType) LookupKey(key []byte) (VID, bool) {
-	v, ok := vt.keyIndex[string(key)]
-	return v, ok
-}
-
-// LookupKeyValues returns the vertex with the given key values.
+// LookupKeyValues returns the vertex with the given key values, one per
+// key column and of the column's kind.
 func (vt *VertexType) LookupKeyValues(vals []value.Value) (VID, bool) {
-	var buf []byte
-	for _, v := range vals {
-		buf = v.AppendKey(buf)
+	h, ok := table.HashValues(vals)
+	if !ok || len(vals) != len(vt.KeyCols) {
+		return 0, false
 	}
-	return vt.LookupKey(buf)
+	return vt.keyIndex.find(h, func(v VID) bool { return vt.Keys.EqualValues(v, vt.keyIdent, vals) })
 }
 
 // AttrIndex resolves an attribute name visible on this vertex type. For a
@@ -180,6 +169,16 @@ func (vt *VertexType) AttrValue(v VID, col int) value.Value {
 	return vt.Keys.Value(v, col)
 }
 
+// AttrRows returns where the attributes AttrIndex resolves are stored: a
+// table, and for each vertex the row of it holding the vertex's attributes
+// (nil when vertex v's row is v).
+func (vt *VertexType) AttrRows() (*table.Table, []uint32) {
+	if vt.OneToOne {
+		return vt.Base, vt.baseRow
+	}
+	return vt.Keys, nil
+}
+
 // AttrSchema returns the full attribute schema visible on this vertex type
 // (all base columns for one-to-one, key columns for many-to-one).
 func (vt *VertexType) AttrSchema() table.Schema {
@@ -199,4 +198,40 @@ func (vt *VertexType) KeyString(v VID) string {
 		s += vt.Keys.Value(v, c).String()
 	}
 	return s
+}
+
+// Validate checks internal consistency (used by tests of view
+// maintenance): the row and vertex mappings must agree with each other and
+// with the key cells, and the key index must find every vertex and nothing
+// else.
+func (vt *VertexType) Validate() error {
+	n := vt.Count()
+	if len(vt.baseRow) != n || len(vt.rowToVID) != vt.Base.NumRows() || vt.keyIndex.used != n {
+		return fmt.Errorf("graql: vertex %s: %d vertices, %d representative rows, %d indexed keys, %d of %d rows mapped",
+			vt.Name, n, len(vt.baseRow), vt.keyIndex.used, len(vt.rowToVID), vt.Base.NumRows())
+	}
+	accepted := 0
+	for r, v := range vt.rowToVID {
+		if v == NoVertex {
+			continue
+		}
+		accepted++
+		if int(v) >= n || !vt.Base.EqualKey(uint32(r), vt.KeyCols, vt.Keys, v, vt.keyIdent) {
+			return fmt.Errorf("graql: vertex %s: row %d maps to vertex %d, which does not have its key", vt.Name, r, v)
+		}
+	}
+	if accepted != vt.accepted || vt.OneToOne != (accepted == n) {
+		return fmt.Errorf("graql: vertex %s: %d rows accepted, %d recorded, one-to-one %v", vt.Name, accepted, vt.accepted, vt.OneToOne)
+	}
+	for v := VID(0); v < VID(n); v++ {
+		if vt.rowToVID[vt.baseRow[v]] != v {
+			return fmt.Errorf("graql: vertex %s: vertex %d is not the vertex of its representative row", vt.Name, v)
+		}
+		h, _ := vt.Keys.HashKey(v, vt.keyIdent)
+		u, ok := vt.keyIndex.find(h, func(u VID) bool { return vt.Keys.EqualKey(v, vt.keyIdent, vt.Keys, u, vt.keyIdent) })
+		if !ok || u != v {
+			return fmt.Errorf("graql: vertex %s: key index resolves the key of vertex %d to %d (found %v)", vt.Name, v, u, ok)
+		}
+	}
+	return nil
 }

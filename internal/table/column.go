@@ -226,9 +226,19 @@ func (c *stringColumn) Append(v value.Value) error {
 	if v.Kind() != value.KindString {
 		return &value.TypeError{Op: "store", A: value.KindString, B: v.Kind()}
 	}
-	s := v.Str()
+	code, err := c.intern(v.Str())
+	if err != nil {
+		return err
+	}
+	c.codes = append(c.codes, code)
+	return nil
+}
+
+// intern returns the dictionary code of s, adding s to the dictionary
+// when it is new.
+func (c *stringColumn) intern(s string) (uint32, error) {
 	if c.width > 0 && len(s) > c.width {
-		return fmt.Errorf("graql: value %q exceeds varchar(%d)", s, c.width)
+		return 0, fmt.Errorf("graql: value %q exceeds varchar(%d)", s, c.width)
 	}
 	if c.index == nil {
 		c.index = make(map[string]uint32, len(c.dict))
@@ -242,8 +252,7 @@ func (c *stringColumn) Append(v value.Value) error {
 		c.dict = append(c.dict, s)
 		c.index[s] = code
 	}
-	c.codes = append(c.codes, code)
-	return nil
+	return code, nil
 }
 
 // codeOf returns the dictionary code of s. It only reads, so concurrent
@@ -272,6 +281,36 @@ func (c *stringColumn) Gather(idx []uint32) Column {
 func (c *stringColumn) DictSize() int { return len(c.dict) }
 
 func (c *stringColumn) Distinct() int { return len(c.dict) }
+
+// setCell overwrites cell i of c, a column no reader can see yet, with v.
+func setCell(c Column, i uint32, v value.Value) error {
+	if !v.IsNull() && v.Kind() != c.Kind() {
+		return &value.TypeError{Op: "store", A: c.Kind(), B: v.Kind()}
+	}
+	switch c := c.(type) {
+	case *intColumn:
+		c.data[i] = v.Int()
+		c.nulls.Put(i, v.IsNull())
+	case *floatColumn:
+		c.data[i] = v.Float()
+		c.nulls.Put(i, v.IsNull())
+	case *boolColumn:
+		c.data[i] = v.Bool()
+		c.nulls.Put(i, v.IsNull())
+	case *stringColumn:
+		c.codes[i] = nullCode
+		if !v.IsNull() {
+			code, err := c.intern(v.Str())
+			if err != nil {
+				return err
+			}
+			c.codes[i] = code
+		}
+	default:
+		return fmt.Errorf("graql: column of kind %s cannot be rewritten in place", c.Kind())
+	}
+	return nil
+}
 
 // cloneColumn returns a copy of c that shares nothing mutable with it.
 func cloneColumn(c Column) Column {

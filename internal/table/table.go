@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
 	"graql/internal/value"
 )
@@ -115,6 +116,29 @@ func (t *Table) Gather(name string, idx []uint32) *Table {
 	return out
 }
 
+// GatherCols is Gather restricted to the columns cols, in that order.
+func (t *Table) GatherCols(name string, cols []int, idx []uint32) *Table {
+	return Rows{t: t, idx: idx}.Materialize(name, cols, nil)
+}
+
+// Patch returns a new version of t in which cell (rows[i], cols[j]) holds
+// vals[i][j], already of the column's kind. Only the columns in cols are
+// copied; every other column is shared with t, which nothing mutates once
+// it is published.
+func (t *Table) Patch(cols []int, rows []uint32, vals [][]value.Value) (*Table, error) {
+	out := &Table{Name: t.Name, schema: t.schema, rows: t.rows, cols: slices.Clone(t.cols)}
+	for j, c := range cols {
+		col := cloneColumn(t.cols[c])
+		for i, r := range rows {
+			if err := setCell(col, r, vals[i][j]); err != nil {
+				return nil, fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[c].Name, err)
+			}
+		}
+		out.cols[c] = col
+	}
+	return out, nil
+}
+
 // Clone returns a deep copy of the table: appending to or rewriting the
 // clone never disturbs the original, so mutations can build a new table
 // version aside while readers keep using the published one.
@@ -140,20 +164,6 @@ func (t *Table) ProjectCols(name string, colIdx []int, names []string) *Table {
 		out.cols = append(out.cols, t.cols[ci])
 	}
 	return out
-}
-
-// AppendTable appends all rows of src, whose schema must be
-// kind-compatible column by column.
-func (t *Table) AppendTable(src *Table) error {
-	if src.NumCols() != t.NumCols() {
-		return fmt.Errorf("graql: append: column count mismatch (%d vs %d)", src.NumCols(), t.NumCols())
-	}
-	for r := uint32(0); r < uint32(src.rows); r++ {
-		if err := t.AppendRow(src.Row(r)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // KeyOf encodes the values of the given columns at row i into a canonical

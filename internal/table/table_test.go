@@ -190,13 +190,22 @@ func TestLoadCSVAtomicOnError(t *testing.T) {
 	}
 }
 
-func TestAppendTable(t *testing.T) {
-	a := mkTable(t, []string{"a", "1", "1", "2008-01-01", "true"})
-	b := mkTable(t, []string{"b", "2", "2", "2008-01-02", "false"})
-	if err := a.AppendTable(b); err != nil {
+func TestPatchSharesUntouchedColumns(t *testing.T) {
+	a := mkTable(t, []string{"a", "1", "1", "2008-01-01", "true"}, []string{"b", "2", "2", "2008-01-02", "false"})
+	b, err := a.Patch([]int{1, 0}, []uint32{1}, [][]value.Value{{value.NewNull(value.KindInt), value.NewString("z")}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumRows() != 2 || a.Value(1, 0).Str() != "b" {
-		t.Error("AppendTable wrong")
+	if got := b.Row(1); !got[1].IsNull() || got[0].Str() != "z" || b.Value(0, 0).Str() != "a" {
+		t.Errorf("patched row = %v", got)
+	}
+	if got := a.Row(1); got[1].Int() != 2 || got[0].Str() != "b" {
+		t.Errorf("Patch wrote through to the original: %v", got)
+	}
+	if a.Col(2) != b.Col(2) || a.Col(1) == b.Col(1) {
+		t.Error("Patch must share unwritten columns and copy written ones")
+	}
+	if _, err := a.Patch([]int{1}, []uint32{0}, [][]value.Value{{value.NewString("x")}}); err == nil {
+		t.Error("Patch accepted a varchar into an integer column")
 	}
 }
