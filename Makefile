@@ -1,6 +1,6 @@
 # Standard-library-only Go module; no codegen, no vendoring.
 
-.PHONY: all build test race vet fmt ci bench
+.PHONY: all build test race vet fmt ci bench bench-e2e
 
 all: build
 
@@ -26,3 +26,6 @@ ci:
 
 bench:
 	go test -bench=. -benchmem
+
+bench-e2e:
+	bash bench/run.sh

@@ -1,23 +1,22 @@
 #!/bin/sh
 # CI gate: formatting, vet, static analysis, build, the full test suite
 # under the race detector with a coverage floor, fuzz smoke tests, an
-# advisory benchmark comparison, an end-to-end server smoke test, and an
-# open-loop load/latency smoke against the running server.
-# Run from the repository root; fails fast on the first problem (except
-# the advisory benchmark step).
+# end-to-end server smoke test, and an open-loop load/latency smoke
+# against the running server.
+# Run from the repository root; fails fast on the first problem.
 #
 # Optional environment:
-#   CI_ARTIFACTS=dir   copy the coverage profile and benchmark-comparison
-#                      output there (the GitHub workflow uploads the dir)
-#   GITHUB_STEP_SUMMARY=file  append the benchmark comparison table (set
-#                      automatically by GitHub Actions)
+#   CI_ARTIFACTS=dir   copy the coverage profile and the load-smoke report
+#                      there (the GitHub workflow uploads the dir)
+#   GITHUB_STEP_SUMMARY=file  append the line-count and load-smoke tables
+#                      (set automatically by GitHub Actions)
 #   FUZZTIME=60s       longer fuzz smoke budget
 set -eu
 
 # Fail the run when total statement coverage drops below this floor
 # (percent). Raise it as coverage grows; never lower it to make a PR
 # pass.
-COVERAGE_FLOOR=73.0
+COVERAGE_FLOOR=77.0
 
 # Per-target budget for the fuzz smoke (override for longer local runs:
 # FUZZTIME=60s ./ci.sh).
@@ -185,48 +184,6 @@ for f in testdata/vet/*_errors.graql; do
     fi
 done
 
-echo "== benchmark comparison (advisory) =="
-# Timing on shared CI runners is too noisy to gate merges on, so a
-# regression here warns but does not fail the build. Investigate any
-# REGRESSION rows locally with: go run ./cmd/benchrunner -compare ...
-bench_status=0
-go run ./cmd/benchrunner -quick -compare BENCH_baseline.json \
-    >"$tmpdir/bench-compare.md" 2>&1 || bench_status=$?
-cat "$tmpdir/bench-compare.md"
-if [ "$bench_status" -ne 0 ]; then
-    echo "WARNING: benchmark regression vs BENCH_baseline.json (advisory only)" >&2
-fi
-if [ -n "${CI_ARTIFACTS:-}" ]; then
-    mkdir -p "$CI_ARTIFACTS"
-    cp "$tmpdir/bench-compare.md" "$CI_ARTIFACTS/bench-compare.md"
-fi
-if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
-    {
-        echo "## Benchmark comparison (advisory)"
-        echo
-        echo "\`benchrunner -quick -compare BENCH_baseline.json\` — timing on"
-        echo "shared runners is noisy; regressions warn, they do not gate."
-        echo
-        echo '```'
-        cat "$tmpdir/bench-compare.md"
-        echo '```'
-    } >>"$GITHUB_STEP_SUMMARY"
-fi
-
-echo "== plan estimate accuracy (Berlin suite) =="
-# Static cardinality bounds are sound or the build fails: the -estimates
-# mode runs all 8 Berlin queries and exits nonzero when any actual row
-# count falls outside its est_rows interval.
-go run ./cmd/benchrunner -estimates >"$tmpdir/estimates.md"
-cat "$tmpdir/estimates.md"
-if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
-    {
-        echo "## Plan estimate accuracy (est_rows vs actual, Berlin sf=1)"
-        echo
-        cat "$tmpdir/estimates.md"
-    } >>"$GITHUB_STEP_SUMMARY"
-fi
-
 echo "== smoke: server + observability endpoints =="
 # Boot a traced server with the Berlin sf=1 dataset, an HTTP front-end,
 # a default query deadline and admission control; run one query through
@@ -325,8 +282,7 @@ echo "== load smoke: open-loop serving-path gate (100 QPS x 5s) =="
 # open-loop generator: prepared Berlin executes at a fixed rate across
 # pipelined connections. Any non-overloaded error fails the build;
 # "overloaded" rejections are deliberate admission control, not errors.
-go build -o "$tmpdir/benchrunner" ./cmd/benchrunner
-"$tmpdir/benchrunner" -loadgen -addr 127.0.0.1:17687 \
+"$tmpdir/gems-client" loadgen -addr 127.0.0.1:17687 \
     -qps 100 -duration 5s -conns 4 -pipeline 8 \
     -report "$tmpdir/loadgen-report.json" >"$tmpdir/loadgen.out" 2>&1 || {
     echo "load generator failed:" >&2

@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,6 +14,22 @@ import (
 	"graql/internal/client"
 	"graql/internal/server"
 )
+
+// loadgenMain is `gems-client loadgen`: the connection flags the binary
+// already has (accepted before or after the subcommand) plus the four
+// that describe the load.
+func loadgenMain(args []string, addr, token *string, pipeline *int) {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	fs.StringVar(addr, "addr", *addr, "server address")
+	fs.StringVar(token, "token", *token, "auth token")
+	fs.IntVar(pipeline, "pipeline", *pipeline, "pipeline window per connection (0 = synchronous)")
+	qps := fs.Float64("qps", 200, "target request rate")
+	duration := fs.Duration("duration", 5*time.Second, "how long to drive the server")
+	conns := fs.Int("conns", 4, "TCP connections")
+	report := fs.String("report", "", "write the result as JSON to this file")
+	_ = fs.Parse(args) // ExitOnError
+	runLoadgen(*addr, *token, *qps, *duration, *conns, *pipeline, *report)
+}
 
 // The open-loop load generator drives a running gems-server at a fixed
 // request rate over the TCP protocol, through the server's admission
@@ -166,7 +184,8 @@ func runLoadgen(addr, token string, qps float64, duration time.Duration, conns, 
 		LastError: lastErr,
 	}
 
-	header("metric", "value")
+	row("metric", "value")
+	row("---", "---")
 	row("target QPS", fmt.Sprintf("%.0f", res.TargetQPS))
 	row("sustained QPS (ok)", fmt.Sprintf("%.1f", res.SustainedQPS))
 	row("requests ok / overloaded / error",
@@ -199,4 +218,19 @@ func runLoadgen(addr, token string, qps float64, duration time.Duration, conns, 
 		fmt.Printf("wrote loadgen report to %s\n", reportPath)
 	}
 	return res
+}
+
+func row(cells ...string) {
+	fmt.Println("| " + strings.Join(cells, " | ") + " |")
+}
+
+func dur(d time.Duration) string {
+	switch {
+	case d < time.Millisecond:
+		return fmt.Sprintf("%.1f µs", float64(d.Nanoseconds())/1e3)
+	case d < time.Second:
+		return fmt.Sprintf("%.2f ms", float64(d.Nanoseconds())/1e6)
+	default:
+		return fmt.Sprintf("%.2f s", d.Seconds())
+	}
 }

@@ -12,6 +12,7 @@
 //	gems-client -addr host:7687 ps
 //	gems-client -addr host:7687 cancelq 42
 //	gems-client -addr host:7687 ping
+//	gems-client loadgen -addr host:7687 -qps 200 -duration 5s -conns 4 [-pipeline 8] [-report r.json]
 //	echo 'select ...' | gems-client -addr host:7687 exec -
 package main
 
@@ -50,6 +51,10 @@ func main() {
 	}
 	if flag.NArg() < 1 {
 		usage()
+	}
+	if flag.Arg(0) == "loadgen" { // dials its own connections
+		loadgenMain(flag.Args()[1:], addr, token, pipeline)
+		return
 	}
 
 	cl, err := client.DialOptions(*addr, *token, client.Options{
@@ -352,7 +357,8 @@ func usage() {
   gems-client [-addr host:port] [-token t] ps
   gems-client [-addr host:port] [-token t] workers
   gems-client [-addr host:port] [-token t] cancelq <id>
-  gems-client [-addr host:port] [-token t] ping`)
+  gems-client [-addr host:port] [-token t] ping
+  gems-client loadgen [-addr host:port] [-token t] [-pipeline N] [-qps R] [-duration D] [-conns N] [-report file.json]`)
 	os.Exit(2)
 }
 

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"log/slog"
 	"strconv"
-	"sync"
 
 	"graql/internal/bitmap"
 	"graql/internal/graph"
@@ -330,31 +329,20 @@ func (c *Cluster) validate(startType *graph.VertexType, steps []Step) error {
 	return nil
 }
 
-// localFilterSet builds the start set, evaluating the filter in parallel
-// per partition. The start predicate is a coordinator-local function (it
-// closes over the candidate machinery), so this phase always runs
-// in-process; only superstep expansion crosses the transport.
+// localFilterSet builds the start set in one pass over the id space. The
+// start predicate is a coordinator-local function (it closes over the
+// candidate machinery), so this phase always runs in-process and is not
+// part of Stats; only superstep expansion crosses the transport.
 func (c *Cluster) localFilterSet(n int, filter func(uint32) bool) *bitmap.Bitmap {
 	out := bitmap.New(n)
-	var wg sync.WaitGroup
-	for p := 0; p < c.parts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for v := uint32(0); v < uint32(n); v++ {
-				if v&1023 == 0 && c.ctx != nil && c.ctx.Err() != nil {
-					return
-				}
-				if owner(c.strategy, c.parts, v, n) != p {
-					continue
-				}
-				if filter == nil || filter(v) {
-					out.SetAtomic(v)
-				}
-			}
-		}(p)
+	for v := uint32(0); v < uint32(n); v++ {
+		if v&1023 == 0 && c.ctx != nil && c.ctx.Err() != nil {
+			break
+		}
+		if filter == nil || filter(v) {
+			out.Set(v)
+		}
 	}
-	wg.Wait()
 	return out
 }
 

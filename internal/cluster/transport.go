@@ -123,27 +123,6 @@ func owner(strategy Strategy, parts int, v uint32, n int) int {
 	return int(v) % parts
 }
 
-// neighbors returns the step's targets of one vertex, using the forward
-// or reverse index (or an edge scan when the reverse index is absent).
-func neighbors(et *graph.EdgeType, forward bool, v uint32) []uint32 {
-	if forward {
-		nbr, _ := et.Forward().Neighbors(v)
-		return nbr
-	}
-	if rev, ok := et.Reverse(); ok {
-		nbr, _ := rev.Neighbors(v)
-		return nbr
-	}
-	var out []uint32
-	for e := uint32(0); e < uint32(et.Count()); e++ {
-		s, d := et.EdgeAt(e)
-		if d == v {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // expandOwned is the shared per-partition expansion kernel: partition
 // `part` walks the frontier vertices it owns in ascending id order,
 // expands each through the edge index, applies the filter set, dedups
@@ -178,7 +157,8 @@ func expandOwned(ctx context.Context, g *graph.Graph, part, parts int, strategy 
 			dead = true
 			return
 		}
-		for _, t := range neighbors(et, req.Forward, v) {
+		nbr, _, _ := et.Adjacent(v, req.Forward)
+		for _, t := range nbr {
 			if req.Filter != nil && !req.Filter.Get(t) {
 				continue
 			}

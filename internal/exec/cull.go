@@ -69,31 +69,9 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 				inner = err
 				return
 			}
-			if forward {
-				nbr, eids := et.Forward().Neighbors(v)
-				w.edges += int64(len(nbr))
-				for i := range nbr {
-					visit(nbr[i], eids[i])
-				}
-				return
-			}
-			if rev, ok := et.Reverse(); ok {
-				nbr, eids := rev.Neighbors(v)
-				w.idxHit++
-				w.edges += int64(len(nbr))
-				for i := range nbr {
-					visit(nbr[i], eids[i])
-				}
-				return
-			}
-			// No reverse index: edge-list scan fallback (§III-B).
-			w.idxMiss++
-			w.edges += int64(et.Count())
-			for eid := uint32(0); eid < uint32(et.Count()); eid++ {
-				s, d := et.EdgeAt(eid)
-				if d == v {
-					visit(s, eid)
-				}
+			nbr, eids := w.adjacent(et, v, forward)
+			for i := range nbr {
+				visit(nbr[i], eids[i])
 			}
 		})
 		m.flush(w)
@@ -249,8 +227,7 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap,
 				inner = err
 				return
 			}
-			nbr, eids := et.Forward().Neighbors(v)
-			w.edges += int64(len(nbr))
+			nbr, eids := w.adjacent(et, v, true)
 			for i, t := range nbr {
 				if !dstSet.Get(t) {
 					continue

@@ -81,6 +81,23 @@ type wstate struct {
 	reported int64
 }
 
+// adjacent is graph.EdgeType.Adjacent plus the traversal accounting:
+// index entries walked (the whole edge list when a backward step has no
+// reverse index to use) and reverse-index hits and misses.
+func (w *wstate) adjacent(et *graph.EdgeType, v uint32, forward bool) (nbr, eids []uint32) {
+	nbr, eids, indexed := et.Adjacent(v, forward)
+	switch {
+	case !indexed:
+		w.idxMiss++
+		w.edges += int64(et.Count())
+		return nbr, eids
+	case !forward:
+		w.idxHit++
+	}
+	w.edges += int64(len(nbr))
+	return nbr, eids
+}
+
 type regexKey struct {
 	edge    int
 	from    uint32
@@ -447,8 +464,7 @@ func (m *matcher) verifyFrom(w *wstate, depth, vi int, emit func([]uint32) error
 	src, dst := w.b[pe.Src], w.b[pe.Dst]
 	// Enumerate every parallel edge instance connecting the bound
 	// endpoints (the graph is a multigraph, §II-A1).
-	nbr, eids := et.Forward().Neighbors(src)
-	w.edges += int64(len(nbr))
+	nbr, eids := w.adjacent(et, src, true)
 	for i, d := range nbr {
 		if d != dst {
 			continue
@@ -534,38 +550,13 @@ func (m *matcher) expandStepAt(w *wstate, depth int, emit func([]uint32) error) 
 		return err
 	}
 
+	from := w.b[pe.Dst]
 	if v.Forward {
-		nbr, eids := et.Forward().Neighbors(w.b[pe.Src])
-		w.edges += int64(len(nbr))
-		for i := range nbr {
-			if err := emitPair(nbr[i], eids[i]); err != nil {
-				return err
-			}
-		}
-		return nil
+		from = w.b[pe.Src]
 	}
-	if rev, ok := et.Reverse(); ok {
-		nbr, eids := rev.Neighbors(w.b[pe.Dst])
-		w.idxHit++
-		w.edges += int64(len(nbr))
-		for i := range nbr {
-			if err := emitPair(nbr[i], eids[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// No reverse index (§III-B builds it only "when memory space ... is
-	// available"): degrade to a full edge-list scan.
-	dst := w.b[pe.Dst]
-	w.idxMiss++
-	w.edges += int64(et.Count())
-	for eid := uint32(0); eid < uint32(et.Count()); eid++ {
-		s, d := et.EdgeAt(eid)
-		if d != dst {
-			continue
-		}
-		if err := emitPair(s, eid); err != nil {
+	nbr, eids := w.adjacent(et, from, v.Forward)
+	for i := range nbr {
+		if err := emitPair(nbr[i], eids[i]); err != nil {
 			return err
 		}
 	}

@@ -60,7 +60,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	m.shardRuns = reg.Counter("graql_parallel_sweeps_total", "data-parallel sweeps launched")
 	m.shardTasks = reg.Counter("graql_parallel_shards_total", "shards executed across all sweeps")
 	m.activeWorkers = reg.Gauge("graql_parallel_active_workers", "goroutines currently executing sweep shards")
-	m.tableOpsParallel = reg.Counter("graql_tableops_parallel_total", "relational operators (filter, join, group-by, order-by) executed on the morsel-parallel path")
+	m.tableOpsParallel = reg.Counter("graql_tableops_parallel_total", "relational operators (filter, order-by) executed on the morsel-parallel path")
 	m.irVerifyFailures = reg.Counter("graql_ir_verify_failures_total", "decoded IR scripts or analyzed plans rejected by the structural verifier")
 	m.rowsInserted = reg.Counter("graql_rows_inserted_total", "rows added by insert statements")
 	m.rowsUpdated = reg.Counter("graql_rows_updated_total", "rows rewritten by update statements")
@@ -80,26 +80,6 @@ func (m *engineMetrics) noteIRVerifyFailure() {
 		return
 	}
 	m.irVerifyFailures.Inc()
-}
-
-// noteSweep records the launch of one data-parallel sweep.
-func (m *engineMetrics) noteSweep(shards int) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.shardRuns.Inc()
-	m.shardTasks.Add(int64(shards))
-}
-
-// noteTableParallel records one relational operator run taking the
-// morsel-parallel path; its shard fan-out counts as a sweep like the
-// matcher's.
-func (m *engineMetrics) noteTableParallel(shards int) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.tableOpsParallel.Inc()
-	m.noteSweep(shards)
 }
 
 func stmtKind(st ast.Stmt) string {

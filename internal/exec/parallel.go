@@ -2,7 +2,8 @@ package exec
 
 import (
 	"context"
-	"sync"
+
+	"graql/internal/table"
 )
 
 // shardRanges splits [0, n) into k near-equal contiguous ranges for
@@ -32,92 +33,36 @@ func shardRanges(n, k int) [][2]uint32 {
 	return out
 }
 
-// runShards executes fn over each shard index on a pool of `workers`
-// goroutines and returns the first error. A non-nil ctx is polled at
-// every shard boundary, so a canceled sweep stops scheduling work and
-// returns the structured abort error promptly (shards also poll
-// internally via wstate.poll for long per-shard loops). met (nil-safe)
-// accumulates sweep/shard counts and tracks worker utilisation through
-// the graql_parallel_active_workers gauge.
+// runShards executes fn over each shard index on the one shard pool
+// (table.Par.Run) with up to `workers` goroutines and returns the first
+// error. A non-nil ctx is polled at every shard boundary, so a canceled
+// sweep stops scheduling work and returns the structured abort error
+// promptly (shards also poll internally via wstate.poll for long
+// per-shard loops). met (nil-safe) accumulates sweep/shard counts and
+// tracks worker utilisation through the graql_parallel_active_workers
+// gauge.
 func runShards(ctx context.Context, met *engineMetrics, shards, workers int, fn func(shard int) error) error {
-	if shards == 0 {
-		return nil
-	}
-	met.noteSweep(shards)
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		met.workerUp()
-		defer met.workerDown()
-		for s := 0; s < shards; s++ {
-			if err := contextErr(ctx); err != nil {
-				return err
-			}
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		first  error
-		next   int
-		nextMu sync.Mutex
-	)
-	grab := func() int {
-		nextMu.Lock()
-		defer nextMu.Unlock()
-		if next >= shards {
-			return -1
-		}
-		s := next
-		next++
-		return s
-	}
-	fail := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			met.workerUp()
-			defer met.workerDown()
-			for {
-				if err := contextErr(ctx); err != nil {
-					fail(err)
-					return
-				}
-				s := grab()
-				if s < 0 {
-					return
-				}
-				if err := fn(s); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
+	return table.Par{Workers: workers, Poll: pollOf(ctx), OnParallel: met.sweep}.Run(shards, fn)
 }
 
-func (m *engineMetrics) workerUp() {
-	if m != nil && m.reg != nil {
-		m.activeWorkers.Add(1)
+// pollOf is the pool's cancellation hook for ctx: nil when there is no
+// context to poll.
+func pollOf(ctx context.Context) func() error {
+	if ctx == nil {
+		return nil
 	}
+	return func() error { return contextErr(ctx) }
 }
 
-func (m *engineMetrics) workerDown() {
-	if m != nil && m.reg != nil {
-		m.activeWorkers.Add(-1)
+// sweep is the pool hook: it counts one sweep of the given shard count
+// and holds the active-worker gauge up by the pool's fan-out until the
+// returned function runs.
+func (m *engineMetrics) sweep(shards, workers int) (done func()) {
+	if m == nil || m.reg == nil {
+		return nil
 	}
+	m.shardRuns.Inc()
+	m.shardTasks.Add(int64(shards))
+	m.activeWorkers.Add(int64(workers))
+	return func() { m.activeWorkers.Add(-int64(workers)) }
 }

@@ -94,33 +94,17 @@ func (s stateSets) addNew(state int, vt *graph.VertexType, src *bitmap.Bitmap) *
 // returning the reached set on the other side. forward follows the edge
 // type's declared direction.
 func expandSet(et *graph.EdgeType, forward bool, from *bitmap.Bitmap) *bitmap.Bitmap {
+	landing := et.Src
 	if forward {
-		out := bitmap.New(et.Dst.Count())
-		from.ForEach(func(v uint32) {
-			nbr, _ := et.Forward().Neighbors(v)
-			for _, t := range nbr {
-				out.Set(t)
-			}
-		})
-		return out
+		landing = et.Dst
 	}
-	out := bitmap.New(et.Src.Count())
-	if rev, ok := et.Reverse(); ok {
-		from.ForEach(func(v uint32) {
-			nbr, _ := rev.Neighbors(v)
-			for _, t := range nbr {
-				out.Set(t)
-			}
-		})
-		return out
-	}
-	// No reverse index: scan the edge list.
-	for e := uint32(0); e < uint32(et.Count()); e++ {
-		s, d := et.EdgeAt(e)
-		if from.Get(d) {
-			out.Set(s)
+	out := bitmap.New(landing.Count())
+	from.ForEach(func(v uint32) {
+		nbr, _, _ := et.Adjacent(v, forward)
+		for _, t := range nbr {
+			out.Set(t)
 		}
-	}
+	})
 	return out
 }
 
@@ -416,28 +400,10 @@ func (m *matcher) markRegexPath(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap, s
 func markEdgesBetween(et *graph.EdgeType, out bool, tail, head *bitmap.Bitmap, sub *graph.Subgraph) {
 	es := sub.EdgeSet(et)
 	tail.ForEach(func(v uint32) {
-		if out {
-			nbr, eids := et.Forward().Neighbors(v)
-			for i, t := range nbr {
-				if head.Get(t) {
-					es.Set(eids[i])
-				}
-			}
-			return
-		}
-		if rev, ok := et.Reverse(); ok {
-			nbr, eids := rev.Neighbors(v)
-			for i, t := range nbr {
-				if head.Get(t) {
-					es.Set(eids[i])
-				}
-			}
-			return
-		}
-		for e := uint32(0); e < uint32(et.Count()); e++ {
-			s, d := et.EdgeAt(e)
-			if d == v && head.Get(s) {
-				es.Set(e)
+		nbr, eids, _ := et.Adjacent(v, out)
+		for i, t := range nbr {
+			if head.Get(t) {
+				es.Set(eids[i])
 			}
 		}
 	})

@@ -77,19 +77,18 @@ func (e *Engine) runTableSelect(s *sema.Select, params map[string]value.Value) (
 		e.opSpan("scan", fmt.Sprintf("table %s", t.Name)).Record(int64(t.NumRows()), 0)
 	}
 
-	tp := e.tablePar()
 	rows := table.AllRows(t)
 	if s.Where != nil {
 		where, err := expr.BindParams(s.Where, params)
 		if err != nil {
 			return Result{}, err
 		}
-		t0 := time.Now()
-		if rows, err = table.CompileFilter(t, where).Select(tp); err != nil {
+		fanOut, t0 := 0, time.Now()
+		if rows, err = table.CompileFilter(t, where).Select(e.tablePar(&fanOut)); err != nil {
 			return Result{}, err
 		}
 		if e.tracing() {
-			e.opSpan("filter", parDetail(s.Where.String(), tp, t.NumRows())).
+			e.opSpan("filter", parDetail(s.Where.String(), fanOut)).
 				Record(int64(rows.Len()), time.Since(t0))
 		}
 	}
@@ -206,11 +205,10 @@ func (e *Engine) finishTable(rows table.Rows, cols []int, schema table.Schema, s
 		for i, k := range s.OrderBy {
 			keys[i] = table.SortKey{Col: cols[k.Col], Desc: k.Desc}
 		}
-		tp := e.tablePar()
-		in := rows.Len()
+		in, fanOut := rows.Len(), 0
 		t0 := time.Now()
 		var err error
-		if rows, err = rows.OrderBy(keys, top, tp); err != nil {
+		if rows, err = rows.OrderBy(keys, top, e.tablePar(&fanOut)); err != nil {
 			return nil, err
 		}
 		if e.tracing() {
@@ -218,7 +216,7 @@ func (e *Engine) finishTable(rows table.Rows, cols []int, schema table.Schema, s
 			if top > 0 && top < in {
 				detail += fmt.Sprintf(", top-%d heap", top)
 			} else {
-				detail = parDetail(detail, tp, in)
+				detail = parDetail(detail, fanOut)
 			}
 			e.opSpan("sort", detail).Record(int64(rows.Len()), time.Since(t0))
 		}

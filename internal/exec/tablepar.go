@@ -10,35 +10,31 @@ import (
 // operators: the engine's worker budget and parallelism threshold, its
 // context (mapped to the structured abort errors through the same
 // contextErr the sweeps use), and its metrics — the parallel-operator
-// counter, the sweep totals and the active-worker gauge. The table
-// package stays engine-free; everything crosses through table.Par's
-// nil-safe hooks.
-func (e *Engine) tablePar() table.Par {
-	p := table.Par{
+// counter on top of the sweep totals and active-worker gauge every pool
+// run feeds. The table package stays engine-free; everything crosses
+// through table.Par's nil-safe hooks. *fanOut receives the worker count
+// of an operator that fans out and is left alone by one that stays
+// serial.
+func (e *Engine) tablePar(fanOut *int) table.Par {
+	return table.Par{
 		Workers:   e.Opts.workers(),
 		Threshold: e.Opts.ParallelThreshold,
-		OnParallel: func(_ string, shards, workers int) {
-			e.met.noteTableParallel(shards)
+		Poll:      pollOf(e.ctx),
+		OnParallel: func(shards, workers int) func() {
+			*fanOut = workers
+			e.met.tableOpsParallel.Inc()
 			e.acct.noteWorkers(workers)
+			return e.met.sweep(shards, workers)
 		},
 	}
-	if e.ctx != nil {
-		ctx := e.ctx
-		p.Poll = func() error { return contextErr(ctx) }
-	}
-	if e.met.reg != nil {
-		p.WorkerUp = e.met.workerUp
-		p.WorkerDown = e.met.workerDown
-	}
-	return p
 }
 
-// parDetail annotates an operator span's detail when the operator ran on
-// the parallel path, so EXPLAIN ANALYZE and request traces show which
-// steps fanned out and how wide.
-func parDetail(detail string, p table.Par, rows int) string {
-	if !p.Parallel(rows) {
+// parDetail annotates an operator span's detail with the fan-out the
+// operator ran at (0 = it stayed serial), so EXPLAIN ANALYZE and request
+// traces show which steps fanned out and how wide.
+func parDetail(detail string, fanOut int) string {
+	if fanOut <= 1 {
 		return detail
 	}
-	return fmt.Sprintf("%s [parallel, %d workers]", detail, p.Workers)
+	return fmt.Sprintf("%s [parallel, %d workers]", detail, fanOut)
 }

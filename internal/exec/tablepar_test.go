@@ -9,9 +9,9 @@ import (
 	"graql/internal/obs"
 )
 
-// tableParFiles generates a CSV large enough that every relational
-// operator clears a forced threshold of 1 and, on the parallel engine,
-// spans several morsels.
+// tableParFiles generates a CSV of the given row count; tableParRows of
+// them span three filter morsels, so with a forced threshold of 1 every
+// relational operator with a parallel form fans out.
 func tableParFiles(rows int) map[string]string {
 	var sb strings.Builder
 	for i := 0; i < rows; i++ {
@@ -19,6 +19,8 @@ func tableParFiles(rows int) map[string]string {
 	}
 	return map[string]string{"tp.csv": sb.String()}
 }
+
+const tableParRows = 10000
 
 const tableParSchema = `
 create table TP(id varchar(12), k integer, v float, s varchar(8))
@@ -42,7 +44,7 @@ func tableParEngine(t *testing.T, workers, threshold int, files map[string]strin
 // path must produce exactly the serial engine's rows, and the
 // parallel-operator counter must record each fanned-out operator.
 func TestTableSelectParallelMatchesSerial(t *testing.T) {
-	files := tableParFiles(3000)
+	files := tableParFiles(tableParRows)
 	const q = `select s, count(*) as n, sum(v) as sv, min(k) as mn
 from table TP where k > 10 group by s order by sv desc, s asc`
 
@@ -76,19 +78,22 @@ func TestTableSelectThresholdKeepsSerialPath(t *testing.T) {
 }
 
 // TestExplainAnalyzeParallelAnnotation: plan spans carry the parallel
-// fan-out annotation exactly when the operator ran parallel.
+// annotation exactly when the operator fanned out, with the worker count
+// the pool used — three filter morsels keep three of four workers busy,
+// the sort of 13 groups cuts one run per worker — and an operator with
+// one shard to hand out is neither annotated nor counted.
 func TestExplainAnalyzeParallelAnnotation(t *testing.T) {
-	files := tableParFiles(3000)
+	files := tableParFiles(tableParRows)
 	const q = `explain analyze select s, count(*) as n from table TP where k > 10 group by s order by n desc`
 
 	rows := analyzeRows(t, tableParEngine(t, 4, 1, files), q)
-	for _, action := range []string{"filter", "sort"} {
+	for action, want := range map[string]string{"filter": "[parallel, 3 workers]", "sort": "[parallel, 4 workers]"} {
 		r := findRow(rows, action)
 		if r == nil {
 			t.Fatalf("no %s span in plan:\n%v", action, rows)
 		}
-		if !strings.Contains(r[1], "[parallel, 4 workers]") {
-			t.Errorf("%s span should be annotated as parallel: %v", action, r)
+		if !strings.Contains(r[1], want) {
+			t.Errorf("%s span should be annotated %s: %v", action, want, r)
 		}
 	}
 
@@ -97,5 +102,16 @@ func TestExplainAnalyzeParallelAnnotation(t *testing.T) {
 		if r := findRow(rows, action); r == nil || strings.Contains(r[1], "parallel") {
 			t.Errorf("serial %s span should have no parallel annotation: %v", action, r)
 		}
+	}
+
+	// 3,000 rows are one morsel: four workers and a forced threshold
+	// still leave the filter nothing to fan out.
+	e := tableParEngine(t, 4, 1, tableParFiles(3000))
+	rows = analyzeRows(t, e, `explain analyze select id from table TP where k > 10`)
+	if r := findRow(rows, "filter"); r == nil || strings.Contains(r[1], "parallel") {
+		t.Errorf("one-morsel filter span should have no parallel annotation: %v", r)
+	}
+	if c := e.Opts.Obs.Counter("graql_tableops_parallel_total", ""); c.Value() != 0 {
+		t.Errorf("one-morsel filter counted %d parallel table ops, want 0", c.Value())
 	}
 }

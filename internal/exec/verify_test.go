@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"graql/internal/ast"
+	"graql/internal/bsbm"
 	"graql/internal/ir"
 	"graql/internal/obs"
 	"graql/internal/sema"
@@ -115,5 +117,44 @@ func TestIRVerifySampling(t *testing.T) {
 	}
 	if rejected == 0 || rejected > 3 {
 		t.Fatalf("sampled verifier rejected %d of %d preparations, want ~2", rejected, 2*irVerifySampleEvery)
+	}
+}
+
+// BenchmarkIRVerify is EXPERIMENTS.md E17: one prepared serving-path
+// statement executed under the three Options.IRVerify modes. Per execute
+// the verifier's only cost is the structural walk of the cached plan —
+// always pays it every call, sample every 64th, off never — so the
+// sub-benchmark ratios are the verifier's overhead. The statement is a
+// point probe of Berlin's Types table behind 32 constant guards that the
+// planner folds away: the plan is small, which makes the walk's share of
+// an execute as large as it gets.
+func BenchmarkIRVerify(b *testing.B) {
+	var q strings.Builder
+	q.WriteString("select top 5 id, subclassOf, publisher, date from table Types\nwhere id = 't1'")
+	for i := 0; i < 32; i++ {
+		fmt.Fprintf(&q, "\n  and 'region%d' <> 'blocked%d' and %d * 10 + 7 > %d", i, i, i, i)
+	}
+	q.WriteString("\norder by id asc, subclassOf desc, publisher asc")
+	files := bsbm.Generate(bsbm.Config{ScaleFactor: 1, Seed: 42}).Files
+	for _, mode := range []string{IRVerifyOff, IRVerifySample, IRVerifyAlways} {
+		b.Run(mode, func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.IRVerify = mode
+			opts.FileOpener = memFS(files)
+			e := New(opts)
+			if _, err := e.ExecScript(bsbm.FullDDL, nil); err != nil {
+				b.Fatal(err)
+			}
+			p, err := e.Prepare(q.String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ExecPrepared(p, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

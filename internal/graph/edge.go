@@ -94,6 +94,31 @@ func (et *EdgeType) Reverse() (*CSR, bool) { return &et.rev, et.hasRev }
 // HasReverse reports whether the reverse index was built.
 func (et *EdgeType) HasReverse() bool { return et.hasRev }
 
+// Adjacent returns the vertices one edge away from v and the ids of the
+// connecting edges: v's targets when forward, its sources otherwise.
+// indexed reports that a CSR answered; nbr and eids then alias the index
+// and must not be modified. Without the reverse index (§III-B builds it
+// only "when memory space ... is available") the backward direction
+// degrades to a scan of the whole edge list, in edge-id order, into fresh
+// slices.
+func (et *EdgeType) Adjacent(v VID, forward bool) (nbr, eids []uint32, indexed bool) {
+	if forward {
+		nbr, eids = et.fwd.Neighbors(v)
+		return nbr, eids, true
+	}
+	if et.hasRev {
+		nbr, eids = et.rev.Neighbors(v)
+		return nbr, eids, true
+	}
+	for e, d := range et.dsts {
+		if d == v {
+			nbr = append(nbr, et.srcs[e])
+			eids = append(eids, uint32(e))
+		}
+	}
+	return nbr, eids, false
+}
+
 // AttrIndex resolves an edge attribute name, addressing the Attrs table.
 func (et *EdgeType) AttrIndex(name string) (int, bool) {
 	if et.Attrs == nil {

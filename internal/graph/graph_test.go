@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"graql/internal/table"
@@ -188,6 +190,53 @@ func TestReverseIsTranspose(t *testing.T) {
 		}
 		if len(f) != 0 {
 			t.Fatalf("%d forward edges missing from reverse index", len(f))
+		}
+	}
+}
+
+// TestAdjacent: the one adjacency accessor against a hand-built
+// multigraph. Forward answers from the forward CSR with or without the
+// reverse index; backward answers from the reverse CSR when it exists and
+// from an edge-list scan when it does not, and either way returns every
+// source with the id of its connecting edge, parallel edges included.
+func TestAdjacent(t *testing.T) {
+	pairs := [][2]uint32{{0, 1}, {0, 2}, {1, 2}, {3, 0}, {0, 1}, {2, 2}}
+	pairsOf := func(nbr, eids []uint32) map[[2]uint32]bool { // (neighbour, edge id)
+		out := map[[2]uint32]bool{}
+		for i := range nbr {
+			out[[2]uint32{nbr[i], eids[i]}] = true
+		}
+		return out
+	}
+	for _, reverse := range []bool{true, false} {
+		_, et := edgeFixture(t, 5, pairs, reverse)
+		for v := uint32(0); v < 5; v++ {
+			wantOut, wantIn := map[[2]uint32]bool{}, map[[2]uint32]bool{}
+			for e, p := range pairs {
+				if p[0] == v {
+					wantOut[[2]uint32{p[1], uint32(e)}] = true
+				}
+				if p[1] == v {
+					wantIn[[2]uint32{p[0], uint32(e)}] = true
+				}
+			}
+			nbr, eids, indexed := et.Adjacent(v, true)
+			if got := pairsOf(nbr, eids); !indexed || len(nbr) != len(wantOut) || !reflect.DeepEqual(got, wantOut) {
+				t.Errorf("reverse=%v: forward of %d = %v (indexed %v), want %v", reverse, v, got, indexed, wantOut)
+			}
+			nbr, eids, indexed = et.Adjacent(v, false)
+			if got := pairsOf(nbr, eids); indexed != reverse || len(nbr) != len(wantIn) || !reflect.DeepEqual(got, wantIn) {
+				t.Errorf("reverse=%v: backward of %d = %v (indexed %v), want %v", reverse, v, got, indexed, wantIn)
+			}
+			if !reverse && !slices.IsSorted(eids) {
+				t.Errorf("scan fallback must list edges in id order, got %v", eids)
+			}
+		}
+		// The indexed paths alias the CSR, never copy it.
+		nbr, _, _ := et.Adjacent(0, true)
+		csr, _ := et.Forward().Neighbors(0)
+		if &nbr[0] != &csr[0] {
+			t.Errorf("reverse=%v: forward neighbours were copied", reverse)
 		}
 	}
 }

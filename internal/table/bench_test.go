@@ -97,23 +97,6 @@ func benchPar(workers int) Par {
 	return Par{Workers: workers, Threshold: 1}
 }
 
-func BenchmarkFilterPar(b *testing.B) {
-	tb := benchTable(b, 100_000, 1000)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p := benchPar(w)
-			for i := 0; i < b.N; i++ {
-				idx, err := FilterIdxPar(tb, func(r uint32) (bool, error) {
-					return tb.Value(r, 0).Int() < 100, nil
-				}, p)
-				if err != nil || len(idx) == 0 {
-					b.Fatal("filter failed")
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkGroupByPar(b *testing.B) {
 	tb := benchTable(b, 100_000, 1000)
 	for _, w := range benchWorkerCounts() {
@@ -123,22 +106,6 @@ func BenchmarkGroupByPar(b *testing.B) {
 				out, err := GroupByPar(tb, "G", []int{0}, []AggSpec{{Func: AggSum, Col: 1, Name: "s"}}, p)
 				if err != nil || out.NumRows() != 1000 {
 					b.Fatal("groupby failed")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkHashJoinPar(b *testing.B) {
-	l := benchTable(b, 100_000, 5000)
-	r := benchTable(b, 100_000, 5000)
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			p := benchPar(w)
-			for i := 0; i < b.N; i++ {
-				li, _, err := HashJoinIdxPar(l, r, []int{0}, []int{0}, p)
-				if err != nil || len(li) == 0 {
-					b.Fatal("join failed")
 				}
 			}
 		})

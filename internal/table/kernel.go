@@ -415,8 +415,8 @@ func CompileFilter(t *Table, pred expr.Expr) *Filter {
 }
 
 // Select runs the filter over every row of its table, morsel by morsel —
-// on p's workers when the table clears p's threshold — and returns the
-// selected rows in ascending order.
+// on p's workers when the table clears p's threshold and spans more than
+// one morsel — and returns the selected rows in ascending order.
 func (f *Filter) Select(p Par) (Rows, error) {
 	n := f.t.NumRows()
 	morsels := morselRanges(n)
@@ -427,8 +427,8 @@ func (f *Filter) Select(p Par) (Rows, error) {
 		parts[m], _ = f.root.eval(&cx, span{lo: morsels[m][0], hi: morsels[m][1]}, false)
 		errs[m] = cx.err
 	}
-	if p.Parallel(n) {
-		if err := p.run("filter", len(morsels), func(_, m int) error { one(m); return nil }); err != nil {
+	if len(morsels) > 1 && p.Parallel(n) {
+		if err := p.Run(len(morsels), func(m int) error { one(m); return nil }); err != nil {
 			return Rows{}, err
 		}
 	} else {

@@ -338,7 +338,7 @@ func TestFilterSelectStitchesMorsels(t *testing.T) {
 		t.Fatal(err)
 	}
 	fired := false
-	par, err := CompileFilter(tb, e).Select(Par{Workers: 3, Threshold: 1, OnParallel: func(string, int, int) { fired = true }})
+	par, err := CompileFilter(tb, e).Select(Par{Workers: 3, Threshold: 1, OnParallel: func(int, int) func() { fired = true; return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}

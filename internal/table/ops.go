@@ -183,34 +183,3 @@ func anyNull(t *Table, row uint32, cols []int) bool {
 	}
 	return false
 }
-
-// HashJoin materialises the inner equi-join of l and r. Output columns are
-// all of l's followed by all of r's; colliding names get the other table's
-// name as a prefix.
-func HashJoin(name string, l, r *Table, lCols, rCols []int) *Table {
-	lIdx, rIdx := HashJoinIdx(l, r, lCols, rCols)
-	return joinTable(name, l, r, lIdx, rIdx)
-}
-
-// joinTable materialises matched row-id pairs of l and r into the join
-// output table (all of l's columns then all of r's, collisions prefixed).
-func joinTable(name string, l, r *Table, lIdx, rIdx []uint32) *Table {
-	lt := l.Gather("", lIdx)
-	rt := r.Gather("", rIdx)
-	out := &Table{Name: name, rows: len(lIdx)}
-	used := make(map[string]bool)
-	appendSide := func(src *Table, prefix string) {
-		for i, cd := range src.Schema() {
-			n := cd.Name
-			if used[n] {
-				n = prefix + "." + n
-			}
-			used[n] = true
-			out.schema = append(out.schema, ColumnDef{Name: n, Type: cd.Type})
-			out.cols = append(out.cols, src.Col(i))
-		}
-	}
-	appendSide(lt, l.Name)
-	appendSide(rt, r.Name)
-	return out
-}

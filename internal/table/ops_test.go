@@ -2,7 +2,6 @@ package table
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"graql/internal/value"
@@ -198,23 +197,6 @@ func TestHashJoinAgainstNestedLoop(t *testing.T) {
 			if got[k] != n {
 				t.Fatalf("trial %d: pair %v count %d, want %d", trial, k, got[k], n)
 			}
-		}
-	}
-}
-
-func TestHashJoinMaterialised(t *testing.T) {
-	l := numTable(t, [][2]int64{{1, 100}, {2, 200}})
-	r := numTable(t, [][2]int64{{1, 111}, {1, 112}, {3, 333}})
-	out := HashJoin("J", l, r, []int{0}, []int{0})
-	if out.NumRows() != 2 {
-		t.Fatalf("join rows = %d", out.NumRows())
-	}
-	// Colliding column names get prefixed.
-	names := out.Schema().Names()
-	sort.Strings(names)
-	for _, n := range []string{"k", "v", "N.k", "N.v"} {
-		if out.Schema().Index(n) < 0 {
-			t.Errorf("missing column %q in %v", n, names)
 		}
 	}
 }

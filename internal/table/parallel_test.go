@@ -5,14 +5,129 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"graql/internal/expr"
 	"graql/internal/value"
 )
 
 // testPar grants w workers with the threshold floored so even tiny
 // tables take the parallel path.
 func testPar(w int) Par { return Par{Workers: w, Threshold: 1} }
+
+// keyAtLeast is the predicate k >= n over randomTable's key column.
+func keyAtLeast(n int64) expr.Expr {
+	return expr.NewBinary(expr.OpGe, &expr.Ref{Source: 0, Col: 0}, expr.NewConst(value.NewInt(n)))
+}
+
+// TestParRun pins the one shard pool: it clamps its fan-out to the shard
+// count, runs inline (no goroutine, shards in order) when one worker or
+// one shard is all there is, and hands out no further shard once a shard
+// or the poll hook has failed.
+func TestParRun(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name            string
+		workers, shards int
+		failShard       int // shard whose fn fails; -1 = none
+		failPoll        int // poll call that fails (1-based); 0 = none
+		wantWorkers     int // fan-out reported to OnParallel; 0 = hook must not fire
+	}{
+		{"no shards", 4, 0, -1, 0, 0},
+		{"zero value is inline", 0, 5, -1, 0, 1},
+		{"one worker is inline", 1, 5, -1, 0, 1},
+		{"one shard is inline", 8, 1, -1, 0, 1},
+		{"workers clamp to shards", 8, 3, -1, 0, 3},
+		{"fan out", 3, 64, -1, 0, 3},
+		{"inline stops at the failing shard", 1, 10, 4, 0, 1},
+		{"inline stops at the failing poll", 1, 10, -1, 3, 1},
+		{"pool stops after the failing shard", 4, 1000, 7, 0, 4},
+		{"pool stops after the failing poll", 4, 1000, -1, 5, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ran, polls, active, peak, reported, done atomic.Int64
+			order := make([]int, 0, c.shards) // appended by the inline path only
+			failedShard := make(chan struct{})
+			p := Par{
+				Workers: c.workers,
+				OnParallel: func(shards, workers int) func() {
+					if shards != c.shards {
+						t.Errorf("hook saw %d shards, want %d", shards, c.shards)
+					}
+					reported.Store(int64(workers))
+					return func() { done.Add(1) }
+				},
+			}
+			if c.failPoll > 0 {
+				p.Poll = func() error {
+					if polls.Add(1) >= int64(c.failPoll) {
+						return boom
+					}
+					return nil
+				}
+			}
+			err := p.Run(c.shards, func(s int) error {
+				ran.Add(1)
+				if n := active.Add(1); n > peak.Load() {
+					peak.Store(n) // racy max is fine: it only ever under-reports
+				}
+				defer active.Add(-1)
+				if c.wantWorkers == 1 {
+					order = append(order, s)
+				}
+				switch {
+				case s == c.failShard:
+					close(failedShard)
+					return boom
+				case c.failShard >= 0 && s > c.failShard:
+					// Held until the failure exists, then slow: the latch
+					// falls long before the pool could drain 1000 of these.
+					<-failedShard
+					time.Sleep(time.Millisecond)
+				}
+				return nil
+			})
+			failing := c.failShard >= 0 || c.failPoll > 0
+			if failing != errors.Is(err, boom) {
+				t.Fatalf("err = %v, failing case = %v", err, failing)
+			}
+			if int(reported.Load()) != c.wantWorkers || (c.wantWorkers > 0) != (done.Load() == 1) {
+				t.Errorf("hook reported %d workers (done called %d times), want %d", reported.Load(), done.Load(), c.wantWorkers)
+			}
+			if peak.Load() > int64(max(c.wantWorkers, 1)) {
+				t.Errorf("%d shards ran at once on %d workers", peak.Load(), c.wantWorkers)
+			}
+			switch {
+			case !failing:
+				if int(ran.Load()) != c.shards {
+					t.Errorf("ran %d of %d shards", ran.Load(), c.shards)
+				}
+			case c.wantWorkers == 1 && c.failShard >= 0:
+				if int(ran.Load()) != c.failShard+1 {
+					t.Errorf("inline ran %d shards past a failure at shard %d", ran.Load(), c.failShard)
+				}
+			case c.failPoll > 0:
+				// The poll keeps failing, so no shard starts after it.
+				if int(ran.Load()) >= c.failPoll {
+					t.Errorf("ran %d shards, poll failed before shard %d", ran.Load(), c.failPoll-1)
+				}
+			default:
+				// Every worker may finish the shard it holds; a few may
+				// have passed their check just before the latch fell.
+				if int(ran.Load()) > c.shards/2 {
+					t.Errorf("pool ran %d of %d shards past a failure at shard %d", ran.Load(), c.shards, c.failShard)
+				}
+			}
+			for i, s := range order {
+				if s != i {
+					t.Fatalf("inline shard order %v", order)
+				}
+			}
+		})
+	}
+}
 
 // randomTable builds a table with an int key column (with NULLs), a
 // float measure (with NULLs), and a low-cardinality string column, for
@@ -80,37 +195,6 @@ func mustEqualTables(t *testing.T, what string, a, b *Table) {
 	}
 }
 
-// Property: the parallel filter returns the exact row-id sequence of the
-// serial scan, for every worker count.
-func TestFilterParEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		tb := randomTable(r, r.Intn(4000))
-		pred := func(row uint32) (bool, error) {
-			v := tb.Value(row, 0)
-			return !v.IsNull() && v.Int()%3 == 0, nil
-		}
-		want, err := FilterIdx(tb, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{2, 3, 8} {
-			got, err := FilterIdxPar(tb, pred, testPar(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d w=%d: %d rows, want %d", trial, w, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d w=%d: idx[%d] = %d, want %d", trial, w, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // Property: parallel group-by emits the same groups, in the same
 // first-occurrence order, with the same aggregates as the serial
 // operator (float sums compared with tolerance).
@@ -143,66 +227,6 @@ func TestGroupByParEquivalence(t *testing.T) {
 	}
 }
 
-// Property: the parallel join matches the serial join as a multiset of
-// (left row, right row) pairs; NULL keys never join on either path.
-func TestHashJoinParEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 25; trial++ {
-		l := randomTable(r, r.Intn(2500))
-		rt := randomTable(r, r.Intn(2500))
-		cols := []int{0, 2}
-		li, ri := HashJoinIdx(l, rt, cols, cols)
-		want := map[[2]uint32]int{}
-		for i := range li {
-			want[[2]uint32{li[i], ri[i]}]++
-		}
-		for _, w := range []int{2, 4} {
-			pli, pri, err := HashJoinIdxPar(l, rt, cols, cols, testPar(w))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(pli) != len(li) {
-				t.Fatalf("trial %d w=%d: %d pairs, want %d", trial, w, len(pli), len(li))
-			}
-			got := map[[2]uint32]int{}
-			for i := range pli {
-				got[[2]uint32{pli[i], pri[i]}]++
-			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Fatalf("trial %d w=%d: pair %v count %d, want %d", trial, w, k, got[k], n)
-				}
-			}
-		}
-	}
-}
-
-// The parallel join is deterministic: the same inputs produce the same
-// pair sequence at every worker count (partitioning is by key hash, not
-// by scheduling).
-func TestHashJoinParDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	l, rt := randomTable(r, 3000), randomTable(r, 3000)
-	base, baseR, err := HashJoinIdxPar(l, rt, []int{0}, []int{0}, testPar(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{3, 8} {
-		li, ri, err := HashJoinIdxPar(l, rt, []int{0}, []int{0}, testPar(w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(li) != len(base) {
-			t.Fatalf("w=%d: %d pairs, want %d", w, len(li), len(base))
-		}
-		for i := range base {
-			if li[i] != base[i] || ri[i] != baseR[i] {
-				t.Fatalf("w=%d: pair %d = (%d,%d), want (%d,%d)", w, i, li[i], ri[i], base[i], baseR[i])
-			}
-		}
-	}
-}
-
 // Property: the parallel sort is order-equivalent to the serial stable
 // sort — identical row sequences, including tie order.
 func TestOrderByParEquivalence(t *testing.T) {
@@ -230,27 +254,23 @@ func TestOrderByParEquivalence(t *testing.T) {
 	}
 }
 
-// Below the row threshold (or at one worker) every operator must take
-// the serial path: OnParallel never fires.
+// Below the row threshold, at one worker, or with a single morsel to
+// hand out, every operator must take the serial path: OnParallel never
+// fires.
 func TestParallelThresholdFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	tb := randomTable(r, 500)
 	for _, p := range []Par{
-		// The join threshold counts both sides, so 5000 keeps even the
-		// self-join of 500 rows serial.
 		{Workers: 8, Threshold: 5000},
 		{Workers: 1, Threshold: 1},
 		{}, // zero value: fully serial
 	} {
 		fired := false
-		p.OnParallel = func(string, int, int) { fired = true }
-		if _, err := FilterIdxPar(tb, func(uint32) (bool, error) { return true, nil }, p); err != nil {
+		p.OnParallel = func(int, int) func() { fired = true; return nil }
+		if _, err := CompileFilter(tb, keyAtLeast(0)).Select(p); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := GroupByPar(tb, "G", []int{0}, []AggSpec{{Func: AggCount, Col: -1, Name: "n"}}, p); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := HashJoinIdxPar(tb, tb, []int{0}, []int{0}, p); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := OrderByPar(tb, []SortKey{{Col: 0}}, p); err != nil {
@@ -260,20 +280,22 @@ func TestParallelThresholdFallback(t *testing.T) {
 			t.Fatalf("parallel path taken under %+v", p)
 		}
 	}
-	// Sanity: with the threshold floored the hook does fire.
-	fired := false
+	// With the threshold floored the sort fans out and reports the
+	// fan-out it used; the filter still has one morsel and stays serial.
+	fanOut := 0
 	p := testPar(4)
-	p.OnParallel = func(op string, shards, workers int) {
-		fired = true
-		if shards <= 0 || workers <= 0 || workers > 4 {
-			t.Errorf("OnParallel(%s, %d, %d) out of range", op, shards, workers)
+	p.OnParallel = func(shards, workers int) func() {
+		fanOut = workers
+		if shards != 4 {
+			t.Errorf("OnParallel(%d, %d): want one sort run per worker", shards, workers)
 		}
+		return nil
 	}
-	if _, err := OrderByPar(tb, []SortKey{{Col: 0}}, p); err != nil {
-		t.Fatal(err)
+	if _, err := CompileFilter(tb, keyAtLeast(0)).Select(p); err != nil || fanOut != 0 {
+		t.Fatalf("one-morsel filter: fan-out %d, err %v, want serial", fanOut, err)
 	}
-	if !fired {
-		t.Fatal("OnParallel did not fire on the parallel path")
+	if _, err := OrderByPar(tb, []SortKey{{Col: 0}}, p); err != nil || fanOut != 4 {
+		t.Fatalf("sort: fan-out %d, err %v, want 4", fanOut, err)
 	}
 }
 
@@ -285,30 +307,11 @@ func TestParallelCancellation(t *testing.T) {
 	p := testPar(4)
 	p.Poll = func() error { return boom }
 
-	if _, err := FilterIdxPar(tb, func(uint32) (bool, error) { return true, nil }, p); !errors.Is(err, boom) {
+	if _, err := CompileFilter(tb, keyAtLeast(0)).Select(p); !errors.Is(err, boom) {
 		t.Errorf("filter: err = %v, want %v", err, boom)
-	}
-	if _, _, err := HashJoinIdxPar(tb, tb, []int{0}, []int{0}, p); !errors.Is(err, boom) {
-		t.Errorf("join: err = %v, want %v", err, boom)
 	}
 	if _, err := OrderByPar(tb, []SortKey{{Col: 0}}, p); !errors.Is(err, boom) {
 		t.Errorf("order-by: err = %v, want %v", err, boom)
-	}
-}
-
-// Predicate errors abort the parallel filter like the serial one.
-func TestFilterParPredicateError(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	tb := randomTable(r, 6000)
-	boom := errors.New("bad predicate")
-	_, err := FilterIdxPar(tb, func(row uint32) (bool, error) {
-		if row == 5000 {
-			return false, boom
-		}
-		return true, nil
-	}, testPar(4))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
@@ -370,15 +373,12 @@ func TestGroupByParAggregateError(t *testing.T) {
 func TestParallelEmptyInputs(t *testing.T) {
 	empty := MustNew("E", Schema{{Name: "k", Type: value.Int}})
 	p := testPar(4)
-	if idx, err := FilterIdxPar(empty, func(uint32) (bool, error) { return true, nil }, p); err != nil || len(idx) != 0 {
-		t.Fatalf("filter over empty: %v, %v", idx, err)
+	if rows, err := CompileFilter(empty, keyAtLeast(0)).Select(p); err != nil || rows.Len() != 0 {
+		t.Fatalf("filter over empty: %v, %v", rows, err)
 	}
 	out, err := GroupByPar(empty, "G", nil, []AggSpec{{Func: AggCount, Col: -1, Name: "n"}}, p)
 	if err != nil || out.NumRows() != 1 || out.Value(0, 0).Int() != 0 {
 		t.Fatalf("global aggregate over empty table: %v, %v", out, err)
-	}
-	if li, ri, err := HashJoinIdxPar(empty, empty, []int{0}, []int{0}, p); err != nil || len(li) != 0 || len(ri) != 0 {
-		t.Fatalf("join over empty: %v %v %v", li, ri, err)
 	}
 	if out, err := OrderByPar(empty, []SortKey{{Col: 0}}, p); err != nil || out.NumRows() != 0 {
 		t.Fatalf("sort over empty: %v, %v", out, err)

@@ -534,7 +534,7 @@ func (r Rows) OrderBy(keys []SortKey, top int, p Par) (Rows, error) {
 	}
 	if shards == 1 {
 		sortRun(0)
-	} else if err := p.run("sort", shards, func(_, k int) error { sortRun(k); return nil }); err != nil {
+	} else if err := p.Run(shards, func(k int) error { sortRun(k); return nil }); err != nil {
 		return Rows{}, err
 	}
 	for _, err := range errs {
