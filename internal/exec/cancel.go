@@ -71,11 +71,6 @@ func (e *Engine) ExecScriptContext(ctx context.Context, src string, params map[s
 	return e.WithContext(ctx).ExecScript(src, params)
 }
 
-// ExecScriptStagedContext is ExecScriptStaged bound to ctx.
-func (e *Engine) ExecScriptStagedContext(ctx context.Context, src string, params map[string]value.Value) ([]Result, error) {
-	return e.WithContext(ctx).ExecScriptStaged(src, params)
-}
-
 // pollMask batches cooperative cancellation checks in per-row loops:
 // workers poll the context once every pollMask+1 rows, so the hot path
 // pays one local increment and branch per row.

@@ -11,104 +11,74 @@ import (
 	"graql/internal/value"
 )
 
-// buildEdgeType materialises an edge type per the paper's Eq. 2:
-// per-source selections followed by a pipeline of hash joins connecting
-// the source vertex view, the target vertex view and any associated
-// tables. The result tuples become edge instances (one per distinct
-// (source vertex, target vertex, attribute row)), frozen into forward and
-// (optionally) reverse CSR indexes.
-func (e *Engine) buildEdgeType(s *sema.CreateEdge, id int) (*graph.EdgeType, error) {
-	// 1. Per-source candidate rows after single-source filters.
-	cands := make([][]uint32, len(s.Sources))
-	for i := range s.Sources {
-		rows, err := edgeCandidates(s, i)
-		if err != nil {
-			return nil, err
-		}
-		cands[i] = rows
-	}
+// An edge view has one derivation (the paper's Eq. 2, E = (S ⋈ σ_φ A) ⋈ T):
+// seed a working relation with rows of one source, probe every other
+// source in along the declaration's join conditions, and read the joined
+// tuples as edge instances. A full build seeds every row of the source
+// vertex view; maintenance seeds only the changed rows of the source that
+// changed (deltaEdges). No source is ever hashed.
 
-	// 2–3. Join pipeline and dedup into edge instances.
-	edges, err := joinEdgeTuples(s, cands)
+// buildEdgeType materialises an edge type from scratch and freezes it into
+// forward and (optionally) reverse CSR indexes. An edge instance is one
+// distinct (source vertex, target vertex, attribute row); it records a row
+// of every source only when the declaration has at most three, so only a
+// join through further tables can yield the same instance twice and needs
+// the dedup pass — the declarations planEdge refuses to patch.
+func (e *Engine) buildEdgeType(s *sema.CreateEdge, id int) (*graph.EdgeType, error) {
+	all := make([]uint32, sourceRows(s.Sources[0]))
+	for r := range all {
+		all[r] = uint32(r)
+	}
+	edges, err := seededEdges(s, 0, all, nil)
 	if err != nil {
 		return nil, err
 	}
-
+	if len(s.Sources) > 3 {
+		seen := make(map[graph.Edge]bool)
+		edges = slices.DeleteFunc(edges, func(ed graph.Edge) bool {
+			dup := seen[ed]
+			seen[ed] = true
+			return dup
+		})
+	}
 	var attrs *table.Table
 	if s.AttrSource >= 0 {
 		attrs = s.Sources[s.AttrSource].Tbl
 	}
-	et := graph.NewEdgeType(id, s.Decl.Name,
-		s.Sources[0].Vtx, s.Sources[1].Vtx,
-		edges, attrs, e.Opts.ReverseIndexes)
-	return et, nil
+	return graph.NewEdgeType(id, s.Decl.Name, s.Sources[0].Vtx, s.Sources[1].Vtx, edges, attrs, e.Opts.ReverseIndexes), nil
 }
 
-// edgeCandidates returns the rows of source i that pass its single-source
-// filter.
-func edgeCandidates(s *sema.CreateEdge, i int) ([]uint32, error) {
-	src := s.Sources[i]
-	n := sourceRows(src)
-	var rows []uint32
-	filter := s.Filters[i]
-	for r := uint32(0); r < uint32(n); r++ {
-		if filter != nil {
-			ok, err := evalBool(filter, edgeSrcEnv{src: src, row: r, self: i})
-			if err != nil {
-				return nil, fmt.Errorf("graql: edge %s: %w", s.Decl.Name, err)
-			}
-			if !ok {
-				continue
-			}
+// seededEdges returns the result tuples of the declaration's join that
+// hold one of the given rows of source p, as edge instances in tuple
+// order: the seed rows that pass p's filter, each followed through the
+// joins. Rows listed in exclude (per source; nil excludes none) never enter
+// a tuple.
+func seededEdges(s *sema.CreateEdge, p int, seed []uint32, exclude []*bitmap.Bitmap) ([]graph.Edge, error) {
+	w := &workRel{sources: []int{p}}
+	for _, r := range seed {
+		ok, err := admitRow(s, p, r, exclude)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, r)
+		if ok {
+			w.rows = append(w.rows, r)
+		}
 	}
-	return rows, nil
-}
-
-// joinEdgeTuples runs the Eq. 2 join pipeline over per-source candidate
-// rows and dedups the result tuples into edge instances, one per distinct
-// (src, dst, attr-row).
-func joinEdgeTuples(s *sema.CreateEdge, cands [][]uint32) ([]graph.Edge, error) {
-	// Join pipeline starting from the source vertex view.
-	w := &workRel{sources: []int{0}}
-	for _, r := range cands[0] {
-		w.rows = append(w.rows, []uint32{r})
-	}
-	err := w.joinAll(s, func(newSrc, newCol, oldSrc, oldCol int) error {
-		w.joinIn(s, newSrc, cands[newSrc], newCol, oldSrc, oldCol)
-		return nil
-	})
-	if err != nil {
+	if err := w.joinAll(s, exclude); err != nil {
 		return nil, err
 	}
-	if !w.has(1) {
-		return nil, fmt.Errorf("graql: edge %s: target vertex type is not connected by the join conditions", s.Decl.Name)
-	}
-
-	// Tuples → deduplicated edge instances.
-	seen := make(map[graph.Edge]bool)
-	all := w.edges(s)
-	edges := all[:0]
-	for _, ed := range all {
-		if !seen[ed] {
-			seen[ed] = true
-			edges = append(edges, ed)
-		}
-	}
-	return edges, nil
+	return w.edges(s), nil
 }
 
 // deltaEdges returns the edges that the changed instances of one source
-// produce: the result tuples of the declaration's join (Eq. 2), over the
-// new versions of its sources, that hold at least one instance listed in a
+// produce: the result tuples of the declaration's join, over the new
+// versions of its sources, that hold at least one instance listed in a
 // delta's Changed. deltas[i] is nil where source i did not change; the
 // others all describe one distinct source, which stands at one position
 // or — the two roles of a self-edge (V as A, V as B) — at two. There the
 // tuples are ΔA⋈B ∪ (A∖ΔA)⋈ΔB, so none comes twice; and because an edge
 // instance records a row of every source (at most three), none repeats a
-// surviving edge either. Each term starts from the changed rows and joins
-// the other sources in by probing, never by hashing a whole source.
+// surviving edge either.
 func deltaEdges(s *sema.CreateEdge, deltas []*graph.Delta) ([]graph.Edge, error) {
 	var edges []graph.Edge
 	exclude := make([]*bitmap.Bitmap, len(s.Sources))
@@ -116,23 +86,11 @@ func deltaEdges(s *sema.CreateEdge, deltas []*graph.Delta) ([]graph.Edge, error)
 		if d == nil || len(d.Changed) == 0 {
 			continue
 		}
-		w := &workRel{sources: []int{p}}
-		for _, r := range d.Changed {
-			ok, err := admitRow(s, p, r, nil)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				w.rows = append(w.rows, []uint32{r})
-			}
-		}
-		err := w.joinAll(s, func(newSrc, newCol, oldSrc, oldCol int) error {
-			return w.probeIn(s, newSrc, newCol, oldSrc, oldCol, exclude)
-		})
+		added, err := seededEdges(s, p, d.Changed, exclude)
 		if err != nil {
 			return nil, err
 		}
-		edges = append(edges, w.edges(s)...)
+		edges = append(edges, added...)
 		exclude[p] = bitmap.FromSlice(sourceRows(s.Sources[p]), d.Changed)
 	}
 	return edges, nil
@@ -184,19 +142,30 @@ func (e edgeSrcEnv) Lookup(source, col int) value.Value {
 	return sourceValue(e.src, e.row, col)
 }
 
-// workRel is the intermediate relation of the edge-build join pipeline:
-// tuples of row ids, one column per joined source.
+// workRel is the intermediate relation of the edge join: tuples of row
+// ids, one column per joined source, stored tuple after tuple.
 type workRel struct {
 	sources []int
-	rows    [][]uint32
+	rows    []uint32
 }
 
 func (w *workRel) has(src int) bool { return w.pos(src) >= 0 }
 
+func (w *workRel) pos(src int) int { return slices.Index(w.sources, src) }
+
+// count returns the number of tuples.
+func (w *workRel) count() int { return len(w.rows) / len(w.sources) }
+
+// tuple returns tuple ti: the row of w.sources[k] at index k.
+func (w *workRel) tuple(ti int) []uint32 {
+	k := len(w.sources)
+	return w.rows[ti*k : (ti+1)*k]
+}
+
 // joinAll folds every join condition of the declaration into w, which
 // holds rows of one source: a condition between two joined sources filters
-// the tuples, one that reaches a new source brings it in through joinIn.
-func (w *workRel) joinAll(s *sema.CreateEdge, joinIn func(newSrc, newCol, oldSrc, oldCol int) error) error {
+// the tuples, one that reaches a new source brings it in through probeIn.
+func (w *workRel) joinAll(s *sema.CreateEdge, exclude []*bitmap.Bitmap) error {
 	pending := slices.Clone(s.Joins)
 	for len(pending) > 0 {
 		progress := false
@@ -208,9 +177,9 @@ func (w *workRel) joinAll(s *sema.CreateEdge, joinIn func(newSrc, newCol, oldSrc
 			case aIn && bIn:
 				w.filterEqual(s, j)
 			case aIn:
-				err = joinIn(j.BSource, j.BCol, j.ASource, j.ACol)
+				err = w.probeIn(s, j.BSource, j.BCol, j.ASource, j.ACol, exclude)
 			case bIn:
-				err = joinIn(j.ASource, j.ACol, j.BSource, j.BCol)
+				err = w.probeIn(s, j.ASource, j.ACol, j.BSource, j.BCol, exclude)
 			default:
 				continue // neither side joined yet; retry next round
 			}
@@ -234,8 +203,9 @@ func (w *workRel) edges(s *sema.CreateEdge) []graph.Edge {
 	if s.AttrSource >= 0 {
 		attrPos = w.pos(s.AttrSource)
 	}
-	out := make([]graph.Edge, len(w.rows))
-	for i, tup := range w.rows {
+	out := make([]graph.Edge, w.count())
+	for i := range out {
+		tup := w.tuple(i)
 		out[i] = graph.Edge{Src: tup[srcPos], Dst: tup[dstPos]}
 		if attrPos >= 0 {
 			out[i].AttrRow = tup[attrPos]
@@ -244,87 +214,68 @@ func (w *workRel) edges(s *sema.CreateEdge) []graph.Edge {
 	return out
 }
 
-func (w *workRel) pos(src int) int {
-	for i, s := range w.sources {
-		if s == src {
-			return i
-		}
-	}
-	return -1
-}
-
-// joinIn hash-joins candidate rows of a new source into the working
-// relation on newCol = oldCol (of already-joined source oldSrc).
-func (w *workRel) joinIn(s *sema.CreateEdge, newSrc int, newRows []uint32, newCol, oldSrc, oldCol int) {
-	src := s.Sources[newSrc]
-	ht := make(map[string][]uint32, len(newRows))
-	var key []byte
-	for _, r := range newRows {
-		v := sourceValue(src, r, newCol)
-		if v.IsNull() {
-			continue
-		}
-		key = v.AppendKey(key[:0])
-		ht[string(key)] = append(ht[string(key)], r)
-	}
-	oldPos := w.pos(oldSrc)
-	oldSource := s.Sources[oldSrc]
-	var out [][]uint32
-	for _, tup := range w.rows {
-		v := sourceValue(oldSource, tup[oldPos], oldCol)
-		if v.IsNull() {
-			continue
-		}
-		key = v.AppendKey(key[:0])
-		for _, r := range ht[string(key)] {
-			nt := make([]uint32, len(tup)+1)
-			copy(nt, tup)
-			nt[len(tup)] = r
-			out = append(out, nt)
-		}
-	}
-	w.sources = append(w.sources, newSrc)
-	w.rows = out
-}
-
-// probeIn joins a new source into a small working relation on newCol =
-// oldCol (of already-joined source oldSrc) without hashing the new source:
-// when newCol is the sole key of a vertex type each tuple looks its match
-// up in the type's key index; otherwise the new source's column is scanned
-// once against the tuples' values.
+// probeIn joins a new source into the working relation on newCol = oldCol
+// (of already-joined source oldSrc) without hashing it: when newCol is the
+// sole key of a vertex type each tuple looks its match up in the type's
+// key index; otherwise the new source's column is scanned once against
+// the tuples' values. Either way the output is in tuple order — each old
+// tuple's matches together, by ascending row of the new source — which is
+// the order edge ids are handed out in.
 func (w *workRel) probeIn(s *sema.CreateEdge, newSrc, newCol, oldSrc, oldCol int, exclude []*bitmap.Bitmap) error {
 	src, oldSource, oldPos := s.Sources[newSrc], s.Sources[oldSrc], w.pos(oldSrc)
-	var out [][]uint32
-	emit := func(tup []uint32, r uint32) error {
+	n := w.count()
+	// Each hit extends tuple ti by one admitted row of the new source.
+	type hit struct{ ti, row uint32 }
+	var hits []hit
+	emit := func(ti int, r uint32) error {
 		ok, err := admitRow(s, newSrc, r, exclude)
 		if ok {
-			out = append(out, append(tup[:len(tup):len(tup)], r))
+			hits = append(hits, hit{uint32(ti), r})
 		}
 		return err
 	}
 	if kc, ok := soleKeyAttr(src); ok && kc == newCol {
-		key := make([]value.Value, 1)
-		for _, tup := range w.rows {
-			key[0] = sourceValue(oldSource, tup[oldPos], oldCol)
-			if v, ok := src.Vtx.LookupKeyValues(key); ok {
-				if err := emit(tup, v); err != nil {
+		probe := make([]value.Value, 1)
+		for ti := 0; ti < n; ti++ {
+			probe[0] = sourceValue(oldSource, w.tuple(ti)[oldPos], oldCol)
+			if v, ok := src.Vtx.LookupKeyValues(probe); ok {
+				if err := emit(ti, v); err != nil {
 					return err
 				}
 			}
 		}
 	} else {
-		probes := make([]value.Value, len(w.rows))
-		for ti, tup := range w.rows {
-			probes[ti] = sourceValue(oldSource, tup[oldPos], oldCol)
+		probes := make([]value.Value, n)
+		for ti := range probes {
+			probes[ti] = sourceValue(oldSource, w.tuple(ti)[oldPos], oldCol)
 		}
 		t, rows := src.Tbl, []uint32(nil)
 		if src.IsVertex {
 			t, rows = src.Vtx.AttrRows()
 		}
-		err := t.MatchColumn(newCol, rows, probes, func(r uint32, ti int) error { return emit(w.rows[ti], r) })
+		err := t.MatchColumn(newCol, rows, probes, func(r uint32, ti int) error { return emit(ti, r) })
 		if err != nil {
 			return err
 		}
+		// The scan found the hits cell by cell: a stable counting sort on
+		// the tuple index puts them in tuple order.
+		start := make([]int, n+1)
+		for _, h := range hits {
+			start[h.ti+1]++
+		}
+		for ti := 0; ti < n; ti++ {
+			start[ti+1] += start[ti]
+		}
+		byTuple := make([]hit, len(hits))
+		for _, h := range hits {
+			byTuple[start[h.ti]] = h
+			start[h.ti]++
+		}
+		hits = byTuple
+	}
+	out := make([]uint32, 0, len(hits)*(len(w.sources)+1))
+	for _, h := range hits {
+		out = append(append(out, w.tuple(int(h.ti))...), h.row)
 	}
 	w.sources = append(w.sources, newSrc)
 	w.rows = out
@@ -348,11 +299,12 @@ func (w *workRel) filterEqual(s *sema.CreateEdge, j sema.EdgeJoin) {
 	aPos, bPos := w.pos(j.ASource), w.pos(j.BSource)
 	aSrc, bSrc := s.Sources[j.ASource], s.Sources[j.BSource]
 	out := w.rows[:0]
-	for _, tup := range w.rows {
+	for ti, n := 0, w.count(); ti < n; ti++ {
+		tup := w.tuple(ti)
 		av := sourceValue(aSrc, tup[aPos], j.ACol)
 		bv := sourceValue(bSrc, tup[bPos], j.BCol)
 		if !av.IsNull() && !bv.IsNull() && value.Equal(av, bv) {
-			out = append(out, tup)
+			out = append(out, tup...)
 		}
 	}
 	w.rows = out

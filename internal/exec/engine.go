@@ -85,13 +85,12 @@ type Options struct {
 	// ClusterBlock selects block placement for the simulated cluster
 	// (default is hash placement).
 	ClusterBlock bool
-	// IRVerify selects the IR/plan verifier mode: IRVerifyAlways checks
-	// every decoded IR script and every analyzed select plan (fresh and
-	// cache-hit), IRVerifySample checks every 64th opportunity, and
-	// IRVerifyOff disables the verifier. Empty defers to the
-	// GRAQL_IR_VERIFY environment variable, defaulting to always-on —
-	// tests and CI get full verification with no setup; latency-critical
-	// deployments opt into sampling (the server default) or off.
+	// IRVerify selects how often analyzed select plans (fresh and
+	// cache-hit) are re-checked by the plan verifier: IRVerifyAlways (also
+	// what empty means — tests and library use get full verification with
+	// no setup) checks every one, IRVerifySample every 64th (the server
+	// default), IRVerifyOff none. IR that arrives over the wire is
+	// verified in every mode (DecodeIR).
 	IRVerify string
 	// Dist, when non-nil, routes eligible cluster chain queries through
 	// this transport — real worker processes over sockets — instead of

@@ -154,28 +154,13 @@ func (e *Engine) explainGraphSelect(s *sema.Select, params map[string]value.Valu
 			}
 			est := &catalogEstimator{m: m, nodeCond: prep.nodeCond}
 			for i, v := range m.order {
-				name := stepName(pat, nt, v.Node)
+				action, detail := m.describeVisit(i)
 				if v.Via < 0 {
-					if err := add(ivs[i].String(), "scan", "start at %s (est. %.0f candidates)", name, est.NodeCount(v.Node)); err != nil {
-						return err
-					}
-					continue
+					err = add(ivs[i].String(), action, "%s (est. %.0f candidates)", detail, est.NodeCount(v.Node))
+				} else {
+					err = add(ivs[i].String(), action, "%s (fan-out %.2f)", detail, est.EdgeFanout(v.Via, v.Forward))
 				}
-				pe := pat.Edges[v.Via]
-				dir := "forward index"
-				if !v.Forward {
-					dir = "reverse index"
-					if pe.Regex == nil && !m.edgeType[v.Via].HasReverse() {
-						dir = "edge scan (no reverse index)"
-					}
-				}
-				edgeName := "[ ]"
-				if pe.Regex != nil {
-					edgeName = "path-regex (product BFS)"
-				} else if m.edgeType[v.Via] != nil {
-					edgeName = m.edgeType[v.Via].Name
-				}
-				if err := add(ivs[i].String(), "expand", "bind %s via %s, %s (fan-out %.2f)", name, edgeName, dir, est.EdgeFanout(v.Via, v.Forward)); err != nil {
+				if err != nil {
 					return err
 				}
 			}

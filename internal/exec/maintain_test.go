@@ -10,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"graql/internal/catalog"
 	"graql/internal/graph"
+	"graql/internal/sema"
 	"graql/internal/storage"
 	"graql/internal/table"
 )
@@ -187,22 +189,24 @@ and Offers.product = Products.id and Offers.vendor = Vendors.id
 and Vendors.country = VendorCountry.country`,
 		gen: func(rng *rand.Rand, st *genState) string {
 			cc := []string{"'US'", "'IT'", "'FR'", "'CA'"}[rng.Intn(4)]
-			st.next++
+			// Five ids per table: most offers reach a producer and a vendor,
+			// and many reach the same pair of countries.
+			id := func() int { return rng.Intn(5) }
 			switch rng.Intn(8) {
 			case 0:
-				return fmt.Sprintf("insert into Producers values (%d, %s)", st.next, cc)
+				return fmt.Sprintf("insert into Producers values (%d, %s)", id(), cc)
 			case 1:
-				return fmt.Sprintf("insert into Vendors values (%d, %s)", st.next, cc)
+				return fmt.Sprintf("insert into Vendors values (%d, %s)", id(), cc)
 			case 2:
-				return fmt.Sprintf("insert into Products values (%d, %d)", st.next, st.id(rng))
+				return fmt.Sprintf("insert into Products values (%d, %d)", id(), id())
 			case 3, 4:
-				return fmt.Sprintf("insert into Offers values (%d, %d, %d)", st.next, st.id(rng), st.id(rng))
+				return fmt.Sprintf("insert into Offers values (%d, %d, %d)", st.step, id(), id())
 			case 5:
-				return fmt.Sprintf("update Vendors set country = %s where id = %d", cc, st.id(rng))
+				return fmt.Sprintf("update Vendors set country = %s where id = %d", cc, id())
 			case 6:
-				return fmt.Sprintf("delete from Offers where product = %d", st.id(rng))
+				return fmt.Sprintf("delete from Offers where product = %d", id())
 			}
-			return fmt.Sprintf("delete from Producers where id = %d", st.id(rng))
+			return fmt.Sprintf("delete from Producers where id = %d", id())
 		},
 	},
 }
@@ -280,10 +284,55 @@ func assertValidViews(t *testing.T, what string, e *Engine) {
 	}
 }
 
+// assertMatchesReference checks every view of e against the naive reading
+// of Eq. 1–2 (reference_test.go) over e's tables. Each declaration is
+// analysed the way maintainViews does it: against a shadow catalog holding
+// the tables and the vertex types declared before it.
+func assertMatchesReference(t *testing.T, what string, e *Engine) {
+	t.Helper()
+	shadow := catalog.New()
+	for _, tb := range e.Cat.Tables() {
+		if err := shadow.RegisterTable(tb, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	an := &sema.Analyzer{Cat: shadow}
+	views := map[string]*refVertexView{}
+	for _, decl := range e.Cat.VertexDecls() {
+		s, err := an.Analyze(decl)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		vt := e.Cat.Graph().VertexType(decl.Name)
+		ref := referenceVertex(t, s.(*sema.CreateVertex))
+		want := make([]string, len(ref.rows))
+		for v := range want {
+			want[v] = refJoin(ref.values(uint32(v), true))
+		}
+		if got := canonicalVertices(vt); ref.oneToOne != vt.OneToOne || !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: vertex %s departs from Eq. 1\nwant one-to-one %v %v\ngot  one-to-one %v %v", what, decl.Name, ref.oneToOne, want, vt.OneToOne, got)
+		}
+		views[strings.ToLower(decl.Name)] = ref
+		if err := shadow.Graph().AddVertexType(vt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, decl := range e.Cat.EdgeDecls() {
+		s, err := an.Analyze(decl)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		want, got := referenceEdges(t, s.(*sema.CreateEdge), views), canonicalEdges(e.Cat.Graph().EdgeType(decl.Name))
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: edge %s departs from Eq. 2\nwant %v\ngot  %v", what, decl.Name, want, got)
+		}
+	}
+}
+
 // checkViewMaintenance applies a generated statement sequence to a durable
 // engine and checks after every statement that the maintained views equal
 // those of an engine that builds them from scratch over the same tables,
-// and those of an engine recovered from the store.
+// those of an engine recovered from the store, and the reference.
 func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := filepath.Join(t.TempDir(), "store")
@@ -349,6 +398,7 @@ func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 		}
 		mustExec(t, ref, sc.views, nil)
 		assertSameViews(t, what+": maintained vs from scratch", ref, inc, true)
+		assertMatchesReference(t, what, inc)
 
 		rec, recStore := open()
 		assertSameViews(t, what+": maintained vs recovered", inc, rec, false)
@@ -373,6 +423,57 @@ func FuzzViewMaintenance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, schema uint8) {
 		checkViewMaintenance(t, maintSchemas[int(schema)%len(maintSchemas)], seed, 12)
 	})
+}
+
+// TestEdgeBuildOrderAndDedup pins what a full build owes besides the edge
+// set: edge ids follow tuple order — source vertex by source vertex, each
+// one's matches by ascending row of the joined source — even where the
+// join scans a table that is not sorted by the join column; a declaration
+// with an associated table keeps one edge per associated row; and a join
+// through further tables, whose rows an edge does not record, yields each
+// (source, target) pair once.
+func TestEdgeBuildOrderAndDedup(t *testing.T) {
+	const people = `create table Person(id integer)
+create table Knows(src integer, dst integer, since integer)
+insert into Person values (0), (1), (2)
+insert into Knows values %s
+create vertex P(id) from table Person
+create edge rel with vertices (P as A, P as B) from table Knows where Knows.src = A.id and Knows.dst = B.id`
+	for _, c := range []struct {
+		name, script, edge string
+		want               []string
+	}{
+		{"unsorted associated table", fmt.Sprintf(people, "(2, 0, 10), (0, 1, 11), (1, 2, 12), (0, 2, 13), (2, 1, 14)"), "rel",
+			[]string{"0->1|[0 1 11]", "0->2|[0 2 13]", "1->2|[1 2 12]", "2->0|[2 0 10]", "2->1|[2 1 14]"}},
+		{"parallel edges", fmt.Sprintf(people, "(1, 0, 20), (0, 1, 20), (0, 1, 20), (0, 1, 21)"), "rel",
+			[]string{"0->1|[0 1 20]", "0->1|[0 1 20]", "0->1|[0 1 21]", "1->0|[1 0 20]"}},
+		{"six sources", maintSchemas[4].tables + `
+insert into Producers values (1, 'US'), (2, 'IT'), (3, 'US')
+insert into Vendors values (1, 'CA'), (2, 'CA')
+insert into Products values (1, 1), (2, 3), (3, 2)
+insert into Offers values (1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 3, 1)
+` + maintSchemas[4].views, "export", []string{"US->CA", "IT->CA"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newTestEngine(nil)
+			mustExec(t, e, c.script, nil)
+			et := e.Cat.Graph().EdgeType(c.edge)
+			var got []string
+			for id := uint32(0); id < uint32(et.Count()); id++ {
+				src, dst := et.EdgeAt(id)
+				s := et.Src.KeyString(src) + "->" + et.Dst.KeyString(dst)
+				if et.Attrs != nil {
+					s += fmt.Sprintf("|%v", et.Attrs.Row(id))
+				}
+				got = append(got, s)
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("edges in id order = %v, want %v", got, c.want)
+			}
+			assertValidViews(t, c.name, e)
+			assertMatchesReference(t, c.name, e)
+		})
+	}
 }
 
 // maintActions runs stmt under explain (plain, then analyze — which

@@ -205,32 +205,38 @@ func (e *Engine) newMatcher(pat *sema.Pattern, nodeType []*graph.VertexType,
 	return m, nil
 }
 
-// buildSpans creates one trace span per order position, labelled like the
-// corresponding EXPLAIN plan row. It runs lazily from matchAll so the
-// chain fast path (which never enumerates) emits its own spans instead.
+// describeVisit names what the matcher does at order position i, as the
+// (action, detail) pair of both its EXPLAIN plan row and its trace span.
+func (m *matcher) describeVisit(i int) (action, detail string) {
+	v := m.order[i]
+	name := stepName(m.pat, m.nodeType, v.Node)
+	if v.Via < 0 {
+		return "scan", "start at " + name
+	}
+	pe := m.pat.Edges[v.Via]
+	dir := "forward index"
+	if !v.Forward {
+		dir = "reverse index"
+		if pe.Regex == nil && !m.edgeType[v.Via].HasReverse() {
+			dir = "edge scan (no reverse index)"
+		}
+	}
+	edgeName := "[ ]"
+	if pe.Regex != nil {
+		edgeName = "path-regex (product BFS)"
+	} else if m.edgeType[v.Via] != nil {
+		edgeName = m.edgeType[v.Via].Name
+	}
+	return "expand", fmt.Sprintf("bind %s via %s, %s", name, edgeName, dir)
+}
+
+// buildSpans creates one trace span per order position. It runs lazily
+// from matchAll so the chain fast path (which never enumerates) emits its
+// own spans instead.
 func (m *matcher) buildSpans() {
 	m.spans = make([]*obs.Span, len(m.order))
-	for i, v := range m.order {
-		name := stepName(m.pat, m.nodeType, v.Node)
-		if v.Via < 0 {
-			m.spans[i] = m.e.opSpan("scan", fmt.Sprintf("start at %s", name))
-			continue
-		}
-		pe := m.pat.Edges[v.Via]
-		dir := "forward index"
-		if !v.Forward {
-			dir = "reverse index"
-			if pe.Regex == nil && !m.edgeType[v.Via].HasReverse() {
-				dir = "edge scan (no reverse index)"
-			}
-		}
-		edgeName := "[ ]"
-		if pe.Regex != nil {
-			edgeName = "path-regex (product BFS)"
-		} else if m.edgeType[v.Via] != nil {
-			edgeName = m.edgeType[v.Via].Name
-		}
-		m.spans[i] = m.e.opSpan("expand", fmt.Sprintf("bind %s via %s, %s", name, edgeName, dir))
+	for i := range m.order {
+		m.spans[i] = m.e.opSpan(m.describeVisit(i))
 	}
 }
 

@@ -159,18 +159,9 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 func (e *Engine) PrepareIR(blob []byte) (*Prepared, error) {
 	// Decoded strings are fresh allocations, so the handle pins neither a
 	// script buffer nor (beyond blob itself) the IR input.
-	decoded, err := ir.Decode(blob)
+	decoded, err := e.DecodeIR(blob)
 	if err != nil {
 		return nil, err
-	}
-	// The decoder only rejects malformed framing; Verify closes the gap
-	// between "decoded" and "meaningful" before the statements reach sema
-	// and the executor: the blob crossed the wire from an untrusted client.
-	if e.irVerifyDue() {
-		if err := ir.Verify(decoded); err != nil {
-			e.met.noteIRVerifyFailure()
-			return nil, err
-		}
 	}
 	p := compile(decoded.Stmts, "")
 	p.blob = blob

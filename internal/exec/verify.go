@@ -1,12 +1,13 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 
+	"graql/internal/ast"
 	"graql/internal/expr"
+	"graql/internal/ir"
 	"graql/internal/sema"
 )
 
@@ -19,64 +20,60 @@ import (
 // panic or a silently wrong answer; the verifier turns it into a loud
 // error and a graql_ir_verify_failures_total increment.
 //
-// The verifier runs at three seams where a plan crosses a trust or
-// lifetime boundary: after wire decode in prepared execute (ir.Verify on
-// the decoded script), on freshly analyzed select plans, and on plan
-// cache hits (a cached plan outlives the statement that built it, so a
-// pointer-corruption bug anywhere in invalidation shows up here first).
+// The verifier runs at two kinds of seam. Wire decode (DecodeIR) is
+// input validation: every script that arrives as IR bytes is verified,
+// whatever the mode. Freshly analyzed select plans and plan-cache hits (a
+// cached plan outlives the statement that built it, so a
+// pointer-corruption bug anywhere in invalidation shows up here first)
+// are self-checks, taken as often as Options.IRVerify says.
 
-// IR verification modes (Options.IRVerify / GRAQL_IR_VERIFY).
+// IR verification modes (Options.IRVerify).
 const (
-	IRVerifyAlways = "always" // check every eligible plan and decode
-	IRVerifySample = "sample" // check every 64th (production default)
+	IRVerifyAlways = "always" // check every plan built or reused
+	IRVerifySample = "sample" // check every 64th (serving default)
 	IRVerifyOff    = "off"
 )
 
 // irVerifySampleEvery is the sampling stride of IRVerifySample mode.
 const irVerifySampleEvery = 64
 
-// irVerifyTick counts verification opportunities process-wide; sampled
-// mode verifies one in every irVerifySampleEvery ticks.
+// irVerifyTick counts plan-verification opportunities process-wide;
+// sampled mode verifies one in every irVerifySampleEvery ticks.
 var irVerifyTick atomic.Uint64
 
-// irVerifyEnvMode resolves the GRAQL_IR_VERIFY environment variable
-// once: tests and CI export GRAQL_IR_VERIFY=always (also the unset
-// default, so plain `go test ./...` gets the always-on verifier without
-// any setup); deployments that want the sampled or disabled modes
-// without touching Options set it explicitly.
-var irVerifyEnvMode = sync.OnceValue(func() string {
-	switch os.Getenv("GRAQL_IR_VERIFY") {
-	case IRVerifySample:
-		return IRVerifySample
-	case IRVerifyOff:
-		return IRVerifyOff
-	}
-	return IRVerifyAlways
-})
+// ErrBadIR marks IR bytes that do not decode to a well-formed script.
+var ErrBadIR = errors.New("graql: malformed IR")
 
-// irVerifyDue reports whether this verification opportunity should be
-// taken under the engine's mode.
-func (e *Engine) irVerifyDue() bool {
-	mode := e.Opts.IRVerify
-	if mode == "" {
-		mode = irVerifyEnvMode()
+// DecodeIR decodes a script that crossed the wire as IR bytes and
+// verifies it, as one step: the decoder only rejects malformed framing,
+// and a blob whose bytes happen to frame correctly must not reach sema
+// and the executor (ir.Verify). Every failure matches ErrBadIR. The
+// engine's own WAL records are CRC-checked and self-written, so replay
+// decodes them without this.
+func (e *Engine) DecodeIR(blob []byte) (*ast.Script, error) {
+	script, err := ir.Decode(blob)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadIR, err)
 	}
-	switch mode {
-	case IRVerifyOff:
-		return false
-	case IRVerifySample:
-		return irVerifyTick.Add(1)%irVerifySampleEvery == 1
+	if err := ir.Verify(script); err != nil {
+		e.met.noteIRVerifyFailure()
+		return nil, fmt.Errorf("%w: %w", ErrBadIR, err)
 	}
-	return true
+	return script, nil
 }
 
 // verifyPlanDue runs the plan verifier on an analyzed select when the
 // engine's mode says this opportunity is taken, converting a failure
 // into a loud internal error (and a metric increment). site names the
-// seam for the error message: "plan", "plan-cache", "prepare".
+// seam for the error message: "plan" or "plan-cache".
 func (e *Engine) verifyPlanDue(s *sema.Select, site string) error {
-	if !e.irVerifyDue() {
+	switch e.Opts.IRVerify {
+	case IRVerifyOff:
 		return nil
+	case IRVerifySample:
+		if irVerifyTick.Add(1)%irVerifySampleEvery != 1 {
+			return nil
+		}
 	}
 	if err := verifyPlan(s); err != nil {
 		e.met.noteIRVerifyFailure()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -26,30 +27,24 @@ func malformedBlob(t *testing.T) []byte {
 	return blob
 }
 
+// TestPrepareIRRejectsMalformedBlob: wire-decoded IR is input, and input
+// validation is not a sampled self-check — the blob is refused in every
+// verifier mode.
 func TestPrepareIRRejectsMalformedBlob(t *testing.T) {
-	reg := obs.New()
-	opts := DefaultOptions()
-	opts.IRVerify = IRVerifyAlways
-	opts.Obs = reg
-	e := New(opts)
-	_, err := e.PrepareIR(malformedBlob(t))
-	if err == nil || !strings.Contains(err.Error(), "verify") {
-		t.Fatalf("PrepareIR on malformed blob = %v, want verify error", err)
-	}
-	if got := e.met.irVerifyFailures.Value(); got != 1 {
-		t.Fatalf("graql_ir_verify_failures_total = %d, want 1", got)
-	}
-}
-
-func TestPrepareIRVerifyOff(t *testing.T) {
-	opts := DefaultOptions()
-	opts.IRVerify = IRVerifyOff
-	e := New(opts)
-	// With the verifier off the blob prepares (the script mutates the
-	// catalog, so analysis is deferred to execute); the malformed shape
-	// would only surface later as an executor error.
-	if _, err := e.PrepareIR(malformedBlob(t)); err != nil {
-		t.Fatalf("PrepareIR with verifier off = %v, want success", err)
+	for _, mode := range []string{IRVerifyAlways, IRVerifySample, IRVerifyOff} {
+		opts := DefaultOptions()
+		opts.IRVerify = mode
+		opts.Obs = obs.New()
+		e := New(opts)
+		for i := 1; i <= 3; i++ {
+			_, err := e.PrepareIR(malformedBlob(t))
+			if !errors.Is(err, ErrBadIR) || !strings.Contains(err.Error(), "verify") {
+				t.Fatalf("%s: PrepareIR on malformed blob = %v, want a verify error matching ErrBadIR", mode, err)
+			}
+			if got := e.met.irVerifyFailures.Value(); got != int64(i) {
+				t.Fatalf("%s: graql_ir_verify_failures_total = %d, want %d", mode, got, i)
+			}
+		}
 	}
 }
 
@@ -103,20 +98,26 @@ func TestVerifyPlanInvariants(t *testing.T) {
 }
 
 // TestIRVerifySampling checks the stride: in sample mode only one in
-// every irVerifySampleEvery opportunities runs the verifier, so a
-// malformed blob passes until the sampled tick lands on it.
+// every irVerifySampleEvery plan checks runs the verifier, so a corrupted
+// cached plan passes until the sampled tick lands on it.
 func TestIRVerifySampling(t *testing.T) {
 	opts := DefaultOptions()
 	opts.IRVerify = IRVerifySample
 	e := New(opts)
+	mustExec(t, e, "create table t(id integer)", nil)
+	p, err := e.Prepare("select id from table t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.stmts[0].plan.Load().sel.Top = -1 // executes as "no top"; verifyPlan refuses it
 	rejected := 0
 	for i := 0; i < 2*irVerifySampleEvery; i++ {
-		if _, err := e.PrepareIR(malformedBlob(t)); err != nil {
+		if _, err := e.ExecPrepared(p, nil); err != nil {
 			rejected++
 		}
 	}
 	if rejected == 0 || rejected > 3 {
-		t.Fatalf("sampled verifier rejected %d of %d preparations, want ~2", rejected, 2*irVerifySampleEvery)
+		t.Fatalf("sampled verifier rejected %d of %d executions, want ~2", rejected, 2*irVerifySampleEvery)
 	}
 }
 

@@ -46,37 +46,15 @@ type EdgeType struct {
 	origAttrRows []uint32
 }
 
-// NewEdgeType freezes the given edge list into an indexed edge type.
-// attrRows, when non-nil, maps each edge to its row in attrs. buildReverse
-// controls whether the reverse index is materialised (the paper builds it
-// "when memory space on the cluster is available"; our E3 ablation measures
-// its value).
+// NewEdgeType freezes the given edge list into an indexed edge type: the
+// patch of an empty type that adds every edge. attrs, when non-nil, is the
+// associated table the edges' AttrRow address. buildReverse controls
+// whether the reverse index is materialised (the paper builds it "when
+// memory space on the cluster is available"; our E3 ablation measures its
+// value).
 func NewEdgeType(id int, name string, src, dst *VertexType, edges []Edge, attrs *table.Table, buildReverse bool) *EdgeType {
-	et := &EdgeType{ID: id, Name: name, Src: src, Dst: dst, Attrs: attrs}
-	et.srcs = make([]uint32, len(edges))
-	et.dsts = make([]uint32, len(edges))
-	var attrIdx []uint32
-	if attrs != nil {
-		attrIdx = make([]uint32, len(edges))
-	}
-	for i, e := range edges {
-		et.srcs[i] = e.Src
-		et.dsts[i] = e.Dst
-		if attrs != nil {
-			attrIdx[i] = e.AttrRow
-		}
-	}
-	if attrs != nil {
-		// Gather so edge id == attribute row id.
-		et.Attrs = attrs.Gather(name, attrIdx)
-		et.origAttrRows = attrIdx
-	}
-	et.fwd = buildCSR(src.Count(), et.srcs, et.dsts)
-	if buildReverse {
-		et.rev = buildCSR(dst.Count(), et.dsts, et.srcs)
-		et.hasRev = true
-	}
-	return et
+	empty := &EdgeType{ID: id, Name: name, hasRev: buildReverse}
+	return PatchEdgeType(empty, src, dst, nil, nil, nil, edges, attrs)
 }
 
 // Count returns the number of edge instances.

@@ -71,18 +71,6 @@ func (g *Graph) EdgeTypesBetween(src, dst *VertexType) []*EdgeType {
 	return out
 }
 
-// EdgeTypesFrom returns every edge type whose source (dir out) or target
-// (dir in) is the given vertex type.
-func (g *Graph) EdgeTypesFrom(vt *VertexType, out bool) []*EdgeType {
-	var res []*EdgeType
-	for _, et := range g.edgeTypes {
-		if out && et.Src == vt || !out && et.Dst == vt {
-			res = append(res, et)
-		}
-	}
-	return res
-}
-
 // NumVertices returns the total vertex count across all types.
 func (g *Graph) NumVertices() int {
 	n := 0

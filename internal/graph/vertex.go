@@ -114,10 +114,6 @@ func (vt *VertexType) seal(base *table.Table) {
 // Count returns the number of vertex instances.
 func (vt *VertexType) Count() int { return vt.Keys.NumRows() }
 
-// BaseRow returns the representative base-table row for a vertex. For
-// one-to-one types this is the vertex's unique source row.
-func (vt *VertexType) BaseRow(v VID) uint32 { return vt.baseRow[v] }
-
 // VIDForRow returns the vertex derived from a base-table row, or NoVertex.
 func (vt *VertexType) VIDForRow(row uint32) VID { return vt.rowToVID[row] }
 
@@ -151,14 +147,6 @@ func (vt *VertexType) AttrType(col int) value.Type {
 		return vt.Base.Schema()[col].Type
 	}
 	return vt.Keys.Schema()[col].Type
-}
-
-// AttrName returns the name of the resolved attribute column.
-func (vt *VertexType) AttrName(col int) string {
-	if vt.OneToOne {
-		return vt.Base.Schema()[col].Name
-	}
-	return vt.Keys.Schema()[col].Name
 }
 
 // AttrValue returns attribute col of vertex v, resolved per AttrIndex.

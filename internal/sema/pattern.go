@@ -99,12 +99,6 @@ type RegexStep struct {
 	Vtx  *graph.VertexType
 }
 
-// SourceID returns the condition-reference source number for node n.
-func (p *Pattern) SourceID(n *Node) int { return n.ID }
-
-// EdgeSourceID returns the condition-reference source number for edge e.
-func (p *Pattern) EdgeSourceID(e *PEdge) int { return len(p.Nodes) + e.ID }
-
 // NodeByLabel returns the node carrying the given label, or nil.
 func (p *Pattern) NodeByLabel(name string) *Node {
 	for _, n := range p.Nodes {
@@ -127,15 +121,4 @@ func (p *Pattern) EdgeByLabel(name string) *PEdge {
 		}
 	}
 	return nil
-}
-
-// AdjacentEdges returns the pattern edges incident on node id.
-func (p *Pattern) AdjacentEdges(id int) []*PEdge {
-	var out []*PEdge
-	for _, e := range p.Edges {
-		if e.Src == id || e.Dst == id {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -13,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"graql/internal/ast"
 	"graql/internal/client"
 	"graql/internal/cluster"
 	"graql/internal/exec"
+	"graql/internal/ir"
 	"graql/internal/obs"
 	"graql/internal/server"
 	"graql/internal/web"
@@ -33,11 +36,12 @@ import (
 type fixtureConfig struct {
 	token    string
 	limits   server.Limits
-	inFlight int  // > 0: an admission gate with this many slots...
-	queue    int  // ...and this much queue
-	tracing  bool // retain traces
-	dense    bool // load the complete digraph whose 4-hop enumeration runs for minutes
-	dist     bool // route chain queries to a 2-worker loopback cluster
+	inFlight int    // > 0: an admission gate with this many slots...
+	queue    int    // ...and this much queue
+	tracing  bool   // retain traces
+	dense    bool   // load the complete digraph whose 4-hop enumeration runs for minutes
+	dist     bool   // route chain queries to a 2-worker loopback cluster
+	irVerify string // exec.Options.IRVerify
 }
 
 type fixture struct {
@@ -120,6 +124,7 @@ func newFixture(t *testing.T, cfg fixtureConfig) *fixture {
 	t.Helper()
 	opts := exec.DefaultOptions()
 	opts.Obs = obs.New()
+	opts.IRVerify = cfg.irVerify
 	if cfg.tracing {
 		opts.Obs.EnableTracing(8)
 	}
@@ -707,8 +712,35 @@ var conformance = []confRow{
 			prep: func(fx *fixture, _ *server.Response, req *server.Request) { req.QueryID = fx.queryID }}}},
 }
 
+// malformedIRRows: IR that frames correctly and means nothing (an update
+// that sets no column, which no parser emits) is refused as bad input by
+// both ops that take IR, and counted, on every request and whatever the
+// engine's verifier mode — validating input is not a sampled self-check.
+func malformedIRRows() (rows []confRow) {
+	blob, err := ir.Encode(&ast.Script{Stmts: []ast.Stmt{&ast.Update{Table: "Cities"}}})
+	if err != nil {
+		panic(err)
+	}
+	refused := func(op string, failures int64) step {
+		return step{req: server.Request{Op: op, IR: base64.StdEncoding.EncodeToString(blob)},
+			code: server.CodeBadRequest, err: "ir: verify",
+			check: func(t *testing.T, fx *fixture, _ *server.Response) {
+				if got := fx.eng.Opts.Obs.Counter("graql_ir_verify_failures_total", "").Value(); got != failures {
+					t.Errorf("graql_ir_verify_failures_total = %d, want %d", got, failures)
+				}
+			}}
+	}
+	for _, mode := range []string{exec.IRVerifyAlways, exec.IRVerifySample, exec.IRVerifyOff} {
+		for _, op := range []string{"execir", "prepare"} {
+			rows = append(rows, confRow{name: op + "/malformed IR under ir-verify " + mode,
+				cfg: fixtureConfig{irVerify: mode}, steps: []step{refused(op, 1), refused(op, 2)}})
+		}
+	}
+	return rows
+}
+
 func TestServiceConformance(t *testing.T) {
-	for _, row := range conformance {
+	for _, row := range append(conformance, malformedIRRows()...) {
 		t.Run(row.name, func(t *testing.T) {
 			// reference[i] is the direct driver's canonical body of step i.
 			var reference []string

@@ -405,7 +405,7 @@ func (s *Service) execIR(ctx context.Context, req *Request, root *obs.Span) *Res
 	if err != nil {
 		return fail(CodeBadRequest, "bad IR base64: %v", err)
 	}
-	script, err := ir.Decode(blob)
+	script, err := s.eng.DecodeIR(blob)
 	if err != nil {
 		return fail(CodeBadRequest, "%v", err)
 	}
@@ -457,7 +457,10 @@ func (s *Service) prepare(_ context.Context, req *Request, _ *obs.Span) *Respons
 	default:
 		return fail(CodeBadRequest, "prepare requires script or ir")
 	}
-	if err != nil {
+	switch {
+	case errors.Is(err, exec.ErrBadIR):
+		return fail(CodeBadRequest, "%v", err)
+	case err != nil:
 		return fail(CodeParse, "%v", err)
 	}
 	id := s.Prepared.Add(p)
