@@ -111,7 +111,7 @@ func BenchmarkIngestBerlin(b *testing.B) {
 // --- E2: Berlin query latency ---
 
 func BenchmarkBerlin(b *testing.B) {
-	for _, sf := range []int{1, 5} {
+	for _, sf := range []int{1, 5, 60} {
 		e := berlinEngine(b, sf, 0, true)
 		params := suiteParams(b)
 		for _, q := range bsbm.Suite {

@@ -334,12 +334,15 @@ func (c *Cluster) validate(startType *graph.VertexType, steps []Step) error {
 // candidate machinery), so this phase always runs in-process and is not
 // part of Stats; only superstep expansion crosses the transport.
 func (c *Cluster) localFilterSet(n int, filter func(uint32) bool) *bitmap.Bitmap {
+	if filter == nil {
+		return bitmap.NewFull(n)
+	}
 	out := bitmap.New(n)
 	for v := uint32(0); v < uint32(n); v++ {
 		if v&1023 == 0 && c.ctx != nil && c.ctx.Err() != nil {
 			break
 		}
-		if filter == nil || filter(v) {
+		if filter(v) {
 			out.Set(v)
 		}
 	}

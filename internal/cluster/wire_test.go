@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -226,5 +227,17 @@ func TestWorkerDispatchErrors(t *testing.T) {
 func TestDialTCPValidation(t *testing.T) {
 	if _, err := DialTCP(nil, DialOptions{}); err == nil {
 		t.Error("dialing zero workers must fail")
+	}
+}
+
+// TestNilFilterOmitsField: a step with no filter set puts no filter field
+// in its frame, and the worker reads the absence back as nil.
+func TestNilFilterOmitsField(t *testing.T) {
+	frame, err := json.Marshal(&workerReq{Op: "step", Edge: "e", Frontier: encodeBitmap(bitmap.New(8)), Filter: encodeBitmap(nil)})
+	if err != nil || strings.Contains(string(frame), "filter") {
+		t.Fatalf("frame of an unfiltered step: %s (%v)", frame, err)
+	}
+	if f, err := decodeBitmap(8, ""); err != nil || f != nil {
+		t.Fatalf("decodeBitmap(\"\") = %v, %v; want nil, nil", f, err)
 	}
 }

@@ -109,6 +109,33 @@ func TestExplainAnalyzeChainFastPath(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeReduceRows: a table query shows one reduce row per
+// Eq. 5 pass step that ran, with the cardinality of the set it left — and
+// none when no step but the start carries a condition or a seed.
+func TestExplainAnalyzeReduceRows(t *testing.T) {
+	e := semaEngine(t)
+	rows := analyzeRows(t, e, `explain analyze select x.id from graph def x: A (id = 'a0') --e--> B (n < 1)`)
+	var got []string
+	for _, r := range rows {
+		if r[0] == "reduce" {
+			got = append(got, r[1]+" = "+r[2])
+		}
+	}
+	// The planner starts at B: only b0 has n < 1, and of its sources only
+	// a0 passes x's condition.
+	want := []string{"forward to x (Eq. 5 step 1) = 1", "backward cull at B = 1"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Errorf("reduce rows = %q, want %q\n%v", got, want, rows)
+	}
+	if scan := findRow(rows, "scan"); scan == nil || scan[2] != "1" {
+		t.Errorf("the start scan should count the culled start set (1): %v", scan)
+	}
+	rows = analyzeRows(t, e, `explain analyze select B.id from graph A (n < 2) --e--> def B: B ( )`)
+	if r := findRow(rows, "reduce"); r != nil {
+		t.Errorf("a pattern restricted at its start only runs no pass: %v", r)
+	}
+}
+
 // TestExplainAnalyzeDistinctSort: post-processing operators appear with
 // their output cardinalities.
 func TestExplainAnalyzeDistinctSort(t *testing.T) {

@@ -63,13 +63,15 @@ where Links.src = A.id and Links.dst = B.id
 	return e
 }
 
-// slowQuery enumerates every 3-hop binding with a column select, which
-// forces full row materialisation instead of the bitmap-cull fast path.
-// On the 150×15 fixture the unbounded run takes a few hundred ms, so a
-// ~20ms deadline reliably expires while the sweep is in flight.
+// slowQuery enumerates every 4-hop binding with a column select, which
+// forces full binding enumeration instead of reading the reducer's sets.
+// On the 150×15 fixture that is 7.6 million bindings and the unbounded run
+// takes the better part of a second (the 3-hop form, 45 ms since bindings
+// are gathered column-wise, no longer outlasts a deadline reliably), so a
+// ~20ms deadline expires while the sweep is in flight.
 const slowQuery = `
 select a.id as src, d.id as dst from graph
-def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( )
+def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( )
 into table SlowT`
 
 // clusterQuery is a concrete linear chain into a subgraph, the shape

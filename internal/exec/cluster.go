@@ -16,9 +16,10 @@ import (
 // the supersteps and per-node exchange spans. With Options.ClusterParts
 // the partitions are simulated in-process; with Options.Dist they are
 // real worker processes reached over sockets. The produced per-node sets
-// are identical to cullChainSets either way: Traverse applies each
-// node's candidate set as its per-step filter during forward expansion
-// and the backward pass culls vertices with no complete path, exactly
+// are identical to the local reducer's either way: Traverse applies each
+// restricted node's set (restrict over its whole type) as its per-step
+// filter during forward expansion — an unrestricted node ships no filter
+// — and the backward pass culls vertices with no complete path, exactly
 // the Eq. 5 semantics.
 
 // ErrPartial reports that a distributed query could not complete because
@@ -49,14 +50,19 @@ func (m *matcher) clusterChainEligible(chain []int) bool {
 
 // cullChainSetsCluster is cullChainSets on the cluster.
 func (m *matcher) cullChainSetsCluster(chain []int) ([]*bitmap.Bitmap, error) {
-	// Pre-build every chain node's candidate set up front: the lazy cache
-	// is not goroutine-safe, and the candidate bitmaps become the
-	// supersteps' filter sets (on the distributed path they ship to the
-	// workers inside the step frames).
-	for _, id := range chain {
-		if _, err := m.candidates(id); err != nil {
+	// The sets of the restricted chain nodes become the start filter and
+	// the supersteps' filter sets (on the distributed path they ship to
+	// the workers inside the step frames); nil restricts nothing.
+	filters := make([]*bitmap.Bitmap, len(chain))
+	for k, id := range chain {
+		var err error
+		if filters[k], err = m.restrict(id, nil); err != nil {
 			return nil, err
 		}
+	}
+	var startFilter func(uint32) bool
+	if filters[0] != nil {
+		startFilter = filters[0].Get
 	}
 
 	var cl *cluster.Cluster
@@ -82,12 +88,12 @@ func (m *matcher) cullChainSetsCluster(chain []int) ([]*bitmap.Bitmap, error) {
 
 	steps := make([]cluster.Step, 0, len(chain)-1)
 	for k := 0; k+1 < len(chain); k++ {
-		a, b := chain[k], chain[k+1]
-		pe := chainEdge(m.pat, a, b)
+		a := chain[k]
+		pe := chainEdge(m.pat, a, chain[k+1])
 		steps = append(steps, cluster.Step{
 			Edge:      m.edgeType[pe.ID],
 			Forward:   pe.Src == a,
-			FilterSet: m.cands[b],
+			FilterSet: filters[k+1],
 		})
 	}
 
@@ -98,7 +104,7 @@ func (m *matcher) cullChainSetsCluster(chain []int) ([]*bitmap.Bitmap, error) {
 	sp := m.e.opSpan("cluster", fmt.Sprintf("BSP traverse over %d %s partitions (%s placement), %d step(s)",
 		cl.Parts(), mode, cl.Strategy(), len(steps)))
 	cl.SetTraceSpan(sp)
-	sets, stats, err := cl.Traverse(m.nodeType[chain[0]], m.cands[chain[0]].Get, steps)
+	sets, stats, err := cl.Traverse(m.nodeType[chain[0]], startFilter, steps)
 	if err != nil {
 		// Map context aborts to the engine's structured sentinels so the
 		// cluster path reports the same error codes as the local sweeps;

@@ -6,16 +6,19 @@ import (
 
 	"graql/internal/bitmap"
 	"graql/internal/graph"
+	"graql/internal/plan"
 	"graql/internal/sema"
 )
 
-// This file implements the paper's Eq. 5 evaluation strategy for linear
-// path queries as data-parallel bitmap sweeps over the bidirectional edge
-// indexes: a forward pass computes the vertices reachable at each step,
-// and a backward pass culls "all vertices that have no path to vertices
-// selected at that step". For chains the culled per-step sets equal the
-// collapse of full binding enumeration (property-tested), at a fraction of
-// the cost — this is the GEMS fast path for "into subgraph" queries.
+// This file implements the paper's Eq. 5 evaluation strategy as
+// data-parallel bitmap sweeps over the bidirectional edge indexes: a
+// forward pass computes the vertices reachable at each step, and a
+// backward pass culls "all vertices that have no path to vertices selected
+// at that step". One reducer (reduce) runs both passes over the tree a
+// visit order spans and feeds both result kinds: a chain captured into a
+// subgraph reads its sets as the answer (for chains the culled per-step
+// sets equal the collapse of full binding enumeration, property-tested),
+// and binding enumeration walks inside them.
 
 // chainEdge returns the unique pattern edge connecting nodes a and b.
 func chainEdge(pat *sema.Pattern, a, b int) *sema.PEdge {
@@ -29,149 +32,227 @@ func chainEdge(pat *sema.Pattern, a, b int) *sema.PEdge {
 
 // expandFiltered expands fromSet across one concrete edge type in the
 // given direction, applying the edge's self condition, in parallel over
-// frontier shards into an atomically updated target bitmap.
+// shards of the frontier. Every sweep goroutine marks a bitmap of its own
+// (handed from shard to shard through idle) and the bitmaps are united
+// afterwards: two workers marking one small target set would spend their
+// time handing its few cache lines back and forth.
 func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	et := m.edgeType[pe.ID]
-	var outSize int
+	landing := et.Src
 	if forward {
-		outSize = et.Dst.Count()
-	} else {
-		outSize = et.Src.Count()
+		landing = et.Dst
 	}
-	out := bitmap.New(outSize)
 	cond := m.edgeSelf[pe.ID]
-
-	shards := shardRanges(fromSet.Len(), m.workers*4)
+	shards := m.frontierShards(fromSet, fromSet.Len())
+	idle := make(chan *bitmap.Bitmap, m.workers) // at most m.workers shards run at once
 	err := m.e.runSweep(fmt.Sprintf("expand %s", et.Name), len(shards), m.workers, func(si int) error {
-		w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges))}
-		var inner error
-		visit := func(t, eid uint32) {
-			if inner != nil || out.GetAtomic(t) {
-				return
-			}
-			if cond != nil {
-				ok, err := m.edgeOK(w, pe.ID, eid)
-				if err != nil {
-					inner = err
-					return
-				}
-				if !ok {
-					return
-				}
-			}
-			out.SetAtomic(t)
+		var out *bitmap.Bitmap
+		select {
+		case out = <-idle:
+		default:
+			out = bitmap.New(landing.Count())
 		}
+		w := m.worker(cond != nil)
+		var inner error
 		fromSet.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
 			if inner != nil {
 				return
 			}
-			if err := w.poll(); err != nil {
-				inner = err
+			if inner = w.poll(); inner != nil {
 				return
 			}
 			nbr, eids := w.adjacent(et, v, forward)
-			for i := range nbr {
-				visit(nbr[i], eids[i])
+			for i, t := range nbr {
+				if out.Get(t) {
+					continue
+				}
+				if cond != nil {
+					ok, err := m.edgeOK(w, pe.ID, eids[i])
+					if err != nil {
+						inner = err
+						return
+					}
+					if !ok {
+						continue
+					}
+				}
+				out.Set(t)
 			}
 		})
 		m.flush(w)
+		idle <- out
 		return inner
 	})
 	if err != nil {
 		return nil, err
 	}
+	close(idle)
+	out := <-idle
+	if out == nil { // an empty frontier has no shard
+		out = bitmap.New(landing.Count())
+	}
+	for o := range idle {
+		out.Or(o)
+	}
 	return out, nil
 }
 
-// expandStep expands a step set across one chain edge (concrete or regex)
-// from node `from` to node `to`, intersecting with the target node's own
-// candidate set.
-func (m *matcher) expandStep(pe *sema.PEdge, from, to int, fromSet *bitmap.Bitmap) (*bitmap.Bitmap, error) {
+// expandStep expands a step set across one pattern edge, concrete or
+// regex, from its source side when forward and from its target side
+// otherwise.
+func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitmap) (*bitmap.Bitmap, error) {
+	if pe.Regex == nil {
+		return m.expandFiltered(pe, forward, fromSet)
+	}
+	src, dst := m.nodeType[pe.Src], m.nodeType[pe.Dst]
 	var reached *bitmap.Bitmap
-	if pe.Regex != nil {
-		if pe.Src == from {
-			mc, visited := m.forwardReach(pe.Regex, m.nodeType[from], fromSet)
-			reached = acceptedOfType(mc, visited, m.nodeType[to])
-		} else {
-			mc, visited := m.backwardReach(pe.Regex, m.nodeType[from], fromSet)
-			if b, ok := visited[stateVT{mc.stateID(0, 0), m.nodeType[to]}]; ok {
-				reached = b.Clone()
-			} else {
-				reached = bitmap.New(m.nodeType[to].Count())
-			}
-		}
-		// The BFS drains early on a dead context; reject its partial sets.
-		if err := m.e.canceled(); err != nil {
-			return nil, err
-		}
+	if forward {
+		mc, visited := m.forwardReach(pe.Regex, src, fromSet)
+		reached = acceptedOfType(mc, visited, dst)
 	} else {
-		var err error
-		reached, err = m.expandFiltered(pe, pe.Src == from, fromSet)
-		if err != nil {
-			return nil, err
+		mc, visited := m.backwardReach(pe.Regex, dst, fromSet)
+		if b, ok := visited[stateVT{mc.stateID(0, 0), src}]; ok {
+			reached = b.Clone()
+		} else {
+			reached = bitmap.New(src.Count())
 		}
 	}
-	cand, err := m.candidates(to)
-	if err != nil {
+	// The BFS drains early on a dead context; reject its partial sets.
+	if err := m.e.canceled(); err != nil {
 		return nil, err
 	}
-	reached.And(cand)
 	return reached, nil
 }
 
-// cullChainSets runs the forward and backward passes over a chain and
-// returns the final per-node matched sets (indexed by pattern node id).
-// Under EXPLAIN ANALYZE each pass step is traced with the cardinality of
-// the step set it produces.
+// reduce is the Eq. 5 evaluation over the tree that order spans (every
+// visit with Via >= 0 hangs off a node bound before it). Forward, parents
+// first: a step's set is its parent's set expanded across the connecting
+// edge, narrowed to the step's seed and to the vertices on which its self
+// condition is TRUE (restrict) — so a step condition is evaluated on every
+// seeded vertex the forward pass reaches through tree edges, on no other,
+// and an error it raises there fails the query. Backward, children first:
+// a parent keeps the vertices its child's set expands back to. The sets
+// come back indexed by pattern node; nil means unrestricted.
+//
+// With exact unset the passes serve enumeration and run only where they
+// can remove something: a subtree holding no conditioned or seeded node is
+// skipped and its sets stay nil (a free start above a conditioned step
+// expands from its whole type, so the step is still decided on what the
+// pass reaches), and no cull crosses an edge type that has no reverse
+// index, where it would scan the edge list once per vertex. Every set is
+// then a superset of the vertices complete bindings put at its node. With
+// exact set (the order must be a chain from one end) every step runs and
+// every set is materialised: the sets are the chain's matched sets.
+func (m *matcher) reduce(order []plan.Visit, exact bool) ([]*bitmap.Bitmap, error) {
+	pat := m.pat
+	parentOf := func(v plan.Visit) int {
+		if v.Forward {
+			return pat.Edges[v.Via].Src
+		}
+		return pat.Edges[v.Via].Dst
+	}
+	needed := make([]bool, len(pat.Nodes))
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		if exact || m.nodeSelf[v.Node] != nil || m.seeds[v.Node] != nil {
+			needed[v.Node] = true
+		}
+		if needed[v.Node] && v.Via >= 0 {
+			needed[parentOf(v)] = true
+		}
+	}
+	// Under EXPLAIN ANALYZE each pass step is traced with the cardinality
+	// of the set it produces.
+	fwdAction, cullAction := "reduce", "reduce"
+	if exact {
+		fwdAction, cullAction = "chain-expand", "chain-cull"
+	}
+	trace := func(action, what string, node, step int, set *bitmap.Bitmap, t0 time.Time) {
+		if !m.e.tracing() || set == nil {
+			return
+		}
+		detail := what + " " + stepName(pat, m.nodeType, node)
+		if step > 0 {
+			detail += fmt.Sprintf(" (Eq. 5 step %d)", step)
+		}
+		m.e.opSpan(action, detail).Record(int64(set.Count()), time.Since(t0))
+	}
+
+	reach := make([]*bitmap.Bitmap, len(pat.Nodes))
+	for i, v := range order {
+		if !needed[v.Node] {
+			continue
+		}
+		if err := m.e.canceled(); err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		var frontier *bitmap.Bitmap
+		if v.Via >= 0 {
+			from := reach[parentOf(v)]
+			if from == nil {
+				from = bitmap.NewFull(m.nodeType[parentOf(v)].Count())
+			}
+			var err error
+			if frontier, err = m.expandStep(pat.Edges[v.Via], v.Forward, from); err != nil {
+				return nil, err
+			}
+		}
+		set, err := m.restrict(v.Node, frontier)
+		if err != nil {
+			return nil, err
+		}
+		if set == nil && exact {
+			set = bitmap.NewFull(m.nodeType[v.Node].Count())
+		}
+		reach[v.Node] = set
+		switch {
+		case v.Via >= 0:
+			trace(fwdAction, "forward to", v.Node, i, set, t0)
+		case exact:
+			trace("scan", "start at", v.Node, 0, set, t0)
+		}
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		v := order[i]
+		if v.Via < 0 || reach[v.Node] == nil {
+			continue
+		}
+		if et := m.edgeType[v.Via]; !exact && v.Forward && et != nil && !et.HasReverse() {
+			continue
+		}
+		if err := m.e.canceled(); err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		p := parentOf(v)
+		back, err := m.expandStep(pat.Edges[v.Via], !v.Forward, reach[v.Node])
+		if err != nil {
+			return nil, err
+		}
+		if reach[p] != nil {
+			back.And(reach[p])
+		}
+		reach[p] = back
+		trace(cullAction, "backward cull at", p, 0, back, t0)
+	}
+	return reach, nil
+}
+
+// cullChainSets returns the matched set of every node of a chain (indexed
+// by pattern node id): the reducer's sets over the chain read from one
+// end, computed on the cluster when the engine is configured for it.
 func (m *matcher) cullChainSets(chain []int) ([]*bitmap.Bitmap, error) {
 	if m.clusterChainEligible(chain) {
 		return m.cullChainSetsCluster(chain)
 	}
-	pat := m.pat
-	fwd := make([]*bitmap.Bitmap, len(pat.Nodes))
-	t0 := time.Now()
-	start, err := m.candidates(chain[0])
-	if err != nil {
-		return nil, err
+	order := make([]plan.Visit, len(chain))
+	order[0] = plan.Visit{Node: chain[0], Via: -1}
+	for k := 1; k < len(chain); k++ {
+		pe := chainEdge(m.pat, chain[k-1], chain[k])
+		order[k] = plan.Visit{Node: chain[k], Via: pe.ID, Forward: pe.Src == chain[k-1]}
 	}
-	fwd[chain[0]] = start.Clone()
-	m.e.opSpan("scan", fmt.Sprintf("start at %s", stepName(pat, m.nodeType, chain[0]))).
-		Record(int64(start.Count()), time.Since(t0))
-	for k := 0; k+1 < len(chain); k++ {
-		if err := m.e.canceled(); err != nil {
-			return nil, err
-		}
-		a, b := chain[k], chain[k+1]
-		pe := chainEdge(pat, a, b)
-		t0 = time.Now()
-		next, err := m.expandStep(pe, a, b, fwd[a])
-		if err != nil {
-			return nil, err
-		}
-		fwd[b] = next
-		m.e.opSpan("chain-expand", fmt.Sprintf("forward to %s (Eq. 5 step %d)", stepName(pat, m.nodeType, b), k+1)).
-			Record(int64(next.Count()), time.Since(t0))
-	}
-	final := make([]*bitmap.Bitmap, len(pat.Nodes))
-	last := chain[len(chain)-1]
-	final[last] = fwd[last]
-	for k := len(chain) - 2; k >= 0; k-- {
-		if err := m.e.canceled(); err != nil {
-			return nil, err
-		}
-		a, b := chain[k], chain[k+1]
-		pe := chainEdge(pat, a, b)
-		t0 = time.Now()
-		back, err := m.expandStep(pe, b, a, final[b])
-		if err != nil {
-			return nil, err
-		}
-		back.And(fwd[a])
-		final[a] = back
-		m.e.opSpan("chain-cull", fmt.Sprintf("backward cull at %s", stepName(pat, m.nodeType, a))).
-			Record(int64(back.Count()), time.Since(t0))
-	}
-	return final, nil
+	return m.reduce(order, true)
 }
 
 // cullChainIntoSubgraph evaluates a chain pattern with the bitmap engine
@@ -215,9 +296,9 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap,
 	et := m.edgeType[pe.ID]
 	es := sub.EdgeSet(et)
 	cond := m.edgeSelf[pe.ID]
-	shards := shardRanges(srcSet.Len(), m.workers*4)
+	shards := m.frontierShards(srcSet, srcSet.Len())
 	return m.e.runSweep(fmt.Sprintf("mark edges %s", et.Name), len(shards), m.workers, func(si int) error {
-		w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges))}
+		w := m.worker(cond != nil)
 		var inner error
 		srcSet.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
 			if inner != nil {

@@ -314,7 +314,7 @@ func matchingRows(t *table.Table, where expr.Expr) ([]uint32, error) {
 	rows := table.AllRows(t)
 	if where != nil {
 		var err error
-		if rows, err = table.CompileFilter(t, where).Select(table.Par{}); err != nil {
+		if rows, err = table.CompileFilter(t, where).Select(rows, table.Par{}); err != nil {
 			return nil, err
 		}
 	}

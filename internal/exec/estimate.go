@@ -84,8 +84,8 @@ func (e *Engine) estimateGraphAlt(alt *sema.GraphAlt, params map[string]value.Va
 	var total plan.Interval
 	typings := 0
 	err := e.forEachTyping(alt.Pattern, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
-		m, err := e.newMatcher(alt.Pattern, cloneTypes(nt), cloneEdgeTypes(et),
-			prep.nodeCond, prep.edgeCond, mustSeeds(e, alt.Pattern, nt))
+		m, err := e.newMatcher(alt.Pattern, nt, et,
+			prep.nodeCond, prep.edgeCond)
 		if err != nil {
 			return err
 		}
@@ -161,17 +161,20 @@ func typingIntervals(m *matcher, nodeCond []expr.Expr) ([]plan.Interval, plan.In
 	return ivs, final
 }
 
-// nodeInterval bounds the candidate set of a scan-start node: exactly
-// the type's instance count, narrowed by a seed subgraph, loosened down
-// to zero by a step condition.
+// nodeInterval bounds the set a scan-start node is enumerated over:
+// exactly the type's instance count, narrowed by a seed subgraph, loosened
+// down to zero by a step condition — the node's own, or any other step's
+// condition or seed, which the reducer's backward pass culls the start by.
 func nodeInterval(m *matcher, nodeCond []expr.Expr, node int) plan.Interval {
 	count := float64(m.nodeType[node].Count())
 	iv := plan.Exact(count)
 	if s := m.seeds[node]; s != nil {
 		iv = plan.UpTo(math.Min(count, float64(s.Count())))
 	}
-	if nodeCond[node] != nil {
-		iv = iv.Filter()
+	for i := range nodeCond {
+		if nodeCond[i] != nil || m.seeds[i] != nil {
+			return iv.Filter()
+		}
 	}
 	return iv
 }

@@ -137,7 +137,7 @@ func (e *Engine) explainGraphSelect(s *sema.Select, params map[string]value.Valu
 		typings := 0
 		var altIv plan.Interval
 		err := e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
-			m, err := e.newMatcher(pat, cloneTypes(nt), cloneEdgeTypes(et), prep.nodeCond, prep.edgeCond, mustSeeds(e, pat, nt))
+			m, err := e.newMatcher(pat, nt, et, prep.nodeCond, prep.edgeCond)
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"graql/internal/bitmap"
@@ -10,15 +11,17 @@ import (
 	"graql/internal/obs"
 	"graql/internal/plan"
 	"graql/internal/sema"
+	"graql/internal/table"
 	"graql/internal/value"
 )
 
 // NoBind marks an unbound slot in a partial binding.
 const NoBind = ^uint32(0)
 
-// matcher enumerates the bindings of one pattern under one concrete
-// variant typing, in a planner-chosen order, in parallel over shards of
-// the first step's candidate set.
+// matcher evaluates one pattern under one concrete variant typing: it
+// reduces the pattern's per-step vertex sets set-at-a-time (reduce, Eq. 5)
+// and enumerates the bindings inside them, in a planner-chosen order, in
+// parallel over shards of the first step's set.
 type matcher struct {
 	e   *Engine
 	g   *graph.Graph
@@ -28,9 +31,10 @@ type matcher struct {
 	nodeType []*graph.VertexType
 	edgeType []*graph.EdgeType // nil for regex edges
 
-	// Parameter-bound step conditions split into self-only parts
-	// (applied inline during candidate generation / expansion) and
-	// cross-step parts (deferred until all referenced steps are bound).
+	// Parameter-bound step conditions split into self-only parts (a
+	// node's runs as a compiled filter over its frontier in reduce, an
+	// edge's inline during expansion) and cross-step parts (deferred until
+	// all referenced steps are bound).
 	nodeSelf []expr.Expr
 	edgeSelf []expr.Expr
 	deferred []deferredCond
@@ -45,7 +49,10 @@ type matcher struct {
 	// enumerated) at that depth.
 	verifyAt [][]*sema.PEdge
 
-	cands []*bitmap.Bitmap // lazily built per-node candidate sets
+	// reach[node] is the node's reduced set (reduce), inside which matchAll
+	// enumerates: every vertex a binding puts at the node is in it. nil
+	// means unrestricted — every vertex of the node's type.
+	reach []*bitmap.Bitmap
 
 	// spans traces one operator per order position when the engine runs
 	// under EXPLAIN ANALYZE (nil otherwise). spans[d] counts the bindings
@@ -114,15 +121,19 @@ func (w *wstate) Lookup(source, col int) value.Value {
 	return w.m.edgeType[ei].AttrValue(w.b[source], col)
 }
 
-// newMatcher prepares a matcher for one concrete typing. Conditions must
-// already be parameter-bound.
+// newMatcher prepares a matcher for one concrete typing, which it copies
+// (forEachTyping reuses its slices). Conditions must already be
+// parameter-bound.
 func (e *Engine) newMatcher(pat *sema.Pattern, nodeType []*graph.VertexType,
-	edgeType []*graph.EdgeType, nodeCond, edgeCond []expr.Expr,
-	seeds []*bitmap.Bitmap) (*matcher, error) {
+	edgeType []*graph.EdgeType, nodeCond, edgeCond []expr.Expr) (*matcher, error) {
 
+	seeds, err := e.seedsFor(pat, nodeType)
+	if err != nil {
+		return nil, err
+	}
 	m := &matcher{
 		e: e, g: e.Cat.Graph(), pat: pat,
-		nodeType: nodeType, edgeType: edgeType,
+		nodeType: slices.Clone(nodeType), edgeType: slices.Clone(edgeType),
 		seeds:   seeds,
 		workers: e.Opts.workers(),
 	}
@@ -200,8 +211,6 @@ func (e *Engine) newMatcher(pat *sema.Pattern, nodeType []*graph.VertexType,
 		}
 		m.verifyAt[d] = append(m.verifyAt[d], pe)
 	}
-
-	m.cands = make([]*bitmap.Bitmap, len(pat.Nodes))
 	return m, nil
 }
 
@@ -231,8 +240,8 @@ func (m *matcher) describeVisit(i int) (action, detail string) {
 }
 
 // buildSpans creates one trace span per order position. It runs lazily
-// from matchAll so the chain fast path (which never enumerates) emits its
-// own spans instead.
+// from matchAll, after the reducer's spans; a chain captured into a
+// subgraph never enumerates and shows the reducer's spans only.
 func (m *matcher) buildSpans() {
 	m.spans = make([]*obs.Span, len(m.order))
 	for i := range m.order {
@@ -267,95 +276,127 @@ func (m *matcher) flush(w *wstate) {
 }
 
 func refSourcesOf(e expr.Expr) []int {
-	seen := map[int]bool{}
 	var out []int
 	for _, r := range expr.Refs(e) {
-		if !seen[r.Source] {
-			seen[r.Source] = true
+		if !slices.Contains(out, r.Source) {
 			out = append(out, r.Source)
 		}
 	}
 	return out
 }
 
-// candidates returns (building on first use) the candidate bitmap for a
-// node: vertices of its type satisfying the self condition and the seed
-// restriction. A condition that pins a single-column key to a constant is
-// answered by one probe of the key index; any other by a scan,
-// data-parallel over the id space.
-func (m *matcher) candidates(node int) (*bitmap.Bitmap, error) {
-	if m.cands[node] != nil {
-		return m.cands[node], nil
+// worker returns the state of one sweep goroutine; only sweeps that
+// evaluate a boxed condition or enumerate need the binding slice.
+func (m *matcher) worker(binds bool) *wstate {
+	w := &wstate{m: m}
+	if binds {
+		w.b = make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges))
 	}
+	return w
+}
+
+// maxShards bounds the shards of one sweep: four per worker.
+func (m *matcher) maxShards() int { return m.workers * 4 }
+
+// frontierShards splits the id space of set — the n ids of a type when set
+// is nil — into one range per member while they last, at most maxShards:
+// what hangs off one vertex is a unit of work of unknown size, and a set
+// of one is swept inline on the caller's goroutine.
+func (m *matcher) frontierShards(set *bitmap.Bitmap, n int) [][2]uint32 {
+	members := n
+	if set != nil {
+		members = set.Count()
+	}
+	return shardRanges(n, min(m.maxShards(), members))
+}
+
+// forEachIn visits the members of set within [lo, hi) in ascending order;
+// a nil set holds every id.
+func forEachIn(set *bitmap.Bitmap, lo, hi uint32, fn func(v uint32)) {
+	if set != nil {
+		set.ForEachRange(lo, hi, fn)
+		return
+	}
+	for v := lo; v < hi; v++ {
+		fn(v)
+	}
+}
+
+// restrict narrows frontier — vertices of the node's type in a bitmap the
+// caller gives up, nil for all of them — to those in the node's seed on
+// which its self condition is TRUE; an unrestricted node hands the
+// frontier back, nil included. The condition is decided on every vertex
+// of the seeded frontier: by one probe of the key index when it pins a
+// single-column key to a constant, else by a compiled filter (typed
+// kernels, DESIGN.md §16) over the frontier's attribute rows, which ascend
+// with the vertex ids because vertices are numbered by first appearance.
+func (m *matcher) restrict(node int, frontier *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	vt := m.nodeType[node]
-	n := vt.Count()
-	bm := bitmap.New(n)
+	if seed := m.seeds[node]; seed != nil {
+		if frontier == nil {
+			frontier = seed.Clone()
+		} else {
+			frontier.And(seed)
+		}
+	}
 	cond := m.nodeSelf[node]
-	seed := m.seeds[node]
-	if key, ok := keyConstant(cond, node, vt); ok {
-		w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges)), scanned: 1}
-		if v, found := vt.LookupKeyValues([]value.Value{key}); found && (seed == nil || seed.Get(v)) {
+	if cond == nil {
+		return frontier, nil
+	}
+	key, probe := keyConstant(cond, node, vt)
+	w := m.worker(probe)
+	defer m.flush(w)
+	if probe {
+		out := bitmap.New(vt.Count())
+		w.scanned = 1
+		if v, found := vt.LookupKeyValues([]value.Value{key}); found && (frontier == nil || frontier.Get(v)) {
 			w.b[node] = v
 			ok, err := evalBool(cond, w)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				bm.Set(v)
+				out.Set(v)
 			}
 		}
-		m.flush(w)
-		m.cands[node] = bm
-		return bm, nil
+		return out, nil
 	}
-	shards := shardRanges(n, m.workers*4)
-	err := m.e.runSweep(fmt.Sprintf("candidate scan %s", vt.Name), len(shards), m.workers, func(si int) error {
-		lo, hi := shards[si][0], shards[si][1]
-		w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges))}
-		w.scanned = int64(hi - lo)
-		for v := lo; v < hi; v++ {
-			if err := w.poll(); err != nil {
-				return err
-			}
-			if seed != nil && !seed.Get(v) {
-				continue
-			}
-			if cond != nil {
-				w.b[node] = v
-				ok, err := evalBool(cond, w)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			bm.SetAtomic(v)
+	attrs, rowOf := vt.AttrRows()
+	in := table.AllRows(attrs)
+	if frontier == nil {
+		frontier = bitmap.New(vt.Count())
+		if rowOf != nil {
+			in = table.RowsOf(attrs, rowOf) // a base table may hold rows of no vertex
 		}
-		m.flush(w)
-		return nil
-	})
+	} else {
+		rows := frontier.Slice()
+		frontier.Reset() // refilled below with the vertices that pass
+		for i, v := range rows {
+			if rowOf != nil {
+				rows[i] = rowOf[v]
+			}
+		}
+		in = table.RowsOf(attrs, rows)
+	}
+	w.scanned = int64(in.Len())
+	par, sweep := m.e.kernelPar(), (*obs.Span)(nil)
+	par.OnParallel = func(shards, workers int) func() {
+		sweep = m.e.sweepSpan("candidate scan "+vt.Name, shards, workers)
+		return m.e.fannedOut(shards, workers)
+	}
+	hit, err := table.CompileFilter(attrs, cond).Select(in, par)
+	sweep.End()
 	if err != nil {
 		return nil, err
 	}
-	m.cands[node] = bm
-	return bm, nil
-}
-
-// nodeOK applies a node's self condition and seed to one vertex.
-func (m *matcher) nodeOK(w *wstate, node int, v uint32) (bool, error) {
-	if s := m.seeds[node]; s != nil && !s.Get(v) {
-		return false, nil
+	for i, n := 0, hit.Len(); i < n; i++ {
+		v := hit.At(i)
+		if rowOf != nil {
+			v = vt.VIDForRow(v)
+		}
+		frontier.Set(v)
 	}
-	cond := m.nodeSelf[node]
-	if cond == nil {
-		return true, nil
-	}
-	prev := w.b[node]
-	w.b[node] = v
-	ok, err := evalBool(cond, w)
-	w.b[node] = prev
-	return ok, err
+	return frontier, nil
 }
 
 func (m *matcher) edgeOK(w *wstate, edge int, eid uint32) (bool, error) {
@@ -372,41 +413,36 @@ func (m *matcher) edgeOK(w *wstate, edge int, eid uint32) (bool, error) {
 }
 
 // matchAll enumerates all bindings, invoking sink(shard, binding) for
-// each. Bindings are streamed per shard; shards cover contiguous ranges of
-// the first step's candidates, so collecting per shard and concatenating
-// in shard order yields deterministic results. The binding slice is reused
-// between calls — sinks must copy what they keep.
-func (m *matcher) matchAll(nShards int, sink func(shard int, b []uint32) error) error {
+// each: it reduces the step sets (reduce) and walks only inside them, so a
+// vertex is bound only where the rest of its subtree can complete along
+// tree edges (those the reducer culled across); cycle-closing edges,
+// deferred conditions and edge conditions are decided per binding. Bindings are streamed per shard; the shards,
+// at most maxShards, cover contiguous ranges of the first step's vertex
+// ids, so collecting per shard and concatenating in shard order yields
+// deterministic results. The binding slice is reused between calls —
+// sinks must copy what they keep.
+func (m *matcher) matchAll(sink func(shard int, b []uint32) error) error {
 	if len(m.order) == 0 {
 		return nil
+	}
+	var err error
+	if m.reach, err = m.reduce(m.order, false); err != nil {
+		return err
 	}
 	if m.e.tracing() && m.spans == nil {
 		m.buildSpans()
 	}
-	first := m.order[0]
-	cand, err := m.candidates(first.Node)
-	if err != nil {
-		return err
-	}
-	// Pre-build candidate sets for any scan visit so the parallel phase
-	// never writes the (unsynchronised) cache. Connected patterns only
-	// scan at position 0; this also covers the defensive restart branch.
-	for _, v := range m.order[1:] {
-		if v.Via < 0 {
-			if _, err := m.candidates(v.Node); err != nil {
-				return err
-			}
-		}
-	}
-	shards := shardRanges(cand.Len(), nShards)
+	first := m.order[0].Node
+	shards := m.frontierShards(m.reach[first], m.nodeType[first].Count())
 	start := time.Now()
 	err = m.e.runSweep("binding enumeration", len(shards), m.workers, func(si int) error {
-		w := &wstate{m: m, b: make([]uint32, len(m.pat.Nodes)+len(m.pat.Edges))}
+		w := m.worker(true)
 		for i := range w.b {
 			w.b[i] = NoBind
 		}
+		emit := func(b []uint32) error { return sink(si, b) }
 		var inner error
-		cand.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
+		forEachIn(m.reach[first], shards[si][0], shards[si][1], func(v uint32) {
 			if inner != nil {
 				return
 			}
@@ -414,11 +450,11 @@ func (m *matcher) matchAll(nShards int, sink func(shard int, b []uint32) error) 
 				inner = err
 				return
 			}
-			w.b[first.Node] = v
-			if err := m.afterBind(w, 0, func(b []uint32) error { return sink(si, b) }); err != nil {
+			w.b[first] = v
+			if err := m.afterBind(w, 0, emit); err != nil {
 				inner = err
 			}
-			w.b[first.Node] = NoBind
+			w.b[first] = NoBind
 		})
 		m.flush(w)
 		return inner
@@ -512,14 +548,11 @@ func (m *matcher) expandStepAt(w *wstate, depth int, emit func([]uint32) error) 
 		return err
 	}
 	v := m.order[depth]
+	reach := m.reach[v.Node]
 	if v.Via < 0 {
 		// New component (defensive; sema guarantees connectivity).
-		cand, err := m.candidates(v.Node)
-		if err != nil {
-			return err
-		}
 		var inner error
-		cand.ForEach(func(x uint32) {
+		forEachIn(reach, 0, uint32(m.nodeType[v.Node].Count()), func(x uint32) {
 			if inner != nil {
 				return
 			}
@@ -538,31 +571,26 @@ func (m *matcher) expandStepAt(w *wstate, depth int, emit func([]uint32) error) 
 	}
 	et := m.edgeType[v.Via]
 	slot := len(m.pat.Nodes) + pe.ID
-
-	emitPair := func(target, eid uint32) error {
-		ok, err := m.nodeOK(w, v.Node, target)
-		if err != nil || !ok {
-			return err
-		}
-		ok, err = m.edgeOK(w, pe.ID, eid)
-		if err != nil || !ok {
-			return err
-		}
-		w.b[v.Node] = target
-		w.b[slot] = eid
-		err = m.afterBind(w, depth, emit)
-		w.b[v.Node] = NoBind
-		w.b[slot] = NoBind
-		return err
-	}
-
 	from := w.b[pe.Dst]
 	if v.Forward {
 		from = w.b[pe.Src]
 	}
 	nbr, eids := w.adjacent(et, from, v.Forward)
-	for i := range nbr {
-		if err := emitPair(nbr[i], eids[i]); err != nil {
+	for i, target := range nbr {
+		if reach != nil && !reach.Get(target) {
+			continue
+		}
+		ok, err := m.edgeOK(w, pe.ID, eids[i])
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		w.b[v.Node], w.b[slot] = target, eids[i]
+		err = m.afterBind(w, depth, emit)
+		w.b[v.Node], w.b[slot] = NoBind, NoBind
+		if err != nil {
 			return err
 		}
 	}

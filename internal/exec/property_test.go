@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,7 +152,7 @@ func TestCullingEqualsEnumeration(t *testing.T) {
 		cullSub := graph.NewSubgraph("cull")
 		enumSub := graph.NewSubgraph("enum")
 		err = e.forEachTyping(alt.Pattern, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
-			m, err := e.newMatcher(alt.Pattern, cloneTypes(nt), cloneEdgeTypes(et), prep.nodeCond, prep.edgeCond, mustSeeds(e, alt.Pattern, nt))
+			m, err := e.newMatcher(alt.Pattern, nt, et, prep.nodeCond, prep.edgeCond)
 			if err != nil {
 				return err
 			}
@@ -159,7 +160,7 @@ func TestCullingEqualsEnumeration(t *testing.T) {
 			if err := m.cullChainIntoSubgraph(chainOrder(alt.Pattern), nodeSel, edgeSel, cullSub); err != nil {
 				return err
 			}
-			m2, err := e.newMatcher(alt.Pattern, cloneTypes(nt), cloneEdgeTypes(et), prep.nodeCond, prep.edgeCond, mustSeeds(e, alt.Pattern, nt))
+			m2, err := e.newMatcher(alt.Pattern, nt, et, prep.nodeCond, prep.edgeCond)
 			if err != nil {
 				return err
 			}
@@ -318,4 +319,212 @@ func nestedLoopE(t *testing.T, e *Engine, q string) map[string]int {
 		out[src+"|"+dst]++
 	}
 	return out
+}
+
+// pathSchema extends semaSchema with what the path-query generator needs on
+// top of A, B, e, f and loop: G, a many-to-one vertex type over TA (several
+// rows share an n, some have none), and grp, the edge from an A to the G of
+// its n.
+const pathSchema = semaSchema + `
+create vertex G(n) from table TA
+create edge grp with vertices (A, G) where A.n = G.n
+`
+
+// pathFixture is randFixture with NULLs — some n of TA and TB and some w of
+// TE are missing, so conditions come out TRUE, FALSE and NULL — and with
+// biso, a B no edge touches, the one vertex on which pathErrCond fails.
+func pathFixture(r *rand.Rand) map[string]string {
+	files := randFixture(r)
+	for _, name := range []string{"ta.csv", "tb.csv", "te.csv"} {
+		lines := strings.Split(strings.TrimSuffix(files[name], "\n"), "\n")
+		for i, line := range lines {
+			if r.Intn(6) == 0 {
+				lines[i] = line[:strings.LastIndex(line, ",")+1]
+			}
+		}
+		files[name] = strings.Join(lines, "\n") + "\n"
+	}
+	files["tb.csv"] += "biso,-1\n"
+	return files
+}
+
+// pathErrCond holds where n <= 3 does, and divides by zero on biso alone. No
+// path reaches biso, so deciding it there is deciding it outside the forward
+// pass's frontier — unless the step is where the pass starts.
+const pathErrCond = "(12 / (n + 1) > 2)"
+
+// pathGen draws one or-alternative of a graph select over pathSchema: a
+// first path of one to four steps from an A or B labelled x0, then
+// and-composed paths that hang off a foreach-labelled step (a tree) or join
+// two of them (a cycle). Steps carry self conditions, conditions on an
+// earlier label's n (deferred), edge conditions on e's w, seeds from the
+// subgraph s1 and, as a path's last step, a [ ] variant. A B step other
+// than x0 may carry pathErrCond when the planner cannot start there: it
+// starts at the step of the smallest estimate, the earliest among equals,
+// and errOK says that B's, unseeded and under a condition the estimator
+// cannot read, is no smaller than what x0 could be given.
+type pathGen struct {
+	r      *rand.Rand
+	labels []pathLabel // foreach labels so far
+	n      int         // labels handed out
+	nA, nB int         // vertices of A and B in the trial's fixture
+	errOK  bool
+}
+
+type pathLabel struct{ name, typ string }
+
+func (g *pathGen) cond() string {
+	switch g.r.Intn(6) {
+	case 0:
+		return fmt.Sprintf("(n < %d)", 2+g.r.Intn(9))
+	case 1:
+		return fmt.Sprintf("(n >= %d)", g.r.Intn(5))
+	case 2:
+		return fmt.Sprintf("(not (n = %d))", g.r.Intn(10))
+	case 3:
+		if len(g.labels) > 0 {
+			return fmt.Sprintf("(n >= %s.n)", g.labels[g.r.Intn(len(g.labels))].name)
+		}
+	}
+	return "( )"
+}
+
+// vertex renders a step of the given type, foreach-labelled now and then.
+func (g *pathGen) vertex(typ string, label bool) string {
+	s := typ
+	if typ != "G" && g.r.Intn(6) == 0 {
+		s = "s1." + typ
+	}
+	if label || g.r.Intn(3) == 0 {
+		name := fmt.Sprintf("x%d", g.n)
+		g.n++
+		g.labels = append(g.labels, pathLabel{name, typ})
+		s = "foreach " + name + ": " + s
+	}
+	if typ == "B" && !label && g.errOK && g.r.Intn(4) == 0 {
+		return s + " " + pathErrCond
+	}
+	return s + " " + g.cond()
+}
+
+// walk appends 1..steps edge+vertex steps to a path standing at typ.
+func (g *pathGen) walk(b *strings.Builder, typ string, steps int) {
+	for ; steps > 0; steps-- {
+		type hop struct{ edge, to string }
+		var hops []hop
+		switch typ {
+		case "A":
+			e := "--e-->"
+			if g.r.Intn(3) == 0 {
+				e = fmt.Sprintf("--e (w > %d)-->", g.r.Intn(8))
+			}
+			hops = []hop{{e, "B"}, {"<--f--", "B"}, {"--loop-->", "A"}, {"<--loop--", "A"}, {"--grp-->", "G"}}
+		case "B":
+			hops = []hop{{"--f-->", "A"}, {"<--e--", "A"}}
+		case "G":
+			hops = []hop{{"<--grp--", "A"}}
+		}
+		if steps == 1 && g.r.Intn(6) == 0 {
+			b.WriteString([]string{" --[ ]--> [ ]", " <--[ ]-- [ ]"}[g.r.Intn(2)])
+			return
+		}
+		h := hops[g.r.Intn(len(hops))]
+		typ = h.to
+		b.WriteString(" " + h.edge + " " + g.vertex(typ, false))
+	}
+}
+
+func (g *pathGen) alt() string {
+	g.labels, g.n = nil, 0
+	var b strings.Builder
+	start := []string{"A", "B"}[g.r.Intn(2)]
+	g.errOK = start == "B" || g.nB >= g.nA
+	b.WriteString(g.vertex(start, true))
+	g.walk(&b, start, g.r.Intn(4))
+	for extra := g.r.Intn(3); extra > 0; extra-- {
+		from := g.labels[g.r.Intn(len(g.labels))]
+		b.WriteString("\nand (" + from.name)
+		if to := g.labels[g.r.Intn(len(g.labels))]; g.r.Intn(3) == 0 && from.typ == "A" && to.typ == "A" {
+			b.WriteString(" --loop--> " + to.name) // closes a cycle
+		} else {
+			g.walk(&b, from.typ, 1+g.r.Intn(2))
+		}
+		b.WriteString(")")
+	}
+	return b.String()
+}
+
+// TestEngineEqualsReference: on generated data and tree-shaped, cyclic,
+// seeded, variant-typed and or-composed patterns, a graph select into a
+// table and the same pattern captured into a subgraph equal Eq. 5 read
+// literally (referencePaths) — serially and on four workers, with and
+// without reverse indexes.
+func TestEngineEqualsReference(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	g := &pathGen{r: r}
+	shapes := map[string]int{}
+	for trial := 0; trial < 150; trial++ {
+		files := pathFixture(r)
+		g.nA, g.nB = strings.Count(files["ta.csv"], "\n"), strings.Count(files["tb.csv"], "\n")
+		pattern := g.alt()
+		if r.Intn(4) == 0 {
+			pattern += "\nor " + g.alt()
+		}
+		for _, mark := range []string{"and (", "or ", "[ ]", "s1.", ".n)", "(w >", "G (", "--> x", "x1", pathErrCond} {
+			if strings.Contains(pattern, mark) {
+				shapes[mark]++
+			}
+		}
+		// A chain captured into a subgraph is reduced from its end, whichever
+		// step that is: there the condition is stated without the division.
+		queries := []string{
+			"select x0.id, x0.n as k from graph\n" + pattern,
+			"select * from graph\n" + strings.ReplaceAll(pattern, pathErrCond, "(n <= 3)") + "\ninto subgraph out",
+		}
+		var wantRows []string
+		var wantSub string
+		for _, workers := range []int{1, 4} {
+			for _, reverse := range []bool{true, false} {
+				opts := DefaultOptions()
+				opts.Workers, opts.ReverseIndexes, opts.FileOpener = workers, reverse, memFS(files)
+				e := New(opts)
+				mustExec(t, e, pathSchema, nil)
+				mustExec(t, e, `select * from graph A (n < 6) --e--> B ( ) into subgraph s1`, nil)
+				if wantRows == nil {
+					wantRows = referenceTable(t, e, mustAnalyze(t, e, queries[0]), nil)
+					wantSub = subgraphFingerprint(referenceSubgraph(t, e, mustAnalyze(t, e, queries[1]), nil))
+				}
+				got := []string{}
+				for _, row := range tableRows(t, mustExec(t, e, queries[0], nil)) {
+					got = append(got, strings.Join(row, ","))
+				}
+				sortStrings(got)
+				if !slices.Equal(got, wantRows) {
+					t.Fatalf("trial %d (workers %d, reverse %v): into table\n%s\nengine    %v\nreference %v",
+						trial, workers, reverse, queries[0], got, wantRows)
+				}
+				res := mustExec(t, e, queries[1], nil)
+				if got := subgraphFingerprint(res[len(res)-1].Subgraph); got != wantSub {
+					t.Fatalf("trial %d (workers %d, reverse %v): into subgraph\n%s\nengine    %s\nreference %s",
+						trial, workers, reverse, queries[1], got, wantSub)
+				}
+			}
+		}
+	}
+	// A generator that stopped drawing one of the shapes would pass vacuously.
+	for mark, want := range map[string]int{"and (": 40, "or ": 20, "[ ]": 8, "s1.": 30, ".n)": 15, "(w >": 10, "G (": 15, "--> x": 5, "x1": 60, pathErrCond: 15} {
+		if shapes[mark] < want {
+			t.Errorf("only %d of 150 patterns contain %q, want at least %d", shapes[mark], mark, want)
+		}
+	}
+}
+
+// mustAnalyze is analyzeSelect for statements that must pass the front end.
+func mustAnalyze(t *testing.T, e *Engine, query string) *sema.Select {
+	t.Helper()
+	sel, ok := analyzeSelect(t, e, query)
+	if !ok {
+		t.Fatalf("generated statement rejected:\n%s", query)
+	}
+	return sel
 }

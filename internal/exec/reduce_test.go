@@ -1,0 +1,204 @@
+package exec
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"graql/internal/bsbm"
+	"graql/internal/expr"
+	"graql/internal/graph"
+	"graql/internal/obs"
+	"graql/internal/value"
+)
+
+// Directed cases for the set-at-a-time matcher (DESIGN.md "Path matching"):
+// each pins one rule of the reducer on a hand-built frontier and checks
+// the engine against Eq. 5 read literally (referenceTable).
+
+// frontierFiles: a0 reaches b0 (n = 1), b1 (n NULL) and b2 (n = 9) over e;
+// a1 reaches b2 only; b3 (n = 0) is reached by nobody.
+var frontierFiles = map[string]string{
+	"ta.csv": "a0,0\na1,1\n",
+	"tb.csv": "b0,1\nb1,\nb2,9\nb3,0\n",
+	"te.csv": "a0,b0,1\na0,b1,2\na0,b2,3\na1,b2,4\n",
+	"tf.csv": "b0,a1\n",
+	"tl.csv": "a0,a1\n",
+}
+
+func frontierEngine(t *testing.T) *Engine {
+	e := newTestEngine(frontierFiles)
+	mustExec(t, e, semaSchema, nil)
+	return e
+}
+
+// sameAsReference runs q and checks its rows, as a multiset, against the
+// reference evaluator and against want.
+func sameAsReference(t *testing.T, e *Engine, q string, want ...string) {
+	t.Helper()
+	got := []string{}
+	for _, row := range tableRows(t, mustExec(t, e, q, nil)) {
+		got = append(got, strings.Join(row, ","))
+	}
+	slices.Sort(got)
+	if ref := referenceTable(t, e, mustAnalyze(t, e, q), nil); !slices.Equal(got, ref) || !slices.Equal(got, want) {
+		t.Errorf("%s\nengine    %v\nreference %v\nwant      %v", q, got, ref, want)
+	}
+}
+
+// A step condition is three-valued over one frontier: only the vertices
+// on which it is TRUE stay, under negation too.
+func TestStepConditionThreeValuedOverFrontier(t *testing.T) {
+	e := frontierEngine(t)
+	sameAsReference(t, e, `select y.id from graph A (id = 'a0') --e--> def y: B (n < 5)`, "b0")
+	sameAsReference(t, e, `select y.id from graph A (id = 'a0') --e--> def y: B (not (n < 5))`, "b2")
+	sameAsReference(t, e, `select y.id from graph A (id = 'a0') --e--> def y: B (n < 5 or n >= 5)`, "b0", "b2")
+}
+
+// A frontier of exactly one vertex, and one that a condition empties.
+func TestSingleVertexFrontier(t *testing.T) {
+	e := frontierEngine(t)
+	sameAsReference(t, e, `select y.id from graph A (id = 'a1') --e--> def y: B (n >= 0)`, "b2")
+	sameAsReference(t, e, `select y.id from graph A (id = 'a1') --e--> def y: B (n < 0)`)
+}
+
+// The evaluation domain of a step condition: every seeded vertex the
+// forward pass reaches through tree edges, and no other. b3 fails 10 / n
+// but nothing reaches it; b1 has no n, which is NULL, not an error. A
+// vertex inside the frontier that fails the condition fails the query —
+// also when another branch of the pattern would have matched nothing, for
+// the passes run set-at-a-time, before any binding is enumerated.
+func TestStepConditionErrorDomain(t *testing.T) {
+	e := frontierEngine(t)
+	sameAsReference(t, e, `select y.id from graph A (id = 'a0') --e--> def y: B (20 / n > 1)`, "b0", "b2")
+	// A free start is every vertex of its type, and the step below it is
+	// still decided on what those reach, not on its whole type.
+	sameAsReference(t, e, `select y.id from graph A ( ) --e--> def y: B (20 / n > 1)`, "b0", "b2", "b2")
+	sameAsReference(t, e, `select y.id from graph A (n >= 0) --e--> def y: B (20 / n > 1)`, "b0", "b2", "b2")
+	// b0 fails 10 / (n - 1), but no edge with w > 3 leaves a0: an empty
+	// frontier evaluates nothing (the reference, which decides every
+	// condition on every tuple, cannot referee this one).
+	if rows := tableRows(t, mustExec(t, e, `select y.id from graph A (id = 'a0') --e (w > 3)--> def y: B (10 / (n - 1) > 1)`, nil)); len(rows) != 0 {
+		t.Errorf("rows behind a closed edge condition: %v", rows)
+	}
+	for _, q := range []string{
+		`select y.id from graph A (id = 'a0') --e--> def y: B (10 / (n - 1) > 1)`,
+		`select y.id from graph foreach x: A (id = 'a0') --e--> def y: B (10 / (n - 1) > 1) and (x --loop--> A (not (n <= 100)))`,
+	} {
+		if _, err := e.ExecScript(q, nil); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Errorf("%s\nerror %v, want the division by zero on b0", q, err)
+		}
+	}
+}
+
+// Two or-alternatives project the same column from different source
+// tables: the second one's rows are appended column-wise onto the first's.
+func TestOrAlternativesAppendColumnWise(t *testing.T) {
+	e := frontierEngine(t)
+	sameAsReference(t, e, `select x.id, x.n as k from graph def x: A ( ) --e--> B (n > 0)
+or def x: B ( ) --f--> A ( )`, "a0,0", "a0,0", "a1,1", "b0,1")
+	// The first alternative matches nothing, so the second is the table.
+	sameAsReference(t, e, `select x.id from graph def x: A (n > 5) --e--> B ( )
+or def x: B (n > 5) --f--> A ( ) or def x: B (n > 5) <--e-- A ( )`, "b2", "b2")
+}
+
+// Which alternative contributes first does not decide what the other may
+// append: the result's varchar columns are typed by kind alone. A.id is
+// varchar(8), W.id varchar(12).
+func TestOrAlternativesOfDifferentWidths(t *testing.T) {
+	files := map[string]string{"tw.csv": "long-name-01,a0\n"}
+	for k, v := range frontierFiles {
+		files[k] = v
+	}
+	e := newTestEngine(files)
+	mustExec(t, e, semaSchema+`
+create table tw (id varchar(12), a varchar(8))
+ingest table tw tw.csv
+create vertex W(id) from table tw
+create edge g with vertices (W, A) from table tw where tw.id = W.id and tw.a = A.id`, nil)
+	sameAsReference(t, e, `select x.id from graph def x: A (id = 'a1') --loop--> A ( )
+or def x: W ( ) --g--> A ( )`, "long-name-01")
+	sameAsReference(t, e, `select x.id from graph def x: A ( ) --loop--> A ( )
+or def x: W ( ) --g--> A ( )`, "a0", "long-name-01")
+	sameAsReference(t, e, `select x.id from graph def x: W ( ) --g--> A ( )
+or def x: A ( ) --loop--> A ( )`, "a0", "long-name-01")
+}
+
+// A step condition's filter that fans out is a sweep of the query like the
+// matcher's others: traced under the statement span with its fan-out (three
+// 4096-row morsels on four workers).
+func TestStepFilterFanOutIsTraced(t *testing.T) {
+	e := newSelfEdgeEngine(t, 10000)
+	e.Opts.Workers, e.Opts.ParallelThreshold = 4, 1
+	tr := obs.NewTrace(obs.TraceID{})
+	if _, err := e.WithTrace(tr, nil).ExecScript(`select b.id from graph NodeVtx (val >= 0.0) --prev--> def b: NodeVtx`, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range tr.Tree().Roots[0].Children {
+		if sp.Action == "sweep" && sp.Detail == "candidate scan NodeVtx" {
+			if sp.Attrs["shards"] != "3" || sp.Attrs["workers"] != "3" {
+				t.Errorf("candidate scan sweep attrs %v, want 3 shards on 3 workers", sp.Attrs)
+			}
+			return
+		}
+	}
+	t.Errorf("no sweep span for the condition scan: %v", actionsOf(tr.Tree().Roots))
+}
+
+// A seed that does not resolve is the matcher's error, not a panic.
+func TestUnknownSeedIsAnError(t *testing.T) {
+	e := frontierEngine(t)
+	mustExec(t, e, `select * from graph A ( ) --e--> B ( ) into subgraph s1`, nil)
+	sel := mustAnalyze(t, e, `select y.id from graph s1.A ( ) --e--> def y: B ( )`)
+	pat := sel.GraphAlts[0].Pattern
+	pat.Nodes[0].Seed = "gone"
+	conds := make([]expr.Expr, 2)
+	_, err := e.newMatcher(pat, []*graph.VertexType{pat.Nodes[0].Type, pat.Nodes[1].Type},
+		[]*graph.EdgeType{pat.Edges[0].Type}, conds, conds[:1])
+	if err == nil || !strings.Contains(err.Error(), "unknown subgraph gone") {
+		t.Fatalf("newMatcher with an unresolvable seed: error %v", err)
+	}
+}
+
+// TestGraphSelectAllocs guards the allocation budget of the graph selects
+// the repository benchmark gates at +5 % allocs/op: the two one-hop
+// lookups of serve_* (s3) and write_mixed (writeRead), whose ceilings are
+// what the row-at-a-time matcher spent and must not rise, and BQ6, the
+// largest gather of bi_graph, whose ceiling is what this matcher spends.
+func TestGraphSelectAllocs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 2
+	opts.FileOpener = memFS(bsbm.Generate(bsbm.Config{ScaleFactor: 1, Seed: 42}).Files)
+	berlin := New(opts)
+	mustExec(t, berlin, bsbm.FullDDL, nil)
+	nodes := newSelfEdgeEngine(t, 8000)
+	nodes.Opts.Workers = 2
+	country, _ := bsbm.TypedParams(bsbm.DefaultParams())
+	for _, c := range []struct {
+		name    string
+		e       *Engine
+		src     string
+		params  map[string]value.Value
+		ceiling float64
+	}{
+		{"s3", berlin, `select b.id from graph TypeVtx (id = %Id% and publisher <> %Publisher%) --subclass--> def b: TypeVtx`,
+			map[string]value.Value{"Id": value.NewString("t3"), "Publisher": value.NewString("nobody")}, 88}, // parent 88, now 66
+		{"writeRead", nodes, `select b.id, b.val from graph NodeVtx (id = %Id%) --prev--> def b: NodeVtx`,
+			map[string]value.Value{"Id": value.NewInt(4321)}, 73}, // parent 73, now 54
+		{"BQ6", berlin, bsbm.Q6.Script, country, 180}, // parent 519, now 168
+	} {
+		p, err := c.e.Prepare(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := c.e.ExecPrepared(p, c.params); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs/op", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graql/internal/expr"
+	"graql/internal/graph"
 	"graql/internal/sema"
 	"graql/internal/value"
 )
@@ -16,8 +17,9 @@ import (
 // every production route to a view is compared against: Eq. 1 as a scan
 // with a linear search for the key, Eq. 2 as nested loops. It shares
 // nothing with the engine but value, read access to tables and the
-// analysed declarations (the first brick of ROADMAP item 1's reference
-// evaluator). Keep it auditable by eye: no index, no hashing.
+// analysed declarations and patterns — and, for Eq. 5, parameter binding and
+// the enumeration of variant typings (ROADMAP item 1's reference evaluator).
+// Keep it auditable by eye: no index, no hashing, no bitmap arithmetic.
 
 // refEnv resolves a column reference of an analysed condition.
 type refEnv func(source, col int) value.Value
@@ -147,4 +149,120 @@ func referenceEdges(t *testing.T, se *sema.CreateEdge, views map[string]*refVert
 	loop(0)
 	sort.Strings(out)
 	return out
+}
+
+const refUnbound = ^uint32(0) // a step the loops below have not bound yet
+
+// refAttr reads a step of tuple b: slot i < len(nt) is pattern node i, slot
+// len(nt)+j pattern edge j.
+func refAttr(nt []*graph.VertexType, et []*graph.EdgeType, b []uint32, source, col int) value.Value {
+	if source < len(nt) {
+		return nt[source].AttrValue(b[source], col)
+	}
+	return et[source-len(nt)].AttrValue(b[source], col)
+}
+
+// referencePaths is Eq. 5 read literally: for every or-alternative and every
+// concrete typing of its variant steps, nested loops over the instance lists
+// of the pattern's edges in declaration order (a step shared by two edges
+// must agree; a pattern of one step loops over its vertices), keeping the
+// tuples on which every seed restriction, step condition and edge condition
+// holds, decided by Expr.Eval on the whole tuple. visit sees each survivor.
+func referencePaths(t *testing.T, e *Engine, sel *sema.Select, params map[string]value.Value,
+	visit func(alt *sema.GraphAlt, nt []*graph.VertexType, et []*graph.EdgeType, b []uint32)) {
+	for _, alt := range sel.GraphAlts {
+		prep, err := e.prepareAlt(alt, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat := alt.Pattern
+		nn := len(pat.Nodes)
+		err = e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
+			b := slices.Repeat([]uint32{refUnbound}, nn+len(pat.Edges))
+			env := refEnv(func(source, col int) value.Value { return refAttr(nt, et, b, source, col) })
+			holds := func() bool {
+				for i, n := range pat.Nodes {
+					if n.Seed != "" {
+						if set := e.Cat.Subgraph(n.Seed).Vertices[nt[i]]; set == nil || !set.Get(b[i]) {
+							return false
+						}
+					}
+					if !refHolds(t, prep.nodeCond[i], env) {
+						return false
+					}
+				}
+				for j := range pat.Edges {
+					if !refHolds(t, prep.edgeCond[j], env) {
+						return false
+					}
+				}
+				return true
+			}
+			var loop func(j int)
+			loop = func(j int) {
+				if j == len(pat.Edges) {
+					if free := slices.Index(b[:nn], refUnbound); free >= 0 { // an edgeless step
+						for v := 0; v < nt[free].Count(); v++ {
+							b[free] = uint32(v)
+							loop(j)
+						}
+						b[free] = refUnbound
+					} else if holds() {
+						visit(alt, nt, et, b)
+					}
+					return
+				}
+				pe := pat.Edges[j]
+				if pe.Regex != nil {
+					t.Fatal("reference: path regular expressions are not covered")
+				}
+				was := [2]uint32{b[pe.Src], b[pe.Dst]}
+				for eid := uint32(0); eid < uint32(et[j].Count()); eid++ {
+					src, dst := et[j].EdgeAt(eid)
+					if (was[0] != refUnbound && was[0] != src) || (was[1] != refUnbound && was[1] != dst) ||
+						(pe.Src == pe.Dst && src != dst) {
+						continue
+					}
+					b[pe.Src], b[pe.Dst], b[nn+j] = src, dst, eid
+					loop(j + 1)
+				}
+				b[pe.Src], b[pe.Dst], b[nn+j] = was[0], was[1], refUnbound
+			}
+			loop(0)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// referenceTable is the result of an into-table graph select (Fig. 13): one
+// row per tuple of referencePaths, projected, as a sorted multiset.
+func referenceTable(t *testing.T, e *Engine, sel *sema.Select, params map[string]value.Value) []string {
+	out := []string{}
+	referencePaths(t, e, sel, params, func(alt *sema.GraphAlt, nt []*graph.VertexType, et []*graph.EdgeType, b []uint32) {
+		row := make([]value.Value, len(alt.Proj))
+		for i, item := range alt.Proj {
+			row[i] = refAttr(nt, et, b, item.Source, item.Col)
+		}
+		out = append(out, refJoin(row))
+	})
+	sort.Strings(out)
+	return out
+}
+
+// referenceSubgraph is the result of a "select * ... into subgraph": every
+// vertex and edge instance some tuple of referencePaths holds.
+func referenceSubgraph(t *testing.T, e *Engine, sel *sema.Select, params map[string]value.Value) *graph.Subgraph {
+	sub := graph.NewSubgraph("reference")
+	referencePaths(t, e, sel, params, func(_ *sema.GraphAlt, nt []*graph.VertexType, et []*graph.EdgeType, b []uint32) {
+		for i, vt := range nt {
+			sub.VertexSet(vt).Set(b[i])
+		}
+		for j, etype := range et {
+			sub.EdgeSet(etype).Set(b[len(nt)+j])
+		}
+	})
+	return sub
 }

@@ -320,17 +320,10 @@ func (m *matcher) expandRegex(w *wstate, depth int, v plan.Visit, pe *sema.PEdge
 		node = pe.Src
 		reach = w.cachedReach(pe, w.b[pe.Dst], false)
 	}
+	within := m.reach[node]
 	var inner error
 	reach.ForEach(func(x uint32) {
-		if inner != nil {
-			return
-		}
-		ok, err := m.nodeOK(w, node, x)
-		if err != nil {
-			inner = err
-			return
-		}
-		if !ok {
+		if inner != nil || (within != nil && !within.Get(x)) {
 			return
 		}
 		w.b[node] = x

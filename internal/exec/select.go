@@ -84,7 +84,7 @@ func (e *Engine) runTableSelect(s *sema.Select, params map[string]value.Value) (
 			return Result{}, err
 		}
 		fanOut, t0 := 0, time.Now()
-		if rows, err = table.CompileFilter(t, where).Select(e.tablePar(&fanOut)); err != nil {
+		if rows, err = table.CompileFilter(t, where).Select(rows, e.tablePar(&fanOut)); err != nil {
 			return Result{}, err
 		}
 		if e.tracing() {
@@ -315,16 +315,19 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 			Message: fmt.Sprintf("subgraph %s: %d vertices, %d edges", sub.Name, sub.NumVertices(), sub.NumEdges())}, nil
 	}
 
-	out, err := table.New(resultName(s), s.OutSchema)
-	if err != nil {
-		return Result{}, err
-	}
+	var out *table.Table
 	for _, alt := range s.GraphAlts {
 		prep, err := e.prepareAlt(alt, params)
 		if err != nil {
 			return Result{}, err
 		}
-		if err := e.runAltTable(prep, out); err != nil {
+		if out, err = e.runAltTable(prep, out, s); err != nil {
+			return Result{}, err
+		}
+	}
+	if out == nil {
+		var err error
+		if out, err = table.New(resultName(s), s.OutSchema); err != nil {
 			return Result{}, err
 		}
 	}
@@ -332,71 +335,93 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 	for i := range cols {
 		cols[i] = i
 	}
-	out, err = e.finishTable(table.AllRows(out), cols, s.OutSchema, s)
+	out, err := e.finishTable(table.AllRows(out), cols, s.OutSchema, s)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Kind: ResultTable, Table: out}, nil
 }
 
-// runAltTable enumerates bindings of one alternative and appends projected
-// rows to out (Fig. 13: the matching subgraph as a table, one row per
-// binding — multiplicities preserved, which is what makes the paper's Q2
-// feature-count work).
-func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table) error {
+// runAltTable enumerates the bindings of one alternative and returns out
+// with their projection appended (Fig. 13: the matching subgraph as a
+// table, one row per binding — multiplicities preserved, which is what
+// makes the paper's Q2 feature-count work). A binding is kept as the ids
+// its projected steps hold, and a projected column is one typed gather of
+// the step's attribute column by those ids, sharing its dictionary: the
+// first typing of the first alternative to match anything is the result
+// table (out == nil until then), later ones append onto it column-wise.
+func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select) (*table.Table, error) {
 	pat := prep.alt.Pattern
 	proj := prep.alt.Proj
-	return e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
-		m, err := e.newMatcher(pat, cloneTypes(nt), cloneEdgeTypes(et), prep.nodeCond, prep.edgeCond, mustSeeds(e, pat, nt))
+	// slots lists each binding slot the projection reads once; item i reads
+	// slots[slotOf[i]].
+	var slots []int
+	slotOf := make([]int, len(proj))
+	for i, item := range proj {
+		if slotOf[i] = slices.Index(slots, item.Source); slotOf[i] < 0 {
+			slotOf[i] = len(slots)
+			slots = append(slots, item.Source)
+		}
+	}
+	err := e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
+		m, err := e.newMatcher(pat, nt, et, prep.nodeCond, prep.edgeCond)
 		if err != nil {
 			return err
 		}
-		nShards := m.workers * 4
-		buckets := make([][][]value.Value, nShards)
-		err = m.matchAll(nShards, func(shard int, b []uint32) error {
-			row := make([]value.Value, len(proj))
-			for i, item := range proj {
-				if item.Source < len(pat.Nodes) {
-					row[i] = m.nodeType[item.Source].AttrValue(b[item.Source], item.Col)
-				} else {
-					ei := item.Source - len(pat.Nodes)
-					row[i] = m.edgeType[ei].AttrValue(b[item.Source], item.Col)
-				}
+		// attrsOf is where a slot's attributes are stored, and for a vertex
+		// slot the row of each vertex (nil: the id is the row).
+		attrsOf := func(slot int) (*table.Table, []uint32) {
+			if slot < len(pat.Nodes) {
+				return m.nodeType[slot].AttrRows()
 			}
-			buckets[shard] = append(buckets[shard], row)
+			return m.edgeType[slot-len(pat.Nodes)].Attrs, nil
+		}
+		// A shard's bindings are kept as their slots back to back; shards
+		// concatenate in order, so results are deterministic. Each shard's
+		// slice header fills a cache line of its own: a worker writes it once
+		// per binding, and its neighbours belong to other workers.
+		type shardIDs struct {
+			ids []uint32
+			_   [40]byte
+		}
+		shards := make([]shardIDs, m.maxShards())
+		err = m.matchAll(func(shard int, b []uint32) error {
+			for _, slot := range slots {
+				shards[shard].ids = append(shards[shard].ids, b[slot])
+			}
 			return nil
 		})
-		if err != nil {
+		n := 0
+		for _, sh := range shards {
+			n += len(sh.ids) / len(slots)
+		}
+		if err != nil || n == 0 {
 			return err
 		}
-		for _, rows := range buckets {
-			for _, row := range rows {
-				if err := out.AppendRow(row); err != nil {
-					return err
+		rows := make([][]uint32, len(slots))
+		for k, slot := range slots {
+			_, rowOf := attrsOf(slot)
+			rows[k] = make([]uint32, 0, n)
+			for _, sh := range shards {
+				for j := k; j < len(sh.ids); j += len(slots) {
+					id := sh.ids[j]
+					if rowOf != nil {
+						id = rowOf[id]
+					}
+					rows[k] = append(rows[k], id)
 				}
 			}
 		}
-		return nil
+		cols := make([]table.Column, len(proj))
+		for i, item := range proj {
+			attrs, _ := attrsOf(item.Source)
+			cols[i] = attrs.Col(item.Col).Gather(rows[slotOf[i]])
+		}
+		if out == nil {
+			out = table.FromColumns(resultName(s), s.OutSchema, cols)
+			return nil
+		}
+		return out.AppendColumns(cols)
 	})
-}
-
-// mustSeeds wraps seedsFor for use inside typing enumeration; seed
-// resolution errors surface via panic-free double checking at runAlt
-// entry, so this only maps types.
-func mustSeeds(e *Engine, pat *sema.Pattern, nt []*graph.VertexType) []*bitmap.Bitmap {
-	seeds, err := e.seedsFor(pat, nt)
-	if err != nil {
-		// sema verified seed subgraphs exist; absence here means a
-		// concurrent drop, which the catalog lock prevents.
-		panic(err)
-	}
-	return seeds
-}
-
-func cloneTypes(nt []*graph.VertexType) []*graph.VertexType {
-	return append([]*graph.VertexType(nil), nt...)
-}
-
-func cloneEdgeTypes(et []*graph.EdgeType) []*graph.EdgeType {
-	return append([]*graph.EdgeType(nil), et...)
+	return out, err
 }

@@ -15,7 +15,7 @@ import (
 func (e *Engine) runAltSubgraph(prep *preparedAlt, sub *graph.Subgraph) error {
 	pat := prep.alt.Pattern
 	return e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
-		m, err := e.newMatcher(pat, cloneTypes(nt), cloneEdgeTypes(et), prep.nodeCond, prep.edgeCond, mustSeeds(e, pat, nt))
+		m, err := e.newMatcher(pat, nt, et, prep.nodeCond, prep.edgeCond)
 		if err != nil {
 			return err
 		}
@@ -73,10 +73,9 @@ func (m *matcher) enumerateIntoSubgraph(nodeSel, edgeSel []bool, sub *graph.Subg
 	// Regex fragments contribute interior vertices/edges; collect the
 	// bound endpoint pairs per shard and mark accepting paths afterwards.
 	type pairSet map[uint32]map[uint32]bool
-	nShards := m.workers * 4
-	regexPairs := make([]map[int]pairSet, nShards)
+	regexPairs := make([]map[int]pairSet, m.maxShards())
 
-	err := m.matchAll(nShards, func(shard int, b []uint32) error {
+	err := m.matchAll(func(shard int, b []uint32) error {
 		for i := range pat.Nodes {
 			if vsets[i] != nil {
 				vsets[i].SetAtomic(b[i])

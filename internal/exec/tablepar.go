@@ -16,17 +16,26 @@ import (
 // of an operator that fans out and is left alone by one that stays
 // serial.
 func (e *Engine) tablePar(fanOut *int) table.Par {
-	return table.Par{
-		Workers:   e.Opts.workers(),
-		Threshold: e.Opts.ParallelThreshold,
-		Poll:      pollOf(e.ctx),
-		OnParallel: func(shards, workers int) func() {
-			*fanOut = workers
-			e.met.tableOpsParallel.Inc()
-			e.acct.noteWorkers(workers)
-			return e.met.sweep(shards, workers)
-		},
+	p := e.kernelPar()
+	p.OnParallel = func(shards, workers int) func() {
+		*fanOut = workers
+		e.met.tableOpsParallel.Inc()
+		return e.fannedOut(shards, workers)
 	}
+	return p
+}
+
+// kernelPar is what every typed kernel run for the current query shares of
+// its pool configuration; the caller adds the hook, which ends in fannedOut.
+func (e *Engine) kernelPar() table.Par {
+	return table.Par{Workers: e.Opts.workers(), Threshold: e.Opts.ParallelThreshold, Poll: pollOf(e.ctx)}
+}
+
+// fannedOut notes a pool run that fans out in the query's worker
+// accounting and in the sweep metrics, until the returned function runs.
+func (e *Engine) fannedOut(shards, workers int) (done func()) {
+	e.acct.noteWorkers(workers)
+	return e.met.sweep(shards, workers)
 }
 
 // parDetail annotates an operator span's detail with the fan-out the

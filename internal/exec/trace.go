@@ -63,15 +63,22 @@ func (e *Engine) opSpan(action, detail string) *obs.Span {
 // omits sweep spans so its plan table keeps one row per operator.
 func (e *Engine) runSweep(detail string, shards, workers int, fn func(shard int) error) error {
 	e.acct.noteWorkers(workers)
+	sp := e.sweepSpan(detail, shards, workers)
+	err := runShards(e.ctx, &e.met, shards, workers, fn)
+	sp.End()
+	return err
+}
+
+// sweepSpan opens the span of one parallel sweep; nil (inert) unless the
+// engine runs under a statement span.
+func (e *Engine) sweepSpan(detail string, shards, workers int) *obs.Span {
 	if e.parent == nil {
-		return runShards(e.ctx, &e.met, shards, workers, fn)
+		return nil
 	}
 	sp := e.parent.Child("sweep", detail)
 	sp.SetAttr("shards", strconv.Itoa(shards))
 	sp.SetAttr("workers", strconv.Itoa(workers))
-	err := runShards(e.ctx, &e.met, shards, workers, fn)
-	sp.End()
-	return err
+	return sp
 }
 
 // stmtDetail renders a statement for span labels, truncated so trace

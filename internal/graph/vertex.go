@@ -190,8 +190,8 @@ func (vt *VertexType) KeyString(v VID) string {
 
 // Validate checks internal consistency (used by tests of view
 // maintenance): the row and vertex mappings must agree with each other and
-// with the key cells, and the key index must find every vertex and nothing
-// else.
+// with the key cells, representative rows must ascend with the vertex ids,
+// and the key index must find every vertex and nothing else.
 func (vt *VertexType) Validate() error {
 	n := vt.Count()
 	if len(vt.baseRow) != n || len(vt.rowToVID) != vt.Base.NumRows() || vt.keyIndex.used != n {
@@ -214,6 +214,12 @@ func (vt *VertexType) Validate() error {
 	for v := VID(0); v < VID(n); v++ {
 		if vt.rowToVID[vt.baseRow[v]] != v {
 			return fmt.Errorf("graql: vertex %s: vertex %d is not the vertex of its representative row", vt.Name, v)
+		}
+		// Vertices are numbered by first appearance, so an ascending set of
+		// vertices reads ascending attribute rows (the matcher's step
+		// filters run over such selections without sorting them).
+		if v > 0 && vt.baseRow[v] <= vt.baseRow[v-1] {
+			return fmt.Errorf("graql: vertex %s: representative rows do not ascend at vertex %d", vt.Name, v)
 		}
 		h, _ := vt.Keys.HashKey(v, vt.keyIdent)
 		u, ok := vt.keyIndex.find(h, func(u VID) bool { return vt.Keys.EqualKey(v, vt.keyIdent, vt.Keys, u, vt.keyIdent) })

@@ -414,20 +414,20 @@ func CompileFilter(t *Table, pred expr.Expr) *Filter {
 	return &Filter{t: t, root: t.bind(expr.CompileKernel(pred, colKind))}
 }
 
-// Select runs the filter over every row of its table, morsel by morsel —
-// on p's workers when the table clears p's threshold and spans more than
-// one morsel — and returns the selected rows in ascending order.
-func (f *Filter) Select(p Par) (Rows, error) {
-	n := f.t.NumRows()
-	morsels := morselRanges(n)
+// Select runs the filter over in, rows of its table in ascending order,
+// morsel by morsel — on p's workers when in clears p's threshold and spans
+// more than one morsel — and returns the selected rows in ascending order.
+func (f *Filter) Select(in Rows, p Par) (Rows, error) {
+	s := in.span()
+	morsels := morselRanges(s.len())
 	parts := make([][]uint32, len(morsels))
 	errs := make([]error, len(morsels))
 	one := func(m int) {
 		cx := evalCtx{t: f.t}
-		parts[m], _ = f.root.eval(&cx, span{lo: morsels[m][0], hi: morsels[m][1]}, false)
+		parts[m], _ = f.root.eval(&cx, s.slice(int(morsels[m][0]), int(morsels[m][1])), false)
 		errs[m] = cx.err
 	}
-	if len(morsels) > 1 && p.Parallel(n) {
+	if len(morsels) > 1 && p.Parallel(s.len()) {
 		if err := p.Run(len(morsels), func(m int) error { one(m); return nil }); err != nil {
 			return Rows{}, err
 		}

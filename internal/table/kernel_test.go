@@ -171,18 +171,33 @@ func (g predGen) pred(depth int) expr.Expr {
 	return g.anyExpr(2)
 }
 
-// refSelect is the reference: Expr.Eval row by row, a NULL condition not
-// satisfied, the first failing row's error returned.
-func refSelect(tb *Table, e expr.Expr) ([]uint32, error) {
-	env := &rowEnv{t: tb}
-	return FilterIdx(tb, func(row uint32) (bool, error) {
-		env.row = row
+// refSelect is the reference: Expr.Eval row by row over in, a NULL
+// condition not satisfied, the first failing row's error returned.
+func refSelect(in Rows, e expr.Expr) ([]uint32, error) {
+	env := &rowEnv{t: in.t}
+	var out []uint32
+	for i, n := 0, in.Len(); i < n; i++ {
+		env.row = in.At(i)
 		v, err := e.Eval(env)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		return !v.IsNull() && v.Bool(), nil
-	})
+		if !v.IsNull() && v.Bool() {
+			out = append(out, env.row)
+		}
+	}
+	return out, nil
+}
+
+// thinned is the ascending selection of tb's rows r with bit r%8 of mask set.
+func thinned(tb *Table, mask uint8) Rows {
+	idx := []uint32{}
+	for r := uint32(0); r < uint32(tb.NumRows()); r++ {
+		if mask>>(r%8)&1 != 0 {
+			idx = append(idx, r)
+		}
+	}
+	return RowsOf(tb, idx)
 }
 
 // sameError: both nil, or the same message and — for type errors — the
@@ -198,19 +213,20 @@ func sameError(a, b error) bool {
 	return a.Error() == b.Error()
 }
 
-// checkFilter asserts kernel ≡ reference for one predicate, serially and on
-// four workers, and reports (selected any row, failed, kernelised root).
-func checkFilter(t *testing.T, tb *Table, e expr.Expr) (selected, failed, typed bool) {
+// checkFilter asserts kernel ≡ reference for one predicate over in — every
+// row of the table or an ascending selection of them — serially and on four
+// workers, and reports (selected any row, failed, kernelised root).
+func checkFilter(t *testing.T, in Rows, e expr.Expr) (selected, failed, typed bool) {
 	t.Helper()
-	want, wantErr := refSelect(tb, e)
-	f := CompileFilter(tb, e)
+	want, wantErr := refSelect(in, e)
+	f := CompileFilter(in.t, e)
 	for _, p := range []Par{{}, {Workers: 4, Threshold: 1}} {
-		got, err := f.Select(p)
+		got, err := f.Select(in, p)
 		if !sameError(err, wantErr) {
-			t.Fatalf("%s over %d rows (workers %d): error %v, reference %v", e, tb.NumRows(), p.Workers, err, wantErr)
+			t.Fatalf("%s over %d rows (workers %d): error %v, reference %v", e, in.Len(), p.Workers, err, wantErr)
 		}
 		if err == nil && !slices.Equal(got.span().minus(nil), append([]uint32{}, want...)) {
-			t.Fatalf("%s over %d rows (workers %d):\nkernel    %v\nreference %v", e, tb.NumRows(), p.Workers, got.idx, want)
+			t.Fatalf("%s over %d rows (workers %d):\nkernel    %v\nreference %v", e, in.Len(), p.Workers, got.idx, want)
 		}
 	}
 	return len(want) > 0, wantErr != nil, f.root.kind != expr.KernelGeneric
@@ -227,7 +243,11 @@ func TestFilterKernelMatchesEval(t *testing.T) {
 		tb := propTable(r, rows)
 		g := predGen{r: r, tb: tb}
 		for i := 0; i < 60; i++ {
-			s, f, k := checkFilter(t, tb, g.pred(3))
+			in := AllRows(tb)
+			if i%3 == 2 { // an ascending selection, as a graph step's frontier is
+				in = thinned(tb, uint8(r.Intn(256)))
+			}
+			s, f, k := checkFilter(t, in, g.pred(3))
 			trees++
 			selected += b2i(s)
 			failed += b2i(f)
@@ -249,16 +269,19 @@ func b2i(b bool) int {
 }
 
 // FuzzFilterKernel drives the same property from fuzzed seeds: one seed
-// shapes the table, the other the predicate.
+// shapes the table, the other the predicate, and mask thins the rows into
+// an ascending selection that is run next to the dense range.
 func FuzzFilterKernel(f *testing.F) {
-	f.Add(int64(1), int64(2), uint8(40))
-	f.Add(int64(42), int64(43), uint8(0))
-	f.Add(int64(-7), int64(1<<40), uint8(255))
-	f.Fuzz(func(t *testing.T, tableSeed, predSeed int64, rows uint8) {
+	f.Add(int64(1), int64(2), uint8(40), uint8(0b10110101))
+	f.Add(int64(42), int64(43), uint8(0), uint8(0xff))
+	f.Add(int64(-7), int64(1<<40), uint8(255), uint8(1))
+	f.Fuzz(func(t *testing.T, tableSeed, predSeed int64, rows, mask uint8) {
 		tb := propTable(rand.New(rand.NewSource(tableSeed)), int(rows))
 		g := predGen{r: rand.New(rand.NewSource(predSeed)), tb: tb}
 		for i := 0; i < 8; i++ {
-			checkFilter(t, tb, g.pred(4))
+			e := g.pred(4)
+			checkFilter(t, AllRows(tb), e)
+			checkFilter(t, thinned(tb, mask), e)
 		}
 	})
 }
@@ -333,12 +356,12 @@ func TestFilterSelectStitchesMorsels(t *testing.T) {
 		}
 	}
 	e := expr.NewBinary(expr.OpEq, &expr.Ref{Source: 0, Col: 0}, expr.NewConst(value.NewInt(3)))
-	serial, err := CompileFilter(tb, e).Select(Par{})
+	serial, err := CompileFilter(tb, e).Select(AllRows(tb), Par{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fired := false
-	par, err := CompileFilter(tb, e).Select(Par{Workers: 3, Threshold: 1, OnParallel: func(int, int) func() { fired = true; return nil }})
+	par, err := CompileFilter(tb, e).Select(AllRows(tb), Par{Workers: 3, Threshold: 1, OnParallel: func(int, int) func() { fired = true; return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +369,7 @@ func TestFilterSelectStitchesMorsels(t *testing.T) {
 		t.Fatalf("parallel fired=%v, %d serial rows, %d parallel rows", fired, serial.Len(), par.Len())
 	}
 	boom := errors.New("stop")
-	if _, err := CompileFilter(tb, e).Select(Par{Poll: func() error { return boom }}); !errors.Is(err, boom) {
+	if _, err := CompileFilter(tb, e).Select(AllRows(tb), Par{Poll: func() error { return boom }}); !errors.Is(err, boom) {
 		t.Fatalf("a failing poll must abort the serial scan, got %v", err)
 	}
 }

@@ -267,7 +267,7 @@ func TestParallelThresholdFallback(t *testing.T) {
 	} {
 		fired := false
 		p.OnParallel = func(int, int) func() { fired = true; return nil }
-		if _, err := CompileFilter(tb, keyAtLeast(0)).Select(p); err != nil {
+		if _, err := CompileFilter(tb, keyAtLeast(0)).Select(AllRows(tb), p); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := GroupByPar(tb, "G", []int{0}, []AggSpec{{Func: AggCount, Col: -1, Name: "n"}}, p); err != nil {
@@ -291,7 +291,7 @@ func TestParallelThresholdFallback(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := CompileFilter(tb, keyAtLeast(0)).Select(p); err != nil || fanOut != 0 {
+	if _, err := CompileFilter(tb, keyAtLeast(0)).Select(AllRows(tb), p); err != nil || fanOut != 0 {
 		t.Fatalf("one-morsel filter: fan-out %d, err %v, want serial", fanOut, err)
 	}
 	if _, err := OrderByPar(tb, []SortKey{{Col: 0}}, p); err != nil || fanOut != 4 {
@@ -307,7 +307,7 @@ func TestParallelCancellation(t *testing.T) {
 	p := testPar(4)
 	p.Poll = func() error { return boom }
 
-	if _, err := CompileFilter(tb, keyAtLeast(0)).Select(p); !errors.Is(err, boom) {
+	if _, err := CompileFilter(tb, keyAtLeast(0)).Select(AllRows(tb), p); !errors.Is(err, boom) {
 		t.Errorf("filter: err = %v, want %v", err, boom)
 	}
 	if _, err := OrderByPar(tb, []SortKey{{Col: 0}}, p); !errors.Is(err, boom) {
@@ -373,7 +373,7 @@ func TestGroupByParAggregateError(t *testing.T) {
 func TestParallelEmptyInputs(t *testing.T) {
 	empty := MustNew("E", Schema{{Name: "k", Type: value.Int}})
 	p := testPar(4)
-	if rows, err := CompileFilter(empty, keyAtLeast(0)).Select(p); err != nil || rows.Len() != 0 {
+	if rows, err := CompileFilter(empty, keyAtLeast(0)).Select(AllRows(empty), p); err != nil || rows.Len() != 0 {
 		t.Fatalf("filter over empty: %v, %v", rows, err)
 	}
 	out, err := GroupByPar(empty, "G", nil, []AggSpec{{Func: AggCount, Col: -1, Name: "n"}}, p)

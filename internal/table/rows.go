@@ -23,6 +23,9 @@ type Rows struct {
 // AllRows is every row of t, in storage order.
 func AllRows(t *Table) Rows { return Rows{t: t, all: true} }
 
+// RowsOf is the rows idx of t, in that order.
+func RowsOf(t *Table, idx []uint32) Rows { return Rows{t: t, idx: idx} }
+
 // Len returns the number of rows.
 func (r Rows) Len() int { return r.span().len() }
 
@@ -407,7 +410,7 @@ func (r Rows) GroupBy(name string, keyCols []int, aggs []AggSpec) (*Table, error
 }
 
 // unbounded drops the declared width of a freshly gathered varchar column:
-// group-by output columns are typed by kind alone.
+// group-by and graph-select output columns are typed by kind alone.
 func unbounded(c Column) Column {
 	if sc, ok := c.(*stringColumn); ok {
 		sc.width = 0

@@ -38,6 +38,32 @@ func MustNew(name string, schema Schema) *Table {
 	return t
 }
 
+// FromColumns assembles a table from equally long, freshly gathered columns
+// of the schema's kinds, which it takes over. Its columns are typed by kind
+// alone: a varchar column sheds the width its source declared, so what may
+// be appended later does not depend on where the first rows came from.
+func FromColumns(name string, schema Schema, cols []Column) *Table {
+	for _, c := range cols {
+		unbounded(c)
+	}
+	return &Table{Name: name, schema: schema, cols: cols, rows: cols[0].Len()}
+}
+
+// AppendColumns appends the rows held column-wise in cols, one column per
+// column of t and of its kind, cell by cell.
+func (t *Table) AppendColumns(cols []Column) error {
+	n := cols[0].Len()
+	for i, src := range cols {
+		for r := uint32(0); r < uint32(n); r++ {
+			if err := t.cols[i].Append(src.Value(r)); err != nil {
+				return fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[i].Name, err)
+			}
+		}
+	}
+	t.rows += n
+	return nil
+}
+
 // Schema returns the table's schema. Callers must not modify it.
 func (t *Table) Schema() Schema { return t.schema }
 
