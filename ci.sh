@@ -169,6 +169,7 @@ go test -run='^$' -fuzz='^FuzzFingerprint$' -fuzztime="$FUZZTIME" ./internal/obs
 go test -run='^$' -fuzz='^FuzzFilterKernel$' -fuzztime="$FUZZTIME" ./internal/table
 go test -run='^$' -fuzz='^FuzzTextExecRoutes$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzViewMaintenance$' -fuzztime="$FUZZTIME" ./internal/exec
+go test -run='^$' -fuzz='^FuzzWireCodec$' -fuzztime="$FUZZTIME" ./internal/server
 
 echo "== graql vet gate =="
 # The shipped example scripts must vet clean (exit 0), and the seeded

@@ -167,7 +167,7 @@ func (*Ingest) stmt() {}
 func (s *Ingest) Span() diag.Span { return s.Loc }
 
 func (s *Ingest) String() string {
-	return fmt.Sprintf("ingest table %s '%s'", s.Table, s.File)
+	return fmt.Sprintf("ingest table %s %s", s.Table, quoteFile(s.File))
 }
 
 // Output writes a table to a CSV file — the engine's "eventual output to
@@ -186,7 +186,13 @@ func (*Output) stmt() {}
 func (s *Output) Span() diag.Span { return s.Loc }
 
 func (s *Output) String() string {
-	return fmt.Sprintf("output table %s '%s'", s.Table, s.File)
+	return fmt.Sprintf("output table %s %s", s.Table, quoteFile(s.File))
+}
+
+// quoteFile renders a file name as a string literal, doubling an
+// embedded quote as string literals do.
+func quoteFile(name string) string {
+	return "'" + strings.ReplaceAll(name, "'", "''") + "'"
 }
 
 // AggFunc enumerates aggregate functions in select items.

@@ -1,5 +1,7 @@
 // Package client is the line client for the GEMS front-end server: it
-// speaks the newline-delimited JSON protocol of internal/server over TCP.
+// speaks the newline-delimited JSON protocol of internal/server over TCP,
+// with that package's frame codec (server.AppendRequest,
+// server.FrameReader, server.ParseResponse).
 //
 // The client owns the session's failure handling: dial and per-request
 // read deadlines, propagation of the per-query timeout to the server
@@ -10,7 +12,6 @@
 package client
 
 import (
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
@@ -68,8 +69,8 @@ const maxBackoff = time.Second
 // Client is one authenticated session with a GEMS server.
 type Client struct {
 	conn  net.Conn
-	enc   *json.Encoder
-	dec   *json.Decoder
+	fr    *server.FrameReader
+	buf   []byte // the request frame being sent
 	addr  string
 	auth  string
 	opts  Options
@@ -105,8 +106,7 @@ func (c *Client) redial() error {
 		return err
 	}
 	c.conn = conn
-	c.enc = json.NewEncoder(conn)
-	c.dec = json.NewDecoder(conn)
+	c.fr = server.NewFrameReader(conn, 0)
 	return nil
 }
 
@@ -204,11 +204,18 @@ func (c *Client) once(req *server.Request) (*server.Response, error) {
 		_ = c.conn.SetDeadline(time.Now().Add(d))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
+	c.buf = server.AppendRequest(c.buf, req)
+	_, err := c.conn.Write(c.buf)
+	c.buf = server.ReuseBuffer(c.buf)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := c.fr.Next()
+	if err != nil {
 		return nil, err
 	}
 	var resp server.Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := server.ParseResponse(frame, &resp); err != nil {
 		return nil, err
 	}
 	if !resp.OK {

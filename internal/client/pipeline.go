@@ -2,7 +2,6 @@ package client
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"sync"
 	"time"
@@ -11,7 +10,7 @@ import (
 )
 
 // Pipelining overlaps request submission with response reading on one
-// TCP session: requests are written through a buffered encoder (many
+// TCP session: request frames are appended to a buffered writer (many
 // frames per syscall) and a background goroutine resolves responses in
 // FIFO order, so up to `window` requests are in flight at once. On a
 // high-latency link this turns N round trips into roughly one, and even
@@ -33,9 +32,8 @@ const DefaultPipelineWindow = 32
 // not be used — the pipeline owns the session's framing. Submissions
 // are safe from multiple goroutines.
 type Pipeline struct {
-	c   *Client
-	bw  *bufio.Writer
-	enc *json.Encoder
+	c  *Client
+	bw *bufio.Writer
 
 	window  chan struct{} // in-flight slots
 	pending chan *Future  // FIFO, reader resolves in order
@@ -76,7 +74,6 @@ func (c *Client) Pipeline(window int) *Pipeline {
 		pending: make(chan *Future, window),
 		done:    make(chan struct{}),
 	}
-	p.enc = json.NewEncoder(p.bw)
 	go p.read()
 	return p
 }
@@ -119,7 +116,7 @@ func (p *Pipeline) Send(req *server.Request) (*Future, error) {
 		}
 		p.window <- struct{}{}
 	}
-	if err := p.enc.Encode(req); err != nil {
+	if _, err := p.bw.Write(server.AppendRequest(p.bw.AvailableBuffer(), req)); err != nil {
 		p.poison(err)
 		<-p.window
 		return nil, err
@@ -180,7 +177,11 @@ func (p *Pipeline) read() {
 			continue
 		}
 		var resp server.Response
-		if err := p.c.dec.Decode(&resp); err != nil {
+		frame, err := p.c.fr.Next()
+		if err == nil {
+			err = server.ParseResponse(frame, &resp)
+		}
+		if err != nil {
 			p.poison(err)
 			fut.err = err
 		} else if !resp.OK {

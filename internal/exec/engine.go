@@ -207,7 +207,7 @@ func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value) (Re
 	run := e
 	var sp *obs.Span
 	if e.trace != nil {
-		sp = e.opSpan("statement", stmtDetail(st))
+		sp = e.opSpan("statement", cs.detail())
 		sp.SetAttr("kind", stmtKind(st))
 		run = e.fork(e.trace, sp)
 	}

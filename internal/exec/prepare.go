@@ -48,6 +48,9 @@ type compiledStmt struct {
 	st   ast.Stmt
 	id   stmtIdent
 	plan atomic.Pointer[planSlot]
+	// label is the statement span's detail, rendered on the first traced
+	// execution: st is the unbound, shared AST, so it never changes.
+	label atomic.Pointer[string]
 }
 
 // stmtIdent is a statement's observability identity, computed once at
@@ -137,6 +140,17 @@ func (cs *compiledStmt) init(st ast.Stmt, src string) {
 	}
 	fp, norm := obs.Fingerprint(text)
 	cs.st, cs.id = st, stmtIdent{fp: fp, norm: norm, script: text}
+}
+
+// detail returns the statement's trace label (stmtDetail), rendering it
+// once per compiled statement.
+func (cs *compiledStmt) detail() string {
+	if l := cs.label.Load(); l != nil {
+		return *l
+	}
+	l := stmtDetail(cs.st)
+	cs.label.Store(&l)
+	return l
 }
 
 // Prepare compiles a script into a reusable statement handle: parse →

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"graql/internal/obs"
+	"graql/internal/value"
 )
 
 // chainEngine builds a small road chain c0→c1→c2→c3→c4 for the tracing
@@ -190,5 +191,43 @@ func TestEngineReady(t *testing.T) {
 	e := chainEngine(t, 0, false)
 	if !e.Ready(5 * time.Second) {
 		t.Fatal("Ready = false on an idle engine")
+	}
+}
+
+// TestStatementLabelRenderedOnce: every traced execution of a prepared
+// statement labels its statement span the same, and only the first one
+// renders the label from the AST.
+func TestStatementLabelRenderedOnce(t *testing.T) {
+	e := chainEngine(t, 0, false)
+	p, err := e.Prepare(`select b.id, c.country from graph City (id = %Start% and country <> 'XX') --road--> def b: City ( ) --road--> def c: City (country = 'CA' or country = 'US')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := map[string]value.Value{"Start": value.NewString("c1")}
+	run := func() string {
+		tr := obs.NewTrace(obs.TraceID{})
+		if _, err := e.WithTrace(tr, nil).ExecPrepared(p, params); err != nil {
+			t.Fatal(err)
+		}
+		roots := tr.Tree().Roots
+		if len(roots) != 1 || roots[0].Action != "statement" {
+			t.Fatalf("roots = %+v, want one statement span", roots)
+		}
+		return roots[0].Detail
+	}
+	first, second := run(), run()
+	if first == "" || first != second || !strings.HasPrefix(first, "select b.id") {
+		t.Fatalf("statement labels %q then %q, want one non-empty label", first, second)
+	}
+	// Rendering the label on every execution cost 236 allocations here
+	// (196 now); the ceiling is that count less ten.
+	allocs := testing.AllocsPerRun(50, func() {
+		tr := obs.NewTrace(obs.TraceID{})
+		if _, err := e.WithTrace(tr, nil).ExecPrepared(p, params); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 226 {
+		t.Errorf("traced execute allocates %.0f objects, want <= 226", allocs)
 	}
 }

@@ -20,6 +20,7 @@ func FuzzParse(f *testing.F) {
 		"select * from graph A ( ) ( --e--> [ ] ){2,5} B (x > 1) into subgraph r",
 		"explain select top 3 a, count(*) as n from table T group by a order by n desc",
 		"output table T1 'x.csv'",
+		"output table T 'a''b'",
 		"ingest table T raw/path.csv",
 		"create edge e with vertices (A as X, A as Y) where X.a = Y.b",
 		"select a from table T where not (b = 'it''s' or c >= %P%)",

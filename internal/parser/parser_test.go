@@ -137,6 +137,36 @@ func TestIngestPathStopsAtLineEnd(t *testing.T) {
 	}
 }
 
+// TestQuotedFileRoundTrip: a file name holding a quote prints with the
+// quote doubled, so the printed statement parses back to the same name.
+func TestQuotedFileRoundTrip(t *testing.T) {
+	for _, src := range []string{"ingest table T 'a''b.csv'", "output table T 'a''b'"} {
+		script, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if printed := script.String(); printed != src {
+			t.Errorf("%q prints as %q", src, printed)
+		}
+		again, err := Parse(script.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []string
+		for _, s := range []*ast.Script{script, again} {
+			switch st := s.Stmts[0].(type) {
+			case *ast.Ingest:
+				files = append(files, st.File)
+			case *ast.Output:
+				files = append(files, st.File)
+			}
+		}
+		if len(files) != 2 || files[0] != files[1] || !strings.Contains(files[0], "a'b") {
+			t.Errorf("%q: file names %q, want a'b twice", src, files)
+		}
+	}
+}
+
 func TestPathStructure(t *testing.T) {
 	script, err := Parse(`select * from graph
 A (x = 1) --e--> def B: Bv ( ) <--f-- C ( ) into subgraph g`)

@@ -2,7 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -12,11 +13,11 @@ import (
 )
 
 // Server is the TCP wire adapter over a Service: newline-delimited JSON,
-// one Request per line in, one Response per line out (json.Decoder /
-// json.Encoder on the connection — there is no length prefix), plus the
-// connection lifecycle. Everything a request does happens in Service.Do;
-// the embedded Service's fields (Limits, Gate, Prepared, Log, Dist)
-// configure it. Set all fields before Serve.
+// one Request frame in, one Response frame out, in order (wire.go's
+// codec; there is no length prefix), plus the connection lifecycle.
+// Everything a request does happens in Service.Do; the embedded
+// Service's fields (Limits, Gate, Prepared, Log, Dist) configure it. Set
+// all fields before Serve.
 type Server struct {
 	*Service
 
@@ -161,27 +162,61 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.Log.Debug("connection closed", "remote", conn.RemoteAddr().String())
 		}
 	}()
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
+	fr := NewFrameReader(conn, MaxFrameBytes)
+	var out []byte // responses not yet written
+	var held int64 // requests whose responses are in out
+	flush := func() (err error) {
+		if len(out) > 0 {
+			if s.WriteTimeout > 0 {
+				_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+			}
+			_, err = conn.Write(out)
+		}
+		// A request counts as active until its response is on the wire, so
+		// a graceful drain never closes the connection between handling
+		// and writing.
+		s.active.Add(-held)
+		held = 0
+		out = ReuseBuffer(out)
+		return err
+	}
+	defer func() { _ = flush() }()
 	for {
 		if s.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
+		frame, err := fr.Next()
 		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return // EOF, timeout or broken frame: drop the session
+		if err == nil {
+			err = ParseRequest(frame, &req)
+		}
+		if err != nil {
+			if errors.Is(err, ErrFrameTooLarge) {
+				out, _ = AppendResponse(out, fail(CodeBadRequest, "bad request: frame exceeds %d bytes", MaxFrameBytes))
+				// Answer, half-close, and let the rest of the frame drain for
+				// a moment: closing with it unread would reset the
+				// connection, which can discard the answer at the client.
+				if flush() == nil {
+					if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+						_ = hc.CloseWrite()
+					}
+					_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+					_, _ = io.Copy(io.Discard, conn)
+				}
+			}
+			return // EOF, timeout, broken or oversized frame: drop the session
 		}
 		s.active.Add(1)
-		resp := s.Do(s.baseCtx, &req)
-		if s.WriteTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
+		held++
+		if out, err = AppendResponse(out, s.Do(s.baseCtx, &req)); err != nil {
+			return
 		}
-		// The request counts as active until its response frame is on
-		// the wire, so a graceful drain never closes the connection
-		// between handling and writing.
-		err := enc.Encode(resp)
-		s.active.Add(-1)
-		if err != nil {
+		// Write when no further request is waiting: a synchronous client
+		// gets one write per response, a pipelining one batched writes.
+		// Write too once the batch fills half the kept buffer, so large
+		// responses stream one by one under the write deadline and the
+		// buffer of small ones is kept.
+		if (!fr.Ready() || len(out) >= maxKeptBuffer/2) && flush() != nil {
 			return
 		}
 	}

@@ -228,6 +228,7 @@ func NewService(eng *exec.Engine, token string) *Service {
 
 // op is one row of the op table.
 type op struct {
+	name string // its key in the table
 	// run executes the op; root is the request's trace root span (nil
 	// when untraced), for the handlers that run statements.
 	run func(s *Service, ctx context.Context, req *Request, root *obs.Span) *Response
@@ -269,6 +270,13 @@ var ops = map[string]op{
 	"workers": {run: (*Service).workers},
 }
 
+func init() {
+	for name, o := range ops {
+		o.name = name
+		ops[name] = o
+	}
+}
+
 // Do handles one request end to end. ctx carries the transport's
 // lifetime (server shutdown, a disconnected HTTP client); the request's
 // own deadline is layered on top of it here.
@@ -287,16 +295,17 @@ func (s *Service) logRequest(req *Request, resp *Response) {
 	if s.Log == nil {
 		return
 	}
-	attrs := []any{
-		"trace_id", resp.TraceID,
-		"op", req.Op,
-		"code", resp.Code,
-		"elapsed_us", resp.ElapsedUs,
+	attrs := [...]slog.Attr{
+		slog.String("trace_id", resp.TraceID),
+		slog.String("op", req.Op),
+		slog.String("code", resp.Code),
+		slog.Int64("elapsed_us", resp.ElapsedUs),
+		slog.String("error", resp.Error),
 	}
 	if resp.OK {
-		s.Log.Info("request", attrs...)
+		s.Log.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs[:4]...)
 	} else {
-		s.Log.Warn("request failed", append(attrs, "error", resp.Error)...)
+		s.Log.LogAttrs(context.Background(), slog.LevelWarn, "request failed", attrs[:]...)
 	}
 }
 
@@ -323,7 +332,9 @@ func (s *Service) handle(ctx context.Context, req *Request) *Response {
 	// joins a trace the client originated.
 	tid, parent, _ := obs.ParseTraceParent(req.Trace)
 	tr := obs.NewTrace(tid)
-	root := tr.SpanUnder(parent, "server", req.Op)
+	// The span outlives the request in the trace ring: label it with the
+	// table's string, not one that slices the request frame.
+	root := tr.SpanUnder(parent, "server", o.name)
 	resp := s.admit(ctx, o, req, root)
 	root.End()
 	resp.TraceID = tr.ID().String()
@@ -556,21 +567,28 @@ func ErrorCode(err error) string {
 	}
 }
 
-// EncodeResult converts an engine result to its wire form.
+// EncodeResult converts an engine result to its wire form. The cells of
+// a table share one backing slice, which every row slices.
 func EncodeResult(r exec.Result) StmtResult {
 	out := StmtResult{Message: r.Message}
 	switch r.Kind {
 	case exec.ResultTable:
 		t := r.Table
 		out.Columns = t.Schema().Names()
-		for row := uint32(0); row < uint32(t.NumRows()); row++ {
-			rec := make([]string, t.NumCols())
-			for c := 0; c < t.NumCols(); c++ {
-				if v := t.Value(row, c); !v.IsNull() {
+		nr, nc := t.NumRows(), t.NumCols()
+		if nr == 0 {
+			break
+		}
+		cells := make([]string, nr*nc)
+		out.Rows = make([][]string, nr)
+		for row := range out.Rows {
+			rec := cells[row*nc : (row+1)*nc : (row+1)*nc]
+			for c := range rec {
+				if v := t.Value(uint32(row), c); !v.IsNull() {
 					rec[c] = v.String()
 				}
 			}
-			out.Rows = append(out.Rows, rec)
+			out.Rows[row] = rec
 		}
 	case exec.ResultSubgraph:
 		out.SubgraphName = r.Subgraph.Name

@@ -29,10 +29,6 @@ import (
 	"graql/internal/server"
 )
 
-// maxBodyBytes bounds a request body; larger bodies are refused with 413
-// instead of buffering unbounded client input.
-const maxBodyBytes = 16 << 20
-
 // Handler serves the HTTP wire for one service. The embedded Service's
 // fields (Limits, Gate, Prepared, Log, Dist) configure it; New installs
 // a private Service, and a process that also serves TCP replaces it with
@@ -133,7 +129,17 @@ func write(w http.ResponseWriter, resp *server.Response) {
 	if resp.TraceID != "" {
 		w.Header().Set("X-Trace-Id", resp.TraceID)
 	}
-	writeJSON(w, status, resp)
+	writeResponse(w, status, resp)
+}
+
+// writeResponse sends a Response body: the TCP wire's frame.
+func writeResponse(w http.ResponseWriter, status int, resp *server.Response) {
+	body, err := server.AppendResponse(nil, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err == nil {
+		_, _ = w.Write(body)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -150,10 +156,10 @@ type requestBody struct {
 	Check bool `json:"check,omitempty"`
 }
 
-// decode reads a bounded JSON body, answering 400 (or 413) itself when
-// it cannot.
+// decode reads a JSON body bounded by server.MaxFrameBytes, answering
+// 400 (or 413) itself when it cannot.
 func decode(w http.ResponseWriter, r *http.Request, body *requestBody) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(body)
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, server.MaxFrameBytes)).Decode(body)
 	if err == nil {
 		return true
 	}
@@ -162,7 +168,7 @@ func decode(w http.ResponseWriter, r *http.Request, body *requestBody) bool {
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, &server.Response{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
+	writeResponse(w, status, &server.Response{Code: server.CodeBadRequest, Error: "bad request: " + err.Error()})
 	return false
 }
 
@@ -252,12 +258,12 @@ func (h *Handler) vet(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) cancelQuery(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil || id == 0 {
-		writeJSON(w, http.StatusBadRequest, &server.Response{Code: server.CodeBadRequest, Error: "bad query id"})
+		writeResponse(w, http.StatusBadRequest, &server.Response{Code: server.CodeBadRequest, Error: "bad query id"})
 		return
 	}
 	resp := h.call(r, &server.Request{Op: "cancelq", QueryID: id})
 	if resp.Code == server.CodeBadRequest {
-		writeJSON(w, http.StatusNotFound, resp)
+		writeResponse(w, http.StatusNotFound, resp)
 		return
 	}
 	write(w, resp)
