@@ -473,7 +473,7 @@ server_pid=""
 
 echo "== smoke: distributed cluster (3 networked worker shards vs in-process oracle) =="
 # Boot three worker processes each owning one hash partition of the same
-# generated Berlin sf=1 dataset, a coordinator that scatters chain-query
+# generated Berlin sf=1 dataset, a coordinator that scatters path-query
 # supersteps to them over TCP, and a single-process oracle server that
 # simulates the same 3-partition cluster in-process. The same queries
 # must render byte-for-byte identically through both paths, and the
@@ -508,37 +508,55 @@ for srv in 17753 17755; do
         sleep 0.2
     done
 done
-# Berlin chain queries: the variant-step subgraph (BQ7 shape, routed
-# through the BSP cluster path) and the 4-hop review chain (BQ6 shape).
+# Berlin queries: the variant-step chain captured into a subgraph (BQ7
+# shape) and a four-hop review chain into a table (BQ6 shape, with its
+# last step's persons conditioned: the reducer's passes expand only
+# above a condition, so without one they would not scatter).
 cat >"$tmpdir/dist-chain.graql" <<'EOF'
 select * from graph ProductVtx (id = %Product1%) <--[ ]-- [ ] into subgraph DistSG
+EOF
+cat >"$tmpdir/dist-table.graql" <<'EOF'
 select distinct u.id from graph
 ProducerVtx (country = %Country1%)
 <--producer-- ProductVtx ( )
 <--reviewFor-- ReviewVtx ( )
---reviewer--> def u: PersonVtx ( )
+--reviewer--> def u: PersonVtx (country = %Country2%)
 EOF
-# Per-request trace ids legitimately differ between the two servers;
-# everything else must match byte-for-byte.
-"$tmpdir/gems-client" -addr 127.0.0.1:17753 -timeout 30s \
-    exec "$tmpdir/dist-chain.graql" Product1=p1 Country1=US 2>&1 |
-    grep -v '^trace: ' >"$tmpdir/dist-net.out"
-"$tmpdir/gems-client" -addr 127.0.0.1:17755 -timeout 30s \
-    exec "$tmpdir/dist-chain.graql" Product1=p1 Country1=US 2>&1 |
-    grep -v '^trace: ' >"$tmpdir/dist-sim.out"
-if ! diff -u "$tmpdir/dist-sim.out" "$tmpdir/dist-net.out"; then
-    echo "networked chain-query results differ from the in-process oracle" >&2
+dist_supersteps() { # the coordinator's graql_dist_supersteps_total
+    curl -fsS http://127.0.0.1:17754/metrics |
+        awk '$1 == "graql_dist_supersteps_total" { n = $2 } END { print n + 0 }'
+}
+dist_same() { # dist_same <name>: run <name>.graql on both servers, diff
+    # Per-request trace ids legitimately differ between the two servers;
+    # everything else must match byte-for-byte.
+    for srv in net:17753 sim:17755; do
+        "$tmpdir/gems-client" -addr "127.0.0.1:${srv#*:}" -timeout 30s \
+            exec "$tmpdir/$1.graql" Product1=p1 Country1=US Country2=DE 2>&1 |
+            grep -v '^trace: ' >"$tmpdir/$1-${srv%:*}.out"
+    done
+    if ! diff -u "$tmpdir/$1-sim.out" "$tmpdir/$1-net.out"; then
+        echo "networked $1 results differ from the in-process oracle" >&2
+        exit 1
+    fi
+}
+dist_same dist-chain
+grep -q 'DistSG' "$tmpdir/dist-chain-net.out"
+# The networked path must actually have run, for the into-table query on
+# its own too: the coordinator's superstep count rises across each.
+chain_steps=$(dist_supersteps)
+dist_same dist-table
+supersteps=$(dist_supersteps)
+if [ "$chain_steps" -eq 0 ] || [ "$supersteps" -le "$chain_steps" ]; then
+    echo "supersteps over the wire: chain $chain_steps, into-table $((supersteps - chain_steps)); want both > 0" >&2
     exit 1
 fi
-grep -q 'DistSG' "$tmpdir/dist-net.out"
-# The networked path must actually have run: supersteps were scattered
-# over TCP and every worker shard reports healthy.
+if [ "$(wc -l <"$tmpdir/dist-table-net.out")" -lt 2 ]; then
+    echo "the into-table query returned no rows:" >&2
+    cat "$tmpdir/dist-table-net.out" >&2
+    exit 1
+fi
+# Every worker shard reports healthy.
 curl -fsS http://127.0.0.1:17754/metrics >"$tmpdir/dist-metrics.out"
-supersteps=$(awk '/^graql_dist_supersteps_total/ {print $2}' "$tmpdir/dist-metrics.out")
-if [ -z "$supersteps" ] || [ "$supersteps" = "0" ]; then
-    echo "coordinator never scattered a superstep (graql_dist_supersteps_total=${supersteps:-missing})" >&2
-    exit 1
-fi
 grep -q 'graql_dist_rpc_latency_seconds' "$tmpdir/dist-metrics.out"
 grep -q 'graql_dist_exchange_bytes_total' "$tmpdir/dist-metrics.out"
 healthy=$("$tmpdir/gems-client" -addr 127.0.0.1:17753 workers | grep -c 'healthy')
@@ -550,10 +568,11 @@ curl -fsS http://127.0.0.1:17754/readyz | grep -q '"ok":true'
 echo "networked results match the in-process oracle ($supersteps supersteps over the wire)"
 
 echo "== smoke: distributed fault injection (kill -9 a worker shard) =="
-# Kill one worker shard outright: the next chain query must come back
-# within the RPC deadline with the structured "partial" error code (no
-# hang, no panic), /readyz must flip to 503 naming the degraded workers,
-# and the workers table must show the shard down.
+# Kill one worker shard outright: the next chain query and the next
+# into-table query must come back within the RPC deadline with the
+# structured "partial" error code (no hang, no panic), /readyz must flip
+# to 503 naming the degraded workers, and the workers table must show the
+# shard down.
 kill -9 "$w1_pid" 2>/dev/null || true
 wait "$w1_pid" 2>/dev/null || true
 if echo 'select * from graph ProductVtx (id = %Product1%) <--[ ]-- [ ] into subgraph FaultSG' |
@@ -564,6 +583,13 @@ if echo 'select * from graph ProductVtx (id = %Product1%) <--[ ]-- [ ] into subg
     exit 1
 fi
 grep -q 'server error (partial)' "$tmpdir/dist-partial.out"
+if "$tmpdir/gems-client" -addr 127.0.0.1:17753 -timeout 15s -retries 0 \
+    exec "$tmpdir/dist-table.graql" Country1=US Country2=DE >"$tmpdir/dist-partial-table.out" 2>&1; then
+    echo "into-table query over a dead worker must fail" >&2
+    cat "$tmpdir/dist-partial-table.out" >&2
+    exit 1
+fi
+grep -q 'server error (partial)' "$tmpdir/dist-partial-table.out"
 readyz_code=$(curl -s -o "$tmpdir/dist-readyz.out" -w '%{http_code}' http://127.0.0.1:17754/readyz)
 if [ "$readyz_code" != "503" ]; then
     echo "readyz must report 503 with a dead worker, got $readyz_code" >&2

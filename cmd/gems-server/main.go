@@ -19,11 +19,12 @@
 // With -worker the process is one shard of a distributed cluster: it
 // owns partition -partition of -partitions and serves BSP supersteps on
 // -addr over the cluster's length-prefixed frame protocol. With -dist the server
-// is the cluster's coordinator: it scatters eligible chain queries to
-// the listed worker processes (address order = partition order) instead
-// of simulating partitions in-process; a worker that fails a superstep
-// after -dist-timeout and -dist-retries yields the structured "partial"
-// error code.
+// is the cluster's coordinator: it scatters the supersteps of path
+// queries (every expansion across a concrete edge type with no edge
+// condition) to the listed worker processes (address order = partition
+// order) instead of simulating partitions in-process; a worker that
+// fails a superstep after -dist-timeout and -dist-retries yields the
+// structured "partial" error code.
 package main
 
 import (
@@ -62,11 +63,11 @@ func main() {
 		slowQuery    = flag.Duration("slow-query", 0, "log statements slower than this (e.g. 250ms; 0 disables)")
 		queryLog     = flag.Bool("query-log", false, "emit one structured wide-event log line per completed statement")
 		traces       = flag.Int("traces", 64, "retain this many complete request traces (0 disables tracing)")
-		partitions   = flag.Int("partitions", 0, "simulate a GEMS cluster with this many partitions for chain queries (0-1 = off); with -worker, the cluster's total partition count")
+		partitions   = flag.Int("partitions", 0, "simulate a GEMS cluster with this many partitions for path-query expansions (0-1 = off); with -worker, the cluster's total partition count")
 		placement    = flag.String("placement", "hash", "cluster placement strategy: hash | block")
 		workerMode   = flag.Bool("worker", false, "run as a distributed worker shard: own one partition, serve supersteps on -addr over the framed protocol")
 		partition    = flag.Int("partition", 0, "partition index this worker owns (with -worker; 0-based, < -partitions)")
-		distWorkers  = flag.String("dist", "", "comma-separated worker addresses: scatter chain-query supersteps to these worker processes (address order = partition order)")
+		distWorkers  = flag.String("dist", "", "comma-separated worker addresses: scatter path-query supersteps to these worker processes (address order = partition order)")
 		distTimeout  = flag.Duration("dist-timeout", 5*time.Second, "per-superstep per-worker RPC deadline (with -dist)")
 		distRetries  = flag.Int("dist-retries", 1, "retries per failed superstep RPC before reporting the worker failed (with -dist)")
 		logLevel     = flag.String("log-level", "info", "structured log level: off | error | warn | info | debug")

@@ -5,11 +5,9 @@
 package graql_test
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -84,10 +82,12 @@ func renderAll(t *testing.T, rs []exec.Result) []byte {
 }
 
 // TestDistributedBerlinEquivalence is the acceptance criterion: the full
-// Berlin query suite run through three networked worker shards renders
-// byte-for-byte identically to the in-process cluster simulation, and
-// the distributed metrics prove the networked path actually ran.
+// Berlin query suite run through three networked worker shards, through
+// the in-process cluster simulation and on an engine with no cluster
+// renders byte-for-byte identically, and the distributed metrics prove
+// the networked path actually ran.
 func TestDistributedBerlinEquivalence(t *testing.T) {
+	local := distEngine(t, 1)
 	sim := distEngine(t, 1)
 	sim.Opts.ClusterParts = 3
 
@@ -102,19 +102,22 @@ func TestDistributedBerlinEquivalence(t *testing.T) {
 
 	params := suiteParams(t)
 	for _, q := range bsbm.Suite {
-		simRes, err := sim.ExecScript(q.Script, params)
-		if err != nil {
-			t.Fatalf("%s simulated: %v", q.ID, err)
-		}
-		netRes, err := netted.ExecScript(q.Script, params)
-		if err != nil {
-			t.Fatalf("%s networked: %v", q.ID, err)
-		}
-		simBytes := renderAll(t, simRes)
-		netBytes := renderAll(t, netRes)
-		if string(simBytes) != string(netBytes) {
-			t.Errorf("%s: networked result differs from simulation\n  sim: %s\n  net: %s",
-				q.ID, clipStr(string(simBytes), 400), clipStr(string(netBytes), 400))
+		var want []byte
+		for _, route := range []struct {
+			name string
+			e    *exec.Engine
+		}{{"local", local}, {"simulated", sim}, {"networked", netted}} {
+			res, err := route.e.ExecScript(q.Script, params)
+			if err != nil {
+				t.Fatalf("%s %s: %v", q.ID, route.name, err)
+			}
+			got := renderAll(t, res)
+			if want == nil {
+				want = got
+			} else if string(got) != string(want) {
+				t.Errorf("%s: %s result differs from the local one\n  local: %s\n  %s: %s",
+					q.ID, route.name, clipStr(string(want), 400), route.name, clipStr(string(got), 400))
+			}
 		}
 	}
 
@@ -181,61 +184,4 @@ func clipStr(s string, n int) string {
 		return s
 	}
 	return s[:n] + "..."
-}
-
-// recordingTransport notes every superstep request on its way to the
-// wrapped transport.
-type recordingTransport struct {
-	cluster.Transport
-	reqs []cluster.SuperstepReq
-}
-
-func (r *recordingTransport) Superstep(ctx context.Context, req *cluster.SuperstepReq) ([]cluster.PartResult, error) {
-	r.reqs = append(r.reqs, *req)
-	return r.Transport.Superstep(ctx, req)
-}
-
-// TestDistributedUnrestrictedStepShipsNoFilter: a chain step with neither
-// condition nor seed sends the workers no filter set (the frame then has
-// no filter field, cluster.TestNilFilterOmitsField), a conditioned step
-// sends its kernel-built set, and either way the networked chain returns
-// the sets of the local reducer.
-func TestDistributedUnrestrictedStepShipsNoFilter(t *testing.T) {
-	local := distEngine(t, 1)
-	netted := distEngine(t, 1)
-	tp, _, _ := bootWorkers(t, netted, 2, cluster.DialOptions{Strategy: cluster.Hash, Timeout: 5 * time.Second})
-	rec := &recordingTransport{Transport: tp}
-	netted.Opts.Dist = rec
-
-	for _, c := range []struct {
-		middle  string
-		filters []bool // per forward step: ships a filter set
-	}{
-		{"ProductVtx", []bool{false, false}},
-		{"ProductVtx (propertyNumeric_1 > 500)", []bool{true, false}},
-	} {
-		q := "select * from graph ProducerVtx (country = 'US') <--producer-- " + c.middle +
-			" <--reviewFor-- ReviewVtx into subgraph chainSG"
-		want, err := local.ExecScript(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.reqs = nil
-		got, err := netted.ExecScript(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w, g := renderAll(t, want), renderAll(t, got); string(w) != string(g) {
-			t.Errorf("%s: networked sets differ from the local reducer's\n  local: %s\n  net:   %s", c.middle, clipStr(string(w), 300), clipStr(string(g), 300))
-		}
-		var filters []bool
-		for _, req := range rec.reqs {
-			if req.Pass == "forward" {
-				filters = append(filters, req.Filter != nil)
-			}
-		}
-		if !slices.Equal(filters, c.filters) {
-			t.Errorf("%s: forward steps shipped filters %v, want %v", c.middle, filters, c.filters)
-		}
-	}
 }

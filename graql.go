@@ -163,11 +163,12 @@ func WithPlanCache(n int) Option {
 	}
 }
 
-// WithClusterSim routes eligible linear-chain subgraph queries through
-// the simulated GEMS backend cluster: parts partitions, one BSP
-// superstep per chain edge, with frontier-exchange statistics (and trace
-// spans, under WithTracing). block selects block placement instead of
-// the default hash placement.
+// WithClusterSim runs path queries on the simulated GEMS backend
+// cluster: with parts >= 2 partitions, every expansion of the Eq. 5
+// passes across a concrete edge type with no edge condition is one BSP
+// superstep, with frontier-exchange statistics (and trace spans, under
+// WithTracing). block selects block placement instead of the default
+// hash placement.
 func WithClusterSim(parts int, block bool) Option {
 	return func(o *exec.Options) {
 		o.ClusterParts = parts

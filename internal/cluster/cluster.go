@@ -12,6 +12,14 @@
 // gathers their partition results. Both transports run the identical
 // expansion kernel, so the simulation doubles as the correctness oracle
 // for the networked path: same frontier sets, same message counts.
+//
+// A query runs on the cluster one expansion at a time: the engine's
+// reducer (exec's matcher.reduce, the one implementation of the Eq. 5
+// passes) calls Cluster.Expand for every expansion it routes here and
+// decides step conditions itself, on the coordinator, over the frontier
+// the partitions gathered. Traverse, a linear path run as a loop of
+// Expand calls, remains only because the repository benchmark drives the
+// two transports through it directly; the engine never calls it.
 package cluster
 
 import (
@@ -62,7 +70,6 @@ func ParseStrategy(name string) (Strategy, error) {
 // Cluster drives BSP path traversals over one database graph through a
 // Transport (simulated nodes or networked workers).
 type Cluster struct {
-	g         *graph.Graph
 	transport Transport
 	parts     int
 	strategy  Strategy
@@ -71,11 +78,12 @@ type Cluster struct {
 	log       *slog.Logger
 	ctx       context.Context
 	traceID   string
+	stats     Stats
 }
 
-// SetContext attaches a cancellation context; Traverse then aborts
-// between BSP supersteps once the context is done, and in-flight
-// expansion rounds drain early. nil (the default) disables the checks.
+// SetContext attaches a cancellation context; Expand then fails once the
+// context is done, and in-flight expansion rounds drain early. nil (the
+// default) disables the checks.
 func (c *Cluster) SetContext(ctx context.Context) { c.ctx = ctx }
 
 // ctxErr reports the attached context's error, wrapped so callers see
@@ -90,12 +98,12 @@ func (c *Cluster) ctxErr() error {
 	return nil
 }
 
-// SetObs attaches an observability registry; every Traverse then also
-// accumulates its exchange statistics into graql_cluster_* counters,
-// including per-node sent-vertex counts (label node="p<i>").
+// SetObs attaches an observability registry, into whose graql_cluster_*
+// counters RecordStats folds the exchange statistics, including per-node
+// sent-vertex counts (label node="p<i>").
 func (c *Cluster) SetObs(reg *obs.Registry) { c.obs = reg }
 
-// SetTraceSpan attaches a parent trace span; every Traverse then records
+// SetTraceSpan attaches a parent trace span; every Expand then records
 // one child span per BSP superstep, each with one grandchild span per
 // node carrying that node's exchange counts (and, on the networked
 // transport, real RPC latency and wire bytes). nil (the default)
@@ -126,15 +134,16 @@ func NewWithStrategy(g *graph.Graph, parts int, strategy Strategy) (*Cluster, er
 	return NewWithTransport(g, t)
 }
 
-// NewWithTransport drives traversals over g through an explicit
-// transport (the seam the networked path plugs into). g is the
-// coordinator's local copy of the graph: start sets and step validation
-// evaluate locally, only superstep expansion runs on the transport.
+// NewWithTransport drives traversals over g, the coordinator's copy of
+// the graph whose types the steps name, through an explicit transport
+// (the seam the networked path plugs into): start sets and step
+// validation evaluate locally, only superstep expansion runs remotely.
 func NewWithTransport(g *graph.Graph, t Transport) (*Cluster, error) {
 	if t.Parts() < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 partition, got %d", t.Parts())
 	}
-	return &Cluster{g: g, transport: t, parts: t.Parts(), strategy: t.Strategy()}, nil
+	return &Cluster{transport: t, parts: t.Parts(), strategy: t.Strategy(),
+		stats: Stats{PerPartSent: make([]int, t.Parts())}}, nil
 }
 
 // Parts returns the number of cluster nodes.
@@ -148,11 +157,6 @@ type Step struct {
 	Edge *graph.EdgeType
 	// Forward traverses source→target; otherwise the reverse index.
 	Forward bool
-	// FilterSet optionally restricts accepted target vertices to a
-	// precomputed candidate set. A bitmap rather than a predicate
-	// function: the networked transport ships it to workers as part of
-	// the superstep frame.
-	FilterSet *bitmap.Bitmap
 }
 
 // Wire-size model for the exchange accounting: a fixed per-message
@@ -183,71 +187,76 @@ type Stats struct {
 	PerPartSent []int
 }
 
-// Traverse runs a linear path query: a start set on startType filtered by
-// startFilter, then one BSP round per step (paper Eq. 5 forward pass),
-// followed by a backward culling pass. It returns the culled per-step
-// vertex sets (index 0 = start set) and exchange statistics. On the
-// networked transport a failed worker surfaces as a *PartialError.
+// Stats returns the exchange statistics the handle's supersteps have
+// accumulated.
+func (c *Cluster) Stats() Stats { return c.stats }
+
+// Traverse runs a linear path query as a loop of Expand calls: a start
+// set on startType filtered by startFilter, one superstep per step
+// (paper Eq. 5 forward pass), then one per step back (the backward
+// culling pass). It returns the culled per-step vertex sets (index 0 =
+// start set) and the traversal's exchange statistics. exec never calls
+// it — its reducer calls Expand — and the repository benchmark drives
+// the transports through it.
 func (c *Cluster) Traverse(startType *graph.VertexType, startFilter func(uint32) bool, steps []Step) ([]*bitmap.Bitmap, Stats, error) {
 	if err := c.validate(startType, steps); err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{PerPartSent: make([]int, c.parts)}
-
+	c.stats = Stats{PerPartSent: make([]int, c.parts)}
 	sets := make([]*bitmap.Bitmap, len(steps)+1)
-	sets[0] = c.localFilterSet(startType.Count(), startFilter)
-
-	// Forward pass.
+	// The start predicate is a coordinator-local function, so the start
+	// set is built in-process and is not part of Stats.
+	sets[0] = bitmap.NewFull(startType.Count())
+	if startFilter != nil {
+		sets[0] = bitmap.New(startType.Count())
+		for v := range uint32(startType.Count()) {
+			if startFilter(v) {
+				sets[0].Set(v)
+			}
+		}
+	}
 	for i, st := range steps {
-		if err := c.ctxErr(); err != nil {
-			return nil, stats, err
-		}
-		next := st.Edge.Dst
-		if !st.Forward {
-			next = st.Edge.Src
-		}
-		out, err := c.superstep("forward", i+1, sets[i], st, next.Count(), &stats)
+		out, err := c.Expand("forward", st, sets[i])
 		if err != nil {
-			return nil, stats, err
+			return nil, c.stats, err
 		}
 		sets[i+1] = out
 	}
-
-	// Backward culling pass: the reverse traversal uses the opposite
-	// index of each edge type (this is precisely why GEMS builds
-	// bidirectional indexes, §III-B).
+	// The reverse traversal uses the opposite index of each edge type
+	// (this is precisely why GEMS builds bidirectional indexes, §III-B).
 	for i := len(steps) - 1; i >= 0; i-- {
-		if err := c.ctxErr(); err != nil {
-			return nil, stats, err
-		}
-		st := steps[i]
-		back := Step{Edge: st.Edge, Forward: !st.Forward}
-		prevType := st.Edge.Src
-		if !st.Forward {
-			prevType = st.Edge.Dst
-		}
-		reached, err := c.superstep("backward", i+1, sets[i+1], back, prevType.Count(), &stats)
+		reached, err := c.Expand("backward", Step{Edge: steps[i].Edge, Forward: !steps[i].Forward}, sets[i+1])
 		if err != nil {
-			return nil, stats, err
+			return nil, c.stats, err
 		}
 		sets[i].And(reached)
 	}
-	if err := c.ctxErr(); err != nil {
-		return nil, stats, err
-	}
-	c.recordStats(&stats)
-	return sets, stats, nil
+	c.RecordStats()
+	return sets, c.stats, nil
 }
 
-// superstep runs one BSP exchange round through the transport and, when
-// a trace span or logger is attached, records the round's frontier size
-// and exchange deltas: a "superstep" child span plus one "node" span per
-// cluster node with its sent-vertex count (and RPC latency/wire bytes
-// when the node is a networked worker).
-func (c *Cluster) superstep(pass string, round int, frontier *bitmap.Bitmap, st Step, outSize int, stats *Stats) (*bitmap.Bitmap, error) {
-	sp := c.span.Child("superstep", fmt.Sprintf("%s round %d over %s", pass, round, st.Edge.Name))
+// Expand runs one BSP superstep: every partition expands the frontier
+// vertices it owns across st, and the targets come back gathered into one
+// set over st's landing type. The round's exchange counts accumulate on
+// the handle (Stats); an attached span gets a "superstep" child with one
+// "node" child per partition (plus RPC latency and wire bytes for a
+// networked worker), an attached logger one debug line. pass labels the
+// round. A failed worker surfaces as a *PartialError; a done context
+// fails the call, also after a round it cut short.
+func (c *Cluster) Expand(pass string, st Step, frontier *bitmap.Bitmap) (*bitmap.Bitmap, error) {
+	if err := c.ctxErr(); err != nil {
+		return nil, err
+	}
+	stats := &c.stats
+	var sp *obs.Span
+	if c.span != nil {
+		sp = c.span.Child("superstep", fmt.Sprintf("%s round %d over %s", pass, stats.Rounds+1, st.Edge.Name))
+	}
 	prevMsgs, prevBytes, prevSent := stats.Messages, stats.BytesSent, stats.VerticesSent
-	out, results, err := c.exchangeExpand(pass, round, frontier, st, outSize, stats)
+	out, results, err := c.exchangeExpand(pass, frontier, st)
+	if err == nil {
+		err = c.ctxErr()
+	}
 	if err != nil {
 		if sp != nil {
 			sp.SetAttr("error", err.Error())
@@ -279,7 +288,7 @@ func (c *Cluster) superstep(pass string, round int, frontier *bitmap.Bitmap, st 
 	}
 	if c.log != nil {
 		c.log.Debug("cluster superstep",
-			"pass", pass, "round", round, "edge", st.Edge.Name,
+			"pass", pass, "round", stats.Rounds, "edge", st.Edge.Name,
 			"frontier", out.Count(),
 			"messages", stats.Messages-prevMsgs,
 			"vertices_sent", stats.VerticesSent-prevSent,
@@ -288,12 +297,13 @@ func (c *Cluster) superstep(pass string, round int, frontier *bitmap.Bitmap, st 
 	return out, nil
 }
 
-// recordStats folds one traversal's exchange statistics into the
-// attached registry.
-func (c *Cluster) recordStats(st *Stats) {
+// RecordStats folds the handle's exchange statistics into the attached
+// registry, counting them as one distributed traversal.
+func (c *Cluster) RecordStats() {
 	if c.obs == nil {
 		return
 	}
+	st := &c.stats
 	c.obs.Counter("graql_cluster_traversals_total", "distributed traversals executed").Inc()
 	c.obs.Counter("graql_cluster_rounds_total", "BSP exchange rounds executed").Add(int64(st.Rounds))
 	c.obs.Counter("graql_cluster_messages_total", "non-empty partition-to-partition exchanges").Add(int64(st.Messages))
@@ -313,40 +323,16 @@ func (c *Cluster) validate(startType *graph.VertexType, steps []Step) error {
 		if st.Edge == nil {
 			return fmt.Errorf("cluster: step %d has no edge type", i)
 		}
-		want := st.Edge.Src
+		from, to := st.Edge.Src, st.Edge.Dst
 		if !st.Forward {
-			want = st.Edge.Dst
+			from, to = to, from
 		}
-		if want != cur {
-			return fmt.Errorf("cluster: step %d expects %s, path is at %s", i, want.Name, cur.Name)
+		if from != cur {
+			return fmt.Errorf("cluster: step %d expects %s, path is at %s", i, from.Name, cur.Name)
 		}
-		if st.Forward {
-			cur = st.Edge.Dst
-		} else {
-			cur = st.Edge.Src
-		}
+		cur = to
 	}
 	return nil
-}
-
-// localFilterSet builds the start set in one pass over the id space. The
-// start predicate is a coordinator-local function (it closes over the
-// candidate machinery), so this phase always runs in-process and is not
-// part of Stats; only superstep expansion crosses the transport.
-func (c *Cluster) localFilterSet(n int, filter func(uint32) bool) *bitmap.Bitmap {
-	if filter == nil {
-		return bitmap.NewFull(n)
-	}
-	out := bitmap.New(n)
-	for v := uint32(0); v < uint32(n); v++ {
-		if v&1023 == 0 && c.ctx != nil && c.ctx.Err() != nil {
-			break
-		}
-		if filter(v) {
-			out.Set(v)
-		}
-	}
-	return out
 }
 
 // exchangeExpand runs one BSP round through the transport: every
@@ -356,15 +342,19 @@ func (c *Cluster) localFilterSet(n int, filter func(uint32) bool) *bitmap.Bitmap
 // the transport — src≠dst buckets count as exchange traffic whether they
 // crossed a channel or a socket — which is what makes the simulated and
 // networked statistics directly comparable.
-func (c *Cluster) exchangeExpand(pass string, round int, frontier *bitmap.Bitmap, st Step, outSize int, stats *Stats) (*bitmap.Bitmap, []PartResult, error) {
+func (c *Cluster) exchangeExpand(pass string, frontier *bitmap.Bitmap, st Step) (*bitmap.Bitmap, []PartResult, error) {
+	stats := &c.stats
 	stats.Rounds++
+	outSize := st.Edge.Dst.Count()
+	if !st.Forward {
+		outSize = st.Edge.Src.Count()
+	}
 	req := &SuperstepReq{
 		Edge:     st.Edge.Name,
 		Forward:  st.Forward,
 		Pass:     pass,
-		Round:    round,
+		Round:    stats.Rounds,
 		Frontier: frontier,
-		Filter:   st.FilterSet,
 		InSize:   frontier.Len(),
 		OutSize:  outSize,
 		TraceID:  c.traceID,
@@ -390,9 +380,7 @@ func (c *Cluster) exchangeExpand(pass string, round int, frontier *bitmap.Bitmap
 				stats.Messages++
 				stats.VerticesSent += len(buf)
 				stats.BytesSent += msgHeaderBytes + len(buf)*vertexIDBytes
-				if stats.PerPartSent != nil {
-					stats.PerPartSent[r.Part] += len(buf)
-				}
+				stats.PerPartSent[r.Part] += len(buf)
 			} else {
 				stats.VerticesLocal += len(buf)
 			}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"graql/internal/bitmap"
 	"graql/internal/cluster"
 	"graql/internal/graph"
 	"graql/internal/obs"
@@ -72,15 +71,6 @@ func dialWorkers(t testing.TB, g *graph.Graph, addrs []string, strategy cluster.
 	return tp
 }
 
-// evenSet builds a filter bitmap accepting even ids of a type.
-func evenSet(n int) *bitmap.Bitmap {
-	b := bitmap.New(n)
-	for v := uint32(0); v < uint32(n); v += 2 {
-		b.Set(v)
-	}
-	return b
-}
-
 // TestTransportEquivalence is the property test for the Transport seam:
 // on randomized graphs, the channel transport (in-process simulation)
 // and the TCP transport (real worker servers over sockets) produce
@@ -102,7 +92,7 @@ func TestTransportEquivalence(t *testing.T) {
 					// f: B→A walked in reverse to land back on B).
 					steps := func() []cluster.Step {
 						return []cluster.Step{
-							{Edge: g.EdgeType("e"), Forward: true, FilterSet: evenSet(g.VertexType("B").Count())},
+							{Edge: g.EdgeType("e"), Forward: true},
 							{Edge: g.EdgeType("e"), Forward: false},
 							{Edge: g.EdgeType("f"), Forward: false},
 						}

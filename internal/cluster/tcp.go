@@ -202,6 +202,18 @@ func (t *TCPTransport) Addrs() []string { return append([]string(nil), t.addrs..
 // context preempts that and surfaces as the context's error so
 // cancellation keeps its own code.
 func (t *TCPTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]PartResult, error) {
+	// One frame serves every worker: the frontier is encoded once.
+	wreq := &workerReq{
+		Op:       "step",
+		Edge:     req.Edge,
+		Forward:  req.Forward,
+		Pass:     req.Pass,
+		Round:    req.Round,
+		TraceID:  req.TraceID,
+		InSize:   req.InSize,
+		OutSize:  req.OutSize,
+		Frontier: encodeBitmap(req.Frontier),
+	}
 	results := make([]PartResult, len(t.addrs))
 	errs := make([]error, len(t.addrs))
 	var wg sync.WaitGroup
@@ -209,7 +221,7 @@ func (t *TCPTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]Part
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], errs[p] = t.rpcStep(ctx, p, req)
+			results[p], errs[p] = t.rpcStep(ctx, p, wreq)
 		}(p)
 	}
 	wg.Wait()
@@ -236,19 +248,7 @@ func (t *TCPTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]Part
 // rpcStep runs one worker's share of a superstep: frame out, frame back,
 // under a deadline, with capped redial-and-retry. Supersteps are pure
 // functions of the request frame, so retrying after any failure is safe.
-func (t *TCPTransport) rpcStep(ctx context.Context, p int, req *SuperstepReq) (PartResult, error) {
-	wreq := &workerReq{
-		Op:       "step",
-		Edge:     req.Edge,
-		Forward:  req.Forward,
-		Pass:     req.Pass,
-		Round:    req.Round,
-		TraceID:  req.TraceID,
-		InSize:   req.InSize,
-		OutSize:  req.OutSize,
-		Frontier: encodeBitmap(req.Frontier),
-		Filter:   encodeBitmap(req.Filter),
-	}
+func (t *TCPTransport) rpcStep(ctx context.Context, p int, wreq *workerReq) (PartResult, error) {
 	var lastErr error
 	retries := 0
 	for attempt := 0; attempt <= t.retries; attempt++ {

@@ -26,9 +26,9 @@ type Transport interface {
 	Strategy() Strategy
 	// Superstep runs one BSP expansion round: every partition expands the
 	// frontier vertices it owns through the step's edge index, dedups
-	// locally, applies the filter set, and returns its discovered targets
-	// bucketed by owning partition. The returned slice has one entry per
-	// partition, in partition order.
+	// locally, and returns its discovered targets bucketed by owning
+	// partition. The returned slice has one entry per partition, in
+	// partition order.
 	Superstep(ctx context.Context, req *SuperstepReq) ([]PartResult, error)
 }
 
@@ -46,9 +46,6 @@ type SuperstepReq struct {
 	// Frontier is the current vertex set (over the step's input type);
 	// each partition expands only the frontier vertices it owns.
 	Frontier *bitmap.Bitmap
-	// Filter optionally restricts accepted targets to a precomputed
-	// candidate set (the chain node's predicate bitmap). nil accepts all.
-	Filter *bitmap.Bitmap
 	// InSize and OutSize are the input and output vertex-type
 	// cardinalities (partition ownership is computed against them).
 	InSize, OutSize int
@@ -125,10 +122,10 @@ func owner(strategy Strategy, parts int, v uint32, n int) int {
 
 // expandOwned is the shared per-partition expansion kernel: partition
 // `part` walks the frontier vertices it owns in ascending id order,
-// expands each through the edge index, applies the filter set, dedups
-// locally, and buckets discovered targets by owning partition. Both
-// transports call exactly this function, which is what makes the
-// in-process simulation a correctness oracle for the networked path.
+// expands each through the edge index, dedups locally, and buckets
+// discovered targets by owning partition. Both transports call exactly
+// this function, which is what makes the in-process simulation a
+// correctness oracle for the networked path.
 // A dead context drains the expansion early (the caller surfaces the
 // abort after the superstep barrier).
 func expandOwned(ctx context.Context, g *graph.Graph, part, parts int, strategy Strategy, req *SuperstepReq) ([][]uint32, error) {
@@ -159,9 +156,6 @@ func expandOwned(ctx context.Context, g *graph.Graph, part, parts int, strategy 
 		}
 		nbr, _, _ := et.Adjacent(v, req.Forward)
 		for _, t := range nbr {
-			if req.Filter != nil && !req.Filter.Get(t) {
-				continue
-			}
 			if seen.Get(t) {
 				continue
 			}

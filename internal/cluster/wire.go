@@ -59,8 +59,12 @@ type workerReq struct {
 	InSize   int    `json:"in_size,omitempty"`
 	OutSize  int    `json:"out_size,omitempty"`
 	Frontier string `json:"frontier,omitempty"`
-	Filter   string `json:"filter,omitempty"`
+	// Filter is read only to be refused: an older coordinator expects its
+	// candidate set applied, and an unfiltered answer would be a superset.
+	Filter string `json:"filter,omitempty"`
 }
+
+const errFilterRefused = "worker: step frame carries a filter set; this worker expands unfiltered and the coordinator decides step conditions (upgrade the coordinator)"
 
 // workerResp is one worker→coordinator frame.
 type workerResp struct {
@@ -118,7 +122,7 @@ func readFrame(r *bufio.Reader, v any) (int, error) {
 }
 
 // encodeBitmap packs a bitmap's words little-endian and base64s them.
-// nil encodes as "" (absent filter).
+// nil encodes as "".
 func encodeBitmap(b *bitmap.Bitmap) string {
 	if b == nil {
 		return ""

@@ -216,8 +216,11 @@ func TestWorkerDispatchErrors(t *testing.T) {
 	if resp := w.dispatch(&workerReq{Op: "step", InSize: 8, Frontier: "!!"}); resp.OK {
 		t.Errorf("step with undecodable frontier must fail, got %+v", resp)
 	}
-	if resp := w.dispatch(&workerReq{Op: "step", InSize: 8, Frontier: encodeBitmap(bitmap.New(8)), OutSize: 8, Filter: "!!"}); resp.OK {
-		t.Errorf("step with undecodable filter must fail, got %+v", resp)
+	// A coordinator of an earlier build ships a filter set and expects it
+	// applied: answering unfiltered would hand it a superset.
+	if resp := w.dispatch(&workerReq{Op: "step", InSize: 8, Frontier: encodeBitmap(bitmap.New(8)), OutSize: 8, Filter: encodeBitmap(bitmap.New(8))}); resp.OK ||
+		resp.Err != errFilterRefused {
+		t.Errorf("step with a filter must be refused, got %+v", resp)
 	}
 	if resp := w.dispatch(&workerReq{Op: "ping"}); !resp.OK {
 		t.Errorf("ping must succeed, got %+v", resp)
@@ -231,13 +234,19 @@ func TestDialTCPValidation(t *testing.T) {
 }
 
 // TestNilFilterOmitsField: a step with no filter set puts no filter field
-// in its frame, and the worker reads the absence back as nil.
+// in its frame, so a worker reads the absence back as nil and does not
+// refuse the step.
 func TestNilFilterOmitsField(t *testing.T) {
-	frame, err := json.Marshal(&workerReq{Op: "step", Edge: "e", Frontier: encodeBitmap(bitmap.New(8)), Filter: encodeBitmap(nil)})
+	req := &workerReq{Op: "step", Edge: "e", Frontier: encodeBitmap(bitmap.New(8)), Filter: encodeBitmap(nil)}
+	frame, err := json.Marshal(req)
 	if err != nil || strings.Contains(string(frame), "filter") {
 		t.Fatalf("frame of an unfiltered step: %s (%v)", frame, err)
 	}
 	if f, err := decodeBitmap(8, ""); err != nil || f != nil {
 		t.Fatalf("decodeBitmap(\"\") = %v, %v; want nil, nil", f, err)
+	}
+	var back workerReq
+	if err := json.Unmarshal(frame, &back); err != nil || back.Filter != "" {
+		t.Fatalf("unfiltered step read back with filter %q (%v)", back.Filter, err)
 	}
 }

@@ -196,6 +196,9 @@ func (w *Worker) hello(req *workerReq) *workerResp {
 
 // step runs one superstep over this worker's owned slice of the frontier.
 func (w *Worker) step(req *workerReq) *workerResp {
+	if req.Filter != "" {
+		return &workerResp{Err: errFilterRefused}
+	}
 	frontier, err := decodeBitmap(req.InSize, req.Frontier)
 	if err != nil {
 		return &workerResp{Err: err.Error()}
@@ -203,17 +206,12 @@ func (w *Worker) step(req *workerReq) *workerResp {
 	if frontier == nil {
 		return &workerResp{Err: "worker: step frame has no frontier"}
 	}
-	filter, err := decodeBitmap(req.OutSize, req.Filter)
-	if err != nil {
-		return &workerResp{Err: err.Error()}
-	}
 	sreq := &SuperstepReq{
 		Edge:     req.Edge,
 		Forward:  req.Forward,
 		Pass:     req.Pass,
 		Round:    req.Round,
 		Frontier: frontier,
-		Filter:   filter,
 		InSize:   req.InSize,
 		OutSize:  req.OutSize,
 		TraceID:  req.TraceID,

@@ -74,8 +74,8 @@ select a.id as src, d.id as dst from graph
 def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N ( )
 into table SlowT`
 
-// clusterQuery is a concrete linear chain into a subgraph, the shape
-// the BSP cluster path accepts when Opts.ClusterParts >= 2.
+// clusterQuery is a concrete linear chain into a subgraph, whose every
+// expansion is a BSP superstep when Opts.ClusterParts >= 2.
 const clusterQuery = `
 select * from graph
 N ( ) --link--> N ( ) --link--> N ( )

@@ -18,7 +18,9 @@ import (
 // visit order spans and feeds both result kinds: a chain captured into a
 // subgraph reads its sets as the answer (for chains the culled per-step
 // sets equal the collapse of full binding enumeration, property-tested),
-// and binding enumeration walks inside them.
+// and binding enumeration walks inside them. With a cluster configured
+// the same passes run, with the expansions they route there as BSP
+// supersteps (cluster.go).
 
 // chainEdge returns the unique pattern edge connecting nodes a and b.
 func chainEdge(pat *sema.Pattern, a, b int) *sema.PEdge {
@@ -99,9 +101,14 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 
 // expandStep expands a step set across one pattern edge, concrete or
 // regex, from its source side when forward and from its target side
-// otherwise.
-func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitmap) (*bitmap.Bitmap, error) {
-	if pe.Regex == nil {
+// otherwise: as one cluster superstep when onCluster routes the edge
+// there, else on this process. pass ("forward" | "backward") names the
+// Eq. 5 pass it serves.
+func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitmap, pass string) (*bitmap.Bitmap, error) {
+	switch {
+	case m.onCluster(pe):
+		return m.expandOnCluster(pe, forward, fromSet, pass)
+	case pe.Regex == nil:
 		return m.expandFiltered(pe, forward, fromSet)
 	}
 	src, dst := m.nodeType[pe.Src], m.nodeType[pe.Dst]
@@ -143,7 +150,12 @@ func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitma
 // then a superset of the vertices complete bindings put at its node. With
 // exact set (the order must be a chain from one end) every step runs and
 // every set is materialised: the sets are the chain's matched sets.
+//
+// Where an expansion runs — this process or the cluster — is expandStep's
+// decision, one edge at a time; the cluster's span and statistics close
+// with the reduction.
 func (m *matcher) reduce(order []plan.Visit, exact bool) ([]*bitmap.Bitmap, error) {
+	defer m.closeCluster()
 	pat := m.pat
 	parentOf := func(v plan.Visit) int {
 		if v.Forward {
@@ -194,7 +206,7 @@ func (m *matcher) reduce(order []plan.Visit, exact bool) ([]*bitmap.Bitmap, erro
 				from = bitmap.NewFull(m.nodeType[parentOf(v)].Count())
 			}
 			var err error
-			if frontier, err = m.expandStep(pat.Edges[v.Via], v.Forward, from); err != nil {
+			if frontier, err = m.expandStep(pat.Edges[v.Via], v.Forward, from, "forward"); err != nil {
 				return nil, err
 			}
 		}
@@ -226,7 +238,7 @@ func (m *matcher) reduce(order []plan.Visit, exact bool) ([]*bitmap.Bitmap, erro
 		}
 		t0 := time.Now()
 		p := parentOf(v)
-		back, err := m.expandStep(pat.Edges[v.Via], !v.Forward, reach[v.Node])
+		back, err := m.expandStep(pat.Edges[v.Via], !v.Forward, reach[v.Node], "backward")
 		if err != nil {
 			return nil, err
 		}
@@ -239,26 +251,17 @@ func (m *matcher) reduce(order []plan.Visit, exact bool) ([]*bitmap.Bitmap, erro
 	return reach, nil
 }
 
-// cullChainSets returns the matched set of every node of a chain (indexed
-// by pattern node id): the reducer's sets over the chain read from one
-// end, computed on the cluster when the engine is configured for it.
-func (m *matcher) cullChainSets(chain []int) ([]*bitmap.Bitmap, error) {
-	if m.clusterChainEligible(chain) {
-		return m.cullChainSetsCluster(chain)
-	}
+// cullChainIntoSubgraph evaluates a chain pattern with the bitmap engine
+// and captures the selected steps into sub: the matched set of every node
+// is the reducer's set over the chain read from one end.
+func (m *matcher) cullChainIntoSubgraph(chain []int, nodeSel, edgeSel []bool, sub *graph.Subgraph) error {
 	order := make([]plan.Visit, len(chain))
 	order[0] = plan.Visit{Node: chain[0], Via: -1}
 	for k := 1; k < len(chain); k++ {
 		pe := chainEdge(m.pat, chain[k-1], chain[k])
 		order[k] = plan.Visit{Node: chain[k], Via: pe.ID, Forward: pe.Src == chain[k-1]}
 	}
-	return m.reduce(order, true)
-}
-
-// cullChainIntoSubgraph evaluates a chain pattern with the bitmap engine
-// and captures the selected steps into sub.
-func (m *matcher) cullChainIntoSubgraph(chain []int, nodeSel, edgeSel []bool, sub *graph.Subgraph) error {
-	final, err := m.cullChainSets(chain)
+	final, err := m.reduce(order, true)
 	if err != nil {
 		return err
 	}

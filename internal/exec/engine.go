@@ -77,10 +77,12 @@ type Options struct {
 	// (256 scripts); negative disables all reuse — no script is cached
 	// and prepared handles re-analyze on every execute.
 	PlanCache int
-	// ClusterParts >= 2 routes eligible linear-chain subgraph queries
-	// through the simulated GEMS backend cluster (internal/cluster): one
-	// BSP superstep per chain edge over that many partitions, with
-	// exchange statistics and per-superstep trace spans.
+	// ClusterParts >= 2 runs path queries on the simulated GEMS backend
+	// cluster (internal/cluster): every expansion of the Eq. 5 passes
+	// across a concrete edge type with no edge condition is one BSP
+	// superstep over that many partitions, with exchange statistics and
+	// per-superstep trace spans. Step conditions and binding enumeration
+	// stay on the coordinator.
 	ClusterParts int
 	// ClusterBlock selects block placement for the simulated cluster
 	// (default is hash placement).
@@ -92,11 +94,11 @@ type Options struct {
 	// default), IRVerifyOff none. IR that arrives over the wire is
 	// verified in every mode (DecodeIR).
 	IRVerify string
-	// Dist, when non-nil, routes eligible cluster chain queries through
-	// this transport — real worker processes over sockets — instead of
-	// the in-process simulation. The transport's partition count and
-	// placement strategy govern; ClusterParts/ClusterBlock are ignored.
-	// A worker failure surfaces as ErrPartial.
+	// Dist, when non-nil, sends the supersteps ClusterParts describes
+	// through this transport — real worker processes over sockets —
+	// instead of the in-process simulation. The transport's partition
+	// count and placement strategy govern; ClusterParts/ClusterBlock are
+	// ignored. A worker failure surfaces as ErrPartial.
 	Dist cluster.Transport
 	// Log, when non-nil, receives the engine's structured debug lines
 	// (currently one line per simulated-cluster BSP superstep). nil

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"graql/internal/bitmap"
+	"graql/internal/cluster"
 	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/obs"
@@ -59,6 +60,11 @@ type matcher struct {
 	// that survive verification and deferred conditions at depth d; times
 	// are inclusive of deeper steps and summed across parallel workers.
 	spans []*obs.Span
+
+	// cl and clSpan are the cluster handle and span of the reduction in
+	// progress (cluster.go), nil until its first superstep.
+	cl     *cluster.Cluster
+	clSpan *obs.Span
 
 	workers int
 }

@@ -458,7 +458,8 @@ func (g *pathGen) alt() string {
 // seeded, variant-typed and or-composed patterns, a graph select into a
 // table and the same pattern captured into a subgraph equal Eq. 5 read
 // literally (referencePaths) — serially and on four workers, with and
-// without reverse indexes.
+// without reverse indexes, and with the expansions on this process or on
+// two simulated partitions, hash or block placed.
 func TestEngineEqualsReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := &pathGen{r: r}
@@ -485,28 +486,33 @@ func TestEngineEqualsReference(t *testing.T) {
 		var wantSub string
 		for _, workers := range []int{1, 4} {
 			for _, reverse := range []bool{true, false} {
-				opts := DefaultOptions()
-				opts.Workers, opts.ReverseIndexes, opts.FileOpener = workers, reverse, memFS(files)
-				e := New(opts)
-				mustExec(t, e, pathSchema, nil)
-				mustExec(t, e, `select * from graph A (n < 6) --e--> B ( ) into subgraph s1`, nil)
-				if wantRows == nil {
-					wantRows = referenceTable(t, e, mustAnalyze(t, e, queries[0]), nil)
-					wantSub = subgraphFingerprint(referenceSubgraph(t, e, mustAnalyze(t, e, queries[1]), nil))
-				}
-				got := []string{}
-				for _, row := range tableRows(t, mustExec(t, e, queries[0], nil)) {
-					got = append(got, strings.Join(row, ","))
-				}
-				sortStrings(got)
-				if !slices.Equal(got, wantRows) {
-					t.Fatalf("trial %d (workers %d, reverse %v): into table\n%s\nengine    %v\nreference %v",
-						trial, workers, reverse, queries[0], got, wantRows)
-				}
-				res := mustExec(t, e, queries[1], nil)
-				if got := subgraphFingerprint(res[len(res)-1].Subgraph); got != wantSub {
-					t.Fatalf("trial %d (workers %d, reverse %v): into subgraph\n%s\nengine    %s\nreference %s",
-						trial, workers, reverse, queries[1], got, wantSub)
+				for _, placement := range []string{"local", "hash", "block"} {
+					opts := DefaultOptions()
+					opts.Workers, opts.ReverseIndexes, opts.FileOpener = workers, reverse, memFS(files)
+					if placement != "local" {
+						opts.ClusterParts, opts.ClusterBlock = 2, placement == "block"
+					}
+					e := New(opts)
+					mustExec(t, e, pathSchema, nil)
+					mustExec(t, e, `select * from graph A (n < 6) --e--> B ( ) into subgraph s1`, nil)
+					if wantRows == nil {
+						wantRows = referenceTable(t, e, mustAnalyze(t, e, queries[0]), nil)
+						wantSub = subgraphFingerprint(referenceSubgraph(t, e, mustAnalyze(t, e, queries[1]), nil))
+					}
+					got := []string{}
+					for _, row := range tableRows(t, mustExec(t, e, queries[0], nil)) {
+						got = append(got, strings.Join(row, ","))
+					}
+					sortStrings(got)
+					if !slices.Equal(got, wantRows) {
+						t.Fatalf("trial %d (workers %d, reverse %v, %s): into table\n%s\nengine    %v\nreference %v",
+							trial, workers, reverse, placement, queries[0], got, wantRows)
+					}
+					res := mustExec(t, e, queries[1], nil)
+					if got := subgraphFingerprint(res[len(res)-1].Subgraph); got != wantSub {
+						t.Fatalf("trial %d (workers %d, reverse %v, %s): into subgraph\n%s\nengine    %s\nreference %s",
+							trial, workers, reverse, placement, queries[1], got, wantSub)
+					}
 				}
 			}
 		}

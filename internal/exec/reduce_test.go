@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"net"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"graql/internal/bsbm"
+	"graql/internal/cluster"
 	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/obs"
@@ -91,6 +94,73 @@ func TestStepConditionErrorDomain(t *testing.T) {
 	}
 }
 
+// The evaluation domain is the same wherever the expansions run: captured
+// into a subgraph, the error-domain cases come back with the local answer
+// from simulated partitions, hash and block placed, and from worker
+// processes over a loopback TCPTransport — b3, which nothing reaches, is
+// never divided by, and neither is b0 behind the closed edge condition,
+// whose expansion stays on the coordinator.
+func TestStepConditionErrorDomainOnCluster(t *testing.T) {
+	local := frontierEngine(t)
+	sim := frontierEngine(t)
+	sim.Opts.ClusterParts = 2
+	netted := frontierEngine(t)
+	netted.Opts.Dist = loopbackCluster(t, netted, 2)
+	for _, q := range []string{
+		`select * from graph A (id = 'a0') --e--> B (20 / n > 1) into subgraph s`,
+		`select * from graph A ( ) --e--> B (20 / n > 1) into subgraph s`,
+		`select * from graph A (n >= 0) --e--> B (20 / n > 1) into subgraph s`,
+		`select * from graph A (id = 'a0') --e (w > 3)--> B (10 / (n - 1) > 1) into subgraph s`,
+	} {
+		want := subgraphFingerprint(mustExec(t, local, q, nil)[0].Subgraph)
+		for _, route := range []struct {
+			name  string
+			e     *Engine
+			block bool
+		}{{"hash", sim, false}, {"block", sim, true}, {"tcp", netted, false}} {
+			route.e.Opts.ClusterBlock = route.block
+			res, err := route.e.ExecScript(q, nil)
+			if err != nil {
+				t.Errorf("%s on %s: %v", q, route.name, err)
+				continue
+			}
+			if got := subgraphFingerprint(res[0].Subgraph); got != want {
+				t.Errorf("%s on %s:\n got  %s\n want %s", q, route.name, got, want)
+			}
+		}
+	}
+}
+
+// loopbackCluster serves e's graph from parts hash-placed workers on
+// loopback listeners and returns a transport dialed to them; everything
+// is torn down with the test.
+func loopbackCluster(t *testing.T, e *Engine, parts int) *cluster.TCPTransport {
+	t.Helper()
+	g := e.Cat.Graph()
+	addrs := make([]string, parts)
+	for p := range addrs {
+		wk, err := cluster.NewWorker(g, p, parts, cluster.Hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[p] = ln.Addr().String()
+		go wk.Serve(ln) //nolint:errcheck // returns once the worker closes
+		t.Cleanup(func() { wk.Close(); ln.Close() })
+	}
+	tp, err := cluster.DialTCP(addrs, cluster.DialOptions{
+		Strategy: cluster.Hash, Fingerprint: cluster.GraphFingerprint(g), Timeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tp.Close)
+	return tp
+}
+
 // Two or-alternatives project the same column from different source
 // tables: the second one's rows are appended column-wise onto the first's.
 func TestOrAlternativesAppendColumnWise(t *testing.T) {
@@ -163,14 +233,19 @@ func TestUnknownSeedIsAnError(t *testing.T) {
 // TestGraphSelectAllocs guards the allocation budget of the graph selects
 // the repository benchmark gates at +5 % allocs/op: the two one-hop
 // lookups of serve_* (s3) and write_mixed (writeRead), whose ceilings are
-// what the row-at-a-time matcher spent and must not rise, and BQ6, the
-// largest gather of bi_graph, whose ceiling is what this matcher spends.
+// what the row-at-a-time matcher spent and must not rise; BQ6, the
+// largest gather of bi_graph, whose ceiling is what this matcher spends;
+// and dist_chain's chain on two simulated partitions, whose ceiling is
+// what the separate cluster traversal spent.
 func TestGraphSelectAllocs(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 2
 	opts.FileOpener = memFS(bsbm.Generate(bsbm.Config{ScaleFactor: 1, Seed: 42}).Files)
 	berlin := New(opts)
 	mustExec(t, berlin, bsbm.FullDDL, nil)
+	opts.ClusterParts = 2
+	dist := New(opts)
+	mustExec(t, dist, bsbm.FullDDL, nil)
 	nodes := newSelfEdgeEngine(t, 8000)
 	nodes.Opts.Workers = 2
 	country, _ := bsbm.TypedParams(bsbm.DefaultParams())
@@ -186,6 +261,8 @@ func TestGraphSelectAllocs(t *testing.T) {
 		{"writeRead", nodes, `select b.id, b.val from graph NodeVtx (id = %Id%) --prev--> def b: NodeVtx`,
 			map[string]value.Value{"Id": value.NewInt(4321)}, 73}, // parent 73, now 54
 		{"BQ6", berlin, bsbm.Q6.Script, country, 180}, // parent 519, now 168
+		{"distChain", dist, `select * from graph ProducerVtx (country = %Country%) <--producer-- ProductVtx (propertyNumeric_1 > %Lower%) <--reviewFor-- ReviewVtx into subgraph distChain`,
+			map[string]value.Value{"Country": value.NewString("US"), "Lower": value.NewInt(500)}, 332}, // parent 332, now 316
 	} {
 		p, err := c.e.Prepare(c.src)
 		if err != nil {

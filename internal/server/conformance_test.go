@@ -40,7 +40,7 @@ type fixtureConfig struct {
 	queue    int    // ...and this much queue
 	tracing  bool   // retain traces
 	dense    bool   // load the complete digraph whose 4-hop enumeration runs for minutes
-	dist     bool   // route chain queries to a 2-worker loopback cluster
+	dist     bool   // expand path queries on a 2-worker loopback cluster
 	irVerify string // exec.Options.IRVerify
 }
 
