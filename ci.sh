@@ -159,6 +159,12 @@ if awk "BEGIN {exit !($total < $COVERAGE_FLOOR)}"; then
     exit 1
 fi
 
+echo "== race stress: shared dictionary indexes =="
+# Gathered, cloned and patched varchar columns share their source's
+# dictionary index read-only; readers and writers of one published column
+# hit it at once here, ten times over.
+go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML' ./internal/table ./internal/exec
+
 echo "== fuzz smoke (${FUZZTIME} per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/parser
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime="$FUZZTIME" ./internal/ir
@@ -167,6 +173,7 @@ go test -run='^$' -fuzz='^FuzzAnalyze$' -fuzztime="$FUZZTIME" ./internal/sema
 go test -run='^$' -fuzz='^FuzzWALDecode$' -fuzztime="$FUZZTIME" ./internal/storage
 go test -run='^$' -fuzz='^FuzzFingerprint$' -fuzztime="$FUZZTIME" ./internal/obs
 go test -run='^$' -fuzz='^FuzzFilterKernel$' -fuzztime="$FUZZTIME" ./internal/table
+go test -run='^$' -fuzz='^FuzzStringDictionary$' -fuzztime="$FUZZTIME" ./internal/table
 go test -run='^$' -fuzz='^FuzzTextExecRoutes$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzViewMaintenance$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzWireCodec$' -fuzztime="$FUZZTIME" ./internal/server

@@ -117,7 +117,7 @@ func TestExplainAnalyzeStillFlat(t *testing.T) {
 	if tb == nil || tb.NumRows() == 0 {
 		t.Fatal("explain analyze returned no plan rows")
 	}
-	if tb.ColByName("action") == nil {
+	if tb.Schema().Index("action") < 0 {
 		t.Fatalf("plan table lacks action column: %v", tb.Schema())
 	}
 	for r := uint32(0); r < uint32(tb.NumRows()); r++ {

@@ -49,14 +49,3 @@ func (c *CSR) Neighbors(v uint32) (nbr, eid []uint32) {
 
 // NumEdges returns the total number of edges indexed.
 func (c *CSR) NumEdges() int { return len(c.nbr) }
-
-// MaxDegree returns the maximum vertex degree in this direction.
-func (c *CSR) MaxDegree() int {
-	max := 0
-	for v := 0; v+1 < len(c.offsets); v++ {
-		if d := int(c.offsets[v+1] - c.offsets[v]); d > max {
-			max = d
-		}
-	}
-	return max
-}

@@ -98,7 +98,7 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 	var (
 		r         uint32
 		freshRows []uint32
-		fresh     = newKeyIndex(len(d.Changed))
+		fresh     = table.NewHashIndex(len(d.Changed))
 	)
 	sameOld := func(v VID) bool { return newBase.EqualKey(r, vt.KeyCols, vt.Keys, v, vt.keyIdent) }
 	sameFresh := func(k uint32) bool { return newBase.EqualKey(r, vt.KeyCols, newBase, freshRows[k], vt.KeyCols) }
@@ -120,13 +120,13 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 		if !hasKey {
 			continue
 		}
-		if v, found := vt.keyIndex.find(h, sameOld); found {
+		if v, found := vt.keyIndex.Find(h, sameOld); found {
 			rowToVID[r] = v
-		} else if k, found := fresh.find(h, sameFresh); found {
+		} else if k, found := fresh.Find(h, sameFresh); found {
 			rowToVID[r] = oldCount + k
 		} else {
 			rowToVID[r] = oldCount + uint32(len(freshRows))
-			fresh.add(h, uint32(len(freshRows)), freshHash)
+			fresh.Add(h, uint32(len(freshRows)), freshHash)
 			freshRows = append(freshRows, r)
 		}
 	}
@@ -166,21 +166,20 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 	if stable {
 		// No vertex moved or died: the index gains the new keys only.
 		vd.Remap = nil
-		out.keyIndex = vt.keyIndex.clone()
+		out.keyIndex = vt.keyIndex.Clone()
 		hashOf := func(v VID) uint64 {
 			h, _ := out.Keys.HashKey(v, out.keyIdent)
 			return h
 		}
 		for v := oldCount; v < VID(out.Count()); v++ {
-			out.keyIndex.add(hashOf(v), v, hashOf)
+			out.keyIndex.Add(hashOf(v), v, hashOf)
 		}
 	} else {
 		hashes, _ := out.Keys.HashKeys(out.keyIdent)
-		out.keyIndex = newKeyIndex(len(hashes))
+		out.keyIndex = table.NewHashIndex(len(hashes))
 		for v, h := range hashes {
-			out.keyIndex.place(h, VID(v))
+			out.keyIndex.Add(h, VID(v), nil)
 		}
-		out.keyIndex.used = len(hashes)
 	}
 
 	if vt.OneToOne {

@@ -45,16 +45,6 @@ func (s *Subgraph) EdgeSet(et *EdgeType) *bitmap.Bitmap {
 	return b
 }
 
-// Union merges o into s.
-func (s *Subgraph) Union(o *Subgraph) {
-	for vt, b := range o.Vertices {
-		s.VertexSet(vt).Or(b)
-	}
-	for et, b := range o.Edges {
-		s.EdgeSet(et).Or(b)
-	}
-}
-
 // NumVertices returns the total number of vertices in the subgraph.
 func (s *Subgraph) NumVertices() int {
 	n := 0

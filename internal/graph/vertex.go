@@ -45,11 +45,11 @@ type VertexType struct {
 	// row ids coincide with VIDs.
 	Keys *table.Table
 
-	baseRow  []uint32 // vid -> representative (first) base row
-	rowToVID []uint32 // base row -> vid (NoVertex if none)
-	keyIndex keyIndex // key cells of Keys -> vid
-	keyIdent []int    // 0..len(KeyCols)-1: the key columns as Keys numbers them
-	accepted int      // base rows that map to a vertex
+	baseRow  []uint32        // vid -> representative (first) base row
+	rowToVID []uint32        // base row -> vid (NoVertex if none)
+	keyIndex table.HashIndex // key cells of Keys -> vid
+	keyIdent []int           // 0..len(KeyCols)-1: the key columns as Keys numbers them
+	accepted int             // base rows that map to a vertex
 }
 
 // RowPred filters base rows during view construction; nil accepts all rows.
@@ -65,7 +65,6 @@ func BuildVertexType(id int, name string, base *table.Table, keyCols []int, wher
 		Name:     name,
 		KeyCols:  append([]int(nil), keyCols...),
 		rowToVID: make([]uint32, base.NumRows()),
-		keyIndex: newKeyIndex(0),
 	}
 	hashes, nulls := base.HashKeys(keyCols)
 	hashOf := func(v VID) uint64 { return hashes[vt.baseRow[v]] }
@@ -86,11 +85,11 @@ func BuildVertexType(id int, name string, base *table.Table, keyCols []int, wher
 			continue
 		}
 		vt.accepted++
-		vid, ok := vt.keyIndex.find(hashes[r], same)
+		vid, ok := vt.keyIndex.Find(hashes[r], same)
 		if !ok {
 			vid = uint32(len(vt.baseRow))
 			vt.baseRow = append(vt.baseRow, r)
-			vt.keyIndex.add(hashes[r], vid, hashOf)
+			vt.keyIndex.Add(hashes[r], vid, hashOf)
 		}
 		vt.rowToVID[r] = vid
 	}
@@ -124,7 +123,7 @@ func (vt *VertexType) LookupKeyValues(vals []value.Value) (VID, bool) {
 	if !ok || len(vals) != len(vt.KeyCols) {
 		return 0, false
 	}
-	return vt.keyIndex.find(h, func(v VID) bool { return vt.Keys.EqualValues(v, vt.keyIdent, vals) })
+	return vt.keyIndex.Find(h, func(v VID) bool { return vt.Keys.EqualValues(v, vt.keyIdent, vals) })
 }
 
 // AttrIndex resolves an attribute name visible on this vertex type. For a
@@ -194,9 +193,9 @@ func (vt *VertexType) KeyString(v VID) string {
 // and the key index must find every vertex and nothing else.
 func (vt *VertexType) Validate() error {
 	n := vt.Count()
-	if len(vt.baseRow) != n || len(vt.rowToVID) != vt.Base.NumRows() || vt.keyIndex.used != n {
+	if len(vt.baseRow) != n || len(vt.rowToVID) != vt.Base.NumRows() || vt.keyIndex.Len() != n {
 		return fmt.Errorf("graql: vertex %s: %d vertices, %d representative rows, %d indexed keys, %d of %d rows mapped",
-			vt.Name, n, len(vt.baseRow), vt.keyIndex.used, len(vt.rowToVID), vt.Base.NumRows())
+			vt.Name, n, len(vt.baseRow), vt.keyIndex.Len(), len(vt.rowToVID), vt.Base.NumRows())
 	}
 	accepted := 0
 	for r, v := range vt.rowToVID {
@@ -222,7 +221,7 @@ func (vt *VertexType) Validate() error {
 			return fmt.Errorf("graql: vertex %s: representative rows do not ascend at vertex %d", vt.Name, v)
 		}
 		h, _ := vt.Keys.HashKey(v, vt.keyIdent)
-		u, ok := vt.keyIndex.find(h, func(u VID) bool { return vt.Keys.EqualKey(v, vt.keyIdent, vt.Keys, u, vt.keyIdent) })
+		u, ok := vt.keyIndex.Find(h, func(u VID) bool { return vt.Keys.EqualKey(v, vt.keyIdent, vt.Keys, u, vt.keyIdent) })
 		if !ok || u != v {
 			return fmt.Errorf("graql: vertex %s: key index resolves the key of vertex %d to %d (found %v)", vt.Name, v, u, ok)
 		}

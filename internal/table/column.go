@@ -3,6 +3,8 @@ package table
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
+	"unsafe"
 
 	"graql/internal/bitmap"
 	"graql/internal/value"
@@ -187,21 +189,29 @@ func (c *boolColumn) Gather(idx []uint32) Column {
 func (c *boolColumn) Distinct() int { return 2 }
 
 // stringColumn stores varchar data with dictionary encoding: each distinct
-// string is stored once and rows hold 32-bit codes. Attribute data such as
-// country codes and product types in the Berlin schema is highly
-// repetitive, so this both saves memory and turns equality filters,
-// group-by and distinct into integer work on the codes.
+// string is stored once, in dict in order of first appearance, and rows
+// hold its 32-bit code. Attribute data such as country codes and product
+// types in the Berlin schema is highly repetitive, so this both saves
+// memory and turns equality filters, group-by and distinct into integer
+// work on the codes.
 //
-// Gather and clone copy the codes and share the dictionary entries
-// instead of re-hashing every string: dict is capped at its length there,
-// so a later Append of a new string copies it rather than write into the
-// source's array, and the string→code index is rebuilt only when an
-// Append first needs it.
+// The string→code index is a HashIndex of codes, probed by the string's
+// hash and resolved by comparing dict[code]. Gather and clone copy the
+// codes and share the dictionary and its index: dict is capped at its
+// length, so appending a new string copies it rather than write into the
+// source's array, and an index once shared is never written again — the
+// first column to add a string copies it. Ingest copies the strings it
+// adds, so the dictionary never pins the record line they were cut from.
 type stringColumn struct {
 	codes []uint32
 	dict  []string
-	index map[string]uint32 // nil until an Append needs it
+	index *dictIndex // nil while dict is empty; else index.Len() == len(dict)
 	width int
+}
+
+type dictIndex struct {
+	HashIndex
+	shared atomic.Bool // a second column reads it: nothing writes it again
 }
 
 const nullCode = ^uint32(0)
@@ -218,7 +228,11 @@ func (c *stringColumn) Value(i uint32) value.Value {
 	return value.NewString(c.dict[code])
 }
 
-func (c *stringColumn) Append(v value.Value) error {
+func (c *stringColumn) Append(v value.Value) error { return c.append(v, nil) }
+
+// append is Append. A non-nil arena says that v's string is cut from a
+// buffer the caller does not keep, so a new one is copied into the arena.
+func (c *stringColumn) append(v value.Value, arena *arena) error {
 	if v.IsNull() {
 		c.codes = append(c.codes, nullCode)
 		return nil
@@ -226,7 +240,7 @@ func (c *stringColumn) Append(v value.Value) error {
 	if v.Kind() != value.KindString {
 		return &value.TypeError{Op: "store", A: value.KindString, B: v.Kind()}
 	}
-	code, err := c.intern(v.Str())
+	code, err := c.intern(v.Str(), arena)
 	if err != nil {
 		return err
 	}
@@ -234,51 +248,77 @@ func (c *stringColumn) Append(v value.Value) error {
 	return nil
 }
 
-// intern returns the dictionary code of s, adding s to the dictionary
-// when it is new.
-func (c *stringColumn) intern(s string) (uint32, error) {
+// intern returns the dictionary code of s, adding s — or, with an arena, a
+// copy of it there — to the dictionary when it is new.
+func (c *stringColumn) intern(s string, arena *arena) (uint32, error) {
 	if c.width > 0 && len(s) > c.width {
 		return 0, fmt.Errorf("graql: value %q exceeds varchar(%d)", s, c.width)
 	}
-	if c.index == nil {
-		c.index = make(map[string]uint32, len(c.dict))
-		for code, d := range c.dict {
-			c.index[d] = uint32(code)
-		}
+	if code, ok := c.codeOf(s); ok {
+		return code, nil
 	}
-	code, ok := c.index[s]
-	if !ok {
-		code = uint32(len(c.dict))
-		c.dict = append(c.dict, s)
-		c.index[s] = code
+	switch {
+	case c.index == nil:
+		c.index = new(dictIndex)
+	case c.index.shared.Load():
+		c.index = &dictIndex{HashIndex: c.index.Clone()}
 	}
+	if arena != nil {
+		s = arena.copy(s)
+	}
+	code := uint32(len(c.dict))
+	c.dict = append(c.dict, s)
+	c.index.Add(stringImage(s), code, func(code uint32) uint64 { return stringImage(c.dict[code]) })
 	return code, nil
+}
+
+// An arena holds the copies one ingest makes of the strings it adds to
+// dictionaries, in blocks of up to 16 KiB they share rather than one small
+// object each for the collector to mark. The ingest loop owns it; a
+// block's bytes are written once, below its length, and never change.
+type arena []byte
+
+// copy returns a copy of s in the arena.
+func (a *arena) copy(s string) string {
+	if s == "" {
+		return ""
+	}
+	if len(s) > cap(*a)-len(*a) {
+		*a = make(arena, 0, max(len(s), min(2*cap(*a), 16<<10), 64))
+	}
+	*a = append(*a, s...)
+	return unsafe.String(&(*a)[len(*a)-len(s)], len(s))
 }
 
 // codeOf returns the dictionary code of s. It only reads, so concurrent
 // scans of a published column may call it.
 func (c *stringColumn) codeOf(s string) (uint32, bool) {
-	if c.index != nil {
-		code, ok := c.index[s]
-		return code, ok
+	if c.index == nil {
+		return 0, false
 	}
-	i := slices.Index(c.dict, s)
-	return uint32(i), i >= 0
+	return c.index.Find(stringImage(s), func(code uint32) bool { return c.dict[code] == s })
+}
+
+// share returns a column without rows over c's dictionary and index, and
+// marks the index shared: neither column writes it again.
+func (c *stringColumn) share() *stringColumn {
+	if c.index != nil && !c.index.shared.Load() {
+		c.index.shared.Store(true)
+	}
+	return &stringColumn{dict: slices.Clip(c.dict), index: c.index, width: c.width}
 }
 
 func (c *stringColumn) Gather(idx []uint32) Column {
-	codes := make([]uint32, len(idx))
+	out := c.share()
+	out.codes = make([]uint32, len(idx))
 	for j, i := range idx {
-		codes[j] = nullCode
+		out.codes[j] = nullCode
 		if i != noRow {
-			codes[j] = c.codes[i]
+			out.codes[j] = c.codes[i]
 		}
 	}
-	return &stringColumn{codes: codes, dict: slices.Clip(c.dict), width: c.width}
+	return out
 }
-
-// DictSize returns the number of strings in the column dictionary.
-func (c *stringColumn) DictSize() int { return len(c.dict) }
 
 func (c *stringColumn) Distinct() int { return len(c.dict) }
 
@@ -300,7 +340,7 @@ func setCell(c Column, i uint32, v value.Value) error {
 	case *stringColumn:
 		c.codes[i] = nullCode
 		if !v.IsNull() {
-			code, err := c.intern(v.Str())
+			code, err := c.intern(v.Str(), nil)
 			if err != nil {
 				return err
 			}
@@ -322,7 +362,9 @@ func cloneColumn(c Column) Column {
 	case *boolColumn:
 		return &boolColumn{data: slices.Clone(c.data), nulls: slices.Clone(c.nulls)}
 	case *stringColumn:
-		return &stringColumn{codes: slices.Clone(c.codes), dict: slices.Clip(c.dict), width: c.width}
+		out := c.share()
+		out.codes = slices.Clone(c.codes)
+		return out
 	}
 	idx := make([]uint32, c.Len())
 	for i := range idx {

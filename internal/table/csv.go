@@ -24,6 +24,7 @@ func LoadCSV(t *Table, r io.Reader) (*Table, error) {
 	cr.ReuseRecord = true
 	first := true
 	line := 0
+	var arena arena // the copies of the strings the load adds to dictionaries
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -39,7 +40,7 @@ func LoadCSV(t *Table, r io.Reader) (*Table, error) {
 				continue
 			}
 		}
-		if err := stage.AppendStrings(rec); err != nil {
+		if err := stage.appendStrings(rec, &arena); err != nil {
 			return nil, fmt.Errorf("graql: ingest %s line %d: %w", t.Name, line, err)
 		}
 	}

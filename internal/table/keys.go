@@ -2,6 +2,7 @@ package table
 
 import (
 	"cmp"
+	"hash/maphash"
 	"slices"
 
 	"graql/internal/bitmap"
@@ -17,11 +18,7 @@ import (
 // (an integer never equals a float or a date), the two float zeros are one
 // key, and a NULL cell equals nothing — a tuple holding one has no key.
 
-const (
-	hashInit = 0x9e3779b97f4a7c15
-	fnvInit  = 14695981039346656037
-	fnvPrime = 1099511628211
-)
+const hashInit = 0x9e3779b97f4a7c15
 
 // mix folds the image of one cell into a running tuple hash.
 func mix(h, cell uint64) uint64 {
@@ -29,13 +26,11 @@ func mix(h, cell uint64) uint64 {
 	return h ^ h>>32
 }
 
-func stringImage(s string) uint64 {
-	h := uint64(fnvInit)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
-}
+// stringSeed seeds the hash of every string in the process — key cells
+// and dictionary entries alike. No hash outlives the process.
+var stringSeed = maphash.MakeSeed()
+
+func stringImage(s string) uint64 { return maphash.String(stringSeed, s) }
 
 // valueImage is the hash image of a non-NULL value; cellImage must agree
 // with it for the same value stored in a column.

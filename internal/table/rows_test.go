@@ -295,9 +295,10 @@ func TestSignedZeroIsOneKey(t *testing.T) {
 	}
 }
 
-// TestGatherSharesDictionary: gathered and cloned varchar columns share the
-// source's dictionary without re-hashing, and appending to either side
-// never shows through to the other.
+// TestGatherSharesDictionary: gathered, cloned and patched varchar columns
+// share the source's dictionary and its index without re-hashing, find
+// every string of it in O(1), and appending to any side never shows
+// through to another.
 func TestGatherSharesDictionary(t *testing.T) {
 	src := MustNew("S", Schema{{Name: "s", Type: value.Varchar(8)}})
 	for _, s := range []string{"a", "b", "a", "c"} {
@@ -305,15 +306,31 @@ func TestGatherSharesDictionary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sc := src.Col(0).(*stringColumn)
 	g := src.Gather("G", []uint32{3, 0})
 	gc := g.Col(0).(*stringColumn)
-	if gc.index != nil || &gc.dict[0] != &src.Col(0).(*stringColumn).dict[0] {
-		t.Fatal("gather must share the dictionary and build no index")
+	if gc.index != sc.index || &gc.dict[0] != &sc.dict[0] {
+		t.Fatal("gather must share the dictionary and its index")
 	}
 	if got := g.Col(0).Distinct(); got != 3 {
 		t.Errorf("Distinct() of a gathered column = %d, want the source's 3 as an upper bound", got)
 	}
 	clone := src.Clone()
+	patched, err := src.Patch([]int{0}, []uint32{1}, [][]value.Value{{value.NewString("c")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range []*Table{g, clone, patched} {
+		c := tb.Col(0).(*stringColumn)
+		for want, s := range []string{"a", "b", "c"} {
+			if code, ok := c.codeOf(s); !ok || code != uint32(want) {
+				t.Errorf("%s: codeOf(%q) = %d, %v; want %d", tb.Name, s, code, ok, want)
+			}
+		}
+		if _, ok := c.codeOf("d"); ok {
+			t.Errorf("%s: codeOf finds a string nobody added", tb.Name)
+		}
+	}
 	for i, tb := range []*Table{g, clone, src} {
 		// Each appends a string the others do not have, and one they do.
 		for _, s := range []string{fmt.Sprintf("new%d", i), "b"} {
@@ -333,9 +350,22 @@ func TestGatherSharesDictionary(t *testing.T) {
 		if got := strings.Join(cells, " "); got != c.want {
 			t.Errorf("%s holds %q, want %q", c.tb.Name, got, c.want)
 		}
-		if sc := c.tb.Col(0).(*stringColumn); sc.DictSize() != 4 {
+		if sc := c.tb.Col(0).(*stringColumn); len(sc.dict) != 4 {
 			t.Errorf("%s: dictionary %v, want 4 entries (no duplicate of b)", c.tb.Name, sc.dict)
 		}
+	}
+	// Each side finds the string it appended after the split, and no other.
+	for i, tb := range []*Table{g, clone, src} {
+		c := tb.Col(0).(*stringColumn)
+		for j := range 3 {
+			code, ok := c.codeOf(fmt.Sprintf("new%d", j))
+			if ok != (i == j) || ok && code != 3 {
+				t.Errorf("%s: codeOf(new%d) = %d, %v", tb.Name, j, code, ok)
+			}
+		}
+	}
+	if _, ok := patched.Col(0).(*stringColumn).codeOf("new2"); ok {
+		t.Error("a patched version sees a string its source appended later")
 	}
 	if err := clone.AppendRow([]value.Value{value.NewString("far too long")}); err == nil {
 		t.Error("a clone must keep enforcing varchar(8)")

@@ -76,15 +76,6 @@ func (t *Table) NumCols() int { return len(t.cols) }
 // Col returns the i-th column.
 func (t *Table) Col(i int) Column { return t.cols[i] }
 
-// ColByName returns the named column, or nil.
-func (t *Table) ColByName(name string) Column {
-	i := t.schema.Index(name)
-	if i < 0 {
-		return nil
-	}
-	return t.cols[i]
-}
-
 // Value returns the value at (row, col).
 func (t *Table) Value(row uint32, col int) value.Value {
 	return t.cols[col].Value(row)
@@ -92,12 +83,21 @@ func (t *Table) Value(row uint32, col int) value.Value {
 
 // AppendRow appends one row of typed values. The slice must have one value
 // per column with matching kinds.
-func (t *Table) AppendRow(vals []value.Value) error {
+func (t *Table) AppendRow(vals []value.Value) error { return t.appendRow(vals, nil) }
+
+// appendRow is AppendRow; with an arena, dictionaries copy what they add.
+func (t *Table) appendRow(vals []value.Value, arena *arena) error {
 	if len(vals) != len(t.cols) {
 		return fmt.Errorf("graql: table %s: row has %d values, want %d", t.Name, len(vals), len(t.cols))
 	}
 	for i, v := range vals {
-		if err := t.cols[i].Append(v); err != nil {
+		var err error
+		if sc, ok := t.cols[i].(*stringColumn); ok {
+			err = sc.append(v, arena)
+		} else {
+			err = t.cols[i].Append(v)
+		}
+		if err != nil {
 			return fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[i].Name, err)
 		}
 	}
@@ -106,8 +106,11 @@ func (t *Table) AppendRow(vals []value.Value) error {
 }
 
 // AppendStrings parses and appends one textual record (e.g. a CSV record)
-// according to the schema's column types.
-func (t *Table) AppendStrings(rec []string) error {
+// according to the schema's column types. It keeps no reference into rec.
+func (t *Table) AppendStrings(rec []string) error { return t.appendStrings(rec, new(arena)) }
+
+// appendStrings is AppendStrings copying new strings into arena.
+func (t *Table) appendStrings(rec []string, arena *arena) error {
 	if len(rec) != len(t.cols) {
 		return fmt.Errorf("graql: table %s: record has %d fields, want %d", t.Name, len(rec), len(t.cols))
 	}
@@ -119,7 +122,7 @@ func (t *Table) AppendStrings(rec []string) error {
 		}
 		vals[i] = v
 	}
-	return t.AppendRow(vals)
+	return t.appendRow(vals, arena)
 }
 
 // Row materialises row i as a value slice (for display and tests; hot paths

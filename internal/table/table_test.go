@@ -131,8 +131,8 @@ func TestStringDictionary(t *testing.T) {
 		}
 	}
 	col := tb.Col(0).(*stringColumn)
-	if col.DictSize() != 3 {
-		t.Errorf("dictionary size = %d, want 3", col.DictSize())
+	if col.Distinct() != 3 {
+		t.Errorf("dictionary size = %d, want 3", col.Distinct())
 	}
 	if tb.Value(50, 0).Str() != []string{"x", "y", "z"}[50%3] {
 		t.Error("dictionary decode wrong")
