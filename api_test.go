@@ -108,3 +108,16 @@ func TestExplainThroughPublicAPI(t *testing.T) {
 		t.Errorf("explain output:\n%s", out)
 	}
 }
+
+// TestWithClusterSim: the option sets the engine's one cluster transport,
+// simulated partitions from two up and a nil interface, not a typed nil,
+// below that.
+func TestWithClusterSim(t *testing.T) {
+	if d := graql.Open(graql.WithClusterSim(1, false)).Engine().Opts.Dist; d != nil {
+		t.Errorf("WithClusterSim(1, false) set Dist %#v, want nil", d)
+	}
+	d := graql.Open(graql.WithClusterSim(3, true)).Engine().Opts.Dist
+	if d == nil || d.Parts() != 3 || d.Strategy().String() != "block" {
+		t.Errorf("WithClusterSim(3, true) set Dist %#v, want 3 block-placed partitions", d)
+	}
+}

@@ -218,7 +218,7 @@ func BenchmarkCluster(b *testing.B) {
 	}
 	_ = steps
 	for _, parts := range []int{1, 2, 4, 8} {
-		c, err := cluster.New(g, parts)
+		c, err := cluster.NewWithStrategy(g, parts, cluster.Hash)
 		if err != nil {
 			b.Fatal(err)
 		}

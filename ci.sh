@@ -484,7 +484,8 @@ echo "== smoke: distributed cluster (3 networked worker shards vs in-process ora
 # supersteps to them over TCP, and a single-process oracle server that
 # simulates the same 3-partition cluster in-process. The same queries
 # must render byte-for-byte identically through both paths, and the
-# coordinator's metrics must prove the networked path actually ran.
+# coordinator's metrics must prove the networked path actually ran, the
+# oracle's that it simulated the cluster rather than answering locally.
 # -workers 1 on both query servers keeps row order deterministic.
 w0_pid="" w1_pid="" w2_pid=""
 for p in 0 1 2; do
@@ -499,8 +500,8 @@ done
     -dist-timeout 2s -dist-retries 1 -workers 1 -log-level info \
     >"$tmpdir/coordinator.log" 2>&1 &
 dist_pids="$dist_pids $!"
-"$tmpdir/gems-server" -addr 127.0.0.1:17755 -berlin 1 -partitions 3 \
-    -workers 1 -log-level off >"$tmpdir/oracle.log" 2>&1 &
+"$tmpdir/gems-server" -addr 127.0.0.1:17755 -http 127.0.0.1:17756 -berlin 1 \
+    -partitions 3 -workers 1 -log-level off >"$tmpdir/oracle.log" 2>&1 &
 dist_pids="$dist_pids $!"
 for srv in 17753 17755; do
     for i in $(seq 1 100); do
@@ -529,10 +530,12 @@ ProducerVtx (country = %Country1%)
 <--reviewFor-- ReviewVtx ( )
 --reviewer--> def u: PersonVtx (country = %Country2%)
 EOF
-dist_supersteps() { # the coordinator's graql_dist_supersteps_total
-    curl -fsS http://127.0.0.1:17754/metrics |
-        awk '$1 == "graql_dist_supersteps_total" { n = $2 } END { print n + 0 }'
+counter() { # counter <http port> <name>: one counter off a server's /metrics
+    curl -fsS "http://127.0.0.1:$1/metrics" |
+        awk -v name="$2" '$1 == name { n = $2 } END { print n + 0 }'
 }
+dist_supersteps() { counter 17754 graql_dist_supersteps_total; }
+oracle_rounds() { counter 17756 graql_cluster_rounds_total; }
 dist_same() { # dist_same <name>: run <name>.graql on both servers, diff
     # Per-request trace ids legitimately differ between the two servers;
     # everything else must match byte-for-byte.
@@ -549,12 +552,19 @@ dist_same() { # dist_same <name>: run <name>.graql on both servers, diff
 dist_same dist-chain
 grep -q 'DistSG' "$tmpdir/dist-chain-net.out"
 # The networked path must actually have run, for the into-table query on
-# its own too: the coordinator's superstep count rises across each.
+# its own too: the coordinator's superstep count rises across each. So
+# must the oracle's simulated rounds, or the diff compared two local runs.
 chain_steps=$(dist_supersteps)
+chain_rounds=$(oracle_rounds)
 dist_same dist-table
 supersteps=$(dist_supersteps)
+rounds=$(oracle_rounds)
 if [ "$chain_steps" -eq 0 ] || [ "$supersteps" -le "$chain_steps" ]; then
     echo "supersteps over the wire: chain $chain_steps, into-table $((supersteps - chain_steps)); want both > 0" >&2
+    exit 1
+fi
+if [ "$chain_rounds" -eq 0 ] || [ "$rounds" -le "$chain_rounds" ]; then
+    echo "oracle's simulated rounds: chain $chain_rounds, into-table $((rounds - chain_rounds)); want both > 0" >&2
     exit 1
 fi
 if [ "$(wc -l <"$tmpdir/dist-table-net.out")" -lt 2 ]; then
@@ -572,7 +582,7 @@ if [ "$healthy" -ne 3 ]; then
     exit 1
 fi
 curl -fsS http://127.0.0.1:17754/readyz | grep -q '"ok":true'
-echo "networked results match the in-process oracle ($supersteps supersteps over the wire)"
+echo "networked results match the in-process oracle ($supersteps supersteps over the wire, $rounds simulated)"
 
 echo "== smoke: distributed fault injection (kill -9 a worker shard) =="
 # Kill one worker shard outright: the next chain query and the next

@@ -22,7 +22,7 @@
 // is the cluster's coordinator: it scatters the supersteps of path
 // queries (every expansion across a concrete edge type with no edge
 // condition) to the listed worker processes (address order = partition
-// order) instead of simulating partitions in-process; a worker that
+// order) instead of simulating -partitions in-process; a worker that
 // fails a superstep after -dist-timeout and -dist-retries yields the
 // structured "partial" error code.
 package main
@@ -93,8 +93,8 @@ func main() {
 	opts := exec.DefaultOptions()
 	opts.BaseDir = *dataDir
 	opts.Workers = *workers
-	opts.ClusterParts = *partitions
-	opts.ClusterBlock = *placement == "block"
+	simStrategy, _ := cluster.ParseStrategy(*placement) // hash unless "block"; -dist replaces it below
+	opts.Dist = cluster.Simulated(*partitions, simStrategy)
 	opts.PlanCache = *planCache
 	opts.IRVerify = *irVerify
 	opts.Log = logger
@@ -234,7 +234,6 @@ func main() {
 	srv.Limits = server.Limits{DefaultTimeout: *queryTimeout, MaxTimeout: *maxTimeout}
 	srv.Gate = server.NewGate(*maxInFlight, *maxQueue, opts.Obs)
 	srv.Log = logger
-	srv.Dist = dist
 
 	var hs *http.Server
 	if *httpAddr != "" {

@@ -89,7 +89,7 @@ func renderAll(t *testing.T, rs []exec.Result) []byte {
 func TestDistributedBerlinEquivalence(t *testing.T) {
 	local := distEngine(t, 1)
 	sim := distEngine(t, 1)
-	sim.Opts.ClusterParts = 3
+	sim.Opts.Dist = cluster.Simulated(3, cluster.Hash)
 
 	netted := distEngine(t, 1)
 	reg := obs.New()

@@ -33,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"graql/internal/cluster"
 	"graql/internal/diag"
 	"graql/internal/exec"
 	"graql/internal/obs"
@@ -163,17 +164,18 @@ func WithPlanCache(n int) Option {
 	}
 }
 
-// WithClusterSim runs path queries on the simulated GEMS backend
-// cluster: with parts >= 2 partitions, every expansion of the Eq. 5
-// passes across a concrete edge type with no edge condition is one BSP
-// superstep, with frontier-exchange statistics (and trace spans, under
-// WithTracing). block selects block placement instead of the default
-// hash placement.
+// WithClusterSim sets the engine's cluster transport (exec.Options.Dist)
+// to a simulated GEMS backend cluster: with parts >= 2 partitions, every
+// expansion of the Eq. 5 passes across a concrete edge type with no edge
+// condition is one BSP superstep, with frontier-exchange statistics (and
+// trace spans, under WithTracing); parts < 2 leaves it nil. block selects
+// block placement instead of the default hash placement.
 func WithClusterSim(parts int, block bool) Option {
-	return func(o *exec.Options) {
-		o.ClusterParts = parts
-		o.ClusterBlock = block
+	strategy := cluster.Hash
+	if block {
+		strategy = cluster.Block
 	}
+	return func(o *exec.Options) { o.Dist = cluster.Simulated(parts, strategy) }
 }
 
 // WithLogger attaches a structured logger to the engine's debug paths

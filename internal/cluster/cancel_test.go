@@ -21,7 +21,7 @@ func cancelSteps(g *graph.Graph) []cluster.Step {
 // context cause for errors.Is.
 func TestTraverseCanceledContext(t *testing.T) {
 	g := fixture(t, 7, 3)
-	c, err := cluster.New(g, 2)
+	c, err := cluster.NewWithStrategy(g, 2, cluster.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTraverseCanceledContext(t *testing.T) {
 // cluster to working order.
 func TestTraverseExpiredDeadline(t *testing.T) {
 	g := fixture(t, 7, 3)
-	c, err := cluster.New(g, 2)
+	c, err := cluster.NewWithStrategy(g, 2, cluster.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // edge-index expansion followed by frontier exchange between partitions.
 //
 // Partition execution sits behind the Transport interface. The
-// ChannelTransport runs every partition as a goroutine over one shared
-// in-memory graph — a faithful shared-nothing simulation that counts
+// ChannelTransport runs every partition as a goroutine over the
+// coordinator's graph — a faithful shared-nothing simulation that counts
 // exchanged messages and vertex ids, the quantities that dominate
 // distributed graph-query cost. The TCPTransport scatters each superstep
 // to real worker processes over sockets (cmd/gems-server -worker) and
@@ -70,6 +70,7 @@ func ParseStrategy(name string) (Strategy, error) {
 // Cluster drives BSP path traversals over one database graph through a
 // Transport (simulated nodes or networked workers).
 type Cluster struct {
+	g         *graph.Graph
 	transport Transport
 	parts     int
 	strategy  Strategy
@@ -119,30 +120,22 @@ func (c *Cluster) SetLogger(l *slog.Logger) { c.log = l }
 // forwards it to workers so their logs correlate with the coordinator's.
 func (c *Cluster) SetTraceID(id string) { c.traceID = id }
 
-// New partitions the graph's vertex id spaces across `parts` simulated
-// nodes with hash placement (GEMS's baseline).
-func New(g *graph.Graph, parts int) (*Cluster, error) {
-	return NewWithStrategy(g, parts, Hash)
-}
-
-// NewWithStrategy selects the placement strategy explicitly.
+// NewWithStrategy partitions g's vertex id spaces across `parts`
+// simulated nodes under strategy (hash placement is GEMS's baseline).
 func NewWithStrategy(g *graph.Graph, parts int, strategy Strategy) (*Cluster, error) {
-	t, err := NewChannelTransport(g, parts, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return NewWithTransport(g, t)
+	return NewWithTransport(g, &ChannelTransport{parts: parts, strategy: strategy})
 }
 
 // NewWithTransport drives traversals over g, the coordinator's copy of
-// the graph whose types the steps name, through an explicit transport
-// (the seam the networked path plugs into): start sets and step
-// validation evaluate locally, only superstep expansion runs remotely.
+// the graph whose types the steps name, through t: start sets and step
+// validation evaluate locally, and every superstep hands g to the
+// transport, which the simulated partitions expand over and the
+// networked ones leave for their own copies.
 func NewWithTransport(g *graph.Graph, t Transport) (*Cluster, error) {
 	if t.Parts() < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 partition, got %d", t.Parts())
 	}
-	return &Cluster{transport: t, parts: t.Parts(), strategy: t.Strategy(),
+	return &Cluster{g: g, transport: t, parts: t.Parts(), strategy: t.Strategy(),
 		stats: Stats{PerPartSent: make([]int, t.Parts())}}, nil
 }
 
@@ -341,7 +334,9 @@ func (c *Cluster) validate(startType *graph.VertexType, steps []Step) error {
 // merges the buckets and counts messages. Accounting is independent of
 // the transport — src≠dst buckets count as exchange traffic whether they
 // crossed a channel or a socket — which is what makes the simulated and
-// networked statistics directly comparable.
+// networked statistics directly comparable. An answer naming more
+// partitions than the cluster has, or a vertex outside st's landing type,
+// is that partition's failure (*PartialError).
 func (c *Cluster) exchangeExpand(pass string, frontier *bitmap.Bitmap, st Step) (*bitmap.Bitmap, []PartResult, error) {
 	stats := &c.stats
 	stats.Rounds++
@@ -350,6 +345,7 @@ func (c *Cluster) exchangeExpand(pass string, frontier *bitmap.Bitmap, st Step) 
 		outSize = st.Edge.Src.Count()
 	}
 	req := &SuperstepReq{
+		Graph:    c.g,
 		Edge:     st.Edge.Name,
 		Forward:  st.Forward,
 		Pass:     pass,
@@ -372,6 +368,9 @@ func (c *Cluster) exchangeExpand(pass string, frontier *bitmap.Bitmap, st Step) 
 	// traffic is counted once per non-empty (src,dst) bucket.
 	out := bitmap.New(outSize)
 	for _, r := range results {
+		if len(r.Dst) > c.parts {
+			return nil, nil, badAnswer(r, fmt.Sprintf("answered for %d partitions, cluster has %d", len(r.Dst), c.parts))
+		}
 		for dst, buf := range r.Dst {
 			if len(buf) == 0 {
 				continue
@@ -385,9 +384,18 @@ func (c *Cluster) exchangeExpand(pass string, frontier *bitmap.Bitmap, st Step) 
 				stats.VerticesLocal += len(buf)
 			}
 			for _, t := range buf {
+				if int(t) >= outSize {
+					return nil, nil, badAnswer(r, fmt.Sprintf("vertex %d out of range for %s (%d vertices)", t, req.Edge, outSize))
+				}
 				out.Set(t)
 			}
 		}
 	}
 	return out, results, nil
+}
+
+// badAnswer reports a partition whose superstep answer the coordinator
+// cannot merge.
+func badAnswer(r PartResult, msg string) error {
+	return &PartialError{Failures: []WorkerFailure{{Part: r.Part, Addr: r.Addr, Err: msg}}}
 }

@@ -72,7 +72,7 @@ ingest table TF tf.csv
 // TestSinglePartitionAgainstDirect validates it).
 func traverse(t testing.TB, g *graph.Graph, parts int) ([]*bitmap.Bitmap, cluster.Stats) {
 	t.Helper()
-	c, err := cluster.New(g, parts)
+	c, err := cluster.NewWithStrategy(g, parts, cluster.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func traverse(t testing.TB, g *graph.Graph, parts int) ([]*bitmap.Bitmap, cluste
 func TestSinglePartitionAgainstDirect(t *testing.T) {
 	g := fixture(t, 23, 1)
 	sets, stats, err := func() ([]*bitmap.Bitmap, cluster.Stats, error) {
-		c, err := cluster.New(g, 1)
+		c, err := cluster.NewWithStrategy(g, 1, cluster.Hash)
 		if err != nil {
 			return nil, cluster.Stats{}, err
 		}
@@ -227,14 +227,14 @@ func TestStrategyInvariance(t *testing.T) {
 
 func TestValidateRejectsBadPath(t *testing.T) {
 	g := fixture(t, 9, 1)
-	c, _ := cluster.New(g, 2)
+	c, _ := cluster.NewWithStrategy(g, 2, cluster.Hash)
 	_, _, err := c.Traverse(g.VertexType("A"), nil, []cluster.Step{
 		{Edge: g.EdgeType("f"), Forward: true}, // f starts at B, not A
 	})
 	if err == nil {
 		t.Error("type-mismatched step must fail")
 	}
-	if _, err := cluster.New(g, 0); err == nil {
+	if _, err := cluster.NewWithStrategy(g, 0, cluster.Hash); err == nil {
 		t.Error("zero partitions must fail")
 	}
 }

@@ -16,7 +16,7 @@ import (
 func TestSuperstepSpansAndLogs(t *testing.T) {
 	g := fixture(t, 7, 1)
 	const parts = 3
-	c, err := cluster.New(g, parts)
+	c, err := cluster.NewWithStrategy(g, parts, cluster.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSuperstepSpansAndLogs(t *testing.T) {
 	}
 
 	// Untraced, unlogged traversal still works with nil span and logger.
-	c2, _ := cluster.New(g, parts)
+	c2, _ := cluster.NewWithStrategy(g, parts, cluster.Hash)
 	if _, _, err := c2.Traverse(g.VertexType("A"), nil, steps); err != nil {
 		t.Fatal(err)
 	}

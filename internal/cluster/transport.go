@@ -13,12 +13,12 @@ import (
 )
 
 // Transport abstracts where the graph partitions live. The in-process
-// ChannelTransport runs every partition as a goroutine over the shared
-// graph (the original simulation, now the fast path and the correctness
-// oracle); TCPTransport fans each superstep out to real worker processes
-// over sockets. Both run the same expansion kernel (expandOwned), so a
-// traversal produces byte-identical frontier sets and message counts on
-// either side of the seam.
+// ChannelTransport runs every partition as a goroutine over the graph the
+// request carries (the simulation, and the correctness oracle);
+// TCPTransport fans each superstep out to real worker processes over
+// sockets, each expanding over its own copy. Both run the same expansion
+// kernel (expandOwned), so a traversal produces byte-identical frontier
+// sets and message counts on either side of the seam.
 type Transport interface {
 	// Parts returns the number of partitions (workers).
 	Parts() int
@@ -32,9 +32,14 @@ type Transport interface {
 	Superstep(ctx context.Context, req *SuperstepReq) ([]PartResult, error)
 }
 
-// SuperstepReq describes one BSP expansion round. Everything in it is
-// serializable: the distributed path ships it to workers as a frame.
+// SuperstepReq describes one BSP expansion round. Everything in it but
+// Graph is serializable: the distributed path ships it to workers as a
+// frame.
 type SuperstepReq struct {
+	// Graph is the graph the step expands over: the coordinator's current
+	// one, handed over by the Cluster handle. It never goes on the wire; a
+	// worker fills in its own copy.
+	Graph *graph.Graph
 	// Edge names the edge type to expand through; Forward selects the
 	// source→target index (false uses the reverse index).
 	Edge    string
@@ -120,16 +125,12 @@ func owner(strategy Strategy, parts int, v uint32, n int) int {
 	return int(v) % parts
 }
 
-// expandOwned is the shared per-partition expansion kernel: partition
-// `part` walks the frontier vertices it owns in ascending id order,
-// expands each through the edge index, dedups locally, and buckets
-// discovered targets by owning partition. Both transports call exactly
-// this function, which is what makes the in-process simulation a
-// correctness oracle for the networked path.
-// A dead context drains the expansion early (the caller surfaces the
-// abort after the superstep barrier).
-func expandOwned(ctx context.Context, g *graph.Graph, part, parts int, strategy Strategy, req *SuperstepReq) ([][]uint32, error) {
-	et := g.EdgeType(req.Edge)
+// stepEdge resolves the edge type req expands through in req.Graph and
+// checks the step's input and output sizes against it, so a frame from a
+// coordinator holding a different graph, or a forged one, fails before
+// any of its sizes is trusted.
+func stepEdge(req *SuperstepReq) (*graph.EdgeType, error) {
+	et := req.Graph.EdgeType(req.Edge)
 	if et == nil {
 		return nil, fmt.Errorf("cluster: unknown edge type %q", req.Edge)
 	}
@@ -141,6 +142,18 @@ func expandOwned(ctx context.Context, g *graph.Graph, part, parts int, strategy 
 		return nil, fmt.Errorf("cluster: graph divergence on edge %q: step sizes %d->%d, local graph %d->%d",
 			req.Edge, req.InSize, req.OutSize, inWant, outWant)
 	}
+	return et, nil
+}
+
+// expandOwned is the shared per-partition expansion kernel: partition
+// `part` walks the frontier vertices it owns in ascending id order,
+// expands each through et (stepEdge's answer for req), dedups locally,
+// and buckets discovered targets by owning partition. Both transports
+// call exactly this function, which is what makes the in-process
+// simulation a correctness oracle for the networked path.
+// A dead context drains the expansion early (the caller surfaces the
+// abort after the superstep barrier).
+func expandOwned(ctx context.Context, et *graph.EdgeType, part, parts int, strategy Strategy, req *SuperstepReq) [][]uint32 {
 	bufs := make([][]uint32, parts)
 	seen := bitmap.New(req.OutSize) // local dedup before sending
 	var tick uint32
@@ -164,25 +177,27 @@ func expandOwned(ctx context.Context, g *graph.Graph, part, parts int, strategy 
 			bufs[d] = append(bufs[d], t)
 		}
 	})
-	return bufs, nil
+	return bufs
 }
 
-// ChannelTransport runs every partition as a goroutine over one shared
-// in-memory graph — the original GEMS cluster simulation. It is the
-// default when no worker processes are attached, and the oracle the
-// networked transport is verified against.
+// ChannelTransport runs every partition as a goroutine over the graph each
+// superstep carries — the GEMS cluster simulation, and the oracle the
+// networked transport is verified against. It holds no graph of its own,
+// so an engine's simulated partitions always expand over the graph its
+// query planned against, writes included.
 type ChannelTransport struct {
-	g        *graph.Graph
 	parts    int
 	strategy Strategy
 }
 
-// NewChannelTransport builds the in-process transport over g.
-func NewChannelTransport(g *graph.Graph, parts int, strategy Strategy) (*ChannelTransport, error) {
-	if parts < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 partition, got %d", parts)
+// Simulated returns the in-process transport an engine's cluster setting
+// names: parts simulated partitions under strategy, or a nil Transport —
+// no cluster — when parts < 2.
+func Simulated(parts int, strategy Strategy) Transport {
+	if parts < 2 {
+		return nil
 	}
-	return &ChannelTransport{g: g, parts: parts, strategy: strategy}, nil
+	return &ChannelTransport{parts: parts, strategy: strategy}
 }
 
 // Parts returns the number of simulated nodes.
@@ -193,24 +208,20 @@ func (t *ChannelTransport) Strategy() Strategy { return t.strategy }
 
 // Superstep expands the frontier on every simulated node concurrently.
 func (t *ChannelTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]PartResult, error) {
+	et, err := stepEdge(req)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]PartResult, t.parts)
-	errs := make([]error, t.parts)
 	var wg sync.WaitGroup
 	for p := 0; p < t.parts; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			bufs, err := expandOwned(ctx, t.g, p, t.parts, t.strategy, req)
-			results[p] = PartResult{Part: p, Dst: bufs}
-			errs[p] = err
+			results[p] = PartResult{Part: p, Dst: expandOwned(ctx, et, p, t.parts, t.strategy, req)}
 		}(p)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return results, nil
 }
 

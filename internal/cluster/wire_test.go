@@ -5,10 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
 	"graql/internal/bitmap"
+	"graql/internal/graph"
+	"graql/internal/table"
+	"graql/internal/value"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -204,26 +208,95 @@ func TestNewWorkerValidation(t *testing.T) {
 	}
 }
 
+// ringGraph is V (8 vertices) with one edge type E: v -> v+1 mod 8.
+func ringGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	base := table.MustNew("TV", table.Schema{{Name: "id", Type: value.Int}})
+	edges := make([]graph.Edge, 8)
+	for i := range 8 {
+		if err := base.AppendRow([]value.Value{value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+		edges[i] = graph.Edge{Src: uint32(i), Dst: uint32((i + 1) % 8)}
+	}
+	vt, err := graph.BuildVertexType(0, "V", base, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.NewGraph()
+	if err := g.AddVertexType(vt); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddEdgeType(graph.NewEdgeType(0, "E", vt, vt, edges, nil, true)); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestWorkerDispatchErrors(t *testing.T) {
-	w := &Worker{part: 0, parts: 1, strategy: Hash, ctx: context.Background()}
+	w := &Worker{g: ringGraph(t), part: 0, parts: 1, strategy: Hash, ctx: context.Background()}
 	if resp := w.dispatch(&workerReq{Op: "bogus"}); resp.OK || !strings.Contains(resp.Err, "unknown op") {
 		t.Errorf("unknown op must fail, got %+v", resp)
 	}
-	if resp := w.dispatch(&workerReq{Op: "step", Frontier: ""}); resp.OK ||
+	if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: 8, OutSize: 8, Frontier: ""}); resp.OK ||
 		!strings.Contains(resp.Err, "no frontier") {
 		t.Errorf("step without frontier must fail, got %+v", resp)
 	}
-	if resp := w.dispatch(&workerReq{Op: "step", InSize: 8, Frontier: "!!"}); resp.OK {
+	if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: 8, OutSize: 8, Frontier: "!!"}); resp.OK {
 		t.Errorf("step with undecodable frontier must fail, got %+v", resp)
+	}
+	// Sizes that disagree with the worker's edge type are refused before
+	// they size the frontier's decoding: a negative one cannot size a
+	// bitmap, a huge one would allocate before any check.
+	for _, in := range []int{-1000, 1 << 62} {
+		if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: in, OutSize: 8, Frontier: encodeBitmap(bitmap.New(8))}); resp.OK ||
+			!strings.Contains(resp.Err, "graph divergence") {
+			t.Errorf("step with in_size %d must be refused, got %+v", in, resp)
+		}
 	}
 	// A coordinator of an earlier build ships a filter set and expects it
 	// applied: answering unfiltered would hand it a superset.
-	if resp := w.dispatch(&workerReq{Op: "step", InSize: 8, Frontier: encodeBitmap(bitmap.New(8)), OutSize: 8, Filter: encodeBitmap(bitmap.New(8))}); resp.OK ||
+	if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: 8, Frontier: encodeBitmap(bitmap.New(8)), OutSize: 8, Filter: encodeBitmap(bitmap.New(8))}); resp.OK ||
 		resp.Err != errFilterRefused {
 		t.Errorf("step with a filter must be refused, got %+v", resp)
 	}
 	if resp := w.dispatch(&workerReq{Op: "ping"}); !resp.OK {
 		t.Errorf("ping must succeed, got %+v", resp)
+	}
+}
+
+// stubTransport answers every superstep with fixed partition results.
+type stubTransport struct{ results []PartResult }
+
+func (s stubTransport) Parts() int         { return 2 }
+func (s stubTransport) Strategy() Strategy { return Hash }
+func (s stubTransport) Superstep(context.Context, *SuperstepReq) ([]PartResult, error) {
+	return s.results, nil
+}
+
+// TestCoordinatorRejectsBadAnswers: a partition answer the coordinator
+// cannot merge — a vertex id past the landing type, inside the last
+// bitmap word or beyond it, or more buckets than the cluster has
+// partitions — fails the superstep as that partition's failure.
+func TestCoordinatorRejectsBadAnswers(t *testing.T) {
+	g := ringGraph(t)
+	for name, bad := range map[string][][]uint32{
+		"id in last word": {{1}, {9}},
+		"id past words":   {{1}, {70}},
+		"extra bucket":    {{1}, {2}, {3}},
+	} {
+		c, err := NewWithTransport(g, stubTransport{results: []PartResult{
+			{Part: 0, Dst: [][]uint32{{1}, {}}},
+			{Part: 1, Dst: bad, Addr: "10.0.0.2:7700"},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Expand("forward", Step{Edge: g.EdgeType("E"), Forward: true}, bitmap.NewFull(8))
+		var perr *PartialError
+		if !errors.As(err, &perr) || len(perr.Failures) != 1 || perr.Failures[0].Part != 1 || perr.Failures[0].Addr != "10.0.0.2:7700" {
+			t.Errorf("%s: error %v, want a partial failure of p1", name, err)
+		}
 	}
 }
 

@@ -195,31 +195,33 @@ func (w *Worker) hello(req *workerReq) *workerResp {
 }
 
 // step runs one superstep over this worker's owned slice of the frontier.
+// The step's sizes are checked against the worker's own edge type before
+// the frontier they size is decoded.
 func (w *Worker) step(req *workerReq) *workerResp {
 	if req.Filter != "" {
 		return &workerResp{Err: errFilterRefused}
 	}
-	frontier, err := decodeBitmap(req.InSize, req.Frontier)
+	sreq := &SuperstepReq{
+		Graph:   w.g,
+		Edge:    req.Edge,
+		Forward: req.Forward,
+		Pass:    req.Pass,
+		Round:   req.Round,
+		InSize:  req.InSize,
+		OutSize: req.OutSize,
+		TraceID: req.TraceID,
+	}
+	et, err := stepEdge(sreq)
 	if err != nil {
 		return &workerResp{Err: err.Error()}
 	}
-	if frontier == nil {
+	if sreq.Frontier, err = decodeBitmap(req.InSize, req.Frontier); err != nil {
+		return &workerResp{Err: err.Error()}
+	}
+	if sreq.Frontier == nil {
 		return &workerResp{Err: "worker: step frame has no frontier"}
 	}
-	sreq := &SuperstepReq{
-		Edge:     req.Edge,
-		Forward:  req.Forward,
-		Pass:     req.Pass,
-		Round:    req.Round,
-		Frontier: frontier,
-		InSize:   req.InSize,
-		OutSize:  req.OutSize,
-		TraceID:  req.TraceID,
-	}
-	bufs, err := expandOwned(w.ctx, w.g, w.part, w.parts, w.strategy, sreq)
-	if err != nil {
-		return &workerResp{Err: err.Error()}
-	}
+	bufs := expandOwned(w.ctx, et, w.part, w.parts, w.strategy, sreq)
 	dst := make([]string, len(bufs))
 	sent := 0
 	for d, buf := range bufs {

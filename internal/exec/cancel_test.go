@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"graql/internal/ast"
+	"graql/internal/cluster"
 	"graql/internal/obs"
 	"graql/internal/parser"
 )
@@ -75,7 +76,7 @@ def a: N ( ) --link--> N ( ) --link--> N ( ) --link--> N ( ) --link--> def d: N 
 into table SlowT`
 
 // clusterQuery is a concrete linear chain into a subgraph, whose every
-// expansion is a BSP superstep when Opts.ClusterParts >= 2.
+// expansion is a BSP superstep when Opts.Dist is set.
 const clusterQuery = `
 select * from graph
 N ( ) --link--> N ( ) --link--> N ( )
@@ -156,10 +157,10 @@ func TestPreCanceledContext(t *testing.T) {
 }
 
 // TestDeadlineAbortsClusterChain runs the chain query through the BSP
-// cluster path (ClusterParts=2) with an already-expired deadline and
+// cluster path (two simulated partitions) with an already-expired deadline and
 // checks the abort maps onto the engine's deadline sentinel.
 func TestDeadlineAbortsClusterChain(t *testing.T) {
-	e := denseEngine(t, 150, 15, func(o *Options) { o.ClusterParts = 2 })
+	e := denseEngine(t, 150, 15, func(o *Options) { o.Dist = cluster.Simulated(2, cluster.Hash) })
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 

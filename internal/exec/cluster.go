@@ -11,12 +11,12 @@ import (
 )
 
 // This file runs the reducer's expansions on the GEMS backend cluster
-// (internal/cluster) — partitions simulated in-process with
-// Options.ClusterParts >= 2, worker processes over sockets with
-// Options.Dist — one BSP superstep per expansion onCluster routes there,
-// whatever the pattern's shape. Step conditions (restrict), regex steps,
-// edge conditions and binding enumeration stay on the coordinator. Under
-// tracing the supersteps hang off one "cluster" span per reduction.
+// (internal/cluster) behind Options.Dist — partitions simulated
+// in-process or worker processes over sockets — one BSP superstep per
+// expansion onCluster routes there, whatever the pattern's shape. Step
+// conditions (restrict), regex steps, edge conditions and binding
+// enumeration stay on the coordinator. Under tracing the supersteps hang
+// off one "cluster" span per reduction.
 
 // ErrPartial reports that a distributed query could not complete because
 // one or more cluster workers failed (crash, timeout, network). It wraps
@@ -25,12 +25,12 @@ import (
 var ErrPartial = errors.New("graql: partial result: cluster worker failure")
 
 // onCluster reports whether expanding across pe is a cluster superstep:
-// the engine must have a cluster, pe a concrete edge type (regex steps
-// expand through the product BFS, which is not distributed) and no self
-// condition (the exchange ships vertex ids only, so an edge predicate
-// cannot be evaluated during expansion).
+// the engine must have a cluster transport, pe a concrete edge type
+// (regex steps expand through the product BFS, which is not distributed)
+// and no self condition (the exchange ships vertex ids only, so an edge
+// predicate cannot be evaluated during expansion).
 func (m *matcher) onCluster(pe *sema.PEdge) bool {
-	return (m.e.Opts.Dist != nil || m.e.Opts.ClusterParts >= 2) && pe.Regex == nil && m.edgeSelf[pe.ID] == nil
+	return m.e.Opts.Dist != nil && pe.Regex == nil && m.edgeSelf[pe.ID] == nil
 }
 
 // expandOnCluster is expandFiltered as one superstep of the cluster,
@@ -60,23 +60,11 @@ func (m *matcher) expandOnCluster(pe *sema.PEdge, forward bool, fromSet *bitmap.
 	return out, nil
 }
 
-// openCluster builds the cluster handle over the engine's transport (or
-// simulated partitions) and, under tracing, opens the "cluster" span the
-// supersteps hang off.
+// openCluster builds the cluster handle over the engine's transport and
+// the graph the query planned against, and, under tracing, opens the
+// "cluster" span the supersteps hang off.
 func (m *matcher) openCluster() error {
-	var cl *cluster.Cluster
-	var err error
-	mode := "networked"
-	if t := m.e.Opts.Dist; t != nil {
-		cl, err = cluster.NewWithTransport(m.g, t)
-	} else {
-		strategy := cluster.Hash
-		if m.e.Opts.ClusterBlock {
-			strategy = cluster.Block
-		}
-		mode = "simulated"
-		cl, err = cluster.NewWithStrategy(m.g, m.e.Opts.ClusterParts, strategy)
-	}
+	cl, err := cluster.NewWithTransport(m.g, m.e.Opts.Dist)
 	if err != nil {
 		return err
 	}
@@ -84,6 +72,10 @@ func (m *matcher) openCluster() error {
 	cl.SetLogger(m.e.Opts.Log)
 	cl.SetContext(m.e.ctx)
 	if m.e.tracing() {
+		mode := "networked"
+		if _, sim := m.e.Opts.Dist.(*cluster.ChannelTransport); sim {
+			mode = "simulated"
+		}
 		cl.SetTraceID(m.e.traceID().String())
 		m.clSpan = m.e.opSpan("cluster", fmt.Sprintf("BSP supersteps over %d %s partitions (%s placement)",
 			cl.Parts(), mode, cl.Strategy()))

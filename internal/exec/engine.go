@@ -77,16 +77,6 @@ type Options struct {
 	// (256 scripts); negative disables all reuse — no script is cached
 	// and prepared handles re-analyze on every execute.
 	PlanCache int
-	// ClusterParts >= 2 runs path queries on the simulated GEMS backend
-	// cluster (internal/cluster): every expansion of the Eq. 5 passes
-	// across a concrete edge type with no edge condition is one BSP
-	// superstep over that many partitions, with exchange statistics and
-	// per-superstep trace spans. Step conditions and binding enumeration
-	// stay on the coordinator.
-	ClusterParts int
-	// ClusterBlock selects block placement for the simulated cluster
-	// (default is hash placement).
-	ClusterBlock bool
 	// IRVerify selects how often analyzed select plans (fresh and
 	// cache-hit) are re-checked by the plan verifier: IRVerifyAlways (also
 	// what empty means — tests and library use get full verification with
@@ -94,15 +84,18 @@ type Options struct {
 	// default), IRVerifyOff none. IR that arrives over the wire is
 	// verified in every mode (DecodeIR).
 	IRVerify string
-	// Dist, when non-nil, sends the supersteps ClusterParts describes
-	// through this transport — real worker processes over sockets —
-	// instead of the in-process simulation. The transport's partition
-	// count and placement strategy govern; ClusterParts/ClusterBlock are
-	// ignored. A worker failure surfaces as ErrPartial.
+	// Dist, when non-nil, runs path queries on the GEMS backend cluster
+	// (internal/cluster) behind this transport: simulated partitions
+	// (cluster.Simulated) or worker processes over sockets
+	// (cluster.DialTCP), whose partition count and placement govern. Every
+	// expansion of the Eq. 5 passes across a concrete edge type with no
+	// edge condition is one BSP superstep, with exchange statistics and
+	// per-superstep trace spans; step conditions and binding enumeration
+	// stay on the coordinator. A worker failure surfaces as ErrPartial.
 	Dist cluster.Transport
-	// Log, when non-nil, receives the engine's structured debug lines
-	// (currently one line per simulated-cluster BSP superstep). nil
-	// disables engine logging.
+	// Log, when non-nil, receives the engine's structured lines: a debug
+	// line per cluster BSP superstep and an error line per failed
+	// automatic checkpoint. nil disables engine logging.
 	Log *slog.Logger
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"graql/internal/cluster"
 	"graql/internal/graph"
 	"graql/internal/parser"
 	"graql/internal/sema"
@@ -490,7 +491,8 @@ func TestEngineEqualsReference(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Workers, opts.ReverseIndexes, opts.FileOpener = workers, reverse, memFS(files)
 					if placement != "local" {
-						opts.ClusterParts, opts.ClusterBlock = 2, placement == "block"
+						strategy, _ := cluster.ParseStrategy(placement)
+						opts.Dist = cluster.Simulated(2, strategy)
 					}
 					e := New(opts)
 					mustExec(t, e, pathSchema, nil)

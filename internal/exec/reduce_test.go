@@ -104,9 +104,8 @@ func TestStepConditionErrorDomain(t *testing.T) {
 func TestStepConditionErrorDomainOnCluster(t *testing.T) {
 	local := frontierEngine(t)
 	sim := frontierEngine(t)
-	sim.Opts.ClusterParts = 2
 	netted := frontierEngine(t)
-	netted.Opts.Dist = loopbackCluster(t, netted, 2)
+	tcp := loopbackCluster(t, netted, 2)
 	for _, q := range []string{
 		`select * from graph A (id = 'a0') --e--> B (20 / n > 1) into subgraph s`,
 		`select * from graph A ( ) --e--> B (20 / n > 1) into subgraph s`,
@@ -115,11 +114,11 @@ func TestStepConditionErrorDomainOnCluster(t *testing.T) {
 	} {
 		want := subgraphFingerprint(mustExec(t, local, q, nil)[0].Subgraph)
 		for _, route := range []struct {
-			name  string
-			e     *Engine
-			block bool
-		}{{"hash", sim, false}, {"block", sim, true}, {"tcp", netted, false}} {
-			route.e.Opts.ClusterBlock = route.block
+			name string
+			e    *Engine
+			dist cluster.Transport
+		}{{"hash", sim, cluster.Simulated(2, cluster.Hash)}, {"block", sim, cluster.Simulated(2, cluster.Block)}, {"tcp", netted, tcp}} {
+			route.e.Opts.Dist = route.dist
 			res, err := route.e.ExecScript(q, nil)
 			if err != nil {
 				t.Errorf("%s on %s: %v", q, route.name, err)
@@ -129,6 +128,68 @@ func TestStepConditionErrorDomainOnCluster(t *testing.T) {
 				t.Errorf("%s on %s:\n got  %s\n want %s", q, route.name, got, want)
 			}
 		}
+	}
+}
+
+// TestSimulatedClusterSeesWrites: simulated partitions expand over the
+// graph each query planned against, so the inserts, updates and deletes
+// between queries show in their answers — chains and trees, into table
+// and into subgraph, hash and block placed — exactly as on an engine
+// with no cluster.
+func TestSimulatedClusterSeesWrites(t *testing.T) {
+	local := frontierEngine(t)
+	hash, block := frontierEngine(t), frontierEngine(t)
+	hash.Opts.Dist = cluster.Simulated(2, cluster.Hash)
+	block.Opts.Dist = cluster.Simulated(3, cluster.Block)
+	reg := obs.New()
+	hash.Opts.Obs, block.Opts.Obs = reg, reg
+	queries := []string{
+		`select x.id, z.id as z from graph def x: A ( ) --e--> B (n > 0) --f--> def z: A ( )`,
+		`select x.id, y.id as y from graph foreach x: A ( ) --e--> def y: B (n < 8) and (x --loop--> A ( ))`,
+		`select * from graph A ( ) --e--> B ( ) --f--> A ( ) into subgraph chain`,
+		`select * from graph foreach x: A ( ) --e--> B (n < 8) and (x --loop--> A ( )) into subgraph tree`,
+	}
+	answer := func(e *Engine, q string) string {
+		res := mustExec(t, e, q, nil)
+		if sg := res[len(res)-1].Subgraph; sg != nil {
+			return subgraphFingerprint(sg)
+		}
+		var rows []string
+		for _, row := range tableRows(t, res) {
+			rows = append(rows, strings.Join(row, ","))
+		}
+		slices.Sort(rows)
+		return strings.Join(rows, " ")
+	}
+	for _, write := range []string{
+		``,
+		`insert into TB values ('b4', 2), ('b5', 7)`,
+		`insert into TE values ('a1', 'b4', 5), ('a1', 'b5', 6), ('a0', 'b3', 7)`,
+		`insert into TF values ('b4', 'a0'), ('b2', 'a1'), ('b5', 'a1')`,
+		`insert into TA values ('a2', 4)`,
+		`insert into TL values ('a2', 'a0'), ('a1', 'a2')`,
+		`update TB set n = n + 1 where id = 'b2' or id = 'b3'`,
+		`update TE set dst = 'b5' where src = 'a0' and dst = 'b1'`,
+		`delete from TE where dst = 'b0'`,
+		`delete from TB where id = 'b4'`,
+		`delete from TA where id = 'a1'`,
+	} {
+		for _, e := range []*Engine{local, hash, block} {
+			if write != "" {
+				mustExec(t, e, write, nil)
+			}
+		}
+		for _, q := range queries {
+			want := answer(local, q)
+			for name, e := range map[string]*Engine{"hash": hash, "block": block} {
+				if got := answer(e, q); got != want {
+					t.Errorf("after %q, %s on %s:\n got  %s\n want %s", write, q, name, got, want)
+				}
+			}
+		}
+	}
+	if !strings.Contains(reg.PrometheusText(), "graql_cluster_rounds_total") {
+		t.Error("no query ran a superstep")
 	}
 }
 
@@ -244,7 +305,7 @@ func TestGraphSelectAllocs(t *testing.T) {
 	opts.FileOpener = memFS(bsbm.Generate(bsbm.Config{ScaleFactor: 1, Seed: 42}).Files)
 	berlin := New(opts)
 	mustExec(t, berlin, bsbm.FullDDL, nil)
-	opts.ClusterParts = 2
+	opts.Dist = cluster.Simulated(2, cluster.Hash)
 	dist := New(opts)
 	mustExec(t, dist, bsbm.FullDDL, nil)
 	nodes := newSelfEdgeEngine(t, 8000)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"graql/internal/cluster"
 	"graql/internal/obs"
 	"graql/internal/value"
 )
@@ -15,8 +16,11 @@ func chainEngine(t *testing.T, parts int, block bool) *Engine {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.Workers = 2
-	opts.ClusterParts = parts
-	opts.ClusterBlock = block
+	strategy := cluster.Hash
+	if block {
+		strategy = cluster.Block
+	}
+	opts.Dist = cluster.Simulated(parts, strategy)
 	e := New(opts)
 	mustExec(t, e, `
 create table Cities(id varchar(8), country varchar(2))

@@ -18,6 +18,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"sort"
 	"strings"
@@ -191,7 +192,7 @@ type Registry struct {
 	trace traceRing
 	stmts stmtStats
 	live  liveTable
-	qlog  qlogHolder
+	qlog  atomic.Pointer[slog.Logger] // the wide-event query log; nil when detached
 }
 
 // New returns a registry pre-populated with the Go runtime gauges

@@ -129,9 +129,9 @@ func TestSlowQueryLog(t *testing.T) {
 	var sb strings.Builder
 	r.SetSlowQueryThreshold(10 * time.Millisecond)
 	r.SetSlowQueryWriter(&sb)
-	r.ObserveQuery("fast", 1*time.Millisecond)
-	r.ObserveQuery("slow one", 20*time.Millisecond)
-	r.ObserveQuery("slow two", 30*time.Millisecond)
+	r.ObserveStmtEvent(StmtEvent{Script: "fast", Elapsed: 1 * time.Millisecond})
+	r.ObserveStmtEvent(StmtEvent{Script: "slow one", Elapsed: 20 * time.Millisecond})
+	r.ObserveStmtEvent(StmtEvent{Script: "slow two", Elapsed: 30 * time.Millisecond})
 	got := r.SlowQueries()
 	if len(got) != 2 || got[0].Script != "slow one" || got[1].Script != "slow two" {
 		t.Errorf("slow log = %+v", got)
@@ -148,7 +148,7 @@ func TestSlowLogRingRotation(t *testing.T) {
 	r := New()
 	r.SetSlowQueryThreshold(1)
 	for i := 0; i < slowLogCap+5; i++ {
-		r.ObserveQuery(strings.Repeat("x", 1)+string(rune('A'+i%26)), time.Second)
+		r.ObserveStmtEvent(StmtEvent{Script: "x" + string(rune('A'+i%26)), Elapsed: time.Second})
 	}
 	got := r.SlowQueries()
 	if len(got) != slowLogCap {
@@ -164,7 +164,7 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x", "").Inc()
 	r.Gauge("x", "").Set(1)
 	r.Histogram("x", "", nil).Observe(1)
-	r.ObserveQuery("q", time.Second)
+	r.ObserveStmtEvent(StmtEvent{Script: "q", Elapsed: time.Second})
 	r.SetSlowQueryThreshold(time.Second)
 	if r.PrometheusText() != "" || r.Snapshot() != nil || r.SlowQueries() != nil {
 		t.Error("nil registry must be inert")

@@ -9,9 +9,8 @@ import (
 
 // SlowQuery is one slow-log entry. TraceID links the entry to its trace
 // tree in /debug/traces when the statement ran under tracing (empty
-// otherwise). Fingerprint, Rows and Code are present for statements
-// observed through the per-statement event path (ObserveStmtEvent);
-// direct ObserveQuery callers leave them zero.
+// otherwise). Fingerprint, Rows and Code come from the statement's
+// event (ObserveStmtEvent).
 type SlowQuery struct {
 	Script      string        `json:"script"`
 	Elapsed     time.Duration `json:"elapsedNs"`
@@ -62,28 +61,8 @@ func (r *Registry) SetSlowQueryWriter(w io.Writer) {
 	r.slow.mu.Unlock()
 }
 
-// ObserveQuery feeds one executed statement to the slow-query log; it is
-// recorded only when a threshold is set and exceeded.
-func (r *Registry) ObserveQuery(script string, elapsed time.Duration) {
-	r.ObserveQueryTrace(script, elapsed, TraceID{})
-}
-
-// ObserveQueryTrace is ObserveQuery carrying the trace id of the
-// statement's request, linking the slow-log entry to its trace tree.
-func (r *Registry) ObserveQueryTrace(script string, elapsed time.Duration, trace TraceID) {
-	if r == nil {
-		return
-	}
-	q := SlowQuery{Script: script, Elapsed: elapsed}
-	if !trace.IsZero() {
-		q.TraceID = trace.String()
-	}
-	r.slow.record(q)
-}
-
 // observeSlow feeds the slow-query log from a per-statement event,
-// carrying the fingerprint, row count and error code alongside the
-// legacy fields.
+// carrying its fingerprint, row count and error code.
 func (r *Registry) observeSlow(ev *StmtEvent) {
 	q := SlowQuery{
 		Script:      ev.Script,

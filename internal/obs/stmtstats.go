@@ -278,10 +278,6 @@ func (r *Registry) SetQueryLogger(l *slog.Logger) {
 	if r == nil {
 		return
 	}
-	if l == nil {
-		r.qlog.Store(nil)
-		return
-	}
 	r.qlog.Store(l)
 }
 
@@ -296,21 +292,6 @@ func (r *Registry) SetQueryLogWriter(w io.Writer) {
 		return
 	}
 	r.SetQueryLogger(slog.New(slog.NewJSONHandler(w, nil)))
-}
-
-// qlogHolder wraps the nil-ability of the query logger behind an atomic
-// pointer so the per-statement check is a single load.
-type qlogHolder struct {
-	p atomic.Pointer[slog.Logger]
-}
-
-func (h *qlogHolder) Load() *slog.Logger { return h.p.Load() }
-func (h *qlogHolder) Store(l *slog.Logger) {
-	if l == nil {
-		h.p.Store(nil)
-		return
-	}
-	h.p.Store(l)
 }
 
 // Labeled Prometheus series for the top-K statement shapes. The series

@@ -192,8 +192,8 @@ func TestSlowQueryTraceID(t *testing.T) {
 	r := New()
 	r.SetSlowQueryThreshold(time.Nanosecond)
 	tid := NewTraceID()
-	r.ObserveQueryTrace("select 1", time.Millisecond, tid)
-	r.ObserveQuery("select 2", time.Millisecond)
+	r.ObserveStmtEvent(StmtEvent{Script: "select 1", Elapsed: time.Millisecond, Trace: tid})
+	r.ObserveStmtEvent(StmtEvent{Script: "select 2", Elapsed: time.Millisecond})
 	qs := r.SlowQueries()
 	if len(qs) != 2 {
 		t.Fatalf("slow queries: %d", len(qs))

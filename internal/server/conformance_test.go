@@ -41,6 +41,7 @@ type fixtureConfig struct {
 	tracing  bool   // retain traces
 	dense    bool   // load the complete digraph whose 4-hop enumeration runs for minutes
 	dist     bool   // expand path queries on a 2-worker loopback cluster
+	sim      bool   // expand path queries on 2 simulated partitions
 	irVerify string // exec.Options.IRVerify
 }
 
@@ -128,6 +129,9 @@ func newFixture(t *testing.T, cfg fixtureConfig) *fixture {
 	if cfg.tracing {
 		opts.Obs.EnableTracing(8)
 	}
+	if cfg.sim {
+		opts.Dist = cluster.Simulated(2, cluster.Hash)
+	}
 	eng := exec.New(opts)
 	mustLoad := func(script string, tables map[string]string) {
 		if _, err := eng.ExecScript(script, nil); err != nil {
@@ -195,7 +199,6 @@ where Dense.src = A.id and Dense.dst = B.id
 		}
 		t.Cleanup(tp.Close)
 		eng.Opts.Dist = tp
-		fx.svc.Dist = tp
 	}
 	return fx
 }
@@ -575,6 +578,16 @@ var conformance = []confRow{
 		{req: server.Request{Op: "workers"}, loose: true, check: func(t *testing.T, _ *fixture, resp *server.Response) {
 			if len(resp.Workers) != 0 {
 				t.Errorf("workers = %+v, want none", resp.Workers)
+			}
+		}}}},
+	{name: "workers/simulated cluster has no workers", cfg: fixtureConfig{sim: true}, steps: []step{
+		{req: server.Request{Op: "exec", Script: `select * from graph City (id = 'p') --road--> City ( ) into subgraph sg`}},
+		{req: server.Request{Op: "workers"}, loose: true, check: func(t *testing.T, fx *fixture, resp *server.Response) {
+			if len(resp.Workers) != 0 {
+				t.Errorf("workers = %+v, want none", resp.Workers)
+			}
+			if !strings.Contains(fx.eng.Opts.Obs.PrometheusText(), "graql_cluster_rounds_total") {
+				t.Error("the simulated cluster ran no superstep")
 			}
 		}}}},
 	{name: "workers/probes the cluster", cfg: fixtureConfig{dist: true}, steps: []step{

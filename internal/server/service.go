@@ -213,11 +213,6 @@ type Service struct {
 	// Log, when non-nil, receives one structured line per request
 	// (trace_id, op, code, elapsed_us).
 	Log *slog.Logger
-
-	// Dist, when non-nil, is the coordinator's transport to the
-	// distributed worker processes; op "workers" probes it for per-worker
-	// health (the engine routes queries through it via Options.Dist).
-	Dist *cluster.TCPTransport
 }
 
 // NewService returns the front-end over the engine. A non-empty token
@@ -541,11 +536,14 @@ func (s *Service) cancelQuery(_ context.Context, req *Request, _ *obs.Span) *Res
 	return okMessage("canceled query %d", req.QueryID)
 }
 
+// workers probes the engine's cluster transport when it has worker
+// processes; a simulated cluster has none.
 func (s *Service) workers(context.Context, *Request, *obs.Span) *Response {
-	if s.Dist == nil {
+	tp, ok := s.eng.Opts.Dist.(*cluster.TCPTransport)
+	if !ok {
 		return okMessage("not running distributed")
 	}
-	return &Response{OK: true, Workers: s.Dist.Probe(2 * time.Second)}
+	return &Response{OK: true, Workers: tp.Probe(2 * time.Second)}
 }
 
 // ErrorCode classifies an execution error: a script that did not parse

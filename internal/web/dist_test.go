@@ -47,9 +47,8 @@ func bootDist(t *testing.T, eng *exec.Engine) (*httptest.Server, []*cluster.Work
 		t.Fatal(err)
 	}
 	t.Cleanup(tp.Close)
-	h := web.New(eng)
-	h.Dist = tp
-	ts := httptest.NewServer(h)
+	eng.Opts.Dist = tp
+	ts := httptest.NewServer(web.New(eng))
 	t.Cleanup(ts.Close)
 	return ts, workers, listeners
 }
@@ -59,6 +58,24 @@ func TestWorkersEndpointNotDistributed(t *testing.T) {
 	code, out := getJSON(t, ts.URL+"/workers")
 	if code != http.StatusOK || out["distributed"] != false {
 		t.Fatalf("single-node /workers must report distributed=false, got %d %v", code, out)
+	}
+}
+
+// TestSimulatedClusterHasNoWorkers: an engine whose cluster is simulated
+// has no worker processes to probe, so /readyz is ready without a workers
+// count and /workers reports distributed=false.
+func TestSimulatedClusterHasNoWorkers(t *testing.T) {
+	_, eng := testServer(t)
+	eng.Opts.Dist = cluster.Simulated(2, cluster.Hash)
+	ts := httptest.NewServer(web.New(eng))
+	t.Cleanup(ts.Close)
+	code, out := getJSON(t, ts.URL+"/readyz")
+	if _, has := out["workers"]; code != http.StatusOK || out["ok"] != true || has {
+		t.Fatalf("simulated-cluster /readyz must be 200 without workers, got %d %v", code, out)
+	}
+	code, out = getJSON(t, ts.URL+"/workers")
+	if code != http.StatusOK || out["distributed"] != false {
+		t.Fatalf("simulated-cluster /workers must report distributed=false, got %d %v", code, out)
 	}
 }
 

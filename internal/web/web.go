@@ -30,7 +30,7 @@ import (
 )
 
 // Handler serves the HTTP wire for one service. The embedded Service's
-// fields (Limits, Gate, Prepared, Log, Dist) configure it; New installs
+// fields (Limits, Gate, Prepared, Log) configure it; New installs
 // a private Service, and a process that also serves TCP replaces it with
 // the TCP server's (gems-server does) so both wires share one gate, one
 // set of deadlines and one registry of prepared handles. Set before
@@ -79,7 +79,7 @@ func New(eng *exec.Engine) *Handler {
 	h.mux.HandleFunc("POST /vet", h.vet)
 	h.mux.HandleFunc("GET /catalog", h.get("stats", func(r *server.Response) any { return r.Catalog }))
 	h.mux.HandleFunc("GET /workers", h.get("workers", func(r *server.Response) any {
-		return map[string]any{"distributed": h.Dist != nil, "workers": orEmpty(r.Workers)}
+		return map[string]any{"distributed": r.Workers != nil, "workers": orEmpty(r.Workers)}
 	}))
 	h.mux.HandleFunc("GET /debug/traces", h.get("trace", func(r *server.Response) any {
 		reg := h.eng.Opts.Obs
@@ -304,8 +304,8 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 			map[string]any{"ok": false, "reason": "worker pool unresponsive"})
 		return
 	}
-	if h.Dist != nil {
-		status := h.Dist.Probe(2 * time.Second)
+	if tp, ok := h.eng.Opts.Dist.(*cluster.TCPTransport); ok {
+		status := tp.Probe(2 * time.Second)
 		var degraded []cluster.WorkerStatus
 		for _, ws := range status {
 			if !ws.Healthy {
