@@ -217,6 +217,29 @@ done
 echo 'select * from graph ProducerVtx ( ) <--producer-- ProductVtx ( ) into subgraph SmokeSG' |
     "$tmpdir/gems-client" -addr 127.0.0.1:17687 -trace -timeout 10s exec - >"$tmpdir/query.out" 2>&1
 grep -q "SmokeSG" "$tmpdir/query.out"
+# A graph select into a table that projects one step is answered from the
+# reduced sets, and EXPLAIN names the route (DESIGN.md §4): BQ6's shape
+# takes reduce-only, BQ1's count.
+cat >"$tmpdir/routes.graql" <<'EOF'
+explain select distinct u.id from graph
+ProducerVtx (country = %Country1%)
+<--producer-- ProductVtx
+<--reviewFor-- ReviewVtx
+--reviewer--> def u: PersonVtx
+into table T6
+
+explain select TypeVtx.id from graph
+PersonVtx (country = %Country2%)
+<--reviewer-- ReviewVtx
+--reviewFor--> foreach y: ProductVtx
+--producer--> ProducerVtx (country = %Country1%)
+and (y --type--> TypeVtx)
+into table T1
+EOF
+"$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 10s \
+    exec "$tmpdir/routes.graql" Country1=US Country2=DE >"$tmpdir/routes.out" 2>&1
+grep -q 'strategy | reduce-only route' "$tmpdir/routes.out"
+grep -q 'strategy | count route' "$tmpdir/routes.out"
 curl -fsS http://127.0.0.1:17688/healthz | grep -q '"ok":true'
 curl -fsS http://127.0.0.1:17688/readyz | grep -q '"ok":true'
 curl -fsS http://127.0.0.1:17688/metrics >"$tmpdir/metrics.out"
@@ -518,8 +541,13 @@ for srv in 17753 17755; do
 done
 # Berlin queries: the variant-step chain captured into a subgraph (BQ7
 # shape) and a four-hop review chain into a table (BQ6 shape, with its
-# last step's persons conditioned: the reducer's passes expand only
-# above a condition, so without one they would not scatter).
+# last step's persons conditioned too). The table query takes the
+# reduce-only route. The reducer's passes scatter first: every step
+# between the two conditions is expanded as a superstep. The semi-join
+# pass rooted at u then walks each tree edge from the side that holds a
+# set; an expansion scatters like the reducer's, and a probe of the
+# coordinator's adjacency, which it takes where that walk is shorter,
+# scatters nothing.
 cat >"$tmpdir/dist-chain.graql" <<'EOF'
 select * from graph ProductVtx (id = %Product1%) <--[ ]-- [ ] into subgraph DistSG
 EOF

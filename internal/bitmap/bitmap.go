@@ -89,6 +89,23 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
+// Ranks returns b's rank directory: entry w counts the bits set in the
+// words before word w, so that Rank takes one popcount.
+func (b *Bitmap) Ranks() []uint32 {
+	r, n := make([]uint32, len(b.words)), 0
+	for w, x := range b.words {
+		r[w] = uint32(n)
+		n += bits.OnesCount64(x)
+	}
+	return r
+}
+
+// Rank returns the number of bits set below i — the index of i among the
+// members in ascending order, if it is one — given b's Ranks.
+func (b *Bitmap) Rank(ranks []uint32, i uint32) int {
+	return int(ranks[i/wordBits]) + bits.OnesCount64(b.words[i/wordBits]&(1<<(i%wordBits)-1))
+}
+
 // Any reports whether at least one bit is set.
 func (b *Bitmap) Any() bool {
 	for _, w := range b.words {

@@ -111,7 +111,8 @@ func TestForEachRange(t *testing.T) {
 	b.ForEachRange(150, 10, func(uint32) { t.Error("inverted range must not visit") })
 }
 
-// quick property: ForEach visits exactly Slice(), ascending.
+// quick property: ForEach visits exactly Slice(), ascending, and Rank is a
+// member's place in it.
 func TestForEachMatchesSlice(t *testing.T) {
 	f := func(seeds []uint16) bool {
 		b := New(1 << 16)
@@ -120,12 +121,12 @@ func TestForEachMatchesSlice(t *testing.T) {
 		}
 		var visited []uint32
 		b.ForEach(func(i uint32) { visited = append(visited, i) })
-		sl := b.Slice()
+		sl, ranks := b.Slice(), b.Ranks()
 		if len(visited) != len(sl) {
 			return false
 		}
 		for i := range sl {
-			if visited[i] != sl[i] {
+			if visited[i] != sl[i] || b.Rank(ranks, sl[i]) != i {
 				return false
 			}
 			if i > 0 && sl[i] <= sl[i-1] {

@@ -2,9 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"graql/internal/bitmap"
+	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/plan"
 	"graql/internal/sema"
@@ -45,9 +49,9 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 		landing = et.Dst
 	}
 	cond := m.edgeSelf[pe.ID]
-	shards := m.frontierShards(fromSet, fromSet.Len())
+	shards := m.frontierShards(fromSet, fromSet.Len(), int(walk(et, forward, fromSet.Count())))
 	idle := make(chan *bitmap.Bitmap, m.workers) // at most m.workers shards run at once
-	err := m.e.runSweep(fmt.Sprintf("expand %s", et.Name), len(shards), m.workers, func(si int) error {
+	err := m.e.runSweep("expand ", et.Name, len(shards), m.workers, func(si int) error {
 		var out *bitmap.Bitmap
 		select {
 		case out = <-idle:
@@ -299,8 +303,8 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap,
 	et := m.edgeType[pe.ID]
 	es := sub.EdgeSet(et)
 	cond := m.edgeSelf[pe.ID]
-	shards := m.frontierShards(srcSet, srcSet.Len())
-	return m.e.runSweep(fmt.Sprintf("mark edges %s", et.Name), len(shards), m.workers, func(si int) error {
+	shards := m.frontierShards(srcSet, srcSet.Len(), math.MaxInt)
+	return m.e.runSweep("mark edges ", et.Name, len(shards), m.workers, func(si int) error {
 		w := m.worker(cond != nil)
 		var inner error
 		srcSet.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
@@ -332,4 +336,225 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap,
 		m.flush(w)
 		return inner
 	})
+}
+
+// The routes of a graph select into a table, chosen per typing (DESIGN.md §4).
+const (
+	routeEnumerate  = "enumerate"   // bind every match inside the reduced sets
+	routeReduceOnly = "reduce-only" // distinct: the projected step's exact set
+	routeCount      = "count"       // each projected vertex once per binding
+)
+
+// routeFor picks the route of a select into a table projecting proj, and
+// the vertex step p it reads off enumerate: a tree of two edges or more,
+// no condition to decide per binding, no unrestricted leaf below p (every
+// subtree has a reduced set to walk from) and, to count, no regex step.
+func (m *matcher) routeFor(proj []sema.GraphProjItem, distinct bool) (string, int) {
+	p := len(m.pat.Nodes)
+	if len(proj) > 0 {
+		p = proj[0].Source
+	}
+	switch {
+	case p >= len(m.pat.Nodes), len(m.pat.Edges) < 2, len(m.deferred) > 0,
+		slices.ContainsFunc(proj, func(it sema.GraphProjItem) bool { return it.Source != p || it.Col < 0 }),
+		slices.ContainsFunc(m.verifyAt, func(l []*sema.PEdge) bool { return len(l) > 0 }),
+		slices.ContainsFunc(m.edgeSelf, func(c expr.Expr) bool { return c != nil }),
+		!distinct && slices.ContainsFunc(m.pat.Edges, func(pe *sema.PEdge) bool { return pe.Regex != nil }):
+		return routeEnumerate, -1
+	}
+	deg := make([]int, len(m.pat.Nodes))
+	for _, pe := range m.pat.Edges {
+		deg[pe.Src]++
+		deg[pe.Dst]++
+	}
+	for n, d := range deg {
+		if d == 1 && n != p && m.nodeSelf[n] == nil && m.seeds[n] == nil {
+			return routeEnumerate, -1
+		}
+	}
+	if distinct {
+		return routeReduceOnly, p
+	}
+	return routeCount, p
+}
+
+// answer is the reduce-only and count routes: the reducer, then semiJoin
+// rooted at p, whose exact set it returns as attribute rows, ascending and,
+// counting, once per binding — enumeration's multiset, in vertex order.
+func (m *matcher) answer(p int, route string) ([]uint32, error) {
+	defer m.closeCluster()
+	reach, err := m.reduce(m.order, false)
+	if err != nil {
+		return nil, err
+	}
+	s, err := m.semiJoin(reach, route, p, -1)
+	if err != nil {
+		return nil, err
+	}
+	s.list()
+	_, rowOf := m.nodeType[p].AttrRows()
+	rows := make([]uint32, 0, len(s.members))
+	for i, v := range s.members {
+		if rowOf != nil {
+			v = rowOf[v]
+		}
+		for c := s.at(i); c > 0; c-- {
+			rows = append(rows, v)
+		}
+	}
+	return rows, nil
+}
+
+// stepSet is a node's set after semiJoin; counting, cnt[i] (nil: 1) is how
+// many bindings of its subtree members[i] heads, found by rank.
+type stepSet struct {
+	set            *bitmap.Bitmap
+	members, ranks []uint32 // listed on demand
+	cnt            []uint64
+}
+
+func (s *stepSet) list() {
+	if s.ranks == nil {
+		s.members, s.ranks = s.set.Slice(), s.set.Ranks()
+	}
+}
+
+func (s *stepSet) at(i int) uint64 {
+	if s.cnt == nil {
+		return 1
+	}
+	return s.cnt[i]
+}
+
+// passEdge is a child in semiJoin's tree; done: the parent's set is decided.
+type passEdge struct {
+	pe   *sema.PEdge
+	node int
+	s    stepSet
+	done bool
+}
+
+// semiJoin reduces the tree hanging from x away from pattern edge via,
+// children first, to x's members with an edge into every child's set, and
+// counting, their products of children's counts summed along those edges.
+// Without a set, x starts from a child's expanded back (expandStep).
+func (m *matcher) semiJoin(reach []*bitmap.Bitmap, route string, x, via int) (stepSet, error) {
+	var kids []passEdge
+	for _, pe := range m.pat.Edges {
+		if pe.ID != via && (pe.Src == x || pe.Dst == x) {
+			kids = append(kids, passEdge{pe: pe, node: pe.Src + pe.Dst - x})
+		}
+	}
+	cand := reach[x]
+	for i := range kids {
+		k := &kids[i]
+		var err error
+		if k.s, err = m.semiJoin(reach, route, k.node, k.pe.ID); err != nil {
+			return stepSet{}, err
+		}
+		if cand == nil || k.pe.Regex != nil {
+			t0 := time.Now()
+			back, err := m.expandStep(k.pe, k.pe.Src != x, k.s.set, "semi-join")
+			if err != nil {
+				return stepSet{}, err
+			}
+			if cand != nil {
+				back.And(cand)
+			}
+			cand, k.done = back, route != routeCount
+			m.span(route, "expand back to %s from %s", x, k.node, back.Count(), t0)
+		}
+	}
+	if !slices.ContainsFunc(kids, func(k passEdge) bool { return !k.done }) {
+		return stepSet{set: cand}, nil
+	}
+	xs := stepSet{set: cand}
+	xs.list()
+	cnt := make([]uint64, len(xs.members))
+	for i := range cnt {
+		cnt[i] = 1
+	}
+	for i := range kids {
+		if k := &kids[i]; !k.done {
+			if err := m.tally(route, x, &xs, cnt, k); err != nil {
+				return stepSet{}, err
+			}
+		}
+	}
+	for i, v := range xs.members {
+		if cnt[i] == 0 {
+			cand.Clear(v)
+		}
+	}
+	if route != routeCount {
+		return stepSet{set: cand}, nil
+	}
+	return stepSet{set: cand, cnt: slices.DeleteFunc(cnt, func(c uint64) bool { return c == 0 })}, nil
+}
+
+// tally multiplies into cnt, aligned with x's candidates xs, child k's
+// counts summed along each member's edges (not counting: 1 if it has one),
+// walking xs's members or k's, whichever average degrees make shorter.
+func (m *matcher) tally(route string, x int, xs *stepSet, cnt []uint64, k *passEdge) error {
+	t0, et, fromX := time.Now(), m.edgeType[k.pe.ID], k.pe.Src == x
+	k.s.list()
+	probe := walk(et, fromX, len(xs.members)) <= walk(et, !fromX, len(k.s.members))
+	from, to, forward := &k.s, xs, !fromX
+	if probe {
+		from, to, forward = xs, &k.s, fromX
+	}
+	acc := make([]uint64, len(cnt))
+	n := len(from.members)
+	shards := m.frontierShards(nil, n, int(walk(et, forward, n)))
+	err := m.e.runSweep("semi-join ", et.Name, len(shards), m.workers, func(si int) error {
+		w := m.worker(false)
+		defer m.flush(w)
+		for i := int(shards[si][0]); i < int(shards[si][1]); i++ {
+			if err := w.poll(); err != nil {
+				return err
+			}
+			nbr, _ := w.adjacent(et, from.members[i], forward)
+			for _, t := range nbr {
+				if !to.set.Get(t) {
+					continue
+				}
+				j := to.set.Rank(to.ranks, t)
+				if !probe {
+					atomic.AddUint64(&acc[j], k.s.at(i))
+				} else if acc[i] += k.s.at(j); route != routeCount {
+					break
+				}
+			}
+		}
+		return nil
+	})
+	kept := 0
+	for i := range cnt {
+		if cnt[i] *= acc[i]; cnt[i] > 0 {
+			kept++
+		}
+	}
+	m.span(route, "semi-join %s with %s", x, k.node, kept, t0)
+	return err
+}
+
+// walk estimates the index entries expanding n vertices across et visits,
+// from its source side when forward (no reverse index: a scan per vertex).
+func walk(et *graph.EdgeType, forward bool, n int) float64 {
+	deg := float64(et.Count())
+	if forward {
+		deg = et.AvgOutDegree()
+	} else if et.HasReverse() {
+		deg = et.AvgInDegree()
+	}
+	return float64(n) * deg
+}
+
+// span traces a step of semiJoin under EXPLAIN ANALYZE: what it did across
+// nodes a and b, and the size of the set it left.
+func (m *matcher) span(route, what string, a, b, rows int, t0 time.Time) {
+	if m.e.tracing() {
+		detail := fmt.Sprintf(what, stepName(m.pat, m.nodeType, a), stepName(m.pat, m.nodeType, b))
+		m.e.opSpan(route, detail).Record(int64(rows), time.Since(t0))
+	}
 }

@@ -3,6 +3,8 @@ package exec
 import (
 	"strings"
 	"testing"
+
+	"graql/internal/bsbm"
 )
 
 func explainText(t *testing.T, e *Engine, q string) string {
@@ -33,6 +35,38 @@ def y: A ( ) --e--> B (id = 'b1')`)
 	}
 	if !strings.Contains(text, "reverse index") {
 		t.Errorf("plan should traverse the reverse index:\n%s", text)
+	}
+}
+
+// TestExplainNamesTheRoute: the plan of a graph select into a table names
+// how it is answered (DESIGN.md §4). BQ1, BQ2 and BQ4 count the bindings
+// of the one step they project, BQ6 and BQ8 take the step's reduced set;
+// BQ5 projects two steps, and a one-hop select (BQ3's shape) and a cyclic
+// pattern enumerate too.
+func TestExplainNamesTheRoute(t *testing.T) {
+	opts := DefaultOptions()
+	opts.FileOpener = memFS(bsbm.Generate(bsbm.Config{ScaleFactor: 1, Seed: 42}).Files)
+	berlin := New(opts)
+	mustExec(t, berlin, bsbm.FullDDL, nil)
+	graphSelect := func(q bsbm.Query) string { return strings.SplitN(strings.TrimSpace(q.Script), "\n\n", 2)[0] }
+	for _, c := range []struct {
+		e     *Engine
+		q     string
+		route string
+	}{
+		{berlin, graphSelect(bsbm.Q1), "count"},
+		{berlin, graphSelect(bsbm.Q2), "count"},
+		{berlin, graphSelect(bsbm.Q4), "count"},
+		{berlin, graphSelect(bsbm.Q6), "reduce-only"},
+		{berlin, graphSelect(bsbm.Q8), "reduce-only"},
+		{berlin, graphSelect(bsbm.Q3), "enumerate"},
+		{berlin, graphSelect(bsbm.Q5), "enumerate"},
+		{semaEngine(t), `select y.id from graph A (id = 'a0') --e--> def y: B ( )`, "enumerate"},
+		{semaEngine(t), `select distinct x.id from graph foreach x: A ( ) --e--> B ( ) --f--> foreach y: A ( ) and (y --loop--> x)`, "enumerate"},
+	} {
+		if text := explainText(t, c.e, "explain "+c.q); !strings.Contains(text, "strategy: "+c.route+" route") {
+			t.Errorf("%s\nplan names no %s route:\n%s", c.q, c.route, text)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -306,12 +307,16 @@ func (m *matcher) maxShards() int { return m.workers * 4 }
 
 // frontierShards splits the id space of set — the n ids of a type when set
 // is nil — into one range per member while they last, at most maxShards:
-// what hangs off one vertex is a unit of work of unknown size, and a set
-// of one is swept inline on the caller's goroutine.
-func (m *matcher) frontierShards(set *bitmap.Bitmap, n int) [][2]uint32 {
+// what hangs off one vertex is a unit of work of unknown size. A set of one,
+// or fewer index entries to walk (work) than the parallel threshold, is
+// swept inline on the caller's goroutine.
+func (m *matcher) frontierShards(set *bitmap.Bitmap, n, work int) [][2]uint32 {
 	members := n
 	if set != nil {
 		members = set.Count()
+	}
+	if !(table.Par{Workers: m.workers, Threshold: m.e.Opts.ParallelThreshold}).Parallel(work) {
+		members = 1
 	}
 	return shardRanges(n, min(m.maxShards(), members))
 }
@@ -387,7 +392,7 @@ func (m *matcher) restrict(node int, frontier *bitmap.Bitmap) (*bitmap.Bitmap, e
 	w.scanned = int64(in.Len())
 	par, sweep := m.e.kernelPar(), (*obs.Span)(nil)
 	par.OnParallel = func(shards, workers int) func() {
-		sweep = m.e.sweepSpan("candidate scan "+vt.Name, shards, workers)
+		sweep = m.e.sweepSpan("candidate scan ", vt.Name, shards, workers)
 		return m.e.fannedOut(shards, workers)
 	}
 	hit, err := table.CompileFilter(attrs, cond).Select(in, par)
@@ -439,9 +444,9 @@ func (m *matcher) matchAll(sink func(shard int, b []uint32) error) error {
 		m.buildSpans()
 	}
 	first := m.order[0].Node
-	shards := m.frontierShards(m.reach[first], m.nodeType[first].Count())
+	shards := m.frontierShards(m.reach[first], m.nodeType[first].Count(), math.MaxInt)
 	start := time.Now()
-	err = m.e.runSweep("binding enumeration", len(shards), m.workers, func(si int) error {
+	err = m.e.runSweep("binding enumeration", "", len(shards), m.workers, func(si int) error {
 		w := m.worker(true)
 		for i := range w.b {
 			w.b[i] = NoBind

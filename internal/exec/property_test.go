@@ -9,6 +9,7 @@ import (
 
 	"graql/internal/cluster"
 	"graql/internal/graph"
+	"graql/internal/obs"
 	"graql/internal/parser"
 	"graql/internal/sema"
 )
@@ -456,21 +457,39 @@ func (g *pathGen) alt() string {
 }
 
 // TestEngineEqualsReference: on generated data and tree-shaped, cyclic,
-// seeded, variant-typed and or-composed patterns, a graph select into a
-// table and the same pattern captured into a subgraph equal Eq. 5 read
-// literally (referencePaths) — serially and on four workers, with and
-// without reverse indexes, and with the expansions on this process or on
-// two simulated partitions, hash or block placed.
+// seeded, variant-typed and or-composed patterns, graph selects into a
+// table — projecting the first step, and the last label every alternative
+// has, with and without distinct — and the same pattern captured into a
+// subgraph equal Eq. 5 read literally (referencePaths) — serially and on
+// four workers, with and without reverse indexes, and with the expansions
+// on this process or on two simulated partitions, hash or block placed.
+// Each route of a select into a table (DESIGN.md §4) must be taken in
+// enough trials.
 func TestEngineEqualsReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := &pathGen{r: r}
 	shapes := map[string]int{}
+	routes := map[string]int{}
 	for trial := 0; trial < 150; trial++ {
 		files := pathFixture(r)
 		g.nA, g.nB = strings.Count(files["ta.csv"], "\n"), strings.Count(files["tb.csv"], "\n")
+		// last is the last label every alternative has, with the column it
+		// projects: id, or n where it labels a G, which has no id.
 		pattern := g.alt()
+		alts := [][]pathLabel{g.labels}
 		if r.Intn(4) == 0 {
 			pattern += "\nor " + g.alt()
+			alts = append(alts, g.labels)
+		}
+		labels := len(alts[0])
+		for _, l := range alts {
+			labels = min(labels, len(l))
+		}
+		last := alts[0][labels-1].name + ".id"
+		for _, l := range alts {
+			if l[labels-1].typ == "G" {
+				last = l[labels-1].name + ".n"
+			}
 		}
 		for _, mark := range []string{"and (", "or ", "[ ]", "s1.", ".n)", "(w >", "G (", "--> x", "x1", pathErrCond} {
 			if strings.Contains(pattern, mark) {
@@ -480,16 +499,22 @@ func TestEngineEqualsReference(t *testing.T) {
 		// A chain captured into a subgraph is reduced from its end, whichever
 		// step that is: there the condition is stated without the division.
 		queries := []string{
-			"select x0.id, x0.n as k from graph\n" + pattern,
 			"select * from graph\n" + strings.ReplaceAll(pattern, pathErrCond, "(n <= 3)") + "\ninto subgraph out",
+			"select x0.id, x0.n as k from graph\n" + pattern,
+			"select distinct " + last + " from graph\n" + pattern,
+			"select " + last + " from graph\n" + pattern,
 		}
-		var wantRows []string
+		taken := map[string]bool{}
+		var wantRows [][]string
 		var wantSub string
 		for _, workers := range []int{1, 4} {
 			for _, reverse := range []bool{true, false} {
 				for _, placement := range []string{"local", "hash", "block"} {
 					opts := DefaultOptions()
 					opts.Workers, opts.ReverseIndexes, opts.FileOpener = workers, reverse, memFS(files)
+					if workers > 1 {
+						opts.ParallelThreshold = 1 // the sweeps of these small sets fan out too
+					}
 					if placement != "local" {
 						strategy, _ := cluster.ParseStrategy(placement)
 						opts.Dist = cluster.Simulated(2, strategy)
@@ -498,33 +523,64 @@ func TestEngineEqualsReference(t *testing.T) {
 					mustExec(t, e, pathSchema, nil)
 					mustExec(t, e, `select * from graph A (n < 6) --e--> B ( ) into subgraph s1`, nil)
 					if wantRows == nil {
-						wantRows = referenceTable(t, e, mustAnalyze(t, e, queries[0]), nil)
-						wantSub = subgraphFingerprint(referenceSubgraph(t, e, mustAnalyze(t, e, queries[1]), nil))
+						wantSub = subgraphFingerprint(referenceSubgraph(t, e, mustAnalyze(t, e, queries[0]), nil))
+						for _, q := range queries[1:] {
+							want := referenceTable(t, e, mustAnalyze(t, e, q), nil)
+							if strings.HasPrefix(q, "select distinct") {
+								want = slices.Compact(want)
+							}
+							wantRows = append(wantRows, want)
+						}
 					}
-					got := []string{}
-					for _, row := range tableRows(t, mustExec(t, e, queries[0], nil)) {
-						got = append(got, strings.Join(row, ","))
-					}
-					sortStrings(got)
-					if !slices.Equal(got, wantRows) {
-						t.Fatalf("trial %d (workers %d, reverse %v, %s): into table\n%s\nengine    %v\nreference %v",
-							trial, workers, reverse, placement, queries[0], got, wantRows)
-					}
-					res := mustExec(t, e, queries[1], nil)
+					res := mustExec(t, e, queries[0], nil)
 					if got := subgraphFingerprint(res[len(res)-1].Subgraph); got != wantSub {
 						t.Fatalf("trial %d (workers %d, reverse %v, %s): into subgraph\n%s\nengine    %s\nreference %s",
-							trial, workers, reverse, placement, queries[1], got, wantSub)
+							trial, workers, reverse, placement, queries[0], got, wantSub)
+					}
+					for i, q := range queries[1:] {
+						// The routes are read off the spans of one traced run.
+						ex := e
+						if workers == 1 && reverse && placement == "local" {
+							ex = e.WithTrace(obs.NewTrace(obs.TraceID{}), nil)
+						}
+						got := []string{}
+						for _, row := range tableRows(t, mustExec(t, ex, q, nil)) {
+							got = append(got, strings.Join(row, ","))
+						}
+						sortStrings(got)
+						if !slices.Equal(got, wantRows[i]) {
+							t.Fatalf("trial %d (workers %d, reverse %v, %s): into table\n%s\nengine    %v\nreference %v",
+								trial, workers, reverse, placement, q, got, wantRows[i])
+						}
+						for _, sp := range ex.trace.Spans() {
+							switch sp.Action {
+							case "reduce-only", "count":
+								taken[sp.Action] = true
+							case "scan":
+								taken["enumerate"] = true
+							}
+						}
 					}
 				}
 			}
 		}
+		for route := range taken {
+			routes[route]++
+		}
 	}
-	// A generator that stopped drawing one of the shapes would pass vacuously.
+	// A generator that stopped drawing one of the shapes, or a route, would
+	// pass vacuously.
 	for mark, want := range map[string]int{"and (": 40, "or ": 20, "[ ]": 8, "s1.": 30, ".n)": 15, "(w >": 10, "G (": 15, "--> x": 5, "x1": 60, pathErrCond: 15} {
 		if shapes[mark] < want {
 			t.Errorf("only %d of 150 patterns contain %q, want at least %d", shapes[mark], mark, want)
 		}
 	}
+	for _, route := range []string{"reduce-only", "count", "enumerate"} {
+		if routes[route] < 20 {
+			t.Errorf("route %s taken in only %d of 150 trials, want at least 20", route, routes[route])
+		}
+	}
+	t.Logf("trials per route: %v", routes)
 }
 
 // mustAnalyze is analyzeSelect for statements that must pass the front end.

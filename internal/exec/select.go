@@ -147,7 +147,7 @@ func (e *Engine) runTableSelect(s *sema.Select, params map[string]value.Value) (
 		}
 	}
 
-	out, err := e.finishTable(rows, cols, schema, s)
+	out, err := e.finishTable(rows, cols, schema, s, s.Distinct)
 	if err != nil {
 		return Result{}, err
 	}
@@ -186,13 +186,14 @@ func (e *Engine) projectComputed(s *sema.Select, rows table.Rows, params map[str
 	return fresh, nil
 }
 
-// finishTable applies distinct / order by / top n to the selection and
-// gathers the result table: output column i is column cols[i] of rows'
-// table, defined by schema[i]. Order by with top n runs as one
-// bounded-heap operator. A plain column projection of a table select
-// happens here, in the gather, and is reported as the plan's last operator.
-func (e *Engine) finishTable(rows table.Rows, cols []int, schema table.Schema, s *sema.Select) (*table.Table, error) {
-	if s.Distinct {
+// finishTable applies distinct (when the rows may repeat one another) /
+// order by / top n to the selection and gathers the result table: output
+// column i is column cols[i] of rows' table, defined by schema[i]. Order
+// by with top n runs as one bounded-heap operator. A plain column
+// projection of a table select happens here, in the gather, and is
+// reported as the plan's last operator.
+func (e *Engine) finishTable(rows table.Rows, cols []int, schema table.Schema, s *sema.Select, distinct bool) (*table.Table, error) {
+	if distinct {
 		t0 := time.Now()
 		rows = rows.Distinct(cols)
 		if e.tracing() {
@@ -315,13 +316,13 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 			Message: fmt.Sprintf("subgraph %s: %d vertices, %d edges", sub.Name, sub.NumVertices(), sub.NumEdges())}, nil
 	}
 
-	var out *table.Table
+	out, keyed := (*table.Table)(nil), false
 	for _, alt := range s.GraphAlts {
 		prep, err := e.prepareAlt(alt, params)
 		if err != nil {
 			return Result{}, err
 		}
-		if out, err = e.runAltTable(prep, out, s); err != nil {
+		if out, keyed, err = e.runAltTable(prep, out, s); err != nil {
 			return Result{}, err
 		}
 	}
@@ -335,22 +336,24 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 	for i := range cols {
 		cols[i] = i
 	}
-	out, err := e.finishTable(table.AllRows(out), cols, s.OutSchema, s)
+	out, err := e.finishTable(table.AllRows(out), cols, s.OutSchema, s, s.Distinct && !(keyed && len(s.GraphAlts) == 1))
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Kind: ResultTable, Table: out}, nil
 }
 
-// runAltTable enumerates the bindings of one alternative and returns out
-// with their projection appended (Fig. 13: the matching subgraph as a
-// table, one row per binding — multiplicities preserved, which is what
-// makes the paper's Q2 feature-count work). A binding is kept as the ids
-// its projected steps hold, and a projected column is one typed gather of
-// the step's attribute column by those ids, sharing its dictionary: the
-// first typing of the first alternative to match anything is the result
-// table (out == nil until then), later ones append onto it column-wise.
-func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select) (*table.Table, error) {
+// runAltTable answers one alternative on the route routeFor picks per
+// typing and returns out with its rows appended (Fig. 13: the matching
+// subgraph as a table, one row per binding — multiplicities preserved,
+// which is what makes the paper's Q2 feature-count work). An enumerated
+// binding is kept as the ids its projected steps hold, and a projected
+// column is one typed gather of the step's attribute column, sharing its
+// dictionary: the first typing of the first alternative to match anything
+// is the result table (out == nil until then), later ones append onto it
+// column-wise. keyed: one typing put rows in, a reduced set projecting its
+// type's key, so they are distinct (one vertex per key).
+func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select) (_ *table.Table, keyed bool, _ error) {
 	pat := prep.alt.Pattern
 	proj := prep.alt.Proj
 	// slots lists each binding slot the projection reads once; item i reads
@@ -363,6 +366,7 @@ func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select
 			slots = append(slots, item.Source)
 		}
 	}
+	parts := 0
 	err := e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
 		m, err := e.newMatcher(pat, nt, et, prep.nodeCond, prep.edgeCond)
 		if err != nil {
@@ -376,39 +380,46 @@ func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select
 			}
 			return m.edgeType[slot-len(pat.Nodes)].Attrs, nil
 		}
-		// A shard's bindings are kept as their slots back to back; shards
-		// concatenate in order, so results are deterministic. Each shard's
-		// slice header fills a cache line of its own: a worker writes it once
-		// per binding, and its neighbours belong to other workers.
-		type shardIDs struct {
-			ids []uint32
-			_   [40]byte
-		}
-		shards := make([]shardIDs, m.maxShards())
-		err = m.matchAll(func(shard int, b []uint32) error {
-			for _, slot := range slots {
-				shards[shard].ids = append(shards[shard].ids, b[slot])
+		rows := make([][]uint32, len(slots)) // per slot, the attribute row of each output row
+		r, p := m.routeFor(proj, s.Distinct)
+		if r != routeEnumerate { // p is the one slot
+			if rows[0], err = m.answer(p, r); err != nil || len(rows[0]) == 0 {
+				return err
 			}
-			return nil
-		})
-		n := 0
-		for _, sh := range shards {
-			n += len(sh.ids) / len(slots)
-		}
-		if err != nil || n == 0 {
-			return err
-		}
-		rows := make([][]uint32, len(slots))
-		for k, slot := range slots {
-			_, rowOf := attrsOf(slot)
-			rows[k] = make([]uint32, 0, n)
+		} else {
+			// A shard's bindings are kept as their slots back to back; shards
+			// concatenate in order, so results are deterministic. Each shard's
+			// slice header fills a cache line of its own: a worker writes it
+			// once per binding, and its neighbours belong to other workers.
+			type shardIDs struct {
+				ids []uint32
+				_   [40]byte
+			}
+			shards := make([]shardIDs, m.maxShards())
+			err = m.matchAll(func(shard int, b []uint32) error {
+				for _, slot := range slots {
+					shards[shard].ids = append(shards[shard].ids, b[slot])
+				}
+				return nil
+			})
+			n := 0
 			for _, sh := range shards {
-				for j := k; j < len(sh.ids); j += len(slots) {
-					id := sh.ids[j]
-					if rowOf != nil {
-						id = rowOf[id]
+				n += len(sh.ids) / len(slots)
+			}
+			if err != nil || n == 0 {
+				return err
+			}
+			for k, slot := range slots {
+				_, rowOf := attrsOf(slot)
+				rows[k] = make([]uint32, 0, n)
+				for _, sh := range shards {
+					for j := k; j < len(sh.ids); j += len(slots) {
+						id := sh.ids[j]
+						if rowOf != nil {
+							id = rowOf[id]
+						}
+						rows[k] = append(rows[k], id)
 					}
-					rows[k] = append(rows[k], id)
 				}
 			}
 		}
@@ -417,11 +428,13 @@ func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select
 			attrs, _ := attrsOf(item.Source)
 			cols[i] = attrs.Col(item.Col).Gather(rows[slotOf[i]])
 		}
+		parts, keyed = parts+1, r == routeReduceOnly && len(nt[p].KeyCols) == 1 && slices.ContainsFunc(proj,
+			func(it sema.GraphProjItem) bool { return it.Col == nt[p].KeyCols[0] || !nt[p].OneToOne })
 		if out == nil {
 			out = table.FromColumns(resultName(s), s.OutSchema, cols)
 			return nil
 		}
 		return out.AppendColumns(cols)
 	})
-	return out, err
+	return out, parts == 1 && keyed, err
 }

@@ -61,21 +61,22 @@ func (e *Engine) opSpan(action, detail string) *obs.Span {
 // runSweep is runShards plus a parallel-sweep span when the engine runs
 // under a statement span. EXPLAIN ANALYZE's flat trace intentionally
 // omits sweep spans so its plan table keeps one row per operator.
-func (e *Engine) runSweep(detail string, shards, workers int, fn func(shard int) error) error {
+func (e *Engine) runSweep(what, name string, shards, workers int, fn func(shard int) error) error {
 	e.acct.noteWorkers(workers)
-	sp := e.sweepSpan(detail, shards, workers)
+	sp := e.sweepSpan(what, name, shards, workers)
 	err := runShards(e.ctx, &e.met, shards, workers, fn)
 	sp.End()
 	return err
 }
 
-// sweepSpan opens the span of one parallel sweep; nil (inert) unless the
-// engine runs under a statement span.
-func (e *Engine) sweepSpan(detail string, shards, workers int) *obs.Span {
+// sweepSpan opens the span of one parallel sweep, labelled what followed by
+// name; nil (inert) unless the engine runs under a statement span, and only
+// then is the label put together.
+func (e *Engine) sweepSpan(what, name string, shards, workers int) *obs.Span {
 	if e.parent == nil {
 		return nil
 	}
-	sp := e.parent.Child("sweep", detail)
+	sp := e.parent.Child("sweep", what+name)
 	sp.SetAttr("shards", strconv.Itoa(shards))
 	sp.SetAttr("workers", strconv.Itoa(workers))
 	return sp
