@@ -240,6 +240,12 @@ EOF
     exec "$tmpdir/routes.graql" Country1=US Country2=DE >"$tmpdir/routes.out" 2>&1
 grep -q 'strategy | reduce-only route' "$tmpdir/routes.out"
 grep -q 'strategy | count route' "$tmpdir/routes.out"
+# A subgraph select over an acyclic pattern (dist_chain's shape) is
+# captured from the reducer's exact sets, and EXPLAIN names that route.
+echo 'explain select * from graph ProducerVtx (country = %Country%) <--producer-- ProductVtx (propertyNumeric_1 > %Lower%) <--reviewFor-- ReviewVtx into subgraph CaptureSG' |
+    "$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 10s \
+        exec - Country=US Lower=500 >"$tmpdir/capture.out" 2>&1
+grep -q 'strategy | reduce-only route' "$tmpdir/capture.out"
 curl -fsS http://127.0.0.1:17688/healthz | grep -q '"ok":true'
 curl -fsS http://127.0.0.1:17688/readyz | grep -q '"ok":true'
 curl -fsS http://127.0.0.1:17688/metrics >"$tmpdir/metrics.out"
@@ -539,14 +545,16 @@ for srv in 17753 17755; do
         sleep 0.2
     done
 done
-# Berlin queries: the variant-step chain captured into a subgraph (BQ7
+# Berlin queries: a variant-step pattern captured into a subgraph (BQ7
 # shape) and a four-hop review chain into a table (BQ6 shape, with its
-# last step's persons conditioned too). The table query takes the
-# reduce-only route. The reducer's passes scatter first: every step
-# between the two conditions is expanded as a superstep. The semi-join
-# pass rooted at u then walks each tree edge from the side that holds a
-# set; an expansion scatters like the reducer's, and a probe of the
-# coordinator's adjacency, which it takes where that walk is shorter,
+# last step's persons conditioned too). Both take the reduce-only route.
+# The capture reads the reducer's exact sets, and its passes scatter like
+# the reducer's: each expansion across a concrete edge type is a
+# superstep. For the table query the reducer's passes scatter first:
+# every step between the two conditions is expanded as a superstep. The
+# semi-join pass rooted at u then walks each tree edge from the side that
+# holds a set; an expansion scatters like the reducer's, and a probe of
+# the coordinator's adjacency, which it takes where that walk is shorter,
 # scatters nothing.
 cat >"$tmpdir/dist-chain.graql" <<'EOF'
 select * from graph ProductVtx (id = %Product1%) <--[ ]-- [ ] into subgraph DistSG

@@ -96,8 +96,8 @@ func TestExplainAnalyzeTableSelect(t *testing.T) {
 func TestExplainAnalyzeChainFastPath(t *testing.T) {
 	e := semaEngine(t)
 	rows := analyzeRows(t, e, `explain analyze select * from graph A ( ) --e--> B ( ) into subgraph ga`)
-	if findRow(rows, "chain-expand") == nil || findRow(rows, "chain-cull") == nil {
-		t.Fatalf("chain query should trace chain-expand and chain-cull spans:\n%v", rows)
+	if findRow(rows, "capture-expand") == nil || findRow(rows, "capture-cull") == nil {
+		t.Fatalf("chain query should trace capture-expand and capture-cull spans:\n%v", rows)
 	}
 	if e.Cat.Subgraph("ga") != nil {
 		t.Error("explain analyze must not register the subgraph")
@@ -202,7 +202,8 @@ func TestExplainAnalyzePreparedCacheProbe(t *testing.T) {
 }
 
 // TestEngineMetricsCounters: a query run under a registry moves the
-// statement, scan and traversal counters and the latency histogram.
+// statement, scan and traversal counters and the latency histogram; a path
+// regular expression moves the traversal counter too.
 func TestEngineMetricsCounters(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 2
@@ -230,5 +231,13 @@ func TestEngineMetricsCounters(t *testing.T) {
 	}
 	if c := opts.Obs.Counter("graql_queries_total", ""); c.Value() == 0 {
 		t.Error("query counter should be non-zero")
+	}
+	// The product BFS of a path regular expression walks the edge indexes
+	// through the same accounting as every other sweep.
+	edges := opts.Obs.Counter("graql_edges_traversed_total", "")
+	before := edges.Value()
+	mustExec(t, e, `select * from graph A ( ) ( --loop--> [ ] ){2} A ( ) into subgraph rx`, nil)
+	if edges.Value() == before {
+		t.Error("a path regular expression should move the edge traversal counter")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // This file threads context.Context through the engine. A context-aware
 // engine is a shallow copy (like the trace forks in trace.go) carrying
 // the context of one request; long-running loops — candidate scans,
-// binding enumeration, chain expansion/culling, regex product BFS,
+// binding enumeration, expansion/culling passes, regex product BFS,
 // cluster supersteps — poll it cooperatively and unwind with a
 // structured error. The GEMS front-end is a long-lived multi-user
 // service, and worst-case pattern-matching cost is super-linear in the

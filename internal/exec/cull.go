@@ -2,11 +2,11 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync/atomic"
 	"time"
 
+	"graql/internal/ast"
 	"graql/internal/bitmap"
 	"graql/internal/expr"
 	"graql/internal/graph"
@@ -19,22 +19,12 @@ import (
 // forward pass computes the vertices reachable at each step, and a
 // backward pass culls "all vertices that have no path to vertices selected
 // at that step". One reducer (reduce) runs both passes over the tree a
-// visit order spans and feeds both result kinds: a chain captured into a
-// subgraph reads its sets as the answer (for chains the culled per-step
-// sets equal the collapse of full binding enumeration, property-tested),
-// and binding enumeration walks inside them. With a cluster configured
-// the same passes run, with the expansions they route there as BSP
-// supersteps (cluster.go).
-
-// chainEdge returns the unique pattern edge connecting nodes a and b.
-func chainEdge(pat *sema.Pattern, a, b int) *sema.PEdge {
-	for _, e := range pat.Edges {
-		if (e.Src == a && e.Dst == b) || (e.Src == b && e.Dst == a) {
-			return e
-		}
-	}
-	panic(fmt.Sprintf("graql: no pattern edge between nodes %d and %d", a, b))
-}
+// visit order spans and feeds every result kind: an acyclic pattern
+// captured into a subgraph reads its exact sets as the answer (after a
+// third, top-down pass, the sets equal the collapse of full binding
+// enumeration, property-tested), and binding enumeration walks inside
+// them. With a cluster configured the same passes run, with the
+// expansions they route there as BSP supersteps (cluster.go).
 
 // expandFiltered expands fromSet across one concrete edge type in the
 // given direction, applying the edge's self condition, in parallel over
@@ -106,8 +96,8 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 // expandStep expands a step set across one pattern edge, concrete or
 // regex, from its source side when forward and from its target side
 // otherwise: as one cluster superstep when onCluster routes the edge
-// there, else on this process. pass ("forward" | "backward") names the
-// Eq. 5 pass it serves.
+// there, else on this process. pass ("forward", "backward", "forward
+// cull" or "semi-join") names the pass it serves.
 func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitmap, pass string) (*bitmap.Bitmap, error) {
 	switch {
 	case m.onCluster(pe):
@@ -115,24 +105,9 @@ func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitma
 	case pe.Regex == nil:
 		return m.expandFiltered(pe, forward, fromSet)
 	}
-	src, dst := m.nodeType[pe.Src], m.nodeType[pe.Dst]
-	var reached *bitmap.Bitmap
-	if forward {
-		mc, visited := m.forwardReach(pe.Regex, src, fromSet)
-		reached = acceptedOfType(mc, visited, dst)
-	} else {
-		mc, visited := m.backwardReach(pe.Regex, dst, fromSet)
-		if b, ok := visited[stateVT{mc.stateID(0, 0), src}]; ok {
-			reached = b.Clone()
-		} else {
-			reached = bitmap.New(src.Count())
-		}
-	}
-	// The BFS drains early on a dead context; reject its partial sets.
-	if err := m.e.canceled(); err != nil {
-		return nil, err
-	}
-	return reached, nil
+	w := m.worker(false)
+	defer m.flush(w)
+	return m.reachAcross(w, pe, forward, fromSet)
 }
 
 // reduce is the Eq. 5 evaluation over the tree that order spans (every
@@ -152,8 +127,12 @@ func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitma
 // pass reaches), and no cull crosses an edge type that has no reverse
 // index, where it would scan the edge list once per vertex. Every set is
 // then a superset of the vertices complete bindings put at its node. With
-// exact set (the order must be a chain from one end) every step runs and
-// every set is materialised: the sets are the chain's matched sets.
+// exact set every step runs, every set is materialised, and a third pass
+// runs top-down, parents first: a step below a parent with two or more
+// children, or below a step this pass narrowed, keeps the vertices its
+// parent's set expands to. After it every set is exact on a tree — every
+// member occurs in some binding (Yannakakis' full reducer); on a chain
+// read from one end the pass does nothing. It decides no step condition.
 //
 // Where an expansion runs — this process or the cluster — is expandStep's
 // decision, one edge at a time; the cluster's span and statistics close
@@ -181,7 +160,7 @@ func (m *matcher) reduce(order []plan.Visit, exact bool) ([]*bitmap.Bitmap, erro
 	// of the set it produces.
 	fwdAction, cullAction := "reduce", "reduce"
 	if exact {
-		fwdAction, cullAction = "chain-expand", "chain-cull"
+		fwdAction, cullAction = "capture-expand", "capture-cull"
 	}
 	trace := func(action, what string, node, step int, set *bitmap.Bitmap, t0 time.Time) {
 		if !m.e.tracing() || set == nil {
@@ -252,62 +231,84 @@ func (m *matcher) reduce(order []plan.Visit, exact bool) ([]*bitmap.Bitmap, erro
 		reach[p] = back
 		trace(cullAction, "backward cull at", p, 0, back, t0)
 	}
+	if !exact {
+		return reach, nil
+	}
+	// A member of a step's set has an edge into its parent's set as the
+	// forward pass left it; that parent member survives the backward pass
+	// unless a sibling's cull or this pass removed it.
+	kids := make([]int, len(pat.Nodes))
+	for _, v := range order {
+		if v.Via >= 0 {
+			kids[parentOf(v)]++
+		}
+	}
+	narrowed := make([]bool, len(pat.Nodes))
+	for _, v := range order {
+		if v.Via < 0 || (kids[parentOf(v)] < 2 && !narrowed[parentOf(v)]) {
+			continue
+		}
+		if err := m.e.canceled(); err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		down, err := m.expandStep(pat.Edges[v.Via], v.Forward, reach[parentOf(v)], "forward cull")
+		if err != nil {
+			return nil, err
+		}
+		before := reach[v.Node].Count()
+		down.And(reach[v.Node])
+		narrowed[v.Node] = down.Count() < before
+		reach[v.Node] = down
+		trace(cullAction, "forward cull at", v.Node, 0, down, t0)
+	}
 	return reach, nil
 }
 
-// cullChainIntoSubgraph evaluates a chain pattern with the bitmap engine
-// and captures the selected steps into sub: the matched set of every node
-// is the reducer's set over the chain read from one end.
-func (m *matcher) cullChainIntoSubgraph(chain []int, nodeSel, edgeSel []bool, sub *graph.Subgraph) error {
-	order := make([]plan.Visit, len(chain))
-	order[0] = plan.Visit{Node: chain[0], Via: -1}
-	for k := 1; k < len(chain); k++ {
-		pe := chainEdge(m.pat, chain[k-1], chain[k])
-		order[k] = plan.Visit{Node: chain[k], Via: pe.ID, Forward: pe.Src == chain[k-1]}
-	}
-	final, err := m.reduce(order, true)
+// capture is the reduce-only route into a subgraph (routeFor): the
+// reducer's exact sets over the planner's order are the selected steps'
+// vertices, and the instances of a selected pattern edge between its
+// endpoints' sets are its edges.
+func (m *matcher) capture(nodeSel, edgeSel []bool, sub *graph.Subgraph) error {
+	final, err := m.reduce(m.order, true)
 	if err != nil {
 		return err
 	}
 	// An empty set at any step empties the whole match.
-	for _, id := range chain {
-		if !final[id].Any() {
-			return nil
-		}
+	if slices.ContainsFunc(final, func(set *bitmap.Bitmap) bool { return !set.Any() }) {
+		return nil
 	}
-	for i := range m.pat.Nodes {
+	for i, set := range final {
 		if nodeSel[i] {
-			sub.VertexSet(m.nodeType[i]).Or(final[i])
+			sub.VertexSet(m.nodeType[i]).Or(set)
 		}
 	}
-	for k := 0; k+1 < len(chain); k++ {
-		a, b := chain[k], chain[k+1]
-		pe := chainEdge(m.pat, a, b)
-		if !edgeSel[pe.ID] {
-			continue
+	for _, pe := range m.pat.Edges {
+		switch {
+		case !edgeSel[pe.ID]:
+		case pe.Regex != nil:
+			err = m.markRegexPath(pe, final[pe.Src], final[pe.Dst], sub)
+		default:
+			err = m.markEdgesInSets(pe, m.edgeType[pe.ID], true, final[pe.Src], final[pe.Dst], sub)
 		}
-		if pe.Regex != nil {
-			m.markRegexPath(pe, final[pe.Src], final[pe.Dst], sub)
-			continue
-		}
-		if err := m.markEdgesInSets(pe, final[pe.Src], final[pe.Dst], sub); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// markEdgesInSets marks edge instances whose endpoints lie in the final
-// step sets and whose condition holds.
-func (m *matcher) markEdgesInSets(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap, sub *graph.Subgraph) error {
-	et := m.edgeType[pe.ID]
+// markEdgesInSets marks the instances of et, walked from the members of
+// from (from et's source side when forward), that land in to and on which
+// pe's self condition holds.
+func (m *matcher) markEdgesInSets(pe *sema.PEdge, et *graph.EdgeType, forward bool, from, to *bitmap.Bitmap, sub *graph.Subgraph) error {
 	es := sub.EdgeSet(et)
 	cond := m.edgeSelf[pe.ID]
-	shards := m.frontierShards(srcSet, srcSet.Len(), math.MaxInt)
+	shards := m.frontierShards(from, from.Len(), int(walk(et, forward, from.Count())))
 	return m.e.runSweep("mark edges ", et.Name, len(shards), m.workers, func(si int) error {
 		w := m.worker(cond != nil)
 		var inner error
-		srcSet.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
+		from.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
 			if inner != nil {
 				return
 			}
@@ -315,9 +316,9 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap,
 				inner = err
 				return
 			}
-			nbr, eids := w.adjacent(et, v, true)
+			nbr, eids := w.adjacent(et, v, forward)
 			for i, t := range nbr {
-				if !dstSet.Get(t) {
+				if !to.Get(t) {
 					continue
 				}
 				if cond != nil {
@@ -338,28 +339,37 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap,
 	})
 }
 
-// The routes of a graph select into a table, chosen per typing (DESIGN.md §4).
+// The routes of a graph select, chosen per typing (DESIGN.md §4).
 const (
 	routeEnumerate  = "enumerate"   // bind every match inside the reduced sets
-	routeReduceOnly = "reduce-only" // distinct: the projected step's exact set
+	routeReduceOnly = "reduce-only" // the exact sets: the projected step's, or a subgraph's
 	routeCount      = "count"       // each projected vertex once per binding
 )
 
-// routeFor picks the route of a select into a table projecting proj, and
-// the vertex step p it reads off enumerate: a tree of two edges or more,
-// no condition to decide per binding, no unrestricted leaf below p (every
-// subtree has a reduced set to walk from) and, to count, no regex step.
-func (m *matcher) routeFor(proj []sema.GraphProjItem, distinct bool) (string, int) {
+// routeFor picks the route of select s over this matcher's alternative,
+// which projects proj, and for a table the vertex step p it reads off. A
+// subgraph is captured from the exact sets of any tree with no condition
+// to decide per binding. A table needs the same of a tree of two edges or
+// more, with no edge condition, one vertex step projected, no
+// unrestricted leaf below p (every subtree has a reduced set to walk
+// from) and, to count, no regex step.
+func (m *matcher) routeFor(s *sema.Select, proj []sema.GraphProjItem) (string, int) {
+	tree := len(m.deferred) == 0 && !slices.ContainsFunc(m.verifyAt, func(l []*sema.PEdge) bool { return len(l) > 0 })
+	if s.Into.Kind == ast.IntoSubgraph {
+		if tree {
+			return routeReduceOnly, -1
+		}
+		return routeEnumerate, -1
+	}
 	p := len(m.pat.Nodes)
 	if len(proj) > 0 {
 		p = proj[0].Source
 	}
 	switch {
-	case p >= len(m.pat.Nodes), len(m.pat.Edges) < 2, len(m.deferred) > 0,
+	case !tree, p >= len(m.pat.Nodes), len(m.pat.Edges) < 2,
 		slices.ContainsFunc(proj, func(it sema.GraphProjItem) bool { return it.Source != p || it.Col < 0 }),
-		slices.ContainsFunc(m.verifyAt, func(l []*sema.PEdge) bool { return len(l) > 0 }),
 		slices.ContainsFunc(m.edgeSelf, func(c expr.Expr) bool { return c != nil }),
-		!distinct && slices.ContainsFunc(m.pat.Edges, func(pe *sema.PEdge) bool { return pe.Regex != nil }):
+		!s.Distinct && slices.ContainsFunc(m.pat.Edges, func(pe *sema.PEdge) bool { return pe.Regex != nil }):
 		return routeEnumerate, -1
 	}
 	deg := make([]int, len(m.pat.Nodes))
@@ -372,7 +382,7 @@ func (m *matcher) routeFor(proj []sema.GraphProjItem, distinct bool) (string, in
 			return routeEnumerate, -1
 		}
 	}
-	if distinct {
+	if s.Distinct {
 		return routeReduceOnly, p
 	}
 	return routeCount, p

@@ -149,13 +149,9 @@ func (e *Engine) explainGraphSelect(s *sema.Select, params map[string]value.Valu
 				altIv = altIv.Add(fin)
 				return nil // report the plan rows for the first typing only
 			}
-			if chain, ok := plan.LinearChain(pat); ok && len(m.deferred) == 0 && s.Into.Kind == ast.IntoSubgraph {
-				return add(fin.String(), "strategy", "linear chain of %d steps: bitmap forward-expansion + backward-culling (Eq. 5)", len(chain))
-			}
-			if r, _ := m.routeFor(alt.Proj, s.Distinct); s.Into.Kind != ast.IntoSubgraph {
-				if err := add(fin.String(), "strategy", "%s route", r); err != nil {
-					return err
-				}
+			r, _ := m.routeFor(s, alt.Proj)
+			if err := add(fin.String(), "strategy", "%s route", r); err != nil {
+				return err
 			}
 			est := &catalogEstimator{m: m, nodeCond: prep.nodeCond}
 			for i, v := range m.order {

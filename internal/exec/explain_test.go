@@ -38,11 +38,13 @@ def y: A ( ) --e--> B (id = 'b1')`)
 	}
 }
 
-// TestExplainNamesTheRoute: the plan of a graph select into a table names
-// how it is answered (DESIGN.md §4). BQ1, BQ2 and BQ4 count the bindings
-// of the one step they project, BQ6 and BQ8 take the step's reduced set;
-// BQ5 projects two steps, and a one-hop select (BQ3's shape) and a cyclic
-// pattern enumerate too.
+// TestExplainNamesTheRoute: the plan of a graph select names how it is
+// answered (DESIGN.md §4). Into a table, BQ1, BQ2 and BQ4 count the
+// bindings of the one step they project, BQ6 and BQ8 take the step's
+// reduced set; BQ5 projects two steps, and a one-hop select (BQ3's shape)
+// and a cyclic pattern enumerate too. Into a subgraph, dist_chain's chain,
+// BQ7 and a star are captured from the reduced sets; a cyclic pattern and
+// a cross-step condition enumerate.
 func TestExplainNamesTheRoute(t *testing.T) {
 	opts := DefaultOptions()
 	opts.FileOpener = memFS(bsbm.Generate(bsbm.Config{ScaleFactor: 1, Seed: 42}).Files)
@@ -63,6 +65,11 @@ func TestExplainNamesTheRoute(t *testing.T) {
 		{berlin, graphSelect(bsbm.Q5), "enumerate"},
 		{semaEngine(t), `select y.id from graph A (id = 'a0') --e--> def y: B ( )`, "enumerate"},
 		{semaEngine(t), `select distinct x.id from graph foreach x: A ( ) --e--> B ( ) --f--> foreach y: A ( ) and (y --loop--> x)`, "enumerate"},
+		{berlin, `select * from graph ProducerVtx (country = %Country%) <--producer-- ProductVtx (propertyNumeric_1 > %Lower%) <--reviewFor-- ReviewVtx into subgraph g`, "reduce-only"},
+		{berlin, graphSelect(bsbm.Q7), "reduce-only"},
+		{semaEngine(t), `select * from graph foreach x0: A ( ) --e--> B (n < 3) and (x0 --loop--> A ( )) and (x0 <--f-- B ( )) into subgraph g`, "reduce-only"},
+		{semaEngine(t), `select * from graph foreach x: A ( ) --e--> B ( ) --f--> foreach y: A ( ) and (y --loop--> x) into subgraph g`, "enumerate"},
+		{semaEngine(t), `select * from graph foreach x: A ( ) --e--> B (n >= x.n) into subgraph g`, "enumerate"},
 	} {
 		if text := explainText(t, c.e, "explain "+c.q); !strings.Contains(text, "strategy: "+c.route+" route") {
 			t.Errorf("%s\nplan names no %s route:\n%s", c.q, c.route, text)
@@ -73,8 +80,11 @@ func TestExplainNamesTheRoute(t *testing.T) {
 func TestExplainChainFastPath(t *testing.T) {
 	e := semaEngine(t)
 	text := explainText(t, e, `explain select * from graph A ( ) --e--> B ( ) into subgraph g`)
-	if !strings.Contains(text, "backward-culling") {
-		t.Errorf("chain subgraph query should use the Eq. 5 fast path:\n%s", text)
+	if !strings.Contains(text, "strategy: reduce-only route") {
+		t.Errorf("chain subgraph query should be captured from the reduced sets:\n%s", text)
+	}
+	if !strings.Contains(text, "expand: bind") {
+		t.Errorf("plan should list the chain's visits after the route:\n%s", text)
 	}
 	if !strings.Contains(text, "subgraph g") {
 		t.Errorf("plan should mention materialisation:\n%s", text)

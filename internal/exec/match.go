@@ -247,8 +247,8 @@ func (m *matcher) describeVisit(i int) (action, detail string) {
 }
 
 // buildSpans creates one trace span per order position. It runs lazily
-// from matchAll, after the reducer's spans; a chain captured into a
-// subgraph never enumerates and shows the reducer's spans only.
+// from matchAll, after the reducer's spans; a subgraph captured from the
+// reduced sets never enumerates and shows the reducer's spans only.
 func (m *matcher) buildSpans() {
 	m.spans = make([]*obs.Span, len(m.order))
 	for i := range m.order {
@@ -506,8 +506,8 @@ func (m *matcher) verifyFrom(w *wstate, depth, vi int, emit func([]uint32) error
 
 	pe := list[vi]
 	if pe.Regex != nil {
-		ok, err := m.regexConnected(w, pe, w.b[pe.Src], w.b[pe.Dst])
-		if err != nil || !ok {
+		reach, err := w.cachedReach(pe, w.b[pe.Src], true)
+		if err != nil || !reach.Get(w.b[pe.Dst]) {
 			return err
 		}
 		return m.verifyFrom(w, depth, vi+1, emit)

@@ -125,8 +125,9 @@ func sortStrings(s []string) {
 }
 
 // TestCullingEqualsEnumeration is the core Eq. 5 property: for linear
-// chains, the bitmap forward/backward culling engine computes exactly the
-// collapse of full binding enumeration.
+// chains, read in the planner's order whichever step it starts at, the
+// capture's exact sets are exactly the collapse of full binding
+// enumeration.
 func TestCullingEqualsEnumeration(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 120; trial++ {
@@ -159,7 +160,7 @@ func TestCullingEqualsEnumeration(t *testing.T) {
 				return err
 			}
 			nodeSel, edgeSel := selectedSteps(alt.Pattern, nil)
-			if err := m.cullChainIntoSubgraph(chainOrder(alt.Pattern), nodeSel, edgeSel, cullSub); err != nil {
+			if err := m.capture(nodeSel, edgeSel, cullSub); err != nil {
 				return err
 			}
 			m2, err := e.newMatcher(alt.Pattern, nt, et, prep.nodeCond, prep.edgeCond)
@@ -176,16 +177,6 @@ func TestCullingEqualsEnumeration(t *testing.T) {
 				trial, query, got, want)
 		}
 	}
-}
-
-// chainOrder recovers the chain node order for a single linear path
-// pattern (nodes are created in path order by the builder).
-func chainOrder(pat *sema.Pattern) []int {
-	out := make([]int, len(pat.Nodes))
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // TestReverseIndexAblationEquivalence: disabling reverse indexes (§III-B
@@ -464,12 +455,13 @@ func (g *pathGen) alt() string {
 // four workers, with and without reverse indexes, and with the expansions
 // on this process or on two simulated partitions, hash or block placed.
 // Each route of a select into a table (DESIGN.md §4) must be taken in
-// enough trials.
+// enough trials, and so must capture and enumeration into a subgraph and
+// the capture's top-down pass.
 func TestEngineEqualsReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := &pathGen{r: r}
 	shapes := map[string]int{}
-	routes := map[string]int{}
+	routes, subRoutes := map[string]int{}, map[string]int{}
 	for trial := 0; trial < 150; trial++ {
 		files := pathFixture(r)
 		g.nA, g.nB = strings.Count(files["ta.csv"], "\n"), strings.Count(files["tb.csv"], "\n")
@@ -496,15 +488,13 @@ func TestEngineEqualsReference(t *testing.T) {
 				shapes[mark]++
 			}
 		}
-		// A chain captured into a subgraph is reduced from its end, whichever
-		// step that is: there the condition is stated without the division.
 		queries := []string{
-			"select * from graph\n" + strings.ReplaceAll(pattern, pathErrCond, "(n <= 3)") + "\ninto subgraph out",
+			"select * from graph\n" + pattern + "\ninto subgraph out",
 			"select x0.id, x0.n as k from graph\n" + pattern,
 			"select distinct " + last + " from graph\n" + pattern,
 			"select " + last + " from graph\n" + pattern,
 		}
-		taken := map[string]bool{}
+		taken, captured := map[string]bool{}, map[string]bool{}
 		var wantRows [][]string
 		var wantSub string
 		for _, workers := range []int{1, 4} {
@@ -532,17 +522,31 @@ func TestEngineEqualsReference(t *testing.T) {
 							wantRows = append(wantRows, want)
 						}
 					}
-					res := mustExec(t, e, queries[0], nil)
+					// The routes are read off the spans of one traced run.
+					traced := func() *Engine {
+						if workers == 1 && reverse && placement == "local" {
+							return e.WithTrace(obs.NewTrace(obs.TraceID{}), nil)
+						}
+						return e
+					}
+					ex := traced()
+					res := mustExec(t, ex, queries[0], nil)
 					if got := subgraphFingerprint(res[len(res)-1].Subgraph); got != wantSub {
 						t.Fatalf("trial %d (workers %d, reverse %v, %s): into subgraph\n%s\nengine    %s\nreference %s",
 							trial, workers, reverse, placement, queries[0], got, wantSub)
 					}
-					for i, q := range queries[1:] {
-						// The routes are read off the spans of one traced run.
-						ex := e
-						if workers == 1 && reverse && placement == "local" {
-							ex = e.WithTrace(obs.NewTrace(obs.TraceID{}), nil)
+					for _, sp := range ex.trace.Spans() {
+						switch {
+						case strings.HasPrefix(sp.Detail, "forward cull at"):
+							captured["top-down"] = true
+						case sp.Action == "capture-expand":
+							captured["capture"] = true
+						case sp.Action == "expand":
+							captured["enumerate"] = true
 						}
+					}
+					for i, q := range queries[1:] {
+						ex := traced()
 						got := []string{}
 						for _, row := range tableRows(t, mustExec(t, ex, q, nil)) {
 							got = append(got, strings.Join(row, ","))
@@ -567,6 +571,9 @@ func TestEngineEqualsReference(t *testing.T) {
 		for route := range taken {
 			routes[route]++
 		}
+		for route := range captured {
+			subRoutes[route]++
+		}
 	}
 	// A generator that stopped drawing one of the shapes, or a route, would
 	// pass vacuously.
@@ -580,7 +587,12 @@ func TestEngineEqualsReference(t *testing.T) {
 			t.Errorf("route %s taken in only %d of 150 trials, want at least 20", route, routes[route])
 		}
 	}
-	t.Logf("trials per route: %v", routes)
+	for _, route := range []string{"capture", "enumerate", "top-down"} {
+		if subRoutes[route] < 20 {
+			t.Errorf("into subgraph: %s taken in only %d of 150 trials, want at least 20", route, subRoutes[route])
+		}
+	}
+	t.Logf("trials per route: into table %v, into subgraph %v", routes, subRoutes)
 }
 
 // mustAnalyze is analyzeSelect for statements that must pass the front end.

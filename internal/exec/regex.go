@@ -77,35 +77,41 @@ func (s stateSets) get(state int, vt *graph.VertexType) *bitmap.Bitmap {
 	return b
 }
 
-// addNew ors src into the set and returns a bitmap of genuinely new bits
-// (nil if nothing new).
+// addNew ors src, which the caller gives up, into the set and returns the
+// bits of src that are genuinely new (nil if none).
 func (s stateSets) addNew(state int, vt *graph.VertexType, src *bitmap.Bitmap) *bitmap.Bitmap {
 	cur := s.get(state, vt)
-	fresh := src.Clone()
-	fresh.AndNot(cur)
-	if !fresh.Any() {
+	src.AndNot(cur)
+	if !src.Any() {
 		return nil
 	}
-	cur.Or(fresh)
-	return fresh
+	cur.Or(src)
+	return src
 }
 
-// expandSet traverses one edge type from every vertex in `from`,
-// returning the reached set on the other side. forward follows the edge
-// type's declared direction.
-func expandSet(et *graph.EdgeType, forward bool, from *bitmap.Bitmap) *bitmap.Bitmap {
+// bfsStep is one product-BFS expansion: the vertices et leads to from the
+// members of from (forward: along et's direction), walked, counted and
+// polled like every sweep.
+func (w *wstate) bfsStep(et *graph.EdgeType, forward bool, from *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	landing := et.Src
 	if forward {
 		landing = et.Dst
 	}
 	out := bitmap.New(landing.Count())
+	var err error
 	from.ForEach(func(v uint32) {
-		nbr, _, _ := et.Adjacent(v, forward)
+		if err != nil {
+			return
+		}
+		if err = w.poll(); err != nil {
+			return
+		}
+		nbr, _ := w.adjacent(et, v, forward)
 		for _, t := range nbr {
 			out.Set(t)
 		}
 	})
-	return out
+	return out, err
 }
 
 // stepEdgeTypes lists the edge types a regex step may traverse from a
@@ -140,10 +146,10 @@ func (m *matcher) stepEdgeTypes(spec sema.RegexStep, vt *graph.VertexType) []*gr
 	return out
 }
 
-// forwardReach runs the product BFS from srcSet (vertices of srcType) and
-// returns the visited sets; accepted landing vertices are those in visited
-// accept states.
-func (m *matcher) forwardReach(rx *sema.Regex, srcType *graph.VertexType, srcSet *bitmap.Bitmap) (*rxMachine, stateSets) {
+// forwardReach runs the product BFS from srcSet (vertices of srcType) on
+// worker w and returns the visited sets; accepted landing vertices are
+// those in visited accept states. A dead context aborts it with its error.
+func (m *matcher) forwardReach(w *wstate, rx *sema.Regex, srcType *graph.VertexType, srcSet *bitmap.Bitmap) (*rxMachine, stateSets, error) {
 	mc := newRxMachine(rx)
 	visited := stateSets{}
 	type item struct {
@@ -151,12 +157,10 @@ func (m *matcher) forwardReach(rx *sema.Regex, srcType *graph.VertexType, srcSet
 		vt    *graph.VertexType
 	}
 	var queue []item
-	if fresh := visited.addNew(mc.stateID(0, 0), srcType, srcSet); fresh != nil {
+	if fresh := visited.addNew(mc.stateID(0, 0), srcType, srcSet.Clone()); fresh != nil {
 		queue = append(queue, item{mc.stateID(0, 0), srcType})
 	}
-	// A dead context drains the queue early; callers observe the abort at
-	// their next poll and discard the partial reachability sets.
-	for len(queue) > 0 && contextErr(m.e.ctx) == nil {
+	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
 		pos, rep := mc.posRep(it.state)
@@ -172,13 +176,16 @@ func (m *matcher) forwardReach(rx *sema.Regex, srcType *graph.VertexType, srcSet
 			if !spec.Out {
 				landing = et.Src
 			}
-			reached := expandSet(et, spec.Out, cur)
+			reached, err := w.bfsStep(et, spec.Out, cur)
+			if err != nil {
+				return nil, nil, err
+			}
 			if fresh := visited.addNew(nextState, landing, reached); fresh != nil {
 				queue = append(queue, item{nextState, landing})
 			}
 		}
 	}
-	return mc, visited
+	return mc, visited, nil
 }
 
 // acceptedOfType collects the accepted vertices of one anchor type from
@@ -197,9 +204,10 @@ func acceptedOfType(mc *rxMachine, visited stateSets, vt *graph.VertexType) *bit
 }
 
 // backwardReach runs the product BFS backwards from dstSet (vertices of
-// dstType seeded at every accept state); visited[(0,0)][srcType] is then
-// the set of sources with an accepting path into dstSet.
-func (m *matcher) backwardReach(rx *sema.Regex, dstType *graph.VertexType, dstSet *bitmap.Bitmap) (*rxMachine, stateSets) {
+// dstType seeded at every accept state) on worker w;
+// visited[(0,0)][srcType] is then the set of sources with an accepting
+// path into dstSet. A dead context aborts it with its error.
+func (m *matcher) backwardReach(w *wstate, rx *sema.Regex, dstType *graph.VertexType, dstSet *bitmap.Bitmap) (*rxMachine, stateSets, error) {
 	mc := newRxMachine(rx)
 	visited := stateSets{}
 	type item struct {
@@ -211,11 +219,11 @@ func (m *matcher) backwardReach(rx *sema.Regex, dstType *graph.VertexType, dstSe
 		if !mc.accept(0, rep) {
 			continue
 		}
-		if fresh := visited.addNew(mc.stateID(0, rep), dstType, dstSet); fresh != nil {
+		if fresh := visited.addNew(mc.stateID(0, rep), dstType, dstSet.Clone()); fresh != nil {
 			queue = append(queue, item{mc.stateID(0, rep), dstType})
 		}
 	}
-	for len(queue) > 0 && contextErr(m.e.ctx) == nil {
+	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
 		// Find forward transitions landing in it.state and walk them
@@ -242,20 +250,16 @@ func (m *matcher) backwardReach(rx *sema.Regex, dstType *graph.VertexType, dstSe
 					cands = m.g.EdgeTypes()
 				}
 				for _, et := range cands {
-					var predType *graph.VertexType
-					var predSet *bitmap.Bitmap
-					if spec.Out {
-						if et.Dst != it.vt {
-							continue
-						}
-						predType = et.Src
-						predSet = expandSet(et, false, landingSet)
-					} else {
-						if et.Src != it.vt {
-							continue
-						}
-						predType = et.Dst
-						predSet = expandSet(et, true, landingSet)
+					predType, landing := et.Src, et.Dst
+					if !spec.Out {
+						predType, landing = et.Dst, et.Src
+					}
+					if landing != it.vt {
+						continue
+					}
+					predSet, err := w.bfsStep(et, !spec.Out, landingSet)
+					if err != nil {
+						return nil, nil, err
 					}
 					prevState := mc.stateID(pos, rep)
 					if fresh := visited.addNew(prevState, predType, predSet); fresh != nil {
@@ -265,60 +269,65 @@ func (m *matcher) backwardReach(rx *sema.Regex, dstType *graph.VertexType, dstSe
 			}
 		}
 	}
-	return mc, visited
+	return mc, visited, nil
+}
+
+// reachAcross returns the anchor-type vertices reachable across regex
+// pattern edge pe from the members of from — its source side when
+// forward — by one product BFS on worker w.
+func (m *matcher) reachAcross(w *wstate, pe *sema.PEdge, forward bool, from *bitmap.Bitmap) (*bitmap.Bitmap, error) {
+	src, dst := m.nodeType[pe.Src], m.nodeType[pe.Dst]
+	if forward {
+		mc, visited, err := m.forwardReach(w, pe.Regex, src, from)
+		if err != nil {
+			return nil, err
+		}
+		return acceptedOfType(mc, visited, dst), nil
+	}
+	mc, visited, err := m.backwardReach(w, pe.Regex, dst, from)
+	if err != nil {
+		return nil, err
+	}
+	if b, ok := visited[stateVT{mc.stateID(0, 0), src}]; ok {
+		return b, nil
+	}
+	return bitmap.New(src.Count()), nil
 }
 
 // cachedReach computes (and caches per worker) the anchor-type vertex set
 // reachable across a regex pattern edge from a single bound vertex.
-func (w *wstate) cachedReach(pe *sema.PEdge, from uint32, forward bool) *bitmap.Bitmap {
+func (w *wstate) cachedReach(pe *sema.PEdge, from uint32, forward bool) (*bitmap.Bitmap, error) {
 	key := regexKey{edge: pe.ID, from: from, forward: forward}
 	if w.regexReach == nil {
 		w.regexReach = make(map[regexKey]*bitmap.Bitmap)
 	}
 	if b, ok := w.regexReach[key]; ok {
-		return b
+		return b, nil
 	}
-	m := w.m
-	var out *bitmap.Bitmap
+	vt := w.m.nodeType[pe.Dst]
 	if forward {
-		srcType := m.nodeType[pe.Src]
-		single := bitmap.New(srcType.Count())
-		single.Set(from)
-		mc, visited := m.forwardReach(pe.Regex, srcType, single)
-		out = acceptedOfType(mc, visited, m.nodeType[pe.Dst])
-	} else {
-		dstType := m.nodeType[pe.Dst]
-		single := bitmap.New(dstType.Count())
-		single.Set(from)
-		mc, visited := m.backwardReach(pe.Regex, dstType, single)
-		srcType := m.nodeType[pe.Src]
-		if b, ok := visited[stateVT{mc.stateID(0, 0), srcType}]; ok {
-			out = b
-		} else {
-			out = bitmap.New(srcType.Count())
-		}
+		vt = w.m.nodeType[pe.Src]
+	}
+	single := bitmap.New(vt.Count())
+	single.Set(from)
+	out, err := w.m.reachAcross(w, pe, forward, single)
+	if err != nil {
+		return nil, err
 	}
 	w.regexReach[key] = out
-	return out
-}
-
-// regexConnected reports whether dst is reachable from src across the
-// regex pattern edge.
-func (m *matcher) regexConnected(w *wstate, pe *sema.PEdge, src, dst uint32) (bool, error) {
-	return w.cachedReach(pe, src, true).Get(dst), nil
+	return out, nil
 }
 
 // expandRegex binds the far endpoint of a regex pattern edge from its
 // bound endpoint.
 func (m *matcher) expandRegex(w *wstate, depth int, v plan.Visit, pe *sema.PEdge, emit func([]uint32) error) error {
-	var node int
-	var reach *bitmap.Bitmap
-	if v.Forward {
-		node = pe.Dst
-		reach = w.cachedReach(pe, w.b[pe.Src], true)
-	} else {
-		node = pe.Src
-		reach = w.cachedReach(pe, w.b[pe.Dst], false)
+	node, from := pe.Dst, w.b[pe.Src]
+	if !v.Forward {
+		node, from = pe.Src, w.b[pe.Dst]
+	}
+	reach, err := w.cachedReach(pe, from, v.Forward)
+	if err != nil {
+		return err
 	}
 	within := m.reach[node]
 	var inner error
@@ -338,11 +347,18 @@ func (m *matcher) expandRegex(w *wstate, depth int, v plan.Visit, pe *sema.PEdge
 // markRegexPath adds to sub every vertex and edge lying on some accepting
 // path of the regex fragment between srcSet and dstSet (used when
 // capturing a query's full matching subgraph, Eq. 5 / Fig. 11).
-func (m *matcher) markRegexPath(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap, sub *graph.Subgraph) {
+func (m *matcher) markRegexPath(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap, sub *graph.Subgraph) error {
 	rx := pe.Regex
-	mc, f := m.forwardReach(rx, m.nodeType[pe.Src], srcSet)
-	_, b := m.backwardReach(rx, m.nodeType[pe.Dst], dstSet)
-
+	w := m.worker(false)
+	var b stateSets
+	mc, f, err := m.forwardReach(w, rx, m.nodeType[pe.Src], srcSet)
+	if err == nil {
+		_, b, err = m.backwardReach(w, rx, m.nodeType[pe.Dst], dstSet)
+	}
+	m.flush(w)
+	if err != nil {
+		return err
+	}
 	// Useful vertices: on both a forward and backward path at the same
 	// state.
 	for key, fb := range f {
@@ -381,23 +397,12 @@ func (m *matcher) markRegexPath(pe *sema.PEdge, srcSet, dstSet *bitmap.Bitmap, s
 					if !ok {
 						continue
 					}
-					markEdgesBetween(et, spec.Out, tail, head, sub)
+					if err := m.markEdgesInSets(pe, et, spec.Out, tail, head, sub); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
-}
-
-// markEdgesBetween marks edge instances of et from tail to head (in the
-// given traversal direction).
-func markEdgesBetween(et *graph.EdgeType, out bool, tail, head *bitmap.Bitmap, sub *graph.Subgraph) {
-	es := sub.EdgeSet(et)
-	tail.ForEach(func(v uint32) {
-		nbr, eids, _ := et.Adjacent(v, out)
-		for i, t := range nbr {
-			if head.Get(t) {
-				es.Set(eids[i])
-			}
-		}
-	})
+	return nil
 }

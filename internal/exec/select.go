@@ -308,7 +308,7 @@ func (e *Engine) runGraphSelect(s *sema.Select, params map[string]value.Value) (
 			if err != nil {
 				return Result{}, err
 			}
-			if err := e.runAltSubgraph(prep, sub); err != nil {
+			if err := e.runAltSubgraph(prep, s, sub); err != nil {
 				return Result{}, err
 			}
 		}
@@ -381,7 +381,7 @@ func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select
 			return m.edgeType[slot-len(pat.Nodes)].Attrs, nil
 		}
 		rows := make([][]uint32, len(slots)) // per slot, the attribute row of each output row
-		r, p := m.routeFor(proj, s.Distinct)
+		r, p := m.routeFor(s, proj)
 		if r != routeEnumerate { // p is the one slot
 			if rows[0], err = m.answer(p, r); err != nil || len(rows[0]) == 0 {
 				return err

@@ -3,16 +3,17 @@ package exec
 import (
 	"graql/internal/bitmap"
 	"graql/internal/graph"
-	"graql/internal/plan"
 	"graql/internal/sema"
 )
 
-// runAltSubgraph evaluates one alternative and accumulates its matching
-// subgraph (paper §II-C / Eq. 5): either via the linear-chain bitmap
-// engine (forward expansion + backward culling over the edge indexes —
-// the GEMS evaluation strategy of §III-B) or, for general patterns, by
-// collapsing enumerated bindings into per-step sets.
-func (e *Engine) runAltSubgraph(prep *preparedAlt, sub *graph.Subgraph) error {
+// runAltSubgraph evaluates one alternative of select s and accumulates its
+// matching subgraph (paper §II-C / Eq. 5) on the route routeFor picks per
+// typing: reduce-only, the reducer's exact sets over the planner's order
+// (forward expansion + backward and top-down culling over the edge indexes
+// — the GEMS evaluation strategy of §III-B), for a pattern with no
+// cycle-closing edge and no cross-step condition; enumerate, collapsing
+// enumerated bindings into per-step sets, for the others.
+func (e *Engine) runAltSubgraph(prep *preparedAlt, s *sema.Select, sub *graph.Subgraph) error {
 	pat := prep.alt.Pattern
 	return e.forEachTyping(pat, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
 		m, err := e.newMatcher(pat, nt, et, prep.nodeCond, prep.edgeCond)
@@ -20,8 +21,8 @@ func (e *Engine) runAltSubgraph(prep *preparedAlt, sub *graph.Subgraph) error {
 			return err
 		}
 		nodeSel, edgeSel := selectedSteps(pat, prep.alt.Proj)
-		if chain, ok := plan.LinearChain(pat); ok && len(m.deferred) == 0 {
-			return m.cullChainIntoSubgraph(chain, nodeSel, edgeSel, sub)
+		if r, _ := m.routeFor(s, prep.alt.Proj); r == routeReduceOnly {
+			return m.capture(nodeSel, edgeSel, sub)
 		}
 		return m.enumerateIntoSubgraph(nodeSel, edgeSel, sub)
 	})
@@ -138,7 +139,9 @@ func (m *matcher) enumerateIntoSubgraph(nodeSel, edgeSel []bool, sub *graph.Subg
 			for d := range dsts {
 				dstSet.Set(d)
 			}
-			m.markRegexPath(pe, srcSet, dstSet, sub)
+			if err := m.markRegexPath(pe, srcSet, dstSet, sub); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

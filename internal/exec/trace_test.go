@@ -96,7 +96,7 @@ func TestTracedExecutionSpanTree(t *testing.T) {
 	}
 	acts := actionsOf(root.Children)
 	joined := strings.Join(acts, " ")
-	for _, want := range []string{"sweep", "chain-expand", "chain-cull"} {
+	for _, want := range []string{"sweep", "capture-expand", "capture-cull"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("trace is missing a %q span (got %v)", want, acts)
 		}

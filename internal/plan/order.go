@@ -116,68 +116,3 @@ func anyReachable(pat *sema.Pattern, bound []bool) bool {
 	}
 	return false
 }
-
-// LinearChain reports whether the pattern is a simple open chain (every
-// node incident to at most two pattern edges, no cycles) and returns the
-// node ids in chain order. Chains qualify for the bitmap
-// forward-expansion / backward-culling evaluation of Eq. 5.
-func LinearChain(pat *sema.Pattern) ([]int, bool) {
-	n := len(pat.Nodes)
-	if n == 0 {
-		return nil, false
-	}
-	if len(pat.Edges) != n-1 {
-		return nil, false
-	}
-	adj := make([][]int, n) // adjacent edge ids
-	for _, e := range pat.Edges {
-		if e.Src == e.Dst {
-			return nil, false // self-loop (foreach cycle)
-		}
-		adj[e.Src] = append(adj[e.Src], e.ID)
-		adj[e.Dst] = append(adj[e.Dst], e.ID)
-	}
-	start := -1
-	for i, a := range adj {
-		if len(a) > 2 {
-			return nil, false
-		}
-		if len(a) <= 1 {
-			if len(a) == 1 || n == 1 {
-				if start < 0 {
-					start = i
-				}
-			} else {
-				return nil, false // isolated node in a multi-node pattern
-			}
-		}
-	}
-	if start < 0 {
-		return nil, false // cycle
-	}
-	chain := []int{start}
-	prevEdge := -1
-	cur := start
-	for len(chain) < n {
-		next := -1
-		for _, eid := range adj[cur] {
-			if eid == prevEdge {
-				continue
-			}
-			e := pat.Edges[eid]
-			other := e.Src
-			if other == cur {
-				other = e.Dst
-			}
-			next = other
-			prevEdge = eid
-			break
-		}
-		if next < 0 {
-			return nil, false
-		}
-		chain = append(chain, next)
-		cur = next
-	}
-	return chain, true
-}

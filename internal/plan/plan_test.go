@@ -127,35 +127,6 @@ func TestOrderAvoidsMissingReverseIndex(t *testing.T) {
 	}
 }
 
-func TestLinearChainDetection(t *testing.T) {
-	if chain, ok := LinearChain(chainPattern(4)); !ok || len(chain) != 4 {
-		t.Errorf("4-chain not detected: %v %v", chain, ok)
-	}
-	if _, ok := LinearChain(chainPattern(1)); !ok {
-		t.Error("single node is a chain")
-	}
-	// Cycle: add an edge closing the loop.
-	cyc := chainPattern(3)
-	cyc.Edges = append(cyc.Edges, &sema.PEdge{ID: 2, Src: 2, Dst: 0})
-	if _, ok := LinearChain(cyc); ok {
-		t.Error("cycle must not be a chain")
-	}
-	// Branch: star with a 3-degree centre.
-	star := chainPattern(3)
-	star.Nodes = append(star.Nodes, &sema.Node{ID: 3, SameTypeAs: -1})
-	star.Edges = append(star.Edges, &sema.PEdge{ID: 2, Src: 1, Dst: 3})
-	if _, ok := LinearChain(star); ok {
-		t.Error("star must not be a chain")
-	}
-	// Self-loop (foreach cycle).
-	loop := chainPattern(2)
-	loop.Edges[0].Dst = 0
-	loop.Edges[0].Src = 0
-	if _, ok := LinearChain(loop); ok {
-		t.Error("self-loop must not be a chain")
-	}
-}
-
 func TestDependenciesAndStages(t *testing.T) {
 	script, err := parser.Parse(`
 create table A(x integer)
