@@ -177,6 +177,7 @@ go test -run='^$' -fuzz='^FuzzStringDictionary$' -fuzztime="$FUZZTIME" ./interna
 go test -run='^$' -fuzz='^FuzzTextExecRoutes$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzViewMaintenance$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzWireCodec$' -fuzztime="$FUZZTIME" ./internal/server
+go test -run='^$' -fuzz='^FuzzWorkerFrame$' -fuzztime="$FUZZTIME" ./internal/cluster
 
 echo "== graql vet gate =="
 # The shipped example scripts must vet clean (exit 0), and the seeded

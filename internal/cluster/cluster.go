@@ -9,7 +9,8 @@
 // exchanged messages and vertex ids, the quantities that dominate
 // distributed graph-query cost. The TCPTransport scatters each superstep
 // to real worker processes over sockets (cmd/gems-server -worker) and
-// gathers their partition results. Both transports run the identical
+// gathers their partition results, in length-prefixed binary frames that
+// carry frontiers and answers as raw little-endian words (wire.go). Both transports run the identical
 // expansion kernel, so the simulation doubles as the correctness oracle
 // for the networked path: same frontier sets, same message counts.
 //

@@ -1,11 +1,13 @@
 package cluster_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,5 +281,42 @@ func TestWorkerRestartRecovers(t *testing.T) {
 	}
 	if h := tp.Probe(time.Second); !h[0].Healthy {
 		t.Error("restarted worker must probe healthy")
+	}
+}
+
+// TestWorkerRefusesJSONFrames: a coordinator of an earlier build spoke
+// JSON bodies inside the same length prefix, and a step of its could
+// carry a filter set it expected applied. A worker must never answer
+// such a frame with success.
+func TestWorkerRefusesJSONFrames(t *testing.T) {
+	g := fixture(t, 5, 1)
+	addrs, _, _ := startWorkers(t, g, 1, cluster.Hash)
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fp := fmt.Sprintf("%016x", cluster.GraphFingerprint(g))
+	for _, body := range []string{
+		`{"op":"hello","parts":1,"strategy":"hash","fingerprint":"` + fp + `"}`,
+		`{"op":"step","edge":"e","forward":true,"in_size":1,"out_size":1,"frontier":"AQAAAAAAAAA=","filter":"AQAAAAAAAAA="}`,
+		`{"op":"ping"}`,
+	} {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+		if _, err := conn.Write(append(frame, body...)); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [4]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		answer := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(conn, answer); err != nil {
+			t.Fatal(err)
+		}
+		if len(answer) == 0 || answer[0] != 0 || !strings.Contains(string(answer), "unknown op") {
+			t.Errorf("JSON frame %s answered %q, want a refusal", body, answer)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -73,6 +74,7 @@ type workerLink struct {
 	mu   sync.Mutex
 	conn net.Conn
 	r    *bufio.Reader
+	in   []byte // the last answer's body, storage reused by the next
 }
 
 // DialTCP connects to one worker per address (address index = partition
@@ -147,7 +149,7 @@ func (t *TCPTransport) connect(p int, window time.Duration) error {
 			}
 			conn.Close()
 			// A completed-but-mismatched handshake is terminal.
-			if _, ok := err.(*handshakeError); ok {
+			if errors.As(err, new(refusal)) {
 				return err
 			}
 		}
@@ -158,31 +160,28 @@ func (t *TCPTransport) connect(p int, window time.Duration) error {
 	}
 }
 
-// handshakeError marks a hello that completed but disagreed — retrying
-// cannot fix it.
-type handshakeError struct{ msg string }
-
-func (e *handshakeError) Error() string { return e.msg }
-
 func (t *TCPTransport) handshake(conn net.Conn, p int) error {
 	conn.SetDeadline(time.Now().Add(t.timeout))
 	defer conn.SetDeadline(time.Time{})
-	req := &workerReq{
-		Op:          "hello",
+	frame, err := encodeReq(&workerReq{
+		Op:          opHello,
 		Part:        p,
 		Parts:       len(t.addrs),
 		Strategy:    t.strategy.String(),
 		Fingerprint: t.fp,
+	})
+	if err == nil {
+		_, err = conn.Write(frame)
 	}
-	if _, err := writeFrame(conn, req); err != nil {
+	if err != nil {
 		return err
 	}
-	var resp workerResp
-	if _, err := readFrame(bufio.NewReader(conn), &resp); err != nil {
+	answer, err := readFrame(conn, nil)
+	if err != nil {
 		return err
 	}
-	if !resp.OK {
-		return &handshakeError{msg: "handshake rejected: " + resp.Err}
+	if _, err := parseResp(answer); err != nil {
+		return fmt.Errorf("handshake rejected: %w", err)
 	}
 	return nil
 }
@@ -203,8 +202,8 @@ func (t *TCPTransport) Addrs() []string { return append([]string(nil), t.addrs..
 // cancellation keeps its own code.
 func (t *TCPTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]PartResult, error) {
 	// One frame serves every worker: the frontier is encoded once.
-	wreq := &workerReq{
-		Op:       "step",
+	frame, err := encodeReq(&workerReq{
+		Op:       opStep,
 		Edge:     req.Edge,
 		Forward:  req.Forward,
 		Pass:     req.Pass,
@@ -212,7 +211,10 @@ func (t *TCPTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]Part
 		TraceID:  req.TraceID,
 		InSize:   req.InSize,
 		OutSize:  req.OutSize,
-		Frontier: encodeBitmap(req.Frontier),
+		Frontier: wordBytes(req.Frontier.Words()),
+	})
+	if err != nil {
+		return nil, err
 	}
 	results := make([]PartResult, len(t.addrs))
 	errs := make([]error, len(t.addrs))
@@ -221,7 +223,7 @@ func (t *TCPTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]Part
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], errs[p] = t.rpcStep(ctx, p, wreq)
+			results[p], errs[p] = t.rpcStep(ctx, p, frame)
 		}(p)
 	}
 	wg.Wait()
@@ -248,7 +250,7 @@ func (t *TCPTransport) Superstep(ctx context.Context, req *SuperstepReq) ([]Part
 // rpcStep runs one worker's share of a superstep: frame out, frame back,
 // under a deadline, with capped redial-and-retry. Supersteps are pure
 // functions of the request frame, so retrying after any failure is safe.
-func (t *TCPTransport) rpcStep(ctx context.Context, p int, wreq *workerReq) (PartResult, error) {
+func (t *TCPTransport) rpcStep(ctx context.Context, p int, frame []byte) (PartResult, error) {
 	var lastErr error
 	retries := 0
 	for attempt := 0; attempt <= t.retries; attempt++ {
@@ -266,30 +268,22 @@ func (t *TCPTransport) rpcStep(ctx context.Context, p int, wreq *workerReq) (Par
 			}
 		}
 		start := time.Now()
-		resp, wire, err := t.roundTrip(ctx, p, wreq)
+		dst, wire, err := t.roundTrip(ctx, p, frame)
 		elapsed := time.Since(start)
 		if t.obs != nil {
 			t.obs.HistogramL("graql_dist_rpc_latency_seconds", "per-worker superstep RPC latency",
 				obs.LatencyBuckets(), map[string]string{"worker": fmt.Sprintf("p%d", p)}).Observe(elapsed.Seconds())
 		}
 		if err == nil {
-			dst := make([][]uint32, len(resp.Dst))
-			for d, s := range resp.Dst {
-				if dst[d], err = decodeIDs(s); err != nil {
-					break
-				}
+			if t.obs != nil {
+				t.obs.Counter("graql_dist_exchange_bytes_total", "frame bytes exchanged with workers").Add(wire)
 			}
-			if err == nil {
-				if t.obs != nil {
-					t.obs.Counter("graql_dist_exchange_bytes_total", "frame bytes exchanged with workers").Add(wire)
-				}
-				t.setHealth(p, true, "")
-				return PartResult{
-					Part: p, Dst: dst,
-					RPCMicros: elapsed.Microseconds(), WireBytes: wire,
-					Retries: retries, Addr: t.addrs[p],
-				}, nil
-			}
+			t.setHealth(p, true, "")
+			return PartResult{
+				Part: p, Dst: dst,
+				RPCMicros: elapsed.Microseconds(), WireBytes: wire,
+				Retries: retries, Addr: t.addrs[p],
+			}, nil
 		}
 		lastErr = err
 		if t.log != nil {
@@ -305,9 +299,10 @@ func (t *TCPTransport) rpcStep(ctx context.Context, p int, wreq *workerReq) (Par
 	return PartResult{}, fmt.Errorf("superstep RPC failed after %d attempt(s): %w", t.retries+1, lastErr)
 }
 
-// roundTrip performs one framed request/response on worker p's
-// connection under the per-RPC deadline, reporting total wire bytes.
-func (t *TCPTransport) roundTrip(ctx context.Context, p int, wreq *workerReq) (*workerResp, int64, error) {
+// roundTrip sends one whole frame on worker p's connection and parses
+// the answer, under the per-RPC deadline or ctx's if sooner, reporting
+// total wire bytes.
+func (t *TCPTransport) roundTrip(ctx context.Context, p int, frame []byte) ([][]uint32, int64, error) {
 	link := t.conns[p]
 	link.mu.Lock()
 	defer link.mu.Unlock()
@@ -326,22 +321,19 @@ func (t *TCPTransport) roundTrip(ctx context.Context, p int, wreq *workerReq) (*
 		conn.SetDeadline(time.Now())
 	})
 	defer stop()
-	nOut, err := writeFrame(conn, wreq)
-	if err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		link.teardown()
 		return nil, 0, err
 	}
-	var resp workerResp
-	nIn, err := readFrame(link.r, &resp)
+	answer, err := readFrame(link.r, link.in)
 	conn.SetDeadline(time.Time{})
 	if err != nil {
 		link.teardown()
 		return nil, 0, err
 	}
-	if !resp.OK {
-		return nil, 0, fmt.Errorf("worker error: %s", resp.Err)
-	}
-	return &resp, int64(nOut + nIn), nil
+	link.in = answer
+	dst, err := parseResp(answer)
+	return dst, int64(len(frame) + 4 + len(answer)), err
 }
 
 // teardown drops a failed connection (caller holds link.mu).
@@ -436,29 +428,15 @@ func (t *TCPTransport) Probe(timeout time.Duration) []WorkerStatus {
 	return t.Health()
 }
 
+// pingFrame is the whole ping request frame.
+var pingFrame = []byte{0, 0, 0, 1, opPing}
+
 // ping runs one ping RPC on worker p's connection.
 func (t *TCPTransport) ping(p int, timeout time.Duration) error {
-	link := t.conns[p]
-	link.mu.Lock()
-	defer link.mu.Unlock()
-	if link.conn == nil {
-		return fmt.Errorf("no connection")
-	}
-	link.conn.SetDeadline(time.Now().Add(timeout))
-	defer link.conn.SetDeadline(time.Time{})
-	if _, err := writeFrame(link.conn, &workerReq{Op: "ping"}); err != nil {
-		link.teardown()
-		return err
-	}
-	var resp workerResp
-	if _, err := readFrame(link.r, &resp); err != nil {
-		link.teardown()
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("worker error: %s", resp.Err)
-	}
-	return nil
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	_, _, err := t.roundTrip(ctx, p, pingFrame)
+	return err
 }
 
 // Close tears down every worker connection.

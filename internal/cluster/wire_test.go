@@ -1,11 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/hex"
 	"errors"
+	"io"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,108 +19,166 @@ import (
 )
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	req := workerReq{Op: "step", Edge: "e", Forward: true, Pass: "forward", Round: 3,
-		InSize: 64, OutSize: 128, Frontier: "AAAA"}
-	wrote, err := writeFrame(&buf, &req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrote != buf.Len() {
-		t.Fatalf("writeFrame reported %d bytes, wrote %d", wrote, buf.Len())
-	}
-	var got workerReq
-	read, err := readFrame(bufio.NewReader(&buf), &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if read != wrote {
-		t.Fatalf("readFrame reported %d bytes, frame was %d", read, wrote)
-	}
-	if got != req {
-		t.Fatalf("frame round trip mutated the request: %+v vs %+v", got, req)
+	for _, req := range []*workerReq{
+		{Op: opStep, Edge: "e", Forward: true, Pass: "forward", Round: 3, TraceID: "t1",
+			InSize: 64, OutSize: 128, Frontier: wordBytes([]uint64{1 << 63})},
+		{Op: opHello, Part: 1, Parts: 3, Strategy: "block", Fingerprint: fingerprintString(7)},
+		{Op: opPing},
+	} {
+		frame, err := encodeReq(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := readFrame(bytes.NewReader(frame), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body)+4 != len(frame) {
+			t.Fatalf("readFrame took a %d-byte body off a %d-byte frame", len(body), len(frame))
+		}
+		got, err := parseReq(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, req) {
+			t.Fatalf("frame round trip mutated the request: %+v vs %+v", got, req)
+		}
 	}
 }
 
 func TestFrameRejectsOversize(t *testing.T) {
-	if _, err := writeFrame(&bytes.Buffer{}, strings.Repeat("x", maxFrameBytes+1)); err == nil {
-		t.Error("writeFrame must reject an oversize payload")
+	if _, err := encodeReq(&workerReq{Op: opStep, Frontier: make([]byte, maxFrameBytes)}); err == nil ||
+		!strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("encodeReq must reject an oversize frame, got %v", err)
 	}
 	// A forged header claiming an oversize frame must be rejected before
 	// any allocation.
 	hdr := []byte{0xff, 0xff, 0xff, 0xff}
-	var v workerReq
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(hdr)), &v); err == nil ||
+	if _, err := readFrame(bytes.NewReader(hdr), nil); err == nil ||
 		!strings.Contains(err.Error(), "exceeds limit") {
 		t.Errorf("readFrame must reject a forged oversize header, got %v", err)
 	}
 }
 
-func TestFrameRejectsMalformedJSON(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 2})
-	buf.WriteString("{x")
-	var v workerReq
-	if _, err := readFrame(bufio.NewReader(&buf), &v); err == nil ||
-		!strings.Contains(err.Error(), "unmarshal") {
-		t.Errorf("readFrame must reject malformed JSON, got %v", err)
+// TestFrameRejectsMalformed: a body cut short anywhere, one with bytes
+// after its last field, and one with an unknown op or status byte are
+// all refused, requests and answers alike.
+func TestFrameRejectsMalformed(t *testing.T) {
+	step, _ := encodeReq(&workerReq{Op: opStep, Edge: "E", Pass: "forward", InSize: 8, OutSize: 8, Frontier: wordBytes([]uint64{1})})
+	forward2 := slices.Clone(step[4:])
+	forward2[1+4*3+len("E")+len("forward")] = 2
+	answer := appendResp(nil, [][]uint32{{1, 2}, {3}}, nil)
+	for name, c := range map[string]struct {
+		body  []byte
+		parse func([]byte) error
+	}{
+		"empty request":    {[]byte{}, parseReqErr},
+		"unknown op":       {[]byte{0x7b}, parseReqErr},
+		"forward flag 2":   {forward2, parseReqErr},
+		"trailing step":    {append(step[4:len(step):len(step)], 0), parseReqErr},
+		"status 2":         {[]byte{2}, parseRespErr},
+		"trailing answer":  {append(answer[4:len(answer):len(answer)], 0), parseRespErr},
+		"trailing refusal": {append(appendResp(nil, nil, errors.New("no"))[4:], 0), parseRespErr},
+	} {
+		if err := c.parse(c.body); err == nil || !strings.Contains(err.Error(), "malformed frame") {
+			t.Errorf("%s: %v, want a malformed frame", name, err)
+		}
+	}
+	for n := range len(step) - 4 {
+		if err := parseReqErr(step[4 : 4+n]); err == nil {
+			t.Errorf("a step body cut to %d bytes parsed", n)
+		}
+	}
+	for n := range len(answer) - 4 {
+		if err := parseRespErr(answer[4 : 4+n]); err == nil {
+			t.Errorf("an answer body cut to %d bytes parsed", n)
+		}
+	}
+	if _, err := readFrame(bytes.NewReader(step[:len(step)-1]), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a frame cut short on the wire: %v", err)
 	}
 }
 
+func parseReqErr(b []byte) error  { _, err := parseReq(b); return err }
+func parseRespErr(b []byte) error { _, err := parseResp(b); return err }
+
+// TestFrameGolden pins the frame layout: a change to it must edit this
+// test.
+func TestFrameGolden(t *testing.T) {
+	hello, _ := encodeReq(&workerReq{Op: opHello, Part: 1, Parts: 2, Strategy: "hash", Fingerprint: "0a"})
+	step, _ := encodeReq(&workerReq{Op: opStep, Edge: "E", Pass: "forward", TraceID: "t", Forward: true,
+		Round: 2, InSize: 8, OutSize: 8, Frontier: wordBytes([]uint64{0x81})})
+	for name, c := range map[string]struct {
+		frame []byte
+		want  string
+	}{
+		"hello": {hello, "0000001f" + "01" + "0100000000000000" + "0200000000000000" +
+			"04000000" + "68617368" + "02000000" + "3061"},
+		"step": {step, "0000003b" + "02" + "01000000" + "45" + "07000000" + "666f7277617264" + "01000000" + "74" +
+			"01" + "0200000000000000" + "0800000000000000" + "0800000000000000" + "08000000" + "8100000000000000"},
+		"answer": {appendResp(nil, [][]uint32{{5}, {}, {1, 256}}, nil), "0000001d" + "01" + "03000000" +
+			"01000000" + "05000000" + "00000000" + "02000000" + "01000000" + "00010000"},
+		"refusal": {appendResp(nil, nil, errors.New("no")), "00000007" + "00" + "02000000" + "6e6f"},
+		"ping":    {pingFrame, "00000001" + "03"},
+	} {
+		if got := hex.EncodeToString(c.frame); got != c.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", name, got, c.want)
+		}
+	}
+}
+
+// TestBitmapCodec: a frontier's words travel raw and decode to the same
+// set, into a bitmap of exactly in_size bits.
 func TestBitmapCodec(t *testing.T) {
-	if got := encodeBitmap(nil); got != "" {
-		t.Errorf("nil bitmap must encode empty, got %q", got)
-	}
-	if b, err := decodeBitmap(10, ""); err != nil || b != nil {
-		t.Errorf("empty string must decode to nil bitmap, got %v, %v", b, err)
-	}
 	b := bitmap.New(100)
 	for _, v := range []uint32{0, 7, 63, 64, 99} {
 		b.Set(v)
 	}
-	rt, err := decodeBitmap(100, encodeBitmap(b))
+	rt, err := frontier(&workerReq{InSize: 100, Frontier: wordBytes(b.Words())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rt.Equal(b) {
+	if !rt.Equal(b) || rt.Len() != 100 {
 		t.Fatal("bitmap codec round trip lost bits")
 	}
-	if _, err := decodeBitmap(100, "not!base64!"); err == nil {
-		t.Error("bad base64 must fail bitmap decode")
-	}
-	if _, err := decodeBitmap(100, "AAAA"); err == nil ||
-		!strings.Contains(err.Error(), "word-aligned") {
-		t.Errorf("misaligned bitmap payload must fail, got %v", err)
+	if rt, err := frontier(&workerReq{InSize: 0, Frontier: nil}); err != nil || rt.Len() != 0 {
+		t.Errorf("an empty type's frontier: %v, %v", rt, err)
 	}
 }
 
+// TestIDsCodec: an answer's buckets decode to the ids the worker sent,
+// empty buckets included; a bucket count the body cannot hold is refused
+// before it sizes anything.
 func TestIDsCodec(t *testing.T) {
-	if got := encodeIDs(nil); got != "" {
-		t.Errorf("empty ids must encode empty, got %q", got)
-	}
-	if ids, err := decodeIDs(""); err != nil || ids != nil {
-		t.Errorf("empty string must decode to nil ids, got %v, %v", ids, err)
-	}
-	want := []uint32{0, 1, 1 << 20, 0xffffffff}
-	got, err := decodeIDs(encodeIDs(want))
+	want := [][]uint32{{0, 1, 1 << 20, 0xffffffff}, nil, {42}}
+	answer := appendResp(nil, want, nil)
+	got, err := parseResp(answer[4:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("id codec length: want %d, got %d", len(want), len(got))
+	if !sameBuckets(got, want) {
+		t.Fatalf("id codec: want %v, got %v", want, got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("id %d: want %d, got %d", i, want[i], got[i])
+	if _, err := parseResp([]byte{1, 0xff, 0xff, 0xff, 0xff}); err == nil || !strings.Contains(err.Error(), "buckets in 0 bytes") {
+		t.Errorf("a bucket count past the body must be refused, got %v", err)
+	}
+	var r refusal
+	if _, err := parseResp(appendResp(nil, want, errors.New("boom"))[4:]); !errors.As(err, &r) || string(r) != "boom" {
+		t.Errorf("an error answer must parse to its refusal, got %v", err)
+	}
+}
+
+// sameBuckets compares answers by content: an empty bucket equals nil.
+func sameBuckets(a, b [][]uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i], b[i]) {
+			return false
 		}
 	}
-	if _, err := decodeIDs("not!base64!"); err == nil {
-		t.Error("bad base64 must fail id decode")
-	}
-	if _, err := decodeIDs("AAAAAAA="); err == nil ||
-		!strings.Contains(err.Error(), "id-aligned") {
-		t.Errorf("misaligned id payload must fail, got %v", err)
-	}
+	return true
 }
 
 func TestFingerprintString(t *testing.T) {
@@ -208,16 +269,16 @@ func TestNewWorkerValidation(t *testing.T) {
 	}
 }
 
-// ringGraph is V (8 vertices) with one edge type E: v -> v+1 mod 8.
-func ringGraph(t *testing.T) *graph.Graph {
+// ringGraph is V (n vertices) with one edge type E: v -> v+1 mod n.
+func ringGraph(t testing.TB, n int) *graph.Graph {
 	t.Helper()
 	base := table.MustNew("TV", table.Schema{{Name: "id", Type: value.Int}})
-	edges := make([]graph.Edge, 8)
-	for i := range 8 {
+	edges := make([]graph.Edge, n)
+	for i := range n {
 		if err := base.AppendRow([]value.Value{value.NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-		edges[i] = graph.Edge{Src: uint32(i), Dst: uint32((i + 1) % 8)}
+		edges[i] = graph.Edge{Src: uint32(i), Dst: uint32((i + 1) % n)}
 	}
 	vt, err := graph.BuildVertexType(0, "V", base, []int{0}, nil)
 	if err != nil {
@@ -234,34 +295,46 @@ func ringGraph(t *testing.T) *graph.Graph {
 }
 
 func TestWorkerDispatchErrors(t *testing.T) {
-	w := &Worker{g: ringGraph(t), part: 0, parts: 1, strategy: Hash, ctx: context.Background()}
-	if resp := w.dispatch(&workerReq{Op: "bogus"}); resp.OK || !strings.Contains(resp.Err, "unknown op") {
-		t.Errorf("unknown op must fail, got %+v", resp)
+	w := &Worker{g: ringGraph(t, 100), part: 0, parts: 1, strategy: Hash, ctx: context.Background()}
+	dispatch := func(req *workerReq) error {
+		frame, err := encodeReq(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = w.dispatch(frame[4:])
+		return err
 	}
-	if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: 8, OutSize: 8, Frontier: ""}); resp.OK ||
-		!strings.Contains(resp.Err, "no frontier") {
-		t.Errorf("step without frontier must fail, got %+v", resp)
-	}
-	if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: 8, OutSize: 8, Frontier: "!!"}); resp.OK {
-		t.Errorf("step with undecodable frontier must fail, got %+v", resp)
+	if _, err := w.dispatch([]byte{0x7b}); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Errorf("unknown op must fail, got %v", err)
 	}
 	// Sizes that disagree with the worker's edge type are refused before
 	// they size the frontier's decoding: a negative one cannot size a
 	// bitmap, a huge one would allocate before any check.
 	for _, in := range []int{-1000, 1 << 62} {
-		if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: in, OutSize: 8, Frontier: encodeBitmap(bitmap.New(8))}); resp.OK ||
-			!strings.Contains(resp.Err, "graph divergence") {
-			t.Errorf("step with in_size %d must be refused, got %+v", in, resp)
+		if err := dispatch(&workerReq{Op: opStep, Edge: "E", InSize: in, OutSize: 100, Frontier: wordBytes(make([]uint64, 2))}); err == nil ||
+			!strings.Contains(err.Error(), "graph divergence") {
+			t.Errorf("step with in_size %d must be refused, got %v", in, err)
 		}
 	}
-	// A coordinator of an earlier build ships a filter set and expects it
-	// applied: answering unfiltered would hand it a superset.
-	if resp := w.dispatch(&workerReq{Op: "step", Edge: "E", InSize: 8, Frontier: encodeBitmap(bitmap.New(8)), OutSize: 8, Filter: encodeBitmap(bitmap.New(8))}); resp.OK ||
-		resp.Err != errFilterRefused {
-		t.Errorf("step with a filter must be refused, got %+v", resp)
+	// The frontier is exactly in_size's two words with no bit at or past
+	// in_size; anything else would expand a set the coordinator never sent.
+	for name, words := range map[string][]byte{
+		"no frontier":      nil,
+		"short frontier":   wordBytes([]uint64{1}),
+		"long frontier":    wordBytes([]uint64{1, 0, 0}),
+		"misaligned":       wordBytes([]uint64{1, 0})[:12],
+		"bit past in_size": wordBytes([]uint64{1, 1 << 36}),
+	} {
+		if err := dispatch(&workerReq{Op: opStep, Edge: "E", InSize: 100, OutSize: 100, Frontier: words}); err == nil ||
+			!strings.Contains(err.Error(), `step frame on edge "E"`) {
+			t.Errorf("%s must be refused, got %v", name, err)
+		}
 	}
-	if resp := w.dispatch(&workerReq{Op: "ping"}); !resp.OK {
-		t.Errorf("ping must succeed, got %+v", resp)
+	if err := dispatch(&workerReq{Op: opStep, Edge: "E", InSize: 100, OutSize: 100, Frontier: wordBytes([]uint64{1, 1 << 35})}); err != nil {
+		t.Errorf("a frontier holding the last vertex must be served, got %v", err)
+	}
+	if err := dispatch(&workerReq{Op: opPing}); err != nil {
+		t.Errorf("ping must succeed, got %v", err)
 	}
 }
 
@@ -279,7 +352,7 @@ func (s stubTransport) Superstep(context.Context, *SuperstepReq) ([]PartResult, 
 // bitmap word or beyond it, or more buckets than the cluster has
 // partitions — fails the superstep as that partition's failure.
 func TestCoordinatorRejectsBadAnswers(t *testing.T) {
-	g := ringGraph(t)
+	g := ringGraph(t, 8)
 	for name, bad := range map[string][][]uint32{
 		"id in last word": {{1}, {9}},
 		"id past words":   {{1}, {70}},
@@ -306,20 +379,49 @@ func TestDialTCPValidation(t *testing.T) {
 	}
 }
 
-// TestNilFilterOmitsField: a step with no filter set puts no filter field
-// in its frame, so a worker reads the absence back as nil and does not
-// refuse the step.
-func TestNilFilterOmitsField(t *testing.T) {
-	req := &workerReq{Op: "step", Edge: "e", Frontier: encodeBitmap(bitmap.New(8)), Filter: encodeBitmap(nil)}
-	frame, err := json.Marshal(req)
-	if err != nil || strings.Contains(string(frame), "filter") {
-		t.Fatalf("frame of an unfiltered step: %s (%v)", frame, err)
+// FuzzWorkerFrame feeds arbitrary bodies through the worker's parse and
+// dispatch and through the coordinator's answer parse. Nothing panics;
+// nothing allocates much past what the body's own length backs; a
+// request that parses encodes back to the same bytes; and every answer
+// the worker gives parses back to the buckets (or the error) it sent.
+func FuzzWorkerFrame(f *testing.F) {
+	w := &Worker{g: ringGraph(f, 8), part: 0, parts: 2, strategy: Hash, ctx: context.Background()}
+	w.fingerprint = fingerprintString(GraphFingerprint(w.g))
+	for _, req := range []*workerReq{
+		{Op: opHello, Part: 0, Parts: 2, Strategy: "hash", Fingerprint: w.fingerprint},
+		{Op: opStep, Edge: "E", Pass: "forward", Forward: true, Round: 1, InSize: 8, OutSize: 8, Frontier: wordBytes([]uint64{0x5b})},
+		{Op: opPing},
+	} {
+		frame, err := encodeReq(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[4:])
 	}
-	if f, err := decodeBitmap(8, ""); err != nil || f != nil {
-		t.Fatalf("decodeBitmap(\"\") = %v, %v; want nil, nil", f, err)
-	}
-	var back workerReq
-	if err := json.Unmarshal(frame, &back); err != nil || back.Filter != "" {
-		t.Fatalf("unfiltered step read back with filter %q (%v)", back.Filter, err)
-	}
+	f.Add(appendResp(nil, [][]uint32{{2, 4}, {1, 7}}, nil)[4:])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		req, reqErr := parseReq(body)
+		dst, err := w.dispatch(body)
+		answer := appendResp(nil, dst, err)
+		_, _ = parseResp(body)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+64*uint64(len(body)) {
+			t.Fatalf("a %d-byte body allocated %d bytes", len(body), grew)
+		}
+		if reqErr == nil {
+			if frame, err := encodeReq(req); err != nil || !bytes.Equal(frame[4:], body) {
+				t.Fatalf("request %+v re-encodes to %x (%v), was %x", req, frame, err, body)
+			}
+		}
+		back, backErr := parseResp(answer[4:])
+		var r refusal
+		switch {
+		case err == nil && (backErr != nil || !sameBuckets(back, dst)):
+			t.Fatalf("answer %v parsed back as %v (%v)", dst, back, backErr)
+		case err != nil && (!errors.As(backErr, &r) || string(r) != err.Error()):
+			t.Fatalf("refusal %q parsed back as %v", err, backErr)
+		}
+	})
 }

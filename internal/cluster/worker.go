@@ -127,80 +127,71 @@ func (w *Worker) handle(conn net.Conn) {
 	if w.log != nil {
 		w.log.Debug("worker connection open", "part", w.part, "remote", conn.RemoteAddr().String())
 	}
+	// Both buffers live as long as the connection: a request is answered
+	// before the next one is read into the same storage.
 	r := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
+	var in, out []byte
 	for {
-		var req workerReq
-		inBytes, err := readFrame(r, &req)
-		if err != nil {
+		var err error
+		if in, err = readFrame(r, in); err != nil {
 			if w.log != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				w.log.Debug("worker connection closed", "part", w.part, "err", err.Error())
 			}
 			return
 		}
-		resp := w.dispatch(&req)
-		outBytes, err := writeFrame(bw, resp)
-		if err == nil {
-			err = bw.Flush()
-		}
-		if err != nil {
+		dst, err := w.dispatch(in)
+		out = appendResp(out, dst, err)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 		if w.obs != nil {
 			w.obs.Counter("graql_worker_frames_total", "frames served by this worker").Inc()
-			w.obs.Counter("graql_worker_bytes_in_total", "frame bytes received by this worker").Add(int64(inBytes))
-			w.obs.Counter("graql_worker_bytes_out_total", "frame bytes sent by this worker").Add(int64(outBytes))
+			w.obs.Counter("graql_worker_bytes_in_total", "frame bytes received by this worker").Add(int64(4 + len(in)))
+			w.obs.Counter("graql_worker_bytes_out_total", "frame bytes sent by this worker").Add(int64(len(out)))
 		}
 	}
 }
 
-func (w *Worker) dispatch(req *workerReq) *workerResp {
+// dispatch parses one request body and answers it: a step's buckets, or
+// the error that refuses the request.
+func (w *Worker) dispatch(payload []byte) ([][]uint32, error) {
+	req, err := parseReq(payload)
+	if err != nil {
+		return nil, fmt.Errorf("worker: %w", err)
+	}
 	switch req.Op {
-	case "ping":
-		return &workerResp{OK: true, Part: w.part}
-	case "hello":
-		return w.hello(req)
-	case "step":
+	case opHello:
+		return nil, w.hello(req)
+	case opStep:
 		return w.step(req)
 	}
-	return &workerResp{Err: fmt.Sprintf("worker: unknown op %q", req.Op)}
+	return nil, nil // ping
 }
 
 // hello verifies the coordinator and worker agree on partition layout,
 // placement, and graph content before any superstep runs.
-func (w *Worker) hello(req *workerReq) *workerResp {
-	echo := &workerResp{
-		Part:        w.part,
-		Parts:       w.parts,
-		Strategy:    w.strategy.String(),
-		Fingerprint: w.fingerprint,
-	}
+func (w *Worker) hello(req *workerReq) error {
 	switch {
 	case req.Part != w.part:
-		echo.Err = fmt.Sprintf("worker owns partition %d, coordinator expects %d", w.part, req.Part)
+		return fmt.Errorf("worker owns partition %d, coordinator expects %d", w.part, req.Part)
 	case req.Parts != w.parts:
-		echo.Err = fmt.Sprintf("worker configured for %d partitions, coordinator has %d", w.parts, req.Parts)
+		return fmt.Errorf("worker configured for %d partitions, coordinator has %d", w.parts, req.Parts)
 	case req.Strategy != w.strategy.String():
-		echo.Err = fmt.Sprintf("worker placement is %s, coordinator uses %s", w.strategy, req.Strategy)
+		return fmt.Errorf("worker placement is %s, coordinator uses %s", w.strategy, req.Strategy)
 	case req.Fingerprint != w.fingerprint:
-		echo.Err = fmt.Sprintf("graph fingerprint mismatch: worker %s, coordinator %s (different datasets)", w.fingerprint, req.Fingerprint)
-	default:
-		echo.OK = true
-		if w.log != nil {
-			w.log.Info("worker handshake ok", "part", w.part, "parts", w.parts,
-				"strategy", w.strategy.String(), "fingerprint", w.fingerprint)
-		}
+		return fmt.Errorf("graph fingerprint mismatch: worker %s, coordinator %s (different datasets)", w.fingerprint, req.Fingerprint)
 	}
-	return echo
+	if w.log != nil {
+		w.log.Info("worker handshake ok", "part", w.part, "parts", w.parts,
+			"strategy", w.strategy.String(), "fingerprint", w.fingerprint)
+	}
+	return nil
 }
 
 // step runs one superstep over this worker's owned slice of the frontier.
 // The step's sizes are checked against the worker's own edge type before
 // the frontier they size is decoded.
-func (w *Worker) step(req *workerReq) *workerResp {
-	if req.Filter != "" {
-		return &workerResp{Err: errFilterRefused}
-	}
+func (w *Worker) step(req *workerReq) ([][]uint32, error) {
 	sreq := &SuperstepReq{
 		Graph:   w.g,
 		Edge:    req.Edge,
@@ -213,19 +204,14 @@ func (w *Worker) step(req *workerReq) *workerResp {
 	}
 	et, err := stepEdge(sreq)
 	if err != nil {
-		return &workerResp{Err: err.Error()}
+		return nil, err
 	}
-	if sreq.Frontier, err = decodeBitmap(req.InSize, req.Frontier); err != nil {
-		return &workerResp{Err: err.Error()}
-	}
-	if sreq.Frontier == nil {
-		return &workerResp{Err: "worker: step frame has no frontier"}
+	if sreq.Frontier, err = frontier(req); err != nil {
+		return nil, err
 	}
 	bufs := expandOwned(w.ctx, et, w.part, w.parts, w.strategy, sreq)
-	dst := make([]string, len(bufs))
 	sent := 0
 	for d, buf := range bufs {
-		dst[d] = encodeIDs(buf)
 		if d != w.part {
 			sent += len(buf)
 		}
@@ -239,5 +225,5 @@ func (w *Worker) step(req *workerReq) *workerResp {
 			"part", w.part, "pass", req.Pass, "round", req.Round, "edge", req.Edge,
 			"trace_id", req.TraceID, "sent", sent)
 	}
-	return &workerResp{OK: true, Part: w.part, Dst: dst}
+	return bufs, nil
 }
