@@ -159,11 +159,13 @@ if awk "BEGIN {exit !($total < $COVERAGE_FLOOR)}"; then
     exit 1
 fi
 
-echo "== race stress: shared dictionary indexes =="
+echo "== race stress: shared dictionary indexes, readers during writes =="
 # Gathered, cloned and patched varchar columns share their source's
 # dictionary index read-only; readers and writers of one published column
-# hit it at once here, ten times over.
-go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML' ./internal/table ./internal/exec
+# hit it at once here, ten times over. Readers also run beside every kind
+# of write on the one write path (DESIGN.md §10): a stalled ingest, output
+# and IngestReader, streamed DML, and ingests that fail before publishing.
+go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic' ./internal/table ./internal/exec
 
 echo "== fuzz smoke (${FUZZTIME} per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/parser

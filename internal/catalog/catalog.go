@@ -8,6 +8,12 @@
 // re-ingested (ingest "triggers not only the population of rows in the
 // table, but also the generation of associated vertex and edge instances",
 // §II-A2).
+//
+// Writes change the catalog in one way only: a writer holds the writer
+// mutex (BeginWrite), builds its Change aside against what it reads here,
+// and Publish installs the whole change under the write lock with one
+// epoch bump (DESIGN.md §10). Readers hold the read lock and therefore see
+// the catalog either before or after a change, never part of one.
 package catalog
 
 import (
@@ -21,22 +27,21 @@ import (
 	"graql/internal/table"
 )
 
-// Catalog is the metadata repository. It is safe for concurrent use; query
-// execution takes a read view while DDL and ingest take the write lock,
-// which is what makes data definition and ingest atomic with respect to
-// queries (paper §III).
+// Catalog is the metadata repository. It is safe for concurrent use:
+// queries read under RLock, and every mutation is one Publish, which is
+// what makes data definition and ingest atomic with respect to queries
+// (paper §III).
 type Catalog struct {
 	mu sync.RWMutex
 
-	// wmu serialises mutating statements (DDL, ingest, DML) against each
-	// other without blocking readers: a writer holds wmu across its whole
-	// build-aside phase (under mu.RLock or no lock) and only takes mu for
-	// the brief commit swap. Lock order is always wmu before mu.
+	// wmu serialises writers against each other (and against checkpoints)
+	// without blocking readers. Every mutation of the fields below happens
+	// under it, so its holder may read them without mu. Lock order is
+	// always wmu before mu.
 	wmu sync.Mutex
 
-	// epoch counts committed catalog mutations. Readers that capture it
-	// under RLock can detect whether any write committed in between; every
-	// commit happens atomically with the epoch bump under mu.
+	// epoch counts published changes. Readers that capture it under RLock
+	// can detect whether any write was published in between.
 	epoch uint64
 
 	tables      map[string]*table.Table
@@ -56,62 +61,89 @@ func New() *Catalog {
 	}
 }
 
-// Lock acquires the write lock for a DDL/ingest mutation.
-func (c *Catalog) Lock() { c.mu.Lock() }
-
-// Unlock releases the write lock.
-func (c *Catalog) Unlock() { c.mu.Unlock() }
-
 // RLock acquires the read lock for query execution.
 func (c *Catalog) RLock() { c.mu.RLock() }
 
 // RUnlock releases the read lock.
 func (c *Catalog) RUnlock() { c.mu.RUnlock() }
 
-// BeginWrite serialises this mutating statement against other writers.
-// It must be acquired before any mu lock (never while holding one).
+// BeginWrite takes the writer mutex. It must be acquired before any mu
+// lock (never while holding one).
 func (c *Catalog) BeginWrite() { c.wmu.Lock() }
 
 // EndWrite releases the writer mutex.
 func (c *Catalog) EndWrite() { c.wmu.Unlock() }
 
-// Epoch returns the number of committed catalog mutations. Callers must
-// hold at least the read lock.
+// Epoch returns the number of published changes. Callers must hold at
+// least the read lock.
 func (c *Catalog) Epoch() uint64 { return c.epoch }
 
-// BumpEpoch marks one committed mutation. Callers must hold the write
-// lock; the bump is therefore atomic with the mutation it records.
-func (c *Catalog) BumpEpoch() { c.epoch++ }
+// Change is one write, built aside by a writer that holds the writer
+// mutex. Published objects are immutable; a change brings new ones.
+type Change struct {
+	// Table is installed under its name, replacing any table of that name.
+	Table *table.Table
+	// Graph, when non-nil, replaces the view graph. Set together with
+	// Table, the write replaced rows the views derive from (ingest, DML),
+	// so every named subgraph — whose sets index the superseded views —
+	// is dropped.
+	Graph *graph.Graph
+	// Vertex and Edge record the declaration of the type the change adds
+	// to Graph.
+	Vertex *ast.CreateVertex
+	Edge   *ast.CreateEdge
+	// Subgraph is registered under its name, replacing any of that name.
+	Subgraph *graph.Subgraph
+}
 
-// The methods below assume the caller holds the appropriate lock; the
-// engine (internal/exec) brackets statement execution with Lock/RLock.
-
-// RegisterTable adds a new base or result table. Result tables (from
-// "into table") replace any previous table of the same name; base tables
-// may not be redeclared.
-func (c *Catalog) RegisterTable(t *table.Table, replace bool) error {
-	key := strings.ToLower(t.Name)
-	if _, dup := c.tables[key]; dup {
-		if !replace {
-			return fmt.Errorf("graql: table %s already exists", t.Name)
+// Publish installs a change under the write lock and counts it as one
+// epoch. The caller holds the writer mutex and validated the change
+// against the catalog it read, so nothing here can fail.
+func (c *Catalog) Publish(ch Change) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ch.Table != nil {
+		c.putTable(ch.Table)
+		if ch.Graph != nil {
+			c.subgraphs = make(map[string]*graph.Subgraph)
 		}
-	} else {
+	}
+	if ch.Graph != nil {
+		c.graph = ch.Graph
+	}
+	if ch.Vertex != nil {
+		c.vertexDecls = append(c.vertexDecls, ch.Vertex)
+	}
+	if ch.Edge != nil {
+		c.edgeDecls = append(c.edgeDecls, ch.Edge)
+	}
+	if ch.Subgraph != nil {
+		c.subgraphs[strings.ToLower(ch.Subgraph.Name)] = ch.Subgraph
+	}
+	c.epoch++
+}
+
+func (c *Catalog) putTable(t *table.Table) {
+	key := strings.ToLower(t.Name)
+	if _, ok := c.tables[key]; !ok {
 		c.tableOrder = append(c.tableOrder, key)
 	}
 	c.tables[key] = t
+}
+
+// RegisterTable adds a table to a catalog nobody reads yet: a shadow
+// catalog a writer analyses against, or a test fixture. Without replace a
+// taken name is an error.
+func (c *Catalog) RegisterTable(t *table.Table, replace bool) error {
+	if !replace && c.Table(t.Name) != nil {
+		return fmt.Errorf("graql: table %s already exists", t.Name)
+	}
+	c.putTable(t)
 	return nil
 }
 
-// SwapTable atomically replaces the contents of an existing table (the
-// commit step of an ingest).
-func (c *Catalog) SwapTable(t *table.Table) error {
-	key := strings.ToLower(t.Name)
-	if _, ok := c.tables[key]; !ok {
-		return fmt.Errorf("graql: unknown table %s", t.Name)
-	}
-	c.tables[key] = t
-	return nil
-}
+// The readers below assume the caller holds the read lock or the writer
+// mutex.
 
 // Table returns the named table, or nil.
 func (c *Catalog) Table(name string) *table.Table {
@@ -130,36 +162,15 @@ func (c *Catalog) Tables() []*table.Table {
 // Graph returns the current typed multigraph of all vertex/edge views.
 func (c *Catalog) Graph() *graph.Graph { return c.graph }
 
-// SetGraph installs a freshly rebuilt view graph (after DDL or ingest).
-func (c *Catalog) SetGraph(g *graph.Graph) { c.graph = g }
-
-// AddVertexDecl records a create-vertex declaration (after validation).
-func (c *Catalog) AddVertexDecl(d *ast.CreateVertex) { c.vertexDecls = append(c.vertexDecls, d) }
-
-// AddEdgeDecl records a create-edge declaration (after validation).
-func (c *Catalog) AddEdgeDecl(d *ast.CreateEdge) { c.edgeDecls = append(c.edgeDecls, d) }
-
 // VertexDecls returns the recorded vertex declarations in order.
 func (c *Catalog) VertexDecls() []*ast.CreateVertex { return c.vertexDecls }
 
 // EdgeDecls returns the recorded edge declarations in order.
 func (c *Catalog) EdgeDecls() []*ast.CreateEdge { return c.edgeDecls }
 
-// RegisterSubgraph stores a named subgraph result, replacing any previous
-// one of the same name.
-func (c *Catalog) RegisterSubgraph(s *graph.Subgraph) {
-	c.subgraphs[strings.ToLower(s.Name)] = s
-}
-
 // Subgraph returns the named subgraph result, or nil.
 func (c *Catalog) Subgraph(name string) *graph.Subgraph {
 	return c.subgraphs[strings.ToLower(name)]
-}
-
-// ClearSubgraphs drops all named subgraph results. Ingest invalidates them
-// because they reference the superseded vertex and edge views.
-func (c *Catalog) ClearSubgraphs() {
-	c.subgraphs = make(map[string]*graph.Subgraph)
 }
 
 // ObjectStats is a catalog entry in a statistics snapshot.

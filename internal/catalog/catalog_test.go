@@ -42,29 +42,35 @@ func TestTableRegistry(t *testing.T) {
 	}
 }
 
-func TestSwapTable(t *testing.T) {
+func TestPublishReplacesTable(t *testing.T) {
 	c := New()
-	_ = c.RegisterTable(newTable(t, "A", 1), false)
-	if err := c.SwapTable(newTable(t, "A", 9)); err != nil {
-		t.Fatal(err)
+	c.Publish(Change{Table: newTable(t, "A", 1)})
+	c.Publish(Change{Table: newTable(t, "a", 9)})
+	if c.Table("A").NumRows() != 9 || len(c.Tables()) != 1 {
+		t.Errorf("replace did not take effect: %d rows, %d tables", c.Table("A").NumRows(), len(c.Tables()))
 	}
-	if c.Table("A").NumRows() != 9 {
-		t.Error("swap did not take effect")
-	}
-	if err := c.SwapTable(newTable(t, "B", 1)); err == nil {
-		t.Error("swapping an unknown table must fail")
+	if c.Epoch() != 2 {
+		t.Errorf("epoch = %d after two changes, want 2", c.Epoch())
 	}
 }
 
 func TestSubgraphRegistry(t *testing.T) {
 	c := New()
-	c.RegisterSubgraph(graph.NewSubgraph("S1"))
+	c.Publish(Change{Subgraph: graph.NewSubgraph("S1")})
 	if c.Subgraph("s1") == nil {
 		t.Error("subgraph lookup must be case-insensitive")
 	}
-	c.ClearSubgraphs()
+	c.Publish(Change{Graph: graph.NewGraph()})
+	if c.Subgraph("S1") == nil {
+		t.Error("a new type (graph only) must keep named subgraphs")
+	}
+	c.Publish(Change{Table: newTable(t, "A", 1)})
+	if c.Subgraph("S1") == nil {
+		t.Error("a result table (table only) must keep named subgraphs")
+	}
+	c.Publish(Change{Table: newTable(t, "A", 2), Graph: graph.NewGraph()})
 	if c.Subgraph("S1") != nil {
-		t.Error("ClearSubgraphs must drop results")
+		t.Error("new rows under the views must drop named subgraphs")
 	}
 }
 

@@ -15,20 +15,20 @@ import (
 	"graql/internal/value"
 )
 
-// The DML operators (insert, update, delete) follow a copy-on-write
-// protocol so morsel-parallel readers never observe a half-applied write:
+// The DML operators (insert, update, delete) take the engine's one write
+// path (Engine.write), so morsel-parallel readers never observe a
+// half-applied write:
 //
-//  1. BeginWrite serialises this statement against other writers.
-//  2. Under the read lock, the statement is analysed and a complete new
-//     version of the target table plus a new view graph are built aside.
-//     Published tables and views are immutable, so concurrent readers
-//     keep using the current versions undisturbed.
-//  3. The statement is appended to the WAL and fsynced (when a store is
-//     attached) — before commit, so an acknowledged write is durable.
-//  4. Under a brief write lock, the new table and graph are swapped in
-//     and the catalog epoch bumps. Readers that started before the swap
-//     finish on the old snapshot; readers that start after see the new
-//     one; nobody sees a mix.
+//  1. Holding the writer mutex, the statement is analysed and a complete
+//     new version of the target table plus a new view graph are built
+//     aside. Published tables and views are immutable, so concurrent
+//     readers keep using the current versions undisturbed.
+//  2. The statement is appended to the WAL and fsynced (when a store is
+//     attached) — before publication, so an acknowledged write is durable.
+//  3. Under a brief write lock, the new table and graph are installed and
+//     the catalog epoch bumps. Readers that started before finish on the
+//     old snapshot; readers that start after see the new one; nobody sees
+//     a mix.
 //
 // View maintenance is by delta for every verb (DESIGN.md §10): each
 // build-aside states what it did to the table as a tableDelta — the old →
@@ -89,90 +89,60 @@ type maintNote struct {
 	dur    time.Duration
 }
 
-// execDML runs one mutating statement through the copy-on-write write
-// path described above.
+// execDML runs one mutating statement through the write path described
+// above.
 func (e *Engine) execDML(st ast.Stmt, params map[string]value.Value) (Result, error) {
-	e.Cat.BeginWrite()
-	defer e.Cat.EndWrite()
-
-	e.Cat.RLock()
-	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
-	analyzed, err := an.Analyze(st)
-	if err != nil {
-		e.Cat.RUnlock()
-		return Result{}, err
-	}
-
 	var b *dmlBuild
 	var plan Result
-	switch s := analyzed.(type) {
-	case *sema.Insert:
-		if s.Explain && !s.Analyze {
-			plan, err = e.explainInsert(s)
-		} else {
-			b, err = e.buildInsert(s, params)
+	var c change
+	err := e.write(st, params, &c, func() error {
+		analyzed, err := e.analyze(st)
+		if err != nil {
+			return err
 		}
-	case *sema.Update:
-		if s.Explain && !s.Analyze {
-			plan, err = e.explainUpdate(s)
-		} else {
-			b, err = e.buildUpdate(s, params)
+		switch s := analyzed.(type) {
+		case *sema.Insert:
+			if s.Explain && !s.Analyze {
+				plan, err = e.explainInsert(s)
+			} else {
+				b, err = e.buildInsert(s, params)
+			}
+		case *sema.Update:
+			if s.Explain && !s.Analyze {
+				plan, err = e.explainUpdate(s)
+			} else {
+				b, err = e.buildUpdate(s, params)
+			}
+		case *sema.Delete:
+			if s.Explain && !s.Analyze {
+				plan, err = e.explainDelete(s)
+			} else {
+				b, err = e.buildDelete(s, params)
+			}
+		default:
+			err = fmt.Errorf("graql: unsupported statement %T", analyzed)
 		}
-	case *sema.Delete:
-		if s.Explain && !s.Analyze {
-			plan, err = e.explainDelete(s)
-		} else {
-			b, err = e.buildDelete(s, params)
+		if b != nil {
+			c.Change = catalog.Change{Table: b.table, Graph: b.graph}
 		}
-	default:
-		err = fmt.Errorf("graql: unsupported statement %T", analyzed)
-	}
-	e.Cat.RUnlock()
-	if err != nil || b == nil {
-		return plan, err
-	}
-
-	// Durability before visibility: the record is on stable storage before
-	// any reader can observe the new version.
-	walStart := time.Now()
-	if err := e.logStmt(st, params); err != nil {
-		return Result{}, err
-	}
-	walDur := time.Since(walStart)
-
-	commitStart := time.Now()
-	e.Cat.Lock()
-	err = e.commitTable(b.table, b.graph)
-	e.Cat.Unlock()
+		return err
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	commitDur := time.Since(commitStart)
+	if b == nil {
+		return plan, nil
+	}
 
 	if sp := e.opSpan(b.verb, fmt.Sprintf("table %s", b.table.Name)); sp != nil {
 		sp.AddRows(int64(b.affected))
 		sp.End()
 	}
 	e.met.noteMutation(b.verb, b.affected)
-	e.maybeCheckpoint()
-
 	if b.analyze {
-		return e.dmlAnalyzeResult(b, walDur, commitDur)
+		return e.dmlAnalyzeResult(b, c.walDur, c.publishDur)
 	}
 	return Result{Message: dmlMessage(b.verb, b.affected, b.table.Name)}, nil
-}
-
-// commitTable publishes a table version and the view graph built aside for
-// it. The caller holds the catalog write lock and has made the change
-// durable.
-func (e *Engine) commitTable(t *table.Table, g *graph.Graph) error {
-	if err := e.Cat.SwapTable(t); err != nil {
-		return err
-	}
-	e.Cat.SetGraph(g)
-	e.Cat.ClearSubgraphs()
-	e.Cat.BumpEpoch()
-	return nil
 }
 
 func dmlMessage(verb string, n int, tbl string) string {
@@ -357,7 +327,7 @@ type vertexMaint struct {
 
 // maintainViews derives the view graph that corresponds to replacing the
 // catalog's current version of newTbl.Name with newTbl, without touching
-// the live catalog (the caller holds at least the read lock). d states how
+// the live catalog (the caller holds the writer mutex). d states how
 // newTbl differs from the version it replaces; nil means the whole table
 // was replaced (ingest) and every view it feeds is rebuilt. Views the
 // table does not feed are carried over untouched. With dry set nothing is

@@ -6,11 +6,10 @@ import (
 	"graql/internal/ast"
 	"graql/internal/ir"
 	"graql/internal/storage"
-	"graql/internal/table"
 	"graql/internal/value"
 )
 
-// checkpointWALBytes is the WAL size past which a committed write
+// checkpointWALBytes is the WAL size past which a published write
 // triggers an automatic snapshot (the writer mutex is already held, so
 // the checkpoint races with nothing).
 const checkpointWALBytes = 8 << 20
@@ -27,14 +26,11 @@ func (e *Engine) AttachStore(st *storage.Store) error {
 		return err
 	}
 	if snap != nil {
-		e.Cat.Lock()
 		for _, t := range snap.Tables {
-			if err := e.Cat.RegisterTable(t, true); err != nil {
-				e.Cat.Unlock()
+			if err := e.register(t); err != nil {
 				return err
 			}
 		}
-		e.Cat.Unlock()
 		if len(snap.DeclIR) > 0 {
 			script, err := ir.Decode(snap.DeclIR)
 			if err != nil {
@@ -80,51 +76,36 @@ func (e *Engine) applyRecord(rec *storage.Record) error {
 	return fmt.Errorf("graql: wal replay: unknown record kind %d", rec.Kind)
 }
 
+// applyTableLoad publishes a replayed table-load record: a select-into
+// result, or an ingest's rows with the views they feed re-derived.
 func (e *Engine) applyTableLoad(l *storage.TableLoad) error {
-	e.Cat.BeginWrite()
-	defer e.Cat.EndWrite()
-	e.Cat.Lock()
-	defer e.Cat.Unlock()
 	if l.Register {
-		// A select-into result: register/replace, no derived views.
-		if err := e.Cat.RegisterTable(l.Table, true); err != nil {
-			return err
-		}
-		e.Cat.BumpEpoch()
-		return nil
+		return e.register(l.Table)
 	}
-	// An ingest swap: replace the rows and re-derive the views.
 	return e.replaceTable(l.Table)
 }
 
-// logStmt appends a committed statement to the WAL as binary IR plus its
-// parameter bindings, fsyncing per the store's policy. A no-op without an
-// attached store or during recovery replay.
-func (e *Engine) logStmt(st ast.Stmt, params map[string]value.Value) error {
+// log appends a write's WAL record (see write), fsyncing per the store's
+// policy. A no-op without an attached store, during recovery replay, and
+// for a change that is not durable.
+func (e *Engine) log(st ast.Stmt, params map[string]value.Value, c *change) error {
 	if e.store == nil || e.replay {
 		return nil
 	}
-	data, err := ir.Encode(&ast.Script{Stmts: []ast.Stmt{st}})
-	if err != nil {
-		return fmt.Errorf("graql: wal: %w", err)
-	}
-	n, err := e.store.Append(&storage.Record{Kind: storage.KindStmt, IR: data, Params: params})
-	if err == nil && e.acct != nil {
-		e.acct.walBytes.Add(int64(n))
-	}
-	return err
-}
-
-// logTableLoad appends a materialised table version to the WAL (register
-// = select-into result; otherwise an ingest swap).
-func (e *Engine) logTableLoad(t *table.Table, register bool) error {
-	if e.store == nil || e.replay {
+	var rec *storage.Record
+	switch {
+	case st != nil:
+		data, err := ir.Encode(&ast.Script{Stmts: []ast.Stmt{st}})
+		if err != nil {
+			return fmt.Errorf("graql: wal: %w", err)
+		}
+		rec = &storage.Record{Kind: storage.KindStmt, IR: data, Params: params}
+	case c.Table != nil:
+		rec = &storage.Record{Kind: storage.KindTableLoad, Load: &storage.TableLoad{Register: c.Graph == nil, Table: c.Table}}
+	default:
 		return nil
 	}
-	n, err := e.store.Append(&storage.Record{
-		Kind: storage.KindTableLoad,
-		Load: &storage.TableLoad{Register: register, Table: t},
-	})
+	n, err := e.store.Append(rec)
 	if err == nil && e.acct != nil {
 		e.acct.walBytes.Add(int64(n))
 	}
@@ -142,13 +123,12 @@ func (e *Engine) Checkpoint() error {
 	return e.checkpointLocked()
 }
 
-// checkpointLocked is Checkpoint with the writer mutex already held. The
-// state capture takes only the read lock — published tables are
-// immutable, so serialisation to disk happens outside any lock.
+// checkpointLocked is Checkpoint with the writer mutex already held, which
+// is all the state capture needs: nothing publishes meanwhile, and
+// published tables are immutable, so serialisation to disk blocks no
+// reader.
 func (e *Engine) checkpointLocked() error {
-	snap := &storage.Snapshot{}
-	e.Cat.RLock()
-	snap.Tables = e.Cat.Tables()
+	snap := &storage.Snapshot{Tables: e.Cat.Tables()}
 	var decls []ast.Stmt
 	for _, d := range e.Cat.VertexDecls() {
 		decls = append(decls, d)
@@ -156,7 +136,6 @@ func (e *Engine) checkpointLocked() error {
 	for _, d := range e.Cat.EdgeDecls() {
 		decls = append(decls, d)
 	}
-	e.Cat.RUnlock()
 	if len(decls) > 0 {
 		data, err := ir.Encode(&ast.Script{Stmts: decls})
 		if err != nil {
@@ -167,10 +146,10 @@ func (e *Engine) checkpointLocked() error {
 	return e.store.WriteSnapshot(snap)
 }
 
-// maybeCheckpoint snapshots after a committed write once the WAL has
+// maybeCheckpoint snapshots after a published write once the WAL has
 // grown past the threshold. The caller holds the writer mutex; failures
 // are logged and retried on a later write rather than failing the
-// already-committed statement.
+// already-published statement.
 func (e *Engine) maybeCheckpoint() {
 	if e.store == nil || e.replay || e.store.WALSize() < checkpointWALBytes {
 		return

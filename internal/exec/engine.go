@@ -133,9 +133,6 @@ type Engine struct {
 	// observability event.
 	acct *stmtAcct
 
-	// ids is shared across traced forks so DDL advances one sequence.
-	ids *idAlloc
-
 	// scripts is the LRU of compiled read-only scripts, shared across
 	// every fork (nil when Options.PlanCache < 0).
 	scripts *scriptCache
@@ -151,7 +148,7 @@ type Engine struct {
 func New(opts Options) *Engine {
 	return &Engine{
 		Cat: catalog.New(), Opts: opts, met: newEngineMetrics(opts.Obs),
-		ids: &idAlloc{}, scripts: newScriptCache(opts.PlanCache, opts.Obs),
+		scripts: newScriptCache(opts.PlanCache, opts.Obs),
 	}
 }
 
@@ -260,109 +257,36 @@ func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value) (Re
 	return res, err
 }
 
-// execStmt is execStmtID without instrumentation. DDL and ingest take the
-// catalog write lock; DML builds its new versions aside under the read
-// lock (exec/dml.go); selects analyse and execute under the read lock so
-// that independent statements of a script can run concurrently (§III-B1),
-// re-acquiring the write lock only to register an "into" result. Every
-// mutating statement first takes the catalog's writer mutex, which
-// serialises writers against each other (and against checkpoints) without
-// blocking readers.
+// execStmt is execStmtID without instrumentation. Selects run under the
+// catalog's read lock, so independent statements of a script run
+// concurrently (§III-B1); output and ingest resolve their table under it
+// and do their file IO holding no lock. Everything that changes the
+// catalog — DDL, ingest, DML, an into result — goes through write.
 func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value) (Result, error) {
 	if err := e.canceled(); err != nil {
 		return Result{}, err
 	}
-	st := cs.st
-	switch st.(type) {
+	switch st := cs.st.(type) {
+	case *ast.Select:
+		return e.execSelect(cs, params)
+	case *ast.CreateTable, *ast.CreateVertex, *ast.CreateEdge:
+		return e.execDDL(st, params)
 	case *ast.Insert, *ast.Update, *ast.Delete:
 		if !e.Opts.CheckOnly {
 			return e.execDML(st, params)
 		}
 	}
-	if _, isSelect := st.(*ast.Select); !isSelect || e.Opts.CheckOnly {
-		e.Cat.BeginWrite()
-		defer e.Cat.EndWrite()
-		res, err := e.execLocked(st, params)
-		if err != nil {
-			return Result{}, err
-		}
-		e.maybeCheckpoint()
-		return res, nil
-	}
-
 	e.Cat.RLock()
-	sel, err := e.planSelect(cs)
-	if err != nil {
-		e.Cat.RUnlock()
-		return Result{}, err
-	}
-	res, err := e.runSelect(sel, params, cs.id.script)
+	analyzed, err := e.analyze(cs.st)
 	e.Cat.RUnlock()
 	if err != nil {
 		return Result{}, err
 	}
-	if sel.Explain {
-		return res, nil // a plan description; nothing to register
-	}
-	switch sel.Into.Kind {
-	case ast.IntoTable:
-		e.Cat.BeginWrite()
-		e.Cat.Lock()
-		err = e.Cat.RegisterTable(res.Table, true)
-		if err == nil {
-			e.Cat.BumpEpoch()
-		}
-		e.Cat.Unlock()
-		if err == nil {
-			// Result tables are durable as materialised rows: re-running
-			// the (possibly parallel, order-sensitive) query on replay
-			// could diverge, the rows themselves cannot.
-			err = e.logTableLoad(res.Table, true)
-		}
-		e.Cat.EndWrite()
-		if err != nil {
-			return Result{}, err
-		}
-	case ast.IntoSubgraph:
-		// Named subgraphs reference the live view graph and are
-		// invalidated by any mutation; they are deliberately not durable.
-		e.Cat.BeginWrite()
-		e.Cat.Lock()
-		e.Cat.RegisterSubgraph(res.Subgraph)
-		e.Cat.BumpEpoch()
-		e.Cat.Unlock()
-		e.Cat.EndWrite()
-	}
-	return res, nil
-}
-
-// execLocked runs the statements that hold the catalog write lock for
-// their whole execution: DDL, ingest, output, and everything under
-// CheckOnly. The caller holds the writer mutex.
-func (e *Engine) execLocked(st ast.Stmt, params map[string]value.Value) (Result, error) {
-	e.Cat.Lock()
-	defer e.Cat.Unlock()
-	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
-	analyzed, err := an.Analyze(st)
-	if err != nil {
-		return Result{}, err
-	}
 	switch s := analyzed.(type) {
-	case *sema.CreateTable:
-		res, err := e.runCreateTable(s)
-		return e.commitDDL(st, params, res, err)
-	case *sema.CreateVertex:
-		res, err := e.runCreateVertex(s)
-		return e.commitDDL(st, params, res, err)
-	case *sema.CreateEdge:
-		res, err := e.runCreateEdge(s)
-		return e.commitDDL(st, params, res, err)
 	case *sema.Ingest:
 		return e.runIngest(s)
 	case *sema.Output:
 		return e.runOutput(s)
-	case *sema.Select:
-		return e.runSelect(s, params, "") // CheckOnly: never explains
 	case *sema.Insert:
 		return Result{Message: fmt.Sprintf("checked insert into %s (skipped)", s.Table.Name)}, nil
 	case *sema.Update:
@@ -373,18 +297,126 @@ func (e *Engine) execLocked(st ast.Stmt, params map[string]value.Value) (Result,
 	return Result{}, fmt.Errorf("graql: unsupported statement %T", analyzed)
 }
 
-// commitDDL finishes a successful DDL statement: the statement is
-// appended to the WAL (replay re-derives the views deterministically) and
-// the catalog epoch bumps. The caller holds the write lock.
-func (e *Engine) commitDDL(st ast.Stmt, params map[string]value.Value, res Result, err error) (Result, error) {
+func (e *Engine) analyze(st ast.Stmt) (sema.Stmt, error) {
+	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
+	return an.Analyze(st)
+}
+
+// execSelect runs a select under the read lock and then publishes its
+// into result, if any.
+func (e *Engine) execSelect(cs *compiledStmt, params map[string]value.Value) (Result, error) {
+	e.Cat.RLock()
+	sel, err := e.planSelect(cs)
+	if err != nil {
+		e.Cat.RUnlock()
+		return Result{}, err
+	}
+	res, err := e.runSelect(sel, params, cs.id.script)
+	e.Cat.RUnlock()
+	if err != nil || sel.Explain {
+		return res, err // an explain is a plan description; nothing to publish
+	}
+	switch sel.Into.Kind {
+	case ast.IntoTable:
+		err = e.register(res.Table)
+	case ast.IntoSubgraph:
+		// Named subgraphs reference the live view graph and are dropped
+		// by any write to the rows under it; they are deliberately not
+		// durable.
+		err = e.write(nil, nil, &change{Change: catalog.Change{Subgraph: res.Subgraph}}, nil)
+	}
 	if err != nil {
 		return Result{}, err
 	}
-	if lerr := e.logStmt(st, params); lerr != nil {
-		return Result{}, lerr
-	}
-	e.Cat.BumpEpoch()
 	return res, nil
+}
+
+// change is one write built aside: what Publish installs, and how long
+// write took to log and publish it (DML's explain analyze).
+type change struct {
+	catalog.Change
+	walDur, publishDur time.Duration
+}
+
+// write is the engine's one write path (DESIGN.md §10). Holding the
+// writer mutex, build (when non-nil) fills c in aside, reading the catalog
+// without the read lock — safe, because every catalog mutation holds that
+// mutex. The change is then appended to the WAL, and only after that
+// published with one epoch bump: a write that fails to log is never seen,
+// and a write that is seen survives a crash. A change left empty (an
+// explain) publishes nothing.
+//
+// The WAL records st with its params when st is set (DDL, DML): replay
+// re-executes the statement, deterministically. Otherwise it records the
+// change's Table as materialised rows: with a Graph, an ingest's rows the
+// views are re-derived from; without, a result table. A change with
+// neither (a named subgraph) is not durable.
+func (e *Engine) write(st ast.Stmt, params map[string]value.Value, c *change, build func() error) error {
+	e.Cat.BeginWrite()
+	defer e.Cat.EndWrite()
+	if build != nil {
+		if err := build(); err != nil {
+			return err
+		}
+	}
+	if c.Change == (catalog.Change{}) {
+		return nil
+	}
+	start := time.Now()
+	if err := e.log(st, params, c); err != nil {
+		return err
+	}
+	logged := time.Now()
+	e.Cat.Publish(c.Change)
+	c.walDur, c.publishDur = logged.Sub(start), time.Since(logged)
+	e.maybeCheckpoint()
+	return nil
+}
+
+// register publishes a result table — live, replayed from the WAL or
+// restored from a snapshot. Result tables are durable as materialised
+// rows: re-running the (possibly parallel, order-sensitive) query on
+// replay could diverge, the rows themselves cannot.
+func (e *Engine) register(t *table.Table) error {
+	return e.write(nil, nil, &change{Change: catalog.Change{Table: t}}, nil)
+}
+
+// execDDL analyses a create statement and publishes what it creates: a
+// table, or a copy of the view graph plus the new type. Type ids count
+// the published types, so a failed create consumes none.
+func (e *Engine) execDDL(st ast.Stmt, params map[string]value.Value) (Result, error) {
+	var msg string
+	var c change
+	err := e.write(st, params, &c, func() error {
+		analyzed, err := e.analyze(st)
+		if err != nil {
+			return err
+		}
+		switch s := analyzed.(type) {
+		case *sema.CreateTable:
+			c.Table, err = table.New(s.Name, s.Schema)
+			msg = fmt.Sprintf("created table %s", s.Name)
+		case *sema.CreateVertex:
+			var vt *graph.VertexType
+			if vt, err = buildVertexType(s, len(e.Cat.Graph().VertexTypes())); err == nil {
+				c.Graph, c.Vertex = e.Cat.Graph().Clone(), s.Decl
+				err = c.Graph.AddVertexType(vt)
+				msg = fmt.Sprintf("created vertex %s (%d instances)", vt.Name, vt.Count())
+			}
+		case *sema.CreateEdge:
+			var et *graph.EdgeType
+			if et, err = e.buildEdgeType(s, len(e.Cat.Graph().EdgeTypes())); err == nil {
+				c.Graph, c.Edge = e.Cat.Graph().Clone(), s.Decl
+				err = c.Graph.AddEdgeType(et)
+				msg = fmt.Sprintf("created edge %s (%d instances)", et.Name, et.Count())
+			}
+		}
+		return err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Message: msg}, nil
 }
 
 // ExecScriptStaged executes a script with the multi-statement scheduler
@@ -424,30 +456,6 @@ func CheckScript(src string) error {
 	return err
 }
 
-func (e *Engine) runCreateTable(s *sema.CreateTable) (Result, error) {
-	t, err := table.New(s.Name, s.Schema)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := e.Cat.RegisterTable(t, false); err != nil {
-		return Result{}, err
-	}
-	return Result{Message: fmt.Sprintf("created table %s", s.Name)}, nil
-}
-
-func (e *Engine) runCreateVertex(s *sema.CreateVertex) (Result, error) {
-	vt, err := buildVertexType(s, e.ids.vertex)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := e.Cat.Graph().AddVertexType(vt); err != nil {
-		return Result{}, err
-	}
-	e.ids.vertex++
-	e.Cat.AddVertexDecl(s.Decl)
-	return Result{Message: fmt.Sprintf("created vertex %s (%d instances)", vt.Name, vt.Count())}, nil
-}
-
 // buildVertexType builds a vertex type from scratch under the given type
 // id: a fresh one for DDL, the id of the type it replaces for maintenance.
 func buildVertexType(s *sema.CreateVertex, id int) (*graph.VertexType, error) {
@@ -472,24 +480,11 @@ func vertexPred(s *sema.CreateVertex) graph.RowPred {
 	}
 }
 
-func (e *Engine) runCreateEdge(s *sema.CreateEdge) (Result, error) {
-	et, err := e.buildEdgeType(s, e.ids.edge)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := e.Cat.Graph().AddEdgeType(et); err != nil {
-		return Result{}, err
-	}
-	e.ids.edge++
-	e.Cat.AddEdgeDecl(s.Decl)
-	return Result{Message: fmt.Sprintf("created edge %s (%d instances)", et.Name, et.Count())}, nil
-}
-
 // runIngest implements the atomic ingest command: the CSV file is parsed
-// into a staging table; only if every record parses is the table swapped
-// in and every derived vertex/edge view rebuilt (paper §II-A2: ingest
-// triggers "the generation of associated vertex and edge instances
-// derived from the table").
+// into a staging table, holding no lock; only if every record parses is
+// the table replaced and every derived vertex/edge view rebuilt (paper
+// §II-A2: ingest triggers "the generation of associated vertex and edge
+// instances derived from the table").
 func (e *Engine) runIngest(s *sema.Ingest) (Result, error) {
 	if e.Opts.CheckOnly {
 		return Result{Message: fmt.Sprintf("checked ingest into %s (skipped)", s.Table.Name)}, nil
@@ -509,34 +504,26 @@ func (e *Engine) runIngest(s *sema.Ingest) (Result, error) {
 	return Result{Message: fmt.Sprintf("ingested %d rows into %s", stage.NumRows(), s.Table.Name)}, nil
 }
 
-// replaceTable swaps a wholly new version of a table in, in the order
-// every write follows: the views it feeds are rebuilt aside, the rows are
-// logged, and only then are table, graph and epoch published together, so
-// a failure at either earlier step leaves the catalog as it was. The
-// caller holds the catalog write lock.
-//
-// An ingest is durable as materialised rows, not as the statement: the
-// source file may move or change between the ingest and a replay.
+// replaceTable publishes a wholly new version of a table, rebuilding the
+// views it feeds aside. An ingest is durable as materialised rows, not as
+// the statement: the source file may move or change between the ingest
+// and a replay.
 func (e *Engine) replaceTable(stage *table.Table) error {
-	g, _, err := e.maintainViews(stage, nil, false)
-	if err != nil {
+	var c change
+	return e.write(nil, nil, &c, func() error {
+		g, _, err := e.maintainViews(stage, nil, false)
+		c.Change = catalog.Change{Table: stage, Graph: g}
 		return err
-	}
-	if err := e.logTableLoad(stage, false); err != nil {
-		return err
-	}
-	return e.commitTable(stage, g)
+	})
 }
 
 // IngestReader loads CSV data from r into the named table through the
-// same atomic staged-swap path as the ingest statement, rebuilding derived
-// views. It lets embedders ingest in-memory data without a file.
+// same path as the ingest statement, rebuilding derived views. It lets
+// embedders ingest in-memory data without a file.
 func (e *Engine) IngestReader(tableName string, r io.Reader) error {
-	e.Cat.BeginWrite()
-	defer e.Cat.EndWrite()
-	e.Cat.Lock()
-	defer e.Cat.Unlock()
+	e.Cat.RLock()
 	t := e.Cat.Table(tableName)
+	e.Cat.RUnlock()
 	if t == nil {
 		return fmt.Errorf("graql: unknown table %s", tableName)
 	}
@@ -558,7 +545,8 @@ func (e *Engine) openFile(path string) (io.ReadCloser, error) {
 }
 
 // runOutput writes a table to a CSV file — the paper's "eventual output
-// to files" on the shared filesystem (§III).
+// to files" on the shared filesystem (§III). It holds no lock: the table
+// version it resolved is immutable.
 func (e *Engine) runOutput(s *sema.Output) (Result, error) {
 	if e.Opts.CheckOnly {
 		return Result{Message: fmt.Sprintf("checked output of %s (skipped)", s.Table.Name)}, nil

@@ -228,10 +228,9 @@ func planCacheable(sel *ast.Select) bool {
 // planSelect resolves a compiled select to its analyzed plan: load the
 // statement's slot; same catalog epoch → hit, else analyze, verify and
 // store. The caller holds the catalog read lock: the epoch read here
-// stays valid for the whole execution that follows, because writers
-// (DDL, DML, ingest, select-into) bump it only under the full write
-// lock — so a plan observed fresh never refers to a superseded table or
-// view version.
+// stays valid for the whole execution that follows, because every write
+// bumps it in Catalog.Publish, under the full write lock — so a plan
+// observed fresh never refers to a superseded table or view version.
 func (e *Engine) planSelect(cs *compiledStmt) (*sema.Select, error) {
 	sel := cs.st.(*ast.Select)
 	reuse := e.scripts != nil && planCacheable(sel)
@@ -255,8 +254,7 @@ func (e *Engine) planSelect(cs *compiledStmt) (*sema.Select, error) {
 		}
 		e.scripts.miss()
 	}
-	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
-	analyzed, err := an.Analyze(sel)
+	analyzed, err := e.analyze(sel)
 	if err != nil {
 		return nil, err
 	}

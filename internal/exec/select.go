@@ -32,23 +32,22 @@ func (e *Engine) runSelect(s *sema.Select, params map[string]value.Value, text s
 	return e.runGraphSelect(s, params)
 }
 
-// checkOnlySelect registers result placeholders so that later statements
-// of a statically checked script resolve (§III-A checking needs only
-// metadata).
+// checkOnlySelect returns result placeholders for execSelect to publish,
+// so that later statements of a statically checked script resolve
+// (§III-A checking needs only metadata).
 func (e *Engine) checkOnlySelect(s *sema.Select) (Result, error) {
+	res := Result{Message: "checked select"}
 	switch s.Into.Kind {
 	case ast.IntoTable:
 		t, err := table.New(s.Into.Name, s.OutSchema)
 		if err != nil {
 			return Result{}, err
 		}
-		if err := e.Cat.RegisterTable(t, true); err != nil {
-			return Result{}, err
-		}
+		res.Table = t
 	case ast.IntoSubgraph:
-		e.Cat.RegisterSubgraph(graph.NewSubgraph(s.Into.Name))
+		res.Subgraph = graph.NewSubgraph(s.Into.Name)
 	}
-	return Result{Message: "checked select"}, nil
+	return res, nil
 }
 
 func astAggToTable(f ast.AggFunc) table.AggFunc {

@@ -16,19 +16,10 @@ import (
 // plan trace. Everything is nil-safe, so untraced engines pay only a
 // couple of nil checks.
 
-// idAlloc hands out view ids for vertex and edge types. It sits behind a
-// pointer shared by an engine and all of its traced forks, so DDL run
-// through a fork advances the same sequence (DDL is serialised by the
-// catalog write lock).
-type idAlloc struct {
-	vertex int
-	edge   int
-}
-
 // WithTrace returns a shallow engine copy whose statement execution
 // appends spans to tr, nested under parent (nil for top-level spans).
-// The copy shares the catalog, metric series and id allocator with the
-// receiver; it is cheap enough to create per request.
+// The copy shares the catalog and metric series with the receiver; it is
+// cheap enough to create per request.
 func (e *Engine) WithTrace(tr *obs.Trace, parent *obs.Span) *Engine {
 	return e.fork(tr, parent)
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -20,6 +22,17 @@ func NewGraph() *Graph {
 	return &Graph{
 		vtxByName: make(map[string]*VertexType),
 		edgByName: make(map[string]*EdgeType),
+	}
+}
+
+// Clone returns a graph holding the same types, to which a writer can add
+// without touching g.
+func (g *Graph) Clone() *Graph {
+	return &Graph{
+		vertexTypes: slices.Clone(g.vertexTypes),
+		edgeTypes:   slices.Clone(g.edgeTypes),
+		vtxByName:   maps.Clone(g.vtxByName),
+		edgByName:   maps.Clone(g.edgByName),
 	}
 }
 

@@ -140,7 +140,9 @@ func TestGate(t *testing.T) {
 }
 
 // TestShutdownDrains checks Shutdown lets an in-flight query finish
-// inside the drain window, then refuses new connections.
+// inside the drain window, then refuses new connections. The window is
+// sized from one solo round trip of the query, result encoding included,
+// so a loaded host (or -race) stretches it instead of failing the drain.
 func TestShutdownDrains(t *testing.T) {
 	addr, eng, srv, done := startServerWith(t, func(*server.Server) {})
 	loadDense(t, eng)
@@ -150,6 +152,11 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	start := time.Now()
+	if _, err := cl.Exec(denseSlowQuery, nil); err != nil {
+		t.Fatal(err)
+	}
+	window := max(5*time.Second, 4*time.Since(start))
 
 	queryDone := make(chan error, 1)
 	go func() {
@@ -159,7 +166,7 @@ func TestShutdownDrains(t *testing.T) {
 	// Let the query reach the engine before shutting down.
 	time.Sleep(30 * time.Millisecond)
 
-	if drained := srv.Shutdown(5 * time.Second); !drained {
+	if drained := srv.Shutdown(window); !drained {
 		t.Error("Shutdown() = false, want graceful drain")
 	}
 	if err := <-queryDone; err != nil {
