@@ -220,6 +220,17 @@ done
 echo 'select * from graph ProducerVtx ( ) <--producer-- ProductVtx ( ) into subgraph SmokeSG' |
     "$tmpdir/gems-client" -addr 127.0.0.1:17687 -trace -timeout 10s exec - >"$tmpdir/query.out" 2>&1
 grep -q "SmokeSG" "$tmpdir/query.out"
+# A traced write shows each of its phases under the statement span, the
+# spans DML EXPLAIN ANALYZE renders (DESIGN.md §6): the verb, one span
+# per maintained view, the commit. The where clause matches no row, so
+# every later stage sees the same data.
+echo "update Products set propertyNumeric_1 = propertyNumeric_1 where id = 'no-such-product'" |
+    "$tmpdir/gems-client" -addr 127.0.0.1:17687 -trace -timeout 10s exec - >"$tmpdir/dml.out" 2>&1
+grep -q "updated 0 row" "$tmpdir/dml.out"
+curl -fsS http://127.0.0.1:17688/debug/traces >"$tmpdir/dml-traces.out"
+grep -q '"action":"update","detail":"table Products"' "$tmpdir/dml-traces.out"
+grep -Eq '"action":"(carry|patch)-(vertex|edge)"' "$tmpdir/dml-traces.out"
+grep -q '"action":"commit"' "$tmpdir/dml-traces.out"
 # A graph select into a table that projects one step is answered from the
 # reduced sets, and EXPLAIN names the route (DESIGN.md §4): BQ6's shape
 # takes reduce-only, BQ1's count.

@@ -263,7 +263,8 @@ func parseInterval(t *testing.T, s string) (lo, hi float64) {
 // TestEstimateBoundsContainActuals: the static cardinality bound EXPLAIN
 // ANALYZE reports on the result row must contain the actual row count for
 // every statement of every Berlin query — the bounds are conservative by
-// construction, and this is the suite-wide soundness check.
+// construction, and this is the suite-wide soundness check. The bound is
+// also the one EXPLAIN's last row carries: both come from one walk.
 func TestEstimateBoundsContainActuals(t *testing.T) {
 	e := engineFor(t, Config{ScaleFactor: 1, Seed: 42})
 	params, err := TypedParams(DefaultParams())
@@ -283,6 +284,12 @@ func TestEstimateBoundsContainActuals(t *testing.T) {
 				t.Fatal(err)
 			}
 			for si, st := range script.Stmts {
+				plan, err := e.ExecScript("explain "+st.String(), params)
+				if err != nil {
+					t.Fatalf("statement %d: %v", si+1, err)
+				}
+				pt := plan[0].Table
+				last := pt.Value(uint32(pt.NumRows()-1), 3).Str()
 				res, err := e.ExecScript("explain analyze "+st.String(), params)
 				if err != nil {
 					t.Fatalf("statement %d: %v", si+1, err)
@@ -297,6 +304,9 @@ func TestEstimateBoundsContainActuals(t *testing.T) {
 						continue
 					}
 					found = true
+					if est := tb.Value(r, 3).Str(); est != last {
+						t.Errorf("statement %d: result est_rows %s, explain's last row %s", si+1, est, last)
+					}
 					lo, hi := parseInterval(t, tb.Value(r, 3).Str())
 					rows := float64(tb.Value(r, 4).Int())
 					if rows < lo || rows > hi {

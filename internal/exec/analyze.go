@@ -7,7 +7,6 @@ import (
 
 	"graql/internal/obs"
 	"graql/internal/sema"
-	"graql/internal/table"
 	"graql/internal/value"
 )
 
@@ -84,32 +83,13 @@ func (e *Engine) runExplainAnalyze(s *sema.Select, params map[string]value.Value
 
 	// The static cardinality bound sits next to the actual row count on
 	// the result row, so estimate accuracy (est_rows ∋ rows) is
-	// observable per query without a separate EXPLAIN.
-	est := e.estimateSelect(s, params).String()
-
-	out := table.MustNew("plan", table.Schema{
-		{Name: "step", Type: value.Int},
-		{Name: "action", Type: value.Varchar(32)},
-		{Name: "detail", Type: value.Varchar(255)},
-		{Name: "est_rows", Type: value.Varchar(32)},
-		{Name: "rows", Type: value.Int},
-		{Name: "time_us", Type: value.Int},
-	})
-	for i, sp := range tr.Spans() {
-		rowEst := "-"
-		if sp.Action == "result" {
-			rowEst = est
-		}
-		if err := out.AppendRow([]value.Value{
-			value.NewInt(int64(i + 1)),
-			value.NewString(sp.Action),
-			value.NewString(sp.Detail),
-			value.NewString(rowEst),
-			value.NewInt(sp.Rows()),
-			value.NewInt(sp.Duration().Microseconds()),
-		}); err != nil {
-			return Result{}, err
-		}
+	// observable per query without a separate EXPLAIN. It is EXPLAIN's
+	// walk, run with no rows to fill.
+	est, err := e.walkSelect(s, params, nil)
+	if err != nil {
+		return Result{}, err
 	}
-	return Result{Kind: ResultTable, Table: out}, nil
+	p := newPlanTable(true, true)
+	p.addSpans(tr.Spans(), est.String())
+	return p.result()
 }

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"graql/internal/ast"
 	"graql/internal/catalog"
 	"graql/internal/expr"
 	"graql/internal/graph"
+	"graql/internal/obs"
 	"graql/internal/sema"
 	"graql/internal/table"
 	"graql/internal/value"
@@ -42,9 +42,6 @@ type dmlBuild struct {
 	table    *table.Table
 	graph    *graph.Graph
 	affected int
-	notes    []maintNote
-	buildDur time.Duration
-	analyze  bool
 }
 
 // tableDelta is what a DML statement tells view maintenance about the
@@ -81,17 +78,45 @@ const (
 	rebuildEdge   = "rebuild-edge"   // built from scratch
 )
 
-// maintNote records one view-maintenance action.
+// maintNote names the action a dry maintenance pass decides for one view.
 type maintNote struct {
 	action string
 	name   string
-	rows   int64
-	dur    time.Duration
 }
 
 // execDML runs one mutating statement through the write path described
-// above.
+// above. Every phase of the write opens a span: the verb's build, one per
+// maintained view, the WAL append and the commit. EXPLAIN ANALYZE runs
+// the write on a fork carrying a private flat trace, as a select's does,
+// and renders those spans; a server-traced write shows the same spans
+// under its statement span.
 func (e *Engine) execDML(st ast.Stmt, params map[string]value.Value) (Result, error) {
+	if !explainAnalyze(st) {
+		return e.writeDML(st, params)
+	}
+	tr := &obs.Trace{}
+	if _, err := e.fork(tr, nil).writeDML(st, params); err != nil {
+		return Result{}, err
+	}
+	return dmlAnalyzeResult(tr.Spans())
+}
+
+// explainAnalyze reports whether a DML statement is an explain analyze.
+func explainAnalyze(st ast.Stmt) bool {
+	switch s := st.(type) {
+	case *ast.Insert:
+		return s.Explain && s.Analyze
+	case *ast.Update:
+		return s.Explain && s.Analyze
+	case *ast.Delete:
+		return s.Explain && s.Analyze
+	}
+	return false
+}
+
+// writeDML is execDML's write: the statement's plan table for a plain
+// explain, its status message otherwise.
+func (e *Engine) writeDML(st ast.Stmt, params map[string]value.Value) (Result, error) {
 	var b *dmlBuild
 	var plan Result
 	var c change
@@ -124,6 +149,7 @@ func (e *Engine) execDML(st ast.Stmt, params map[string]value.Value) (Result, er
 		}
 		if b != nil {
 			c.Change = catalog.Change{Table: b.table, Graph: b.graph}
+			c.rows = int64(b.affected)
 		}
 		return err
 	})
@@ -133,15 +159,7 @@ func (e *Engine) execDML(st ast.Stmt, params map[string]value.Value) (Result, er
 	if b == nil {
 		return plan, nil
 	}
-
-	if sp := e.opSpan(b.verb, fmt.Sprintf("table %s", b.table.Name)); sp != nil {
-		sp.AddRows(int64(b.affected))
-		sp.End()
-	}
 	e.met.noteMutation(b.verb, b.affected)
-	if b.analyze {
-		return e.dmlAnalyzeResult(b, c.walDur, c.publishDur)
-	}
 	return Result{Message: dmlMessage(b.verb, b.affected, b.table.Name)}, nil
 }
 
@@ -159,7 +177,8 @@ func dmlMessage(verb string, n int, tbl string) string {
 // --- build-aside: new table versions ---------------------------------------
 
 func (e *Engine) buildInsert(s *sema.Insert, params map[string]value.Value) (*dmlBuild, error) {
-	start := time.Now()
+	sp := e.verbSpan("insert", s.Table)
+	defer sp.End()
 	schema := s.Table.Schema()
 	nt := s.Table.Clone()
 	vals := make([]value.Value, len(schema))
@@ -189,24 +208,33 @@ func (e *Engine) buildInsert(s *sema.Insert, params map[string]value.Value) (*dm
 			return nil, err
 		}
 	}
-	return e.finishBuild("insert", nt, d, len(s.Rows), start, s.Explain && s.Analyze)
+	return e.finishBuild(sp, "insert", nt, d, len(s.Rows))
+}
+
+// verbSpan opens the span a DML verb's build runs under, the build of
+// table t's new version and of the views over it; nil (inert) on an
+// untraced engine, and only on a traced one is the label put together.
+func (e *Engine) verbSpan(verb string, t *table.Table) *obs.Span {
+	if !e.tracing() {
+		return nil
+	}
+	return e.opSpan(verb, "table "+t.Name)
 }
 
 // finishBuild maintains the views over the new table version nt and wraps
-// the build-aside outcome.
-func (e *Engine) finishBuild(verb string, nt *table.Table, d *tableDelta, affected int, start time.Time, analyze bool) (*dmlBuild, error) {
-	g, notes, err := e.maintainViews(nt, d, false)
+// the build-aside outcome, counting the affected rows on the verb's span.
+func (e *Engine) finishBuild(sp *obs.Span, verb string, nt *table.Table, d *tableDelta, affected int) (*dmlBuild, error) {
+	g, _, err := e.maintainViews(nt, d, false)
 	if err != nil {
 		return nil, err
 	}
-	return &dmlBuild{
-		verb: verb, table: nt, graph: g, affected: affected,
-		notes: notes, buildDur: time.Since(start), analyze: analyze,
-	}, nil
+	sp.AddRows(int64(affected))
+	return &dmlBuild{verb: verb, table: nt, graph: g, affected: affected}, nil
 }
 
 func (e *Engine) buildUpdate(s *sema.Update, params map[string]value.Value) (*dmlBuild, error) {
-	start := time.Now()
+	sp := e.verbSpan("update", s.Table)
+	defer sp.End()
 	schema := s.Table.Schema()
 	where, err := expr.BindParams(s.Where, params)
 	if err != nil {
@@ -248,11 +276,12 @@ func (e *Engine) buildUpdate(s *sema.Update, params map[string]value.Value) (*dm
 	if err != nil {
 		return nil, err
 	}
-	return e.finishBuild("update", nt, d, len(hit), start, s.Explain && s.Analyze)
+	return e.finishBuild(sp, "update", nt, d, len(hit))
 }
 
 func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dmlBuild, error) {
-	start := time.Now()
+	sp := e.verbSpan("delete", s.Table)
+	defer sp.End()
 	where, err := expr.BindParams(s.Where, params)
 	if err != nil {
 		return nil, err
@@ -274,7 +303,7 @@ func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dm
 		keep = append(keep, r)
 	}
 	nt := s.Table.Gather(s.Table.Name, keep)
-	return e.finishBuild("delete", nt, d, len(hit), start, s.Explain && s.Analyze)
+	return e.finishBuild(sp, "delete", nt, d, len(hit))
 }
 
 // matchingRows is the where scan of update and delete: the rows of t, in
@@ -330,9 +359,11 @@ type vertexMaint struct {
 // the live catalog (the caller holds the writer mutex). d states how
 // newTbl differs from the version it replaces; nil means the whole table
 // was replaced (ingest) and every view it feeds is rebuilt. Views the
-// table does not feed are carried over untouched. With dry set nothing is
-// built: the notes name the action each view would take, decided exactly
-// as a real pass decides it (explain).
+// table does not feed are carried over untouched. A real pass opens one
+// span per view it maintains, named by the action and counting the new
+// view's instances. With dry set nothing is built and no span opens: the
+// notes name the action each view would take, decided exactly as a real
+// pass decides it (explain).
 //
 // Declarations are re-analysed against a shadow catalog holding the new
 // table version and the new graph: vertex types land in the shadow graph
@@ -364,36 +395,21 @@ func (e *Engine) maintainViews(newTbl *table.Table, d *tableDelta, dry bool) (*g
 			}
 			continue
 		}
-		start := time.Now()
 		s, err := an.Analyze(decl)
 		if err != nil {
 			return nil, nil, fmt.Errorf("graql: maintaining vertex %s: %w", decl.Name, err)
 		}
 		sv := s.(*sema.CreateVertex)
 		m := &vertexMaint{action: vertexAction(sv, d), old: vt}
-		if !dry {
-			if m.action == patchVertex {
-				var ok bool
-				if vt, m.delta, ok, err = graph.PatchVertexType(m.old, sv.Base, &d.rows, vertexPred(sv)); err != nil {
-					return nil, nil, err
-				} else if !ok {
-					m.action = rebuildVertex
-				}
-			}
-			switch m.action {
-			case carryVertex:
-				vt = graph.ReanchorVertexType(m.old, sv.Base)
-			case rebuildVertex:
-				if vt, err = buildVertexType(sv, m.old.ID); err != nil {
-					return nil, nil, err
-				}
-			}
+		if dry {
+			notes = append(notes, maintNote{m.action, decl.Name})
+		} else if vt, err = e.maintainVertex(decl.Name, m, sv, d); err != nil {
+			return nil, nil, err
 		}
 		if err := g.AddVertexType(vt); err != nil {
 			return nil, nil, err
 		}
 		touched[strings.ToLower(decl.Name)] = m
-		notes = append(notes, maintNote{m.action, decl.Name, int64(vt.Count()), time.Since(start)})
 	}
 
 	for _, decl := range e.Cat.EdgeDecls() {
@@ -407,45 +423,88 @@ func (e *Engine) maintainViews(newTbl *table.Table, d *tableDelta, dry bool) (*g
 			}
 			continue
 		}
-		start := time.Now()
 		s, err := an.Analyze(decl)
 		if err != nil {
 			return nil, nil, fmt.Errorf("graql: maintaining edge %s: %w", decl.Name, err)
 		}
 		se := s.(*sema.CreateEdge)
 		p := planEdge(se, newTbl, d, touched)
-		if !dry {
-			src, dst := se.Sources[0].Vtx, se.Sources[1].Vtx
-			switch p.action {
-			case carryEdge:
-				var attrs *table.Table
-				if p.regather {
-					attrs = se.Sources[se.AttrSource].Tbl
-				}
-				et = graph.ReanchorEdgeType(et, src, dst, attrs)
-			case patchEdge:
-				added, err := deltaEdges(se, p.deltas)
-				if err != nil {
-					return nil, nil, err
-				}
-				var attrs *table.Table
-				var attrD *graph.Delta
-				if se.AttrSource >= 0 {
-					attrs, attrD = se.Sources[se.AttrSource].Tbl, p.deltas[se.AttrSource]
-				}
-				et = graph.PatchEdgeType(et, src, dst, p.deltas[0], p.deltas[1], attrD, added, attrs)
-			case rebuildEdge:
-				if et, err = e.buildEdgeType(se, et.ID); err != nil {
-					return nil, nil, err
-				}
-			}
+		if dry {
+			notes = append(notes, maintNote{p.action, decl.Name})
+		} else if et, err = e.maintainEdge(decl.Name, p, se, et); err != nil {
+			return nil, nil, err
 		}
 		if err := g.AddEdgeType(et); err != nil {
 			return nil, nil, err
 		}
-		notes = append(notes, maintNote{p.action, decl.Name, int64(et.Count()), time.Since(start)})
 	}
 	return g, notes, nil
+}
+
+// maintainVertex builds the new version of the vertex view name under a
+// span named by m's action, counting the view's instances. A patch that
+// flips the type between one-to-one and many-to-one becomes a rebuild, and
+// the span is renamed before it ends.
+func (e *Engine) maintainVertex(name string, m *vertexMaint, sv *sema.CreateVertex, d *tableDelta) (*graph.VertexType, error) {
+	sp := e.opSpan(m.action, name)
+	defer sp.End()
+	var vt *graph.VertexType
+	var err error
+	if m.action == patchVertex {
+		var ok bool
+		if vt, m.delta, ok, err = graph.PatchVertexType(m.old, sv.Base, &d.rows, vertexPred(sv)); err != nil {
+			return nil, err
+		} else if !ok {
+			m.action = rebuildVertex
+			if sp != nil {
+				sp.Action = rebuildVertex
+			}
+		}
+	}
+	switch m.action {
+	case carryVertex:
+		vt = graph.ReanchorVertexType(m.old, sv.Base)
+	case rebuildVertex:
+		if vt, err = buildVertexType(sv, m.old.ID); err != nil {
+			return nil, err
+		}
+	}
+	sp.AddRows(int64(vt.Count()))
+	return vt, nil
+}
+
+// maintainEdge builds the new version of the edge view name, currently
+// et, under a span named by p's action, counting the view's instances.
+func (e *Engine) maintainEdge(name string, p edgePlan, se *sema.CreateEdge, et *graph.EdgeType) (*graph.EdgeType, error) {
+	sp := e.opSpan(p.action, name)
+	defer sp.End()
+	src, dst := se.Sources[0].Vtx, se.Sources[1].Vtx
+	var err error
+	switch p.action {
+	case carryEdge:
+		var attrs *table.Table
+		if p.regather {
+			attrs = se.Sources[se.AttrSource].Tbl
+		}
+		et = graph.ReanchorEdgeType(et, src, dst, attrs)
+	case patchEdge:
+		var added []graph.Edge
+		if added, err = deltaEdges(se, p.deltas); err != nil {
+			return nil, err
+		}
+		var attrs *table.Table
+		var attrD *graph.Delta
+		if se.AttrSource >= 0 {
+			attrs, attrD = se.Sources[se.AttrSource].Tbl, p.deltas[se.AttrSource]
+		}
+		et = graph.PatchEdgeType(et, src, dst, p.deltas[0], p.deltas[1], attrD, added, attrs)
+	case rebuildEdge:
+		if et, err = e.buildEdgeType(se, et.ID); err != nil {
+			return nil, err
+		}
+	}
+	sp.AddRows(int64(et.Count()))
+	return et, nil
 }
 
 // vertexAction decides how a vertex type over the written table is
@@ -552,145 +611,80 @@ func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched ma
 
 // --- explain ---------------------------------------------------------------
 
-func newDMLPlan(analyze bool) (*table.Table, func(action, format string, args ...any) error) {
-	schema := table.Schema{
-		{Name: "step", Type: value.Int},
-		{Name: "action", Type: value.Varchar(32)},
-		{Name: "detail", Type: value.Varchar(255)},
-	}
-	if analyze {
-		schema = append(schema,
-			table.ColumnDef{Name: "rows", Type: value.Int},
-			table.ColumnDef{Name: "time_us", Type: value.Int})
-	}
-	out := table.MustNew("plan", schema)
-	step := 0
-	add := func(action, format string, args ...any) error {
-		step++
-		return out.AppendRow([]value.Value{
-			value.NewInt(int64(step)),
-			value.NewString(action),
-			value.NewString(fmt.Sprintf(format, args...)),
-		})
-	}
-	return out, add
-}
-
 // maintPlan describes the view maintenance the statement that d stands for
 // would trigger on t, without performing it (plain explain): a dry pass of
 // maintainViews, so explain and explain analyze decide alike. Only a flip
 // between one-to-one and many-to-one, which depends on the rows written,
 // can turn a patch announced here into a rebuild.
-func (e *Engine) maintPlan(t *table.Table, d *tableDelta, add func(string, string, ...any) error) error {
+func (e *Engine) maintPlan(t *table.Table, d *tableDelta, p *planTable) (Result, error) {
 	_, notes, err := e.maintainViews(t, d, true)
 	if err != nil {
-		return err
+		return Result{}, err
 	}
 	for _, n := range notes {
-		if err := add("maintain", "%s %s", n.action, n.name); err != nil {
-			return err
-		}
+		p.addf("", "maintain", "%s %s", n.action, n.name)
 	}
-	return e.explainDurability(add)
-}
-
-func (e *Engine) explainDurability(add func(string, string, ...any) error) error {
 	if e.store != nil {
-		if err := add("wal", "append statement record, fsync per policy"); err != nil {
-			return err
+		detail := "append statement record, fsync per policy"
+		if !e.store.Fsync() {
+			detail = "append statement record, no fsync"
 		}
+		p.addf("", "wal", "%s", detail)
 	}
-	return add("commit", "swap table version, install views, bump epoch")
+	p.addf("", "commit", "swap table version, install views, bump epoch")
+	return p.result()
 }
 
 func (e *Engine) explainInsert(s *sema.Insert) (Result, error) {
-	out, add := newDMLPlan(false)
-	if err := add("insert", "%d tuple(s) into table %s", len(s.Rows), s.Table.Name); err != nil {
-		return Result{}, err
-	}
-	if err := e.maintPlan(s.Table, &tableDelta{}, add); err != nil {
-		return Result{}, err
-	}
-	return Result{Kind: ResultTable, Table: out}, nil
+	p := newPlanTable(false, false)
+	p.addf("", "insert", "%d tuple(s) into table %s", len(s.Rows), s.Table.Name)
+	return e.maintPlan(s.Table, &tableDelta{}, p)
 }
 
 func (e *Engine) explainUpdate(s *sema.Update) (Result, error) {
-	out, add := newDMLPlan(false)
-	if err := add("update", "table %s (%d set clause(s))", s.Table.Name, len(s.Sets)); err != nil {
-		return Result{}, err
-	}
-	if s.Where != nil {
-		if err := add("filter", "where %s", s.Where); err != nil {
-			return Result{}, err
-		}
-	} else if err := add("filter", "no where clause: every row matches"); err != nil {
-		return Result{}, err
-	}
+	p := newPlanTable(false, false)
+	p.addf("", "update", "table %s (%d set clause(s))", s.Table.Name, len(s.Sets))
+	explainWhere(s.Where, p)
 	d := &tableDelta{written: make([]bool, len(s.Table.Schema()))}
 	for _, sc := range s.Sets {
 		d.written[sc.Col] = true
 	}
-	if err := e.maintPlan(s.Table, d, add); err != nil {
-		return Result{}, err
-	}
-	return Result{Kind: ResultTable, Table: out}, nil
+	return e.maintPlan(s.Table, d, p)
 }
 
 func (e *Engine) explainDelete(s *sema.Delete) (Result, error) {
-	out, add := newDMLPlan(false)
-	if err := add("delete", "from table %s", s.Table.Name); err != nil {
-		return Result{}, err
-	}
-	if s.Where != nil {
-		if err := add("filter", "where %s", s.Where); err != nil {
-			return Result{}, err
-		}
-	} else if err := add("filter", "no where clause: every row matches"); err != nil {
-		return Result{}, err
-	}
-	if err := e.maintPlan(s.Table, &tableDelta{}, add); err != nil {
-		return Result{}, err
-	}
-	return Result{Kind: ResultTable, Table: out}, nil
+	p := newPlanTable(false, false)
+	p.addf("", "delete", "from table %s", s.Table.Name)
+	explainWhere(s.Where, p)
+	return e.maintPlan(s.Table, &tableDelta{}, p)
 }
 
-// dmlAnalyzeResult renders the executed (and committed) mutation as an
-// explain-analyze plan table: rows affected plus the time spent in each
-// phase, including per-view index maintenance.
-func (e *Engine) dmlAnalyzeResult(b *dmlBuild, walDur, commitDur time.Duration) (Result, error) {
-	out, _ := newDMLPlan(true)
-	step := 0
-	add := func(action, detail string, rows, us int64) error {
-		step++
-		return out.AppendRow([]value.Value{
-			value.NewInt(int64(step)),
-			value.NewString(action),
-			value.NewString(detail),
-			value.NewInt(rows),
-			value.NewInt(us),
-		})
+func explainWhere(where expr.Expr, p *planTable) {
+	if where != nil {
+		p.addf("", "filter", "where %s", where)
+	} else {
+		p.addf("", "filter", "no where clause: every row matches")
 	}
-	maintUs := int64(0)
-	if err := add(b.verb, fmt.Sprintf("table %s", b.table.Name), int64(b.affected), b.buildDur.Microseconds()); err != nil {
-		return Result{}, err
-	}
-	for _, n := range b.notes {
-		maintUs += n.dur.Microseconds()
-		if err := add(n.action, n.name, n.rows, n.dur.Microseconds()); err != nil {
-			return Result{}, err
+}
+
+// dmlAnalyzeResult renders the spans of an executed (and committed) write,
+// each with rows and time, then a total row. The verb's span opens first
+// and covers the build, views included; the maintained views' spans follow
+// it, then wal and commit. So the total adds the verb, wal and commit, and
+// its detail sums the views as index maintenance.
+func dmlAnalyzeResult(spans []*obs.Span) (Result, error) {
+	p := newPlanTable(false, true)
+	p.addSpans(spans, "")
+	var maintUs int64
+	totalUs := spans[0].Duration().Microseconds()
+	for _, sp := range spans[1:] {
+		switch us := sp.Duration().Microseconds(); sp.Action {
+		case "wal", "commit":
+			totalUs += us
+		default:
+			maintUs += us
 		}
 	}
-	if e.store != nil {
-		if err := add("wal", "append + fsync", 1, walDur.Microseconds()); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := add("commit", "swap table version, install views", int64(b.affected), commitDur.Microseconds()); err != nil {
-		return Result{}, err
-	}
-	if err := add("total", fmt.Sprintf("index maintenance %dus", maintUs), int64(b.affected),
-		(b.buildDur + walDur + commitDur).Microseconds()); err != nil {
-		return Result{}, err
-	}
-	return Result{Kind: ResultTable, Table: out}, nil
+	p.add("total", fmt.Sprintf("index maintenance %dus", maintUs), "", spans[0].Rows(), totalUs)
+	return p.result()
 }

@@ -85,29 +85,36 @@ func (e *Engine) applyTableLoad(l *storage.TableLoad) error {
 	return e.replaceTable(l.Table)
 }
 
-// log appends a write's WAL record (see write), fsyncing per the store's
-// policy. A no-op without an attached store, during recovery replay, and
-// for a change that is not durable.
+// log appends a write's WAL record (see write) under a "wal" span,
+// fsyncing per the store's policy, which the span names. A no-op without
+// an attached store, during recovery replay, and for a change that is not
+// durable.
 func (e *Engine) log(st ast.Stmt, params map[string]value.Value, c *change) error {
-	if e.store == nil || e.replay {
+	if e.store == nil || e.replay || st == nil && c.Table == nil {
 		return nil
 	}
+	detail := "append + fsync"
+	if !e.store.Fsync() {
+		detail = "append, no fsync"
+	}
+	sp := e.opSpan("wal", detail)
+	defer sp.End()
 	var rec *storage.Record
-	switch {
-	case st != nil:
+	if st != nil {
 		data, err := ir.Encode(&ast.Script{Stmts: []ast.Stmt{st}})
 		if err != nil {
 			return fmt.Errorf("graql: wal: %w", err)
 		}
 		rec = &storage.Record{Kind: storage.KindStmt, IR: data, Params: params}
-	case c.Table != nil:
+	} else {
 		rec = &storage.Record{Kind: storage.KindTableLoad, Load: &storage.TableLoad{Register: c.Graph == nil, Table: c.Table}}
-	default:
-		return nil
 	}
 	n, err := e.store.Append(rec)
-	if err == nil && e.acct != nil {
-		e.acct.walBytes.Add(int64(n))
+	if err == nil {
+		sp.Incr()
+		if e.acct != nil {
+			e.acct.walBytes.Add(int64(n))
+		}
 	}
 	return err
 }

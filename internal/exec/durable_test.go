@@ -134,3 +134,36 @@ func TestRecoverTornTail(t *testing.T) {
 		t.Errorf("count after torn-tail recovery = %v, want 6", rows)
 	}
 }
+
+// TestWALRowNamesFsyncPolicy: on a store opened with fsync off, DML
+// EXPLAIN and EXPLAIN ANALYZE say the append is not fsynced.
+func TestWALRowNamesFsyncPolicy(t *testing.T) {
+	st, err := storage.Open(t.TempDir(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	e := newTestEngine(nil)
+	if err := e.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, e, `create table T(id integer)`, nil)
+	for q, want := range map[string]string{
+		`explain insert into T values (1)`:         "append statement record, no fsync",
+		`explain analyze insert into T values (1)`: "append, no fsync",
+	} {
+		tb := mustExec(t, e, q, nil)[0].Table
+		found := false
+		for r := uint32(0); r < uint32(tb.NumRows()); r++ {
+			if tb.Value(r, 1).Str() == "wal" {
+				found = true
+				if got := tb.Value(r, 2).Str(); got != want {
+					t.Errorf("%s: wal detail %q, want %q", q, got, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no wal row", q)
+		}
+	}
+}

@@ -331,11 +331,11 @@ func (e *Engine) execSelect(cs *compiledStmt, params map[string]value.Value) (Re
 	return res, nil
 }
 
-// change is one write built aside: what Publish installs, and how long
-// write took to log and publish it (DML's explain analyze).
+// change is one write built aside: what Publish installs, and the rows a
+// DML statement affected, which the commit span counts.
 type change struct {
 	catalog.Change
-	walDur, publishDur time.Duration
+	rows int64
 }
 
 // write is the engine's one write path (DESIGN.md §10). Holding the
@@ -344,7 +344,8 @@ type change struct {
 // mutex. The change is then appended to the WAL, and only after that
 // published with one epoch bump: a write that fails to log is never seen,
 // and a write that is seen survives a crash. A change left empty (an
-// explain) publishes nothing.
+// explain) publishes nothing. Logging and publication each open a span
+// ("wal", "commit"), as build's phases do.
 //
 // The WAL records st with its params when st is set (DDL, DML): replay
 // re-executes the statement, deterministically. Otherwise it records the
@@ -362,13 +363,13 @@ func (e *Engine) write(st ast.Stmt, params map[string]value.Value, c *change, bu
 	if c.Change == (catalog.Change{}) {
 		return nil
 	}
-	start := time.Now()
 	if err := e.log(st, params, c); err != nil {
 		return err
 	}
-	logged := time.Now()
+	sp := e.opSpan("commit", "swap table version, install views")
 	e.Cat.Publish(c.Change)
-	c.walDur, c.publishDur = logged.Sub(start), time.Since(logged)
+	sp.AddRows(c.rows)
+	sp.End()
 	e.maybeCheckpoint()
 	return nil
 }
@@ -576,23 +577,12 @@ func (e *Engine) createFile(path string) (io.WriteCloser, error) {
 }
 
 // edgeDependsOn reports whether an edge declaration reads the swapped
-// table or a maintained vertex type (directly, via from-table clauses, or
-// via where-clause qualifiers).
+// table or a maintained vertex type.
 func edgeDependsOn(d *ast.CreateEdge, touched map[string]*vertexMaint, swapped string) bool {
 	if touched[strings.ToLower(d.SrcType)] != nil || touched[strings.ToLower(d.DstType)] != nil {
 		return true
 	}
-	for _, t := range d.FromTables {
-		if equalFold(t, swapped) {
-			return true
-		}
-	}
-	for _, r := range expr.Refs(d.Where) {
-		if equalFold(r.Qualifier, swapped) {
-			return true
-		}
-	}
-	return false
+	return sema.EdgeReadsTable(d, swapped)
 }
 
 func equalFold(a, b string) bool { return strings.EqualFold(a, b) }

@@ -3,9 +3,7 @@ package exec
 import (
 	"math"
 
-	"graql/internal/ast"
 	"graql/internal/expr"
-	"graql/internal/graph"
 	"graql/internal/plan"
 	"graql/internal/sema"
 	"graql/internal/value"
@@ -13,96 +11,11 @@ import (
 
 // Static cardinality bounds (plan.Interval) computed from the catalog
 // statistics the planner already consumes: vertex counts, degree
-// distribution maxima, seed sizes. EXPLAIN renders the running bound
-// after every plan step as est_rows; EXPLAIN ANALYZE reports the
-// query-level bound next to the actual row count so estimate accuracy is
-// observable per query (the Berlin suite asserts containment).
-
-// estimateSelect bounds the output cardinality of an analyzed select.
-func (e *Engine) estimateSelect(s *sema.Select, params map[string]value.Value) plan.Interval {
-	var iv plan.Interval
-	if s.Table != nil {
-		iv = estimateTableSelect(s)
-	} else {
-		for i, alt := range s.GraphAlts {
-			a := e.estimateGraphAlt(alt, params)
-			if i == 0 {
-				iv = a
-			} else {
-				iv = iv.Alt(a)
-			}
-		}
-	}
-	if s.Distinct {
-		iv = iv.Distinct()
-	}
-	if s.Top > 0 {
-		iv = iv.Top(s.Top)
-	}
-	if s.Into.Kind == ast.IntoSubgraph {
-		// A subgraph result counts vertices, not bindings: every binding
-		// contributes at most one vertex per pattern node.
-		iv = iv.Expand(float64(maxPatternNodes(s)))
-	}
-	return iv
-}
-
-func maxPatternNodes(s *sema.Select) int {
-	n := 0
-	for _, alt := range s.GraphAlts {
-		if alt.Pattern != nil && len(alt.Pattern.Nodes) > n {
-			n = len(alt.Pattern.Nodes)
-		}
-	}
-	return n
-}
-
-// estimateTableSelect bounds a relational select: an exact scan count,
-// loosened by the where clause, collapsed by grouping.
-func estimateTableSelect(s *sema.Select) plan.Interval {
-	iv := plan.Exact(float64(s.Table.NumRows()))
-	if s.Where != nil {
-		iv = iv.Filter()
-	}
-	if s.Grouped {
-		if len(s.GroupBy) == 0 {
-			// A global aggregate emits one row; zero stays possible for an
-			// empty (or fully filtered) input.
-			iv = plan.Interval{Min: math.Min(iv.Min, 1), Max: 1}
-		} else {
-			iv = iv.Group()
-		}
-	}
-	return iv
-}
-
-// estimateGraphAlt bounds one or-composition alternative: the concrete
-// typings a variant pattern expands into produce disjoint binding sets,
-// so their bounds sum.
-func (e *Engine) estimateGraphAlt(alt *sema.GraphAlt, params map[string]value.Value) plan.Interval {
-	prep := e.prepAltForEstimate(alt, params)
-	var total plan.Interval
-	typings := 0
-	err := e.forEachTyping(alt.Pattern, func(nt []*graph.VertexType, et []*graph.EdgeType) error {
-		m, err := e.newMatcher(alt.Pattern, nt, et,
-			prep.nodeCond, prep.edgeCond)
-		if err != nil {
-			return err
-		}
-		_, fin := typingIntervals(m, prep.nodeCond)
-		if typings == 0 {
-			total = fin
-		} else {
-			total = total.Add(fin)
-		}
-		typings++
-		return nil
-	})
-	if err != nil || typings == 0 {
-		return plan.Unbounded()
-	}
-	return total
-}
+// distribution maxima, seed sizes. walkSelect (explain.go) threads them
+// through the plan: EXPLAIN renders the running bound after every plan
+// step as est_rows; EXPLAIN ANALYZE reports the statement's bound next
+// to the actual row count so estimate accuracy is observable per query
+// (the Berlin suite asserts containment).
 
 // prepAltForEstimate binds an alternative's conditions for estimation.
 // Unbound parameters are fine here: the raw conditions estimate as

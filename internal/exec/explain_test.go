@@ -173,3 +173,23 @@ func TestExplainEstRows(t *testing.T) {
 		t.Errorf("unbounded regex expand est_rows = %q, want an inf bound", est["expand"])
 	}
 }
+
+// TestExplainOrCompositionBound: EXPLAIN of an or-composed select ends
+// with a row carrying the union of the terms' bounds, the bound EXPLAIN
+// ANALYZE prints on its result row.
+func TestExplainOrCompositionBound(t *testing.T) {
+	e := semaEngine(t)
+	const q = `select x.id from graph def x: A (id = 'a0') --e--> B (n < 1) or A ( ) --loop--> def x: A ( )`
+	plan := mustExec(t, e, "explain "+q, nil)[0].Table
+	last := plan.Value(uint32(plan.NumRows()-1), 3).Str()
+	ran := mustExec(t, e, "explain analyze "+q, nil)[0].Table
+	result := ""
+	for r := uint32(0); r < uint32(ran.NumRows()); r++ {
+		if ran.Value(r, 1).Str() == "result" {
+			result = ran.Value(r, 3).Str()
+		}
+	}
+	if result == "" || last != result {
+		t.Errorf("explain's last est_rows %q, explain analyze's result est_rows %q: want them equal", last, result)
+	}
+}

@@ -232,3 +232,58 @@ func TestStatementLabelRenderedOnce(t *testing.T) {
 		t.Errorf("traced execute allocates %.0f objects, want <= 226", allocs)
 	}
 }
+
+// TestTracedDMLSpans: a traced update of a table that feeds views shows
+// every phase of the write under its statement span, the same spans DML
+// EXPLAIN ANALYZE renders: the verb (timed over the build), one span per
+// maintained view named by EXPLAIN's action, the WAL append and the
+// commit.
+func TestTracedDMLSpans(t *testing.T) {
+	e := newDurableEngine(t, t.TempDir(), nil)
+	mustExec(t, e, dmlViewScript+`
+insert into Person values (1, 'rome'), (2, 'oslo')
+insert into Knows values (1, 2, 2020)`, nil)
+	const stmt = `update Person set city = 'lima' where id = 2`
+	var want []string
+	plan := mustExec(t, e, "explain "+stmt, nil)[0].Table
+	for r := uint32(0); r < uint32(plan.NumRows()); r++ {
+		if plan.Value(r, 1).Str() == "maintain" {
+			want = append(want, plan.Value(r, 2).Str())
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("explain names no maintained view")
+	}
+
+	tr := obs.NewTrace(obs.TraceID{})
+	if _, err := e.WithTrace(tr, nil).ExecScript(stmt, nil); err != nil {
+		t.Fatal(err)
+	}
+	roots := tr.Tree().Roots
+	if len(roots) != 1 || roots[0].Action != "statement" {
+		t.Fatalf("roots = %v, want one statement span", actionsOf(roots))
+	}
+	kids := roots[0].Children
+	if len(kids) == 0 || kids[0].Action != "update" || kids[0].Rows != 1 {
+		t.Fatalf("statement children = %v, want the update span (1 row) first", actionsOf(kids))
+	}
+	if kids[0].ElapsedUs == 0 {
+		t.Error("the update span has no elapsed time: it must cover the build")
+	}
+	var got []string
+	for _, k := range kids[1:] {
+		switch k.Action {
+		case carryVertex, patchVertex, rebuildVertex, carryEdge, patchEdge, rebuildEdge:
+			got = append(got, k.Action+" "+k.Detail)
+		}
+	}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("maintenance spans %v, want explain's %v", got, want)
+	}
+	if n := countAction(kids, "wal"); n != 1 {
+		t.Errorf("%d wal spans, want 1", n)
+	}
+	if n := countAction(kids, "commit"); n != 1 {
+		t.Errorf("%d commit spans, want 1", n)
+	}
+}

@@ -212,3 +212,33 @@ insert into Other values (1), (2)`, nil)
 		}
 	}
 }
+
+// TestIntoTableCannotReplaceViewTable: a select into a table a vertex or
+// edge view is declared over is refused (GQL0108). Publishing it would
+// leave the views over the old rows, and the next write to the table
+// would patch them against rows they do not index.
+func TestIntoTableCannotReplaceViewTable(t *testing.T) {
+	e := semaEngine(t)
+	for _, q := range []string{
+		`select id, n from table TA where n > 1 into table TA`,
+		`select src, dst, w from table TE where w > 2 into table TE`,
+	} {
+		if _, err := e.ExecScript(q, nil); err == nil || !strings.Contains(err.Error(), "GQL0108") {
+			t.Errorf("%s: err = %v, want GQL0108", q, err)
+		}
+	}
+	const vertices = `select a.id from graph def a: A ( )`
+	if n := len(tableRows(t, mustExec(t, e, vertices, nil))); n != 4 {
+		t.Fatalf("A has %d vertices, want the 4 of TA", n)
+	}
+	mustExec(t, e, `insert into TA values ('a9', 9)`, nil)
+	if n := len(tableRows(t, mustExec(t, e, vertices, nil))); n != 5 {
+		t.Errorf("A has %d vertices after the insert, want 5", n)
+	}
+	mustExec(t, e, `select id, n from table TA where n > 1 into table Big`, nil)
+
+	// An edge's where-clause qualifier naming an endpoint alias reads the
+	// vertex view, not a table of that name.
+	v := newTestEngine(nil)
+	mustExec(t, v, dmlViewScript+`select id from table Person into table A`, nil)
+}

@@ -333,14 +333,7 @@ func (a *Analyzer) analyzeCreateEdge(s *ast.CreateEdge) Stmt {
 	if dstV == nil {
 		a.errorf(s.DstPos, diag.UnknownVertex, "unknown vertex type %s in edge %s", s.DstType, s.Name)
 	}
-	srcName := s.SrcAlias
-	if srcName == "" {
-		srcName = s.SrcType
-	}
-	dstName := s.DstAlias
-	if dstName == "" {
-		dstName = s.DstType
-	}
+	srcName, dstName := endpointNames(s)
 	out := &CreateEdge{
 		Decl: s,
 		Sources: []*EdgeSource{

@@ -1,6 +1,7 @@
 package sema
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -74,10 +75,59 @@ type Select struct {
 func (*Select) semaStmt() {}
 
 func (a *Analyzer) analyzeSelect(s *ast.Select) Stmt {
+	if s.Into.Kind == ast.IntoTable {
+		a.checkIntoTable(s.Into)
+	}
 	if s.Graph != nil {
 		return a.analyzeGraphSelect(s)
 	}
 	return a.analyzeTableSelect(s)
+}
+
+// checkIntoTable rejects a result that would replace a table a vertex or
+// edge declaration reads: a result table is published as it is, without
+// re-deriving the views over the name, which would go stale.
+func (a *Analyzer) checkIntoTable(into ast.Into) {
+	for _, d := range a.Cat.VertexDecls() {
+		if strings.EqualFold(d.From, into.Name) {
+			a.errorf(into.NamePos, diag.DuplicateName, "table %s feeds vertex %s; a select cannot replace it", into.Name, d.Name)
+			return
+		}
+	}
+	for _, d := range a.Cat.EdgeDecls() {
+		if EdgeReadsTable(d, into.Name) {
+			a.errorf(into.NamePos, diag.DuplicateName, "table %s feeds edge %s; a select cannot replace it", into.Name, d.Name)
+			return
+		}
+	}
+}
+
+// EdgeReadsTable reports whether an edge declaration reads the named
+// table: as one of its from-tables or through a where-clause qualifier.
+// A qualifier naming an endpoint (endpointNames) reads that vertex view,
+// not a table, as analyzeCreateEdge resolves it.
+func EdgeReadsTable(d *ast.CreateEdge, tbl string) bool {
+	for _, t := range d.FromTables {
+		if strings.EqualFold(t, tbl) {
+			return true
+		}
+	}
+	if src, dst := endpointNames(d); strings.EqualFold(src, tbl) || strings.EqualFold(dst, tbl) {
+		return false
+	}
+	reads := false
+	expr.Walk(d.Where, func(n expr.Expr) {
+		if r, ok := n.(*expr.Ref); ok && strings.EqualFold(r.Qualifier, tbl) {
+			reads = true
+		}
+	})
+	return reads
+}
+
+// endpointNames returns how an edge declaration's where clause names its
+// source and target: each one's alias, or its type when it has none.
+func endpointNames(d *ast.CreateEdge) (src, dst string) {
+	return cmp.Or(d.SrcAlias, d.SrcType), cmp.Or(d.DstAlias, d.DstType)
 }
 
 func (a *Analyzer) analyzeTableSelect(s *ast.Select) Stmt {

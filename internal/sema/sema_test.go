@@ -5,6 +5,7 @@
 package sema_test
 
 import (
+	"strings"
 	"testing"
 
 	"graql/internal/diag"
@@ -235,6 +236,29 @@ func TestDuplicateDDLNames(t *testing.T) {
 	wantCode(t, e, `create vertex ProductVtx(id) from table Products`, diag.DuplicateName)
 	wantCode(t, e, `create table ProductVtx(id integer)`, diag.DuplicateName)
 	wantCode(t, e, `create edge producer with vertices (ProductVtx, ProducerVtx) where ProductVtx.producer = ProducerVtx.id`, diag.DuplicateName)
+}
+
+// TestIntoTableOverViewTable: a select cannot replace a table a vertex or
+// edge declaration reads (a vertex's from table, an edge's from tables or
+// where-clause qualifiers), in Vet and in Analyze alike.
+func TestIntoTableOverViewTable(t *testing.T) {
+	e := fixture(t)
+	if _, err := e.ExecScript(`create table Tags(product varchar(10), producer varchar(10))
+create edge tagged with vertices (ProductVtx, ProducerVtx) from table Tags
+where Tags.product = ProductVtx.id and Tags.producer = ProducerVtx.id`, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`select id, label, producer, price, added from table Products into table Products`,
+		`select product, producer from table Tags into table Tags`,
+		`select ProductVtx.id from graph ProductVtx ( ) into table producers`,
+	} {
+		wantCode(t, e, q, diag.DuplicateName)
+		if _, err := analyze(t, e, q); err == nil || !strings.Contains(err.Error(), string(diag.DuplicateName)) {
+			t.Errorf("Analyze: err = %v, want %s\n%s", err, diag.DuplicateName, q)
+		}
+	}
+	wantOK(t, e, `select id, label from table Products into table Cheap`)
 }
 
 func TestEdgeDeclarationAnalysis(t *testing.T) {

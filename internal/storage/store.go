@@ -104,6 +104,10 @@ func Open(dir string, fsync bool, reg *obs.Registry) (*Store, error) {
 // Dir returns the data directory path.
 func (s *Store) Dir() string { return s.dir }
 
+// Fsync reports whether every WAL append is flushed to stable storage
+// before it is acknowledged (the policy Open was given).
+func (s *Store) Fsync() bool { return s.fsync }
+
 // LastSeq returns the sequence number of the last durable record (or the
 // snapshot's, when the WAL is empty).
 func (s *Store) LastSeq() uint64 {
