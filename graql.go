@@ -151,8 +151,8 @@ func WithTracing(n int) Option {
 
 // WithPlanCache sets the capacity of the script cache: a repeated
 // read-only script text runs its already compiled form (no lexing,
-// parsing, analysis or planning), re-planning only when a committed
-// mutation moves the catalog epoch. Default 256 scripts; n <= 0 turns
+// parsing, analysis or planning), re-planning only when something its
+// plan read has changed (a table's schema, the view graph). Default 256 scripts; n <= 0 turns
 // all reuse off, and prepared statements then re-analyze on every Exec.
 func WithPlanCache(n int) Option {
 	return func(o *exec.Options) {
@@ -334,7 +334,7 @@ func (s *Stmt) ExecContext(ctx context.Context, params map[string]any) ([]Result
 func (s *Stmt) Text() string { return s.p.Text() }
 
 // PlanCacheStats reports the database's plan reuse counters: hits,
-// misses, evictions (capacity plus stale-epoch invalidations) and the
+// misses, evictions (capacity plus stale plans dropped) and the
 // current number of cached scripts. All zeros when reuse is disabled.
 func (db *DB) PlanCacheStats() (hits, misses, evictions, size int64) {
 	return db.eng.PlanCacheStats()

@@ -43,12 +43,14 @@ func (e *Engine) runExplainAnalyze(s *sema.Select, params map[string]value.Value
 	// Report whether a plain execution of this statement would find its
 	// plan stored right now. EXPLAIN ANALYZE itself always re-instruments
 	// (its plan rows need a private trace); the answer comes from the plan
-	// slot of the script-cache entry for the explain-stripped text.
+	// slot of the script-cache entry for the explain-stripped text, tested
+	// as planSelect tests it.
 	if e.scripts != nil {
-		detail := "miss — shape not cached at current catalog epoch"
+		detail := "miss — shape not cached, or what it read has changed"
 		if p := e.scripts.get(stripExplainPrefix(text), true); p != nil && len(p.stmts) == 1 {
-			if slot := p.stmts[0].plan.Load(); slot != nil && slot.epoch == e.Cat.Epoch() {
-				detail = "hit — shape cached at current catalog epoch"
+			cs := &p.stmts[0]
+			if slot := cs.plan.Load(); slot != nil && e.fresh(slot, e.source(cs, nil)) {
+				detail = "hit — shape cached and fresh"
 			}
 		}
 		tr.Span("plan cache", detail).Record(0, 0)

@@ -173,10 +173,13 @@ func TestStripExplainPrefix(t *testing.T) {
 // EXPLAIN ANALYZE keys on the same fingerprint as plain execution (the
 // explain-stripped statement source), so a warm plain shape reports a
 // hit even though the prepared statement was never executed from text.
+// It tests the slot as execution does: a result published under another
+// name since does not make the warm shape's plan stale.
 func TestExplainAnalyzePreparedCacheProbe(t *testing.T) {
 	e := planCacheEngine(t, 0)
 	const plain = `select name from table Items where id = 1`
 	mustExec(t, e, plain, nil) // warm the plain shape
+	mustExec(t, e, `select id from table Items into table Snap`, nil)
 	p, err := e.Prepare("explain analyze " + plain)
 	if err != nil {
 		t.Fatal(err)

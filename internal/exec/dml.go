@@ -121,7 +121,7 @@ func (e *Engine) writeDML(st ast.Stmt, params map[string]value.Value) (Result, e
 	var plan Result
 	var c change
 	err := e.write(st, params, &c, func() error {
-		analyzed, err := e.analyze(st)
+		analyzed, err := e.analyze(st, nil)
 		if err != nil {
 			return err
 		}

@@ -73,7 +73,7 @@ type Options struct {
 	// PlanCache sets the capacity of the script cache: the LRU of
 	// compiled read-only scripts, keyed on exact script text, through
 	// which a repeated text skips lexer→parser→sema→plan, re-planning
-	// only when the catalog epoch moves. 0 means the default capacity
+	// only when something a plan read has changed. 0 means the default capacity
 	// (256 scripts); negative disables all reuse — no script is cached
 	// and prepared handles re-analyze on every execute.
 	PlanCache int
@@ -137,6 +137,10 @@ type Engine struct {
 	// every fork (nil when Options.PlanCache < 0).
 	scripts *scriptCache
 
+	// scope holds the script's own results that the running statement
+	// reads, for its seeded steps (nil unless a graph select reads one).
+	scope *scope
+
 	// store is the attached durability layer (nil runs in-memory only).
 	// replay is true while recovery replays the snapshot and WAL tail; it
 	// suppresses re-logging of replayed statements.
@@ -176,7 +180,7 @@ type Result struct {
 func (e *Engine) ExecStmt(st ast.Stmt, params map[string]value.Value) (Result, error) {
 	var cs compiledStmt
 	cs.init(st, "")
-	return e.execStmtID(&cs, params)
+	return e.execStmtID(&cs, params, nil)
 }
 
 // ExecParsed executes an already parsed script (decoded IR, a
@@ -190,10 +194,12 @@ func (e *Engine) ExecParsed(script *ast.Script, params map[string]value.Value) (
 // metrics and the slow-query log when the engine has an observability
 // registry. On a traced engine (WithTrace) each statement gets a
 // "statement" span and all operator, sweep and cluster spans of its
-// execution nest beneath it.
-func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value) (Result, error) {
+// execution nest beneath it. done holds the results of the statements of
+// the script that ran before this one, by index: the statement reads the
+// ones its locals name.
+func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value, done []Result) (Result, error) {
 	if e.met.reg == nil && e.trace == nil {
-		return e.execStmt(cs, params)
+		return e.execStmt(cs, params, done)
 	}
 	st := cs.st
 	run := e
@@ -226,7 +232,7 @@ func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value) (Re
 		acct.live = e.met.reg.StartQuery(cs.id.fp, cs.id.norm, e.traceID(), cancel)
 	}
 	start := time.Now()
-	res, err := run.execStmt(cs, params)
+	res, err := run.execStmt(cs, params, done)
 	elapsed := time.Since(start)
 	if cancel != nil {
 		acct.live.Finish()
@@ -262,13 +268,13 @@ func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value) (Re
 // concurrently (§III-B1); output and ingest resolve their table under it
 // and do their file IO holding no lock. Everything that changes the
 // catalog — DDL, ingest, DML, an into result — goes through write.
-func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value) (Result, error) {
+func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value, done []Result) (Result, error) {
 	if err := e.canceled(); err != nil {
 		return Result{}, err
 	}
 	switch st := cs.st.(type) {
 	case *ast.Select:
-		return e.execSelect(cs, params)
+		return e.execSelect(cs, params, done)
 	case *ast.CreateTable, *ast.CreateVertex, *ast.CreateEdge:
 		return e.execDDL(st, params)
 	case *ast.Insert, *ast.Update, *ast.Delete:
@@ -277,7 +283,7 @@ func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value) (Resu
 		}
 	}
 	e.Cat.RLock()
-	analyzed, err := e.analyze(cs.st)
+	analyzed, err := e.analyze(cs.st, scopeOf(cs, done))
 	e.Cat.RUnlock()
 	if err != nil {
 		return Result{}, err
@@ -297,21 +303,77 @@ func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value) (Resu
 	return Result{}, fmt.Errorf("graql: unsupported statement %T", analyzed)
 }
 
-func (e *Engine) analyze(st ast.Stmt) (sema.Stmt, error) {
+// analyze analyses a statement against the catalog and, when sc is
+// non-nil, the script's own results before it.
+func (e *Engine) analyze(st ast.Stmt, sc *scope) (sema.Stmt, error) {
 	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
+	if sc != nil {
+		an.Locals = sc
+	}
 	return an.Analyze(st)
 }
 
+// scope resolves names to the results that earlier statements of a
+// script produced (DESIGN.md §10): a statement reads its own script's
+// result, not whichever result of that name was published last.
+type scope struct {
+	locals []plan.Local
+	done   []Result // the script's results so far, by statement index
+}
+
+// scopeOf returns the scope of a statement that reads results of its
+// own script, else nil.
+func scopeOf(cs *compiledStmt, done []Result) *scope {
+	if len(cs.locals) == 0 {
+		return nil
+	}
+	return &scope{cs.locals, done}
+}
+
+// Table returns the script's result table of that name, or nil. Nil-safe.
+func (s *scope) Table(name string) *table.Table {
+	if at := s.find(name, false); at >= 0 {
+		return s.done[at].Table
+	}
+	return nil
+}
+
+// Subgraph returns the script's result subgraph of that name, or nil.
+func (s *scope) Subgraph(name string) *graph.Subgraph {
+	if at := s.find(name, true); at >= 0 {
+		return s.done[at].Subgraph
+	}
+	return nil
+}
+
+func (s *scope) find(name string, sub bool) int {
+	if s == nil {
+		return -1
+	}
+	for _, l := range s.locals {
+		if l.Subgraph == sub && strings.EqualFold(l.Name, name) {
+			return l.At
+		}
+	}
+	return -1
+}
+
 // execSelect runs a select under the read lock and then publishes its
-// into result, if any.
-func (e *Engine) execSelect(cs *compiledStmt, params map[string]value.Value) (Result, error) {
+// into result, if any. Results stay published for later scripts; this
+// script's later statements read them through done.
+func (e *Engine) execSelect(cs *compiledStmt, params map[string]value.Value, done []Result) (Result, error) {
 	e.Cat.RLock()
-	sel, err := e.planSelect(cs)
+	sel, err := e.planSelect(cs, done)
 	if err != nil {
 		e.Cat.RUnlock()
 		return Result{}, err
 	}
-	res, err := e.runSelect(sel, params, cs.id.script)
+	run := e
+	if sel.Table == nil && len(cs.locals) > 0 { // seeded from the script's own subgraph
+		run = e.fork(e.trace, e.parent)
+		run.scope = scopeOf(cs, done)
+	}
+	res, err := run.runSelect(sel, params, cs.id.script)
 	e.Cat.RUnlock()
 	if err != nil || sel.Explain {
 		return res, err // an explain is a plan description; nothing to publish
@@ -389,7 +451,7 @@ func (e *Engine) execDDL(st ast.Stmt, params map[string]value.Value) (Result, er
 	var msg string
 	var c change
 	err := e.write(st, params, &c, func() error {
-		analyzed, err := e.analyze(st)
+		analyzed, err := e.analyze(st, nil)
 		if err != nil {
 			return err
 		}
@@ -435,7 +497,7 @@ func (e *Engine) ExecScriptStaged(src string, params map[string]value.Value) ([]
 		stage := stage
 		_ = runShards(e.ctx, &e.met, len(stage), e.Opts.workers(), func(k int) error {
 			i := stage[k]
-			results[i], errs[i] = e.execStmtID(&p.stmts[i], params)
+			results[i], errs[i] = e.execStmtID(&p.stmts[i], params, results)
 			return nil
 		})
 		for _, i := range stage {

@@ -4,14 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"graql/internal/ast"
+	"graql/internal/graph"
 	"graql/internal/ir"
 	"graql/internal/obs"
 	"graql/internal/parser"
+	"graql/internal/plan"
 	"graql/internal/sema"
+	"graql/internal/table"
 	"graql/internal/value"
 )
 
@@ -22,9 +26,9 @@ import (
 // looks the script text up in the engine's script cache
 // (scriptcache.go) and compiles on a miss, and ExecStmt / ExecParsed
 // wrap their ASTs in a transient one. Executing it binds %name%
-// parameters and runs each compiled statement; a read-only select whose
-// plan slot was filled under the current catalog epoch skips semantic
-// analysis and planning as well.
+// parameters and runs each compiled statement; a select whose plan slot
+// still holds for what it reads (fresh) skips semantic analysis and
+// planning as well.
 //
 // A Prepared is immutable after compilation apart from its plan slots,
 // safe for concurrent execution, and belongs to the engine (and its
@@ -42,11 +46,18 @@ type Prepared struct {
 }
 
 // compiledStmt is one statement of a Prepared: its detached AST, its
-// observability identity and — for read-only selects — the slot holding
-// its latest plan.
+// observability identity, the results of earlier statements it reads and
+// — for selects — the slot holding its latest plan.
 type compiledStmt struct {
-	st   ast.Stmt
-	id   stmtIdent
+	st ast.Stmt
+	id stmtIdent
+	// locals lists the results this statement reads that earlier
+	// statements of its script produce (plan.Locals); it reads them, not
+	// the catalog's objects of those names.
+	locals []plan.Local
+	// src is a table select's source table name, lower-cased once here so
+	// that resolving it in the catalog on every execution allocates nothing.
+	src  string
 	plan atomic.Pointer[planSlot]
 	// label is the statement span's detail, rendered on the first traced
 	// execution: st is the unbound, shared AST, so it never changes.
@@ -61,10 +72,11 @@ type stmtIdent struct {
 	script string // statement text: its source span, or the canonical rendering
 }
 
-// planSlot is an analyzed select with the catalog epoch it binds to.
+// planSlot is an analyzed select with the view graph it was analyzed
+// against; fresh says when it still holds.
 type planSlot struct {
-	epoch uint64
-	sel   *sema.Select
+	graph *graph.Graph
+	sel   sema.Select
 }
 
 // Text returns the canonical rendering of the prepared script.
@@ -119,8 +131,12 @@ func compileText(src string) (*Prepared, error) {
 // programmatic ASTs), which are identified by their canonical rendering.
 func compile(stmts []ast.Stmt, src string) *Prepared {
 	p := &Prepared{src: src, stmts: make([]compiledStmt, len(stmts)), ro: true}
+	locals := plan.Locals(stmts)
 	for i, st := range stmts {
 		p.stmts[i].init(st, src)
+		if locals != nil {
+			p.stmts[i].locals = locals[i]
+		}
 		if mutatesCatalog(st) {
 			p.ro = false
 		}
@@ -140,6 +156,9 @@ func (cs *compiledStmt) init(st ast.Stmt, src string) {
 	}
 	fp, norm := obs.Fingerprint(text)
 	cs.st, cs.id = st, stmtIdent{fp: fp, norm: norm, script: text}
+	if sel, ok := st.(*ast.Select); ok && sel.Graph == nil {
+		cs.src = strings.ToLower(sel.FromTable)
+	}
 }
 
 // detail returns the statement's trace label (stmtDetail), rendering it
@@ -200,7 +219,7 @@ func (e *Engine) analyzed(p *Prepared) (*Prepared, error) {
 		if _, ok := p.stmts[i].st.(*ast.Select); !ok {
 			continue
 		}
-		if _, err := e.planSelect(&p.stmts[i]); err != nil {
+		if _, err := e.planSelect(&p.stmts[i], nil); err != nil {
 			return nil, fmt.Errorf("statement %d: %w", i+1, err)
 		}
 	}
@@ -218,54 +237,90 @@ func mutatesCatalog(st ast.Stmt) bool {
 }
 
 // planCacheable reports whether a statement's plan may be reused across
-// executions: read-only selects only. Into-selects register results (a
-// catalog mutation), and explain variants render plans rather than
-// execute them.
-func planCacheable(sel *ast.Select) bool {
-	return sel.Into.Kind == ast.IntoNone && !sel.Explain
-}
+// executions: every select but an explain, which renders a plan rather
+// than executing one.
+func planCacheable(sel *ast.Select) bool { return !sel.Explain }
 
 // planSelect resolves a compiled select to its analyzed plan: load the
-// statement's slot; same catalog epoch → hit, else analyze, verify and
-// store. The caller holds the catalog read lock: the epoch read here
-// stays valid for the whole execution that follows, because every write
-// bumps it in Catalog.Publish, under the full write lock — so a plan
-// observed fresh never refers to a superseded table or view version.
-func (e *Engine) planSelect(cs *compiledStmt) (*sema.Select, error) {
+// statement's slot; if it is fresh for what the statement reads now — its
+// source table, the script's own result (done holds the results of the
+// statements before it) or the catalog's — it is a hit, else analyze,
+// verify and store. The caller holds the catalog read lock, so what the
+// plan read stays published for the whole execution that follows.
+func (e *Engine) planSelect(cs *compiledStmt, done []Result) (*sema.Select, error) {
 	sel := cs.st.(*ast.Select)
 	reuse := e.scripts != nil && planCacheable(sel)
-	var epoch uint64
 	if reuse {
-		epoch = e.Cat.Epoch()
 		if slot := cs.plan.Load(); slot != nil {
-			if slot.epoch == epoch {
+			if src := e.source(cs, done); e.fresh(slot, src) {
+				if slot.sel.Table != src {
+					// Same schema, another table: the plan holds as it is
+					// once it reads the current one.
+					slot = &planSlot{graph: slot.graph, sel: slot.sel}
+					slot.sel.Table = src
+					cs.plan.Store(slot)
+				}
 				// A stored plan outlives the execution that built it, so
 				// verify on the hit path too: a corruption bug anywhere in
 				// invalidation surfaces here as a loud error instead of a
 				// wrong answer.
-				if err := e.verifyPlanDue(slot.sel, "plan-cache"); err != nil {
+				if err := e.verifyPlanDue(&slot.sel, "plan-cache"); err != nil {
 					return nil, err
 				}
 				e.scripts.hit()
 				e.acct.notePlanHit()
-				return slot.sel, nil
+				return &slot.sel, nil
 			}
-			e.scripts.evicted() // planned under a superseded catalog version
+			e.scripts.evicted() // what the plan read has changed
 		}
 		e.scripts.miss()
 	}
-	analyzed, err := e.analyze(sel)
+	analyzed, err := e.analyze(sel, scopeOf(cs, done))
 	if err != nil {
 		return nil, err
 	}
-	plan := analyzed.(*sema.Select)
-	if err := e.verifyPlanDue(plan, "plan"); err != nil {
+	p := analyzed.(*sema.Select)
+	if err := e.verifyPlanDue(p, "plan"); err != nil {
 		return nil, err
 	}
 	if reuse {
-		cs.plan.Store(&planSlot{epoch: epoch, sel: plan})
+		slot := &planSlot{graph: e.Cat.Graph(), sel: *p}
+		cs.plan.Store(slot)
+		p = &slot.sel
 	}
-	return plan, nil
+	return p, nil
+}
+
+// fresh is the one test of whether a stored plan still holds (DESIGN.md
+// §12). src is the table the statement reads now (nil in graph mode). A
+// table-mode plan depends only on its source's schema, so it holds for
+// any table of the same name and schema, read in place of the one it was
+// analyzed against. A graph-mode plan holds vertex and edge types, so it
+// holds while the view graph is the one it was analyzed against. So does
+// any plan into a table: its target was checked against the view
+// declarations, which change only with the graph.
+func (e *Engine) fresh(slot *planSlot, src *table.Table) bool {
+	p := &slot.sel
+	if (p.Table == nil || p.Into.Kind == ast.IntoTable) && slot.graph != e.Cat.Graph() {
+		return false
+	}
+	if p.Table == src {
+		return true
+	}
+	return src != nil && p.Table.Name == src.Name && slices.Equal(p.Table.Schema(), src.Schema())
+}
+
+// source returns the table a table select reads: the result of the
+// earlier statement of its script that produced it, else the catalog's
+// table of that name. nil in graph mode, or when neither exists.
+func (e *Engine) source(cs *compiledStmt, done []Result) *table.Table {
+	if cs.src == "" {
+		return nil
+	}
+	if t := (&scope{cs.locals, done}).Table(cs.src); t != nil {
+		return t
+	}
+	return e.Cat.Table(cs.src)
 }
 
 // ExecPrepared executes a prepared handle, binding the script's %name%
@@ -289,7 +344,7 @@ func (e *Engine) execCompiled(p *Prepared, params map[string]value.Value) ([]Res
 		if err := e.canceled(); err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}
-		r, err := e.execStmtID(&p.stmts[i], params)
+		r, err := e.execStmtID(&p.stmts[i], params, out)
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}

@@ -292,17 +292,19 @@ func TestUnknownSeedIsAnError(t *testing.T) {
 	}
 }
 
-// TestGraphSelectAllocs guards the allocation budget of the graph selects
-// the repository benchmark gates at +5 % allocs/op: the two one-hop
-// lookups of serve_* (s3) and write_mixed (writeRead), whose ceilings are
-// what the row-at-a-time matcher spent and must not rise, and which stay
-// on the enumerate route; BQ6 (reduce-only) and BQ1 (count), bi_graph's
+// TestGraphSelectAllocs guards the allocation budget of the selects the
+// repository benchmark gates at +5 % allocs/op: the two one-hop lookups of
+// serve_* (s3) and write_mixed (writeRead), whose ceilings are what the
+// row-at-a-time matcher spent and must not rise, and which stay on the
+// enumerate route; serve_*'s table lookup (s1), whose stored plan is
+// reused in place and whose ceiling is what it spent before plans were
+// keyed on what they read; BQ6 (reduce-only) and BQ1 (count), bi_graph's
 // largest answers, whose ceilings are what they spend answered from the
-// reduced sets, short of what enumerating their bindings spent; and
-// dist_chain's chain on two simulated partitions, whose ceiling is what
-// it spends now that its edge-marking sweeps, like every other sweep,
-// fan out only above the parallel threshold. Counts move by one with how
-// the sweep goroutines interleave.
+// reduced sets with both statements' plans reused (the into-select's and
+// its consumer's, rebound to the script's own result); and dist_chain's
+// chain on two simulated partitions, whose plan is reused too. Counts
+// move by one or two with how the sweep goroutines interleave (distChain
+// reads 221 or 222 under -race).
 func TestGraphSelectAllocs(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 2
@@ -326,10 +328,12 @@ func TestGraphSelectAllocs(t *testing.T) {
 			map[string]value.Value{"Id": value.NewString("t3"), "Publisher": value.NewString("nobody")}, 88}, // parent 88, now 66
 		{"writeRead", nodes, `select b.id, b.val from graph NodeVtx (id = %Id%) --prev--> def b: NodeVtx`,
 			map[string]value.Value{"Id": value.NewInt(4321)}, 73}, // parent 73, now 54
-		{"BQ6", berlin, bsbm.Q6.Script, country, 165}, // enumerated 168, now 159
-		{"BQ1", berlin, bsbm.Q1.Script, country, 305}, // enumerated 373, now 300
+		{"s1", berlin, `select id, label, country from table Producers where id = %Id% and publisher <> %Publisher%`,
+			map[string]value.Value{"Id": value.NewString("m3"), "Publisher": value.NewString("nobody")}, 41}, // parent 41
+		{"BQ6", berlin, bsbm.Q6.Script, country, 103}, // enumerated 168, reduced 159, both plans reused 100
+		{"BQ1", berlin, bsbm.Q1.Script, country, 222}, // enumerated 373, counted 300, both plans reused 219
 		{"distChain", dist, `select * from graph ProducerVtx (country = %Country%) <--producer-- ProductVtx (propertyNumeric_1 > %Lower%) <--reviewFor-- ReviewVtx into subgraph distChain`,
-			map[string]value.Value{"Country": value.NewString("US"), "Lower": value.NewInt(500)}, 269}, // parent 305, now 268
+			map[string]value.Value{"Country": value.NewString("US"), "Lower": value.NewInt(500)}, 224}, // parent 305, 268, plan reused 221–222
 	} {
 		p, err := c.e.Prepare(c.src)
 		if err != nil {

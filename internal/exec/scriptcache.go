@@ -30,7 +30,7 @@ import (
 // literal-distinct insert is its own text) and must not be retained.
 //
 // Invalidation. Entries are never invalidated; their plan slots are,
-// by catalog epoch (planSelect).
+// when what the plan read has changed (fresh).
 
 // defaultPlanCacheCap bounds the cache when Options.PlanCache is 0.
 const defaultPlanCacheCap = 256
@@ -66,7 +66,7 @@ func newScriptCache(capacity int, reg *obs.Registry) *scriptCache {
 	if reg != nil {
 		c.hits = reg.Counter("graql_plancache_hits_total", "select statements served from their stored plan")
 		c.misses = reg.Counter("graql_plancache_misses_total", "cacheable select statements that had to be analyzed")
-		c.evictions = reg.Counter("graql_plancache_evictions_total", "compiled scripts dropped for capacity plus plans dropped for a stale catalog epoch")
+		c.evictions = reg.Counter("graql_plancache_evictions_total", "compiled scripts dropped for capacity plus plans dropped because what they read changed")
 	}
 	return c
 }
@@ -109,7 +109,7 @@ func (c *scriptCache) put(p *Prepared) *Prepared {
 }
 
 // PlanCacheStats reports the engine's plan reuse counters: hits, misses,
-// evictions (capacity plus stale-epoch drops) and the number of compiled
+// evictions (capacity plus stale plans dropped) and the number of compiled
 // scripts currently cached. All zeros when caching is disabled.
 func (e *Engine) PlanCacheStats() (hits, misses, evictions, size int64) {
 	c := e.scripts

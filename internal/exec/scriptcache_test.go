@@ -86,25 +86,32 @@ func TestPlanCacheLiteralVariantsOwnEntries(t *testing.T) {
 	}
 }
 
-// Every committed mutation — DML, DDL, ingest, select-into — bumps the
-// catalog epoch; the next execution of a stored plan, from text or from
-// a handle, must drop it and re-plan against the new catalog version,
-// never serve the old one.
-func TestPlanCacheEpochInvalidation(t *testing.T) {
+// A stored plan is keyed on what it read (DESIGN.md §12). A table-mode
+// plan holds for any version of its source with the same schema: after a
+// DML or ingest the next execution, from text or from a handle, reads the
+// new version through the stored plan (a hit, never the old rows), and DDL
+// of another table or a result under another name leaves it untouched.
+// Only a source whose schema changed is re-planned: a miss and an eviction
+// per slot.
+func TestPlanSlotsKeyOnWhatTheyRead(t *testing.T) {
 	const q = `select count(*) as c from table Items`
 	for _, tc := range []struct {
 		name   string
 		mutate func(t *testing.T, e *Engine)
 		want   string
+		// counts after the mutation and two more runs of both routes
+		hits, misses, evictions int64
 	}{
-		{"dml", func(t *testing.T, e *Engine) { mustExec(t, e, `insert into Items values (4, 'four')`, nil) }, "4"},
-		{"ddl", func(t *testing.T, e *Engine) { mustExec(t, e, `create table Other(id integer)`, nil) }, "3"},
+		{"dml", func(t *testing.T, e *Engine) { mustExec(t, e, `insert into Items values (4, 'four')`, nil) }, "4", 7, 2, 0},
+		{"ddl", func(t *testing.T, e *Engine) { mustExec(t, e, `create table Other(id integer)`, nil) }, "3", 7, 2, 0},
 		{"ingest", func(t *testing.T, e *Engine) {
 			if err := e.IngestReader("Items", strings.NewReader("9,nine\n")); err != nil {
 				t.Fatal(err)
 			}
-		}, "1"},
-		{"select-into", func(t *testing.T, e *Engine) { mustExec(t, e, `select id from table Items into table Snap`, nil) }, "3"},
+		}, "1", 7, 2, 0},
+		// The into-select is analyzed itself: one more miss.
+		{"select-into", func(t *testing.T, e *Engine) { mustExec(t, e, `select id from table Items into table Snap`, nil) }, "3", 7, 3, 0},
+		{"new-schema", func(t *testing.T, e *Engine) { mustExec(t, e, `select name from table Items into table Items`, nil) }, "3", 5, 5, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := planCacheEngine(t, 0)
@@ -132,11 +139,11 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 				t.Fatalf("before: hits=%d misses=%d evictions=%d, want 3/2/0", hits, misses, evictions)
 			}
 			tc.mutate(t, e)
-			run(tc.want) // both slots are stale: two misses, two evictions
+			run(tc.want)
 			run(tc.want)
 			hits, misses, evictions, _ = e.PlanCacheStats()
-			if hits != 5 || misses != 4 || evictions != 2 {
-				t.Fatalf("after: hits=%d misses=%d evictions=%d, want 5/4/2", hits, misses, evictions)
+			if hits != tc.hits || misses != tc.misses || evictions != tc.evictions {
+				t.Fatalf("after: hits=%d misses=%d evictions=%d, want %d/%d/%d", hits, misses, evictions, tc.hits, tc.misses, tc.evictions)
 			}
 		})
 	}
@@ -221,8 +228,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 // CI). The correctness property: a prepared execute may observe any
 // committed prefix of the writes, but counts seen by one goroutine never
 // go backwards, and once the writers are done an execute must see every
-// row — the catalog epoch swap can never serve a stale plan over the
-// superseded table version.
+// row — a stored plan is never served over the superseded table
+// version.
 func TestConcurrentPrepareExecuteDML(t *testing.T) {
 	e := planCacheEngine(t, 0)
 	p, err := e.Prepare(`select count(*) as c from table Items`)
@@ -305,8 +312,8 @@ func TestConcurrentPrepareExecuteDML(t *testing.T) {
 	}
 
 	// Every committed write must now be visible through the prepared
-	// handle: an execute after DML re-plans rather than serving the plan
-	// bound to the pre-write catalog.
+	// handle: an execute after DML reads the current table version rather
+	// than the one the plan was bound to before the writes.
 	res, err := e.ExecPrepared(p, nil)
 	if err != nil {
 		t.Fatal(err)

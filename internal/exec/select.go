@@ -286,7 +286,10 @@ func (e *Engine) seedsFor(pat *sema.Pattern, nt []*graph.VertexType) ([]*bitmap.
 		if n.Seed == "" {
 			continue
 		}
-		sub := e.Cat.Subgraph(n.Seed)
+		sub := e.scope.Subgraph(n.Seed)
+		if sub == nil {
+			sub = e.Cat.Subgraph(n.Seed)
+		}
 		if sub == nil {
 			return nil, fmt.Errorf("graql: unknown subgraph %s", n.Seed)
 		}

@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 
+	"graql/internal/ast"
 	"graql/internal/parser"
 	"graql/internal/sema"
 )
@@ -191,5 +193,47 @@ select * from graph s1.V ( ) into subgraph s2
 	}
 	if !found {
 		t.Errorf("seeded query should depend on producer; deps = %v", deps[3])
+	}
+}
+
+// TestLocals: each read names its nearest producer, per kind of result;
+// an explain produces nothing, a write of the name ends a table result's
+// reach, and ingest or DML (not DDL) ends every subgraph's.
+func TestLocals(t *testing.T) {
+	script, err := parser.Parse(`
+select x from table A into table T
+select * from graph V ( ) into subgraph T
+select x from table T
+select * from graph T.V ( ) into subgraph S
+explain select x from table A into table T
+output table t out.csv
+create vertex W(x) from table A
+select * from graph T.V ( ) into subgraph S
+insert into T values (1)
+select x from table T
+select * from graph T.V ( ) into subgraph S
+select x from table A into table T
+update A set x = 2
+select x from table T
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Locals(script.Stmts)
+	want := map[int][]Local{
+		2:  {{Name: "T", At: 0}},
+		3:  {{Name: "T", Subgraph: true, At: 1}},
+		5:  {{Name: "t", At: 0}},
+		7:  {{Name: "T", Subgraph: true, At: 1}},
+		13: {{Name: "T", At: 11}},
+	}
+	for i := range script.Stmts {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Errorf("statement %d reads %v, want %v", i+1, got[i], want[i])
+		}
+	}
+	// Reads and an explain into a result, but no producer.
+	if Locals([]ast.Stmt{script.Stmts[2], script.Stmts[4], script.Stmts[5]}) != nil {
+		t.Error("a script with no select into a result has locals")
 	}
 }

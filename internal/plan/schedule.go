@@ -64,15 +64,7 @@ func footprint(st ast.Stmt) rwSet {
 	case *ast.Select:
 		if q.Graph != nil {
 			s.read("#graph")
-			for _, term := range q.Graph.Terms {
-				for _, p := range term.Paths {
-					for _, el := range p.Elems {
-						if v, ok := el.(*ast.VertexStep); ok && v.SeedGraph != "" {
-							s.read(v.SeedGraph)
-						}
-					}
-				}
-			}
+			forEachSeed(q, s.read)
 		} else {
 			s.read(q.FromTable)
 		}
@@ -82,6 +74,23 @@ func footprint(st ast.Stmt) rwSet {
 		}
 	}
 	return s
+}
+
+// forEachSeed calls fn with the subgraph of every seeded step (resQ1.Vn,
+// Fig. 12) of a graph select.
+func forEachSeed(q *ast.Select, fn func(subgraph string)) {
+	if q.Graph == nil {
+		return
+	}
+	for _, term := range q.Graph.Terms {
+		for _, p := range term.Paths {
+			for _, el := range p.Elems {
+				if v, ok := el.(*ast.VertexStep); ok && v.SeedGraph != "" {
+					fn(v.SeedGraph)
+				}
+			}
+		}
+	}
 }
 
 func conflicts(a, b rwSet) bool {
@@ -142,4 +151,78 @@ func Stages(script *ast.Script) [][]int {
 		stages[l] = append(stages[l], i)
 	}
 	return stages
+}
+
+// Local is a result that a statement reads and an earlier statement of
+// the same script produced.
+type Local struct {
+	Name     string // as the reader spells it
+	Subgraph bool   // a named subgraph, else a table
+	At       int    // index of the producing statement
+}
+
+// Locals returns, for each statement, the results it reads that an
+// earlier statement of its script produced: for a table select's source,
+// an output's table and each seeded step's subgraph, the nearest earlier
+// select into that name (an explain produces nothing), unless another
+// statement wrote the name in between. Ingest and DML replace the rows
+// under the views, which drops every named subgraph (catalog.Publish), so
+// they end the reach of every subgraph result too. A producer conflicts
+// with its reader, so Stages puts it in an earlier stage. A script with no
+// select into a result yields nil, and allocates nothing.
+func Locals(stmts []ast.Stmt) [][]Local {
+	type key struct {
+		name string
+		sub  bool
+	}
+	var last map[key]int // the producer of each live result
+	var out [][]Local
+	for i, st := range stmts {
+		read := func(name string, sub bool) {
+			if last == nil {
+				return // nothing produced yet
+			}
+			if at, ok := last[key{strings.ToLower(name), sub}]; ok {
+				out[i] = append(out[i], Local{Name: name, Subgraph: sub, At: at})
+			}
+		}
+		var written string // a table this statement replaces
+		switch q := st.(type) {
+		case *ast.Select:
+			if q.Graph == nil {
+				read(q.FromTable, false)
+			}
+			forEachSeed(q, func(name string) { read(name, true) })
+			if q.Explain || q.Into.Kind == ast.IntoNone {
+				continue
+			}
+			if last == nil {
+				last, out = map[key]int{}, make([][]Local, len(stmts))
+			}
+			last[key{strings.ToLower(q.Into.Name), q.Into.Kind == ast.IntoSubgraph}] = i
+		case *ast.Output:
+			read(q.Table, false)
+		case *ast.CreateTable:
+			written = q.Name
+		case *ast.Ingest:
+			written = q.Table
+		case *ast.Insert:
+			written = q.Table
+		case *ast.Update:
+			written = q.Table
+		case *ast.Delete:
+			written = q.Table
+		}
+		if written == "" || last == nil {
+			continue
+		}
+		_, ddl := st.(*ast.CreateTable)
+		lw := strings.ToLower(written)
+		for k := range last {
+			if k.sub && !ddl || !k.sub && k.name == lw {
+				delete(last, k)
+			}
+		}
+	}
+	return out
 }

@@ -107,9 +107,44 @@ type Analyzer struct {
 	// NoFold disables constant folding of resolved predicates (used by
 	// tests to compare folded against unfolded execution).
 	NoFold bool
+	// Locals, when non-nil, resolves the results that earlier statements
+	// of the analysed statement's script produced. A select's source table,
+	// a seeded step's subgraph and an output's table are looked up there
+	// before the catalog.
+	Locals Locals
 
 	diags    diag.List
 	stmtSpan diag.Span
+}
+
+// Locals holds a script's own results: what its statements produced
+// into a table or a subgraph, which shadow the catalog's objects of the
+// same name for the statements after them (DESIGN.md §10).
+type Locals interface {
+	Table(name string) *table.Table
+	Subgraph(name string) *graph.Subgraph
+}
+
+// table resolves a table a statement reads: the script's own result of
+// that name, else the catalog's table.
+func (a *Analyzer) table(name string) *table.Table {
+	if a.Locals != nil {
+		if t := a.Locals.Table(name); t != nil {
+			return t
+		}
+	}
+	return a.Cat.Table(name)
+}
+
+// subgraph resolves a seeded step's subgraph the way table resolves a
+// table.
+func (a *Analyzer) subgraph(name string) *graph.Subgraph {
+	if a.Locals != nil {
+		if sg := a.Locals.Subgraph(name); sg != nil {
+			return sg
+		}
+	}
+	return a.Cat.Subgraph(name)
 }
 
 // Analyze statically checks one statement and returns its resolved form.
@@ -291,7 +326,7 @@ func (a *Analyzer) analyzeIngest(s *ast.Ingest) Stmt {
 }
 
 func (a *Analyzer) analyzeOutput(s *ast.Output) Stmt {
-	t := a.Cat.Table(s.Table)
+	t := a.table(s.Table)
 	if t == nil {
 		if a.Cat.Graph().VertexType(s.Table) != nil {
 			a.errorf(s.TablePos, diag.WrongEntityKind, "%s is a vertex type; output requires a table", s.Table)

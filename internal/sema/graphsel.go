@@ -330,7 +330,7 @@ func (b *patternBuilder) vertexStep(step *ast.VertexStep) *Node {
 
 	// Seeded step resQ1.Vn (Fig. 12).
 	if step.SeedGraph != "" {
-		if b.a.Cat.Subgraph(step.SeedGraph) == nil {
+		if b.a.subgraph(step.SeedGraph) == nil {
 			b.a.errorf(step.Loc, diag.UnknownSubgraph, "unknown subgraph %s", step.SeedGraph)
 		}
 		vt := g.VertexType(step.Name)

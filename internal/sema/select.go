@@ -131,7 +131,7 @@ func endpointNames(d *ast.CreateEdge) (src, dst string) {
 }
 
 func (a *Analyzer) analyzeTableSelect(s *ast.Select) Stmt {
-	t := a.Cat.Table(s.FromTable)
+	t := a.table(s.FromTable)
 	if t == nil {
 		// The paper's §III-A example: an entity of the wrong kind where
 		// a table is required. Nothing else can be checked without the

@@ -47,8 +47,8 @@ func TestPublicPrepareErrorsEarly(t *testing.T) {
 }
 
 // A prepared handle must observe DML committed after the prepare: the
-// catalog epoch bump invalidates the cached plan, and the re-plan binds
-// the new table version.
+// stored plan is rebound to the new table version, never served over the
+// old one.
 func TestPublicPreparedSeesLaterDML(t *testing.T) {
 	db := roadsDB(t)
 	stmt, err := db.Prepare(`select count(*) as c from table Cities`)
