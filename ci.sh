@@ -167,7 +167,10 @@ echo "== race stress: shared dictionary indexes, readers during writes =="
 # and IngestReader, streamed DML, and ingests that fail before publishing.
 # Two scripts sharing one prepared handle each read their own result table
 # and rebind the one stored plan of its consumer (IntoResultCrossTalk).
-go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic' ./internal/table ./internal/exec
+# Seeded reads of a named subgraph beside writes that keep it or drop it
+# answer as before or fail GQL0107, never from a stale set
+# (SeededReadsDuringWrites).
+go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic|SeededReadsDuringWrites' ./internal/table ./internal/exec
 
 echo "== fuzz smoke (${FUZZTIME} per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/parser

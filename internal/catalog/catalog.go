@@ -13,11 +13,12 @@
 // mutex (BeginWrite), builds its Change aside against what it reads here,
 // and Publish installs the whole change under the write lock with one
 // epoch bump (DESIGN.md §10). Readers hold the read lock and therefore see
-// the catalog either before or after a change, never part of one.
+// the catalog either before or after a change, never part of one. A write
+// replaces only the views that read the table it writes.
 package catalog
 
 import (
-	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -83,10 +84,9 @@ func (c *Catalog) Epoch() uint64 { return c.epoch }
 type Change struct {
 	// Table is installed under its name, replacing any table of that name.
 	Table *table.Table
-	// Graph, when non-nil, replaces the view graph. Set together with
-	// Table, the write replaced rows the views derive from (ingest, DML),
-	// so every named subgraph — whose sets index the superseded views —
-	// is dropped.
+	// Graph, when non-nil, replaces the view graph: a new type (DDL), or
+	// the views that read Table re-derived (ingest, DML; nil when no view
+	// reads it). Every named subgraph not Valid in it is dropped.
 	Graph *graph.Graph
 	// Vertex and Edge record the declaration of the type the change adds
 	// to Graph.
@@ -102,14 +102,16 @@ type Change struct {
 func (c *Catalog) Publish(ch Change) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ch.Table != nil {
-		c.putTable(ch.Table)
-		if ch.Graph != nil {
-			c.subgraphs = make(map[string]*graph.Subgraph)
+	if t := ch.Table; t != nil {
+		key := strings.ToLower(t.Name)
+		if _, ok := c.tables[key]; !ok {
+			c.tableOrder = append(c.tableOrder, key)
 		}
+		c.tables[key] = t
 	}
 	if ch.Graph != nil {
 		c.graph = ch.Graph
+		maps.DeleteFunc(c.subgraphs, func(_ string, sg *graph.Subgraph) bool { return !ch.Graph.Valid(sg) })
 	}
 	if ch.Vertex != nil {
 		c.vertexDecls = append(c.vertexDecls, ch.Vertex)
@@ -121,25 +123,6 @@ func (c *Catalog) Publish(ch Change) {
 		c.subgraphs[strings.ToLower(ch.Subgraph.Name)] = ch.Subgraph
 	}
 	c.epoch++
-}
-
-func (c *Catalog) putTable(t *table.Table) {
-	key := strings.ToLower(t.Name)
-	if _, ok := c.tables[key]; !ok {
-		c.tableOrder = append(c.tableOrder, key)
-	}
-	c.tables[key] = t
-}
-
-// RegisterTable adds a table to a catalog nobody reads yet: a shadow
-// catalog a writer analyses against, or a test fixture. Without replace a
-// taken name is an error.
-func (c *Catalog) RegisterTable(t *table.Table, replace bool) error {
-	if !replace && c.Table(t.Name) != nil {
-		return fmt.Errorf("graql: table %s already exists", t.Name)
-	}
-	c.putTable(t)
-	return nil
 }
 
 // The readers below assume the caller holds the read lock or the writer

@@ -21,16 +21,8 @@ func newTable(t *testing.T, name string, rows int) *table.Table {
 
 func TestTableRegistry(t *testing.T) {
 	c := New()
-	a := newTable(t, "A", 3)
-	if err := c.RegisterTable(a, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RegisterTable(newTable(t, "a", 0), false); err == nil {
-		t.Error("case-insensitive duplicate must fail without replace")
-	}
-	if err := c.RegisterTable(newTable(t, "A", 5), true); err != nil {
-		t.Errorf("replace must succeed: %v", err)
-	}
+	c.Publish(Change{Table: newTable(t, "A", 3)})
+	c.Publish(Change{Table: newTable(t, "a", 5)})
 	if got := c.Table("a").NumRows(); got != 5 {
 		t.Errorf("replaced table rows = %d", got)
 	}
@@ -54,30 +46,57 @@ func TestPublishReplacesTable(t *testing.T) {
 	}
 }
 
+// TestSubgraphRegistry: a named subgraph stays while every type it holds
+// is still in the graph, and goes with the first change that replaces
+// one, whatever else the change carries.
 func TestSubgraphRegistry(t *testing.T) {
 	c := New()
-	c.Publish(Change{Subgraph: graph.NewSubgraph("S1")})
+	base := newTable(t, "A", 3)
+	vt, err := graph.BuildVertexType(0, "V", base, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.NewGraph()
+	_ = g.AddVertexType(vt)
+	c.Publish(Change{Table: base, Graph: g})
+	sg := graph.NewSubgraph("S1")
+	sg.VertexSet(vt).Set(1)
+	c.Publish(Change{Subgraph: sg})
 	if c.Subgraph("s1") == nil {
 		t.Error("subgraph lookup must be case-insensitive")
 	}
-	c.Publish(Change{Graph: graph.NewGraph()})
+	w, err := graph.BuildVertexType(1, "W", base, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := c.Graph().Clone()
+	_ = next.AddVertexType(w)
+	c.Publish(Change{Graph: next})
 	if c.Subgraph("S1") == nil {
 		t.Error("a new type (graph only) must keep named subgraphs")
 	}
-	c.Publish(Change{Table: newTable(t, "A", 1)})
+	c.Publish(Change{Table: newTable(t, "B", 1)})
 	if c.Subgraph("S1") == nil {
 		t.Error("a result table (table only) must keep named subgraphs")
 	}
-	c.Publish(Change{Table: newTable(t, "A", 2), Graph: graph.NewGraph()})
+	next = c.Graph().Clone()
+	next.PutVertexType(graph.ReanchorVertexType(w, base))
+	c.Publish(Change{Table: newTable(t, "B", 2), Graph: next})
+	if c.Subgraph("S1") == nil {
+		t.Error("new rows under views S1 does not hold must keep it")
+	}
+	next = c.Graph().Clone()
+	next.PutVertexType(graph.ReanchorVertexType(vt, base))
+	c.Publish(Change{Table: newTable(t, "A", 4), Graph: next})
 	if c.Subgraph("S1") != nil {
-		t.Error("new rows under the views must drop named subgraphs")
+		t.Error("new rows under a view S1 holds must drop it")
 	}
 }
 
 func TestStatsSnapshot(t *testing.T) {
 	c := New()
 	base := newTable(t, "Base", 4)
-	_ = c.RegisterTable(base, false)
+	c.Publish(Change{Table: base})
 	vt, err := graph.BuildVertexType(0, "V", base, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)

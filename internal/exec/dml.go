@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/obs"
+	"graql/internal/plan"
 	"graql/internal/sema"
 	"graql/internal/table"
 	"graql/internal/value"
@@ -20,9 +22,9 @@ import (
 // half-applied write:
 //
 //  1. Holding the writer mutex, the statement is analysed and a complete
-//     new version of the target table plus a new view graph are built
-//     aside. Published tables and views are immutable, so concurrent
-//     readers keep using the current versions undisturbed.
+//     new version of the target table plus, when views read it, a new view
+//     graph are built aside. Published tables and views are immutable, so
+//     concurrent readers keep using the current versions undisturbed.
 //  2. The statement is appended to the WAL and fsynced (when a store is
 //     attached) — before publication, so an acknowledged write is durable.
 //  3. Under a brief write lock, the new table and graph are installed and
@@ -356,74 +358,52 @@ type vertexMaint struct {
 
 // maintainViews derives the view graph that corresponds to replacing the
 // catalog's current version of newTbl.Name with newTbl, without touching
-// the live catalog (the caller holds the writer mutex). d states how
-// newTbl differs from the version it replaces; nil means the whole table
-// was replaced (ingest) and every view it feeds is rebuilt. Views the
-// table does not feed are carried over untouched. A real pass opens one
-// span per view it maintains, named by the action and counting the new
-// view's instances. With dry set nothing is built and no span opens: the
-// notes name the action each view would take, decided exactly as a real
-// pass decides it (explain).
-//
-// Declarations are re-analysed against a shadow catalog holding the new
-// table version and the new graph: vertex types land in the shadow graph
-// before edge analysis so endpoint resolution sees them.
+// the live catalog (the caller holds the writer mutex). Only declarations
+// that read the table, directly or through a vertex type maintained here,
+// are re-resolved (newTbl overlaid, an edge against its new endpoints); the
+// new graph is a Clone with their new types in their slots, or nil when no
+// declaration reads the table. d states how newTbl differs from the
+// version it replaces; nil means the whole table was replaced (ingest) and
+// every view it feeds is rebuilt. A real pass opens one span per view it
+// maintains, named by the action and counting the new view's instances.
+// With dry set nothing is built and no span opens: the notes name the
+// action each view would take, decided exactly as a real pass decides it.
 func (e *Engine) maintainViews(newTbl *table.Table, d *tableDelta, dry bool) (*graph.Graph, []maintNote, error) {
 	old := e.Cat.Graph()
-	shadow := catalog.New()
-	for _, t := range e.Cat.Tables() {
-		if equalFold(t.Name, newTbl.Name) {
-			t = newTbl
-		}
-		if err := shadow.RegisterTable(t, true); err != nil {
-			return nil, nil, err
-		}
-	}
-	g := shadow.Graph()
-	an := &sema.Analyzer{Cat: shadow, NoFold: e.Opts.NoFold}
-
+	// newTbl overlays the catalog's version as a script's own result would.
+	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold, Locals: &scope{[]plan.Local{{Name: newTbl.Name}}, []Result{{Table: newTbl}}}}
+	var g *graph.Graph // the new graph, cloned at the first view maintained
 	var notes []maintNote
 	touched := map[string]*vertexMaint{}
 	for _, decl := range e.Cat.VertexDecls() {
-		vt := old.VertexType(decl.Name)
-		if vt == nil {
-			return nil, nil, fmt.Errorf("graql: vertex %s is declared but has no view", decl.Name)
-		}
 		if !equalFold(decl.From, newTbl.Name) {
-			if err := g.AddVertexType(vt); err != nil {
-				return nil, nil, err
-			}
 			continue
 		}
-		s, err := an.Analyze(decl)
+		s, err := an.Resolve(decl, old)
 		if err != nil {
 			return nil, nil, fmt.Errorf("graql: maintaining vertex %s: %w", decl.Name, err)
 		}
 		sv := s.(*sema.CreateVertex)
-		m := &vertexMaint{action: vertexAction(sv, d), old: vt}
+		m := &vertexMaint{action: vertexAction(sv, d), old: old.VertexType(decl.Name)}
+		touched[strings.ToLower(decl.Name)] = m
 		if dry {
 			notes = append(notes, maintNote{m.action, decl.Name})
-		} else if vt, err = e.maintainVertex(decl.Name, m, sv, d); err != nil {
-			return nil, nil, err
-		}
-		if err := g.AddVertexType(vt); err != nil {
-			return nil, nil, err
-		}
-		touched[strings.ToLower(decl.Name)] = m
-	}
-
-	for _, decl := range e.Cat.EdgeDecls() {
-		et := old.EdgeType(decl.Name)
-		if et == nil {
-			return nil, nil, fmt.Errorf("graql: edge %s is declared but has no view", decl.Name)
-		}
-		if !edgeDependsOn(decl, touched, newTbl.Name) {
-			if err := g.AddEdgeType(et); err != nil {
-				return nil, nil, err
-			}
 			continue
 		}
-		s, err := an.Analyze(decl)
+		vt, err := e.maintainVertex(decl.Name, m, sv, d)
+		if err != nil {
+			return nil, nil, err
+		}
+		if g == nil {
+			g = old.Clone()
+		}
+		g.PutVertexType(vt)
+	}
+	for _, decl := range e.Cat.EdgeDecls() {
+		if !edgeDependsOn(decl, touched, newTbl.Name) {
+			continue
+		}
+		s, err := an.Resolve(decl, cmp.Or(g, old))
 		if err != nil {
 			return nil, nil, fmt.Errorf("graql: maintaining edge %s: %w", decl.Name, err)
 		}
@@ -431,12 +411,16 @@ func (e *Engine) maintainViews(newTbl *table.Table, d *tableDelta, dry bool) (*g
 		p := planEdge(se, newTbl, d, touched)
 		if dry {
 			notes = append(notes, maintNote{p.action, decl.Name})
-		} else if et, err = e.maintainEdge(decl.Name, p, se, et); err != nil {
+			continue
+		}
+		et, err := e.maintainEdge(decl.Name, p, se, old.EdgeType(decl.Name))
+		if err != nil {
 			return nil, nil, err
 		}
-		if err := g.AddEdgeType(et); err != nil {
-			return nil, nil, err
+		if g == nil {
+			g = old.Clone()
 		}
+		g.PutEdgeType(et)
 	}
 	return g, notes, nil
 }
@@ -613,7 +597,8 @@ func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched ma
 
 // maintPlan describes the view maintenance the statement that d stands for
 // would trigger on t, without performing it (plain explain): a dry pass of
-// maintainViews, so explain and explain analyze decide alike. Only a flip
+// maintainViews, so explain and explain analyze decide alike. A table no
+// view reads gets no maintain row, and its commit installs no views. Only a flip
 // between one-to-one and many-to-one, which depends on the rows written,
 // can turn a patch announced here into a rebuild.
 func (e *Engine) maintPlan(t *table.Table, d *tableDelta, p *planTable) (Result, error) {
@@ -631,7 +616,11 @@ func (e *Engine) maintPlan(t *table.Table, d *tableDelta, p *planTable) (Result,
 		}
 		p.addf("", "wal", "%s", detail)
 	}
-	p.addf("", "commit", "swap table version, install views, bump epoch")
+	commit := "swap table version, bump epoch"
+	if len(notes) > 0 {
+		commit = "swap table version, install views, bump epoch"
+	}
+	p.addf("", "commit", "%s", commit)
 	return p.result()
 }
 

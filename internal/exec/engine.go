@@ -382,9 +382,9 @@ func (e *Engine) execSelect(cs *compiledStmt, params map[string]value.Value, don
 	case ast.IntoTable:
 		err = e.register(res.Table)
 	case ast.IntoSubgraph:
-		// Named subgraphs reference the live view graph and are dropped
-		// by any write to the rows under it; they are deliberately not
-		// durable.
+		// Named subgraphs index the types of the live view graph and are
+		// dropped once a write replaces one of them; they are
+		// deliberately not durable.
 		err = e.write(nil, nil, &change{Change: catalog.Change{Subgraph: res.Subgraph}}, nil)
 	}
 	if err != nil {
@@ -412,8 +412,9 @@ type change struct {
 // The WAL records st with its params when st is set (DDL, DML): replay
 // re-executes the statement, deterministically. Otherwise it records the
 // change's Table as materialised rows: with a Graph, an ingest's rows the
-// views are re-derived from; without, a result table. A change with
-// neither (a named subgraph) is not durable.
+// views are re-derived from; without, rows no view reads (a result table,
+// or an ingest into a table no view reads), published alone. A change
+// with neither (a named subgraph) is not durable.
 func (e *Engine) write(st ast.Stmt, params map[string]value.Value, c *change, build func() error) error {
 	e.Cat.BeginWrite()
 	defer e.Cat.EndWrite()
@@ -428,12 +429,25 @@ func (e *Engine) write(st ast.Stmt, params map[string]value.Value, c *change, bu
 	if err := e.log(st, params, c); err != nil {
 		return err
 	}
-	sp := e.opSpan("commit", "swap table version, install views")
+	sp := e.opSpan("commit", commitDetail(c.Change))
 	e.Cat.Publish(c.Change)
 	sp.AddRows(c.rows)
 	sp.End()
 	e.maybeCheckpoint()
 	return nil
+}
+
+// commitDetail names what publishing c installs, for the commit span.
+func commitDetail(c catalog.Change) string {
+	switch {
+	case c.Table != nil && c.Graph != nil:
+		return "swap table version, install views"
+	case c.Table != nil:
+		return "swap table version"
+	case c.Graph != nil:
+		return "install views"
+	}
+	return "register subgraph"
 }
 
 // register publishes a result table — live, replayed from the WAL or
@@ -568,9 +582,9 @@ func (e *Engine) runIngest(s *sema.Ingest) (Result, error) {
 }
 
 // replaceTable publishes a wholly new version of a table, rebuilding the
-// views it feeds aside. An ingest is durable as materialised rows, not as
-// the statement: the source file may move or change between the ingest
-// and a replay.
+// views it feeds aside (none: the table is published alone). An ingest is
+// durable as materialised rows, not as the statement: the source file may
+// move or change between the ingest and a replay.
 func (e *Engine) replaceTable(stage *table.Table) error {
 	var c change
 	return e.write(nil, nil, &c, func() error {

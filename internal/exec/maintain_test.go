@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"graql/internal/ast"
 	"graql/internal/catalog"
 	"graql/internal/graph"
+	"graql/internal/parser"
 	"graql/internal/sema"
 	"graql/internal/storage"
 	"graql/internal/table"
@@ -286,15 +288,13 @@ func assertValidViews(t *testing.T, what string, e *Engine) {
 
 // assertMatchesReference checks every view of e against the naive reading
 // of Eq. 1–2 (reference_test.go) over e's tables. Each declaration is
-// analysed the way maintainViews does it: against a shadow catalog holding
-// the tables and the vertex types declared before it.
+// analysed afresh, apart from e: against a catalog of its own holding the
+// tables and the vertex types declared before it.
 func assertMatchesReference(t *testing.T, what string, e *Engine) {
 	t.Helper()
 	shadow := catalog.New()
 	for _, tb := range e.Cat.Tables() {
-		if err := shadow.RegisterTable(tb, true); err != nil {
-			t.Fatal(err)
-		}
+		shadow.Publish(catalog.Change{Table: tb})
 	}
 	an := &sema.Analyzer{Cat: shadow}
 	views := map[string]*refVertexView{}
@@ -329,12 +329,66 @@ func assertMatchesReference(t *testing.T, what string, e *Engine) {
 	}
 }
 
+// assertOnlyReadersMaintained checks the view graph after a write to
+// table written against the graph before it: it is the same graph exactly
+// when no declaration reads the table (or the write was refused), and
+// every type the write did not maintain — a vertex type over another
+// table, an edge type that reads neither the table nor a maintained
+// vertex type — is carried over pointer for pointer.
+func assertOnlyReadersMaintained(t *testing.T, what string, e *Engine, before *graph.Graph, written string, refused bool) {
+	t.Helper()
+	vertices, edges := map[string]bool{}, map[string]bool{}
+	if !refused {
+		for _, d := range e.Cat.VertexDecls() {
+			if strings.EqualFold(d.From, written) {
+				vertices[strings.ToLower(d.Name)] = true
+			}
+		}
+		for _, d := range e.Cat.EdgeDecls() {
+			if sema.EdgeReadsTable(d, written) || vertices[strings.ToLower(d.SrcType)] || vertices[strings.ToLower(d.DstType)] {
+				edges[strings.ToLower(d.Name)] = true
+			}
+		}
+	}
+	after := e.Cat.Graph()
+	if read := len(vertices)+len(edges) > 0; (after != before) != read {
+		t.Fatalf("%s: view graph replaced: %v; declarations read %s: %v", what, after != before, written, read)
+	}
+	for _, vt := range before.VertexTypes() {
+		if !vertices[strings.ToLower(vt.Name)] && after.VertexType(vt.Name) != vt {
+			t.Fatalf("%s: vertex %s was not maintained, yet replaced", what, vt.Name)
+		}
+	}
+	for _, et := range before.EdgeTypes() {
+		if !edges[strings.ToLower(et.Name)] && after.EdgeType(et.Name) != et {
+			t.Fatalf("%s: edge %s was not maintained, yet replaced", what, et.Name)
+		}
+	}
+}
+
+// asideGen writes the table no declaration reads, which checkViewMaintenance
+// adds to every schema.
+func asideGen(rng *rand.Rand, step int) string {
+	switch rng.Intn(3) {
+	case 0:
+		return fmt.Sprintf("insert into Aside values (%d, 'n')", step)
+	case 1:
+		return fmt.Sprintf("update Aside set note = 'u' where id < %d", rng.Intn(step+1))
+	}
+	return fmt.Sprintf("delete from Aside where id = %d", rng.Intn(step+1))
+}
+
 // checkViewMaintenance applies a generated statement sequence to a durable
 // engine and checks after every statement that the maintained views equal
 // those of an engine that builds them from scratch over the same tables,
-// those of an engine recovered from the store, and the reference.
+// those of an engine recovered from the store, and the reference. Between
+// the schema's statements it also writes a table no declaration reads
+// (Aside), from a random stream of its own so the schema's sequence is the
+// same as without it. After every write, only the types that read the
+// written table are new.
 func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
+	aside := rand.New(rand.NewSource(^seed))
 	dir := filepath.Join(t.TempDir(), "store")
 	open := func() (*Engine, *storage.Store) {
 		st, err := storage.Open(dir, false, nil)
@@ -350,28 +404,38 @@ func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 	inc, store := open()
 	defer store.Close()
 	mustExec(t, inc, sc.tables+"\n"+sc.views, nil)
+	schemaTables := len(inc.Cat.Tables())
+	mustExec(t, inc, `create table Aside(id integer, note varchar(8))`, nil)
 	st := &genState{}
 	var applied []string
-	for st.step = 0; st.step < steps; st.step++ {
-		stmt := sc.gen(rng, st)
-		var reingest *table.Table
-		if rng.Intn(12) == 0 {
-			// Replace a whole table (by its own rows, last one dropped):
-			// the views it feeds are rebuilt, under their old type ids.
-			reingest = inc.Cat.Tables()[rng.Intn(len(inc.Cat.Tables()))]
-			stmt = "re-ingest " + reingest.Name
-		}
+	// write applies one statement, or re-ingests a table when reingest is
+	// set, and returns the name of the table it wrote.
+	write := func(stmt string, reingest *table.Table) string {
 		applied = append(applied, stmt)
 		what := fmt.Sprintf("%s seed %d after %q", sc.name, seed, applied)
-		epoch := inc.Cat.Epoch()
+		epoch, before := inc.Cat.Epoch(), inc.Cat.Graph()
+		var written string
 		var err error
 		if reingest != nil {
+			written = reingest.Name
 			var csv strings.Builder
 			if err := table.WriteCSV(table.TopN(reingest, max(reingest.NumRows()-1, 0)), &csv); err != nil {
 				t.Fatal(err)
 			}
 			err = inc.IngestReader(reingest.Name, strings.NewReader(csv.String()))
 		} else {
+			script, perr := parser.Parse(stmt)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			switch s := script.Stmts[0].(type) {
+			case *ast.Insert:
+				written = s.Table
+			case *ast.Update:
+				written = s.Table
+			case *ast.Delete:
+				written = s.Table
+			}
 			_, err = inc.ExecScript(stmt, nil)
 		}
 		if err != nil {
@@ -383,6 +447,26 @@ func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 			}
 			applied[len(applied)-1] += " (refused)"
 		}
+		assertOnlyReadersMaintained(t, what, inc, before, written, err != nil)
+		return what
+	}
+	for st.step = 0; st.step < steps; st.step++ {
+		if aside.Intn(3) == 0 {
+			if aside.Intn(4) == 0 {
+				write("re-ingest Aside", inc.Cat.Table("Aside"))
+			} else {
+				write(asideGen(aside, st.step), nil)
+			}
+		}
+		stmt := sc.gen(rng, st)
+		var reingest *table.Table
+		if rng.Intn(12) == 0 {
+			// Replace a whole table (by its own rows, last one dropped):
+			// the views it feeds are rebuilt, under their old type ids.
+			reingest = inc.Cat.Tables()[rng.Intn(schemaTables)]
+			stmt = "re-ingest " + reingest.Name
+		}
+		what := write(stmt, reingest)
 		if rng.Intn(10) == 0 {
 			if err := inc.Checkpoint(); err != nil {
 				t.Fatalf("%s: checkpoint: %v", what, err)
@@ -392,9 +476,7 @@ func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 
 		ref := newTestEngine(nil)
 		for _, tb := range inc.Cat.Tables() {
-			if err := ref.Cat.RegisterTable(tb.Clone(), false); err != nil {
-				t.Fatal(err)
-			}
+			ref.Cat.Publish(catalog.Change{Table: tb.Clone()})
 		}
 		mustExec(t, ref, sc.views, nil)
 		assertSameViews(t, what+": maintained vs from scratch", ref, inc, true)

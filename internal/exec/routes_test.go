@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"graql/internal/catalog"
 	"graql/internal/exec"
 	"graql/internal/obs"
 	"graql/internal/server"
@@ -41,9 +42,7 @@ func textExecRoutes(t *testing.T, seed int64) int {
 	opts.Workers = 1
 	opts.Obs = obs.New()
 	eng := exec.New(opts)
-	if err := eng.Cat.RegisterTable(tb, true); err != nil {
-		t.Fatal(err)
-	}
+	eng.Cat.Publish(catalog.Change{Table: tb})
 	opts.PlanCache, opts.Obs = -1, nil
 	ref := exec.New(opts)
 	ref.Cat = eng.Cat

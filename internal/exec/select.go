@@ -7,6 +7,7 @@ import (
 
 	"graql/internal/ast"
 	"graql/internal/bitmap"
+	"graql/internal/diag"
 	"graql/internal/expr"
 	"graql/internal/graph"
 	"graql/internal/sema"
@@ -286,12 +287,9 @@ func (e *Engine) seedsFor(pat *sema.Pattern, nt []*graph.VertexType) ([]*bitmap.
 		if n.Seed == "" {
 			continue
 		}
-		sub := e.scope.Subgraph(n.Seed)
+		sub := sema.ResolveSubgraph(e.Cat, e.scope, n.Seed)
 		if sub == nil {
-			sub = e.Cat.Subgraph(n.Seed)
-		}
-		if sub == nil {
-			return nil, fmt.Errorf("graql: unknown subgraph %s", n.Seed)
+			return nil, &diag.Diagnostic{Severity: diag.SevError, Code: diag.UnknownSubgraph, Msg: "unknown subgraph " + n.Seed}
 		}
 		if b, ok := sub.Vertices[nt[i]]; ok {
 			seeds[i] = b

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"graql/internal/ast"
+	"graql/internal/catalog"
 	"graql/internal/expr"
 	"graql/internal/parser"
 	"graql/internal/sema"
@@ -319,9 +320,7 @@ func selEngine(workers int, tb *table.Table) *Engine {
 	opts.Workers = workers
 	opts.ParallelThreshold = 1
 	e := New(opts)
-	if err := e.Cat.RegisterTable(tb, true); err != nil {
-		panic(err)
-	}
+	e.Cat.Publish(catalog.Change{Table: tb})
 	return e
 }
 

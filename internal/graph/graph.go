@@ -2,74 +2,99 @@ package graph
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strings"
 )
 
 // Graph is the overall typed multigraph G = (V, E): the union of all vertex
 // types (which partition V) and all edge types (which partition E), per
-// paper §II-A1.
+// paper §II-A1. Names are looked up by a case-insensitive scan: a graph
+// holds a few dozen types at most.
 type Graph struct {
 	vertexTypes []*VertexType
 	edgeTypes   []*EdgeType
-	vtxByName   map[string]*VertexType
-	edgByName   map[string]*EdgeType
 }
 
 // NewGraph returns an empty typed multigraph.
-func NewGraph() *Graph {
-	return &Graph{
-		vtxByName: make(map[string]*VertexType),
-		edgByName: make(map[string]*EdgeType),
-	}
-}
+func NewGraph() *Graph { return &Graph{} }
 
 // Clone returns a graph holding the same types, to which a writer can add
-// without touching g.
+// or put without touching g.
 func (g *Graph) Clone() *Graph {
-	return &Graph{
-		vertexTypes: slices.Clone(g.vertexTypes),
-		edgeTypes:   slices.Clone(g.edgeTypes),
-		vtxByName:   maps.Clone(g.vtxByName),
-		edgByName:   maps.Clone(g.edgByName),
-	}
+	return &Graph{slices.Clone(g.vertexTypes), slices.Clone(g.edgeTypes)}
 }
 
 // AddVertexType registers a vertex type; names are unique
 // (case-insensitive).
 func (g *Graph) AddVertexType(vt *VertexType) error {
-	low := strings.ToLower(vt.Name)
-	if _, dup := g.vtxByName[low]; dup {
+	if g.VertexType(vt.Name) != nil {
 		return fmt.Errorf("graql: vertex type %s already exists", vt.Name)
 	}
-	g.vtxByName[low] = vt
 	g.vertexTypes = append(g.vertexTypes, vt)
 	return nil
 }
 
 // AddEdgeType registers an edge type; names are unique (case-insensitive).
 func (g *Graph) AddEdgeType(et *EdgeType) error {
-	low := strings.ToLower(et.Name)
-	if _, dup := g.edgByName[low]; dup {
+	if g.EdgeType(et.Name) != nil {
 		return fmt.Errorf("graql: edge type %s already exists", et.Name)
 	}
-	g.edgByName[low] = et
 	g.edgeTypes = append(g.edgeTypes, et)
 	return nil
 }
 
+// PutVertexType replaces g's vertex type of vt's name by vt, in its slot:
+// view maintenance installs a new version so, on a Clone nobody reads yet.
+func (g *Graph) PutVertexType(vt *VertexType) {
+	g.vertexTypes[slices.Index(g.vertexTypes, g.VertexType(vt.Name))] = vt
+}
+
+// PutEdgeType is PutVertexType for an edge type.
+func (g *Graph) PutEdgeType(et *EdgeType) {
+	g.edgeTypes[slices.Index(g.edgeTypes, g.EdgeType(et.Name))] = et
+}
+
 // VertexType returns the named vertex type, or nil.
-func (g *Graph) VertexType(name string) *VertexType { return g.vtxByName[strings.ToLower(name)] }
+func (g *Graph) VertexType(name string) *VertexType {
+	for _, vt := range g.vertexTypes {
+		if strings.EqualFold(vt.Name, name) {
+			return vt
+		}
+	}
+	return nil
+}
 
 // EdgeType returns the named edge type, or nil.
-func (g *Graph) EdgeType(name string) *EdgeType { return g.edgByName[strings.ToLower(name)] }
+func (g *Graph) EdgeType(name string) *EdgeType {
+	for _, et := range g.edgeTypes {
+		if strings.EqualFold(et.Name, name) {
+			return et
+		}
+	}
+	return nil
+}
 
 // VertexTypes returns all vertex types in creation order.
 func (g *Graph) VertexTypes() []*VertexType { return g.vertexTypes }
 
 // EdgeTypes returns all edge types in creation order.
 func (g *Graph) EdgeTypes() []*EdgeType { return g.edgeTypes }
+
+// Valid reports whether subgraph s is still valid in g: every type it
+// holds, whose ids its bitmaps index, is one of g's, pointer for pointer.
+func (g *Graph) Valid(s *Subgraph) bool {
+	for vt := range s.Vertices {
+		if !slices.Contains(g.vertexTypes, vt) {
+			return false
+		}
+	}
+	for et := range s.Edges {
+		if !slices.Contains(g.edgeTypes, et) {
+			return false
+		}
+	}
+	return true
+}
 
 // EdgeTypesBetween returns every edge type with the given source and target
 // vertex types — the paper's ∪_j E_j(V_a, V_b), used to expand `[ ]`

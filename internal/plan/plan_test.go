@@ -198,7 +198,7 @@ select * from graph s1.V ( ) into subgraph s2
 
 // TestLocals: each read names its nearest producer, per kind of result;
 // an explain produces nothing, a write of the name ends a table result's
-// reach, and ingest or DML (not DDL) ends every subgraph's.
+// reach, and a subgraph result stays in reach across writes.
 func TestLocals(t *testing.T) {
 	script, err := parser.Parse(`
 select x from table A into table T
@@ -225,6 +225,7 @@ select x from table T
 		3:  {{Name: "T", Subgraph: true, At: 1}},
 		5:  {{Name: "t", At: 0}},
 		7:  {{Name: "T", Subgraph: true, At: 1}},
+		10: {{Name: "T", Subgraph: true, At: 1}},
 		13: {{Name: "T", At: 11}},
 	}
 	for i := range script.Stmts {

@@ -165,11 +165,12 @@ type Local struct {
 // earlier statement of its script produced: for a table select's source,
 // an output's table and each seeded step's subgraph, the nearest earlier
 // select into that name (an explain produces nothing), unless another
-// statement wrote the name in between. Ingest and DML replace the rows
-// under the views, which drops every named subgraph (catalog.Publish), so
-// they end the reach of every subgraph result too. A producer conflicts
-// with its reader, so Stages puts it in an earlier stage. A script with no
-// select into a result yields nil, and allocates nothing.
+// statement wrote the name in between. A subgraph result stays in reach
+// across writes: whether a write left it valid is decided where it is
+// resolved (sema.ResolveSubgraph), so a stale one is unknown there. A
+// producer conflicts with its reader, so Stages puts it in an earlier
+// stage. A script with no select into a result yields nil, and allocates
+// nothing.
 func Locals(stmts []ast.Stmt) [][]Local {
 	type key struct {
 		name string
@@ -186,7 +187,6 @@ func Locals(stmts []ast.Stmt) [][]Local {
 				out[i] = append(out[i], Local{Name: name, Subgraph: sub, At: at})
 			}
 		}
-		var written string // a table this statement replaces
 		switch q := st.(type) {
 		case *ast.Select:
 			if q.Graph == nil {
@@ -202,25 +202,12 @@ func Locals(stmts []ast.Stmt) [][]Local {
 			last[key{strings.ToLower(q.Into.Name), q.Into.Kind == ast.IntoSubgraph}] = i
 		case *ast.Output:
 			read(q.Table, false)
-		case *ast.CreateTable:
-			written = q.Name
-		case *ast.Ingest:
-			written = q.Table
-		case *ast.Insert:
-			written = q.Table
-		case *ast.Update:
-			written = q.Table
-		case *ast.Delete:
-			written = q.Table
-		}
-		if written == "" || last == nil {
-			continue
-		}
-		_, ddl := st.(*ast.CreateTable)
-		lw := strings.ToLower(written)
-		for k := range last {
-			if k.sub && !ddl || !k.sub && k.name == lw {
-				delete(last, k)
+		default:
+			if last == nil {
+				continue
+			}
+			for w := range footprint(st).writes {
+				delete(last, key{w, false}) // a table the statement replaces
 			}
 		}
 	}

@@ -110,7 +110,7 @@ type Analyzer struct {
 	// Locals, when non-nil, resolves the results that earlier statements
 	// of the analysed statement's script produced. A select's source table,
 	// a seeded step's subgraph and an output's table are looked up there
-	// before the catalog.
+	// before the catalog; so is the table a write maintains views over.
 	Locals Locals
 
 	diags    diag.List
@@ -136,15 +136,21 @@ func (a *Analyzer) table(name string) *table.Table {
 	return a.Cat.Table(name)
 }
 
-// subgraph resolves a seeded step's subgraph the way table resolves a
-// table.
-func (a *Analyzer) subgraph(name string) *graph.Subgraph {
-	if a.Locals != nil {
-		if sg := a.Locals.Subgraph(name); sg != nil {
-			return sg
-		}
+// ResolveSubgraph resolves a seeded step's subgraph for analysis and for
+// the matcher: the script's own result of that name, else the catalog's,
+// while it is valid in the catalog's graph (graph.Graph.Valid).
+func ResolveSubgraph(cat *catalog.Catalog, locals Locals, name string) *graph.Subgraph {
+	var sg *graph.Subgraph
+	if locals != nil {
+		sg = locals.Subgraph(name)
 	}
-	return a.Cat.Subgraph(name)
+	if sg == nil {
+		sg = cat.Subgraph(name)
+	}
+	if sg == nil || !cat.Graph().Valid(sg) {
+		return nil
+	}
+	return sg
 }
 
 // Analyze statically checks one statement and returns its resolved form.
@@ -168,11 +174,14 @@ func (a *Analyzer) Vet(st ast.Stmt) (Stmt, diag.List) {
 	var out Stmt
 	switch s := st.(type) {
 	case *ast.CreateTable:
+		a.checkNewName("table", s.Name, s.NamePos, a.Cat.Table(s.Name) != nil)
 		out = a.analyzeCreateTable(s)
 	case *ast.CreateVertex:
+		a.checkNewName("vertex type", s.Name, s.NamePos, a.Cat.Graph().VertexType(s.Name) != nil)
 		out = a.analyzeCreateVertex(s)
 	case *ast.CreateEdge:
-		out = a.analyzeCreateEdge(s)
+		a.checkNewName("edge type", s.Name, s.NamePos, a.Cat.Graph().EdgeType(s.Name) != nil)
+		out = a.analyzeCreateEdge(s, a.Cat.Graph())
 	case *ast.Ingest:
 		out = a.analyzeIngest(s)
 	case *ast.Output:
@@ -244,12 +253,31 @@ func (a *Analyzer) addErr(err error, fallback diag.Code) {
 // current statement.
 func (a *Analyzer) hasErrors() bool { return a.diags.HasErrors() }
 
-func (a *Analyzer) analyzeCreateTable(s *ast.CreateTable) Stmt {
-	if a.Cat.Table(s.Name) != nil {
-		a.errorf(s.NamePos, diag.DuplicateName, "table %s already exists", s.Name)
-	} else if a.nameTaken(s.Name) {
-		a.errorf(s.NamePos, diag.DuplicateName, "name %s already in use", s.Name)
+// checkNewName diagnoses a create whose name is taken: by an object of its
+// own kind (exists), else by any other.
+func (a *Analyzer) checkNewName(kind, name string, pos diag.Span, exists bool) {
+	if exists {
+		a.errorf(pos, diag.DuplicateName, "%s %s already exists", kind, name)
+	} else if a.Cat.Table(name) != nil || a.Cat.Graph().VertexType(name) != nil || a.Cat.Graph().EdgeType(name) != nil {
+		a.errorf(pos, diag.DuplicateName, "name %s already in use", name)
 	}
+}
+
+// Resolve re-resolves a vertex or edge declaration the catalog holds, for
+// view maintenance: the analysis of the create without checkNewName, its
+// tables looked up through Locals first and an edge's endpoints in g.
+func (a *Analyzer) Resolve(decl ast.Stmt, g *graph.Graph) (Stmt, error) {
+	a.diags, a.stmtSpan = nil, decl.Span()
+	var out Stmt
+	if s, ok := decl.(*ast.CreateVertex); ok {
+		out = a.analyzeCreateVertex(s)
+	} else {
+		out = a.analyzeCreateEdge(decl.(*ast.CreateEdge), g)
+	}
+	return out, a.diags.Err()
+}
+
+func (a *Analyzer) analyzeCreateTable(s *ast.CreateTable) Stmt {
 	var schema table.Schema
 	for _, c := range s.Cols {
 		schema = append(schema, table.ColumnDef{Name: c.Name, Type: c.Type})
@@ -258,11 +286,6 @@ func (a *Analyzer) analyzeCreateTable(s *ast.CreateTable) Stmt {
 		a.addErr(err, diag.DuplicateName)
 	}
 	return &CreateTable{Name: s.Name, Schema: schema}
-}
-
-func (a *Analyzer) nameTaken(name string) bool {
-	g := a.Cat.Graph()
-	return g.VertexType(name) != nil || g.EdgeType(name) != nil
 }
 
 // keySpan returns the source span of key column i (hand-built ASTs carry
@@ -275,12 +298,7 @@ func keySpan(s *ast.CreateVertex, i int) diag.Span {
 }
 
 func (a *Analyzer) analyzeCreateVertex(s *ast.CreateVertex) Stmt {
-	if a.Cat.Graph().VertexType(s.Name) != nil {
-		a.errorf(s.NamePos, diag.DuplicateName, "vertex type %s already exists", s.Name)
-	} else if a.Cat.Table(s.Name) != nil || a.Cat.Graph().EdgeType(s.Name) != nil {
-		a.errorf(s.NamePos, diag.DuplicateName, "name %s already in use", s.Name)
-	}
-	base := a.Cat.Table(s.From)
+	base := a.table(s.From)
 	if base == nil {
 		// The paper's example error class: using an entity of the wrong
 		// kind where a table is required.
@@ -352,14 +370,8 @@ func edgeFromSpan(s *ast.CreateEdge, i int) diag.Span {
 // in the where clause (the paper's Fig. 3 "feature" edge references
 // ProductFeatures without a from clause). Endpoint, table and where-clause
 // problems are all diagnosed in one pass; conjunct classification runs
-// only once the source list resolved cleanly.
-func (a *Analyzer) analyzeCreateEdge(s *ast.CreateEdge) Stmt {
-	g := a.Cat.Graph()
-	if g.EdgeType(s.Name) != nil {
-		a.errorf(s.NamePos, diag.DuplicateName, "edge type %s already exists", s.Name)
-	} else if a.Cat.Table(s.Name) != nil || g.VertexType(s.Name) != nil {
-		a.errorf(s.NamePos, diag.DuplicateName, "name %s already in use", s.Name)
-	}
+// only once the source list resolved cleanly. Endpoints resolve in g.
+func (a *Analyzer) analyzeCreateEdge(s *ast.CreateEdge, g *graph.Graph) Stmt {
 	srcV := g.VertexType(s.SrcType)
 	if srcV == nil {
 		a.errorf(s.SrcPos, diag.UnknownVertex, "unknown vertex type %s in edge %s", s.SrcType, s.Name)
@@ -381,7 +393,7 @@ func (a *Analyzer) analyzeCreateEdge(s *ast.CreateEdge) Stmt {
 		a.errorf(s.NamePos, diag.EdgeDeclRule, "edge %s: source and target need distinct aliases (use 'as')", s.Name)
 	}
 	for i, tn := range s.FromTables {
-		t := a.Cat.Table(tn)
+		t := a.table(tn)
 		if t == nil {
 			a.errorf(edgeFromSpan(s, i), diag.UnknownTable, "unknown table %s in edge %s", tn, s.Name)
 			continue
@@ -407,7 +419,7 @@ func (a *Analyzer) analyzeCreateEdge(s *ast.CreateEdge) Stmt {
 		if findSource(r.Qualifier) >= 0 {
 			continue
 		}
-		t := a.Cat.Table(r.Qualifier)
+		t := a.table(r.Qualifier)
 		if t == nil {
 			a.errorf(r.Loc, diag.UnknownSource, "edge %s: unknown source %s in where clause", s.Name, r.Qualifier)
 			continue

@@ -330,7 +330,7 @@ func (b *patternBuilder) vertexStep(step *ast.VertexStep) *Node {
 
 	// Seeded step resQ1.Vn (Fig. 12).
 	if step.SeedGraph != "" {
-		if b.a.subgraph(step.SeedGraph) == nil {
+		if ResolveSubgraph(b.a.Cat, b.a.Locals, step.SeedGraph) == nil {
 			b.a.errorf(step.Loc, diag.UnknownSubgraph, "unknown subgraph %s", step.SeedGraph)
 		}
 		vt := g.VertexType(step.Name)
