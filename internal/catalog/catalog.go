@@ -86,13 +86,14 @@ type Change struct {
 	Table *table.Table
 	// Graph, when non-nil, replaces the view graph: a new type (DDL), or
 	// the views that read Table re-derived (ingest, DML; nil when no view
-	// reads it). Every named subgraph not Valid in it is dropped.
+	// reads it).
 	Graph *graph.Graph
 	// Vertex and Edge record the declaration of the type the change adds
 	// to Graph.
 	Vertex *ast.CreateVertex
 	Edge   *ast.CreateEdge
-	// Subgraph is registered under its name, replacing any of that name.
+	// Subgraph is registered under its name, replacing any of that name;
+	// like every subgraph, it is kept only if the graph holds its types.
 	Subgraph *graph.Subgraph
 }
 
@@ -111,7 +112,6 @@ func (c *Catalog) Publish(ch Change) {
 	}
 	if ch.Graph != nil {
 		c.graph = ch.Graph
-		maps.DeleteFunc(c.subgraphs, func(_ string, sg *graph.Subgraph) bool { return !ch.Graph.Valid(sg) })
 	}
 	if ch.Vertex != nil {
 		c.vertexDecls = append(c.vertexDecls, ch.Vertex)
@@ -122,6 +122,7 @@ func (c *Catalog) Publish(ch Change) {
 	if ch.Subgraph != nil {
 		c.subgraphs[strings.ToLower(ch.Subgraph.Name)] = ch.Subgraph
 	}
+	maps.DeleteFunc(c.subgraphs, func(_ string, sg *graph.Subgraph) bool { return !c.graph.Valid(sg) })
 	c.epoch++
 }
 

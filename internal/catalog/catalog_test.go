@@ -48,7 +48,8 @@ func TestPublishReplacesTable(t *testing.T) {
 
 // TestSubgraphRegistry: a named subgraph stays while every type it holds
 // is still in the graph, and goes with the first change that replaces
-// one, whatever else the change carries.
+// one, whatever else the change carries. A subgraph that arrives holding
+// a type the graph no longer holds is never registered.
 func TestSubgraphRegistry(t *testing.T) {
 	c := New()
 	base := newTable(t, "A", 3)
@@ -90,6 +91,18 @@ func TestSubgraphRegistry(t *testing.T) {
 	c.Publish(Change{Table: newTable(t, "A", 4), Graph: next})
 	if c.Subgraph("S1") != nil {
 		t.Error("new rows under a view S1 holds must drop it")
+	}
+	current := graph.NewSubgraph("S2")
+	current.VertexSet(c.Graph().VertexType("V")).Set(1)
+	c.Publish(Change{Subgraph: current})
+	if c.Subgraph("S2") == nil {
+		t.Fatal("a subgraph of current types must be registered")
+	}
+	stale := graph.NewSubgraph("s2")
+	stale.VertexSet(vt).Set(1)
+	c.Publish(Change{Subgraph: stale})
+	if c.Subgraph("S2") != nil {
+		t.Error("a subgraph captured against a replaced type must not be registered, nor leave the older one of its name")
 	}
 }
 

@@ -49,7 +49,7 @@ func (e *Engine) runExplainAnalyze(s *sema.Select, params map[string]value.Value
 		detail := "miss — shape not cached, or what it read has changed"
 		if p := e.scripts.get(stripExplainPrefix(text), true); p != nil && len(p.stmts) == 1 {
 			cs := &p.stmts[0]
-			if slot := cs.plan.Load(); slot != nil && e.fresh(slot, e.source(cs, nil)) {
+			if sel := cs.plan.Load(); sel != nil && e.fresh(sel, e.source(cs, nil)) {
 				detail = "hit — shape cached and fresh"
 			}
 		}

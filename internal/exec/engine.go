@@ -451,11 +451,13 @@ func commitDetail(c catalog.Change) string {
 }
 
 // register publishes a result table — live, replayed from the WAL or
-// restored from a snapshot. Result tables are durable as materialised
-// rows: re-running the (possibly parallel, order-sensitive) query on
-// replay could diverge, the rows themselves cannot.
+// restored from a snapshot — durable as its rows, since re-running a
+// parallel, order-sensitive query on replay could diverge. It decides
+// GQL0108 under the writer mutex, where no declaration can slip in.
 func (e *Engine) register(t *table.Table) error {
-	return e.write(nil, nil, &change{Change: catalog.Change{Table: t}}, nil)
+	return e.write(nil, nil, &change{Change: catalog.Change{Table: t}}, func() error {
+		return (&sema.Analyzer{Cat: e.Cat}).CheckIntoTable(ast.Into{Name: t.Name})
+	})
 }
 
 // execDDL analyses a create statement and publishes what it creates: a

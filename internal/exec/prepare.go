@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"graql/internal/ast"
-	"graql/internal/graph"
 	"graql/internal/ir"
 	"graql/internal/obs"
 	"graql/internal/parser"
@@ -58,7 +57,7 @@ type compiledStmt struct {
 	// src is a table select's source table name, lower-cased once here so
 	// that resolving it in the catalog on every execution allocates nothing.
 	src  string
-	plan atomic.Pointer[planSlot]
+	plan atomic.Pointer[sema.Select]
 	// label is the statement span's detail, rendered on the first traced
 	// execution: st is the unbound, shared AST, so it never changes.
 	label atomic.Pointer[string]
@@ -70,13 +69,6 @@ type stmtIdent struct {
 	fp     uint64
 	norm   string // fingerprint-normalized text
 	script string // statement text: its source span, or the canonical rendering
-}
-
-// planSlot is an analyzed select with the view graph it was analyzed
-// against; fresh says when it still holds.
-type planSlot struct {
-	graph *graph.Graph
-	sel   sema.Select
 }
 
 // Text returns the canonical rendering of the prepared script.
@@ -251,25 +243,25 @@ func (e *Engine) planSelect(cs *compiledStmt, done []Result) (*sema.Select, erro
 	sel := cs.st.(*ast.Select)
 	reuse := e.scripts != nil && planCacheable(sel)
 	if reuse {
-		if slot := cs.plan.Load(); slot != nil {
-			if src := e.source(cs, done); e.fresh(slot, src) {
-				if slot.sel.Table != src {
+		if p := cs.plan.Load(); p != nil {
+			if src := e.source(cs, done); e.fresh(p, src) {
+				if p.Table != src {
 					// Same schema, another table: the plan holds as it is
 					// once it reads the current one.
-					slot = &planSlot{graph: slot.graph, sel: slot.sel}
-					slot.sel.Table = src
-					cs.plan.Store(slot)
+					rebound := *p
+					rebound.Table, p = src, &rebound
+					cs.plan.Store(p)
 				}
 				// A stored plan outlives the execution that built it, so
 				// verify on the hit path too: a corruption bug anywhere in
 				// invalidation surfaces here as a loud error instead of a
 				// wrong answer.
-				if err := e.verifyPlanDue(&slot.sel, "plan-cache"); err != nil {
+				if err := e.verifyPlanDue(p, "plan-cache"); err != nil {
 					return nil, err
 				}
 				e.scripts.hit()
 				e.acct.notePlanHit()
-				return &slot.sel, nil
+				return p, nil
 			}
 			e.scripts.evicted() // what the plan read has changed
 		}
@@ -284,25 +276,29 @@ func (e *Engine) planSelect(cs *compiledStmt, done []Result) (*sema.Select, erro
 		return nil, err
 	}
 	if reuse {
-		slot := &planSlot{graph: e.Cat.Graph(), sel: *p}
-		cs.plan.Store(slot)
-		p = &slot.sel
+		cs.plan.Store(p)
 	}
 	return p, nil
 }
 
 // fresh is the one test of whether a stored plan still holds (DESIGN.md
-// §12). src is the table the statement reads now (nil in graph mode). A
-// table-mode plan depends only on its source's schema, so it holds for
-// any table of the same name and schema, read in place of the one it was
-// analyzed against. A graph-mode plan holds vertex and edge types, so it
-// holds while the view graph is the one it was analyzed against. So does
-// any plan into a table: its target was checked against the view
-// declarations, which change only with the graph.
-func (e *Engine) fresh(slot *planSlot, src *table.Table) bool {
-	p := &slot.sel
-	if (p.Table == nil || p.Into.Kind == ast.IntoTable) && slot.graph != e.Cat.Graph() {
-		return false
+// §12); src is the table the statement reads now (nil in graph mode). A
+// graph-mode plan holds, as a subgraph does, while the graph Holds every
+// type it resolved; a table-mode plan, for any table of its source's name
+// and schema. An into-table target is checked again when it is published.
+func (e *Engine) fresh(p *sema.Select, src *table.Table) bool {
+	g := e.Cat.Graph()
+	for _, alt := range p.GraphAlts {
+		for _, n := range alt.Pattern.Nodes {
+			if !g.Holds(n.Type, nil) {
+				return false
+			}
+		}
+		for _, pe := range alt.Pattern.Edges {
+			if !g.Holds(nil, pe.Type) || pe.Regex != nil && slices.ContainsFunc(pe.Regex.Steps, func(st sema.RegexStep) bool { return !g.Holds(st.Vtx, st.Edge) }) {
+				return false
+			}
+		}
 	}
 	if p.Table == src {
 		return true

@@ -253,3 +253,79 @@ func TestWriteToUnreadTableExplain(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanSlotsKeyOnTypes: a stored graph-mode plan follows the subgraph
+// rule. It holds while every type it resolved is the current one, so a
+// write that re-derives only other types (Reviews feeds ReviewVtx and
+// reviewFor) and a new type keep it: the next execute is a hit with the
+// same answer. A write that re-derives a type it resolved (Products under
+// ProductVtx) makes it one miss and one eviction, and the answer is the
+// new one.
+func TestPlanSlotsKeyOnTypes(t *testing.T) {
+	e := subgraphRuleEngine(t)
+	p, err := e.Prepare(`select y.id from graph ProductVtx (id = 'p1') --feature--> FeatureVtx <--feature-- def y: ProductVtx ( )`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		write                   string
+		hits, misses, evictions int64
+		want                    []string
+	}{
+		{`update Reviews set rating = 2`, 1, 0, 0, []string{"p1", "p1", "p1", "p2", "p2", "p3"}},
+		{`create vertex QV(id) from table Z`, 1, 0, 0, []string{"p1", "p1", "p1", "p2", "p2", "p3"}},
+		{`delete from Products where id = 'p3'`, 0, 1, 1, []string{"p1", "p1", "p1", "p2", "p2"}},
+	} {
+		h0, m0, ev0, _ := e.PlanCacheStats()
+		mustExec(t, e, c.write, nil)
+		res, err := e.ExecPrepared(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortedIDs(res[0]); !slices.Equal(got, c.want) {
+			t.Errorf("after %s: %v, want %v", c.write, got, c.want)
+		}
+		h, m, ev, _ := e.PlanCacheStats()
+		if h-h0 != c.hits || m-m0 != c.misses || ev-ev0 != c.evictions {
+			t.Errorf("after %s: +%d hits +%d misses +%d evictions, want +%d/+%d/+%d", c.write, h-h0, m-m0, ev-ev0, c.hits, c.misses, c.evictions)
+		}
+	}
+	// The per-type test is on every hit's path: it allocates nothing.
+	sel := p.stmts[0].plan.Load()
+	if n := testing.AllocsPerRun(100, func() { e.fresh(sel, nil) }); n != 0 {
+		t.Errorf("fresh allocates %v times per call, want 0", n)
+	}
+}
+
+// TestVariantStepSeesNewEdgeType: a variant step resolves no type, so a
+// stored plan cannot freeze its expansion. After a second edge type
+// between the same endpoints is created, the next execute of the plan is
+// a hit and returns that type's edges too.
+func TestVariantStepSeesNewEdgeType(t *testing.T) {
+	e := subgraphRuleEngine(t)
+	p, err := e.Prepare(`select y.id from graph ProductVtx (id = 'p2') --[ ]--> def y: FeatureVtx ( )`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.ExecPrepared(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sortedIDs(res[0]), []string{"f1", "f2"}; !slices.Equal(got, want) {
+		t.Fatalf("before: %v, want %v", got, want)
+	}
+	mustExec(t, e, `create table Likes(product varchar(10), feature varchar(10))
+insert into Likes values ('p2', 'f4')
+create edge liked with vertices (ProductVtx, FeatureVtx) from table Likes
+where Likes.product = ProductVtx.id and Likes.feature = FeatureVtx.id`, nil)
+	h0, m0, _, _ := e.PlanCacheStats()
+	if res, err = e.ExecPrepared(p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sortedIDs(res[0]), []string{"f1", "f2", "f4"}; !slices.Equal(got, want) {
+		t.Errorf("after create edge liked: %v, want %v", got, want)
+	}
+	if h, m, _, _ := e.PlanCacheStats(); h-h0 != 1 || m-m0 != 0 {
+		t.Errorf("after create edge liked: +%d hits +%d misses, want +1/+0", h-h0, m-m0)
+	}
+}

@@ -109,7 +109,7 @@ func TestIRVerifySampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.stmts[0].plan.Load().sel.Top = -1 // executes as "no top"; verifyPlan refuses it
+	p.stmts[0].plan.Load().Top = -1 // executes as "no top"; verifyPlan refuses it
 	rejected := 0
 	for i := 0; i < 2*irVerifySampleEvery; i++ {
 		if _, err := e.ExecPrepared(p, nil); err != nil {

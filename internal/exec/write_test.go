@@ -242,3 +242,71 @@ func TestIntoTableCannotReplaceViewTable(t *testing.T) {
 	v := newTestEngine(nil)
 	mustExec(t, v, dmlViewScript+`select id from table Person into table A`, nil)
 }
+
+// TestIntoTableRacesViewDDL: GQL0108 is decided where the result is
+// published, under the writer mutex, not only when the select is
+// analyzed. A select into T races a create vertex and a create edge over
+// T: in every trial either the select fails with GQL0108, or it published
+// first and both views read its rows. Either way each view indexes
+// exactly T's rows, before and after an insert into T maintains them.
+func TestIntoTableRacesViewDDL(t *testing.T) {
+	trials := 400
+	if raceEnabled {
+		trials = 60
+	}
+	var setup strings.Builder
+	setup.WriteString(`create table N(id integer)
+create table S(id integer)
+create table T(id integer)
+create vertex NV(id) from table N
+insert into N values (2000), (2001)
+insert into T values (2000)
+`)
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&setup, "insert into N values (%d)\ninsert into S values (%d)\n", i, i)
+	}
+	stmts := []string{
+		`select id from table S into table T`,
+		`create vertex V(id) from table T`,
+		`create edge ET with vertices (NV as A, NV as B) from table T where T.id = A.id and T.id = B.id`,
+	}
+	refused := 0
+	for trial := 0; trial < trials; trial++ {
+		e := newTestEngine(nil)
+		mustExec(t, e, setup.String(), nil)
+		errs := make([]error, len(stmts))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for k, st := range stmts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[k] = e.ExecScript(st, nil)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if errs[1] != nil || errs[2] != nil {
+			t.Fatalf("trial %d: create vertex: %v; create edge: %v", trial, errs[1], errs[2])
+		}
+		if errs[0] != nil {
+			if !strings.Contains(errs[0].Error(), "GQL0108") {
+				t.Fatalf("trial %d: select into T: %v, want GQL0108", trial, errs[0])
+			}
+			refused++
+		}
+		check := func(when string) {
+			t.Helper()
+			rows := e.Cat.Table("T").NumRows()
+			vs, es := e.Cat.Graph().VertexType("V").Count(), e.Cat.Graph().EdgeType("ET").Count()
+			if vs != rows || es != rows {
+				t.Fatalf("trial %d, %s (select err %v): T has %d rows, V %d vertices, ET %d edges", trial, when, errs[0], rows, vs, es)
+			}
+		}
+		check("after the race")
+		mustExec(t, e, `insert into T values (2001)`, nil)
+		check("after an insert into T")
+	}
+	t.Logf("%d of %d selects refused with GQL0108", refused, trials)
+}

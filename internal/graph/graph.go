@@ -80,16 +80,22 @@ func (g *Graph) VertexTypes() []*VertexType { return g.vertexTypes }
 // EdgeTypes returns all edge types in creation order.
 func (g *Graph) EdgeTypes() []*EdgeType { return g.edgeTypes }
 
-// Valid reports whether subgraph s is still valid in g: every type it
-// holds, whose ids its bitmaps index, is one of g's, pointer for pointer.
+// Holds is the one version rule: what was derived from vt and et still
+// holds while each is nil or one of g's types, pointer for pointer.
+func (g *Graph) Holds(vt *VertexType, et *EdgeType) bool {
+	return (vt == nil || slices.Contains(g.vertexTypes, vt)) && (et == nil || slices.Contains(g.edgeTypes, et))
+}
+
+// Valid reports whether subgraph s is still valid in g: g Holds every
+// type it holds, whose ids its bitmaps index.
 func (g *Graph) Valid(s *Subgraph) bool {
 	for vt := range s.Vertices {
-		if !slices.Contains(g.vertexTypes, vt) {
+		if !g.Holds(vt, nil) {
 			return false
 		}
 	}
 	for et := range s.Edges {
-		if !slices.Contains(g.edgeTypes, et) {
+		if !g.Holds(nil, et) {
 			return false
 		}
 	}

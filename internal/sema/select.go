@@ -76,7 +76,9 @@ func (*Select) semaStmt() {}
 
 func (a *Analyzer) analyzeSelect(s *ast.Select) Stmt {
 	if s.Into.Kind == ast.IntoTable {
-		a.checkIntoTable(s.Into)
+		if err := a.CheckIntoTable(s.Into); err != nil {
+			a.addErr(err, diag.DuplicateName)
+		}
 	}
 	if s.Graph != nil {
 		return a.analyzeGraphSelect(s)
@@ -84,22 +86,25 @@ func (a *Analyzer) analyzeSelect(s *ast.Select) Stmt {
 	return a.analyzeTableSelect(s)
 }
 
-// checkIntoTable rejects a result that would replace a table a vertex or
-// edge declaration reads: a result table is published as it is, without
-// re-deriving the views over the name, which would go stale.
-func (a *Analyzer) checkIntoTable(into ast.Into) {
+// CheckIntoTable refuses (GQL0108) a result that would replace a table a
+// vertex or edge declaration reads: a result table is published as it is,
+// without re-deriving the views over the name, which would go stale.
+func (a *Analyzer) CheckIntoTable(into ast.Into) error {
+	refuse := func(kind, view string) error {
+		return &diag.Diagnostic{Severity: diag.SevError, Code: diag.DuplicateName, Span: into.NamePos,
+			Msg: fmt.Sprintf("table %s feeds %s %s; a select cannot replace it", into.Name, kind, view)}
+	}
 	for _, d := range a.Cat.VertexDecls() {
 		if strings.EqualFold(d.From, into.Name) {
-			a.errorf(into.NamePos, diag.DuplicateName, "table %s feeds vertex %s; a select cannot replace it", into.Name, d.Name)
-			return
+			return refuse("vertex", d.Name)
 		}
 	}
 	for _, d := range a.Cat.EdgeDecls() {
 		if EdgeReadsTable(d, into.Name) {
-			a.errorf(into.NamePos, diag.DuplicateName, "table %s feeds edge %s; a select cannot replace it", into.Name, d.Name)
-			return
+			return refuse("edge", d.Name)
 		}
 	}
+	return nil
 }
 
 // EdgeReadsTable reports whether an edge declaration reads the named
