@@ -171,8 +171,10 @@ echo "== race stress: shared dictionary indexes, readers during writes =="
 # answer as before or fail GQL0107, never from a stale set
 # (SeededReadsDuringWrites). A select into a table races create vertex
 # and create edge over it: it is refused GQL0108 or every view reads its
-# rows (IntoTableRacesViewDDL).
-go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic|SeededReadsDuringWrites|IntoTableRacesViewDDL' ./internal/table ./internal/exec
+# rows (IntoTableRacesViewDDL). A script of two identical counts beside a
+# looping insert reads one catalog version: both counts agree
+# (ScriptReadsOneVersion).
+go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic|SeededReadsDuringWrites|IntoTableRacesViewDDL|ScriptReadsOneVersion' ./internal/table ./internal/exec
 
 echo "== fuzz smoke (${FUZZTIME} per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/parser

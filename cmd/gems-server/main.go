@@ -123,9 +123,7 @@ func main() {
 			os.Exit(1)
 		}
 		store = st
-		eng.Cat.RLock()
 		recovered := len(eng.Cat.Tables())
-		eng.Cat.RUnlock()
 		fmt.Printf("durable store %s: recovered %d table(s), wal seq %d\n", *storeDir, recovered, st.LastSeq())
 		if recovered > 0 && *berlin > 0 {
 			fmt.Println("store already populated; skipping -berlin preload")

@@ -402,8 +402,6 @@ type Stats struct {
 // Stats returns a snapshot of the catalog's object sizes and degree
 // statistics — the metadata the GEMS planner consumes.
 func (db *DB) Stats() []Stats {
-	db.eng.Cat.RLock()
-	defer db.eng.Cat.RUnlock()
 	raw := db.eng.Cat.Stats()
 	out := make([]Stats, len(raw))
 	for i, s := range raw {

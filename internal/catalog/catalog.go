@@ -9,75 +9,82 @@
 // table, but also the generation of associated vertex and edge instances",
 // §II-A2).
 //
-// Writes change the catalog in one way only: a writer holds the writer
-// mutex (BeginWrite), builds its Change aside against what it reads here,
-// and Publish installs the whole change under the write lock with one
-// epoch bump (DESIGN.md §10). Readers hold the read lock and therefore see
-// the catalog either before or after a change, never part of one. A write
-// replaces only the views that read the table it writes.
+// The catalog's state is one immutable version behind an atomic pointer.
+// A writer holds the writer mutex (BeginWrite), builds its Change aside
+// against the live catalog, and Publish swaps in the next version with
+// one epoch bump (DESIGN.md §10). Readers take no lock: a version Pin
+// returns answers every read as of its pinning, never part of a change.
 package catalog
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"graql/internal/ast"
 	"graql/internal/graph"
 	"graql/internal/table"
 )
 
-// Catalog is the metadata repository. It is safe for concurrent use:
-// queries read under RLock, and every mutation is one Publish, which is
-// what makes data definition and ingest atomic with respect to queries
+// Catalog is the metadata repository: the live catalog New returns, which
+// answers each read from its current version, or a version Pin returns.
+// It is safe for concurrent use, and every mutation is one Publish, which
+// is what makes data definition and ingest atomic with respect to queries
 // (paper §III).
 type Catalog struct {
-	mu sync.RWMutex
-
-	// wmu serialises writers against each other (and against checkpoints)
-	// without blocking readers. Every mutation of the fields below happens
-	// under it, so its holder may read them without mu. Lock order is
-	// always wmu before mu.
+	// wmu serialises writers against each other (and against checkpoints).
+	// cur is the current version; both are unused on a version (cur nil).
 	wmu sync.Mutex
+	cur atomic.Pointer[Catalog]
+	state
+}
 
-	// epoch counts published changes. Readers that capture it under RLock
-	// can detect whether any write was published in between.
-	epoch uint64
-
-	tables      map[string]*table.Table
-	tableOrder  []string
+// state is a version's content, never changed once published. slot maps
+// a lower-cased table name to its index in tables (registration order).
+type state struct {
+	epoch       uint64
+	slot        map[string]int
+	tables      []*table.Table
 	graph       *graph.Graph
 	vertexDecls []*ast.CreateVertex
 	edgeDecls   []*ast.CreateEdge
-	subgraphs   map[string]*graph.Subgraph
+	subgraphs   []*graph.Subgraph
 }
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
-		tables:    make(map[string]*table.Table),
-		graph:     graph.NewGraph(),
-		subgraphs: make(map[string]*graph.Subgraph),
-	}
+	c := &Catalog{}
+	c.cur.Store(&Catalog{state: state{slot: make(map[string]int), graph: graph.NewGraph()}})
+	return c
 }
 
-// RLock acquires the read lock for query execution.
-func (c *Catalog) RLock() { c.mu.RLock() }
+// Pin returns the current version, whose reads no later publish changes.
+// Pinning a version returns it; neither allocates.
+func (c *Catalog) Pin() *Catalog {
+	if v := c.cur.Load(); v != nil {
+		return v
+	}
+	return c
+}
 
-// RUnlock releases the read lock.
-func (c *Catalog) RUnlock() { c.mu.RUnlock() }
+// RLock does nothing: readers pin a version and take no lock. It is kept,
+// with RUnlock, for the benchmark harness, which still calls both.
+func (c *Catalog) RLock() {}
 
-// BeginWrite takes the writer mutex. It must be acquired before any mu
-// lock (never while holding one).
+// RUnlock does nothing; see RLock.
+func (c *Catalog) RUnlock() {}
+
+// BeginWrite takes the writer mutex of the live catalog.
 func (c *Catalog) BeginWrite() { c.wmu.Lock() }
 
 // EndWrite releases the writer mutex.
 func (c *Catalog) EndWrite() { c.wmu.Unlock() }
 
-// Epoch returns the number of published changes. Callers must hold at
-// least the read lock.
-func (c *Catalog) Epoch() uint64 { return c.epoch }
+// Epoch returns the number of changes published up to the version read.
+func (c *Catalog) Epoch() uint64 { return c.Pin().epoch }
 
 // Change is one write, built aside by a writer that holds the writer
 // mutex. Published objects are immutable; a change brings new ones.
@@ -97,64 +104,73 @@ type Change struct {
 	Subgraph *graph.Subgraph
 }
 
-// Publish installs a change under the write lock and counts it as one
-// epoch. The caller holds the writer mutex and validated the change
-// against the catalog it read, so nothing here can fail.
+// Publish swaps in the next version, counted as one epoch: the current
+// one with the change applied to copies of what it touches. The caller
+// holds the writer mutex and validated the change against the catalog it
+// read, so nothing here can fail.
 func (c *Catalog) Publish(ch Change) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	old := c.cur.Load()
+	next := old.state
+	next.epoch++
 	if t := ch.Table; t != nil {
 		key := strings.ToLower(t.Name)
-		if _, ok := c.tables[key]; !ok {
-			c.tableOrder = append(c.tableOrder, key)
+		next.tables = slices.Clone(old.tables)
+		if i, ok := old.slot[key]; ok {
+			next.tables[i] = t
+		} else {
+			next.slot = maps.Clone(old.slot)
+			next.slot[key] = len(next.tables)
+			next.tables = append(next.tables, t)
 		}
-		c.tables[key] = t
 	}
 	if ch.Graph != nil {
-		c.graph = ch.Graph
+		next.graph = ch.Graph
 	}
 	if ch.Vertex != nil {
-		c.vertexDecls = append(c.vertexDecls, ch.Vertex)
+		next.vertexDecls = append(slices.Clip(old.vertexDecls), ch.Vertex)
 	}
 	if ch.Edge != nil {
-		c.edgeDecls = append(c.edgeDecls, ch.Edge)
+		next.edgeDecls = append(slices.Clip(old.edgeDecls), ch.Edge)
 	}
-	if ch.Subgraph != nil {
-		c.subgraphs[strings.ToLower(ch.Subgraph.Name)] = ch.Subgraph
+	if sub := ch.Subgraph; sub != nil || ch.Graph != nil && len(old.subgraphs) > 0 {
+		// A subgraph stays while the graph holds its types; an incoming one
+		// displaces the older of its name either way.
+		next.subgraphs = slices.DeleteFunc(append(slices.Clip(old.subgraphs), sub), func(sg *graph.Subgraph) bool {
+			return sg == nil || !next.graph.Valid(sg) || sub != nil && sg != sub && strings.EqualFold(sg.Name, sub.Name)
+		})
 	}
-	maps.DeleteFunc(c.subgraphs, func(_ string, sg *graph.Subgraph) bool { return !c.graph.Valid(sg) })
-	c.epoch++
+	c.cur.Store(&Catalog{state: next})
 }
-
-// The readers below assume the caller holds the read lock or the writer
-// mutex.
 
 // Table returns the named table, or nil.
 func (c *Catalog) Table(name string) *table.Table {
-	return c.tables[strings.ToLower(name)]
+	v := c.Pin()
+	if i, ok := v.slot[strings.ToLower(name)]; ok {
+		return v.tables[i]
+	}
+	return nil
 }
 
 // Tables returns all tables in registration order.
-func (c *Catalog) Tables() []*table.Table {
-	out := make([]*table.Table, 0, len(c.tableOrder))
-	for _, k := range c.tableOrder {
-		out = append(out, c.tables[k])
-	}
-	return out
-}
+func (c *Catalog) Tables() []*table.Table { return slices.Clone(c.Pin().tables) }
 
-// Graph returns the current typed multigraph of all vertex/edge views.
-func (c *Catalog) Graph() *graph.Graph { return c.graph }
+// Graph returns the typed multigraph of all vertex/edge views.
+func (c *Catalog) Graph() *graph.Graph { return c.Pin().graph }
 
 // VertexDecls returns the recorded vertex declarations in order.
-func (c *Catalog) VertexDecls() []*ast.CreateVertex { return c.vertexDecls }
+func (c *Catalog) VertexDecls() []*ast.CreateVertex { return c.Pin().vertexDecls }
 
 // EdgeDecls returns the recorded edge declarations in order.
-func (c *Catalog) EdgeDecls() []*ast.CreateEdge { return c.edgeDecls }
+func (c *Catalog) EdgeDecls() []*ast.CreateEdge { return c.Pin().edgeDecls }
 
 // Subgraph returns the named subgraph result, or nil.
 func (c *Catalog) Subgraph(name string) *graph.Subgraph {
-	return c.subgraphs[strings.ToLower(name)]
+	for _, sg := range c.Pin().subgraphs {
+		if strings.EqualFold(sg.Name, name) {
+			return sg
+		}
+	}
+	return nil
 }
 
 // ObjectStats is a catalog entry in a statistics snapshot.
@@ -174,18 +190,17 @@ type ObjectStats struct {
 
 // Stats returns a snapshot of object sizes and degree statistics — the
 // catalog's "updated information on the sizes of those objects" (§III)
-// that dynamic query planning consumes. Callers must hold at least the
-// read lock.
+// that dynamic query planning consumes, read from one version.
 func (c *Catalog) Stats() []ObjectStats {
+	v := c.Pin()
 	var out []ObjectStats
-	for _, k := range c.tableOrder {
-		t := c.tables[k]
+	for _, t := range v.tables {
 		out = append(out, ObjectStats{Kind: "table", Name: t.Name, Count: t.NumRows()})
 	}
-	for _, vt := range c.graph.VertexTypes() {
+	for _, vt := range v.graph.VertexTypes() {
 		out = append(out, ObjectStats{Kind: "vertex", Name: vt.Name, Count: vt.Count()})
 	}
-	for _, et := range c.graph.EdgeTypes() {
+	for _, et := range v.graph.EdgeTypes() {
 		outDeg, inDeg := et.OutDegreeStats(), et.InDegreeStats()
 		out = append(out, ObjectStats{
 			Kind: "edge", Name: et.Name, Count: et.Count(),

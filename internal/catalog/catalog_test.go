@@ -134,3 +134,45 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Errorf("edge stats = %+v", e)
 	}
 }
+
+// TestPinnedViewIgnoresPublish: a pinned version answers every read as it
+// did when pinned, whatever is published after, while the live catalog
+// shows each change with one epoch apiece.
+func TestPinnedViewIgnoresPublish(t *testing.T) {
+	c := New()
+	a := newTable(t, "A", 3)
+	vt, err := graph.BuildVertexType(0, "V", a, []int{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.NewGraph()
+	_ = g.AddVertexType(vt)
+	c.Publish(Change{Table: a, Graph: g})
+	s1 := graph.NewSubgraph("S1")
+	s1.VertexSet(vt).Set(1)
+	c.Publish(Change{Subgraph: s1})
+
+	pin := c.Pin()
+	epoch, tables := pin.Epoch(), pin.Tables()
+	b := newTable(t, "B", 1)
+	c.Publish(Change{Table: b})
+	next := g.Clone()
+	next.PutVertexType(graph.ReanchorVertexType(vt, a)) // drops S1
+	c.Publish(Change{Table: newTable(t, "A", 4), Graph: next})
+	s2 := graph.NewSubgraph("S2")
+	s2.VertexSet(next.VertexType("V")).Set(0)
+	c.Publish(Change{Subgraph: s2})
+
+	if pin.Epoch() != epoch || pin.Table("A") != a || pin.Table("B") != nil ||
+		len(pin.Tables()) != len(tables) || pin.Tables()[0] != tables[0] ||
+		pin.Graph() != g || pin.Subgraph("S1") != s1 || pin.Subgraph("S2") != nil {
+		t.Error("a pinned version changed under later publishes")
+	}
+	if c.Epoch() != epoch+3 || c.Table("B") != b || c.Table("A").NumRows() != 4 || len(c.Tables()) != 2 ||
+		c.Graph() != next || c.Subgraph("S1") != nil || c.Subgraph("S2") != s2 {
+		t.Errorf("live catalog at epoch %d (want %d) does not show the three changes", c.Epoch(), epoch+3)
+	}
+	if c.Pin().Pin() != c.Pin() {
+		t.Error("pinning a version must return it")
+	}
+}

@@ -123,7 +123,7 @@ func (e *Engine) writeDML(st ast.Stmt, params map[string]value.Value) (Result, e
 	var plan Result
 	var c change
 	err := e.write(st, params, &c, func() error {
-		analyzed, err := e.analyze(st, nil)
+		analyzed, err := e.analyze(e.Cat, st)
 		if err != nil {
 			return err
 		}

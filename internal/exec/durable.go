@@ -37,7 +37,7 @@ func (e *Engine) AttachStore(st *storage.Store) error {
 				return fmt.Errorf("graql: snapshot declarations: %w", err)
 			}
 			for _, decl := range script.Stmts {
-				if _, err := e.execStmt(&compiledStmt{st: decl}, nil, nil); err != nil {
+				if _, err := e.execStmt(&compiledStmt{st: decl}, nil); err != nil {
 					return fmt.Errorf("graql: restoring %s: %w", stmtKind(decl), err)
 				}
 			}
@@ -65,7 +65,7 @@ func (e *Engine) applyRecord(rec *storage.Record) error {
 			return fmt.Errorf("graql: wal replay: %w", err)
 		}
 		for _, st := range script.Stmts {
-			if _, err := e.execStmt(&compiledStmt{st: st}, rec.Params, nil); err != nil {
+			if _, err := e.execStmt(&compiledStmt{st: st}, rec.Params); err != nil {
 				return fmt.Errorf("graql: wal replay (seq %d): %w", rec.Seq, err)
 			}
 		}

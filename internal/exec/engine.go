@@ -8,6 +8,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -113,6 +115,8 @@ func (o Options) workers() int {
 
 // Engine executes GraQL scripts against a catalog.
 type Engine struct {
+	// Cat is the live catalog. Writers build from it under its writer
+	// mutex; a script reads the version it pins (view).
 	Cat  *catalog.Catalog
 	Opts Options
 
@@ -137,9 +141,11 @@ type Engine struct {
 	// every fork (nil when Options.PlanCache < 0).
 	scripts *scriptCache
 
-	// scope holds the script's own results that the running statement
-	// reads, for its seeded steps (nil unless a graph select reads one).
-	scope *scope
+	// view is the catalog version the running statement reads: the one
+	// its script pinned (nil outside a script, which reads the current
+	// version). scope holds the script's own results the statement reads.
+	view  *catalog.Catalog
+	scope scope
 
 	// store is the attached durability layer (nil runs in-memory only).
 	// replay is true while recovery replays the snapshot and WAL tail; it
@@ -180,7 +186,7 @@ type Result struct {
 func (e *Engine) ExecStmt(st ast.Stmt, params map[string]value.Value) (Result, error) {
 	var cs compiledStmt
 	cs.init(st, "")
-	return e.execStmtID(&cs, params, nil)
+	return e.execStmtID(&cs, params, e.Cat.Pin(), nil)
 }
 
 // ExecParsed executes an already parsed script (decoded IR, a
@@ -194,20 +200,20 @@ func (e *Engine) ExecParsed(script *ast.Script, params map[string]value.Value) (
 // metrics and the slow-query log when the engine has an observability
 // registry. On a traced engine (WithTrace) each statement gets a
 // "statement" span and all operator, sweep and cluster spans of its
-// execution nest beneath it. done holds the results of the statements of
-// the script that ran before this one, by index: the statement reads the
-// ones its locals name.
-func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value, done []Result) (Result, error) {
+// execution nest beneath it. The statement runs on a fork that reads cat,
+// the version its script pinned, and the results of its script that its
+// locals name: done holds those of the statements before it, by index.
+func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value, cat *catalog.Catalog, done []Result) (Result, error) {
+	run := e.fork(e.trace, e.parent)
+	run.view, run.scope = cat, scope{cs.locals, done}
 	if e.met.reg == nil && e.trace == nil {
-		return e.execStmt(cs, params, done)
+		return run.execStmt(cs, params)
 	}
-	st := cs.st
-	run := e
 	var sp *obs.Span
 	if e.trace != nil {
 		sp = e.opSpan("statement", cs.detail())
-		sp.SetAttr("kind", stmtKind(st))
-		run = e.fork(e.trace, sp)
+		sp.SetAttr("kind", stmtKind(cs.st))
+		run.parent = sp
 	}
 	// With a registry, the statement gets an accounting record and a live
 	// query table entry, and runs under its own cancelable context so
@@ -221,18 +227,12 @@ func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value, don
 			base = context.Background()
 		}
 		acct.queueWait = queueWaitFrom(base)
-		var cctx context.Context
-		cctx, cancel = context.WithCancel(base)
-		if run == e {
-			c := *e
-			run = &c
-		}
-		run.ctx = cctx
+		run.ctx, cancel = context.WithCancel(base)
 		run.acct = acct
 		acct.live = e.met.reg.StartQuery(cs.id.fp, cs.id.norm, e.traceID(), cancel)
 	}
 	start := time.Now()
-	res, err := run.execStmt(cs, params, done)
+	res, err := run.execStmt(cs, params)
 	elapsed := time.Since(start)
 	if cancel != nil {
 		acct.live.Finish()
@@ -259,22 +259,22 @@ func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value, don
 		sp.AddRows(rows)
 		sp.End()
 	}
-	e.met.observeStmt(st, acct, elapsed, rows, err, e.traceID())
+	e.met.observeStmt(cs.st, acct, elapsed, rows, err, e.traceID())
 	return res, err
 }
 
-// execStmt is execStmtID without instrumentation. Selects run under the
-// catalog's read lock, so independent statements of a script run
-// concurrently (§III-B1); output and ingest resolve their table under it
-// and do their file IO holding no lock. Everything that changes the
+// execStmt is execStmtID without instrumentation, on the statement's
+// fork. Selects, output and ingest read the pinned version and take no
+// lock, so independent statements of a script run concurrently
+// (§III-B1) and file IO holds nothing. Everything that changes the
 // catalog — DDL, ingest, DML, an into result — goes through write.
-func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value, done []Result) (Result, error) {
+func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value) (Result, error) {
 	if err := e.canceled(); err != nil {
 		return Result{}, err
 	}
 	switch st := cs.st.(type) {
 	case *ast.Select:
-		return e.execSelect(cs, params, done)
+		return e.execSelect(cs, params)
 	case *ast.CreateTable, *ast.CreateVertex, *ast.CreateEdge:
 		return e.execDDL(st, params)
 	case *ast.Insert, *ast.Update, *ast.Delete:
@@ -282,9 +282,7 @@ func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value, done 
 			return e.execDML(st, params)
 		}
 	}
-	e.Cat.RLock()
-	analyzed, err := e.analyze(cs.st, scopeOf(cs, done))
-	e.Cat.RUnlock()
+	analyzed, err := e.analyze(e.version(), cs.st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -303,15 +301,20 @@ func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value, done 
 	return Result{}, fmt.Errorf("graql: unsupported statement %T", analyzed)
 }
 
-// analyze analyses a statement against the catalog and, when sc is
-// non-nil, the script's own results before it.
-func (e *Engine) analyze(st ast.Stmt, sc *scope) (sema.Stmt, error) {
-	an := &sema.Analyzer{Cat: e.Cat, NoFold: e.Opts.NoFold}
-	if sc != nil {
-		an.Locals = sc
+// analyze analyses a statement against cat — a reader's pinned version,
+// or the live catalog for a writer, which holds the writer mutex — and
+// the script's own results the statement reads.
+func (e *Engine) analyze(cat *catalog.Catalog, st ast.Stmt) (sema.Stmt, error) {
+	an := &sema.Analyzer{Cat: cat, NoFold: e.Opts.NoFold}
+	if len(e.scope.locals) > 0 {
+		an.Locals = &e.scope
 	}
 	return an.Analyze(st)
 }
+
+// version returns the catalog version e reads: the one its script pinned,
+// else the current one.
+func (e *Engine) version() *catalog.Catalog { return cmp.Or(e.view, e.Cat.Pin()) }
 
 // scope resolves names to the results that earlier statements of a
 // script produced (DESIGN.md §10): a statement reads its own script's
@@ -321,60 +324,30 @@ type scope struct {
 	done   []Result // the script's results so far, by statement index
 }
 
-// scopeOf returns the scope of a statement that reads results of its
-// own script, else nil.
-func scopeOf(cs *compiledStmt, done []Result) *scope {
-	if len(cs.locals) == 0 {
-		return nil
-	}
-	return &scope{cs.locals, done}
-}
-
-// Table returns the script's result table of that name, or nil. Nil-safe.
-func (s *scope) Table(name string) *table.Table {
-	if at := s.find(name, false); at >= 0 {
-		return s.done[at].Table
-	}
-	return nil
-}
+// Table returns the script's result table of that name, or nil.
+func (s *scope) Table(name string) *table.Table { return s.result(name, false).Table }
 
 // Subgraph returns the script's result subgraph of that name, or nil.
-func (s *scope) Subgraph(name string) *graph.Subgraph {
-	if at := s.find(name, true); at >= 0 {
-		return s.done[at].Subgraph
-	}
-	return nil
-}
+func (s *scope) Subgraph(name string) *graph.Subgraph { return s.result(name, true).Subgraph }
 
-func (s *scope) find(name string, sub bool) int {
-	if s == nil {
-		return -1
-	}
+func (s *scope) result(name string, sub bool) Result {
 	for _, l := range s.locals {
 		if l.Subgraph == sub && strings.EqualFold(l.Name, name) {
-			return l.At
+			return s.done[l.At]
 		}
 	}
-	return -1
+	return Result{}
 }
 
-// execSelect runs a select under the read lock and then publishes its
-// into result, if any. Results stay published for later scripts; this
-// script's later statements read them through done.
-func (e *Engine) execSelect(cs *compiledStmt, params map[string]value.Value, done []Result) (Result, error) {
-	e.Cat.RLock()
-	sel, err := e.planSelect(cs, done)
+// execSelect runs a select against the pinned version and then
+// publishes its into result, if any. Results stay published for later
+// scripts; this script's later statements read them through their scope.
+func (e *Engine) execSelect(cs *compiledStmt, params map[string]value.Value) (Result, error) {
+	sel, err := e.planSelect(cs)
 	if err != nil {
-		e.Cat.RUnlock()
 		return Result{}, err
 	}
-	run := e
-	if sel.Table == nil && len(cs.locals) > 0 { // seeded from the script's own subgraph
-		run = e.fork(e.trace, e.parent)
-		run.scope = scopeOf(cs, done)
-	}
-	res, err := run.runSelect(sel, params, cs.id.script)
-	e.Cat.RUnlock()
+	res, err := e.runSelect(sel, params, cs.id.script)
 	if err != nil || sel.Explain {
 		return res, err // an explain is a plan description; nothing to publish
 	}
@@ -401,10 +374,10 @@ type change struct {
 }
 
 // write is the engine's one write path (DESIGN.md §10). Holding the
-// writer mutex, build (when non-nil) fills c in aside, reading the catalog
-// without the read lock — safe, because every catalog mutation holds that
-// mutex. The change is then appended to the WAL, and only after that
-// published with one epoch bump: a write that fails to log is never seen,
+// writer mutex, build (when non-nil) fills c in aside, reading the live
+// catalog, which only this mutex's holder can change. The change is then
+// appended to the WAL, and only after that published as the next version
+// with one epoch bump: a write that fails to log is never seen,
 // and a write that is seen survives a crash. A change left empty (an
 // explain) publishes nothing. Logging and publication each open a span
 // ("wal", "commit"), as build's phases do.
@@ -467,7 +440,7 @@ func (e *Engine) execDDL(st ast.Stmt, params map[string]value.Value) (Result, er
 	var msg string
 	var c change
 	err := e.write(st, params, &c, func() error {
-		analyzed, err := e.analyze(st, nil)
+		analyzed, err := e.analyze(e.Cat, st)
 		if err != nil {
 			return err
 		}
@@ -500,8 +473,10 @@ func (e *Engine) execDDL(st ast.Stmt, params map[string]value.Value) (Result, er
 
 // ExecScriptStaged executes a script with the multi-statement scheduler
 // of §III-B1: statements are grouped into dependence stages (plan.Stages)
-// and the members of each stage run concurrently. Results keep script
-// order. Statement errors abort at the end of the failing stage.
+// and the members of each stage run concurrently, reading the version
+// pinned when the stage starts, so each stage reads the writes of the
+// stages before it. Results keep script order. Statement errors abort at
+// the end of the failing stage.
 func (e *Engine) ExecScriptStaged(src string, params map[string]value.Value) ([]Result, error) {
 	p, err := e.compileCached(src)
 	if err != nil {
@@ -509,11 +484,15 @@ func (e *Engine) ExecScriptStaged(src string, params map[string]value.Value) ([]
 	}
 	results := make([]Result, len(p.stmts))
 	errs := make([]error, len(p.stmts))
-	for _, stage := range plan.Stages(p.script()) {
-		stage := stage
+	cat := e.Cat.Pin()
+	feedsView := func(table string) bool { // a declaration of cat reads it
+		return slices.ContainsFunc(cat.VertexDecls(), func(d *ast.CreateVertex) bool { return equalFold(d.From, table) }) ||
+			slices.ContainsFunc(cat.EdgeDecls(), func(d *ast.CreateEdge) bool { return sema.EdgeReadsTable(d, table) })
+	}
+	for _, stage := range plan.Stages(p.script(), feedsView) {
 		_ = runShards(e.ctx, &e.met, len(stage), e.Opts.workers(), func(k int) error {
 			i := stage[k]
-			results[i], errs[i] = e.execStmtID(&p.stmts[i], params, results)
+			results[i], errs[i] = e.execStmtID(&p.stmts[i], params, cat, results)
 			return nil
 		})
 		for _, i := range stage {
@@ -521,6 +500,7 @@ func (e *Engine) ExecScriptStaged(src string, params map[string]value.Value) ([]
 				return results, fmt.Errorf("statement %d: %w", i+1, errs[i])
 			}
 		}
+		cat = e.Cat.Pin()
 	}
 	return results, nil
 }
@@ -600,9 +580,7 @@ func (e *Engine) replaceTable(stage *table.Table) error {
 // same path as the ingest statement, rebuilding derived views. It lets
 // embedders ingest in-memory data without a file.
 func (e *Engine) IngestReader(tableName string, r io.Reader) error {
-	e.Cat.RLock()
 	t := e.Cat.Table(tableName)
-	e.Cat.RUnlock()
 	if t == nil {
 		return fmt.Errorf("graql: unknown table %s", tableName)
 	}
@@ -624,8 +602,8 @@ func (e *Engine) openFile(path string) (io.ReadCloser, error) {
 }
 
 // runOutput writes a table to a CSV file — the paper's "eventual output
-// to files" on the shared filesystem (§III). It holds no lock: the table
-// version it resolved is immutable.
+// to files" on the shared filesystem (§III). The table version it
+// resolved is immutable.
 func (e *Engine) runOutput(s *sema.Output) (Result, error) {
 	if e.Opts.CheckOnly {
 		return Result{Message: fmt.Sprintf("checked output of %s (skipped)", s.Table.Name)}, nil

@@ -139,7 +139,7 @@ func (e *Engine) newMatcher(pat *sema.Pattern, nodeType []*graph.VertexType,
 		return nil, err
 	}
 	m := &matcher{
-		e: e, g: e.Cat.Graph(), pat: pat,
+		e: e, g: e.version().Graph(), pat: pat,
 		nodeType: slices.Clone(nodeType), edgeType: slices.Clone(edgeType),
 		seeds:   seeds,
 		workers: e.Opts.workers(),

@@ -205,13 +205,13 @@ func (e *Engine) analyzed(p *Prepared) (*Prepared, error) {
 	if !p.ro {
 		return p, nil
 	}
-	e.Cat.RLock()
-	defer e.Cat.RUnlock()
+	run := e.fork(e.trace, e.parent)
+	run.view = e.Cat.Pin()
 	for i := range p.stmts {
 		if _, ok := p.stmts[i].st.(*ast.Select); !ok {
 			continue
 		}
-		if _, err := e.planSelect(&p.stmts[i], nil); err != nil {
+		if _, err := run.planSelect(&p.stmts[i]); err != nil {
 			return nil, fmt.Errorf("statement %d: %w", i+1, err)
 		}
 	}
@@ -234,17 +234,17 @@ func mutatesCatalog(st ast.Stmt) bool {
 func planCacheable(sel *ast.Select) bool { return !sel.Explain }
 
 // planSelect resolves a compiled select to its analyzed plan: load the
-// statement's slot; if it is fresh for what the statement reads now — its
-// source table, the script's own result (done holds the results of the
-// statements before it) or the catalog's — it is a hit, else analyze,
-// verify and store. The caller holds the catalog read lock, so what the
-// plan read stays published for the whole execution that follows.
-func (e *Engine) planSelect(cs *compiledStmt, done []Result) (*sema.Select, error) {
+// statement's slot; if it is fresh for what the statement reads — its
+// source table, the script's own result or the pinned version's — it is
+// a hit, else analyze against that version, verify and store. The
+// version is immutable, so what the plan read stays as it was for the
+// whole execution that follows.
+func (e *Engine) planSelect(cs *compiledStmt) (*sema.Select, error) {
 	sel := cs.st.(*ast.Select)
 	reuse := e.scripts != nil && planCacheable(sel)
 	if reuse {
 		if p := cs.plan.Load(); p != nil {
-			if src := e.source(cs, done); e.fresh(p, src) {
+			if src := e.source(cs); e.fresh(p, src) {
 				if p.Table != src {
 					// Same schema, another table: the plan holds as it is
 					// once it reads the current one.
@@ -267,7 +267,7 @@ func (e *Engine) planSelect(cs *compiledStmt, done []Result) (*sema.Select, erro
 		}
 		e.scripts.miss()
 	}
-	analyzed, err := e.analyze(sel, scopeOf(cs, done))
+	analyzed, err := e.analyze(e.version(), sel)
 	if err != nil {
 		return nil, err
 	}
@@ -281,13 +281,14 @@ func (e *Engine) planSelect(cs *compiledStmt, done []Result) (*sema.Select, erro
 	return p, nil
 }
 
-// fresh is the one test of whether a stored plan still holds (DESIGN.md
-// §12); src is the table the statement reads now (nil in graph mode). A
-// graph-mode plan holds, as a subgraph does, while the graph Holds every
-// type it resolved; a table-mode plan, for any table of its source's name
-// and schema. An into-table target is checked again when it is published.
+// fresh is the one test of whether a stored plan holds for the version e
+// reads (DESIGN.md §12); src is the table the statement reads (nil in
+// graph mode). A graph-mode plan holds, as a subgraph does, while the
+// graph Holds every type it resolved; a table-mode plan, for any table of
+// its source's name and schema. An into-table target is checked again
+// when it is published.
 func (e *Engine) fresh(p *sema.Select, src *table.Table) bool {
-	g := e.Cat.Graph()
+	g := e.version().Graph()
 	for _, alt := range p.GraphAlts {
 		for _, n := range alt.Pattern.Nodes {
 			if !g.Holds(n.Type, nil) {
@@ -307,16 +308,16 @@ func (e *Engine) fresh(p *sema.Select, src *table.Table) bool {
 }
 
 // source returns the table a table select reads: the result of the
-// earlier statement of its script that produced it, else the catalog's
+// earlier statement of its script that produced it, else the version's
 // table of that name. nil in graph mode, or when neither exists.
-func (e *Engine) source(cs *compiledStmt, done []Result) *table.Table {
+func (e *Engine) source(cs *compiledStmt) *table.Table {
 	if cs.src == "" {
 		return nil
 	}
-	if t := (&scope{cs.locals, done}).Table(cs.src); t != nil {
+	if t := e.scope.Table(cs.src); t != nil {
 		return t
 	}
-	return e.Cat.Table(cs.src)
+	return e.version().Table(cs.src)
 }
 
 // ExecPrepared executes a prepared handle, binding the script's %name%
@@ -331,20 +332,30 @@ func (e *Engine) ExecPreparedContext(ctx context.Context, p *Prepared, params ma
 	return e.WithContext(ctx).execCompiled(p, params)
 }
 
-// execCompiled runs the statements of a compiled script in order. On a
-// failure it returns the results of the statements that ran before it,
-// and an error naming the failing statement.
+// execCompiled runs the statements of a compiled script in order,
+// reading one catalog version between the script's own writes (DESIGN.md
+// §10): it pins again after DDL, ingest and DML, not after an into result,
+// which later statements read as the script's own. On a failure it
+// returns the results of the statements that ran before it, and an error
+// naming the failing statement.
 func (e *Engine) execCompiled(p *Prepared, params map[string]value.Value) ([]Result, error) {
 	out := make([]Result, 0, len(p.stmts))
+	cat := e.Cat.Pin()
 	for i := range p.stmts {
 		if err := e.canceled(); err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}
-		r, err := e.execStmtID(&p.stmts[i], params, out)
+		cs := &p.stmts[i]
+		r, err := e.execStmtID(cs, params, cat, out)
 		if err != nil {
 			return out, fmt.Errorf("statement %d: %w", i+1, err)
 		}
 		out = append(out, r)
+		switch cs.st.(type) {
+		case *ast.Select, *ast.Output:
+		default:
+			cat = e.Cat.Pin()
+		}
 	}
 	return out, nil
 }

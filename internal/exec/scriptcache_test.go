@@ -274,7 +274,7 @@ func TestConcurrentPrepareExecuteDML(t *testing.T) {
 	}
 
 	// Fresh prepares race the executes and the writers too: prepare runs
-	// eager analysis under the catalog read lock.
+	// eager analysis against a pinned catalog version.
 	var preparers sync.WaitGroup
 	preparers.Add(1)
 	go func() {

@@ -261,8 +261,8 @@ type preparedAlt struct {
 func (e *Engine) prepareAlt(alt *sema.GraphAlt, params map[string]value.Value) (*preparedAlt, error) {
 	p := &preparedAlt{alt: alt}
 	pat := alt.Pattern
-	p.nodeCond = make([]expr.Expr, len(pat.Nodes))
-	p.edgeCond = make([]expr.Expr, len(pat.Edges))
+	conds := make([]expr.Expr, len(pat.Nodes)+len(pat.Edges))
+	p.nodeCond, p.edgeCond = conds[:len(pat.Nodes):len(pat.Nodes)], conds[len(pat.Nodes):]
 	for i, n := range pat.Nodes {
 		c, err := expr.BindParams(n.Cond, params)
 		if err != nil {
@@ -287,7 +287,7 @@ func (e *Engine) seedsFor(pat *sema.Pattern, nt []*graph.VertexType) ([]*bitmap.
 		if n.Seed == "" {
 			continue
 		}
-		sub := sema.ResolveSubgraph(e.Cat, e.scope, n.Seed)
+		sub := sema.ResolveSubgraph(e.version(), &e.scope, n.Seed)
 		if sub == nil {
 			return nil, &diag.Diagnostic{Severity: diag.SevError, Code: diag.UnknownSubgraph, Msg: "unknown subgraph " + n.Seed}
 		}

@@ -11,7 +11,7 @@ import (
 // labels, an independent one for each matching type"). fn runs once per
 // typing; results across typings are unioned by the caller.
 func (e *Engine) forEachTyping(pat *sema.Pattern, fn func(nt []*graph.VertexType, et []*graph.EdgeType) error) error {
-	g := e.Cat.Graph()
+	g := e.version().Graph()
 	nt := make([]*graph.VertexType, len(pat.Nodes))
 	et := make([]*graph.EdgeType, len(pat.Edges))
 

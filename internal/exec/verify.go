@@ -226,19 +226,18 @@ func verifyGraphAlt(alt *sema.GraphAlt, star bool) error {
 // expression: source in [0, nsrc), column non-negative, and — when the
 // caller knows the single source's width (ncols >= 0) — inside it.
 func verifyPlanExpr(e expr.Expr, nsrc, ncols int) error {
-	if e == nil {
-		return nil
-	}
-	for _, r := range expr.Refs(e) {
-		if r.Source < 0 || r.Source >= nsrc {
-			return fmt.Errorf("reference %s resolved to source %d of %d", r, r.Source, nsrc)
+	var err error
+	expr.Walk(e, func(n expr.Expr) {
+		r, ok := n.(*expr.Ref)
+		switch {
+		case !ok || err != nil:
+		case r.Source < 0 || r.Source >= nsrc:
+			err = fmt.Errorf("reference %s resolved to source %d of %d", r, r.Source, nsrc)
+		case r.Col < 0:
+			err = fmt.Errorf("reference %s left unresolved (column %d)", r, r.Col)
+		case ncols >= 0 && r.Col >= ncols:
+			err = fmt.Errorf("reference %s reads column %d of a %d-column source", r, r.Col, ncols)
 		}
-		if r.Col < 0 {
-			return fmt.Errorf("reference %s left unresolved (column %d)", r, r.Col)
-		}
-		if ncols >= 0 && r.Col >= ncols {
-			return fmt.Errorf("reference %s reads column %d of a %d-column source", r, r.Col, ncols)
-		}
-	}
-	return nil
+	})
+	return err
 }

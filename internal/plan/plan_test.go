@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"graql/internal/ast"
@@ -141,7 +142,7 @@ select x from table RB
 	if err != nil {
 		t.Fatal(err)
 	}
-	deps := Dependencies(script)
+	deps := Dependencies(script, nil)
 	// Statement 4 (select from RA) must depend on statement 2 (into RA).
 	found := false
 	for _, d := range deps[4] {
@@ -152,7 +153,7 @@ select x from table RB
 	if !found {
 		t.Errorf("stmt 5 should depend on stmt 3; deps = %v", deps[4])
 	}
-	stages := Stages(script)
+	stages := Stages(script, nil)
 	level := map[int]int{}
 	for l, st := range stages {
 		for _, i := range st {
@@ -171,6 +172,28 @@ select x from table RB
 	if level[1] <= level[0] {
 		t.Errorf("ingest at level %d must follow create at %d", level[1], level[0])
 	}
+
+	// A write re-derives views, and so precedes a graph select, only when
+	// its table feeds one: through a declaration of the catalog (feeds) or
+	// an earlier create vertex or create edge of the script.
+	const graphSelect = "select y.id from graph ProductVtx ( ) --feature--> def y: FeatureVtx ( )"
+	feeds := func(table string) bool { return strings.EqualFold(table, "Products") }
+	for _, c := range []struct {
+		src  string
+		want string
+	}{
+		{"insert into Z values (1)\n" + graphSelect, "[[0 1]]"},
+		{"create vertex ZV(id) from table Z\ninsert into Z values (1)\n" + graphSelect, "[[0] [1] [2]]"},
+		{"insert into Products values ('p9')\n" + graphSelect, "[[0] [1]]"},
+	} {
+		script, err := parser.Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(Stages(script, feeds)); got != c.want {
+			t.Errorf("stages of %q = %s, want %s", c.src, got, c.want)
+		}
+	}
 }
 
 func TestGraphQueryFootprint(t *testing.T) {
@@ -183,7 +206,7 @@ select * from graph s1.V ( ) into subgraph s2
 	if err != nil {
 		t.Fatal(err)
 	}
-	deps := Dependencies(script)
+	deps := Dependencies(script, nil)
 	// The seeded query must wait for the subgraph it reads.
 	found := false
 	for _, d := range deps[3] {

@@ -13,7 +13,8 @@ import (
 
 // rwSet is the read/write footprint of one statement, over lower-cased
 // object names plus the pseudo-object "#graph" (the view layer) and
-// "#catalog" (DDL structure).
+// "#catalog" (DDL structure). A write to a table writes "#graph" too when
+// the table feeds a view: the write re-derives it (§II-A2).
 type rwSet struct {
 	reads  map[string]bool
 	writes map[string]bool
@@ -26,8 +27,16 @@ func newRW() rwSet {
 func (s rwSet) read(name string)  { s.reads[strings.ToLower(name)] = true }
 func (s rwSet) write(name string) { s.writes[strings.ToLower(name)] = true }
 
-func footprint(st ast.Stmt) rwSet {
+// footprint returns a statement's footprint; feedsView reports whether a
+// table feeds a view (nil: none does).
+func footprint(st ast.Stmt, feedsView func(table string) bool) rwSet {
 	s := newRW()
+	writeTable := func(name string) {
+		s.write(name)
+		if feedsView != nil && feedsView(name) {
+			s.write("#graph")
+		}
+	}
 	switch q := st.(type) {
 	case *ast.CreateTable:
 		s.write("#catalog")
@@ -43,23 +52,19 @@ func footprint(st ast.Stmt) rwSet {
 			s.read(t)
 		}
 	case *ast.Ingest:
-		s.write(q.Table)
-		s.write("#graph") // ingest regenerates derived views (§II-A2)
+		writeTable(q.Table)
 		s.read("#catalog")
 	case *ast.Output:
 		s.read(q.Table)
 		s.read("#catalog")
 	case *ast.Insert:
-		s.write(q.Table)
-		s.write("#graph") // mutations maintain derived views incrementally
+		writeTable(q.Table)
 		s.read("#catalog")
 	case *ast.Update:
-		s.write(q.Table)
-		s.write("#graph")
+		writeTable(q.Table)
 		s.read("#catalog")
 	case *ast.Delete:
-		s.write(q.Table)
-		s.write("#graph")
+		writeTable(q.Table)
 		s.read("#catalog")
 	case *ast.Select:
 		if q.Graph != nil {
@@ -110,10 +115,25 @@ func conflicts(a, b rwSet) bool {
 // Dependencies returns, for each statement, the indexes of earlier
 // statements it must wait for (write→read, read→write and write→write
 // conflicts on tables, subgraphs, the view layer and the catalog).
-func Dependencies(script *ast.Script) [][]int {
+// feedsView reports whether a declaration of the catalog the script runs
+// against reads a table (nil: none does); a table an earlier create
+// vertex or create edge of the script reads feeds a view too.
+func Dependencies(script *ast.Script, feedsView func(table string) bool) [][]int {
+	fed := map[string]bool{}
+	feeds := func(table string) bool {
+		return fed[strings.ToLower(table)] || feedsView != nil && feedsView(table)
+	}
 	fps := make([]rwSet, len(script.Stmts))
 	for i, st := range script.Stmts {
-		fps[i] = footprint(st)
+		fps[i] = footprint(st, feeds)
+		switch q := st.(type) {
+		case *ast.CreateVertex:
+			fed[strings.ToLower(q.From)] = true
+		case *ast.CreateEdge:
+			for _, t := range q.FromTables {
+				fed[strings.ToLower(t)] = true
+			}
+		}
 	}
 	deps := make([][]int, len(script.Stmts))
 	for i := range script.Stmts {
@@ -129,9 +149,10 @@ func Dependencies(script *ast.Script) [][]int {
 // Stages groups statement indexes into topological levels: every
 // statement in stage k depends only on statements in stages < k, so the
 // members of one stage can execute concurrently (§III-B1). Statement
-// order within a stage follows script order.
-func Stages(script *ast.Script) [][]int {
-	deps := Dependencies(script)
+// order within a stage follows script order. feedsView is as for
+// Dependencies.
+func Stages(script *ast.Script, feedsView func(table string) bool) [][]int {
+	deps := Dependencies(script, feedsView)
 	level := make([]int, len(deps))
 	maxLevel := 0
 	for i := range deps {
@@ -206,7 +227,7 @@ func Locals(stmts []ast.Stmt) [][]Local {
 			if last == nil {
 				continue
 			}
-			for w := range footprint(st).writes {
+			for w := range footprint(st, nil).writes {
 				delete(last, key{w, false}) // a table the statement replaces
 			}
 		}

@@ -514,8 +514,6 @@ func (s *Service) compile(_ context.Context, req *Request, _ *obs.Span) *Respons
 }
 
 func (s *Service) stats(context.Context, *Request, *obs.Span) *Response {
-	s.eng.Cat.RLock()
-	defer s.eng.Cat.RUnlock()
 	resp := &Response{OK: true}
 	for _, st := range s.eng.Cat.Stats() {
 		resp.Catalog = append(resp.Catalog, CatalogEntry{

@@ -290,15 +290,14 @@ func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
-// readyz is the readiness probe: the catalog answers a read-locked
-// snapshot, the engine's worker pool completes a trivial sweep within
-// the probe budget, and — when running distributed — every cluster
-// worker answers a ping. A degraded worker set reports 503 with the
-// failing partitions so orchestrators stop routing to this coordinator.
+// readyz is the readiness probe: the catalog answers a statistics
+// snapshot of its current version, the engine's worker pool completes a
+// trivial sweep within the probe budget, and — when running distributed —
+// every cluster worker answers a ping. A degraded worker set reports 503
+// with the failing partitions so orchestrators stop routing to this
+// coordinator.
 func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
-	h.eng.Cat.RLock()
 	ready := map[string]any{"ok": true, "catalogObjects": len(h.eng.Cat.Stats())}
-	h.eng.Cat.RUnlock()
 	if !h.eng.Ready(2 * time.Second) {
 		writeJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ok": false, "reason": "worker pool unresponsive"})
