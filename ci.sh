@@ -189,6 +189,7 @@ go test -run='^$' -fuzz='^FuzzTextExecRoutes$' -fuzztime="$FUZZTIME" ./internal/
 go test -run='^$' -fuzz='^FuzzViewMaintenance$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzWireCodec$' -fuzztime="$FUZZTIME" ./internal/server
 go test -run='^$' -fuzz='^FuzzWorkerFrame$' -fuzztime="$FUZZTIME" ./internal/cluster
+go test -run='^$' -fuzz='^FuzzExpandRange$' -fuzztime="$FUZZTIME" ./internal/graph
 
 echo "== graql vet gate =="
 # The shipped example scripts must vet clean (exit 0), and the seeded

@@ -222,7 +222,8 @@ func FromSlice(n int, idx []uint32) *Bitmap {
 // Words exposes the backing word slice (64 bits per word, bit i of word
 // w is id w*64+i). It is the wire form of a frontier in the distributed
 // exchange protocol. Callers must treat it as read-only, except to fill a
-// bitmap fresh from New, leaving every bit at or past Len clear.
+// bitmap fresh from New or to set bits in it, leaving every bit at or past
+// Len clear.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
 // NewFromWords builds a bitmap of capacity n from a copy of the given

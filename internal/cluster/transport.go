@@ -147,8 +147,10 @@ func stepEdge(req *SuperstepReq) (*graph.EdgeType, error) {
 
 // expandOwned is the shared per-partition expansion kernel: partition
 // `part` walks the frontier vertices it owns in ascending id order,
-// expands each through et (stepEdge's answer for req), dedups locally,
-// and buckets discovered targets by owning partition. Both transports
+// expands each through the index of et (stepEdge's answer for req) it
+// resolves once per superstep, dedups locally, and buckets discovered
+// targets by owning partition. Backward without a reverse index it makes
+// one pass over the edge list instead, in edge-id order. Both transports
 // call exactly this function, which is what makes the in-process
 // simulation a correctness oracle for the networked path.
 // A dead context drains the expansion early (the caller surfaces the
@@ -158,25 +160,39 @@ func expandOwned(ctx context.Context, et *graph.EdgeType, part, parts int, strat
 	seen := bitmap.New(req.OutSize) // local dedup before sending
 	var tick uint32
 	dead := false
-	req.Frontier.ForEach(func(v uint32) {
+	owned := func(v uint32) bool {
 		if dead || owner(strategy, parts, v, req.InSize) != part {
-			return
+			return false
 		}
 		tick++
 		if tick&1023 == 0 && ctx != nil && ctx.Err() != nil {
 			dead = true
-			return
 		}
-		nbr, _, _ := et.Adjacent(v, req.Forward)
-		for _, t := range nbr {
-			if seen.Get(t) {
-				continue
-			}
+		return !dead
+	}
+	add := func(t uint32) {
+		if !seen.Get(t) {
 			seen.Set(t)
 			d := owner(strategy, parts, t, req.OutSize)
 			bufs[d] = append(bufs[d], t)
 		}
-	})
+	}
+	if csr := et.Index(req.Forward); csr != nil {
+		req.Frontier.ForEach(func(v uint32) {
+			if owned(v) {
+				nbr, _ := csr.Neighbors(v)
+				for _, t := range nbr {
+					add(t)
+				}
+			}
+		})
+		return bufs
+	}
+	for e := range uint32(et.Count()) {
+		if s, d := et.EdgeAt(e); req.Frontier.Get(d) && owned(d) {
+			add(s)
+		}
+	}
 	return bufs
 }
 

@@ -84,6 +84,21 @@ func (w *wstate) poll() error {
 	if w.tick&pollMask != 0 {
 		return nil
 	}
+	return w.report()
+}
+
+// pollAfter is poll for n members swept by one kernel call: the context
+// is read once more than pollMask members have passed since the last read.
+func (w *wstate) pollAfter(n int) error {
+	if w.tick += uint32(n); w.tick <= pollMask {
+		return nil
+	}
+	w.tick = 0
+	return w.report()
+}
+
+// report is the poll itself, behind the amortisation.
+func (w *wstate) report() error {
 	// Piggyback live-progress reporting on the amortised poll: push the
 	// delta of scan work since the last report into the statement's live
 	// query table entry, so `ps` shows rows-so-far while the query runs.

@@ -114,6 +114,37 @@ func TestDeadlineAbortsSlowQuery(t *testing.T) {
 	}
 }
 
+// reduceQuery is a select distinct over a tree that routes reduce-only, so
+// it never enumerates: its work is the reducer's set sweeps, here a product
+// BFS of up to 100 000 rounds, each an expansion of the whole vertex set,
+// whose only context poll is the expansion kernel's. Unbounded it runs for
+// most of a second on the 150×15 fixture and no other poll sees a deadline
+// (with the kernel's poll disabled the run below completes without error).
+const reduceQuery = `
+select distinct d.id from graph
+N (id <> '') --link--> N ( ) ( --link--> [ ] ){1,100000} def d: N ( )`
+
+// TestDeadlineAbortsReduceSweep checks that a deadline reaches the
+// set-at-a-time expansion kernel: the reduce-only route aborts mid-sweep
+// with the deadline sentinel, as promptly as an enumeration does.
+func TestDeadlineAbortsReduceSweep(t *testing.T) {
+	e := denseEngine(t, 150, 15, nil)
+	if text := explainText(t, e, "explain "+reduceQuery); !strings.Contains(text, "strategy: reduce-only route") {
+		t.Fatalf("query must route reduce-only:\n%s", text)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := e.ExecScriptContext(ctx, reduceQuery, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("errors.Is(err, ErrDeadlineExceeded) = false; err = %v", err)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Errorf("aborted run took %v, want < 500ms", elapsed)
+	}
+}
+
 // TestCancelMidQuery cancels the context from another goroutine while
 // the sweep is running and checks the engine stops promptly with the
 // cancellation sentinel.

@@ -28,10 +28,14 @@ import (
 
 // expandFiltered expands fromSet across one concrete edge type in the
 // given direction, applying the edge's self condition, in parallel over
-// shards of the frontier. Every sweep goroutine marks a bitmap of its own
-// (handed from shard to shard through idle) and the bitmaps are united
-// afterwards: two workers marking one small target set would spend their
-// time handing its few cache lines back and forth.
+// shards of the frontier: the expansion kernel (wstate.expandRange)
+// sweeps a shard's words when the edge has no condition, expandWhere
+// decides it edge by edge otherwise. Every sweep goroutine marks a bitmap
+// of its own (handed from shard to shard through idle) and the bitmaps
+// are united afterwards: two workers marking one small target set would
+// spend their time handing its few cache lines back and forth. Backward
+// without a reverse index, one pass over the edge list serves the whole
+// set, so the sweep is one shard.
 func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	et := m.edgeType[pe.ID]
 	landing := et.Src
@@ -39,7 +43,12 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 		landing = et.Dst
 	}
 	cond := m.edgeSelf[pe.ID]
-	shards := m.frontierShards(fromSet, fromSet.Len(), int(walk(et, forward, fromSet.Count())))
+	members := fromSet.Count()
+	work := int(walk(et, forward, members))
+	if et.Index(forward) == nil {
+		members = min(members, 1)
+	}
+	shards := m.frontierShards(fromSet.Len(), members, work)
 	idle := make(chan *bitmap.Bitmap, m.workers) // at most m.workers shards run at once
 	err := m.e.runSweep("expand ", et.Name, len(shards), m.workers, func(si int) error {
 		var out *bitmap.Bitmap
@@ -49,35 +58,15 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 			out = bitmap.New(landing.Count())
 		}
 		w := m.worker(cond != nil)
-		var inner error
-		fromSet.ForEachRange(shards[si][0], shards[si][1], func(v uint32) {
-			if inner != nil {
-				return
-			}
-			if inner = w.poll(); inner != nil {
-				return
-			}
-			nbr, eids := w.adjacent(et, v, forward)
-			for i, t := range nbr {
-				if out.Get(t) {
-					continue
-				}
-				if cond != nil {
-					ok, err := m.edgeOK(w, pe.ID, eids[i])
-					if err != nil {
-						inner = err
-						return
-					}
-					if !ok {
-						continue
-					}
-				}
-				out.Set(t)
-			}
-		})
+		var err error
+		if cond == nil {
+			err = w.expandRange(et, forward, fromSet, shards[si][0], shards[si][1], out)
+		} else {
+			err = m.expandWhere(w, pe.ID, et, forward, fromSet, shards[si][0], shards[si][1], out)
+		}
 		m.flush(w)
 		idle <- out
-		return inner
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -91,6 +80,56 @@ func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.B
 		out.Or(o)
 	}
 	return out, nil
+}
+
+// expandWhere is wstate.expandRange for an edge with a self condition: a
+// vertex joins out through an edge on which the condition holds, decided
+// edge by edge until the vertex is in, over the direction's CSR resolved
+// once — or, backward without a reverse index, over one pass of the edge
+// list for the whole set.
+func (m *matcher) expandWhere(w *wstate, edge int, et *graph.EdgeType, forward bool, from *bitmap.Bitmap, lo, hi uint32, out *bitmap.Bitmap) error {
+	keep := func(t, eid uint32) error {
+		if out.Get(t) {
+			return nil
+		}
+		ok, err := m.edgeOK(w, edge, eid)
+		if ok {
+			out.Set(t)
+		}
+		return err
+	}
+	csr := et.Index(forward)
+	if csr == nil {
+		w.idxMiss++
+		w.edges += int64(et.Count())
+		for e := range uint32(et.Count()) {
+			if s, d := et.EdgeAt(e); from.Get(d) {
+				if err := w.poll(); err != nil {
+					return err
+				}
+				if err := keep(s, e); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	var inner error
+	from.ForEachRange(lo, hi, func(v uint32) {
+		if inner != nil {
+			return
+		}
+		if inner = w.poll(); inner != nil {
+			return
+		}
+		nbr, eids := w.neighbors(csr, v, forward)
+		for i, t := range nbr {
+			if inner = keep(t, eids[i]); inner != nil {
+				return
+			}
+		}
+	})
+	return inner
 }
 
 // expandStep expands a step set across one pattern edge, concrete or
@@ -125,7 +164,7 @@ func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitma
 // skipped and its sets stay nil (a free start above a conditioned step
 // expands from its whole type, so the step is still decided on what the
 // pass reaches), and no cull crosses an edge type that has no reverse
-// index, where it would scan the edge list once per vertex. Every set is
+// index, where it would scan the whole edge list. Every set is
 // then a superset of the vertices complete bindings put at its node. With
 // exact set every step runs, every set is materialised, and a third pass
 // runs top-down, parents first: a step below a parent with two or more
@@ -300,11 +339,17 @@ func (m *matcher) capture(nodeSel, edgeSel []bool, sub *graph.Subgraph) error {
 
 // markEdgesInSets marks the instances of et, walked from the members of
 // from (from et's source side when forward), that land in to and on which
-// pe's self condition holds.
+// pe's self condition holds. Backward without a reverse index it walks the
+// same edges forward, from to's members into from.
 func (m *matcher) markEdgesInSets(pe *sema.PEdge, et *graph.EdgeType, forward bool, from, to *bitmap.Bitmap, sub *graph.Subgraph) error {
+	if et.Index(forward) == nil {
+		from, to, forward = to, from, true
+	}
+	csr := et.Index(forward)
 	es := sub.EdgeSet(et)
 	cond := m.edgeSelf[pe.ID]
-	shards := m.frontierShards(from, from.Len(), int(walk(et, forward, from.Count())))
+	members := from.Count()
+	shards := m.frontierShards(from.Len(), members, int(walk(et, forward, members)))
 	return m.e.runSweep("mark edges ", et.Name, len(shards), m.workers, func(si int) error {
 		w := m.worker(cond != nil)
 		var inner error
@@ -312,11 +357,10 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, et *graph.EdgeType, forward bo
 			if inner != nil {
 				return
 			}
-			if err := w.poll(); err != nil {
-				inner = err
+			if inner = w.poll(); inner != nil {
 				return
 			}
-			nbr, eids := w.adjacent(et, v, forward)
+			nbr, eids := w.neighbors(csr, v, forward)
 			for i, t := range nbr {
 				if !to.Get(t) {
 					continue
@@ -472,7 +516,9 @@ func (m *matcher) semiJoin(reach []*bitmap.Bitmap, route string, x, via int) (st
 				back.And(cand)
 			}
 			cand, k.done = back, route != routeCount
-			m.span(route, "expand back to %s from %s", x, k.node, back.Count(), t0)
+			if m.e.tracing() {
+				m.span(route, "expand back to %s from %s", x, k.node, back.Count(), t0)
+			}
 		}
 	}
 	if !slices.ContainsFunc(kids, func(k passEdge) bool { return !k.done }) {
@@ -509,13 +555,17 @@ func (m *matcher) tally(route string, x int, xs *stepSet, cnt []uint64, k *passE
 	t0, et, fromX := time.Now(), m.edgeType[k.pe.ID], k.pe.Src == x
 	k.s.list()
 	probe := walk(et, fromX, len(xs.members)) <= walk(et, !fromX, len(k.s.members))
+	if !et.HasReverse() {
+		probe = fromX // only the forward index walks
+	}
 	from, to, forward := &k.s, xs, !fromX
 	if probe {
 		from, to, forward = xs, &k.s, fromX
 	}
+	csr := et.Index(forward)
 	acc := make([]uint64, len(cnt))
 	n := len(from.members)
-	shards := m.frontierShards(nil, n, int(walk(et, forward, n)))
+	shards := m.frontierShards(n, n, int(walk(et, forward, n)))
 	err := m.e.runSweep("semi-join ", et.Name, len(shards), m.workers, func(si int) error {
 		w := m.worker(false)
 		defer m.flush(w)
@@ -523,7 +573,7 @@ func (m *matcher) tally(route string, x int, xs *stepSet, cnt []uint64, k *passE
 			if err := w.poll(); err != nil {
 				return err
 			}
-			nbr, _ := w.adjacent(et, from.members[i], forward)
+			nbr, _ := w.neighbors(csr, from.members[i], forward)
 			for _, t := range nbr {
 				if !to.set.Get(t) {
 					continue
@@ -549,15 +599,16 @@ func (m *matcher) tally(route string, x int, xs *stepSet, cnt []uint64, k *passE
 }
 
 // walk estimates the index entries expanding n vertices across et visits,
-// from its source side when forward (no reverse index: a scan per vertex).
+// from its source side when forward (no reverse index: one pass over the
+// edge list).
 func walk(et *graph.EdgeType, forward bool, n int) float64 {
-	deg := float64(et.Count())
-	if forward {
-		deg = et.AvgOutDegree()
-	} else if et.HasReverse() {
-		deg = et.AvgInDegree()
+	switch {
+	case forward:
+		return float64(n) * et.AvgOutDegree()
+	case et.HasReverse():
+		return float64(n) * et.AvgInDegree()
 	}
-	return float64(n) * deg
+	return float64(et.Count())
 }
 
 // span traces a step of semiJoin under EXPLAIN ANALYZE: what it did across

@@ -86,8 +86,8 @@ type wstate struct {
 	// Batched metric counters, flushed per shard (matcher.flush).
 	scanned int64 // candidate rows visited
 	edges   int64 // edge-index entries walked
-	idxHit  int64 // reverse traversals served by a reverse index
-	idxMiss int64 // reverse traversals degraded to edge scans
+	idxHit  int64 // vertices walked back through a reverse index
+	idxMiss int64 // edge-list scans standing in for a reverse index
 	// tick drives the amortised cooperative cancellation poll (cancel.go);
 	// reported is the scanned+edges watermark already pushed to the live
 	// query table by that poll.
@@ -95,21 +95,61 @@ type wstate struct {
 	reported int64
 }
 
-// adjacent is graph.EdgeType.Adjacent plus the traversal accounting:
-// index entries walked (the whole edge list when a backward step has no
-// reverse index to use) and reverse-index hits and misses.
+// adjacent is graph.EdgeType.Adjacent plus the traversal accounting, for
+// per-binding enumeration: index entries walked (the whole edge list when
+// a backward step has no reverse index to use) and reverse-index hits and
+// misses. Set sweeps resolve the CSR once instead (neighbors, expandRange).
 func (w *wstate) adjacent(et *graph.EdgeType, v uint32, forward bool) (nbr, eids []uint32) {
-	nbr, eids, indexed := et.Adjacent(v, forward)
-	switch {
-	case !indexed:
-		w.idxMiss++
-		w.edges += int64(et.Count())
-		return nbr, eids
-	case !forward:
+	if csr := et.Index(forward); csr != nil {
+		return w.neighbors(csr, v, forward)
+	}
+	nbr, eids, _ = et.Adjacent(v, forward)
+	w.idxMiss++
+	w.edges += int64(et.Count())
+	return nbr, eids
+}
+
+// neighbors is adjacent over a CSR resolved once per sweep.
+func (w *wstate) neighbors(csr *graph.CSR, v uint32, forward bool) (nbr, eids []uint32) {
+	nbr, eids = csr.Neighbors(v)
+	if !forward {
 		w.idxHit++
 	}
 	w.edges += int64(len(nbr))
 	return nbr, eids
+}
+
+// expandRange is the set-at-a-time expansion: it ORs into out the
+// vertices et leads to from the members of from in [lo, hi) (forward:
+// along et's direction) with the CSR kernel, pollMask+1 ids per call so
+// the context poll stays amortised over members, and counts the index
+// entries walked and, backward, a reverse-index hit per member. Without a
+// reverse index a backward step makes one pass over the edge list for the
+// whole set instead, whatever the range: one miss, every edge walked once.
+func (w *wstate) expandRange(et *graph.EdgeType, forward bool, from *bitmap.Bitmap, lo, hi uint32, out *bitmap.Bitmap) error {
+	csr := et.Index(forward)
+	if csr == nil {
+		et.ScanBackward(from, out)
+		w.idxMiss++
+		w.edges += int64(et.Count())
+		return w.pollAfter(et.Count())
+	}
+	for lo < hi {
+		next := hi
+		if hi-lo > pollMask+1 {
+			next = lo + pollMask + 1
+		}
+		members, walked := csr.ExpandRange(from, lo, next, out)
+		if !forward {
+			w.idxHit += int64(members)
+		}
+		w.edges += int64(walked)
+		if err := w.pollAfter(members); err != nil {
+			return err
+		}
+		lo = next
+	}
+	return nil
 }
 
 type regexKey struct {
@@ -305,15 +345,14 @@ func (m *matcher) worker(binds bool) *wstate {
 // maxShards bounds the shards of one sweep: four per worker.
 func (m *matcher) maxShards() int { return m.workers * 4 }
 
-// frontierShards splits the id space of set — the n ids of a type when set
-// is nil — into one range per member while they last, at most maxShards:
-// what hangs off one vertex is a unit of work of unknown size. A set of one,
-// or fewer index entries to walk (work) than the parallel threshold, is
-// swept inline on the caller's goroutine.
-func (m *matcher) frontierShards(set *bitmap.Bitmap, n, work int) [][2]uint32 {
-	members := n
-	if set != nil {
-		members = set.Count()
+// frontierShards splits an id space of n ids holding members members of
+// a set into one range per member while they last, at most maxShards:
+// what hangs off one vertex is a unit of work of unknown size. An empty
+// set has no range. A set of one, or fewer index entries to walk (work)
+// than the parallel threshold, is swept inline on the caller's goroutine.
+func (m *matcher) frontierShards(n, members, work int) [][2]uint32 {
+	if members == 0 {
+		return nil
 	}
 	if !(table.Par{Workers: m.workers, Threshold: m.e.Opts.ParallelThreshold}).Parallel(work) {
 		members = 1
@@ -444,7 +483,12 @@ func (m *matcher) matchAll(sink func(shard int, b []uint32) error) error {
 		m.buildSpans()
 	}
 	first := m.order[0].Node
-	shards := m.frontierShards(m.reach[first], m.nodeType[first].Count(), math.MaxInt)
+	n := m.nodeType[first].Count()
+	members := n
+	if m.reach[first] != nil {
+		members = m.reach[first].Count()
+	}
+	shards := m.frontierShards(n, members, math.MaxInt)
 	start := time.Now()
 	err = m.e.runSweep("binding enumeration", "", len(shards), m.workers, func(si int) error {
 		w := m.worker(true)

@@ -24,8 +24,8 @@ type engineMetrics struct {
 
 	rowsScanned    *obs.Counter // candidate-scan and table-scan rows visited
 	edgesTraversed *obs.Counter // edge-index entries walked
-	indexHits      *obs.Counter // reverse traversals served by a reverse index
-	indexMisses    *obs.Counter // reverse traversals degraded to edge scans
+	indexHits      *obs.Counter // vertices walked back through a reverse index
+	indexMisses    *obs.Counter // backward walks that scanned the edge list instead
 
 	shardRuns     *obs.Counter // data-parallel sweeps launched
 	shardTasks    *obs.Counter // shards executed across all sweeps
@@ -55,8 +55,8 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	m.vetErrors = reg.Counter("graql_vet_errors_total", "error diagnostics reported by static-analysis (vet) runs")
 	m.rowsScanned = reg.Counter("graql_rows_scanned_total", "table and vertex-candidate rows scanned")
 	m.edgesTraversed = reg.Counter("graql_edges_traversed_total", "edge-index entries traversed during matching")
-	m.indexHits = reg.Counter("graql_reverse_index_hits_total", "reverse traversals served by a reverse index")
-	m.indexMisses = reg.Counter("graql_reverse_index_misses_total", "reverse traversals degraded to full edge scans")
+	m.indexHits = reg.Counter("graql_reverse_index_hits_total", "vertices walked back through a reverse index")
+	m.indexMisses = reg.Counter("graql_reverse_index_misses_total", "backward walks without a reverse index, each one scan of the edge list: one per set sweep, one per bound vertex when enumerating")
 	m.shardRuns = reg.Counter("graql_parallel_sweeps_total", "data-parallel sweeps launched")
 	m.shardTasks = reg.Counter("graql_parallel_shards_total", "shards executed across all sweeps")
 	m.activeWorkers = reg.Gauge("graql_parallel_active_workers", "goroutines currently executing sweep shards")

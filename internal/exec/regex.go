@@ -90,28 +90,15 @@ func (s stateSets) addNew(state int, vt *graph.VertexType, src *bitmap.Bitmap) *
 }
 
 // bfsStep is one product-BFS expansion: the vertices et leads to from the
-// members of from (forward: along et's direction), walked, counted and
-// polled like every sweep.
+// members of from (forward: along et's direction), swept by the expansion
+// kernel and counted and polled like every sweep.
 func (w *wstate) bfsStep(et *graph.EdgeType, forward bool, from *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	landing := et.Src
 	if forward {
 		landing = et.Dst
 	}
 	out := bitmap.New(landing.Count())
-	var err error
-	from.ForEach(func(v uint32) {
-		if err != nil {
-			return
-		}
-		if err = w.poll(); err != nil {
-			return
-		}
-		nbr, _ := w.adjacent(et, v, forward)
-		for _, t := range nbr {
-			out.Set(t)
-		}
-	})
-	return out, err
+	return out, w.expandRange(et, forward, from, 0, uint32(from.Len()), out)
 }
 
 // stepEdgeTypes lists the edge types a regex step may traverse from a

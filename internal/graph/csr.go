@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"math/bits"
+
+	"graql/internal/bitmap"
+)
+
 // CSR is a compressed-sparse-row adjacency index over one edge type: for
 // each source vertex, the contiguous slice of (neighbor, edge id) pairs.
 // GEMS builds the index in the lexical direction of the edge declaration
@@ -49,3 +55,38 @@ func (c *CSR) Neighbors(v uint32) (nbr, eid []uint32) {
 
 // NumEdges returns the total number of edges indexed.
 func (c *CSR) NumEdges() int { return len(c.nbr) }
+
+// ExpandRange is the set-at-a-time expansion kernel of Eq. 5: it ORs into
+// out every neighbour of every member of from in [lo, hi) (hi is clipped
+// to from's length) and returns how many members it swept and how many
+// index entries it walked. It reads from's words and slices the index
+// directly, one word of the frontier at a time, and allocates nothing; a
+// neighbour already in out is simply set again.
+func (c *CSR) ExpandRange(from *bitmap.Bitmap, lo, hi uint32, out *bitmap.Bitmap) (members, walked int) {
+	hi = min(hi, uint32(from.Len()))
+	if lo >= hi {
+		return 0, 0
+	}
+	words, dst := from.Words(), out.Words()
+	offsets, nbr := c.offsets, c.nbr
+	first, last := lo/64, (hi-1)/64
+	for wi := first; wi <= last; wi++ {
+		w := words[wi]
+		if wi == first {
+			w &= ^uint64(0) << (lo % 64)
+		}
+		if rem := hi % 64; wi == last && rem != 0 {
+			w &= 1<<rem - 1
+		}
+		members += bits.OnesCount64(w)
+		for ; w != 0; w &= w - 1 {
+			v := wi*64 + uint32(bits.TrailingZeros64(w))
+			adj := nbr[offsets[v]:offsets[v+1]]
+			walked += len(adj)
+			for _, t := range adj {
+				dst[t/64] |= 1 << (t % 64)
+			}
+		}
+	}
+	return members, walked
+}

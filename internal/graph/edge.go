@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"graql/internal/bitmap"
 	"graql/internal/table"
 	"graql/internal/value"
 )
@@ -72,6 +73,30 @@ func (et *EdgeType) Reverse() (*CSR, bool) { return &et.rev, et.hasRev }
 // HasReverse reports whether the reverse index was built.
 func (et *EdgeType) HasReverse() bool { return et.hasRev }
 
+// Index returns the CSR of one direction: source→target when forward,
+// else the reverse index, nil when it was not built.
+func (et *EdgeType) Index(forward bool) *CSR {
+	switch {
+	case forward:
+		return &et.fwd
+	case et.hasRev:
+		return &et.rev
+	}
+	return nil
+}
+
+// ScanBackward is the backward expansion when Index(false) is nil: one
+// pass over the edge list ORs into out the source of every edge whose
+// target is in from, walking all Count entries once for the whole set
+// instead of once per member.
+func (et *EdgeType) ScanBackward(from, out *bitmap.Bitmap) {
+	for e, d := range et.dsts {
+		if from.Get(d) {
+			out.Set(et.srcs[e])
+		}
+	}
+}
+
 // Adjacent returns the vertices one edge away from v and the ids of the
 // connecting edges: v's targets when forward, its sources otherwise.
 // indexed reports that a CSR answered; nbr and eids then alias the index
@@ -80,12 +105,8 @@ func (et *EdgeType) HasReverse() bool { return et.hasRev }
 // degrades to a scan of the whole edge list, in edge-id order, into fresh
 // slices.
 func (et *EdgeType) Adjacent(v VID, forward bool) (nbr, eids []uint32, indexed bool) {
-	if forward {
-		nbr, eids = et.fwd.Neighbors(v)
-		return nbr, eids, true
-	}
-	if et.hasRev {
-		nbr, eids = et.rev.Neighbors(v)
+	if c := et.Index(forward); c != nil {
+		nbr, eids = c.Neighbors(v)
 		return nbr, eids, true
 	}
 	for e, d := range et.dsts {
