@@ -8,7 +8,6 @@ package graql_test
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -159,16 +158,17 @@ func BenchmarkDirection(b *testing.B) {
 	}
 }
 
-// --- E26: one expansion hop, three loop shapes ---
+// --- E26/E27: one expansion hop, three loop shapes ---
 
 // BenchmarkExpandHop prices the costliest hop of BQ1 and BQ6 at SF60 —
 // the reviews of Country1's products expanded across reviewer to persons
 // — in three loop shapes over the same frontier and target bitmap: the
 // per-vertex shape set expansion had before the expansion kernel (a
 // ForEachRange closure calling EdgeType.Adjacent, Get before Set, a poll
-// tick per member), the kernel (CSR.ExpandRange over 1 024 ids at a time,
-// as wstate.expandRange calls it), and the same words loop over a one-column
-// foreign-key array, the layout ROADMAP item 6 proposes.
+// tick per member) and the kernel (CSR.ExpandRange over 1 024 ids at a
+// time, as wstate.expandRange calls it), both over a CSR-form copy of
+// reviewer built here from its edge list, and the shipped code: the same
+// kernel calls over reviewer's own functional index, a column.
 func BenchmarkExpandHop(b *testing.B) {
 	e := berlinEngine(b, 60, 0, true)
 	if _, err := e.ExecScript(`select * from graph
@@ -178,15 +178,18 @@ into subgraph HopS`, suiteParams(b)); err != nil {
 	}
 	g := e.Cat.Graph()
 	et := g.EdgeType("reviewer")
+	if !et.Functional() {
+		b.Fatal("reviewer is not functional")
+	}
+	var edges []graph.Edge
+	for id := range et.IDs() {
+		s, d := et.EdgeAt(id)
+		edges = append(edges, graph.Edge{Src: s, Dst: d})
+	}
+	rows := graph.NewEdgeType(et.ID, et.Name, et.Src, et.Dst, edges, nil, true)
 	from := e.Cat.Subgraph("HopS").VertexSet(g.VertexType("ReviewVtx"))
 	out := bitmap.New(et.Dst.Count())
 	n := uint32(from.Len())
-	fk := make([]uint32, n)
-	for v := range n {
-		if nbr, _ := et.Forward().Neighbors(v); len(nbr) == 1 {
-			fk[v] = nbr[0]
-		}
-	}
 	var tick uint32
 	b.Logf("frontier %d reviews, %d persons reached", from.Count(), func() int {
 		et.Forward().ExpandRange(from, 0, n, out)
@@ -199,7 +202,7 @@ into subgraph HopS`, suiteParams(b)); err != nil {
 				if tick++; tick&1023 == 0 {
 					tick = 0
 				}
-				nbr, _, _ := et.Adjacent(v, true)
+				nbr, _, _ := rows.Adjacent(v, true)
 				for _, t := range nbr {
 					if !out.Get(t) {
 						out.Set(t)
@@ -208,27 +211,19 @@ into subgraph HopS`, suiteParams(b)); err != nil {
 			})
 		}
 	})
-	b.Run("kernel", func(b *testing.B) {
-		csr := et.Index(true)
-		for i := 0; i < b.N; i++ {
-			out.Reset()
-			for lo := uint32(0); lo < n; lo += 1024 {
-				members, _ := csr.ExpandRange(from, lo, min(n, lo+1024), out)
-				tick += uint32(members)
-			}
-		}
-	})
-	b.Run("column", func(b *testing.B) {
-		words := from.Words()
-		for i := 0; i < b.N; i++ {
-			out.Reset()
-			for wi, w := range words {
-				for ; w != 0; w &= w - 1 {
-					out.Set(fk[uint32(wi)*64+uint32(bits.TrailingZeros64(w))])
+	kernel := func(csr *graph.CSR) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				for lo := uint32(0); lo < n; lo += 1024 {
+					members, _ := csr.ExpandRange(from, lo, min(n, lo+1024), out)
+					tick += uint32(members)
 				}
 			}
 		}
-	})
+	}
+	b.Run("kernel", kernel(rows.Index(true)))
+	b.Run("column", kernel(et.Index(true)))
 }
 
 // --- E4: planner direction choice under a selectivity sweep ---

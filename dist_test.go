@@ -7,7 +7,9 @@ package graql_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -184,4 +186,100 @@ func clipStr(s string, n int) string {
 		return s
 	}
 	return s[:n] + "..."
+}
+
+// TestDistributedFunctionalEdge: expansions across a foreign-key edge with
+// holes (NULL and dangling keys), forward and backward, with reverse
+// indexes on and off, answer alike through three networked workers,
+// through the simulated cluster and on an engine with no cluster. Without
+// a reverse index a backward superstep is each worker's pass over the edge
+// id space, which is the source id space of a functional edge.
+func TestDistributedFunctionalEdge(t *testing.T) {
+	var script strings.Builder
+	script.WriteString(`create table TA(id integer, n integer, fk integer)
+create table TB(id integer, n integer)
+create vertex A(id) from table TA
+create vertex B(id) from table TB
+create edge fk with vertices (A, B) where A.fk = B.id
+`)
+	for i := 0; i < 90; i++ {
+		fk := fmt.Sprint((i * 7) % 40) // ids 30..39 dangle
+		if i%9 == 4 {
+			fk = "NULL"
+		}
+		fmt.Fprintf(&script, "insert into TA values (%d, %d, %s)\n", i, i%6, fk)
+	}
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&script, "insert into TB values (%d, %d)\n", i, i%5)
+	}
+	queries := []string{
+		`select * from graph A (n < 2) --fk--> B ( ) into subgraph Fwd`,
+		`select * from graph B (n < 2) <--fk-- A ( ) into subgraph Bwd`,
+		`select * from graph A (n = 0) --fk--> B ( ) <--fk-- A ( ) into subgraph Two`,
+		`select x.id from graph A (n = 1) --fk--> def x: B ( ) <--fk-- A (n = 3) into table T`,
+		`select y.id from graph def y: A ( ) --fk--> B (n = 3) <--fk-- A (n < 3) into table U`,
+	}
+	for _, reverse := range []bool{true, false} {
+		engine := func() *exec.Engine {
+			opts := exec.DefaultOptions()
+			opts.Workers, opts.ReverseIndexes = 1, reverse
+			e := exec.New(opts)
+			if _, err := e.ExecScript(script.String(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if et := e.Cat.Graph().EdgeType("fk"); !et.Functional() || et.Count() == et.NumIDs() {
+				t.Fatalf("fk: functional %v with %d of %d ids present, want a column with holes", et.Functional(), et.Count(), et.NumIDs())
+			}
+			return e
+		}
+		local, sim, netted := engine(), engine(), engine()
+		sim.Opts.Dist = cluster.Simulated(3, cluster.Hash)
+		reg := obs.New()
+		tp, _, _ := bootWorkers(t, netted, 3, cluster.DialOptions{Strategy: cluster.Hash, Timeout: 5 * time.Second, Obs: reg})
+		netted.Opts.Dist = tp
+		steps := reg.Counter("graql_dist_supersteps_total", "")
+		for _, q := range queries {
+			var want []byte
+			var wantSub string
+			before := steps.Value()
+			for _, route := range []struct {
+				name string
+				e    *exec.Engine
+			}{{"local", local}, {"simulated", sim}, {"networked", netted}} {
+				res, err := route.e.ExecScript(q, nil)
+				if err != nil {
+					t.Fatalf("reverse=%v %s: %s: %v", reverse, route.name, q, err)
+				}
+				got, gotSub := renderAll(t, res), subgraphSets(res)
+				if want == nil {
+					want, wantSub = got, gotSub
+				} else if string(got) != string(want) || gotSub != wantSub {
+					t.Errorf("reverse=%v %s: %s differs from local\n  local: %s %s\n  %s: %s %s",
+						reverse, q, route.name, clipStr(string(want), 300), wantSub, route.name, clipStr(string(got), 300), gotSub)
+				}
+			}
+			if steps.Value() == before {
+				t.Errorf("reverse=%v: %s scattered no superstep to the workers", reverse, q)
+			}
+		}
+	}
+}
+
+// subgraphSets renders the vertex and edge sets of a subgraph result by
+// type name.
+func subgraphSets(rs []exec.Result) string {
+	var parts []string
+	for _, r := range rs {
+		if r.Subgraph == nil {
+			continue
+		}
+		for vt, b := range r.Subgraph.Vertices {
+			parts = append(parts, fmt.Sprintf("v:%s%v", vt.Name, b.Slice()))
+		}
+		for et, b := range r.Subgraph.Edges {
+			parts = append(parts, fmt.Sprintf("e:%s%v", et.Name, b.Slice()))
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
 }

@@ -188,8 +188,8 @@ func expandOwned(ctx context.Context, et *graph.EdgeType, part, parts int, strat
 		})
 		return bufs
 	}
-	for e := range uint32(et.Count()) {
-		if s, d := et.EdgeAt(e); req.Frontier.Get(d) && owned(d) {
+	for e, s := range et.EdgesInto(req.Frontier) {
+		if _, d := et.EdgeAt(e); owned(d) {
 			add(s)
 		}
 	}

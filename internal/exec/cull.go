@@ -102,14 +102,12 @@ func (m *matcher) expandWhere(w *wstate, edge int, et *graph.EdgeType, forward b
 	if csr == nil {
 		w.idxMiss++
 		w.edges += int64(et.Count())
-		for e := range uint32(et.Count()) {
-			if s, d := et.EdgeAt(e); from.Get(d) {
-				if err := w.poll(); err != nil {
-					return err
-				}
-				if err := keep(s, e); err != nil {
-					return err
-				}
+		for e, s := range et.EdgesInto(from) {
+			if err := w.poll(); err != nil {
+				return err
+			}
+			if err := keep(s, e); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -124,7 +122,7 @@ func (m *matcher) expandWhere(w *wstate, edge int, et *graph.EdgeType, forward b
 		}
 		nbr, eids := w.neighbors(csr, v, forward)
 		for i, t := range nbr {
-			if inner = keep(t, eids[i]); inner != nil {
+			if inner = keep(t, graph.EdgeID(eids, i, v)); inner != nil {
 				return
 			}
 		}
@@ -365,8 +363,9 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, et *graph.EdgeType, forward bo
 				if !to.Get(t) {
 					continue
 				}
+				e := graph.EdgeID(eids, i, v)
 				if cond != nil {
-					ok, err := m.edgeOK(w, pe.ID, eids[i])
+					ok, err := m.edgeOK(w, pe.ID, e)
 					if err != nil {
 						inner = err
 						return
@@ -375,7 +374,7 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, et *graph.EdgeType, forward bo
 						continue
 					}
 				}
-				es.SetAtomic(eids[i])
+				es.SetAtomic(e)
 			}
 		})
 		m.flush(w)

@@ -183,7 +183,7 @@ insert into Knows values (2, 3, 2021), (3, 1, 2022)
 // (src-key, dst-key, attrs) triples, independent of build order.
 func canonicalEdges(et *graph.EdgeType) []string {
 	var out []string
-	for e := uint32(0); e < uint32(et.Count()); e++ {
+	for e := range et.IDs() {
 		src, dst := et.EdgeAt(e)
 		s := fmt.Sprintf("%v->%v", et.Src.KeyString(src), et.Dst.KeyString(dst))
 		if et.Attrs != nil {

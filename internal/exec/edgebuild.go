@@ -19,11 +19,13 @@ import (
 // changed (deltaEdges). No source is ever hashed.
 
 // buildEdgeType materialises an edge type from scratch and freezes it into
-// forward and (optionally) reverse CSR indexes. An edge instance is one
-// distinct (source vertex, target vertex, attribute row); it records a row
-// of every source only when the declaration has at most three, so only a
-// join through further tables can yield the same instance twice and needs
-// the dedup pass — the declarations planEdge refuses to patch.
+// forward and (optionally) reverse indexes. A functional declaration
+// freezes its edges into a column of its source. Otherwise an edge
+// instance is one distinct (source vertex, target vertex, attribute row);
+// it records a row of every source only when the declaration has at most
+// three, so only a join through further tables can yield the same
+// instance twice and needs the dedup pass — the declarations planEdge
+// refuses to patch.
 func (e *Engine) buildEdgeType(s *sema.CreateEdge, id int) (*graph.EdgeType, error) {
 	all := make([]uint32, sourceRows(s.Sources[0]))
 	for r := range all {
@@ -32,6 +34,10 @@ func (e *Engine) buildEdgeType(s *sema.CreateEdge, id int) (*graph.EdgeType, err
 	edges, err := seededEdges(s, 0, all, nil)
 	if err != nil {
 		return nil, err
+	}
+	src, dst := s.Sources[0].Vtx, s.Sources[1].Vtx
+	if functional(s) {
+		return graph.NewFunctionalEdgeType(id, s.Decl.Name, src, dst, edges, e.Opts.ReverseIndexes), nil
 	}
 	if len(s.Sources) > 3 {
 		seen := make(map[graph.Edge]bool)
@@ -45,7 +51,24 @@ func (e *Engine) buildEdgeType(s *sema.CreateEdge, id int) (*graph.EdgeType, err
 	if s.AttrSource >= 0 {
 		attrs = s.Sources[s.AttrSource].Tbl
 	}
-	return graph.NewEdgeType(id, s.Decl.Name, s.Sources[0].Vtx, s.Sources[1].Vtx, edges, attrs, e.Opts.ReverseIndexes), nil
+	return graph.NewEdgeType(id, s.Decl.Name, src, dst, edges, attrs, e.Opts.ReverseIndexes), nil
+}
+
+// functional reports whether a declaration is functional: its two
+// sources are the endpoints and its one join equates a column of the
+// source with the target's single-column key, so each source vertex has
+// at most one target. Filters on either endpoint are allowed. The shape
+// alone decides the edge type's form.
+func functional(s *sema.CreateEdge) bool {
+	if len(s.Sources) != 2 || len(s.Joins) != 1 {
+		return false
+	}
+	j := s.Joins[0]
+	if j.ASource == 1 {
+		j.ASource, j.BSource, j.BCol = j.BSource, j.ASource, j.ACol
+	}
+	key, ok := soleKeyAttr(s.Sources[1])
+	return ok && j.ASource == 0 && j.BSource == 1 && j.BCol == key
 }
 
 // seededEdges returns the result tuples of the declaration's join that

@@ -541,7 +541,7 @@ insert into Offers values (1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 3, 1)
 			mustExec(t, e, c.script, nil)
 			et := e.Cat.Graph().EdgeType(c.edge)
 			var got []string
-			for id := uint32(0); id < uint32(et.Count()); id++ {
+			for id := range et.IDs() {
 				src, dst := et.EdgeAt(id)
 				s := et.Src.KeyString(src) + "->" + et.Dst.KeyString(dst)
 				if et.Attrs != nil {

@@ -566,14 +566,15 @@ func (m *matcher) verifyFrom(w *wstate, depth, vi int, emit func([]uint32) error
 		if d != dst {
 			continue
 		}
-		ok, err := m.edgeOK(w, pe.ID, eids[i])
+		e := graph.EdgeID(eids, i, src)
+		ok, err := m.edgeOK(w, pe.ID, e)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		w.b[slot] = eids[i]
+		w.b[slot] = e
 		if err := m.verifyFrom(w, depth, vi+1, emit); err != nil {
 			return err
 		}
@@ -635,14 +636,15 @@ func (m *matcher) expandStepAt(w *wstate, depth int, emit func([]uint32) error) 
 		if reach != nil && !reach.Get(target) {
 			continue
 		}
-		ok, err := m.edgeOK(w, pe.ID, eids[i])
+		e := graph.EdgeID(eids, i, from)
+		ok, err := m.edgeOK(w, pe.ID, e)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		w.b[v.Node], w.b[slot] = target, eids[i]
+		w.b[v.Node], w.b[slot] = target, e
 		err = m.afterBind(w, depth, emit)
 		w.b[v.Node], w.b[slot] = NoBind, NoBind
 		if err != nil {

@@ -217,7 +217,7 @@ func referencePaths(t *testing.T, e *Engine, sel *sema.Select, params map[string
 					t.Fatal("reference: path regular expressions are not covered")
 				}
 				was := [2]uint32{b[pe.Src], b[pe.Dst]}
-				for eid := uint32(0); eid < uint32(et[j].Count()); eid++ {
+				for eid := range et[j].IDs() {
 					src, dst := et[j].EdgeAt(eid)
 					if (was[0] != refUnbound && was[0] != src) || (was[1] != refUnbound && was[1] != dst) ||
 						(pe.Src == pe.Dst && src != dst) {

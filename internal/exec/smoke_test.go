@@ -90,7 +90,7 @@ ingest table Offers offers.csv
 		t.Fatalf("export edges = %d, want 2 (US→CA, IT→CN)", ex.Count())
 	}
 	got := map[string]bool{}
-	for i := uint32(0); i < 2; i++ {
+	for i := range ex.IDs() {
 		s, d := ex.EdgeAt(i)
 		got[pc.KeyString(s)+"->"+g.VertexType("VendorCountry").KeyString(d)] = true
 	}

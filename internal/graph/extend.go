@@ -216,23 +216,33 @@ func ReanchorEdgeType(et *EdgeType, src, dst *VertexType, attrs *table.Table) *E
 // side did not change), its ids are remapped, and added — the edges the
 // changed instances produce — is appended. attrs is the current version
 // of the associated table (nil when et carries no attributes). Both
-// indexes are re-frozen by one counting sort each.
+// indexes are re-frozen by one counting sort each. A functional et is
+// patched by patchColumn.
 func PatchEdgeType(et *EdgeType, src, dst *VertexType, srcD, dstD, attrD *Delta, added []Edge, attrs *table.Table) *EdgeType {
+	carrySrc := srcD.carry(src.Count())
+	carryDst := carrySrc
+	if dstD != srcD || et.Dst != et.Src {
+		carryDst = dstD.carry(dst.Count())
+	}
+	if et.Functional() {
+		return patchColumn(et, src, dst, carrySrc, carryDst, added)
+	}
+	var carryAttr []uint32
+	if attrs != nil {
+		carryAttr = attrD.carry(attrs.NumRows())
+	}
+	return patchList(et, src, dst, carrySrc, carryDst, carryAttr, added, attrs)
+}
+
+// patchList is PatchEdgeType for the CSR form, given the carries (nil:
+// the identity) of the source, target and attribute id spaces.
+func patchList(et *EdgeType, src, dst *VertexType, carrySrc, carryDst, carryAttr []uint32, added []Edge, attrs *table.Table) *EdgeType {
 	out := &EdgeType{ID: et.ID, Name: et.Name, Src: src, Dst: dst, hasRev: et.hasRev}
 	n := len(et.srcs) + len(added)
 	out.srcs = make([]uint32, 0, n)
 	out.dsts = make([]uint32, 0, n)
 	if attrs != nil {
 		out.origAttrRows = make([]uint32, 0, n)
-	}
-	carrySrc := srcD.carry(src.Count())
-	carryDst := carrySrc
-	if dstD != srcD || et.Dst != et.Src {
-		carryDst = dstD.carry(dst.Count())
-	}
-	var carryAttr []uint32
-	if attrs != nil {
-		carryAttr = attrD.carry(attrs.NumRows())
 	}
 	for e, s := range et.srcs {
 		d := et.dsts[e]
@@ -268,9 +278,49 @@ func PatchEdgeType(et *EdgeType, src, dst *VertexType, srcD, dstD, attrD *Delta,
 	if attrs != nil {
 		out.Attrs = attrs.Gather(et.Name, out.origAttrRows)
 	}
+	out.count = len(out.srcs)
 	out.fwd = buildCSR(src.Count(), out.srcs, out.dsts)
 	if et.hasRev {
 		out.rev = buildCSR(dst.Count(), out.dsts, out.srcs)
+	}
+	return out
+}
+
+// patchColumn is PatchEdgeType for a functional et (an empty one has no
+// column): each surviving edge is moved to its source's new id with its
+// target's new id, the added edges are written in, and the reverse CSR is
+// rebuilt from the column by one counting sort. A column has no append
+// order, so the patched type equals the type a build over src and dst
+// derives.
+func patchColumn(et *EdgeType, src, dst *VertexType, carrySrc, carryDst []uint32, added []Edge) *EdgeType {
+	col := make([]uint32, src.Count())
+	for i := range col {
+		col[i] = NoVertex
+	}
+	for s, t := range et.fwd.nbr {
+		ns := uint32(s)
+		if carrySrc != nil {
+			ns = carrySrc[s]
+		}
+		if ns == NoVertex || t == NoVertex {
+			continue
+		}
+		if carryDst != nil {
+			t = carryDst[t]
+		}
+		col[ns] = t
+	}
+	for _, e := range added {
+		col[e.Src] = e.Dst
+	}
+	out := &EdgeType{ID: et.ID, Name: et.Name, Src: src, Dst: dst, hasRev: et.hasRev, fwd: CSR{nbr: col}}
+	for _, t := range col {
+		if t != NoVertex {
+			out.count++
+		}
+	}
+	if et.hasRev {
+		out.rev = buildCSR(dst.Count(), col, nil)
 	}
 	return out
 }

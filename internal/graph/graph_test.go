@@ -281,3 +281,64 @@ func TestSubgraphSets(t *testing.T) {
 		t.Error("subgraph counts wrong")
 	}
 }
+
+// TestFunctionalForm: a column with holes answers like the edge list it
+// stands for — ids are sources, the id space is the source count, the
+// reverse CSR is the column's transpose — and Validate rejects each way
+// the form can break.
+func TestFunctionalForm(t *testing.T) {
+	vt, _ := edgeFixture(t, 5, nil, true)
+	col := []uint32{2, NoVertex, 2, 0, NoVertex}
+	edges := []Edge{{Src: 3, Dst: 0}, {Src: 0, Dst: 2}, {Src: 2, Dst: 2}}
+	et := NewFunctionalEdgeType(0, "fk", vt, vt, edges, true)
+	if err := et.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !et.Functional() || et.Count() != 3 || et.NumIDs() != 5 {
+		t.Fatalf("functional %v, count %d, ids %d", et.Functional(), et.Count(), et.NumIDs())
+	}
+	var ids []uint32
+	for e := range et.IDs() {
+		s, d := et.EdgeAt(e)
+		if s != e || d != col[e] {
+			t.Errorf("EdgeAt(%d) = (%d, %d)", e, s, d)
+		}
+		ids = append(ids, e)
+	}
+	if !slices.Equal(ids, []uint32{0, 2, 3}) {
+		t.Errorf("IDs = %v, want [0 2 3]", ids)
+	}
+	if nbr, eids := et.Forward().Neighbors(1); len(nbr) != 0 || eids != nil {
+		t.Errorf("a hole has neighbours %v %v", nbr, eids)
+	}
+	if nbr, eids := et.Forward().Neighbors(3); !slices.Equal(nbr, []uint32{0}) || EdgeID(eids, 0, 3) != 3 {
+		t.Errorf("Neighbors(3) = %v %v", nbr, eids)
+	}
+	rev, _ := et.Reverse()
+	if nbr, eids := rev.Neighbors(2); !slices.Equal(nbr, []uint32{0, 2}) || !slices.Equal(eids, nbr) {
+		t.Errorf("reverse Neighbors(2) = %v %v, want sources [0 2] as ids", nbr, eids)
+	}
+	if et.Forward().NumEdges() != 3 || rev.NumEdges() != 3 || et.OutDegreeStats().Max != 1 || et.InDegreeStats().Max != 2 {
+		t.Error("index sizes or degree stats wrong")
+	}
+	if s := NewSubgraph("s"); s.EdgeSet(et).Len() != 5 {
+		t.Error("an edge set spans the id space")
+	}
+
+	broken := func(what string, mutate func(*EdgeType)) {
+		c := NewFunctionalEdgeType(0, "fk", vt, vt, edges, true)
+		mutate(c)
+		if c.Validate() == nil {
+			t.Errorf("Validate accepts %s", what)
+		}
+	}
+	broken("a short column", func(c *EdgeType) { c.fwd.nbr = c.fwd.nbr[:4] })
+	broken("a target out of range", func(c *EdgeType) { c.fwd.nbr[1] = 5 })
+	broken("a wrong count", func(c *EdgeType) { c.count = 2 })
+	broken("descending sources", func(c *EdgeType) {
+		lo := c.rev.offsets[2]
+		c.rev.nbr[lo], c.rev.nbr[lo+1] = c.rev.nbr[lo+1], c.rev.nbr[lo]
+	})
+	broken("a reverse entry off the column", func(c *EdgeType) { c.rev.nbr[0] = 1 })
+	broken("stored reverse ids", func(c *EdgeType) { c.rev.eid = slices.Clone(c.rev.nbr) })
+}

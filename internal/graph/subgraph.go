@@ -35,11 +35,12 @@ func (s *Subgraph) VertexSet(vt *VertexType) *bitmap.Bitmap {
 	return b
 }
 
-// EdgeSet returns the (lazily created) edge bitmap for et.
+// EdgeSet returns the (lazily created) edge bitmap for et, over its edge
+// id space.
 func (s *Subgraph) EdgeSet(et *EdgeType) *bitmap.Bitmap {
 	b, ok := s.Edges[et]
 	if !ok {
-		b = bitmap.New(et.Count())
+		b = bitmap.New(et.NumIDs())
 		s.Edges[et] = b
 	}
 	return b

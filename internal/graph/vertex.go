@@ -6,6 +6,15 @@
 // The overall database graph is a typed multigraph: the set of vertex types
 // partitions the vertices and the set of edge types partitions the edges
 // (paper §II-A1). Vertices are addressed by (vertex type, dense local id).
+//
+// An edge type has one of two forms. The CSR form keeps its edge list and
+// a CSR per direction; an edge's id is its position in the list. The
+// functional form — a foreign key of the source, each source vertex with
+// at most one target — keeps one column of targets indexed by source
+// vertex and a reverse CSR; an edge's id is its source vertex, so ids
+// range over the source's vertices and only some are present. Both forms
+// answer through one CSR type and one expansion kernel (CSR.ExpandRange),
+// and EdgeType.IDs yields the present ids of either.
 package graph
 
 import (
