@@ -150,9 +150,10 @@ func stepEdge(req *SuperstepReq) (*graph.EdgeType, error) {
 // expands each through the index of et (stepEdge's answer for req) it
 // resolves once per superstep, dedups locally, and buckets discovered
 // targets by owning partition. Backward without a reverse index it makes
-// one pass over the edge list instead, in edge-id order. Both transports
-// call exactly this function, which is what makes the in-process
-// simulation a correctness oracle for the networked path.
+// one pass over the edges into the frontier vertices it owns instead, in
+// edge-id order. Both transports call exactly this function, which is
+// what makes the in-process simulation a correctness oracle for the
+// networked path.
 // A dead context drains the expansion early (the caller surfaces the
 // abort after the superstep barrier).
 func expandOwned(ctx context.Context, et *graph.EdgeType, part, parts int, strategy Strategy, req *SuperstepReq) [][]uint32 {
@@ -160,16 +161,13 @@ func expandOwned(ctx context.Context, et *graph.EdgeType, part, parts int, strat
 	seen := bitmap.New(req.OutSize) // local dedup before sending
 	var tick uint32
 	dead := false
-	owned := func(v uint32) bool {
-		if dead || owner(strategy, parts, v, req.InSize) != part {
-			return false
-		}
-		tick++
-		if tick&1023 == 0 && ctx != nil && ctx.Err() != nil {
+	alive := func() bool {
+		if tick++; !dead && tick&1023 == 0 && ctx != nil && ctx.Err() != nil {
 			dead = true
 		}
 		return !dead
 	}
+	owned := func(v uint32) bool { return owner(strategy, parts, v, req.InSize) == part && alive() }
 	add := func(t uint32) {
 		if !seen.Get(t) {
 			seen.Set(t)
@@ -188,10 +186,17 @@ func expandOwned(ctx context.Context, et *graph.EdgeType, part, parts int, strat
 		})
 		return bufs
 	}
-	for e, s := range et.EdgesInto(req.Frontier) {
-		if _, d := et.EdgeAt(e); owned(d) {
-			add(s)
+	mine := bitmap.New(req.InSize)
+	req.Frontier.ForEach(func(v uint32) {
+		if owned(v) {
+			mine.Set(v)
 		}
+	})
+	for _, s := range et.EdgesInto(mine) {
+		if !alive() {
+			break
+		}
+		add(s)
 	}
 	return bufs
 }

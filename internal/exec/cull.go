@@ -34,7 +34,7 @@ import (
 // of its own (handed from shard to shard through idle) and the bitmaps
 // are united afterwards: two workers marking one small target set would
 // spend their time handing its few cache lines back and forth. Backward
-// without a reverse index, one pass over the edge list serves the whole
+// without a reverse index, one pass over the edge set serves the whole
 // set, so the sweep is one shard.
 func (m *matcher) expandFiltered(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitmap) (*bitmap.Bitmap, error) {
 	et := m.edgeType[pe.ID]
@@ -120,9 +120,9 @@ func (m *matcher) expandWhere(w *wstate, edge int, et *graph.EdgeType, forward b
 		if inner = w.poll(); inner != nil {
 			return
 		}
-		nbr, eids := w.neighbors(csr, v, forward)
+		nbr, ids := w.neighbors(csr, v, forward)
 		for i, t := range nbr {
-			if inner = keep(t, graph.EdgeID(eids, i, v)); inner != nil {
+			if inner = keep(t, ids.At(i)); inner != nil {
 				return
 			}
 		}
@@ -162,7 +162,7 @@ func (m *matcher) expandStep(pe *sema.PEdge, forward bool, fromSet *bitmap.Bitma
 // skipped and its sets stay nil (a free start above a conditioned step
 // expands from its whole type, so the step is still decided on what the
 // pass reaches), and no cull crosses an edge type that has no reverse
-// index, where it would scan the whole edge list. Every set is
+// index, where it would scan the whole edge set. Every set is
 // then a superset of the vertices complete bindings put at its node. With
 // exact set every step runs, every set is materialised, and a third pass
 // runs top-down, parents first: a step below a parent with two or more
@@ -358,12 +358,12 @@ func (m *matcher) markEdgesInSets(pe *sema.PEdge, et *graph.EdgeType, forward bo
 			if inner = w.poll(); inner != nil {
 				return
 			}
-			nbr, eids := w.neighbors(csr, v, forward)
+			nbr, ids := w.neighbors(csr, v, forward)
 			for i, t := range nbr {
 				if !to.Get(t) {
 					continue
 				}
-				e := graph.EdgeID(eids, i, v)
+				e := ids.At(i)
 				if cond != nil {
 					ok, err := m.edgeOK(w, pe.ID, e)
 					if err != nil {
@@ -599,7 +599,7 @@ func (m *matcher) tally(route string, x int, xs *stepSet, cnt []uint64, k *passE
 
 // walk estimates the index entries expanding n vertices across et visits,
 // from its source side when forward (no reverse index: one pass over the
-// edge list).
+// edge set).
 func walk(et *graph.EdgeType, forward bool, n int) float64 {
 	switch {
 	case forward:

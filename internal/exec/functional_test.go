@@ -86,8 +86,15 @@ func assertSameIndexes(t *testing.T, what string, want, got *graph.EdgeType) {
 	}
 	same := func(dir string, a, b *graph.CSR, n int) {
 		for v := range uint32(n) {
-			wn, we := a.Neighbors(v)
-			gn, ge := b.Neighbors(v)
+			wn, wi := a.Neighbors(v)
+			gn, gi := b.Neighbors(v)
+			we, ge := make([]uint32, len(wn)), make([]uint32, len(gn))
+			for i := range we {
+				we[i] = wi.At(i)
+			}
+			for i := range ge {
+				ge[i] = gi.At(i)
+			}
 			if !slices.Equal(wn, gn) || !slices.Equal(we, ge) {
 				t.Fatalf("%s: edge %s %s at %d: (%v, %v), want (%v, %v)", what, want.Name, dir, v, gn, ge, wn, we)
 			}

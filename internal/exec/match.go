@@ -87,7 +87,7 @@ type wstate struct {
 	scanned int64 // candidate rows visited
 	edges   int64 // edge-index entries walked
 	idxHit  int64 // vertices walked back through a reverse index
-	idxMiss int64 // edge-list scans standing in for a reverse index
+	idxMiss int64 // edge-set scans standing in for a reverse index
 	// tick drives the amortised cooperative cancellation poll (cancel.go);
 	// reported is the scanned+edges watermark already pushed to the live
 	// query table by that poll.
@@ -96,27 +96,27 @@ type wstate struct {
 }
 
 // adjacent is graph.EdgeType.Adjacent plus the traversal accounting, for
-// per-binding enumeration: index entries walked (the whole edge list when
+// per-binding enumeration: index entries walked (the whole edge set when
 // a backward step has no reverse index to use) and reverse-index hits and
 // misses. Set sweeps resolve the CSR once instead (neighbors, expandRange).
-func (w *wstate) adjacent(et *graph.EdgeType, v uint32, forward bool) (nbr, eids []uint32) {
+func (w *wstate) adjacent(et *graph.EdgeType, v uint32, forward bool) (nbr []uint32, ids graph.EdgeIDs) {
 	if csr := et.Index(forward); csr != nil {
 		return w.neighbors(csr, v, forward)
 	}
-	nbr, eids, _ = et.Adjacent(v, forward)
+	nbr, ids, _ = et.Adjacent(v, forward)
 	w.idxMiss++
 	w.edges += int64(et.Count())
-	return nbr, eids
+	return nbr, ids
 }
 
 // neighbors is adjacent over a CSR resolved once per sweep.
-func (w *wstate) neighbors(csr *graph.CSR, v uint32, forward bool) (nbr, eids []uint32) {
-	nbr, eids = csr.Neighbors(v)
+func (w *wstate) neighbors(csr *graph.CSR, v uint32, forward bool) (nbr []uint32, ids graph.EdgeIDs) {
+	nbr, ids = csr.Neighbors(v)
 	if !forward {
 		w.idxHit++
 	}
 	w.edges += int64(len(nbr))
-	return nbr, eids
+	return nbr, ids
 }
 
 // expandRange is the set-at-a-time expansion: it ORs into out the
@@ -124,7 +124,7 @@ func (w *wstate) neighbors(csr *graph.CSR, v uint32, forward bool) (nbr, eids []
 // along et's direction) with the CSR kernel, pollMask+1 ids per call so
 // the context poll stays amortised over members, and counts the index
 // entries walked and, backward, a reverse-index hit per member. Without a
-// reverse index a backward step makes one pass over the edge list for the
+// reverse index a backward step makes one pass over the edge set for the
 // whole set instead, whatever the range: one miss, every edge walked once.
 func (w *wstate) expandRange(et *graph.EdgeType, forward bool, from *bitmap.Bitmap, lo, hi uint32, out *bitmap.Bitmap) error {
 	csr := et.Index(forward)
@@ -561,12 +561,12 @@ func (m *matcher) verifyFrom(w *wstate, depth, vi int, emit func([]uint32) error
 	src, dst := w.b[pe.Src], w.b[pe.Dst]
 	// Enumerate every parallel edge instance connecting the bound
 	// endpoints (the graph is a multigraph, §II-A1).
-	nbr, eids := w.adjacent(et, src, true)
+	nbr, ids := w.adjacent(et, src, true)
 	for i, d := range nbr {
 		if d != dst {
 			continue
 		}
-		e := graph.EdgeID(eids, i, src)
+		e := ids.At(i)
 		ok, err := m.edgeOK(w, pe.ID, e)
 		if err != nil {
 			return err
@@ -631,12 +631,12 @@ func (m *matcher) expandStepAt(w *wstate, depth int, emit func([]uint32) error) 
 	if v.Forward {
 		from = w.b[pe.Src]
 	}
-	nbr, eids := w.adjacent(et, from, v.Forward)
+	nbr, ids := w.adjacent(et, from, v.Forward)
 	for i, target := range nbr {
 		if reach != nil && !reach.Get(target) {
 			continue
 		}
-		e := graph.EdgeID(eids, i, from)
+		e := ids.At(i)
 		ok, err := m.edgeOK(w, pe.ID, e)
 		if err != nil {
 			return err

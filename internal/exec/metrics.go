@@ -25,7 +25,7 @@ type engineMetrics struct {
 	rowsScanned    *obs.Counter // candidate-scan and table-scan rows visited
 	edgesTraversed *obs.Counter // edge-index entries walked
 	indexHits      *obs.Counter // vertices walked back through a reverse index
-	indexMisses    *obs.Counter // backward walks that scanned the edge list instead
+	indexMisses    *obs.Counter // backward walks that scanned the edge set instead
 
 	shardRuns     *obs.Counter // data-parallel sweeps launched
 	shardTasks    *obs.Counter // shards executed across all sweeps

@@ -49,6 +49,38 @@ func BenchmarkBuildCSR(b *testing.B) {
 	}
 }
 
+// BenchmarkPatchEdgeType prices one maintained write's re-freeze of an
+// edge type over 20 000 vertices: three vertices rewritten, two edges
+// added, reverse index on, in each form — a column with a quarter of its
+// sources empty, and a CSR with 0–3 edges per source.
+func BenchmarkPatchEdgeType(b *testing.B) {
+	const n = 20_000
+	r := rand.New(rand.NewSource(1))
+	vt, _ := BuildVertexType(0, "V", benchVertexBase(b, n), []int{0}, nil)
+	var column, rows []Edge
+	for s := range uint32(n) {
+		if r.Intn(4) > 0 {
+			column = append(column, Edge{Src: s, Dst: uint32(r.Intn(n))})
+		}
+		for range r.Intn(4) {
+			rows = append(rows, Edge{Src: s, Dst: uint32(r.Intn(n))})
+		}
+	}
+	d := &Delta{Changed: []uint32{5, 77, 1234}}
+	added := []Edge{{Src: 5, Dst: 9}, {Src: 77, Dst: 1}}
+	for name, et := range map[string]*EdgeType{
+		"functional": NewFunctionalEdgeType(0, "F", vt, vt, column, true),
+		"csr":        NewEdgeType(0, "C", vt, vt, rows, nil, true),
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PatchEdgeType(et, vt, vt, d, d, nil, added, nil)
+			}
+		})
+	}
+}
+
 func BenchmarkNeighborIteration(b *testing.B) {
 	const nV, nE = 10_000, 100_000
 	r := rand.New(rand.NewSource(2))

@@ -2,96 +2,116 @@ package graph
 
 import (
 	"math/bits"
+	"slices"
 
 	"graql/internal/bitmap"
 )
 
 // CSR is a compressed-sparse-row adjacency index over one edge type: for
-// each source vertex, the contiguous slice of (neighbor, edge id) pairs.
-// GEMS builds the index in the lexical direction of the edge declaration
-// and, when memory allows, also in the reverse direction (paper §III-B),
-// which is what lets the planner evaluate a path query from either end.
+// each source vertex, the contiguous row of slots [offsets[v],
+// offsets[v+1]) holding its neighbours. GEMS builds the index in the
+// lexical direction of the edge declaration and, when memory allows, also
+// in the reverse direction (paper §III-B), which is what lets the planner
+// evaluate a path query from either end.
 //
-// A functional edge type (each source has at most one target) stores its
-// forward index as a column: nil offsets, and nbr holds one target per
-// source vertex, NoVertex where there is none. Its edge ids are its
-// sources, so neither of its indexes stores eid: the column's is nil (the
-// id of an edge is the vertex asked about) and its transpose's is nbr
-// itself (the id of an edge is the source listed).
+// An edge's id is its slot in the forward index, so the forward index
+// stores no ids. A functional edge type (each source has at most one
+// target) has the same layout with implied unit offsets: nil offsets, row
+// v is slot v, and NoVertex in nbr marks an empty row. A reverse index
+// lists, per target, the sources in nbr and the ids in eid, ids
+// ascending; the transpose of a column shares eid with nbr, since there
+// the id is the source.
 type CSR struct {
-	offsets []uint32 // len = numVertices+1; nil: nbr is a column
-	nbr     []uint32 // neighbor vertex ids, grouped by source
-	eid     []uint32 // parallel edge ids; nil for a column, nbr for its transpose
+	offsets []uint32 // len = numVertices+1; nil: unit rows (a column)
+	nbr     []uint32 // neighbour vertex ids in slot order
+	eid     []uint32 // edge id per slot; nil in a forward index (id = slot)
 }
 
-// buildCSR constructs a CSR with numSrc source vertices by counting sort
-// over the entries i of keys that are not NoVertex: entry i is keyed by
-// keys[i], its neighbour is vals[i] and its edge id i. With nil vals the
-// neighbour is i and eid is nbr itself — the transpose of a column, whose
-// edge ids are the sources it lists.
-func buildCSR(numSrc int, keys, vals []uint32) CSR {
-	c := CSR{offsets: make([]uint32, numSrc+1)}
-	for _, s := range keys {
-		if s != NoVertex {
-			c.offsets[s+1]++
+// EdgeIDs names the edge ids of one row of a CSR, aligned with its
+// neighbours: the i-th is eid[first+i], or first+i when eid is nil.
+type EdgeIDs struct {
+	first uint32
+	eid   []uint32
+}
+
+// At returns the id of the edge to the row's i-th neighbour.
+func (ids EdgeIDs) At(i int) uint32 {
+	if ids.eid == nil {
+		return ids.first + uint32(i)
+	}
+	return ids.eid[ids.first+uint32(i)]
+}
+
+// numRows returns the number of vertices c has a row for.
+func (c *CSR) numRows() int {
+	if c.offsets == nil {
+		return len(c.nbr)
+	}
+	return len(c.offsets) - 1
+}
+
+// row returns the slots [lo, hi) of v's row.
+func (c *CSR) row(v uint32) (lo, hi uint32) {
+	switch {
+	case c.offsets != nil:
+		return c.offsets[v], c.offsets[v+1]
+	case c.nbr[v] == NoVertex:
+		return v, v
+	}
+	return v, v + 1
+}
+
+// source returns the vertex whose row holds slot e, walking the rows
+// forward from vertex from, whose row starts at or before e (0 will do).
+func (c *CSR) source(e, from uint32) uint32 {
+	if c.offsets == nil {
+		return e
+	}
+	for c.offsets[from+1] <= e {
+		from++
+	}
+	return from
+}
+
+// transpose returns et's reverse index: one counting sort by target
+// over IDs, so each row lists its ids ascending.
+func (et *EdgeType) transpose() CSR {
+	numDst, fwd := et.Dst.Count(), &et.fwd
+	t := CSR{offsets: make([]uint32, numDst+1)}
+	for _, d := range fwd.nbr {
+		if d != NoVertex {
+			t.offsets[d+1]++
 		}
 	}
-	for i := 1; i <= numSrc; i++ {
-		c.offsets[i] += c.offsets[i-1]
+	for i := 1; i <= numDst; i++ {
+		t.offsets[i] += t.offsets[i-1]
 	}
-	c.nbr = make([]uint32, c.offsets[numSrc])
-	c.eid = c.nbr
-	if vals != nil {
-		c.eid = make([]uint32, len(c.nbr))
+	t.nbr = make([]uint32, t.offsets[numDst])
+	t.eid = t.nbr
+	if fwd.offsets != nil {
+		t.eid = make([]uint32, len(t.nbr))
 	}
-	cursor := make([]uint32, numSrc)
-	for e, s := range keys {
-		if s == NoVertex {
-			continue
-		}
-		pos := c.offsets[s] + cursor[s]
-		cursor[s]++
-		if vals == nil {
-			c.nbr[pos] = uint32(e)
-		} else {
-			c.nbr[pos], c.eid[pos] = vals[e], uint32(e)
-		}
+	cursor := slices.Clone(t.offsets[:numDst])
+	for e, s := range et.IDs() {
+		// A column's id is its source: the two writes agree.
+		d := fwd.nbr[e]
+		t.nbr[cursor[d]], t.eid[cursor[d]] = s, e
+		cursor[d]++
 	}
-	return c
+	return t
 }
 
 // Degree returns the number of edges out of vertex v in this direction.
 func (c *CSR) Degree(v uint32) int {
-	switch {
-	case c.offsets != nil:
-		return int(c.offsets[v+1] - c.offsets[v])
-	case c.nbr[v] == NoVertex:
-		return 0
-	}
-	return 1
+	lo, hi := c.row(v)
+	return int(hi - lo)
 }
 
-// Neighbors returns the neighbor and edge-id slices for vertex v. The
-// returned slices alias the index and must not be modified. A column
-// returns nil edge ids: the id of v's edge is v (EdgeID).
-func (c *CSR) Neighbors(v uint32) (nbr, eid []uint32) {
-	if c.offsets == nil {
-		if c.nbr[v] == NoVertex {
-			return nil, nil
-		}
-		return c.nbr[v : v+1], nil
-	}
-	lo, hi := c.offsets[v], c.offsets[v+1]
-	return c.nbr[lo:hi], c.eid[lo:hi]
-}
-
-// EdgeID returns the id of the i-th edge Neighbors(v) returned with eids:
-// eids[i], or v itself when eids is nil.
-func EdgeID(eids []uint32, i int, v uint32) uint32 {
-	if eids == nil {
-		return v
-	}
-	return eids[i]
+// Neighbors returns v's neighbours and the ids of the connecting edges.
+// The neighbour slice aliases the index and must not be modified.
+func (c *CSR) Neighbors(v uint32) (nbr []uint32, ids EdgeIDs) {
+	lo, hi := c.row(v)
+	return c.nbr[lo:hi], EdgeIDs{lo, c.eid}
 }
 
 // NumEdges returns the total number of edges indexed (a column counts

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 
 	"graql/internal/bitmap"
@@ -26,15 +27,16 @@ type Edge struct {
 //
 // The edge set is materialised once at creation and frozen into a forward
 // index (source → targets) and, unless disabled, a reverse index (target →
-// sources), mirroring GEMS's bidirectional edge indexes (§III-B). It has
-// one of two forms, chosen by the declaration's shape:
+// sources), mirroring GEMS's bidirectional edge indexes (§III-B). An
+// edge's id is its slot in the forward index; no edge list is kept. The
+// declaration's shape alone chooses the forward index's form:
 //
-//   - The CSR form keeps the edge list (srcs, dsts; edge id = position)
-//     and a CSR in each direction.
-//   - The functional form is a foreign key of the source: each source
-//     vertex has at most one target, and the edge id is the source vertex.
-//     Its forward index is a column of Src.Count() targets (NoVertex where
-//     there is none) and its reverse CSR lists sources, which are the ids.
+//   - The CSR form: offsets and targets, each source's edges in the order
+//     they were derived.
+//   - The functional form, a foreign key of the source: each source vertex
+//     has at most one target, so the forward index is a column of
+//     Src.Count() targets (NoVertex where there is none) and the edge id
+//     is the source vertex.
 //
 // Edge ids range over [0, NumIDs()); Count() of them are present, all of
 // them in the CSR form. IDs yields the present ones.
@@ -43,40 +45,105 @@ type EdgeType struct {
 	Name string
 	Src  *VertexType
 	Dst  *VertexType
-	// Attrs is the edge attribute table (one row per edge, gathered from
-	// the associated table), or nil when the declaration had no
+	// Attrs is the edge attribute table (one row per edge id, gathered
+	// from the associated table), or nil when the declaration had no
 	// attribute-bearing table.
 	Attrs *table.Table
 
-	srcs, dsts []uint32 // the CSR form's edge list; nil when functional
-	fwd        CSR
-	rev        CSR
-	hasRev     bool
-	count      int // present edges
-	// origAttrRows maps each edge to the row of the associated source
-	// table it was derived from (Attrs itself is re-gathered so edge id ==
-	// attribute row). Maintenance uses it to drop the edges of dead or
-	// rewritten rows and to gather Attrs again. nil when Attrs is nil.
+	fwd    CSR
+	rev    CSR
+	hasRev bool
+	count  int // present edges
+	// origAttrRows maps each edge id to the row of the associated source
+	// table it was derived from (Attrs itself is gathered in id order).
+	// Maintenance uses it to drop the edges of dead or rewritten rows and
+	// to gather Attrs again. nil when Attrs is nil.
 	origAttrRows []uint32
 }
 
 // NewEdgeType freezes the given edge list into an indexed edge type of
-// the CSR form: the patch of an empty type that adds every edge. attrs,
-// when non-nil, is the associated table the edges' AttrRow address.
-// buildReverse controls whether the reverse index is materialised (the
-// paper builds it "when memory space on the cluster is available"; our E3
-// ablation measures its value).
+// the CSR form; attrs, when non-nil, is the associated table the edges'
+// AttrRow address. buildReverse controls whether the reverse index is
+// materialised (the paper builds it "when memory space on the cluster is
+// available"; our E3 ablation measures its value).
 func NewEdgeType(id int, name string, src, dst *VertexType, edges []Edge, attrs *table.Table, buildReverse bool) *EdgeType {
-	empty := &EdgeType{ID: id, Name: name, hasRev: buildReverse}
-	return patchList(empty, src, dst, nil, nil, nil, edges, attrs)
+	return freeze(&EdgeType{ID: id, Name: name, hasRev: buildReverse}, false, src, dst, nil, nil, nil, edges, attrs)
 }
 
 // NewFunctionalEdgeType freezes the given edge list, at most one edge out
-// of each source vertex, into an edge type of the functional form: the
-// patch of an empty functional type that adds every edge.
+// of each source vertex, into an edge type of the functional form.
 func NewFunctionalEdgeType(id int, name string, src, dst *VertexType, edges []Edge, buildReverse bool) *EdgeType {
-	empty := &EdgeType{ID: id, Name: name, hasRev: buildReverse}
-	return patchColumn(empty, src, dst, nil, nil, edges)
+	return freeze(&EdgeType{ID: id, Name: name, hasRev: buildReverse}, true, src, dst, nil, nil, nil, edges, nil)
+}
+
+// freeze derives an edge type between src and dst from old — empty for a
+// build — and freezes it in the functional form or the CSR form: old's
+// edges whose source, target and attribute row the carries (nil: the
+// identity) keep, in slot order and remapped, then added. The functional
+// form scatters them into a column (a later edge out of a source wins);
+// the CSR form counting-sorts them by source, stably, so each source's row
+// keeps their order, with their attribute rows. The sort walks the edges
+// twice, once to count and once to place, and lists none. The reverse
+// index, when old has one, is the forward index's transpose.
+func freeze(old *EdgeType, functional bool, src, dst *VertexType, carrySrc, carryDst, carryAttr []uint32, added []Edge, attrs *table.Table) *EdgeType {
+	et := &EdgeType{ID: old.ID, Name: old.Name, Src: src, Dst: dst, hasRev: old.hasRev}
+	through := func(carry []uint32, id uint32) uint32 {
+		if carry == nil {
+			return id
+		}
+		return carry[id]
+	}
+	// each is the one survivor pass: f sees every edge of old that
+	// survives, carried over, then every added edge.
+	each := func(f func(Edge)) {
+		for e, s := range old.IDs() {
+			ed := Edge{Src: through(carrySrc, s), Dst: through(carryDst, old.fwd.nbr[e]), AttrRow: NoVertex}
+			if attrs != nil {
+				ed.AttrRow = through(carryAttr, old.origAttrRows[e])
+			}
+			if ed.Src != NoVertex && ed.Dst != NoVertex && (attrs == nil || ed.AttrRow != NoVertex) {
+				f(ed)
+			}
+		}
+		for _, ed := range added {
+			f(ed)
+		}
+	}
+	n, fwd := src.Count(), &et.fwd
+	if functional {
+		fwd.nbr = make([]uint32, n)
+		for i := range fwd.nbr {
+			fwd.nbr[i] = NoVertex
+		}
+		each(func(e Edge) { fwd.nbr[e.Src] = e.Dst })
+	} else {
+		fwd.offsets = make([]uint32, n+1)
+		each(func(e Edge) { fwd.offsets[e.Src+1]++ })
+		for i := 1; i <= n; i++ {
+			fwd.offsets[i] += fwd.offsets[i-1]
+		}
+		fwd.nbr = make([]uint32, fwd.offsets[n])
+		if attrs != nil {
+			et.origAttrRows = make([]uint32, len(fwd.nbr))
+		}
+		cursor := slices.Clone(fwd.offsets[:n])
+		each(func(e Edge) {
+			slot := cursor[e.Src]
+			cursor[e.Src]++
+			fwd.nbr[slot] = e.Dst
+			if attrs != nil {
+				et.origAttrRows[slot] = e.AttrRow
+			}
+		})
+	}
+	et.count = fwd.NumEdges()
+	if attrs != nil {
+		et.Attrs = attrs.Gather(et.Name, et.origAttrRows)
+	}
+	if et.hasRev {
+		et.rev = et.transpose()
+	}
+	return et
 }
 
 // Functional reports whether et has the functional form: edge id = source
@@ -86,42 +153,24 @@ func (et *EdgeType) Functional() bool { return et.fwd.offsets == nil }
 // Count returns the number of edge instances.
 func (et *EdgeType) Count() int { return et.count }
 
-// NumIDs returns the size of the edge id space: Count() in the CSR form,
-// Src.Count() in the functional form. An edge bitmap has this length.
-func (et *EdgeType) NumIDs() int {
-	if et.Functional() {
-		return len(et.fwd.nbr)
-	}
-	return len(et.srcs)
-}
+// NumIDs returns the size of the edge id space, the forward index's
+// slots: Count() in the CSR form, Src.Count() in the functional form. An
+// edge bitmap has this length.
+func (et *EdgeType) NumIDs() int { return len(et.fwd.nbr) }
 
-// IDs yields the id of every present edge in ascending order. Every pass
-// over the edge set goes through it, or through EdgesInto when it keeps
-// only the edges into a set of targets.
-func (et *EdgeType) IDs() iter.Seq[uint32] {
-	return func(yield func(uint32) bool) {
-		if !et.Functional() {
-			for e := range uint32(len(et.srcs)) {
-				if !yield(e) {
-					return
-				}
-			}
-			return
-		}
-		for s, t := range et.fwd.nbr {
-			if t != NoVertex && !yield(uint32(s)) {
-				return
-			}
-		}
-	}
-}
+// IDs yields the id and source of every present edge, ids ascending.
+// Every pass over the edge set goes through it, or through EdgesInto when
+// it keeps only the edges into a set of targets.
+func (et *EdgeType) IDs() iter.Seq2[uint32, VID] { return et.EdgesInto(nil) }
 
-// EdgeAt returns the endpoints of present edge e.
+// EdgeAt returns the endpoints of present edge e: its target is its
+// slot's, its source the vertex whose row holds the slot.
 func (et *EdgeType) EdgeAt(e uint32) (src, dst VID) {
-	if et.Functional() {
-		return e, et.fwd.nbr[e]
+	src = e
+	if o := et.fwd.offsets; o != nil {
+		src = uint32(sort.Search(len(o)-1, func(v int) bool { return o[v+1] > e }))
 	}
-	return et.srcs[e], et.dsts[e]
+	return src, et.fwd.nbr[e]
 }
 
 // Forward returns the source→target index (a column when functional).
@@ -146,22 +195,19 @@ func (et *EdgeType) Index(forward bool) *CSR {
 }
 
 // EdgesInto yields, in ascending id order, the id and source of every
-// present edge whose target is in to: IDs filtered by target, with the
-// form decided once and the filter inside the pass. It is the one pass
-// over the edge set that a backward expansion makes without the reverse
-// index.
+// present edge whose target is in to (nil: every edge). It is one tight
+// pass over the forward index's slots with the filter inside it, for both
+// forms; a source is found only for an edge that passes, by walking the
+// rows forward from the last one found. It is the pass over the edge set
+// that a backward expansion makes without the reverse index.
 func (et *EdgeType) EdgesInto(to *bitmap.Bitmap) iter.Seq2[uint32, VID] {
 	return func(yield func(uint32, VID) bool) {
-		if et.Functional() {
-			for s, d := range et.fwd.nbr {
-				if d != NoVertex && to.Get(d) && !yield(uint32(s), uint32(s)) {
-					return
-				}
+		var s VID
+		for e, d := range et.fwd.nbr {
+			if d == NoVertex || to != nil && !to.Get(d) {
+				continue
 			}
-			return
-		}
-		for e, d := range et.dsts {
-			if to.Get(d) && !yield(uint32(e), et.srcs[e]) {
+			if s = et.fwd.source(uint32(e), s); !yield(uint32(e), s) {
 				return
 			}
 		}
@@ -180,23 +226,23 @@ func (et *EdgeType) ScanBackward(from, out *bitmap.Bitmap) {
 
 // Adjacent returns the vertices one edge away from v and the ids of the
 // connecting edges: v's targets when forward, its sources otherwise.
-// indexed reports that an index answered; nbr and eids then alias it and
-// must not be modified, and eids is nil when the ids are v (EdgeID).
-// Without the reverse index (§III-B builds it only "when memory space ...
-// is available") the backward direction degrades to a scan of the whole
-// edge set, in edge-id order, into fresh slices.
-func (et *EdgeType) Adjacent(v VID, forward bool) (nbr, eids []uint32, indexed bool) {
+// indexed reports that an index answered; nbr and ids then alias it and
+// must not be modified. Without the reverse index (§III-B builds it only
+// "when memory space ... is available") the backward direction degrades
+// to a scan of the whole edge set, in id order, into fresh slices.
+func (et *EdgeType) Adjacent(v VID, forward bool) (nbr []uint32, ids EdgeIDs, indexed bool) {
 	if c := et.Index(forward); c != nil {
-		nbr, eids = c.Neighbors(v)
-		return nbr, eids, true
+		nbr, ids = c.Neighbors(v)
+		return nbr, ids, true
 	}
-	for e := range et.IDs() {
-		if s, d := et.EdgeAt(e); d == v {
+	var eids []uint32
+	for e, s := range et.IDs() {
+		if et.fwd.nbr[e] == v {
 			nbr = append(nbr, s)
 			eids = append(eids, e)
 		}
 	}
-	return nbr, eids, false
+	return nbr, EdgeIDs{eid: eids}, false
 }
 
 // AttrIndex resolves an edge attribute name, addressing the Attrs table.
@@ -254,15 +300,17 @@ func (et *EdgeType) OutDegreeStats() DegreeStats {
 }
 
 // InDegreeStats returns the target-side degree distribution summary
-// (computed from the reverse index when present, else from the edge list).
+// (computed from the reverse index when present, else from the forward
+// index's targets).
 func (et *EdgeType) InDegreeStats() DegreeStats {
 	if et.hasRev {
 		return degreeStats(&et.rev, et.Dst.Count(), et.AvgInDegree())
 	}
 	counts := make([]int, et.Dst.Count())
-	for e := range et.IDs() {
-		_, d := et.EdgeAt(e)
-		counts[d]++
+	for _, d := range et.fwd.nbr {
+		if d != NoVertex {
+			counts[d]++
+		}
 	}
 	return summarize(counts, et.AvgInDegree())
 }
@@ -288,69 +336,65 @@ func summarize(counts []int, avg float64) DegreeStats {
 	}
 }
 
-// Validate checks internal consistency (used by tests and after every
-// maintained write). The CSR form: endpoint ids are in range and both
-// indexes hold every edge. The functional form: the column has one entry
-// per source, each a target or NoVertex, Count of them present, and the
-// reverse CSR is the column's transpose with ascending sources.
+// Validate checks internal consistency; the tests run it on every type
+// they build or maintain. The forward index has a row per source, each
+// target is in range, Count of them are present and, with attributes, one
+// attribute row is kept per id. The reverse index is the forward index's
+// transpose: per target, the sources and ids of exactly its edges, ids
+// ascending, and its ids share the sources' storage exactly when they are
+// sources.
 func (et *EdgeType) Validate() error {
-	if et.Functional() {
-		return et.validateColumn()
-	}
-	for i := range et.srcs {
-		if int(et.srcs[i]) >= et.Src.Count() {
-			return fmt.Errorf("graql: edge %s[%d]: source out of range", et.Name, i)
-		}
-		if int(et.dsts[i]) >= et.Dst.Count() {
-			return fmt.Errorf("graql: edge %s[%d]: target out of range", et.Name, i)
-		}
-	}
-	if len(et.srcs) != et.count || et.fwd.NumEdges() != et.count {
-		return fmt.Errorf("graql: edge %s: forward index size mismatch", et.Name)
-	}
-	if et.hasRev && et.rev.NumEdges() != et.count {
-		return fmt.Errorf("graql: edge %s: reverse index size mismatch", et.Name)
-	}
-	return nil
-}
-
-func (et *EdgeType) validateColumn() error {
-	col, nDst := et.fwd.nbr, et.Dst.Count()
-	if len(col) != et.Src.Count() {
-		return fmt.Errorf("graql: edge %s: column has %d entries for %d sources", et.Name, len(col), et.Src.Count())
+	fwd, nSrc, nDst := &et.fwd, et.Src.Count(), et.Dst.Count()
+	if fwd.numRows() != nSrc || !rowsCover(fwd) {
+		return fmt.Errorf("graql: edge %s: forward index is not a row per source", et.Name)
 	}
 	n := 0
-	for s, t := range col {
-		if t == NoVertex {
-			continue
-		}
-		if int(t) >= nDst {
-			return fmt.Errorf("graql: edge %s[%d]: target out of range", et.Name, s)
+	for e := range et.IDs() {
+		if int(fwd.nbr[e]) >= nDst {
+			return fmt.Errorf("graql: edge %s[%d]: target out of range", et.Name, e)
 		}
 		n++
 	}
 	if n != et.count {
-		return fmt.Errorf("graql: edge %s: %d present entries, count %d", et.Name, n, et.count)
+		return fmt.Errorf("graql: edge %s: %d present edges, count %d", et.Name, n, et.count)
+	}
+	if et.Attrs != nil && (len(et.origAttrRows) != et.NumIDs() || et.Attrs.NumRows() != et.NumIDs()) {
+		return fmt.Errorf("graql: edge %s: attribute rows do not match the ids", et.Name)
 	}
 	if !et.hasRev {
 		return nil
 	}
 	rev := &et.rev
-	if len(rev.offsets) != nDst+1 || rev.offsets[0] != 0 || int(rev.offsets[nDst]) != len(rev.nbr) || len(rev.nbr) != n ||
-		len(rev.eid) != n || n > 0 && &rev.eid[0] != &rev.nbr[0] {
+	if rev.offsets == nil || rev.numRows() != nDst || !rowsCover(rev) || len(rev.nbr) != n || len(rev.eid) != n ||
+		n > 0 && (&rev.eid[0] == &rev.nbr[0]) != et.Functional() {
 		return fmt.Errorf("graql: edge %s: reverse index shape mismatch", et.Name)
 	}
-	for d := range nDst {
-		lo, hi := rev.offsets[d], rev.offsets[d+1]
-		if lo > hi {
-			return fmt.Errorf("graql: edge %s: reverse offsets descend at %d", et.Name, d)
-		}
+	for d := range uint32(nDst) {
+		lo, hi := rev.row(d)
 		for i := lo; i < hi; i++ {
-			s := rev.nbr[i]
-			if int(s) >= len(col) || col[s] != uint32(d) || i > lo && s <= rev.nbr[i-1] {
-				return fmt.Errorf("graql: edge %s: reverse index is not the column's transpose at target %d", et.Name, d)
+			e := rev.eid[i]
+			if int(e) >= len(fwd.nbr) || fwd.nbr[e] != d || i > lo && e <= rev.eid[i-1] {
+				return fmt.Errorf("graql: edge %s: reverse index is not the transpose at target %d", et.Name, d)
+			}
+			if s, _ := et.EdgeAt(e); s != rev.nbr[i] {
+				return fmt.Errorf("graql: edge %s: reverse index names the wrong source of edge %d", et.Name, e)
 			}
 		}
 	}
 	return nil
+}
+
+// rowsCover reports whether c's rows tile its slots: offsets, if any,
+// start at 0, never descend and end at the last slot.
+func rowsCover(c *CSR) bool {
+	o := c.offsets
+	if o == nil {
+		return true
+	}
+	for v := 1; v < len(o); v++ {
+		if o[v-1] > o[v] {
+			return false
+		}
+	}
+	return o[0] == 0 && int(o[len(o)-1]) == len(c.nbr)
 }

@@ -174,10 +174,10 @@ func (c expandCase) checkAdjacent(t *testing.T) {
 		}
 	}
 	for v := range uint32(c.from.Len()) {
-		nbr, eids, _ := c.et.Adjacent(v, c.forward)
+		nbr, ids, _ := c.et.Adjacent(v, c.forward)
 		var got [][2]uint32
 		for i, u := range nbr {
-			got = append(got, [2]uint32{u, EdgeID(eids, i, v)})
+			got = append(got, [2]uint32{u, ids.At(i)})
 		}
 		sortPairs(got)
 		sortPairs(want[v])

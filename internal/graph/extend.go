@@ -198,9 +198,9 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 
 // ReanchorEdgeType returns et between src and dst, versions of its
 // endpoint types in which no vertex moved, over an unchanged edge set;
-// the edge list and both indexes are shared with et. attrs, when non-nil,
-// is a new version of the associated table in which only attribute cells
-// were rewritten: the edge attribute rows are gathered again from it.
+// both indexes are shared with et. attrs, when non-nil, is a new version
+// of the associated table in which only attribute cells were rewritten:
+// the edge attribute rows are gathered again from it.
 func ReanchorEdgeType(et *EdgeType, src, dst *VertexType, attrs *table.Table) *EdgeType {
 	out := *et
 	out.Src, out.Dst = src, dst
@@ -214,113 +214,19 @@ func ReanchorEdgeType(et *EdgeType, src, dst *VertexType, attrs *table.Table) *E
 // edge survives when its source vertex, its target vertex and its
 // attribute row are all carried over by srcD, dstD and attrD (nil: that
 // side did not change), its ids are remapped, and added — the edges the
-// changed instances produce — is appended. attrs is the current version
-// of the associated table (nil when et carries no attributes). Both
-// indexes are re-frozen by one counting sort each. A functional et is
-// patched by patchColumn.
+// changed instances produce — follows the survivors, which keep their
+// order. attrs is the current version of the associated table (nil when
+// et carries no attributes). The survivors and the added edges are frozen
+// as a build freezes its edges, in the same form as et's.
 func PatchEdgeType(et *EdgeType, src, dst *VertexType, srcD, dstD, attrD *Delta, added []Edge, attrs *table.Table) *EdgeType {
 	carrySrc := srcD.carry(src.Count())
 	carryDst := carrySrc
 	if dstD != srcD || et.Dst != et.Src {
 		carryDst = dstD.carry(dst.Count())
 	}
-	if et.Functional() {
-		return patchColumn(et, src, dst, carrySrc, carryDst, added)
-	}
 	var carryAttr []uint32
 	if attrs != nil {
 		carryAttr = attrD.carry(attrs.NumRows())
 	}
-	return patchList(et, src, dst, carrySrc, carryDst, carryAttr, added, attrs)
-}
-
-// patchList is PatchEdgeType for the CSR form, given the carries (nil:
-// the identity) of the source, target and attribute id spaces.
-func patchList(et *EdgeType, src, dst *VertexType, carrySrc, carryDst, carryAttr []uint32, added []Edge, attrs *table.Table) *EdgeType {
-	out := &EdgeType{ID: et.ID, Name: et.Name, Src: src, Dst: dst, hasRev: et.hasRev}
-	n := len(et.srcs) + len(added)
-	out.srcs = make([]uint32, 0, n)
-	out.dsts = make([]uint32, 0, n)
-	if attrs != nil {
-		out.origAttrRows = make([]uint32, 0, n)
-	}
-	for e, s := range et.srcs {
-		d := et.dsts[e]
-		if carrySrc != nil {
-			s = carrySrc[s]
-		}
-		if carryDst != nil {
-			d = carryDst[d]
-		}
-		if s == NoVertex || d == NoVertex {
-			continue
-		}
-		if attrs != nil {
-			a := et.origAttrRows[e]
-			if carryAttr != nil {
-				a = carryAttr[a]
-			}
-			if a == NoVertex {
-				continue
-			}
-			out.origAttrRows = append(out.origAttrRows, a)
-		}
-		out.srcs = append(out.srcs, s)
-		out.dsts = append(out.dsts, d)
-	}
-	for _, e := range added {
-		out.srcs = append(out.srcs, e.Src)
-		out.dsts = append(out.dsts, e.Dst)
-		if attrs != nil {
-			out.origAttrRows = append(out.origAttrRows, e.AttrRow)
-		}
-	}
-	if attrs != nil {
-		out.Attrs = attrs.Gather(et.Name, out.origAttrRows)
-	}
-	out.count = len(out.srcs)
-	out.fwd = buildCSR(src.Count(), out.srcs, out.dsts)
-	if et.hasRev {
-		out.rev = buildCSR(dst.Count(), out.dsts, out.srcs)
-	}
-	return out
-}
-
-// patchColumn is PatchEdgeType for a functional et (an empty one has no
-// column): each surviving edge is moved to its source's new id with its
-// target's new id, the added edges are written in, and the reverse CSR is
-// rebuilt from the column by one counting sort. A column has no append
-// order, so the patched type equals the type a build over src and dst
-// derives.
-func patchColumn(et *EdgeType, src, dst *VertexType, carrySrc, carryDst []uint32, added []Edge) *EdgeType {
-	col := make([]uint32, src.Count())
-	for i := range col {
-		col[i] = NoVertex
-	}
-	for s, t := range et.fwd.nbr {
-		ns := uint32(s)
-		if carrySrc != nil {
-			ns = carrySrc[s]
-		}
-		if ns == NoVertex || t == NoVertex {
-			continue
-		}
-		if carryDst != nil {
-			t = carryDst[t]
-		}
-		col[ns] = t
-	}
-	for _, e := range added {
-		col[e.Src] = e.Dst
-	}
-	out := &EdgeType{ID: et.ID, Name: et.Name, Src: src, Dst: dst, hasRev: et.hasRev, fwd: CSR{nbr: col}}
-	for _, t := range col {
-		if t != NoVertex {
-			out.count++
-		}
-	}
-	if et.hasRev {
-		out.rev = buildCSR(dst.Count(), col, nil)
-	}
-	return out
+	return freeze(et, et.Functional(), src, dst, carrySrc, carryDst, carryAttr, added, attrs)
 }

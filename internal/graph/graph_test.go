@@ -131,13 +131,13 @@ func TestCSRStructure(t *testing.T) {
 		t.Error("forward degrees wrong")
 	}
 	// Parallel edges preserved (multigraph, §II-A1).
-	nbr, eids := fwd.Neighbors(0)
+	nbr, ids := fwd.Neighbors(0)
 	count01 := 0
 	for i, n := range nbr {
 		if n == 1 {
 			count01++
 		}
-		s, d := et.EdgeAt(eids[i])
+		s, d := et.EdgeAt(ids.At(i))
 		if s != 0 || d != n {
 			t.Error("edge ids must map back to endpoints")
 		}
@@ -171,18 +171,19 @@ func TestReverseIsTranspose(t *testing.T) {
 		type pair struct{ s, d, e uint32 }
 		f := map[pair]bool{}
 		for v := uint32(0); v < uint32(n); v++ {
-			nbr, eids := fwd.Neighbors(v)
+			nbr, ids := fwd.Neighbors(v)
 			for i := range nbr {
-				f[pair{v, nbr[i], eids[i]}] = true
+				f[pair{v, nbr[i], ids.At(i)}] = true
 			}
 		}
 		for v := uint32(0); v < uint32(n); v++ {
-			nbr, eids := rev.Neighbors(v)
+			nbr, ids := rev.Neighbors(v)
 			for i := range nbr {
-				if !f[pair{nbr[i], v, eids[i]}] {
-					t.Fatalf("reverse edge (%d←%d #%d) not in forward index", v, nbr[i], eids[i])
+				e := ids.At(i)
+				if !f[pair{nbr[i], v, e}] {
+					t.Fatalf("reverse edge (%d←%d #%d) not in forward index", v, nbr[i], e)
 				}
-				delete(f, pair{nbr[i], v, eids[i]})
+				delete(f, pair{nbr[i], v, e})
 			}
 		}
 		if len(f) != 0 {
@@ -194,10 +195,21 @@ func TestReverseIsTranspose(t *testing.T) {
 // TestAdjacent: the one adjacency accessor against a hand-built
 // multigraph. Forward answers from the forward CSR with or without the
 // reverse index; backward answers from the reverse CSR when it exists and
-// from an edge-list scan when it does not, and either way returns every
-// source with the id of its connecting edge, parallel edges included.
+// from a scan of the edge set when it does not, and either way returns
+// every source with the id of its connecting edge, parallel edges
+// included, ids ascending.
 func TestAdjacent(t *testing.T) {
 	pairs := [][2]uint32{{0, 1}, {0, 2}, {1, 2}, {3, 0}, {0, 1}, {2, 2}}
+	// An edge's id is its forward slot: sources ascending, list order
+	// within one source.
+	slot := []uint32{0, 1, 3, 5, 2, 4}
+	idsOf := func(nbr []uint32, ids EdgeIDs) []uint32 {
+		out := make([]uint32, len(nbr))
+		for i := range nbr {
+			out[i] = ids.At(i)
+		}
+		return out
+	}
 	pairsOf := func(nbr, eids []uint32) map[[2]uint32]bool { // (neighbour, edge id)
 		out := map[[2]uint32]bool{}
 		for i := range nbr {
@@ -211,22 +223,23 @@ func TestAdjacent(t *testing.T) {
 			wantOut, wantIn := map[[2]uint32]bool{}, map[[2]uint32]bool{}
 			for e, p := range pairs {
 				if p[0] == v {
-					wantOut[[2]uint32{p[1], uint32(e)}] = true
+					wantOut[[2]uint32{p[1], slot[e]}] = true
 				}
 				if p[1] == v {
-					wantIn[[2]uint32{p[0], uint32(e)}] = true
+					wantIn[[2]uint32{p[0], slot[e]}] = true
 				}
 			}
-			nbr, eids, indexed := et.Adjacent(v, true)
-			if got := pairsOf(nbr, eids); !indexed || len(nbr) != len(wantOut) || !reflect.DeepEqual(got, wantOut) {
+			nbr, ids, indexed := et.Adjacent(v, true)
+			if got := pairsOf(nbr, idsOf(nbr, ids)); !indexed || len(nbr) != len(wantOut) || !reflect.DeepEqual(got, wantOut) {
 				t.Errorf("reverse=%v: forward of %d = %v (indexed %v), want %v", reverse, v, got, indexed, wantOut)
 			}
-			nbr, eids, indexed = et.Adjacent(v, false)
+			nbr, ids, indexed = et.Adjacent(v, false)
+			eids := idsOf(nbr, ids)
 			if got := pairsOf(nbr, eids); indexed != reverse || len(nbr) != len(wantIn) || !reflect.DeepEqual(got, wantIn) {
 				t.Errorf("reverse=%v: backward of %d = %v (indexed %v), want %v", reverse, v, got, indexed, wantIn)
 			}
-			if !reverse && !slices.IsSorted(eids) {
-				t.Errorf("scan fallback must list edges in id order, got %v", eids)
+			if !slices.IsSorted(eids) {
+				t.Errorf("reverse=%v: backward must list edges in id order, got %v", reverse, eids)
 			}
 		}
 		// The indexed paths alias the CSR, never copy it.
@@ -308,15 +321,15 @@ func TestFunctionalForm(t *testing.T) {
 	if !slices.Equal(ids, []uint32{0, 2, 3}) {
 		t.Errorf("IDs = %v, want [0 2 3]", ids)
 	}
-	if nbr, eids := et.Forward().Neighbors(1); len(nbr) != 0 || eids != nil {
-		t.Errorf("a hole has neighbours %v %v", nbr, eids)
+	if nbr, _ := et.Forward().Neighbors(1); len(nbr) != 0 {
+		t.Errorf("a hole has neighbours %v", nbr)
 	}
-	if nbr, eids := et.Forward().Neighbors(3); !slices.Equal(nbr, []uint32{0}) || EdgeID(eids, 0, 3) != 3 {
-		t.Errorf("Neighbors(3) = %v %v", nbr, eids)
+	if nbr, ids := et.Forward().Neighbors(3); !slices.Equal(nbr, []uint32{0}) || ids.At(0) != 3 {
+		t.Errorf("Neighbors(3) = %v, id %d", nbr, ids.At(0))
 	}
 	rev, _ := et.Reverse()
-	if nbr, eids := rev.Neighbors(2); !slices.Equal(nbr, []uint32{0, 2}) || !slices.Equal(eids, nbr) {
-		t.Errorf("reverse Neighbors(2) = %v %v, want sources [0 2] as ids", nbr, eids)
+	if nbr, ids := rev.Neighbors(2); !slices.Equal(nbr, []uint32{0, 2}) || ids.At(0) != 0 || ids.At(1) != 2 {
+		t.Errorf("reverse Neighbors(2) = %v, ids %d %d, want sources [0 2] as ids", nbr, ids.At(0), ids.At(1))
 	}
 	if et.Forward().NumEdges() != 3 || rev.NumEdges() != 3 || et.OutDegreeStats().Max != 1 || et.InDegreeStats().Max != 2 {
 		t.Error("index sizes or degree stats wrong")
@@ -325,20 +338,39 @@ func TestFunctionalForm(t *testing.T) {
 		t.Error("an edge set spans the id space")
 	}
 
-	broken := func(what string, mutate func(*EdgeType)) {
-		c := NewFunctionalEdgeType(0, "fk", vt, vt, edges, true)
-		mutate(c)
-		if c.Validate() == nil {
-			t.Errorf("Validate accepts %s", what)
+	// Each way a form can break, in both forms: the CSR form over the
+	// same edges has slots 0, 1, 2 for sources 0, 2, 3.
+	for _, functional := range []bool{true, false} {
+		broken := func(what string, mutate func(*EdgeType)) {
+			c := NewEdgeType(0, "e", vt, vt, edges, nil, true)
+			if functional {
+				c = NewFunctionalEdgeType(0, "fk", vt, vt, edges, true)
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("functional=%v: %v", functional, err)
+			}
+			mutate(c)
+			if c.Validate() == nil {
+				t.Errorf("functional=%v: Validate accepts %s", functional, what)
+			}
 		}
+		broken("a short forward index", func(c *EdgeType) { c.fwd.nbr = c.fwd.nbr[:len(c.fwd.nbr)-1] })
+		broken("a target out of range", func(c *EdgeType) { c.fwd.nbr[1] = 5 })
+		broken("a wrong count", func(c *EdgeType) { c.count = 2 })
+		broken("descending reverse ids", func(c *EdgeType) {
+			lo := c.rev.offsets[2]
+			slices.Reverse(c.rev.nbr[lo : lo+2])
+			if !c.Functional() { // a column's ids are its sources
+				slices.Reverse(c.rev.eid[lo : lo+2])
+			}
+		})
+		broken("a reverse entry off the forward index", func(c *EdgeType) { c.rev.nbr[0] = 1 })
+		broken("reverse ids stored apart from sources they equal, or aliasing sources", func(c *EdgeType) {
+			if c.Functional() {
+				c.rev.eid = slices.Clone(c.rev.nbr)
+			} else {
+				c.rev.eid = c.rev.nbr
+			}
+		})
 	}
-	broken("a short column", func(c *EdgeType) { c.fwd.nbr = c.fwd.nbr[:4] })
-	broken("a target out of range", func(c *EdgeType) { c.fwd.nbr[1] = 5 })
-	broken("a wrong count", func(c *EdgeType) { c.count = 2 })
-	broken("descending sources", func(c *EdgeType) {
-		lo := c.rev.offsets[2]
-		c.rev.nbr[lo], c.rev.nbr[lo+1] = c.rev.nbr[lo+1], c.rev.nbr[lo]
-	})
-	broken("a reverse entry off the column", func(c *EdgeType) { c.rev.nbr[0] = 1 })
-	broken("stored reverse ids", func(c *EdgeType) { c.rev.eid = slices.Clone(c.rev.nbr) })
 }

@@ -7,14 +7,14 @@
 // partitions the vertices and the set of edge types partitions the edges
 // (paper §II-A1). Vertices are addressed by (vertex type, dense local id).
 //
-// An edge type has one of two forms. The CSR form keeps its edge list and
-// a CSR per direction; an edge's id is its position in the list. The
-// functional form — a foreign key of the source, each source vertex with
-// at most one target — keeps one column of targets indexed by source
-// vertex and a reverse CSR; an edge's id is its source vertex, so ids
-// range over the source's vertices and only some are present. Both forms
-// answer through one CSR type and one expansion kernel (CSR.ExpandRange),
-// and EdgeType.IDs yields the present ids of either.
+// An edge type keeps a CSR per direction and no edge list: an edge's id is
+// its slot in the forward index. In the functional form — a foreign key
+// of the source, each source vertex with at most one target — the forward
+// index is a column of targets indexed by source vertex (unit rows, no
+// offsets), so an edge's id is its source vertex, ids range over the
+// source's vertices and only some are present. Both forms answer through
+// one CSR type and one expansion kernel (CSR.ExpandRange), and
+// EdgeType.IDs walks the present ids of either, row by row.
 package graph
 
 import (
