@@ -184,6 +184,7 @@ go test -run='^$' -fuzz='^FuzzAnalyze$' -fuzztime="$FUZZTIME" ./internal/sema
 go test -run='^$' -fuzz='^FuzzWALDecode$' -fuzztime="$FUZZTIME" ./internal/storage
 go test -run='^$' -fuzz='^FuzzFingerprint$' -fuzztime="$FUZZTIME" ./internal/obs
 go test -run='^$' -fuzz='^FuzzFilterKernel$' -fuzztime="$FUZZTIME" ./internal/table
+go test -run='^$' -fuzz='^FuzzRelOps$' -fuzztime="$FUZZTIME" ./internal/table
 go test -run='^$' -fuzz='^FuzzStringDictionary$' -fuzztime="$FUZZTIME" ./internal/table
 go test -run='^$' -fuzz='^FuzzTextExecRoutes$' -fuzztime="$FUZZTIME" ./internal/exec
 go test -run='^$' -fuzz='^FuzzViewMaintenance$' -fuzztime="$FUZZTIME" ./internal/exec

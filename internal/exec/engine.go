@@ -42,7 +42,8 @@ type Options struct {
 	Workers int
 	// ParallelThreshold is the minimum input row count before the
 	// relational operators (filter, join, group-by, order-by) take the
-	// morsel-parallel path; 0 means table.DefaultParThreshold. Inputs
+	// morsel-parallel path; 0 means the table layer's measured defaults
+	// (table.DefaultParThreshold, 65 536 rows for a filter). Inputs
 	// below it run the serial operators, whose results are byte-for-byte
 	// those of the pre-parallel engine.
 	ParallelThreshold int

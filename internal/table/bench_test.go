@@ -2,10 +2,12 @@ package table
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 
+	"graql/internal/expr"
 	"graql/internal/value"
 )
 
@@ -37,6 +39,82 @@ func BenchmarkFilterScan(b *testing.B) {
 		})
 		if err != nil || len(idx) == 0 {
 			b.Fatal("filter failed")
+		}
+	}
+}
+
+// relTable is a table shaped like Berlin's Reviews: a varchar key drawn
+// from keys strings and two integer ratings in 1..10, at random so that no
+// branch on them predicts.
+func relTable(b *testing.B, rows, keys int) *Table {
+	b.Helper()
+	r := rand.New(rand.NewSource(1))
+	tb := MustNew("R", Schema{{Name: "k", Type: value.Text}, {Name: "x", Type: value.Int}, {Name: "y", Type: value.Int}})
+	for i := 0; i < rows; i++ {
+		if err := tb.AppendRow([]value.Value{
+			value.NewString(fmt.Sprintf("p%d", r.Intn(keys))),
+			value.NewInt(int64(1 + r.Intn(10))),
+			value.NewInt(int64(1 + r.Intn(10))),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return tb
+}
+
+// everyOther is the ascending selection of tb's even rows.
+func everyOther(tb *Table) Rows {
+	idx := make([]uint32, 0, tb.NumRows()/2)
+	for r := 0; r < tb.NumRows(); r += 2 {
+		idx = append(idx, uint32(r))
+	}
+	return RowsOf(tb, idx)
+}
+
+// BenchmarkCompiledFilter prices the engine's filter path, CompileFilter
+// and Select, over every row or an every-other-row selection, with one
+// conjunct (x >= 6) or two (and y < 8), on one worker and on two with the
+// parallel threshold at one morsel: the grid E29 reads the crossover from.
+func BenchmarkCompiledFilter(b *testing.B) {
+	x, y := &expr.Ref{Source: 0, Col: 1}, &expr.Ref{Source: 0, Col: 2}
+	preds := []expr.Expr{
+		expr.NewBinary(expr.OpGe, x, expr.NewConst(value.NewInt(6))),
+		expr.NewBinary(expr.OpAnd, expr.NewBinary(expr.OpGe, x, expr.NewConst(value.NewInt(6))),
+			expr.NewBinary(expr.OpLt, y, expr.NewConst(value.NewInt(8)))),
+	}
+	for _, rows := range []int{4096, 16384, 20000, 65536} {
+		tb := relTable(b, rows, 100)
+		for _, in := range []struct {
+			name string
+			rows Rows
+		}{{"dense", AllRows(tb)}, {"sel", everyOther(tb)}} {
+			for conj, pred := range preds {
+				for _, w := range []int{1, 2} {
+					b.Run(fmt.Sprintf("rows=%d/%s/conj=%d/workers=%d", rows, in.name, conj+1, w), func(b *testing.B) {
+						p := Par{Workers: w, Threshold: 1}
+						for i := 0; i < b.N; i++ {
+							if _, err := CompileFilter(tb, pred).Select(in.rows, p); err != nil {
+								b.Fatal(err)
+							}
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in.rows.Len()), "ns/row")
+					})
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkGroupByDict prices a varchar-keyed group-by over a selection,
+// avg(x) and count(*) per key, as Berlin's review queries run it.
+func BenchmarkGroupByDict(b *testing.B) {
+	tb := relTable(b, 40_000, 4000)
+	in := everyOther(tb)
+	aggs := []AggSpec{{Func: AggAvg, Col: 1, Name: "a"}, {Func: AggCount, Col: -1, Name: "n"}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := in.GroupBy("G", []int{0}, aggs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package table
 
 import (
 	"cmp"
+	"math"
+	"slices"
 
 	"graql/internal/bitmap"
 	"graql/internal/expr"
@@ -135,8 +137,9 @@ type kernel struct {
 	// mayFail: the node contains a generic leaf, so it must see every row
 	// the row-at-a-time evaluator would have evaluated it on.
 	mayFail bool
-	// Typed leaves: match appends the rows of in on which the comparison
-	// holds; operands are the columns whose NULL rows make it NULL.
+	// Typed leaves: match writes the rows of in on which the comparison
+	// holds to out and returns them (see selConst); operands are the
+	// columns whose NULL rows make it NULL.
 	match    func(in span, out []uint32) []uint32
 	operands []Column
 }
@@ -163,25 +166,148 @@ func cmpMask(op expr.Op) uint8 {
 
 func holds(mask uint8, c int) bool { return mask>>uint(c+1)&1 != 0 }
 
-// matchConst selects the non-NULL rows r with data[r] <op> c. cmp.Compare
-// orders floats as value.Compare does (NaN first, -0 = +0).
-func matchConst[T cmp.Ordered](data []T, nulls bitmap.Mask, c T, mask uint8, in span, out []uint32) []uint32 {
-	for i, n := 0, in.len(); i < n; i++ {
-		if r := in.at(i); holds(mask, cmp.Compare(data[r], c)) && !nulls.Get(r) {
-			out = append(out, r)
-		}
+// bit is 1 for true and 0 for false. The compiler emits no branch for it,
+// so a selection loop writes every row and advances past the kept ones.
+func bit(b bool) int {
+	if b {
+		return 1
 	}
-	return out
+	return 0
 }
 
-// matchCols selects the rows r, non-NULL on both sides, with a[r] <op> b[r].
-func matchCols[T cmp.Ordered](a, b []T, an, bn bitmap.Mask, mask uint8, in span, out []uint32) []uint32 {
-	for i, n := 0, in.len(); i < n; i++ {
-		if r := in.at(i); holds(mask, cmp.Compare(a[r], b[r])) && !an.Get(r) && !bn.Get(r) {
-			out = append(out, r)
+// split reduces a comparison to ==, > or >= and a negation: != is not ==,
+// <= is not >, < is not >=. Under cmp.Compare's order (NaN first, -0 =
+// +0) this also holds for a float column against a constant that is not
+// NaN: a NaN row fails all three tests, so it passes their negations, as
+// the least value should.
+func split(op expr.Op) (expr.Op, bool) {
+	switch op {
+	case expr.OpNe:
+		return expr.OpEq, true
+	case expr.OpLe:
+		return expr.OpGt, true
+	case expr.OpLt:
+		return expr.OpGe, true
+	}
+	return op, false
+}
+
+// selConst writes to out the rows r of in with data[r] <op> c, op being
+// ==, > or >=, negated when neg, and returns them. Every loop of a typed
+// leaf keeps this contract: out has room for every row of in, and is
+// either disjoint from in.sel or in.sel itself, which it then narrows in
+// place, since a row is read before the slot it may move to is written.
+func selConst[T int64 | float64 | uint32](data []T, c T, op expr.Op, neg bool, in span, out []uint32) []uint32 {
+	k := 0
+	if in.sel != nil {
+		switch op {
+		case expr.OpEq:
+			for _, r := range in.sel {
+				out[k], k = r, k+bit((data[r] == c) != neg)
+			}
+		case expr.OpGt:
+			for _, r := range in.sel {
+				out[k], k = r, k+bit((data[r] > c) != neg)
+			}
+		case expr.OpGe:
+			for _, r := range in.sel {
+				out[k], k = r, k+bit((data[r] >= c) != neg)
+			}
+		}
+		return out[:k]
+	}
+	switch lo := in.lo; op {
+	case expr.OpEq:
+		for i, x := range data[lo:in.hi] {
+			out[k], k = lo+uint32(i), k+bit((x == c) != neg)
+		}
+	case expr.OpGt:
+		for i, x := range data[lo:in.hi] {
+			out[k], k = lo+uint32(i), k+bit((x > c) != neg)
+		}
+	case expr.OpGe:
+		for i, x := range data[lo:in.hi] {
+			out[k], k = lo+uint32(i), k+bit((x >= c) != neg)
 		}
 	}
-	return out
+	return out[:k]
+}
+
+// selCols is selConst for a[r] <op> b[r], over integers and dates.
+func selCols(a, b []int64, op expr.Op, neg bool, in span, out []uint32) []uint32 {
+	k := 0
+	if in.sel != nil {
+		switch op {
+		case expr.OpEq:
+			for _, r := range in.sel {
+				out[k], k = r, k+bit((a[r] == b[r]) != neg)
+			}
+		case expr.OpGt:
+			for _, r := range in.sel {
+				out[k], k = r, k+bit((a[r] > b[r]) != neg)
+			}
+		case expr.OpGe:
+			for _, r := range in.sel {
+				out[k], k = r, k+bit((a[r] >= b[r]) != neg)
+			}
+		}
+		return out[:k]
+	}
+	lo, b := in.lo, b[in.lo:in.hi]
+	switch a := a[lo:in.hi]; op {
+	case expr.OpEq:
+		for i := range a {
+			out[k], k = lo+uint32(i), k+bit((a[i] == b[i]) != neg)
+		}
+	case expr.OpGt:
+		for i := range a {
+			out[k], k = lo+uint32(i), k+bit((a[i] > b[i]) != neg)
+		}
+	case expr.OpGe:
+		for i := range a {
+			out[k], k = lo+uint32(i), k+bit((a[i] >= b[i]) != neg)
+		}
+	}
+	return out[:k]
+}
+
+// selectRows is the loop of the leaves with no operator-specialised form:
+// it writes to out the rows r of in with keep(r), under selConst's contract.
+func selectRows(in span, out []uint32, keep func(r uint32) bool) []uint32 {
+	k := 0
+	for i, n := 0, in.len(); i < n; i++ {
+		r := in.at(i)
+		out[k], k = r, k+bit(keep(r))
+	}
+	return out[:k]
+}
+
+// nullsIn reports whether nulls may mark a row of in, whose rows ascend:
+// it looks at the words that cover them, and answers yes unread when those
+// outnumber the rows, as for a sparse selection over a long column.
+func nullsIn(nulls bitmap.Mask, in span) bool {
+	n := in.len()
+	if n == 0 {
+		return false
+	}
+	lo, hi := int(in.at(0)/64), min(int(in.at(n-1)/64)+1, len(nulls))
+	if hi-lo > n {
+		return true
+	}
+	return lo < hi && slices.ContainsFunc(nulls[lo:hi], func(w uint64) bool { return w != 0 })
+}
+
+// dropNulls narrows sel, rows of in, in place to those non-NULL in nulls.
+// A column with no NULL among in's rows skips the pass.
+func dropNulls(nulls bitmap.Mask, in span, sel []uint32) []uint32 {
+	if !nullsIn(nulls, in) {
+		return sel
+	}
+	k := 0
+	for _, r := range sel {
+		sel[k], k = r, k+bit(!nulls.Get(r))
+	}
+	return sel[:k]
 }
 
 // bind attaches compiled node k to t's columns. A comparison or boolean
@@ -204,20 +330,15 @@ func (t *Table) bind(k *expr.Kernel) *kernel {
 		if c, ok := t.cols[k.Col].(*boolColumn); ok {
 			out.operands = []Column{c}
 			out.match = func(in span, dst []uint32) []uint32 {
-				for i, n := 0, in.len(); i < n; i++ {
-					if r := in.at(i); c.data[r] && !c.nulls.Get(r) {
-						dst = append(dst, r)
-					}
-				}
-				return dst
+				return dropNulls(c.nulls, in, selectRows(in, dst, func(r uint32) bool { return c.data[r] }))
 			}
 		}
 	case expr.KernelCmpConst:
 		out.operands = []Column{t.cols[k.Col]}
-		out.match = bindCmpConst(t.cols[k.Col], cmpMask(k.Cmp), k.Val)
+		out.match = bindCmpConst(t.cols[k.Col], k.Cmp, k.Val)
 	case expr.KernelCmpCols:
 		out.operands = []Column{t.cols[k.Col], t.cols[k.Col2]}
-		out.match = bindCmpCols(t.cols[k.Col], t.cols[k.Col2], cmpMask(k.Cmp))
+		out.match = bindCmpCols(t.cols[k.Col], t.cols[k.Col2], k.Cmp)
 	}
 	if out.match == nil {
 		out.kind, out.mayFail = expr.KernelGeneric, true
@@ -225,84 +346,79 @@ func (t *Table) bind(k *expr.Kernel) *kernel {
 	return out
 }
 
-func bindCmpConst(col Column, mask uint8, v value.Value) func(span, []uint32) []uint32 {
+func bindCmpConst(col Column, op expr.Op, v value.Value) func(span, []uint32) []uint32 {
+	test, neg := split(op)
+	mask := cmpMask(op)
 	switch c := col.(type) {
 	case *intColumn:
-		return func(in span, out []uint32) []uint32 { return matchConst(c.data, c.nulls, v.I, mask, in, out) }
+		return func(in span, out []uint32) []uint32 {
+			return dropNulls(c.nulls, in, selConst(c.data, v.I, test, neg, in, out))
+		}
 	case *floatColumn:
-		return func(in span, out []uint32) []uint32 { return matchConst(c.data, c.nulls, v.F, mask, in, out) }
+		if !math.IsNaN(v.F) {
+			return func(in span, out []uint32) []uint32 {
+				return dropNulls(c.nulls, in, selConst(c.data, v.F, test, neg, in, out))
+			}
+		}
+		return func(in span, out []uint32) []uint32 {
+			return dropNulls(c.nulls, in, selectRows(in, out, func(r uint32) bool { return holds(mask, cmp.Compare(c.data[r], v.F)) }))
+		}
 	case *boolColumn:
 		hit := [2]bool{holds(mask, cmp.Compare(0, v.I)), holds(mask, cmp.Compare(1, v.I))}
 		return func(in span, out []uint32) []uint32 {
-			for i, n := 0, in.len(); i < n; i++ {
-				r := in.at(i)
-				b := 0
-				if c.data[r] {
-					b = 1
-				}
-				if hit[b] && !c.nulls.Get(r) {
-					out = append(out, r)
-				}
-			}
-			return out
+			return dropNulls(c.nulls, in, selectRows(in, out, func(r uint32) bool { return hit[bit(c.data[r])] }))
 		}
 	case *stringColumn:
-		if mask == cmpMask(expr.OpEq) || mask == cmpMask(expr.OpNe) {
+		if test == expr.OpEq {
 			// One dictionary lookup per statement; a string the column
 			// has never seen equals no row and differs from every one.
 			code, ok := c.codeOf(v.S)
 			if !ok {
 				code = nullCode - 1
 			}
-			eq := mask == cmpMask(expr.OpEq)
 			return func(in span, out []uint32) []uint32 {
-				for i, n := 0, in.len(); i < n; i++ {
-					r := in.at(i)
-					if rc := c.codes[r]; (rc == code) == eq && rc != nullCode {
-						out = append(out, r)
-					}
+				if out = selConst(c.codes, code, expr.OpEq, neg, in, out); neg {
+					out = selConst(c.codes, nullCode, expr.OpEq, true, span{sel: out}, out)
 				}
 				return out
 			}
 		}
 		return func(in span, out []uint32) []uint32 {
-			for i, n := 0, in.len(); i < n; i++ {
-				r := in.at(i)
-				if rc := c.codes[r]; rc != nullCode && holds(mask, cmp.Compare(c.dict[rc], v.S)) {
-					out = append(out, r)
-				}
-			}
-			return out
+			return selectRows(in, out, func(r uint32) bool {
+				rc := c.codes[r]
+				return rc != nullCode && holds(mask, cmp.Compare(c.dict[rc], v.S))
+			})
 		}
 	}
 	return nil
 }
 
-func bindCmpCols(a, b Column, mask uint8) func(span, []uint32) []uint32 {
+func bindCmpCols(a, b Column, op expr.Op) func(span, []uint32) []uint32 {
+	mask := cmpMask(op)
 	switch a := a.(type) {
 	case *intColumn:
 		if b, ok := b.(*intColumn); ok {
+			test, neg := split(op)
 			return func(in span, out []uint32) []uint32 {
-				return matchCols(a.data, b.data, a.nulls, b.nulls, mask, in, out)
+				return dropNulls(b.nulls, in, dropNulls(a.nulls, in, selCols(a.data, b.data, test, neg, in, out)))
 			}
 		}
 	case *floatColumn:
+		// Two NaNs are equal under cmp.Compare but not under ==: the
+		// three-way loop.
 		if b, ok := b.(*floatColumn); ok {
 			return func(in span, out []uint32) []uint32 {
-				return matchCols(a.data, b.data, a.nulls, b.nulls, mask, in, out)
+				out = selectRows(in, out, func(r uint32) bool { return holds(mask, cmp.Compare(a.data[r], b.data[r])) })
+				return dropNulls(b.nulls, in, dropNulls(a.nulls, in, out))
 			}
 		}
 	case *stringColumn:
 		if b, ok := b.(*stringColumn); ok {
 			return func(in span, out []uint32) []uint32 {
-				for i, n := 0, in.len(); i < n; i++ {
-					r := in.at(i)
+				return selectRows(in, out, func(r uint32) bool {
 					ca, cb := a.codes[r], b.codes[r]
-					if ca != nullCode && cb != nullCode && holds(mask, cmp.Compare(a.dict[ca], b.dict[cb])) {
-						out = append(out, r)
-					}
-				}
-				return out
+					return ca != nullCode && cb != nullCode && holds(mask, cmp.Compare(a.dict[ca], b.dict[cb]))
+				})
 			}
 		}
 	}
@@ -312,8 +428,11 @@ func bindCmpCols(a, b Column, mask uint8) func(span, []uint32) []uint32 {
 // eval partitions the rows of in by the node's truth value: t lists those
 // on which it is TRUE and, when wantNull, n those on which it is NULL, both
 // ascending. A row whose evaluation fails is reported to cx and listed in
-// neither.
-func (k *kernel) eval(cx *evalCtx, in span, wantNull bool) (t, n []uint32) {
+// neither. A typed leaf, or the chain of selecting conjuncts that starts
+// with one, writes t into dst when that is not nil: a buffer with room for
+// every row of in that this evaluation owns — never a selection the
+// caller passed in, but possibly in.sel itself.
+func (k *kernel) eval(cx *evalCtx, in span, wantNull bool, dst []uint32) (t, n []uint32) {
 	if in.len() == 0 {
 		return nil, nil
 	}
@@ -333,14 +452,16 @@ func (k *kernel) eval(cx *evalCtx, in span, wantNull bool) (t, n []uint32) {
 			// Selection chaining: only rows that passed the left side can
 			// pass the conjunction, and the right side cannot fail on the
 			// rows it is spared.
-			tl, _ := k.l.eval(cx, in, false)
-			tr, _ := k.r.eval(cx, span{sel: tl}, false)
+			// Every node returns rows it allocated or wrote into dst, so
+			// the right side may narrow tl in place.
+			tl, _ := k.l.eval(cx, in, false, dst)
+			tr, _ := k.r.eval(cx, span{sel: tl}, false, tl)
 			return tr, nil
 		}
 		// The reference evaluates the right side wherever the left is not
 		// FALSE, so a failure there must surface.
-		tl, nl := k.l.eval(cx, in, true)
-		tr, nr := k.r.eval(cx, span{sel: union(tl, nl)}, true)
+		tl, nl := k.l.eval(cx, in, true, nil)
+		tr, nr := k.r.eval(cx, span{sel: union(tl, nl)}, true, nil)
 		t = inter(tl, tr)
 		if wantNull {
 			n = union(inter(tl, nr), inter(nl, union(tr, nr)))
@@ -348,15 +469,15 @@ func (k *kernel) eval(cx *evalCtx, in span, wantNull bool) (t, n []uint32) {
 		return t, n
 
 	case expr.KernelOr:
-		tl, nl := k.l.eval(cx, in, wantNull)
-		tr, nr := k.r.eval(cx, span{sel: in.minus(tl)}, wantNull)
+		tl, nl := k.l.eval(cx, in, wantNull, nil)
+		tr, nr := k.r.eval(cx, span{sel: in.minus(tl)}, wantNull, nil)
 		if wantNull {
 			n = union(nr, diff(nl, tr))
 		}
 		return union(tl, tr), n
 
 	case expr.KernelNot:
-		tx, nx := k.l.eval(cx, in, true)
+		tx, nx := k.l.eval(cx, in, true, nil)
 		return in.minus(union(tx, nx)), nx
 
 	case expr.KernelGeneric:
@@ -378,7 +499,10 @@ func (k *kernel) eval(cx *evalCtx, in span, wantNull bool) (t, n []uint32) {
 		return t, n
 	}
 
-	t = k.match(in, make([]uint32, 0, in.len()))
+	if dst == nil {
+		dst = make([]uint32, in.len())
+	}
+	t = k.match(in, dst)
 	if wantNull {
 		for i, cnt := 0, in.len(); i < cnt; i++ {
 			r := in.at(i)
@@ -414,17 +538,30 @@ func CompileFilter(t *Table, pred expr.Expr) *Filter {
 	return &Filter{t: t, root: t.bind(expr.CompileKernel(pred, colKind))}
 }
 
+// filterParThreshold is the filter's own default crossover at two
+// workers (EXPERIMENTS.md E29): its typed loops take a few nanoseconds a
+// row, so below 64k rows a morsel costs less than handing it over.
+const filterParThreshold = 16 * morselSize
+
 // Select runs the filter over in, rows of its table in ascending order,
-// morsel by morsel — on p's workers when in clears p's threshold and spans
-// more than one morsel — and returns the selected rows in ascending order.
+// morsel by morsel — on p's workers when in clears p's threshold (when
+// unset, filterParThreshold) and spans more than one morsel — and returns
+// the selected rows in ascending order. Each morsel selects into its own
+// stretch of one buffer, and the stretches are then moved down into one
+// run.
 func (f *Filter) Select(in Rows, p Par) (Rows, error) {
+	if p.Threshold <= 0 {
+		p.Threshold = filterParThreshold
+	}
 	s := in.span()
 	morsels := morselRanges(s.len())
+	buf := make([]uint32, s.len())
 	parts := make([][]uint32, len(morsels))
 	errs := make([]error, len(morsels))
 	one := func(m int) {
+		lo, hi := int(morsels[m][0]), int(morsels[m][1])
 		cx := evalCtx{t: f.t}
-		parts[m], _ = f.root.eval(&cx, s.slice(int(morsels[m][0]), int(morsels[m][1])), false)
+		parts[m], _ = f.root.eval(&cx, s.slice(lo, hi), false, buf[lo:hi])
 		errs[m] = cx.err
 	}
 	if len(morsels) > 1 && p.Parallel(s.len()) {
@@ -443,20 +580,15 @@ func (f *Filter) Select(in Rows, p Par) (Rows, error) {
 			}
 		}
 	}
-	// Morsels ascend, so the first failed morsel holds the first failed row.
+	// Morsels ascend, so the first failed morsel holds the first failed
+	// row. A part is no longer than its morsel, so moving the parts down
+	// in order never overwrites one not yet moved.
 	total := 0
 	for m, err := range errs {
 		if err != nil {
 			return Rows{}, err
 		}
-		total += len(parts[m])
+		total += copy(buf[total:], parts[m])
 	}
-	if len(parts) == 1 {
-		return Rows{t: f.t, idx: parts[0]}, nil
-	}
-	idx := make([]uint32, 0, total)
-	for _, part := range parts {
-		idx = append(idx, part...)
-	}
-	return Rows{t: f.t, idx: idx}, nil
+	return Rows{t: f.t, idx: buf[:total]}, nil
 }

@@ -21,30 +21,51 @@ import (
 
 var propKinds = []value.Type{value.Bool, value.Int, value.Float, value.Varchar(8), value.Date}
 
-// propTable builds a table of 1–6 columns of random kinds with NULLs in
-// every column, small value domains (so equalities and ties happen) and
-// the float corner cases: both zeros and NaN.
+// propTable builds a table of 1–6 columns of random kinds, about half of
+// them with a NULL one row in six and the rest with none (so both the
+// NULL-free loops and the NULL passes run), small value domains (so
+// equalities and ties happen) and the float corner cases: both zeros and
+// NaN. One table in four is cut from a longer one whose extra rows hold
+// 4·rows+64 more strings, so its varchar dictionaries outnumber its rows
+// and group ids take the hash arm of denseIDs.
 func propTable(r *rand.Rand, rows int) *Table {
 	var schema Schema
+	var nullEvery []int
 	for c, n := 0, 1+r.Intn(6); c < n; c++ {
 		schema = append(schema, ColumnDef{Name: fmt.Sprintf("c%d", c), Type: propKinds[r.Intn(len(propKinds))]})
+		nullEvery = append(nullEvery, []int{0, 6}[r.Intn(2)])
+	}
+	extra := 0
+	if r.Intn(4) == 0 {
+		extra = 4*rows + 64
 	}
 	tb := MustNew("P", schema)
 	row := make([]value.Value, len(schema))
-	for i := 0; i < rows; i++ {
+	for i := 0; i < rows+extra; i++ {
 		for c, cd := range schema {
-			row[c] = propValue(r, cd.Type.Kind, 6)
+			row[c] = propValue(r, cd.Type.Kind, nullEvery[c])
+			if i >= rows && cd.Type.Kind == value.KindString {
+				row[c] = value.NewString(fmt.Sprintf("x%d", i))
+			}
 		}
 		if err := tb.AppendRow(row); err != nil {
 			panic(err)
 		}
 	}
-	return tb
+	if extra == 0 {
+		return tb
+	}
+	idx := make([]uint32, rows)
+	for i := range idx {
+		idx[i] = uint32(i)
+	}
+	return tb.Gather("P", idx)
 }
 
-// propValue draws a value of the kind, NULL one time in nullEvery.
+// propValue draws a value of the kind, NULL one time in nullEvery (never
+// when nullEvery is 0).
 func propValue(r *rand.Rand, k value.Kind, nullEvery int) value.Value {
-	if r.Intn(nullEvery) == 0 {
+	if nullEvery > 0 && r.Intn(nullEvery) == 0 {
 		return value.NewNull(k)
 	}
 	switch k {

@@ -25,9 +25,9 @@ const (
 	// DefaultParThreshold is the input row count below which the
 	// parallel operators fall back to their serial forms when Par leaves
 	// Threshold zero. It is the measured crossover at two workers
-	// (EXPERIMENTS.md E18): a two-conjunct typed filter loses 1.3x in
-	// parallel at 4k rows and wins 1.4x at 16k; a two-key sort breaks even
-	// at 16k and wins 1.6x at 64k.
+	// (EXPERIMENTS.md E18): a two-key sort breaks even at 16k and wins
+	// 1.6x at 64k. The filter, whose loops got four times faster since,
+	// has its own (filterParThreshold, E29).
 	DefaultParThreshold = 4 * morselSize
 
 	// parPollMask amortises cooperative cancellation polls inside
@@ -45,7 +45,7 @@ type Par struct {
 	// select the serial path.
 	Workers int
 	// Threshold is the minimum input row count for going parallel;
-	// 0 means DefaultParThreshold.
+	// 0 means DefaultParThreshold (for a filter, filterParThreshold).
 	Threshold int
 	// Poll, when non-nil, is checked cooperatively (every parPollMask+1
 	// rows and at every shard boundary); a non-nil result aborts the

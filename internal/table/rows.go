@@ -168,13 +168,23 @@ func columnIDs(c Column, s span) ([]uint32, int) {
 	n := s.len()
 	switch c := c.(type) {
 	case *stringColumn:
-		nullKey := uint64(len(c.dict))
-		return denseIDs(n, len(c.dict)+1, func(i int) uint64 {
-			if code := c.codes[s.at(i)]; code != nullCode {
-				return uint64(code)
-			}
-			return nullKey
-		})
+		// NULL's code is above every other: min maps it to len(dict).
+		nullKey := uint32(len(c.dict))
+		if len(c.dict) >= 4*n+64 {
+			return denseIDs(n, len(c.dict)+1, func(i int) uint64 { return uint64(min(c.codes[s.at(i)], nullKey)) })
+		}
+		// slot holds id+1 per code, 0 for an unseen one; a new key takes
+		// the next id without a branch.
+		ids, slot, next := make([]uint32, n), make([]uint32, len(c.dict)+1), uint32(0)
+		for i := range ids {
+			code := min(c.codes[s.at(i)], nullKey)
+			id := slot[code]
+			unseen := uint32(bit(id == 0))
+			next += unseen
+			id += unseen * next
+			slot[code], ids[i] = id, id-1
+		}
+		return ids, int(next)
 	case *boolColumn:
 		return denseIDs(n, 3, func(i int) uint64 {
 			switch r := s.at(i); {
@@ -216,8 +226,10 @@ func columnIDs(c Column, s span) ([]uint32, int) {
 // group of row s.at(i), groups are numbered in order of first occurrence,
 // and first[g] is the first row of group g. No columns means one group.
 func (t *Table) groupIDs(s span, cols []int) (ids, first []uint32) {
-	n := s.len()
-	ids, ng := make([]uint32, n), min(n, 1)
+	n, ng := s.len(), 0
+	if len(cols) == 0 {
+		ids, ng = make([]uint32, n), min(n, 1)
+	}
 	for i, c := range cols {
 		cids, cn := columnIDs(t.cols[c], s)
 		if i == 0 {
@@ -228,11 +240,10 @@ func (t *Table) groupIDs(s span, cols []int) (ids, first []uint32) {
 		prev, width := ids, uint64(cn)
 		ids, ng = denseIDs(n, ng*cn, func(i int) uint64 { return uint64(prev[i])*width + uint64(cids[i]) })
 	}
-	first = make([]uint32, 0, ng)
-	for i, g := range ids {
-		if int(g) == len(first) {
-			first = append(first, s.at(i))
-		}
+	// Backwards, the last write to first[g] is the group's first row.
+	first = make([]uint32, ng)
+	for i := len(ids) - 1; i >= 0; i-- {
+		first[ids[i]] = s.at(i)
 	}
 	return ids, first
 }
@@ -243,15 +254,20 @@ func (t *Table) groupIDs(s span, cols []int) (ids, first []uint32) {
 type aggState struct {
 	cnt  []int64   // non-NULL inputs (count(*): rows)
 	sumI []int64   // sum over an integer column
-	sumF []float64 // float sum; avg's numerator for either numeric kind
+	sumF []float64 // any other sum; avg's numerator for either numeric kind
 	ext  []uint32  // min/max: the row holding the extreme, noRow for none
 }
 
-func newAggState(a AggSpec, ng int) *aggState {
+// newAggState allocates the state of aggregate a over ng groups of t.
+func newAggState(t *Table, a AggSpec, ng int) *aggState {
 	st := &aggState{cnt: make([]int64, ng)}
 	switch a.Func {
 	case AggSum, AggAvg:
-		st.sumI, st.sumF = make([]int64, ng), make([]float64, ng)
+		if a.Func == AggSum && t.cols[a.Col].Kind() == value.KindInt {
+			st.sumI = make([]int64, ng)
+		} else {
+			st.sumF = make([]float64, ng)
+		}
 	case AggMin, AggMax:
 		st.ext = make([]uint32, ng)
 		for g := range st.ext {
@@ -261,17 +277,71 @@ func newAggState(a AggSpec, ng int) *aggState {
 	return st
 }
 
-// extremes tracks per group the first row holding the least (sign -1) or
-// greatest (sign +1) non-NULL value of a typed vector.
-func extremes[T cmp.Ordered](st *aggState, data []T, nulls bitmap.Mask, sign int, s span, ids []uint32) {
+// nonNull narrows s and its group ids to the rows non-NULL in nulls; a
+// column with no NULL keeps them as they are. (Rows need not ascend, so
+// the whole mask is read.)
+func nonNull(nulls bitmap.Mask, s span, ids []uint32) (span, []uint32) {
+	if !nullsIn(nulls, span{hi: uint32(64 * len(nulls))}) {
+		return s, ids
+	}
+	sel, gs := make([]uint32, 0, len(ids)), make([]uint32, 0, len(ids))
+	for i, g := range ids {
+		if r := s.at(i); !nulls.Get(r) {
+			sel, gs = append(sel, r), append(gs, g)
+		}
+	}
+	return span{sel: sel}, gs
+}
+
+// sums adds the values of data on the NULL-free rows of s, grouped by
+// ids, into sum and counts them in cnt.
+func sums[T int64 | float64, S int64 | float64](data []T, s span, ids []uint32, cnt []int64, sum []S) {
+	if s.sel == nil {
+		data = data[s.lo:s.hi]
+		for i, g := range ids {
+			cnt[g]++
+			sum[g] += S(data[i])
+		}
+		return
+	}
+	for i, g := range ids {
+		cnt[g]++
+		sum[g] += S(data[s.sel[i]])
+	}
+}
+
+// fold folds the values of a numeric column into the state: the rows NULL
+// in nulls drop out first, so the loops have no NULL test.
+func fold[T int64 | float64](st *aggState, data []T, nulls bitmap.Mask, sign int, s span, ids []uint32) {
+	s, ids = nonNull(nulls, s, ids)
+	switch {
+	case sign != 0:
+		extremes(st, data, sign, s, ids)
+	case st.sumI != nil:
+		sums(data, s, ids, st.cnt, st.sumI)
+	case st.sumF != nil:
+		sums(data, s, ids, st.cnt, st.sumF)
+	default:
+		for _, g := range ids {
+			st.cnt[g]++
+		}
+	}
+}
+
+// above reports whether x sorts after y under cmp.Compare, which puts NaN
+// first and holds -0 = +0.
+func above[T int64 | float64](x, y T) bool { return x > y || y != y && x == x }
+
+// extremes tracks per group the first of the NULL-free rows of s holding
+// the least (sign -1) or greatest (sign +1) value of data. It keeps each
+// group's extreme value beside its row, so no row is read twice.
+func extremes[T int64 | float64](st *aggState, data []T, sign int, s span, ids []uint32) {
+	cnt, ext, best := st.cnt, st.ext, make([]T, len(st.ext))
 	for i, g := range ids {
 		r := s.at(i)
-		if nulls.Get(r) {
-			continue
-		}
-		st.cnt[g]++
-		if cur := st.ext[g]; cur == noRow || cmp.Compare(data[r], data[cur]) == sign {
-			st.ext[g] = r
+		cnt[g]++
+		if x := data[r]; ext[g] == noRow || sign > 0 && above(x, best[g]) || sign < 0 && above(best[g], x) {
+			ext[g], best[g] = r, x
 		}
 	}
 }
@@ -294,36 +364,13 @@ func (st *aggState) accumulate(t *Table, a AggSpec, s span, ids []uint32) {
 	col := t.cols[a.Col]
 	switch c := col.(type) {
 	case *intColumn:
-		switch {
-		case sign != 0:
-			extremes(st, c.data, c.nulls, sign, s, ids)
-			return
-		case c.kind == value.KindInt && st.sumI != nil:
-			for i, g := range ids {
-				if r := s.at(i); !c.nulls.Get(r) {
-					st.cnt[g]++
-					st.sumI[g] += c.data[r]
-					st.sumF[g] += float64(c.data[r])
-				}
-			}
-			return
-		}
+		fold(st, c.data, c.nulls, sign, s, ids)
+		return
 	case *floatColumn:
-		switch {
-		case sign != 0:
-			extremes(st, c.data, c.nulls, sign, s, ids)
-			return
-		case st.sumF != nil:
-			for i, g := range ids {
-				if r := s.at(i); !c.nulls.Get(r) {
-					st.cnt[g]++
-					st.sumF[g] += c.data[r]
-				}
-			}
-			return
-		}
+		fold(st, c.data, c.nulls, sign, s, ids)
+		return
 	}
-	// Strings, booleans, and counts of any column: NULL test and ordering
+	// Strings, booleans and other representations: NULL test and ordering
 	// through the column, still unboxed for the built-in representations.
 	var order func(a, b uint32) int
 	if sign != 0 {
@@ -398,7 +445,7 @@ func (r Rows) GroupBy(name string, keyCols []int, aggs []AggSpec) (*Table, error
 		out.cols = append(out.cols, unbounded(t.cols[c].Gather(first)))
 	}
 	for _, a := range aggs {
-		st := newAggState(a, ng)
+		st := newAggState(t, a, ng)
 		st.accumulate(t, a, s, ids)
 		col, err := st.result(t, a)
 		if err != nil {
@@ -420,11 +467,22 @@ func unbounded(c Column) Column {
 
 // --- order-by and top-n --------------------------------------------------------
 
-// orderedCmp compares rows of one typed vector: NULLs first, then by
-// cmp.Compare, which orders floats as value.Compare does.
-func orderedCmp[T cmp.Ordered](data []T, isNull func(uint32) bool) func(a, b uint32) int {
+// orderedCmp compares rows of one typed vector, ascending or descending:
+// NULLs first, then by cmp.Compare, which orders floats as value.Compare
+// does. A vector with no NULL gets a comparator with no NULL test.
+func orderedCmp[T cmp.Ordered](data []T, nulls bitmap.Mask, desc bool) func(a, b uint32) int {
+	switch {
+	case nullsIn(nulls, span{hi: uint32(len(data))}):
+	case desc:
+		return func(a, b uint32) int { return cmp.Compare(data[b], data[a]) }
+	default:
+		return func(a, b uint32) int { return cmp.Compare(data[a], data[b]) }
+	}
 	return func(a, b uint32) int {
-		switch an, bn := isNull(a), isNull(b); {
+		if desc {
+			a, b = b, a
+		}
+		switch an, bn := nulls.Get(a), nulls.Get(b); {
 		case an && bn:
 			return 0
 		case an:
@@ -444,9 +502,9 @@ func (t *Table) keyCmp(k SortKey, errp *error) func(a, b uint32) int {
 	var c func(a, b uint32) int
 	switch col := t.cols[k.Col].(type) {
 	case *intColumn:
-		c = orderedCmp(col.data, col.nulls.Get)
+		return orderedCmp(col.data, col.nulls, k.Desc)
 	case *floatColumn:
-		c = orderedCmp(col.data, col.nulls.Get)
+		return orderedCmp(col.data, col.nulls, k.Desc)
 	case *boolColumn:
 		rank := func(r uint32) int {
 			switch {
