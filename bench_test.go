@@ -309,41 +309,6 @@ func BenchmarkCluster(b *testing.B) {
 	}
 }
 
-// --- E7: multi-statement scheduling ---
-
-func scheduleScript() string {
-	var sb strings.Builder
-	for i := 0; i < 4; i++ {
-		fmt.Fprintf(&sb, `select distinct u.id from graph
-ProducerVtx (country = '%s')
-<--producer-- ProductVtx ( )
-<--reviewFor-- ReviewVtx ( )
---reviewer--> def u: PersonVtx ( )
-into table Sched%d
-`, bsbm.Countries[i], i)
-	}
-	return sb.String()
-}
-
-func BenchmarkSchedule(b *testing.B) {
-	script := scheduleScript()
-	e := berlinEngine(b, 5, 0, true)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := e.ExecScript(script, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("staged-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := e.ExecScriptStaged(script, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // --- E8: path-regular-expression cost ---
 
 func BenchmarkRegexPath(b *testing.B) {

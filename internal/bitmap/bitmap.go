@@ -57,12 +57,6 @@ func (b *Bitmap) Get(i uint32) bool {
 	return b.words[i/wordBits]&(1<<(i%wordBits)) != 0
 }
 
-// GetAtomic is Get with an atomic load of the word, for readers that run
-// concurrently with SetAtomic writers to the same bitmap.
-func (b *Bitmap) GetAtomic(i uint32) bool {
-	return atomic.LoadUint64(&b.words[i/wordBits])&(1<<(i%wordBits)) != 0
-}
-
 // SetAtomic sets bit i with a lock-free atomic OR, safe for concurrent use
 // by parallel frontier workers. It reports whether this call changed the
 // bit (i.e. the caller is the first to mark it).

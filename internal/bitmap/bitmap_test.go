@@ -153,15 +153,16 @@ func TestSetAtomicConcurrent(t *testing.T) {
 				if b.SetAtomic(i) {
 					firsts[w]++
 				}
-				// Whoever won the bit, it is visible to a concurrent reader.
-				if !b.GetAtomic(i) {
-					t.Errorf("bit %d not visible after SetAtomic", i)
-					return
-				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	// Whoever won a bit, it is visible once the writers are done.
+	for i := uint32(0); i < n; i++ {
+		if !b.Get(i) {
+			t.Fatalf("bit %d not visible after SetAtomic", i)
+		}
+	}
 	if b.Count() != n {
 		t.Fatalf("Count = %d, want %d", b.Count(), n)
 	}

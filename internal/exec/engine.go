@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"time"
 
@@ -266,9 +265,9 @@ func (e *Engine) execStmtID(cs *compiledStmt, params map[string]value.Value, cat
 
 // execStmt is execStmtID without instrumentation, on the statement's
 // fork. Selects, output and ingest read the pinned version and take no
-// lock, so independent statements of a script run concurrently
-// (§III-B1) and file IO holds nothing. Everything that changes the
-// catalog — DDL, ingest, DML, an into result — goes through write.
+// lock, so concurrent scripts read side by side and file IO holds
+// nothing. Everything that changes the catalog — DDL, ingest, DML, an
+// into result — goes through write.
 func (e *Engine) execStmt(cs *compiledStmt, params map[string]value.Value) (Result, error) {
 	if err := e.canceled(); err != nil {
 		return Result{}, err
@@ -470,40 +469,6 @@ func (e *Engine) execDDL(st ast.Stmt, params map[string]value.Value) (Result, er
 		return Result{}, err
 	}
 	return Result{Message: msg}, nil
-}
-
-// ExecScriptStaged executes a script with the multi-statement scheduler
-// of §III-B1: statements are grouped into dependence stages (plan.Stages)
-// and the members of each stage run concurrently, reading the version
-// pinned when the stage starts, so each stage reads the writes of the
-// stages before it. Results keep script order. Statement errors abort at
-// the end of the failing stage.
-func (e *Engine) ExecScriptStaged(src string, params map[string]value.Value) ([]Result, error) {
-	p, err := e.compileCached(src)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(p.stmts))
-	errs := make([]error, len(p.stmts))
-	cat := e.Cat.Pin()
-	feedsView := func(table string) bool { // a declaration of cat reads it
-		return slices.ContainsFunc(cat.VertexDecls(), func(d *ast.CreateVertex) bool { return equalFold(d.From, table) }) ||
-			slices.ContainsFunc(cat.EdgeDecls(), func(d *ast.CreateEdge) bool { return sema.EdgeReadsTable(d, table) })
-	}
-	for _, stage := range plan.Stages(p.script(), feedsView) {
-		_ = runShards(e.ctx, &e.met, len(stage), e.Opts.workers(), func(k int) error {
-			i := stage[k]
-			results[i], errs[i] = e.execStmtID(&p.stmts[i], params, cat, results)
-			return nil
-		})
-		for _, i := range stage {
-			if errs[i] != nil {
-				return results, fmt.Errorf("statement %d: %w", i+1, errs[i])
-			}
-		}
-		cat = e.Cat.Pin()
-	}
-	return results, nil
 }
 
 // CheckScript statically analyses a script without executing queries or

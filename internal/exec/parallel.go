@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"context"
-
-	"graql/internal/table"
-)
+import "context"
 
 // shardRanges splits [0, n) into k near-equal contiguous ranges for
 // data-parallel sweeps over vertex id spaces.
@@ -31,18 +27,6 @@ func shardRanges(n, k int) [][2]uint32 {
 		lo = hi
 	}
 	return out
-}
-
-// runShards executes fn over each shard index on the one shard pool
-// (table.Par.Run) with up to `workers` goroutines and returns the first
-// error. A non-nil ctx is polled at every shard boundary, so a canceled
-// sweep stops scheduling work and returns the structured abort error
-// promptly (shards also poll internally via wstate.poll for long
-// per-shard loops). met (nil-safe) accumulates sweep/shard counts and
-// tracks worker utilisation through the graql_parallel_active_workers
-// gauge.
-func runShards(ctx context.Context, met *engineMetrics, shards, workers int, fn func(shard int) error) error {
-	return table.Par{Workers: workers, Poll: pollOf(ctx), OnParallel: met.sweep}.Run(shards, fn)
 }
 
 // pollOf is the pool's cancellation hook for ctx: nil when there is no

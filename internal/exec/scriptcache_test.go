@@ -152,7 +152,9 @@ func TestPlanSlotsKeyOnWhatTheyRead(t *testing.T) {
 // Prepare analyzes a read-only script eagerly, so a semantic error in any
 // statement fails the prepare; text execution analyzes statement by
 // statement, so the results before the failing one come back with the
-// error — on the first run and on the cached one.
+// error — on the first run and on the cached one. A script stops at its
+// first failing statement: no later statement runs, writes included, on
+// every route.
 func TestExecScriptKeepsResultsBeforeFailure(t *testing.T) {
 	e := planCacheEngine(t, 0)
 	const src = "select name from table Items where id = 3\nselect x from table Missing"
@@ -170,6 +172,28 @@ func TestExecScriptKeepsResultsBeforeFailure(t *testing.T) {
 	}
 	if _, err := e.ExecScript("select from from", nil); !errors.Is(err, ErrParse) {
 		t.Fatalf("unparsable script: error %v does not match ErrParse", err)
+	}
+
+	const failFirst = "select x from table Missing\ninsert into Items values (9, 'nine')"
+	p, err := e.Prepare(failFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		exec func() ([]Result, error)
+	}{
+		{"ExecScript", func() ([]Result, error) { return e.ExecScript(failFirst, nil) }},
+		{"ExecPrepared", func() ([]Result, error) { return e.ExecPrepared(p, nil) }},
+		{"ExecParsed", func() ([]Result, error) { return e.ExecParsed(p.script(), nil) }},
+	} {
+		res, err := run.exec()
+		if err == nil || !strings.HasPrefix(err.Error(), "statement 1:") || len(res) != 0 {
+			t.Fatalf("%s: %d results, error %v; want none and statement 1's error", run.name, len(res), err)
+		}
+		if n := e.Cat.Table("Items").NumRows(); n != 3 {
+			t.Fatalf("%s: Items has %d rows after the failing script, want 3", run.name, n)
+		}
 	}
 }
 

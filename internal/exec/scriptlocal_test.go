@@ -69,9 +69,8 @@ func TestIntoResultCrossTalk(t *testing.T) {
 
 // TestNearestProducer: a script that writes table T and subgraph S twice
 // reads each after each write, and every reader must see the nearest
-// earlier producer's result, whether the statements run in order
-// (ExecScript) or in dependence stages (ExecScriptStaged). The second
-// pass runs with the first pass's results published under the same names.
+// earlier producer's result. The second pass runs with the first pass's
+// results published under the same names.
 func TestNearestProducer(t *testing.T) {
 	const src = `
 select id from table TA where n < 2 into table T
@@ -97,7 +96,7 @@ output table T out.csv
 	for _, run := range []struct {
 		name string
 		exec func(string, map[string]value.Value) ([]Result, error)
-	}{{"ExecScript", e.ExecScript}, {"ExecScriptStaged", e.ExecScriptStaged}} {
+	}{{"ExecScript", e.ExecScript}} {
 		for pass := 0; pass < 2; pass++ {
 			written.Reset()
 			res, err := run.exec(src, nil)

@@ -3,8 +3,6 @@ package exec
 import (
 	"strings"
 	"testing"
-
-	"graql/internal/value"
 )
 
 // tiny typed graph used across semantics tests:
@@ -288,49 +286,6 @@ ingest table TA good.csv
 	}
 	if got := e.Cat.Graph().VertexType("A").Count(); got != 1 {
 		t.Errorf("failed ingest modified the view: %d vertices", got)
-	}
-}
-
-// TestStagedSchedulerEquivalence: the §III-B1 parallel schedule computes
-// the same results as sequential execution.
-func TestStagedSchedulerEquivalence(t *testing.T) {
-	script := semaSchema + `
-select x.id from graph def x: A ( ) --e--> B ( ) into table R1
-select y.id from graph B ( ) --f--> def y: A ( ) into table R2
-select id, count(*) as n from table R1 group by id order by id asc into table S1
-select id, count(*) as n from table R2 group by id order by id asc into table S2
-`
-	seq := newTestEngine(semaFiles)
-	seqRes, err := seq.ExecScript(script, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := newTestEngine(semaFiles)
-	parRes, err := par.ExecScriptStaged(script, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqRes) != len(parRes) {
-		t.Fatalf("result counts differ: %d vs %d", len(seqRes), len(parRes))
-	}
-	for i := range seqRes {
-		a, b := seqRes[i].Table, parRes[i].Table
-		if (a == nil) != (b == nil) {
-			t.Fatalf("statement %d: table presence differs", i)
-		}
-		if a == nil {
-			continue
-		}
-		if a.NumRows() != b.NumRows() {
-			t.Fatalf("statement %d: %d vs %d rows", i, a.NumRows(), b.NumRows())
-		}
-		for r := uint32(0); r < uint32(a.NumRows()); r++ {
-			for c := 0; c < a.NumCols(); c++ {
-				if !value.Equal(a.Value(r, c), b.Value(r, c)) {
-					t.Fatalf("statement %d cell (%d,%d): %v vs %v", i, r, c, a.Value(r, c), b.Value(r, c))
-				}
-			}
-		}
 	}
 }
 

@@ -2,10 +2,10 @@ package exec
 
 import (
 	"strconv"
-	"time"
 
 	"graql/internal/ast"
 	"graql/internal/obs"
+	"graql/internal/table"
 )
 
 // This file wires hierarchical request tracing through the engine. A
@@ -49,13 +49,20 @@ func (e *Engine) opSpan(action, detail string) *obs.Span {
 	return e.trace.Span(action, detail)
 }
 
-// runSweep is runShards plus a parallel-sweep span when the engine runs
-// under a statement span. EXPLAIN ANALYZE's flat trace intentionally
-// omits sweep spans so its plan table keeps one row per operator.
+// runSweep executes fn over each shard index on the one shard pool
+// (table.Par.Run) with up to `workers` goroutines and returns the first
+// error. The engine's context is polled at every shard boundary, so a
+// canceled sweep stops scheduling work and returns the structured abort
+// error promptly (shards also poll internally via wstate.poll for long
+// per-shard loops). The engine's metrics count the sweep and its shards
+// and track worker utilisation through the graql_parallel_active_workers
+// gauge. Under a statement span the sweep gets a span of its own;
+// EXPLAIN ANALYZE's flat trace intentionally omits sweep spans so its
+// plan table keeps one row per operator.
 func (e *Engine) runSweep(what, name string, shards, workers int, fn func(shard int) error) error {
 	e.acct.noteWorkers(workers)
 	sp := e.sweepSpan(what, name, shards, workers)
-	err := runShards(e.ctx, &e.met, shards, workers, fn)
+	err := table.Par{Workers: workers, Poll: pollOf(e.ctx), OnParallel: e.met.sweep}.Run(shards, fn)
 	sp.End()
 	return err
 }
@@ -81,23 +88,4 @@ func stmtDetail(st ast.Stmt) string {
 		s = s[:117] + "..."
 	}
 	return s
-}
-
-// Ready reports whether the engine can schedule work: it pushes a
-// trivial task through the data-parallel shard scheduler with the
-// configured worker count and waits up to timeout for completion. The
-// readiness probe (/readyz) uses this as its "worker pool responsive"
-// check.
-func (e *Engine) Ready(timeout time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = runShards(nil, &e.met, 1, e.Opts.workers(), func(int) error { return nil })
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		return false
-	}
 }

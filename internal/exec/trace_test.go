@@ -3,7 +3,6 @@ package exec
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"graql/internal/cluster"
 	"graql/internal/obs"
@@ -185,13 +184,6 @@ func TestClusterTraceSpans(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no per-node spans under any superstep")
-	}
-}
-
-func TestEngineReady(t *testing.T) {
-	e := chainEngine(t, 0, false)
-	if !e.Ready(5 * time.Second) {
-		t.Fatal("Ready = false on an idle engine")
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package plan implements GEMS's dynamic query planning (paper §III-B):
 // choosing the order and direction in which a path query traverses the
 // bidirectional edge indexes, using the catalog's size and degree
-// statistics; and the multi-statement dependence analysis that lets
-// independent statements of a GraQL script run in parallel (§III-B1).
+// statistics; and the part of the multi-statement dependence analysis
+// (§III-B1) that script execution uses: which earlier statement of a
+// script produced a result a statement reads.
 package plan
 
 import (

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"graql/internal/ast"
@@ -127,95 +126,6 @@ func TestOrderAvoidsMissingReverseIndex(t *testing.T) {
 	// must produce a complete order.
 	if len(order) != 2 || order[1].Node != 0 {
 		t.Fatal("incomplete order")
-	}
-}
-
-func TestDependenciesAndStages(t *testing.T) {
-	script, err := parser.Parse(`
-create table A(x integer)
-ingest table A a.csv
-select x from table A into table RA
-select x from table A into table RB
-select x from table RA
-select x from table RB
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deps := Dependencies(script, nil)
-	// Statement 4 (select from RA) must depend on statement 2 (into RA).
-	found := false
-	for _, d := range deps[4] {
-		if d == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("stmt 5 should depend on stmt 3; deps = %v", deps[4])
-	}
-	stages := Stages(script, nil)
-	level := map[int]int{}
-	for l, st := range stages {
-		for _, i := range st {
-			level[i] = l
-		}
-	}
-	// The two independent producing selects (2 and 3) share a stage, as
-	// do their two consumers (4 and 5).
-	if level[2] != level[3] {
-		t.Errorf("independent selects at levels %d and %d", level[2], level[3])
-	}
-	if level[4] != level[5] || level[4] <= level[2] {
-		t.Errorf("consumers at levels %d/%d after producers %d", level[4], level[5], level[2])
-	}
-	// Ingest follows the create (table write-write conflict).
-	if level[1] <= level[0] {
-		t.Errorf("ingest at level %d must follow create at %d", level[1], level[0])
-	}
-
-	// A write re-derives views, and so precedes a graph select, only when
-	// its table feeds one: through a declaration of the catalog (feeds) or
-	// an earlier create vertex or create edge of the script.
-	const graphSelect = "select y.id from graph ProductVtx ( ) --feature--> def y: FeatureVtx ( )"
-	feeds := func(table string) bool { return strings.EqualFold(table, "Products") }
-	for _, c := range []struct {
-		src  string
-		want string
-	}{
-		{"insert into Z values (1)\n" + graphSelect, "[[0 1]]"},
-		{"create vertex ZV(id) from table Z\ninsert into Z values (1)\n" + graphSelect, "[[0] [1] [2]]"},
-		{"insert into Products values ('p9')\n" + graphSelect, "[[0] [1]]"},
-	} {
-		script, err := parser.Parse(c.src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprint(Stages(script, feeds)); got != c.want {
-			t.Errorf("stages of %q = %s, want %s", c.src, got, c.want)
-		}
-	}
-}
-
-func TestGraphQueryFootprint(t *testing.T) {
-	script, err := parser.Parse(`
-create table A(x integer)
-create vertex V(x) from table A
-select * from graph V ( ) into subgraph s1
-select * from graph s1.V ( ) into subgraph s2
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deps := Dependencies(script, nil)
-	// The seeded query must wait for the subgraph it reads.
-	found := false
-	for _, d := range deps[3] {
-		if d == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("seeded query should depend on producer; deps = %v", deps[3])
 	}
 }
 

@@ -52,6 +52,26 @@ func TestWebReadyz(t *testing.T) {
 	}
 }
 
+// TestReadyzRunsNoSweep: a readiness probe reads the catalog and runs
+// nothing on the shard pool, so probing does not move the parallel-sweep
+// counters that price query work.
+func TestReadyzRunsNoSweep(t *testing.T) {
+	ts, eng := obsServer(t)
+	counters := func() [2]any {
+		snap := eng.Opts.Obs.Snapshot()
+		return [2]any{snap["graql_parallel_sweeps_total"], snap["graql_parallel_shards_total"]}
+	}
+	before := counters()
+	for i := 0; i < 5; i++ {
+		if code, out := getJSON(t, ts.URL+"/readyz"); code != http.StatusOK || out["ok"] != true {
+			t.Fatalf("probe %d: %d %v", i, code, out)
+		}
+	}
+	if after := counters(); after != before {
+		t.Fatalf("5 probes moved sweeps/shards from %v to %v", before, after)
+	}
+}
+
 // TestWebDebugTraces drives a traced query through /query and reads it
 // back from /debug/traces, checking the X-Trace-Id header matches.
 func TestWebDebugTraces(t *testing.T) {

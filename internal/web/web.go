@@ -59,8 +59,8 @@ type Handler struct {
 //	GET  /debug/pprof/ the standard Go profiling endpoints
 //	GET  /metrics      Prometheus text exposition of the engine registry
 //	GET  /healthz      liveness probe (200 once serving)
-//	GET  /readyz       readiness probe (catalog reachable + worker pool responsive
-//	                   + every distributed worker answering, when running distributed)
+//	GET  /readyz       readiness probe (catalog reachable + every distributed
+//	                   worker answering, when running distributed)
 //
 // The op routes answer with the server.Response body the TCP wire sends
 // (the GET routes wrap the one field they serve in a small envelope).
@@ -291,18 +291,12 @@ func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyz is the readiness probe: the catalog answers a statistics
-// snapshot of its current version, the engine's worker pool completes a
-// trivial sweep within the probe budget, and — when running distributed —
+// snapshot of its current version and — when running distributed —
 // every cluster worker answers a ping. A degraded worker set reports 503
 // with the failing partitions so orchestrators stop routing to this
 // coordinator.
 func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	ready := map[string]any{"ok": true, "catalogObjects": len(h.eng.Cat.Stats())}
-	if !h.eng.Ready(2 * time.Second) {
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]any{"ok": false, "reason": "worker pool unresponsive"})
-		return
-	}
 	if tp, ok := h.eng.Opts.Dist.(*cluster.TCPTransport); ok {
 		status := tp.Probe(2 * time.Second)
 		var degraded []cluster.WorkerStatus
