@@ -160,9 +160,11 @@ if awk "BEGIN {exit !($total < $COVERAGE_FLOOR)}"; then
 fi
 
 echo "== race stress: shared dictionary indexes, readers during writes =="
-# Gathered, cloned and patched varchar columns share their source's
-# dictionary index read-only; readers and writers of one published column
-# hit it at once here, ten times over. Readers also run beside every kind
+# Gathered (a graph select's result, a delete's survivors), cloned and
+# patched varchar columns share their source's dictionary index
+# read-only; views gather none, as a vertex or edge reads its attributes
+# from its table's rows. Readers and writers of one published column hit
+# the index at once here, ten times over. Readers also run beside every kind
 # of write on the one write path (DESIGN.md §10): a stalled ingest, output
 # and IngestReader, streamed DML, and ingests that fail before publishing.
 # Two scripts sharing one prepared handle each read their own result table
@@ -231,6 +233,17 @@ done
 echo 'select * from graph ProducerVtx ( ) <--producer-- ProductVtx ( ) into subgraph SmokeSG' |
     "$tmpdir/gems-client" -addr 127.0.0.1:17687 -trace -timeout 10s exec - >"$tmpdir/query.out" 2>&1
 grep -q "SmokeSG" "$tmpdir/query.out"
+# Views read their attributes from their tables' rows: Fig. 4/5's
+# many-to-one ProducerCountry --export--> VendorCountry reads its key
+# cells at each country's first Producers/Vendors row, and the attributed
+# type edge reads ProductTypes at each edge's row. Row counts are those
+# of the Berlin sf=1 dataset.
+echo 'select p.country as pc, v.country as vc from graph def p: ProducerCountry ( ) --export--> def v: VendorCountry ( ) into table Exports' |
+    "$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 10s exec - >"$tmpdir/export.out" 2>&1
+grep -q '^(30 rows)$' "$tmpdir/export.out"
+echo "select t from graph ProductVtx ( ) --def t: type (type <> 't11')--> TypeVtx ( ) into table ProductTypeRows" |
+    "$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 10s exec - >"$tmpdir/type.out" 2>&1
+grep -q '^(283 rows)$' "$tmpdir/type.out"
 # A traced write shows each of its phases under the statement span, the
 # spans DML EXPLAIN ANALYZE renders (DESIGN.md §6): the verb, one span
 # per maintained view, the commit. The where clause matches no row, so

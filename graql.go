@@ -67,15 +67,6 @@ func WithWorkers(n int) Option {
 	return func(o *exec.Options) { o.Workers = n }
 }
 
-// WithParallelThreshold sets the minimum input row count before the
-// relational operators (filter, hash join, group-by, order-by) run on
-// the morsel-parallel path; smaller inputs use the serial operators.
-// 0 restores the built-in default. Raise it when queries touch mostly
-// small tables; lower it to force parallelism in tests and benchmarks.
-func WithParallelThreshold(rows int) Option {
-	return func(o *exec.Options) { o.ParallelThreshold = rows }
-}
-
 // WithReverseIndexes controls building reverse edge indexes (default on).
 // GEMS builds them "when memory space on the cluster is available"; paths
 // are still answerable without them via edge scans, only slower.

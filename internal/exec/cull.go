@@ -448,11 +448,8 @@ func (m *matcher) answer(p int, route string) ([]uint32, error) {
 	_, rowOf := m.nodeType[p].AttrRows()
 	rows := make([]uint32, 0, len(s.members))
 	for i, v := range s.members {
-		if rowOf != nil {
-			v = rowOf[v]
-		}
 		for c := s.at(i); c > 0; c-- {
-			rows = append(rows, v)
+			rows = append(rows, rowOf[v])
 		}
 	}
 	return rows, nil

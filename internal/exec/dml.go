@@ -463,23 +463,22 @@ func (e *Engine) maintainEdge(name string, p edgePlan, se *sema.CreateEdge, et *
 	sp := e.opSpan(p.action, name)
 	defer sp.End()
 	src, dst := se.Sources[0].Vtx, se.Sources[1].Vtx
+	var attrs *table.Table
+	if se.AttrSource >= 0 {
+		attrs = se.Sources[se.AttrSource].Tbl
+	}
 	var err error
 	switch p.action {
 	case carryEdge:
-		var attrs *table.Table
-		if p.regather {
-			attrs = se.Sources[se.AttrSource].Tbl
-		}
 		et = graph.ReanchorEdgeType(et, src, dst, attrs)
 	case patchEdge:
 		var added []graph.Edge
 		if added, err = deltaEdges(se, p.deltas); err != nil {
 			return nil, err
 		}
-		var attrs *table.Table
 		var attrD *graph.Delta
-		if se.AttrSource >= 0 {
-			attrs, attrD = se.Sources[se.AttrSource].Tbl, p.deltas[se.AttrSource]
+		if attrs != nil {
+			attrD = p.deltas[se.AttrSource]
 		}
 		et = graph.PatchEdgeType(et, src, dst, p.deltas[0], p.deltas[1], attrD, added, attrs)
 	case rebuildEdge:
@@ -516,9 +515,6 @@ type edgePlan struct {
 	// deltas holds, per source of the declaration, how that source's
 	// instances changed; nil where they did not (patch only).
 	deltas []*graph.Delta
-	// regather: the edge set stands but the associated table's attribute
-	// cells were rewritten (carry only).
-	regather bool
 }
 
 // planEdge decides how an edge type that reads the written table, or a
@@ -559,8 +555,8 @@ func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched ma
 				return edgePlan{action: rebuildEdge}
 			case m.action == carryVertex:
 				// No vertex moved; the declaration sees the write only
-				// through a rewritten attribute of a one-to-one type.
-				if !m.old.OneToOne || !d.writes(reads[i]) {
+				// through a rewritten attribute it reads.
+				if !d.writes(reads[i]) {
 					continue
 				}
 				if m.delta == nil {
@@ -578,7 +574,6 @@ func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched ma
 		} else if d.writes(reads[i]) {
 			sd = &d.rows
 		} else {
-			p.regather = p.regather || i == s.AttrSource
 			continue
 		}
 		p.action = patchEdge

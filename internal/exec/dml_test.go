@@ -186,8 +186,8 @@ func canonicalEdges(et *graph.EdgeType) []string {
 	for e := range et.IDs() {
 		src, dst := et.EdgeAt(e)
 		s := fmt.Sprintf("%v->%v", et.Src.KeyString(src), et.Dst.KeyString(dst))
-		if et.Attrs != nil {
-			s += fmt.Sprintf("|%v", et.Attrs.Row(e))
+		if attrs, rows := et.AttrRows(); attrs != nil {
+			s += fmt.Sprintf("|%v", attrs.Row(rows[e]))
 		}
 		out = append(out, s)
 	}

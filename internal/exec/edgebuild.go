@@ -308,13 +308,10 @@ func (w *workRel) probeIn(s *sema.CreateEdge, newSrc, newCol, oldSrc, oldCol int
 // soleKeyAttr returns the attribute index of a vertex source's key when
 // the key is a single column.
 func soleKeyAttr(src *sema.EdgeSource) (int, bool) {
-	switch {
-	case !src.IsVertex || len(src.Vtx.KeyCols) != 1:
+	if !src.IsVertex || len(src.Vtx.KeyCols) != 1 {
 		return 0, false
-	case src.Vtx.OneToOne:
-		return src.Vtx.KeyCols[0], true
 	}
-	return 0, true // many-to-one: the attributes are the key columns
+	return src.Vtx.KeyCols[0], true
 }
 
 // filterEqual keeps tuples where the two (already joined) columns agree.

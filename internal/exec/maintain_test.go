@@ -219,7 +219,7 @@ func canonicalVertices(vt *graph.VertexType) []string {
 	out := make([]string, vt.Count())
 	for v := range out {
 		var attrs []string
-		for c := range vt.AttrSchema() {
+		for _, c := range vt.AttrCols() {
 			attrs = append(attrs, vt.AttrValue(uint32(v), c).String())
 		}
 		out[v] = strings.Join(attrs, ",")
@@ -544,8 +544,8 @@ insert into Offers values (1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 3, 1)
 			for id := range et.IDs() {
 				src, dst := et.EdgeAt(id)
 				s := et.Src.KeyString(src) + "->" + et.Dst.KeyString(dst)
-				if et.Attrs != nil {
-					s += fmt.Sprintf("|%v", et.Attrs.Row(id))
+				if attrs, rows := et.AttrRows(); attrs != nil {
+					s += fmt.Sprintf("|%v", attrs.Row(rows[id]))
 				}
 				got = append(got, s)
 			}

@@ -412,22 +412,17 @@ func (m *matcher) restrict(node int, frontier *bitmap.Bitmap) (*bitmap.Bitmap, e
 		return out, nil
 	}
 	attrs, rowOf := vt.AttrRows()
-	in := table.AllRows(attrs)
+	rows := rowOf // every vertex's row: a base table may hold rows of no vertex
 	if frontier == nil {
 		frontier = bitmap.New(vt.Count())
-		if rowOf != nil {
-			in = table.RowsOf(attrs, rowOf) // a base table may hold rows of no vertex
-		}
 	} else {
-		rows := frontier.Slice()
+		rows = frontier.Slice()
 		frontier.Reset() // refilled below with the vertices that pass
 		for i, v := range rows {
-			if rowOf != nil {
-				rows[i] = rowOf[v]
-			}
+			rows[i] = rowOf[v]
 		}
-		in = table.RowsOf(attrs, rows)
 	}
+	in := table.RowsOf(attrs, rows)
 	w.scanned = int64(in.Len())
 	par, sweep := m.e.kernelPar(), (*obs.Span)(nil)
 	par.OnParallel = func(shards, workers int) func() {
@@ -440,11 +435,7 @@ func (m *matcher) restrict(node int, frontier *bitmap.Bitmap) (*bitmap.Bitmap, e
 		return nil, err
 	}
 	for i, n := 0, hit.Len(); i < n; i++ {
-		v := hit.At(i)
-		if rowOf != nil {
-			v = vt.VIDForRow(v)
-		}
-		frontier.Set(v)
+		frontier.Set(vt.VIDForRow(hit.At(i)))
 	}
 	return frontier, nil
 }
@@ -716,14 +707,14 @@ func condSelectivity(cond expr.Expr, node int, vt *graph.VertexType) float64 {
 			continue
 		}
 		switch {
-		case b.Op == expr.OpEq && isKeyAttr(vt, ref.Col):
+		case b.Op == expr.OpEq && slices.Contains(vt.KeyCols, ref.Col):
 			if n := float64(vt.Count()); n > 0 {
 				sel *= 1 / n
 			}
 		case b.Op == expr.OpEq:
 			// Use the column's dictionary NDV when available (§III-B
 			// "statistical properties"); fall back to a 10% guess.
-			if ndv := attrDistinct(vt, ref.Col); ndv > 0 {
+			if ndv := vt.Base.Col(ref.Col).Distinct(); ndv > 0 {
 				sel *= 1 / float64(ndv)
 			} else {
 				sel *= 0.1
@@ -751,7 +742,7 @@ func keyConstant(cond expr.Expr, node int, vt *graph.VertexType) (value.Value, b
 			continue
 		}
 		ref := refOperandOf(b, node)
-		if ref == nil || !isKeyAttr(vt, ref.Col) {
+		if ref == nil || !slices.Contains(vt.KeyCols, ref.Col) {
 			continue
 		}
 		k, ok := b.R.(*expr.Const)
@@ -777,26 +768,4 @@ func refOperandOf(b *expr.Binary, node int) *expr.Ref {
 		}
 	}
 	return nil
-}
-
-// attrDistinct returns the NDV of a vertex attribute column when cheaply
-// known (dictionary-encoded columns), else -1.
-func attrDistinct(vt *graph.VertexType, col int) int {
-	if vt.OneToOne {
-		return vt.Base.Col(col).Distinct()
-	}
-	return vt.Keys.Col(col).Distinct()
-}
-
-func isKeyAttr(vt *graph.VertexType, col int) bool {
-	if vt.OneToOne {
-		for _, k := range vt.KeyCols {
-			if k == col {
-				return true
-			}
-		}
-		return false
-	}
-	// Many-to-one attributes are exactly the key columns.
-	return true
 }

@@ -84,7 +84,8 @@ func referenceVertex(t *testing.T, sv *sema.CreateVertex) *refVertexView {
 	return v
 }
 
-// values returns vertex i's key or, with attrs, what conditions can read.
+// values returns vertex i's key or, with attrs, every attribute it
+// exposes.
 func (v *refVertexView) values(i uint32, attrs bool) []value.Value {
 	row := v.decl.Base.Row(v.rows[i])
 	if attrs && v.oneToOne {
@@ -112,9 +113,10 @@ func referenceEdges(t *testing.T, se *sema.CreateEdge, views map[string]*refVert
 		return se.Sources[i].Tbl.NumRows()
 	}
 	tup := make([]uint32, len(se.Sources))
+	// Conditions address a vertex attribute by its base-table column.
 	val := func(i, col int) value.Value {
 		if se.Sources[i].IsVertex {
-			return view(i).values(tup[i], true)[col]
+			return view(i).decl.Base.Value(view(i).rows[tup[i]], col)
 		}
 		return se.Sources[i].Tbl.Value(tup[i], col)
 	}

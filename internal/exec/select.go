@@ -372,13 +372,13 @@ func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select
 		if err != nil {
 			return err
 		}
-		// attrsOf is where a slot's attributes are stored, and for a vertex
-		// slot the row of each vertex (nil: the id is the row).
+		// attrsOf is where a slot's attributes are stored, and the row of
+		// each id.
 		attrsOf := func(slot int) (*table.Table, []uint32) {
 			if slot < len(pat.Nodes) {
 				return m.nodeType[slot].AttrRows()
 			}
-			return m.edgeType[slot-len(pat.Nodes)].Attrs, nil
+			return m.edgeType[slot-len(pat.Nodes)].AttrRows()
 		}
 		rows := make([][]uint32, len(slots)) // per slot, the attribute row of each output row
 		r, p := m.routeFor(s, proj)
@@ -414,11 +414,7 @@ func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select
 				rows[k] = make([]uint32, 0, n)
 				for _, sh := range shards {
 					for j := k; j < len(sh.ids); j += len(slots) {
-						id := sh.ids[j]
-						if rowOf != nil {
-							id = rowOf[id]
-						}
-						rows[k] = append(rows[k], id)
+						rows[k] = append(rows[k], rowOf[sh.ids[j]])
 					}
 				}
 			}
@@ -429,7 +425,7 @@ func (e *Engine) runAltTable(prep *preparedAlt, out *table.Table, s *sema.Select
 			cols[i] = attrs.Col(item.Col).Gather(rows[slotOf[i]])
 		}
 		parts, keyed = parts+1, r == routeReduceOnly && len(nt[p].KeyCols) == 1 && slices.ContainsFunc(proj,
-			func(it sema.GraphProjItem) bool { return it.Col == nt[p].KeyCols[0] || !nt[p].OneToOne })
+			func(it sema.GraphProjItem) bool { return it.Col == nt[p].KeyCols[0] })
 		if out == nil {
 			out = table.FromColumns(resultName(s), s.OutSchema, cols)
 			return nil

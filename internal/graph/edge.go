@@ -45,19 +45,17 @@ type EdgeType struct {
 	Name string
 	Src  *VertexType
 	Dst  *VertexType
-	// Attrs is the edge attribute table (one row per edge id, gathered
-	// from the associated table), or nil when the declaration had no
-	// attribute-bearing table.
-	Attrs *table.Table
 
 	fwd    CSR
 	rev    CSR
 	hasRev bool
 	count  int // present edges
-	// origAttrRows maps each edge id to the row of the associated source
-	// table it was derived from (Attrs itself is gathered in id order).
-	// Maintenance uses it to drop the edges of dead or rewritten rows and
-	// to gather Attrs again. nil when Attrs is nil.
+	// attrs is the associated table, whose rows are the edges'
+	// attributes, or nil when the declaration had no attribute-bearing
+	// table. origAttrRows maps each edge id to the row of attrs it was
+	// derived from; maintenance also uses it to drop the edges of dead or
+	// rewritten rows. nil when attrs is nil.
+	attrs        *table.Table
 	origAttrRows []uint32
 }
 
@@ -86,7 +84,7 @@ func NewFunctionalEdgeType(id int, name string, src, dst *VertexType, edges []Ed
 // twice, once to count and once to place, and lists none. The reverse
 // index, when old has one, is the forward index's transpose.
 func freeze(old *EdgeType, functional bool, src, dst *VertexType, carrySrc, carryDst, carryAttr []uint32, added []Edge, attrs *table.Table) *EdgeType {
-	et := &EdgeType{ID: old.ID, Name: old.Name, Src: src, Dst: dst, hasRev: old.hasRev}
+	et := &EdgeType{ID: old.ID, Name: old.Name, Src: src, Dst: dst, hasRev: old.hasRev, attrs: attrs}
 	through := func(carry []uint32, id uint32) uint32 {
 		if carry == nil {
 			return id
@@ -137,9 +135,6 @@ func freeze(old *EdgeType, functional bool, src, dst *VertexType, carrySrc, carr
 		})
 	}
 	et.count = fwd.NumEdges()
-	if attrs != nil {
-		et.Attrs = attrs.Gather(et.Name, et.origAttrRows)
-	}
 	if et.hasRev {
 		et.rev = et.transpose()
 	}
@@ -245,27 +240,33 @@ func (et *EdgeType) Adjacent(v VID, forward bool) (nbr []uint32, ids EdgeIDs, in
 	return nbr, EdgeIDs{eid: eids}, false
 }
 
-// AttrIndex resolves an edge attribute name, addressing the Attrs table.
+// AttrIndex resolves an edge attribute name to its column of the
+// associated table.
 func (et *EdgeType) AttrIndex(name string) (int, bool) {
-	if et.Attrs == nil {
-		return -1, false
-	}
-	i := et.Attrs.Schema().Index(name)
+	i := et.AttrSchema().Index(name)
 	return i, i >= 0
 }
 
 // AttrType returns the type of a resolved edge attribute.
-func (et *EdgeType) AttrType(col int) value.Type { return et.Attrs.Schema()[col].Type }
+func (et *EdgeType) AttrType(col int) value.Type { return et.attrs.Schema()[col].Type }
 
 // AttrValue returns attribute col of edge e.
-func (et *EdgeType) AttrValue(e uint32, col int) value.Value { return et.Attrs.Value(e, col) }
+func (et *EdgeType) AttrValue(e uint32, col int) value.Value {
+	return et.attrs.Value(et.origAttrRows[e], col)
+}
 
-// AttrSchema returns the edge attribute schema (nil when no attributes).
+// AttrRows returns where the attributes AttrIndex resolves are stored: the
+// associated table, and for each edge id the row of it holding the edge's
+// attributes.
+func (et *EdgeType) AttrRows() (*table.Table, []uint32) { return et.attrs, et.origAttrRows }
+
+// AttrSchema returns the edge attribute schema, the associated table's
+// (nil when no attributes).
 func (et *EdgeType) AttrSchema() table.Schema {
-	if et.Attrs == nil {
+	if et.attrs == nil {
 		return nil
 	}
-	return et.Attrs.Schema()
+	return et.attrs.Schema()
 }
 
 // AvgOutDegree returns |E| / |V_src| (catalog statistic for the planner).
@@ -358,8 +359,15 @@ func (et *EdgeType) Validate() error {
 	if n != et.count {
 		return fmt.Errorf("graql: edge %s: %d present edges, count %d", et.Name, n, et.count)
 	}
-	if et.Attrs != nil && (len(et.origAttrRows) != et.NumIDs() || et.Attrs.NumRows() != et.NumIDs()) {
-		return fmt.Errorf("graql: edge %s: attribute rows do not match the ids", et.Name)
+	if et.attrs != nil {
+		if len(et.origAttrRows) != et.NumIDs() {
+			return fmt.Errorf("graql: edge %s: attribute rows do not match the ids", et.Name)
+		}
+		for _, r := range et.origAttrRows {
+			if int(r) >= et.attrs.NumRows() {
+				return fmt.Errorf("graql: edge %s: attribute row %d out of range", et.Name, r)
+			}
+		}
 	}
 	if !et.hasRev {
 		return nil

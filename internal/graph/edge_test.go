@@ -12,7 +12,7 @@ import (
 
 // heldBytes sums the bytes of the distinct arrays behind every slice
 // field of v, a struct, descending into struct fields (an EdgeType's two
-// CSRs) but not through pointers (its vertex types and Attrs table).
+// CSRs) but not through pointers (its vertex types and associated table).
 func heldBytes(v reflect.Value, seen map[uintptr]bool) int {
 	n := 0
 	for i := range v.NumField() {
@@ -149,8 +149,8 @@ func carried(d *Delta, id uint32) uint32 {
 // of the source, target and attribute id spaces, deletions included, plus
 // added edges, and checks the result against a model: each source's
 // edges in slot order are its survivors in their old slot order, remapped,
-// then its added edges (a column keeps the last); the Attrs row at each
-// id is the one its origAttrRows entry names; the reverse rows are the
+// then its added edges (a column keeps the last); the attributes of each
+// id are read from the row its origAttrRows entry names; the reverse rows are the
 // transpose, ids ascending; and Validate passes.
 func TestPatchEdgeTypeMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -251,8 +251,10 @@ func TestPatchEdgeTypeMatchesModel(t *testing.T) {
 		}
 		if attrs != nil {
 			for e := range got.IDs() {
-				if !reflect.DeepEqual(got.Attrs.Row(e), attrs2.Row(got.origAttrRows[e])) {
-					t.Fatalf("%s: Attrs row %d = %v, want row %d of the table", what, e, got.Attrs.Row(e), got.origAttrRows[e])
+				for c := range attrs2.NumCols() {
+					if v, want := got.AttrValue(e, c), attrs2.Value(got.origAttrRows[e], c); !reflect.DeepEqual(v, want) {
+						t.Fatalf("%s: attribute %d of edge %d = %v, want %v from row %d of the table", what, c, e, v, want, got.origAttrRows[e])
+					}
 				}
 			}
 		}

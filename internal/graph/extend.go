@@ -100,7 +100,7 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 		freshRows []uint32
 		fresh     = table.NewHashIndex(len(d.Changed))
 	)
-	sameOld := func(v VID) bool { return newBase.EqualKey(r, vt.KeyCols, vt.Keys, v, vt.keyIdent) }
+	sameOld := func(v VID) bool { return newBase.EqualKey(r, vt.KeyCols, vt.Base, vt.baseRow[v], vt.KeyCols) }
 	sameFresh := func(k uint32) bool { return newBase.EqualKey(r, vt.KeyCols, newBase, freshRows[k], vt.KeyCols) }
 	freshHash := func(k uint32) uint64 {
 		h, _ := newBase.HashKey(freshRows[k], vt.KeyCols)
@@ -150,7 +150,7 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 		rowToVID[r] = vidMap[v]
 	}
 	out.rowToVID = rowToVID
-	out.seal(newBase)
+	out.Base, out.OneToOne = newBase, out.accepted == len(out.baseRow)
 	if out.OneToOne != vt.OneToOne {
 		return nil, nil, false, nil
 	}
@@ -168,17 +168,18 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 		vd.Remap = nil
 		out.keyIndex = vt.keyIndex.Clone()
 		hashOf := func(v VID) uint64 {
-			h, _ := out.Keys.HashKey(v, out.keyIdent)
+			h, _ := newBase.HashKey(out.baseRow[v], vt.KeyCols)
 			return h
 		}
 		for v := oldCount; v < VID(out.Count()); v++ {
 			out.keyIndex.Add(hashOf(v), v, hashOf)
 		}
 	} else {
-		hashes, _ := out.Keys.HashKeys(out.keyIdent)
-		out.keyIndex = table.NewHashIndex(len(hashes))
-		for v, h := range hashes {
-			out.keyIndex.Add(h, VID(v), nil)
+		// One typed hash pass over the base rows places every vertex.
+		hashes, _ := newBase.HashKeys(vt.KeyCols)
+		out.keyIndex = table.NewHashIndex(out.Count())
+		for v, r := range out.baseRow {
+			out.keyIndex.Add(hashes[r], VID(v), nil)
 		}
 	}
 
@@ -198,15 +199,12 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 
 // ReanchorEdgeType returns et between src and dst, versions of its
 // endpoint types in which no vertex moved, over an unchanged edge set;
-// both indexes are shared with et. attrs, when non-nil, is a new version
-// of the associated table in which only attribute cells were rewritten:
-// the edge attribute rows are gathered again from it.
+// both indexes are shared with et. attrs is the current version of the
+// associated table (nil when et carries no attributes), in which no row
+// was added, removed or moved.
 func ReanchorEdgeType(et *EdgeType, src, dst *VertexType, attrs *table.Table) *EdgeType {
 	out := *et
-	out.Src, out.Dst = src, dst
-	if attrs != nil && et.Attrs != nil {
-		out.Attrs = attrs.Gather(et.Name, et.origAttrRows)
-	}
+	out.Src, out.Dst, out.attrs = src, dst, attrs
 	return &out
 }
 

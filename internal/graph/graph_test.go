@@ -102,6 +102,73 @@ func TestNullKeysAndFilter(t *testing.T) {
 	}
 }
 
+// TestVertexLayoutBytes pins what a vertex type stores: its key column
+// numbers, baseRow (4|V|), rowToVID (4 per base row) and the key index (4
+// per slot, the least power of two, at least 8, holding two slots per
+// vertex), and no table but its base, from whose rows every attribute,
+// key included, is read.
+func TestVertexLayoutBytes(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	var oneToOne, manyToOne, filtered, nullKeyed int
+	for i := range 80 {
+		n := r.Intn(40)
+		rows := make([][2]string, n)
+		for j := range rows {
+			rows[j] = [2]string{fmt.Sprintf("k%d", j), fmt.Sprintf("g%d", r.Intn(5))}
+			if i%2 == 1 { // repeated keys: many-to-one
+				rows[j][0] = fmt.Sprintf("k%d", r.Intn(n/3+1))
+			}
+			if i%4 >= 2 && r.Intn(4) == 0 {
+				rows[j][0] = "" // a NULL key
+				nullKeyed++
+			}
+		}
+		keyCols := []int{0}
+		if i%5 == 0 {
+			keyCols = []int{0, 1}
+		}
+		var where RowPred
+		if i%3 == 0 {
+			where = func(row uint32) (bool, error) { return row%3 != 1, nil }
+			filtered++
+		}
+		base := baseTable(t, rows)
+		vt, err := BuildVertexType(0, "V", base, keyCols, where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vt.OneToOne {
+			oneToOne++
+		} else {
+			manyToOne++
+		}
+		slots := 0
+		if v := vt.Count(); v > 0 {
+			slots = 8
+			for slots < 2*v {
+				slots *= 2
+			}
+		}
+		want := int(reflect.TypeFor[int]().Size())*len(keyCols) + 4*vt.Count() + 4*n + 4*slots
+		if got := heldBytes(reflect.ValueOf(*vt), map[uintptr]bool{}); got != want {
+			t.Errorf("case %d: one-to-one=%v |V|=%d rows=%d key=%v: %d bytes, want %d",
+				i, vt.OneToOne, vt.Count(), n, keyCols, got, want)
+		}
+		rv := reflect.ValueOf(*vt)
+		for f := range rv.NumField() {
+			if fv := rv.Field(f); fv.Kind() == reflect.Pointer && fv.Pointer() != reflect.ValueOf(base).Pointer() {
+				t.Errorf("case %d: field %s points at something other than the base table", i, rv.Type().Field(f).Name)
+			}
+		}
+		if err := vt.Validate(); err != nil {
+			t.Errorf("case %d: %v", i, err)
+		}
+	}
+	if oneToOne == 0 || manyToOne == 0 || filtered == 0 || nullKeyed == 0 {
+		t.Fatalf("cases cover %d one-to-one, %d many-to-one, %d filtered, %d NULL keys; want each", oneToOne, manyToOne, filtered, nullKeyed)
+	}
+}
+
 func edgeFixture(t *testing.T, numV int, pairs [][2]uint32, reverse bool) (*VertexType, *EdgeType) {
 	t.Helper()
 	rows := make([][2]string, numV)

@@ -19,6 +19,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"graql/internal/table"
 	"graql/internal/value"
@@ -39,7 +40,10 @@ const NoVertex = ^uint32(0)
 // satisfying the filter. When every filtered row has a distinct key the
 // mapping is one-to-one and every base-table column is an attribute of the
 // vertex; otherwise the mapping is many-to-one and only the key columns are
-// attributes (paper §II-A, Figs. 4–5).
+// attributes (paper §II-A, Figs. 4–5). Either way a vertex's attributes
+// are the cells of its representative base row, addressed by base-table
+// column number: the view stores the row of each vertex, the vertex of
+// each row and the key index, and no cell of the table.
 type VertexType struct {
 	ID   int
 	Name string
@@ -50,14 +54,9 @@ type VertexType struct {
 	// base row.
 	OneToOne bool
 
-	// Keys holds one row per vertex instance with the key column values;
-	// row ids coincide with VIDs.
-	Keys *table.Table
-
 	baseRow  []uint32        // vid -> representative (first) base row
 	rowToVID []uint32        // base row -> vid (NoVertex if none)
-	keyIndex table.HashIndex // key cells of Keys -> vid
-	keyIdent []int           // 0..len(KeyCols)-1: the key columns as Keys numbers them
+	keyIndex table.HashIndex // key cells of each vertex's base row -> vid
 	accepted int             // base rows that map to a vertex
 }
 
@@ -102,25 +101,14 @@ func BuildVertexType(id int, name string, base *table.Table, keyCols []int, wher
 		}
 		vt.rowToVID[r] = vid
 	}
-	vt.seal(base)
+	// baseRow grew by appending: keep |V| entries and no slack.
+	vt.baseRow = append(make([]uint32, 0, len(vt.baseRow)), vt.baseRow...)
+	vt.Base, vt.OneToOne = base, vt.accepted == len(vt.baseRow)
 	return vt, nil
 }
 
-// seal derives what follows from baseRow and accepted once they are
-// final: the Keys table, gathered column-wise from base, and the mapping
-// kind.
-func (vt *VertexType) seal(base *table.Table) {
-	vt.Base = base
-	vt.Keys = base.GatherCols(vt.Name, vt.KeyCols, vt.baseRow)
-	vt.OneToOne = vt.accepted == len(vt.baseRow)
-	vt.keyIdent = make([]int, len(vt.KeyCols))
-	for i := range vt.keyIdent {
-		vt.keyIdent[i] = i
-	}
-}
-
 // Count returns the number of vertex instances.
-func (vt *VertexType) Count() int { return vt.Keys.NumRows() }
+func (vt *VertexType) Count() int { return len(vt.baseRow) }
 
 // VIDForRow returns the vertex derived from a base-table row, or NoVertex.
 func (vt *VertexType) VIDForRow(row uint32) VID { return vt.rowToVID[row] }
@@ -132,66 +120,58 @@ func (vt *VertexType) LookupKeyValues(vals []value.Value) (VID, bool) {
 	if !ok || len(vals) != len(vt.KeyCols) {
 		return 0, false
 	}
-	return vt.keyIndex.Find(h, func(v VID) bool { return vt.Keys.EqualValues(v, vt.keyIdent, vals) })
+	return vt.keyIndex.Find(h, func(v VID) bool { return vt.Base.EqualValues(vt.baseRow[v], vt.KeyCols, vals) })
 }
 
-// AttrIndex resolves an attribute name visible on this vertex type. For a
-// one-to-one type every base-table column is visible; for a many-to-one
-// type only the key columns are. The returned index addresses either the
-// base table (one-to-one) or the Keys table.
+// AttrIndex resolves an attribute name visible on this vertex type to its
+// base-table column number. For a one-to-one type every base-table column
+// is visible; for a many-to-one type only the key columns are.
 func (vt *VertexType) AttrIndex(name string) (int, bool) {
-	if vt.OneToOne {
-		i := vt.Base.Schema().Index(name)
-		return i, i >= 0
+	i := vt.Base.Schema().Index(name)
+	if i < 0 || !vt.OneToOne && !slices.Contains(vt.KeyCols, i) {
+		return -1, false
 	}
-	i := vt.Keys.Schema().Index(name)
-	return i, i >= 0
+	return i, true
 }
+
+// AttrCols lists the base-table columns visible as attributes, as
+// AttrIndex resolves them: every column of a one-to-one type, the key
+// columns of a many-to-one type.
+func (vt *VertexType) AttrCols() []int {
+	if !vt.OneToOne {
+		return vt.KeyCols
+	}
+	cols := make([]int, len(vt.Base.Schema()))
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// AttrName returns the name of the attribute previously resolved by
+// AttrIndex.
+func (vt *VertexType) AttrName(col int) string { return vt.Base.Schema()[col].Name }
 
 // AttrType returns the type of the attribute previously resolved by
 // AttrIndex.
-func (vt *VertexType) AttrType(col int) value.Type {
-	if vt.OneToOne {
-		return vt.Base.Schema()[col].Type
-	}
-	return vt.Keys.Schema()[col].Type
-}
+func (vt *VertexType) AttrType(col int) value.Type { return vt.Base.Schema()[col].Type }
 
 // AttrValue returns attribute col of vertex v, resolved per AttrIndex.
-func (vt *VertexType) AttrValue(v VID, col int) value.Value {
-	if vt.OneToOne {
-		return vt.Base.Value(vt.baseRow[v], col)
-	}
-	return vt.Keys.Value(v, col)
-}
+func (vt *VertexType) AttrValue(v VID, col int) value.Value { return vt.Base.Value(vt.baseRow[v], col) }
 
-// AttrRows returns where the attributes AttrIndex resolves are stored: a
-// table, and for each vertex the row of it holding the vertex's attributes
-// (nil when vertex v's row is v).
-func (vt *VertexType) AttrRows() (*table.Table, []uint32) {
-	if vt.OneToOne {
-		return vt.Base, vt.baseRow
-	}
-	return vt.Keys, nil
-}
-
-// AttrSchema returns the full attribute schema visible on this vertex type
-// (all base columns for one-to-one, key columns for many-to-one).
-func (vt *VertexType) AttrSchema() table.Schema {
-	if vt.OneToOne {
-		return vt.Base.Schema()
-	}
-	return vt.Keys.Schema()
-}
+// AttrRows returns where the attributes AttrIndex resolves are stored: the
+// base table, and for each vertex the row of it holding the vertex's
+// attributes.
+func (vt *VertexType) AttrRows() (*table.Table, []uint32) { return vt.Base, vt.baseRow }
 
 // KeyString renders vertex v's key values for display, comma-separated.
 func (vt *VertexType) KeyString(v VID) string {
 	s := ""
-	for c := 0; c < vt.Keys.NumCols(); c++ {
-		if c > 0 {
+	for i, c := range vt.KeyCols {
+		if i > 0 {
 			s += ","
 		}
-		s += vt.Keys.Value(v, c).String()
+		s += vt.AttrValue(v, c).String()
 	}
 	return s
 }
@@ -212,7 +192,7 @@ func (vt *VertexType) Validate() error {
 			continue
 		}
 		accepted++
-		if int(v) >= n || !vt.Base.EqualKey(uint32(r), vt.KeyCols, vt.Keys, v, vt.keyIdent) {
+		if int(v) >= n || !vt.Base.EqualKey(uint32(r), vt.KeyCols, vt.Base, vt.baseRow[v], vt.KeyCols) {
 			return fmt.Errorf("graql: vertex %s: row %d maps to vertex %d, which does not have its key", vt.Name, r, v)
 		}
 	}
@@ -229,8 +209,10 @@ func (vt *VertexType) Validate() error {
 		if v > 0 && vt.baseRow[v] <= vt.baseRow[v-1] {
 			return fmt.Errorf("graql: vertex %s: representative rows do not ascend at vertex %d", vt.Name, v)
 		}
-		h, _ := vt.Keys.HashKey(v, vt.keyIdent)
-		u, ok := vt.keyIndex.Find(h, func(u VID) bool { return vt.Keys.EqualKey(v, vt.keyIdent, vt.Keys, u, vt.keyIdent) })
+		h, _ := vt.Base.HashKey(vt.baseRow[v], vt.KeyCols)
+		u, ok := vt.keyIndex.Find(h, func(u VID) bool {
+			return vt.Base.EqualKey(vt.baseRow[v], vt.KeyCols, vt.Base, vt.baseRow[u], vt.KeyCols)
+		})
 		if !ok || u != v {
 			return fmt.Errorf("graql: vertex %s: key index resolves the key of vertex %d to %d (found %v)", vt.Name, v, u, ok)
 		}

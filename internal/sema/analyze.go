@@ -47,12 +47,22 @@ type EdgeSource struct {
 	Tbl      *table.Table
 }
 
-// Schema returns the attribute schema visible on the source.
-func (s *EdgeSource) Schema() table.Schema {
+// AttrIndex resolves a name visible on the source: an attribute of the
+// vertex type, a column of the table.
+func (s *EdgeSource) AttrIndex(name string) (int, bool) {
 	if s.IsVertex {
-		return s.Vtx.AttrSchema()
+		return s.Vtx.AttrIndex(name)
 	}
-	return s.Tbl.Schema()
+	i := s.Tbl.Schema().Index(name)
+	return i, i >= 0
+}
+
+// AttrType returns the type of a column AttrIndex resolved.
+func (s *EdgeSource) AttrType(col int) value.Type {
+	if s.IsVertex {
+		return s.Vtx.AttrType(col)
+	}
+	return s.Tbl.Schema()[col].Type
 }
 
 // EdgeJoin is one cross-source equality predicate of an edge declaration.
@@ -550,7 +560,7 @@ func (a *Analyzer) resolveTableExpr(e expr.Expr, sources []*EdgeSource) (expr.Ex
 			found, col := -1, -1
 			ambiguous := false
 			for i, src := range sources {
-				if c := src.Schema().Index(r.Name); c >= 0 {
+				if c, has := src.AttrIndex(r.Name); has {
 					if found >= 0 {
 						ambiguous = true
 						break
@@ -572,8 +582,8 @@ func (a *Analyzer) resolveTableExpr(e expr.Expr, sources []*EdgeSource) (expr.Ex
 		}
 		for i, src := range sources {
 			if strings.EqualFold(src.Name, r.Qualifier) {
-				c := src.Schema().Index(r.Name)
-				if c < 0 {
+				c, has := src.AttrIndex(r.Name)
+				if !has {
 					a.errorf(r.Loc, diag.UnknownColumn, "%s has no column %s", src.Name, r.Name)
 					ok = false
 					return r
@@ -595,7 +605,7 @@ type Ref = expr.Ref
 type edgeSourceTypeEnv struct{ sources []*EdgeSource }
 
 func (e edgeSourceTypeEnv) TypeOf(source, col int) value.Type {
-	return e.sources[source].Schema()[col].Type
+	return e.sources[source].AttrType(col)
 }
 
 // checkBool type-checks e, requires a boolean result, and records any

@@ -105,13 +105,13 @@ func (b *patternBuilder) resolvePatternExpr(e expr.Expr, selfNode, selfEdge int)
 			}
 			return r
 		}
-		src, schema, found := b.lookupQualifier(r.Qualifier, r.Loc)
+		src, step, found := b.lookupQualifier(r.Qualifier, r.Loc)
 		if !found {
 			ok = false
 			return r
 		}
-		col := schema.Index(r.Name)
-		if col < 0 {
+		col, found := step.AttrIndex(r.Name)
+		if !found {
 			fail(r.Loc, diag.UnknownColumn, "step %s has no attribute %s", r.Qualifier, r.Name)
 			return r
 		}
@@ -121,11 +121,18 @@ func (b *patternBuilder) resolvePatternExpr(e expr.Expr, selfNode, selfEdge int)
 	return out, ok
 }
 
+// attributed is a vertex or edge type: the attribute names visible on it
+// resolve through AttrIndex, which alone knows that a many-to-one vertex
+// type shows only its key columns.
+type attributed interface {
+	AttrIndex(name string) (int, bool)
+}
+
 // lookupQualifier resolves a step qualifier (label or type name) to a
-// pattern source id and its attribute schema, diagnosing failures at the
-// given span. Qualifiers naming a poisoned step fail silently: the step
-// itself already carries a diagnostic.
-func (b *patternBuilder) lookupQualifier(q string, span diag.Span) (int, table.Schema, bool) {
+// pattern source id and the type its attributes resolve through,
+// diagnosing failures at the given span. Qualifiers naming a poisoned step
+// fail silently: the step itself already carries a diagnostic.
+func (b *patternBuilder) lookupQualifier(q string, span diag.Span) (int, attributed, bool) {
 	if info, ok := b.labels[q]; ok {
 		info.used = true
 		if info.isEdge {
@@ -137,7 +144,7 @@ func (b *patternBuilder) lookupQualifier(q string, span diag.Span) (int, table.S
 				b.a.errorf(span, diag.VariantRestrict, "attributes of the [ ] variant step %s cannot be referenced", q)
 				return 0, nil, false
 			}
-			return len(b.pat.Nodes) + pe.ID, pe.Type.AttrSchema(), true
+			return len(b.pat.Nodes) + pe.ID, pe.Type, true
 		}
 		n := info.node
 		if n.Poisoned {
@@ -147,7 +154,7 @@ func (b *patternBuilder) lookupQualifier(q string, span diag.Span) (int, table.S
 			b.a.errorf(span, diag.VariantRestrict, "attributes of the [ ] variant step %s cannot be referenced", q)
 			return 0, nil, false
 		}
-		return n.ID, n.Type.AttrSchema(), true
+		return n.ID, n.Type, true
 	}
 	// An unambiguous vertex type name.
 	found := -1
@@ -161,7 +168,7 @@ func (b *patternBuilder) lookupQualifier(q string, span diag.Span) (int, table.S
 		}
 	}
 	if found >= 0 {
-		return found, b.pat.Nodes[found].Type.AttrSchema(), true
+		return found, b.pat.Nodes[found].Type, true
 	}
 	// An unambiguous edge type name.
 	foundE := -1
@@ -176,11 +183,11 @@ func (b *patternBuilder) lookupQualifier(q string, span diag.Span) (int, table.S
 	}
 	if foundE >= 0 {
 		e := b.pat.Edges[foundE]
-		if e.Type.Attrs == nil {
+		if e.Type.AttrSchema() == nil {
 			b.a.errorf(span, diag.UnknownColumn, "edge type %s has no attributes", q)
 			return 0, nil, false
 		}
-		return len(b.pat.Nodes) + foundE, e.Type.AttrSchema(), true
+		return len(b.pat.Nodes) + foundE, e.Type, true
 	}
 	b.a.errorf(span, diag.UnknownSource, "unknown step reference %s", q)
 	return 0, nil, false
@@ -326,9 +333,6 @@ func (a *Analyzer) resolveGraphProj(s *ast.Select, pat *Pattern, alt *GraphAlt) 
 					a.errorf(diag.Span{}, diag.VariantRestrict, "select * into table cannot include [ ] variant steps; project labelled steps instead")
 					return nil, false
 				}
-				if e.Type.Attrs == nil {
-					continue
-				}
 				for c, cd := range e.Type.AttrSchema() {
 					addEdgeCol(e, c, names[ref]+"."+cd.Name)
 				}
@@ -338,8 +342,8 @@ func (a *Analyzer) resolveGraphProj(s *ast.Select, pat *Pattern, alt *GraphAlt) 
 					a.errorf(diag.Span{}, diag.VariantRestrict, "select * into table cannot include [ ] variant steps; project labelled steps instead")
 					return nil, false
 				}
-				for c, cd := range n.Type.AttrSchema() {
-					addNodeCol(n, c, names[ref]+"."+cd.Name)
+				for _, c := range n.Type.AttrCols() {
+					addNodeCol(n, c, names[ref]+"."+n.Type.AttrName(c))
 				}
 			}
 		}
@@ -369,7 +373,7 @@ func (a *Analyzer) resolveGraphProj(s *ast.Select, pat *Pattern, alt *GraphAlt) 
 					a.errorf(r.Loc, diag.ProjectionRule, "step %s has no attributes to project into a table", r.Name)
 					continue
 				}
-				if e.Type.Attrs == nil {
+				if e.Type.AttrSchema() == nil {
 					a.errorf(r.Loc, diag.ProjectionRule, "edge type %s has no attributes to project", e.Type.Name)
 					continue
 				}
@@ -384,14 +388,11 @@ func (a *Analyzer) resolveGraphProj(s *ast.Select, pat *Pattern, alt *GraphAlt) 
 				continue
 			}
 			if len(n.Type.KeyCols) == 1 {
-				keyName := n.Type.Keys.Schema()[0].Name
-				col, _ := n.Type.AttrIndex(keyName)
-				addNodeCol(n, col, display)
+				addNodeCol(n, n.Type.KeyCols[0], display)
 				continue
 			}
-			for _, cd := range n.Type.Keys.Schema() {
-				col, _ := n.Type.AttrIndex(cd.Name)
-				addNodeCol(n, col, display+"."+cd.Name)
+			for _, c := range n.Type.KeyCols {
+				addNodeCol(n, c, display+"."+n.Type.AttrName(c))
 			}
 			continue
 		}

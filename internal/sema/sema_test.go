@@ -5,6 +5,7 @@
 package sema_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -474,5 +475,68 @@ into subgraph g`)
 	pat := st.(*sema.Select).GraphAlts[0].Pattern
 	if len(pat.Nodes) != 2 {
 		t.Fatalf("nodes = %d, want 2 (foreach unifies into a cycle)", len(pat.Nodes))
+	}
+}
+
+// TestManyToOneHidesNonKeyAttributes: a many-to-one vertex type shows only
+// its key columns (paper §II-A, Figs. 4–5), and its attributes are
+// addressed by base-table column, so a column number alone does not say
+// whether an attribute is visible. Every route that resolves a name must
+// refuse a non-key column, each with its own diagnostic, and the routes
+// that expand a whole step must list the key columns only.
+func TestManyToOneHidesNonKeyAttributes(t *testing.T) {
+	e := exec.New(exec.Options{ReverseIndexes: true})
+	if _, err := e.ExecScript(fixtureDDL+`
+insert into Producers values ('p1', 'US'), ('p2', 'US'), ('p3', 'DE')
+create vertex ProducerCountry(country) from table Producers
+create edge made with vertices (ProducerVtx, ProducerCountry) where ProducerVtx.country = ProducerCountry.country
+`, nil); err != nil {
+		t.Fatal(err)
+	}
+	if vt := e.Cat.Graph().VertexType("ProducerCountry"); vt.OneToOne {
+		t.Fatal("ProducerCountry must be many-to-one")
+	}
+	for _, c := range []struct {
+		route, src string
+		want       string // the one diagnostic, or the output schema
+	}{
+		{"self condition", `select * from graph ProducerCountry (id = 'p1') into subgraph g`,
+			"GQL0104 1:38 vertex type ProducerCountry has no attribute id"},
+		{"label-qualified, own step", `select * from graph def c: ProducerCountry (c.id = 'p1') into subgraph g`,
+			"GQL0104 1:45 step c has no attribute id"},
+		{"label-qualified, other step", `select * from graph def c: ProducerCountry ( ) <--made-- ProducerVtx (c.id = 'p1') into subgraph g`,
+			"GQL0104 1:71 step c has no attribute id"},
+		{"type-qualified, own step", `select * from graph ProducerCountry (ProducerCountry.id = 'p1') into subgraph g`,
+			"GQL0104 1:38 step ProducerCountry has no attribute id"},
+		{"type-qualified, other step", `select * from graph ProducerCountry ( ) <--made-- ProducerVtx (ProducerCountry.id = 'p1') into subgraph g`,
+			"GQL0104 1:64 step ProducerCountry has no attribute id"},
+		{"label-qualified projection", `select c.id from graph def c: ProducerCountry ( ) into table T`,
+			"GQL0104 1:8 vertex type ProducerCountry has no attribute id"},
+		{"type-qualified projection", `select ProducerCountry.id from graph ProducerCountry ( ) into table T`,
+			"GQL0104 1:8 vertex type ProducerCountry has no attribute id"},
+		{"select *", `select * from graph ProducerCountry ( ) <--made-- ProducerVtx ( ) into table T`,
+			"(ProducerCountry.country varchar(10), ProducerVtx.id varchar(10), ProducerVtx.country varchar(10))"},
+		{"whole-step projection", `select c from graph def c: ProducerCountry ( ) into table T`,
+			"(c varchar(10))"},
+		{"create edge where", `create edge e2 with vertices (ProducerCountry, ProducerVtx) where ProducerCountry.id = ProducerVtx.id`,
+			"GQL0104 1:67 ProducerCountry has no column id"},
+		{"create edge where, aliased", `create edge e2 with vertices (ProducerCountry as C, ProducerVtx) where C.id = ProducerVtx.id`,
+			"GQL0104 1:72 C has no column id"},
+		{"create edge filter", `create edge e2 with vertices (ProducerCountry, ProducerVtx) where ProducerCountry.country = ProducerVtx.country and ProducerCountry.id = 'x'`,
+			"GQL0104 1:117 ProducerCountry has no column id"},
+	} {
+		st, ds := vet(t, e, c.src)
+		var got string
+		if sel, ok := st.(*sema.Select); ok && len(ds) == 0 {
+			got = fmt.Sprint(sel.OutSchema)
+		} else if len(ds) == 1 {
+			d := ds[0]
+			got = fmt.Sprintf("%s %d:%d %s", d.Code, d.Span.Line, d.Span.Col, d.Msg)
+		} else {
+			got = fmt.Sprint(ds)
+		}
+		if got != c.want {
+			t.Errorf("%s: got %s, want %s\n%s", c.route, got, c.want, c.src)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package table
 
 // HashIndex maps keys to dense 32-bit ids: an open-addressing table of
 // ids, probed by a 64-bit key hash and resolved by comparing keys, which
-// stay wherever the caller keeps them (a vertex type's Keys table, a
+// stay wherever the caller keeps them (a vertex type's base table, a
 // column dictionary). It holds two to four 32-bit slots per key and
 // nothing else, so the collector never scans it and a copy is one
 // memmove. The zero value is an empty index.

@@ -145,11 +145,6 @@ func (t *Table) Gather(name string, idx []uint32) *Table {
 	return out
 }
 
-// GatherCols is Gather restricted to the columns cols, in that order.
-func (t *Table) GatherCols(name string, cols []int, idx []uint32) *Table {
-	return Rows{t: t, idx: idx}.Materialize(name, cols, nil)
-}
-
 // Patch returns a new version of t in which cell (rows[i], cols[j]) holds
 // vals[i][j], already of the column's kind. Only the columns in cols are
 // copied; every other column is shared with t, which nothing mutates once
