@@ -255,6 +255,15 @@ curl -fsS http://127.0.0.1:17688/debug/traces >"$tmpdir/dml-traces.out"
 grep -q '"action":"update","detail":"table Products"' "$tmpdir/dml-traces.out"
 grep -Eq '"action":"(carry|patch)-(vertex|edge)"' "$tmpdir/dml-traces.out"
 grep -q '"action":"commit"' "$tmpdir/dml-traces.out"
+# A vertex type is always patched, never rebuilt (DESIGN.md §10), and
+# plain EXPLAIN names the patch a key-column update runs.
+if grep -q '"action":"rebuild-vertex"' "$tmpdir/dml-traces.out"; then
+    echo "a traced write rebuilt a vertex type" >&2
+    exit 1
+fi
+echo "explain update Products set id = id where id = 'no-such-product'" |
+    "$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 10s exec - >"$tmpdir/dml-explain.out" 2>&1
+grep -q 'maintain | patch-vertex ProductVtx' "$tmpdir/dml-explain.out"
 # A graph select into a table that projects one step is answered from the
 # reduced sets, and EXPLAIN names the route (DESIGN.md §4): BQ6's shape
 # takes reduce-only, BQ1's count.

@@ -35,8 +35,8 @@ import (
 // View maintenance is by delta for every verb (DESIGN.md §10): each
 // build-aside states what it did to the table as a tableDelta — the old →
 // new row map, the new or rewritten rows, the written columns — and
-// maintainViews re-anchors, patches or (two documented cases) rebuilds
-// each view the table feeds.
+// maintainViews re-anchors or patches each view the table feeds; only an
+// edge type whose change it cannot attribute to one source is rebuilt.
 
 // dmlBuild is the outcome of the build-aside phase of one DML statement.
 type dmlBuild struct {
@@ -72,12 +72,11 @@ func (d *tableDelta) writes(cols []int) bool {
 
 // The view-maintenance actions, as explain and explain analyze name them.
 const (
-	carryVertex   = "carry-vertex"   // re-anchored on the new table version, all else shared
-	patchVertex   = "patch-vertex"   // dead rows' vertices removed, changed rows re-keyed
-	rebuildVertex = "rebuild-vertex" // built from scratch
-	carryEdge     = "carry-edge"     // re-anchored on the new endpoint types, edge set shared
-	patchEdge     = "patch-edge"     // dead edges removed, changed instances joined back in
-	rebuildEdge   = "rebuild-edge"   // built from scratch
+	carryVertex = "carry-vertex" // re-anchored on the new table version, all else shared
+	patchVertex = "patch-vertex" // dead rows' vertices removed, changed rows re-keyed
+	carryEdge   = "carry-edge"   // re-anchored on the new endpoint types, edge set shared
+	patchEdge   = "patch-edge"   // dead edges removed, changed instances joined back in
+	rebuildEdge = "rebuild-edge" // built from scratch
 )
 
 // maintNote names the action a dry maintenance pass decides for one view.
@@ -363,8 +362,8 @@ type vertexMaint struct {
 // are re-resolved (newTbl overlaid, an edge against its new endpoints); the
 // new graph is a Clone with their new types in their slots, or nil when no
 // declaration reads the table. d states how newTbl differs from the
-// version it replaces; nil means the whole table was replaced (ingest) and
-// every view it feeds is rebuilt. A real pass opens one span per view it
+// version it replaces — for an ingest, every old row gone and every new
+// row changed (replaceTable). A real pass opens one span per view it
 // maintains, named by the action and counting the new view's instances.
 // With dry set nothing is built and no span opens: the notes name the
 // action each view would take, decided exactly as a real pass decides it.
@@ -426,31 +425,17 @@ func (e *Engine) maintainViews(newTbl *table.Table, d *tableDelta, dry bool) (*g
 }
 
 // maintainVertex builds the new version of the vertex view name under a
-// span named by m's action, counting the view's instances. A patch that
-// flips the type between one-to-one and many-to-one becomes a rebuild, and
-// the span is renamed before it ends.
+// span named by m's action, counting the view's instances.
 func (e *Engine) maintainVertex(name string, m *vertexMaint, sv *sema.CreateVertex, d *tableDelta) (*graph.VertexType, error) {
 	sp := e.opSpan(m.action, name)
 	defer sp.End()
 	var vt *graph.VertexType
-	var err error
-	if m.action == patchVertex {
-		var ok bool
-		if vt, m.delta, ok, err = graph.PatchVertexType(m.old, sv.Base, &d.rows, vertexPred(sv)); err != nil {
-			return nil, err
-		} else if !ok {
-			m.action = rebuildVertex
-			if sp != nil {
-				sp.Action = rebuildVertex
-			}
-		}
-	}
-	switch m.action {
-	case carryVertex:
+	if m.action == carryVertex {
 		vt = graph.ReanchorVertexType(m.old, sv.Base)
-	case rebuildVertex:
-		if vt, err = buildVertexType(sv, m.old.ID); err != nil {
-			return nil, err
+	} else {
+		var err error
+		if vt, m.delta, err = graph.PatchVertexType(m.old, sv.Base, &d.rows, vertexPred(sv)); err != nil {
+			return nil, fmt.Errorf("graql: maintain vertex %s: %w", name, err)
 		}
 	}
 	sp.AddRows(int64(vt.Count()))
@@ -493,12 +478,9 @@ func (e *Engine) maintainEdge(name string, p edgePlan, se *sema.CreateEdge, et *
 // vertexAction decides how a vertex type over the written table is
 // maintained: an update that writes neither a key column nor a column its
 // where clause reads leaves identity and membership of every vertex alone;
-// anything else patches. A patch that flips the type between one-to-one
-// and many-to-one is found out while patching and becomes a rebuild.
+// anything else patches, a flip between one-to-one and many-to-one
+// included.
 func vertexAction(sv *sema.CreateVertex, d *tableDelta) string {
-	if d == nil {
-		return rebuildVertex
-	}
 	cols := append([]int(nil), sv.KeyCols...)
 	for _, r := range expr.Refs(sv.Where) {
 		cols = append(cols, r.Col)
@@ -526,11 +508,8 @@ type edgePlan struct {
 // deltas belong to more than one distinct source (a vertex type and its
 // own base table, two vertex types over one table), or the declaration
 // joins through further tables whose rows the edge instances do not
-// record. Those, and a rebuilt endpoint, rebuild the edge type.
+// record. Those two rebuild the edge type.
 func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched map[string]*vertexMaint) edgePlan {
-	if d == nil {
-		return edgePlan{action: rebuildEdge}
-	}
 	reads := make([][]int, len(s.Sources))
 	for i, f := range s.Filters {
 		for _, r := range expr.Refs(f) {
@@ -551,8 +530,6 @@ func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched ma
 			switch {
 			case m == nil:
 				continue
-			case m.action == rebuildVertex:
-				return edgePlan{action: rebuildEdge}
 			case m.action == carryVertex:
 				// No vertex moved; the declaration sees the write only
 				// through a rewritten attribute it reads.
@@ -592,10 +569,9 @@ func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched ma
 
 // maintPlan describes the view maintenance the statement that d stands for
 // would trigger on t, without performing it (plain explain): a dry pass of
-// maintainViews, so explain and explain analyze decide alike. A table no
-// view reads gets no maintain row, and its commit installs no views. Only a flip
-// between one-to-one and many-to-one, which depends on the rows written,
-// can turn a patch announced here into a rebuild.
+// maintainViews, so explain names the actions explain analyze runs. A
+// table no view reads gets no maintain row, and its commit installs no
+// views.
 func (e *Engine) maintPlan(t *table.Table, d *tableDelta, p *planTable) (Result, error) {
 	_, notes, err := e.maintainViews(t, d, true)
 	if err != nil {

@@ -40,11 +40,12 @@ type Options struct {
 	// GOMAXPROCS.
 	Workers int
 	// ParallelThreshold is the minimum input row count before the
-	// relational operators (filter, join, group-by, order-by) take the
-	// morsel-parallel path; 0 means the table layer's measured defaults
-	// (table.DefaultParThreshold, 65 536 rows for a filter). Inputs
-	// below it run the serial operators, whose results are byte-for-byte
-	// those of the pre-parallel engine.
+	// relational operators with a parallel form (filter and a full
+	// order-by) take the morsel-parallel path; 0 means the table layer's
+	// measured defaults (65 536 rows for a filter, table.DefaultParThreshold
+	// for an order-by, 16 384 rows). Inputs below it run the serial
+	// operators, whose results are byte-for-byte those of the
+	// pre-parallel engine.
 	ParallelThreshold int
 	// ReverseIndexes controls whether edge types build reverse CSR
 	// indexes (paper §III-B builds them "when memory space ... is
@@ -450,7 +451,7 @@ func (e *Engine) execDDL(st ast.Stmt, params map[string]value.Value) (Result, er
 			msg = fmt.Sprintf("created table %s", s.Name)
 		case *sema.CreateVertex:
 			var vt *graph.VertexType
-			if vt, err = buildVertexType(s, len(e.Cat.Graph().VertexTypes())); err == nil {
+			if vt, err = graph.BuildVertexType(len(e.Cat.Graph().VertexTypes()), s.Decl.Name, s.Base, s.KeyCols, vertexPred(s)); err == nil {
 				c.Graph, c.Vertex = e.Cat.Graph().Clone(), s.Decl
 				err = c.Graph.AddVertexType(vt)
 				msg = fmt.Sprintf("created vertex %s (%d instances)", vt.Name, vt.Count())
@@ -481,15 +482,9 @@ func CheckScript(src string) error {
 	return err
 }
 
-// buildVertexType builds a vertex type from scratch under the given type
-// id: a fresh one for DDL, the id of the type it replaces for maintenance.
-func buildVertexType(s *sema.CreateVertex, id int) (*graph.VertexType, error) {
-	return graph.BuildVertexType(id, s.Decl.Name, s.Base, s.KeyCols, vertexPred(s))
-}
-
 // vertexPred returns the row predicate of a vertex declaration's where
 // clause (nil when unconditional), evaluated against the resolved base
-// table. Both full builds and incremental extension use it.
+// table. Builds and patches use it.
 func vertexPred(s *sema.CreateVertex) graph.RowPred {
 	if s.Where == nil {
 		return nil
@@ -507,7 +502,7 @@ func vertexPred(s *sema.CreateVertex) graph.RowPred {
 
 // runIngest implements the atomic ingest command: the CSV file is parsed
 // into a staging table, holding no lock; only if every record parses is
-// the table replaced and every derived vertex/edge view rebuilt (paper
+// the table replaced and every derived vertex/edge view maintained (paper
 // §II-A2: ingest triggers "the generation of associated vertex and edge
 // instances derived from the table").
 func (e *Engine) runIngest(s *sema.Ingest) (Result, error) {
@@ -529,21 +524,23 @@ func (e *Engine) runIngest(s *sema.Ingest) (Result, error) {
 	return Result{Message: fmt.Sprintf("ingested %d rows into %s", stage.NumRows(), s.Table.Name)}, nil
 }
 
-// replaceTable publishes a wholly new version of a table, rebuilding the
-// views it feeds aside (none: the table is published alone). An ingest is
-// durable as materialised rows, not as the statement: the source file may
-// move or change between the ingest and a replay.
+// replaceTable publishes a wholly new version of a table, maintaining the
+// views it feeds aside (none: the table is published alone) under the
+// delta of a replacement: every old row is gone and every new row changed.
+// An ingest is durable as materialised rows, not as the statement: the
+// source file may move or change between the ingest and a replay.
 func (e *Engine) replaceTable(stage *table.Table) error {
 	var c change
 	return e.write(nil, nil, &c, func() error {
-		g, _, err := e.maintainViews(stage, nil, false)
+		d := &tableDelta{rows: *graph.Replaced(e.Cat.Table(stage.Name).NumRows(), stage.NumRows())}
+		g, _, err := e.maintainViews(stage, d, false)
 		c.Change = catalog.Change{Table: stage, Graph: g}
 		return err
 	})
 }
 
 // IngestReader loads CSV data from r into the named table through the
-// same path as the ingest statement, rebuilding derived views. It lets
+// same path as the ingest statement, maintaining derived views. It lets
 // embedders ingest in-memory data without a file.
 func (e *Engine) IngestReader(tableName string, r io.Reader) error {
 	t := e.Cat.Table(tableName)

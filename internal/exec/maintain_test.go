@@ -13,6 +13,7 @@ import (
 	"graql/internal/ast"
 	"graql/internal/catalog"
 	"graql/internal/graph"
+	"graql/internal/obs"
 	"graql/internal/parser"
 	"graql/internal/sema"
 	"graql/internal/storage"
@@ -379,7 +380,9 @@ func asideGen(rng *rand.Rand, step int) string {
 }
 
 // checkViewMaintenance applies a generated statement sequence to a durable
-// engine and checks after every statement that the maintained views equal
+// engine, checking that each statement's plain explain names the
+// maintenance actions its write runs, and checks after every statement
+// that the maintained views equal
 // those of an engine that builds them from scratch over the same tables,
 // those of an engine recovered from the store, and the reference. Between
 // the schema's statements it also writes a table no declaration reads
@@ -436,7 +439,12 @@ func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 			case *ast.Delete:
 				written = s.Table
 			}
-			_, err = inc.ExecScript(stmt, nil)
+			// Plain explain names the maintenance actions the write runs.
+			planned := explainedActions(t, inc, stmt)
+			var done []string
+			if done, err = tracedActions(inc, stmt); err == nil && !reflect.DeepEqual(planned, done) {
+				t.Fatalf("%s: explain names %v, the write ran %v", what, planned, done)
+			}
 		}
 		if err != nil {
 			// A write that leaves a view undefinable (a type flipped to
@@ -558,20 +566,48 @@ insert into Offers values (1, 1, 1), (2, 2, 2), (3, 1, 2), (4, 3, 1)
 	}
 }
 
-// maintActions runs stmt under explain (plain, then analyze — which
-// executes it) and returns the view-maintenance action of each.
-func maintActions(t *testing.T, e *Engine, stmt string) (planned, done []string) {
+// explainedActions returns the view-maintenance actions the plain explain
+// of the DML statement stmt names.
+func explainedActions(t *testing.T, e *Engine, stmt string) []string {
 	t.Helper()
+	var planned []string
 	plan := mustExec(t, e, "explain "+stmt, nil)[0].Table
 	for r := uint32(0); r < uint32(plan.NumRows()); r++ {
 		if plan.Value(r, 1).Str() == "maintain" {
 			planned = append(planned, plan.Value(r, 2).Str())
 		}
 	}
+	return planned
+}
+
+// tracedActions executes stmt under a trace and returns the
+// view-maintenance actions its write's spans name.
+func tracedActions(e *Engine, stmt string) ([]string, error) {
+	tr := obs.NewTrace(obs.TraceID{})
+	if _, err := e.WithTrace(tr, nil).ExecScript(stmt, nil); err != nil {
+		return nil, err
+	}
+	var done []string
+	for _, root := range tr.Tree().Roots {
+		for _, k := range root.Children {
+			switch k.Action {
+			case carryVertex, patchVertex, carryEdge, patchEdge, rebuildEdge:
+				done = append(done, k.Action+" "+k.Detail)
+			}
+		}
+	}
+	return done, nil
+}
+
+// maintActions runs stmt under explain (plain, then analyze — which
+// executes it) and returns the view-maintenance action of each.
+func maintActions(t *testing.T, e *Engine, stmt string) (planned, done []string) {
+	t.Helper()
+	planned = explainedActions(t, e, stmt)
 	ran := mustExec(t, e, "explain analyze "+stmt, nil)[0].Table
 	for r := uint32(0); r < uint32(ran.NumRows()); r++ {
 		switch a := ran.Value(r, 1).Str(); a {
-		case carryVertex, patchVertex, rebuildVertex, carryEdge, patchEdge, rebuildEdge:
+		case carryVertex, patchVertex, carryEdge, patchEdge, rebuildEdge:
 			done = append(done, a+" "+ran.Value(r, 2).Str())
 		}
 	}

@@ -265,7 +265,7 @@ insert into Knows values (1, 2, 2020)`, nil)
 	var got []string
 	for _, k := range kids[1:] {
 		switch k.Action {
-		case carryVertex, patchVertex, rebuildVertex, carryEdge, patchEdge, rebuildEdge:
+		case carryVertex, patchVertex, carryEdge, patchEdge, rebuildEdge:
 			got = append(got, k.Action+" "+k.Detail)
 		}
 	}

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"fmt"
+	"slices"
 
 	"graql/internal/bitmap"
 	"graql/internal/table"
@@ -54,6 +54,19 @@ func (d *Delta) carry(newN int) []uint32 {
 	return m
 }
 
+// Replaced is the Delta of an id space whose oldN ids are all gone and
+// whose newN ids are all new: a table replaced whole, or built.
+func Replaced(oldN, newN int) *Delta {
+	d := &Delta{Remap: make([]uint32, oldN), Changed: make([]uint32, newN)}
+	for i := range d.Remap {
+		d.Remap[i] = NoVertex
+	}
+	for i := range d.Changed {
+		d.Changed[i] = uint32(i)
+	}
+	return d
+}
+
 // ReanchorVertexType returns vt over newBase, a version of vt.Base in
 // which no row was added, removed or moved and no key or filter cell was
 // rewritten. Everything but Base is shared with vt.
@@ -65,17 +78,17 @@ func ReanchorVertexType(vt *VertexType, newBase *table.Table) *VertexType {
 
 // PatchVertexType derives the vertex type over newBase, the version of
 // vt.Base that d describes, evaluating where and hashing keys on the
-// changed rows only. The result equals BuildVertexType's over newBase,
-// vertex numbering included. The returned Delta tells edge maintenance how
-// the VIDs moved; for a one-to-one type its Changed also lists the
-// vertices whose base row was rewritten.
-//
-// ok is false when the write flips the type between one-to-one and
-// many-to-one: the flip changes the visible attribute schema, so the
-// caller must rebuild the type and the edge types over it.
-func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPred) (_ *VertexType, _ *Delta, ok bool, _ error) {
-	out := &VertexType{ID: vt.ID, Name: vt.Name, KeyCols: vt.KeyCols}
-	oldCount := uint32(vt.Count())
+// changed rows only. The result equals a build over newBase, vertex
+// numbering included: a build is this patch of an empty type
+// (BuildVertexType). The returned Delta tells edge maintenance how the
+// VIDs moved; when either version is one-to-one its Changed also lists
+// the vertices of rewritten rows. A write may flip the type between
+// one-to-one and many-to-one, and with it the visible attributes: the
+// caller re-resolves the declarations that read the type. An error is
+// where's, unwrapped.
+func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPred) (*VertexType, *Delta, error) {
+	keyCols, oldCount := vt.KeyCols, uint32(vt.Count())
+	out := &VertexType{ID: vt.ID, Name: vt.Name, Base: newBase, KeyCols: keyCols}
 
 	// Rows that survive untouched keep their vertex; for now rowToVID
 	// holds old VIDs.
@@ -93,47 +106,48 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 		}
 	}
 
-	// A changed row joins the vertex that has its key, or founds a new
-	// one, numbered from oldCount in order of first appearance.
+	// A changed row joins the vertex that has its key, or founds a fresh
+	// one, numbered from oldCount in order of first appearance. fresh
+	// indexes the fresh vertices by the hash of their first changed row.
+	hashes, nulls := newBase.HashKeys(d.Changed, keyCols)
 	var (
-		r         uint32
-		freshRows []uint32
-		fresh     = table.NewHashIndex(len(d.Changed))
+		i     int
+		fresh table.HashIndex
+		first []int // fresh vertex -> position of its first row in d.Changed
 	)
-	sameOld := func(v VID) bool { return newBase.EqualKey(r, vt.KeyCols, vt.Base, vt.baseRow[v], vt.KeyCols) }
-	sameFresh := func(k uint32) bool { return newBase.EqualKey(r, vt.KeyCols, newBase, freshRows[k], vt.KeyCols) }
-	freshHash := func(k uint32) uint64 {
-		h, _ := newBase.HashKey(freshRows[k], vt.KeyCols)
-		return h
+	sameOld := func(v VID) bool { return newBase.EqualKey(d.Changed[i], keyCols, vt.Base, vt.baseRow[v], keyCols) }
+	sameFresh := func(k uint32) bool {
+		return newBase.EqualKey(d.Changed[i], keyCols, newBase, d.Changed[first[k]], keyCols)
 	}
-	for _, r = range d.Changed {
+	freshHash := func(k uint32) uint64 { return hashes[first[k]] }
+	for i = range d.Changed {
+		r := d.Changed[i]
 		if where != nil {
 			accept, err := where(r)
 			if err != nil {
-				return nil, nil, false, fmt.Errorf("graql: maintain vertex %s: %w", vt.Name, err)
+				return nil, nil, err
 			}
 			if !accept {
 				continue
 			}
 		}
-		h, hasKey := newBase.HashKey(r, vt.KeyCols)
-		if !hasKey {
+		if nulls.Get(uint32(i)) {
 			continue
 		}
-		if v, found := vt.keyIndex.Find(h, sameOld); found {
+		if v, found := vt.keyIndex.Find(hashes[i], sameOld); found {
 			rowToVID[r] = v
-		} else if k, found := fresh.Find(h, sameFresh); found {
+		} else if k, found := fresh.Find(hashes[i], sameFresh); found {
 			rowToVID[r] = oldCount + k
 		} else {
-			rowToVID[r] = oldCount + uint32(len(freshRows))
-			fresh.Add(h, uint32(len(freshRows)), freshHash)
-			freshRows = append(freshRows, r)
+			rowToVID[r] = oldCount + uint32(len(first))
+			fresh.Add(hashes[i], uint32(len(first)), freshHash)
+			first = append(first, i)
 		}
 	}
 
 	// Renumber in order of first appearance, as a build from scratch
 	// would: a vertex whose rows are all gone drops out here.
-	vidMap := make([]uint32, int(oldCount)+len(freshRows))
+	vidMap := make([]uint32, int(oldCount)+len(first))
 	for i := range vidMap {
 		vidMap[i] = NoVertex
 	}
@@ -150,10 +164,7 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 		rowToVID[r] = vidMap[v]
 	}
 	out.rowToVID = rowToVID
-	out.Base, out.OneToOne = newBase, out.accepted == len(out.baseRow)
-	if out.OneToOne != vt.OneToOne {
-		return nil, nil, false, nil
-	}
+	out.OneToOne = out.accepted == len(out.baseRow)
 
 	vd := &Delta{Remap: vidMap[:oldCount:oldCount]}
 	stable := true
@@ -163,38 +174,47 @@ func PatchVertexType(vt *VertexType, newBase *table.Table, d *Delta, where RowPr
 			break
 		}
 	}
-	if stable {
-		// No vertex moved or died: the index gains the new keys only.
+	switch {
+	case !stable:
+		// One typed hash pass over the vertices' rows places every vertex.
+		vertexHashes, _ := newBase.HashKeys(out.baseRow, keyCols)
+		out.keyIndex = table.NewHashIndex(out.Count())
+		for v, h := range vertexHashes {
+			out.keyIndex.Add(h, VID(v), nil)
+		}
+	case oldCount == 0:
+		// Every vertex is fresh and numbered as fresh numbered it: fresh
+		// is the key index.
+		vd.Remap, out.keyIndex = nil, fresh
+	default:
+		// No vertex moved or died: the index gains the fresh keys only.
 		vd.Remap = nil
 		out.keyIndex = vt.keyIndex.Clone()
 		hashOf := func(v VID) uint64 {
-			h, _ := newBase.HashKey(out.baseRow[v], vt.KeyCols)
+			h, _ := newBase.HashKey(out.baseRow[v], keyCols)
 			return h
 		}
-		for v := oldCount; v < VID(out.Count()); v++ {
-			out.keyIndex.Add(hashOf(v), v, hashOf)
-		}
-	} else {
-		// One typed hash pass over the base rows places every vertex.
-		hashes, _ := newBase.HashKeys(vt.KeyCols)
-		out.keyIndex = table.NewHashIndex(out.Count())
-		for v, r := range out.baseRow {
-			out.keyIndex.Add(hashes[r], VID(v), nil)
+		for k, pos := range first {
+			out.keyIndex.Add(hashes[pos], oldCount+VID(k), hashOf)
 		}
 	}
 
-	if vt.OneToOne {
-		// Every base column is an attribute: a rewritten row is a
-		// rewritten vertex.
+	if vt.OneToOne || out.OneToOne {
+		// Every base column is an attribute of one version: a rewritten
+		// row is a rewritten vertex.
 		for _, r := range d.Changed {
 			if v := rowToVID[r]; v != NoVertex {
 				vd.Changed = append(vd.Changed, v)
 			}
 		}
+		if !out.OneToOne { // several rewritten rows may share a vertex
+			slices.Sort(vd.Changed)
+			vd.Changed = slices.Compact(vd.Changed)
+		}
 	} else {
 		vd.Changed = vidMap[oldCount:]
 	}
-	return out, vd, true, nil
+	return out, vd, nil
 }
 
 // ReanchorEdgeType returns et between src and dst, versions of its

@@ -169,6 +169,148 @@ func TestVertexLayoutBytes(t *testing.T) {
 	}
 }
 
+// TestPatchVertexTypeMatchesBuild patches random vertex types — NULL
+// keys, duplicate keys, one- and two-column keys, a row filter — under
+// random writes that rewrite, delete and append rows, or replace the
+// table whole, and checks each patch against a build over the new table:
+// the same representative rows, row mapping, key index, accepted rows and
+// mapping kind, flips between one-to-one and many-to-one in both
+// directions included. The patch's Delta carries each old vertex whose key
+// survives onto the new vertex with that key, drops the others, and lists
+// ascending the vertices with a new key and, when either version is
+// one-to-one, those of rewritten rows.
+func TestPatchVertexTypeMatchesBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	var toMany, toOne int
+	for trial := range 600 {
+		keys := 2 + r.Intn(40)
+		row := func() [2]string {
+			k := [2]string{fmt.Sprintf("k%d", r.Intn(keys)), fmt.Sprintf("g%d", r.Intn(4))}
+			if r.Intn(8) == 0 {
+				k[0] = "" // a NULL key
+			}
+			return k
+		}
+		oldRows := make([][2]string, r.Intn(20))
+		for i := range oldRows {
+			oldRows[i] = row()
+		}
+		keyCols := []int{0}
+		if trial%4 == 1 {
+			keyCols = []int{0, 1}
+		}
+		whereOf := func(tb *table.Table) RowPred { return nil }
+		if trial%3 == 0 {
+			whereOf = func(tb *table.Table) RowPred {
+				return func(row uint32) (bool, error) { return tb.Value(row, 1).Str() != "g3", nil }
+			}
+		}
+
+		var rows [][2]string
+		var d *Delta
+		if r.Intn(10) == 0 {
+			for range r.Intn(20) {
+				rows = append(rows, row())
+			}
+			d = Replaced(len(oldRows), len(rows))
+		} else {
+			d = &Delta{}
+			remap, deleted := make([]uint32, len(oldRows)), false
+			for i, o := range oldRows {
+				if r.Intn(5) == 0 {
+					remap[i], deleted = NoVertex, true
+					continue
+				}
+				remap[i] = uint32(len(rows))
+				if r.Intn(5) == 0 {
+					o = row()
+					d.Changed = append(d.Changed, uint32(len(rows)))
+				}
+				rows = append(rows, o)
+			}
+			for range r.Intn(4) {
+				d.Changed = append(d.Changed, uint32(len(rows)))
+				rows = append(rows, row())
+			}
+			if deleted {
+				d.Remap = remap
+			}
+		}
+		what := fmt.Sprintf("trial %d: %v -> %v, key %v, delta %+v", trial, oldRows, rows, keyCols, *d)
+
+		oldBase, newBase := baseTable(t, oldRows), baseTable(t, rows)
+		old, err := BuildVertexType(0, "V", oldBase, keyCols, whereOf(oldBase))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := BuildVertexType(0, "V", newBase, keyCols, whereOf(newBase))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, vd, err := PatchVertexType(old, newBase, d, whereOf(newBase))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.baseRow, want.baseRow) || !slices.Equal(got.rowToVID, want.rowToVID) ||
+			got.accepted != want.accepted || got.OneToOne != want.OneToOne {
+			t.Fatalf("%s: patched baseRow %v rowToVID %v accepted %d one-to-one %v, built %v %v %d %v", what,
+				got.baseRow, got.rowToVID, got.accepted, got.OneToOne, want.baseRow, want.rowToVID, want.accepted, want.OneToOne)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		keyOf := func(vt *VertexType, v VID) []value.Value {
+			vals := make([]value.Value, len(keyCols))
+			for i, c := range keyCols {
+				vals[i] = vt.AttrValue(v, c)
+			}
+			return vals
+		}
+		for v := range VID(want.Count()) {
+			if u, ok := got.LookupKeyValues(keyOf(want, v)); !ok || u != v {
+				t.Fatalf("%s: the patched key index resolves the key of vertex %d to %d (found %v)", what, v, u, ok)
+			}
+		}
+		for v := range VID(old.Count()) {
+			nv := v
+			if vd.Remap != nil {
+				nv = vd.Remap[v]
+			}
+			u, ok := got.LookupKeyValues(keyOf(old, v))
+			if ok != (nv != NoVertex) || ok && u != nv {
+				t.Fatalf("%s: old vertex %d maps to %d, its key to %d (found %v)", what, v, nv, u, ok)
+			}
+		}
+		for i, v := range vd.Changed {
+			if int(v) >= got.Count() || i > 0 && v <= vd.Changed[i-1] {
+				t.Fatalf("%s: changed vertices %v are not ascending new vertices", what, vd.Changed)
+			}
+		}
+		// Changed holds the vertices with a new key and, when either
+		// version is one-to-one, those of rewritten rows.
+		rewritten := map[VID]bool{}
+		for _, r := range d.Changed {
+			rewritten[got.rowToVID[r]] = true
+		}
+		for v := range VID(got.Count()) {
+			_, known := old.LookupKeyValues(keyOf(got, v))
+			want := !known || (old.OneToOne || got.OneToOne) && rewritten[v]
+			if slices.Contains(vd.Changed, v) != want {
+				t.Fatalf("%s: vertex %d listed changed %v, want %v", what, v, !want, want)
+			}
+		}
+		switch {
+		case old.OneToOne && !got.OneToOne:
+			toMany++
+		case !old.OneToOne && got.OneToOne:
+			toOne++
+		}
+	}
+	if toMany == 0 || toOne == 0 {
+		t.Fatalf("%d flips to many-to-one, %d to one-to-one; want both", toMany, toOne)
+	}
+}
+
 func edgeFixture(t *testing.T, numV int, pairs [][2]uint32, reverse bool) (*VertexType, *EdgeType) {
 	t.Helper()
 	rows := make([][2]string, numV)

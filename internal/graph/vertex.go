@@ -66,44 +66,14 @@ type RowPred func(row uint32) (bool, error)
 // BuildVertexType materialises a vertex type from its base table per
 // Eq. 1. keyCols name the key attributes; where optionally filters base
 // rows. Rows whose key contains a NULL produce no vertex. Vertices are
-// numbered in the order their keys first appear in the table.
+// numbered in the order their keys first appear in the table. A build is
+// the patch of an empty type in which every row of base is new.
 func BuildVertexType(id int, name string, base *table.Table, keyCols []int, where RowPred) (*VertexType, error) {
-	vt := &VertexType{
-		ID:       id,
-		Name:     name,
-		KeyCols:  append([]int(nil), keyCols...),
-		rowToVID: make([]uint32, base.NumRows()),
+	empty := &VertexType{ID: id, Name: name, KeyCols: append([]int(nil), keyCols...)}
+	vt, _, err := PatchVertexType(empty, base, Replaced(0, base.NumRows()), where)
+	if err != nil {
+		return nil, fmt.Errorf("graql: create vertex %s: %w", name, err)
 	}
-	hashes, nulls := base.HashKeys(keyCols)
-	hashOf := func(v VID) uint64 { return hashes[vt.baseRow[v]] }
-	var r uint32
-	same := func(v VID) bool { return base.EqualKey(r, keyCols, base, vt.baseRow[v], keyCols) }
-	for r = 0; r < uint32(base.NumRows()); r++ {
-		vt.rowToVID[r] = NoVertex
-		if where != nil {
-			ok, err := where(r)
-			if err != nil {
-				return nil, fmt.Errorf("graql: create vertex %s: %w", name, err)
-			}
-			if !ok {
-				continue
-			}
-		}
-		if nulls.Get(r) {
-			continue
-		}
-		vt.accepted++
-		vid, ok := vt.keyIndex.Find(hashes[r], same)
-		if !ok {
-			vid = uint32(len(vt.baseRow))
-			vt.baseRow = append(vt.baseRow, r)
-			vt.keyIndex.Add(hashes[r], vid, hashOf)
-		}
-		vt.rowToVID[r] = vid
-	}
-	// baseRow grew by appending: keep |V| entries and no slack.
-	vt.baseRow = append(make([]uint32, 0, len(vt.baseRow)), vt.baseRow...)
-	vt.Base, vt.OneToOne = base, vt.accepted == len(vt.baseRow)
 	return vt, nil
 }
 

@@ -96,45 +96,42 @@ func HashValues(vals []value.Value) (h uint64, ok bool) {
 	return h, true
 }
 
-// HashKeys is HashKey of every row of t, one column at a time: hashes[r]
-// is meaningful unless nulls has r.
-func (t *Table) HashKeys(cols []int) (hashes []uint64, nulls bitmap.Mask) {
-	hashes = make([]uint64, t.rows)
+// HashKeys is HashKey of each of rows, one column at a time: hashes[i]
+// is that of rows[i], meaningful unless nulls has i.
+func (t *Table) HashKeys(rows []uint32, cols []int) (hashes []uint64, nulls bitmap.Mask) {
+	hashes = make([]uint64, len(rows))
 	for i := range hashes {
 		hashes[i] = hashInit
 	}
 	for _, c := range cols {
 		switch c := t.cols[c].(type) {
 		case *intColumn:
-			for i, v := range c.data {
-				hashes[i] = mix(hashes[i], uint64(v))
+			for i, r := range rows {
+				hashes[i] = mix(hashes[i], uint64(c.data[r]))
 			}
-			nulls = orMask(nulls, c.nulls)
+			nulls = orMask(nulls, gatherNulls(c.nulls, rows))
 		case *floatColumn:
-			for i, v := range c.data {
-				hashes[i] = mix(hashes[i], value.FloatKey(v))
+			for i, r := range rows {
+				hashes[i] = mix(hashes[i], value.FloatKey(c.data[r]))
 			}
-			nulls = orMask(nulls, c.nulls)
+			nulls = orMask(nulls, gatherNulls(c.nulls, rows))
 		case *boolColumn:
-			for i, v := range c.data {
-				hashes[i] = mix(hashes[i], boolImage(v))
+			for i, r := range rows {
+				hashes[i] = mix(hashes[i], boolImage(c.data[r]))
 			}
-			nulls = orMask(nulls, c.nulls)
+			nulls = orMask(nulls, gatherNulls(c.nulls, rows))
 		case *stringColumn:
-			images := make([]uint64, len(c.dict))
-			for code, s := range c.dict {
-				images[code] = stringImage(s)
-			}
-			for i, code := range c.codes {
+			for i, r := range rows {
+				code := c.codes[r]
 				if code == nullCode {
 					nulls.Set(uint32(i))
 					continue
 				}
-				hashes[i] = mix(hashes[i], images[code])
+				hashes[i] = mix(hashes[i], stringImage(c.dict[code]))
 			}
 		default:
-			for i := range hashes {
-				img, ok := cellImage(c, uint32(i))
+			for i, r := range rows {
+				img, ok := cellImage(c, r)
 				if !ok {
 					nulls.Set(uint32(i))
 				}

@@ -50,8 +50,14 @@ func TestKeyHashAndEqualityFollowAppendKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := keyTable(rng, 120), keyTable(rng, 120).Gather("G", []uint32{5, 4, 3, 2, 1, 0, 7, 9, 11, 60, 61, 62})
 	for _, cols := range [][]int{{0}, {1}, {2}, {3}, {4}, {2, 0}, {1, 3, 4}} {
-		hashes, nulls := a.HashKeys(cols)
-		for r := uint32(0); r < uint32(a.NumRows()); r++ {
+		// HashKeys hashes the rows it is given, here in reverse.
+		n := uint32(a.NumRows())
+		rows := make([]uint32, n)
+		for i := range rows {
+			rows[i] = n - 1 - uint32(i)
+		}
+		hashes, nulls := a.HashKeys(rows, cols)
+		for r := uint32(0); r < n; r++ {
 			vals := make([]value.Value, len(cols))
 			for k, c := range cols {
 				vals[k] = a.Value(r, c)
@@ -59,11 +65,11 @@ func TestKeyHashAndEqualityFollowAppendKey(t *testing.T) {
 			key, ok := appendKey(vals)
 			h, hok := a.HashKey(r, cols)
 			hv, vok := HashValues(vals)
-			if hok != ok || vok != ok || nulls.Get(r) == ok {
-				t.Fatalf("cols %v row %d: a key is present %v, HashKey says %v, HashValues %v, HashKeys %v", cols, r, ok, hok, vok, !nulls.Get(r))
+			if hok != ok || vok != ok || nulls.Get(n-1-r) == ok {
+				t.Fatalf("cols %v row %d: a key is present %v, HashKey says %v, HashValues %v, HashKeys %v", cols, r, ok, hok, vok, !nulls.Get(n-1-r))
 			}
-			if ok && (h != hv || h != hashes[r]) {
-				t.Fatalf("cols %v row %d: HashKey %x, HashValues %x, HashKeys %x", cols, r, h, hv, hashes[r])
+			if ok && (h != hv || h != hashes[n-1-r]) {
+				t.Fatalf("cols %v row %d: HashKey %x, HashValues %x, HashKeys %x", cols, r, h, hv, hashes[n-1-r])
 			}
 			if a.EqualValues(r, cols, vals) != ok {
 				t.Fatalf("cols %v row %d: EqualValues with the row's own values = %v", cols, r, !ok)
