@@ -175,8 +175,11 @@ echo "== race stress: shared dictionary indexes, readers during writes =="
 # and create edge over it: it is refused GQL0108 or every view reads its
 # rows (IntoTableRacesViewDDL). A script of two identical counts beside a
 # looping insert reads one catalog version: both counts agree
-# (ScriptReadsOneVersion).
-go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic|SeededReadsDuringWrites|IntoTableRacesViewDDL|ScriptReadsOneVersion' ./internal/table ./internal/exec
+# (ScriptReadsOneVersion). Versions a write appended to in place, through
+# the capacity they share with the published one, are never torn:
+# readers of a pinned version miss every key and string a later version
+# added (AppendedVersionsNeverTorn).
+go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic|SeededReadsDuringWrites|IntoTableRacesViewDDL|ScriptReadsOneVersion|AppendedVersionsNeverTorn' ./internal/table ./internal/exec
 
 echo "== fuzz smoke (${FUZZTIME} per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/parser
@@ -246,11 +249,11 @@ echo "select t from graph ProductVtx ( ) --def t: type (type <> 't11')--> TypeVt
 grep -q '^(283 rows)$' "$tmpdir/type.out"
 # A traced write shows each of its phases under the statement span, the
 # spans DML EXPLAIN ANALYZE renders (DESIGN.md §6): the verb, one span
-# per maintained view, the commit. The where clause matches no row, so
-# every later stage sees the same data.
-echo "update Products set propertyNumeric_1 = propertyNumeric_1 where id = 'no-such-product'" |
+# per maintained view, the commit. The write sets a column to its own
+# value, so every later stage sees the same data.
+echo "update Products set propertyNumeric_1 = propertyNumeric_1 where id = 'p1'" |
     "$tmpdir/gems-client" -addr 127.0.0.1:17687 -trace -timeout 10s exec - >"$tmpdir/dml.out" 2>&1
-grep -q "updated 0 row" "$tmpdir/dml.out"
+grep -q "updated 1 row" "$tmpdir/dml.out"
 curl -fsS http://127.0.0.1:17688/debug/traces >"$tmpdir/dml-traces.out"
 grep -q '"action":"update","detail":"table Products"' "$tmpdir/dml-traces.out"
 grep -Eq '"action":"(carry|patch)-(vertex|edge)"' "$tmpdir/dml-traces.out"
@@ -261,9 +264,19 @@ if grep -q '"action":"rebuild-vertex"' "$tmpdir/dml-traces.out"; then
     echo "a traced write rebuilt a vertex type" >&2
     exit 1
 fi
-echo "explain update Products set id = id where id = 'no-such-product'" |
+echo "explain update Products set id = id where id = 'p1'" |
     "$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 10s exec - >"$tmpdir/dml-explain.out" 2>&1
 grep -q 'maintain | patch-vertex ProductVtx' "$tmpdir/dml-explain.out"
+# A write that matches no row publishes nothing (DESIGN.md §10): no view
+# is maintained, no WAL record written, no epoch bumped.
+echo "explain analyze update Products set id = id where id = 'no-such-product'" |
+    "$tmpdir/gems-client" -addr 127.0.0.1:17687 -timeout 10s exec - >"$tmpdir/dml-nomatch.out" 2>&1
+grep -q '| update ' "$tmpdir/dml-nomatch.out"
+if grep -Eq '\| (maintain|patch-|carry-|rebuild-)' "$tmpdir/dml-nomatch.out"; then
+    echo "a write that matched no row maintained a view" >&2
+    cat "$tmpdir/dml-nomatch.out" >&2
+    exit 1
+fi
 # A graph select into a table that projects one step is answered from the
 # reduced sets, and EXPLAIN names the route (DESIGN.md §4): BQ6's shape
 # takes reduce-only, BQ1's count.

@@ -135,20 +135,20 @@ func (e *Engine) writeDML(st ast.Stmt, params map[string]value.Value) (Result, e
 			}
 		case *sema.Update:
 			if s.Explain && !s.Analyze {
-				plan, err = e.explainUpdate(s)
+				plan, err = e.explainUpdate(s, params)
 			} else {
 				b, err = e.buildUpdate(s, params)
 			}
 		case *sema.Delete:
 			if s.Explain && !s.Analyze {
-				plan, err = e.explainDelete(s)
+				plan, err = e.explainDelete(s, params)
 			} else {
 				b, err = e.buildDelete(s, params)
 			}
 		default:
 			err = fmt.Errorf("graql: unsupported statement %T", analyzed)
 		}
-		if b != nil {
+		if b != nil && b.affected > 0 {
 			c.Change = catalog.Change{Table: b.table, Graph: b.graph}
 			c.rows = int64(b.affected)
 		}
@@ -181,7 +181,9 @@ func (e *Engine) buildInsert(s *sema.Insert, params map[string]value.Value) (*dm
 	sp := e.verbSpan("insert", s.Table)
 	defer sp.End()
 	schema := s.Table.Schema()
-	nt := s.Table.Clone()
+	// The rows are built and checked on their own, then appended to a new
+	// version of the table: a failed row touches no array of the table.
+	add := s.Table.Empty(len(s.Rows))
 	vals := make([]value.Value, len(schema))
 	d := &tableDelta{}
 	for _, row := range s.Rows {
@@ -204,10 +206,14 @@ func (e *Engine) buildInsert(s *sema.Insert, params map[string]value.Value) (*dm
 			}
 			vals[col] = cv
 		}
-		d.rows.Changed = append(d.rows.Changed, uint32(nt.NumRows()))
-		if err := nt.AppendRow(vals); err != nil {
+		d.rows.Changed = append(d.rows.Changed, uint32(s.Table.NumRows()+add.NumRows()))
+		if err := add.AppendRow(vals); err != nil {
 			return nil, err
 		}
+	}
+	nt, err := s.Table.Extend(add)
+	if err != nil {
+		return nil, err
 	}
 	return e.finishBuild(sp, "insert", nt, d, len(s.Rows))
 }
@@ -224,10 +230,14 @@ func (e *Engine) verbSpan(verb string, t *table.Table) *obs.Span {
 
 // finishBuild maintains the views over the new table version nt and wraps
 // the build-aside outcome, counting the affected rows on the verb's span.
+// A write that matched no row builds nothing: it publishes no version.
 func (e *Engine) finishBuild(sp *obs.Span, verb string, nt *table.Table, d *tableDelta, affected int) (*dmlBuild, error) {
-	g, _, err := e.maintainViews(nt, d, false)
-	if err != nil {
-		return nil, err
+	var g *graph.Graph
+	if affected > 0 {
+		var err error
+		if g, _, err = e.maintainViews(nt, d, false); err != nil {
+			return nil, err
+		}
 	}
 	sp.AddRows(int64(affected))
 	return &dmlBuild{verb: verb, table: nt, graph: g, affected: affected}, nil
@@ -244,6 +254,9 @@ func (e *Engine) buildUpdate(s *sema.Update, params map[string]value.Value) (*dm
 	hit, err := matchingRows(s.Table, where)
 	if err != nil {
 		return nil, fmt.Errorf("graql: update %s: %w", s.Table.Name, err)
+	}
+	if len(hit) == 0 {
+		return e.finishBuild(sp, "update", s.Table, nil, 0)
 	}
 	d := &tableDelta{written: make([]bool, len(schema))}
 	d.rows.Changed = hit
@@ -291,20 +304,21 @@ func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dm
 	if err != nil {
 		return nil, fmt.Errorf("graql: delete from %s: %w", s.Table.Name, err)
 	}
+	if len(hit) == 0 {
+		return e.finishBuild(sp, "delete", s.Table, nil, 0)
+	}
 	d := &tableDelta{}
 	d.rows.Remap = make([]uint32, s.Table.NumRows())
-	keep := make([]uint32, 0, len(d.rows.Remap)-len(hit))
-	for r, h := uint32(0), 0; r < uint32(len(d.rows.Remap)); r++ {
+	for r, h, n := uint32(0), 0, uint32(0); r < uint32(len(d.rows.Remap)); r++ {
 		if h < len(hit) && hit[h] == r {
 			d.rows.Remap[r] = graph.NoVertex
 			h++
 			continue
 		}
-		d.rows.Remap[r] = uint32(len(keep))
-		keep = append(keep, r)
+		d.rows.Remap[r] = n
+		n++
 	}
-	nt := s.Table.Gather(s.Table.Name, keep)
-	return e.finishBuild(sp, "delete", nt, d, len(hit))
+	return e.finishBuild(sp, "delete", s.Table.Delete(hit), d, len(hit))
 }
 
 // matchingRows is the where scan of update and delete: the rows of t, in
@@ -571,8 +585,13 @@ func planEdge(s *sema.CreateEdge, newTbl *table.Table, d *tableDelta, touched ma
 // would trigger on t, without performing it (plain explain): a dry pass of
 // maintainViews, so explain names the actions explain analyze runs. A
 // table no view reads gets no maintain row, and its commit installs no
-// views.
+// views. A statement whose where clause matches no row (d nil) publishes
+// nothing: no maintain, wal or commit row.
 func (e *Engine) maintPlan(t *table.Table, d *tableDelta, p *planTable) (Result, error) {
+	if d == nil {
+		p.addf("", "commit", "no row matches: nothing to publish")
+		return p.result()
+	}
 	_, notes, err := e.maintainViews(t, d, true)
 	if err != nil {
 		return Result{}, err
@@ -595,16 +614,31 @@ func (e *Engine) maintPlan(t *table.Table, d *tableDelta, p *planTable) (Result,
 	return p.result()
 }
 
+// matchesNone reports whether the where clause of an update or delete
+// of t, bound to params, holds on no row: the write would publish nothing.
+// A clause that cannot be bound yet, a parameter missing, may match.
+func matchesNone(t *table.Table, where expr.Expr, params map[string]value.Value) bool {
+	where, err := expr.BindParams(where, params)
+	if err != nil {
+		return false
+	}
+	hit, err := matchingRows(t, where)
+	return err == nil && len(hit) == 0
+}
+
 func (e *Engine) explainInsert(s *sema.Insert) (Result, error) {
 	p := newPlanTable(false, false)
 	p.addf("", "insert", "%d tuple(s) into table %s", len(s.Rows), s.Table.Name)
 	return e.maintPlan(s.Table, &tableDelta{}, p)
 }
 
-func (e *Engine) explainUpdate(s *sema.Update) (Result, error) {
+func (e *Engine) explainUpdate(s *sema.Update, params map[string]value.Value) (Result, error) {
 	p := newPlanTable(false, false)
 	p.addf("", "update", "table %s (%d set clause(s))", s.Table.Name, len(s.Sets))
 	explainWhere(s.Where, p)
+	if matchesNone(s.Table, s.Where, params) {
+		return e.maintPlan(s.Table, nil, p)
+	}
 	d := &tableDelta{written: make([]bool, len(s.Table.Schema()))}
 	for _, sc := range s.Sets {
 		d.written[sc.Col] = true
@@ -612,10 +646,13 @@ func (e *Engine) explainUpdate(s *sema.Update) (Result, error) {
 	return e.maintPlan(s.Table, d, p)
 }
 
-func (e *Engine) explainDelete(s *sema.Delete) (Result, error) {
+func (e *Engine) explainDelete(s *sema.Delete, params map[string]value.Value) (Result, error) {
 	p := newPlanTable(false, false)
 	p.addf("", "delete", "from table %s", s.Table.Name)
 	explainWhere(s.Where, p)
+	if matchesNone(s.Table, s.Where, params) {
+		return e.maintPlan(s.Table, nil, p)
+	}
 	return e.maintPlan(s.Table, &tableDelta{}, p)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"graql/internal/bitmap"
 	"graql/internal/graph"
 	"graql/internal/sema"
 	"graql/internal/table"
@@ -76,7 +75,7 @@ func functional(s *sema.CreateEdge) bool {
 // order: the seed rows that pass p's filter, each followed through the
 // joins. Rows listed in exclude (per source; nil excludes none) never enter
 // a tuple.
-func seededEdges(s *sema.CreateEdge, p int, seed []uint32, exclude []*bitmap.Bitmap) ([]graph.Edge, error) {
+func seededEdges(s *sema.CreateEdge, p int, seed []uint32, exclude [][]uint32) ([]graph.Edge, error) {
 	w := &workRel{sources: []int{p}}
 	for _, r := range seed {
 		ok, err := admitRow(s, p, r, exclude)
@@ -104,7 +103,7 @@ func seededEdges(s *sema.CreateEdge, p int, seed []uint32, exclude []*bitmap.Bit
 // surviving edge either.
 func deltaEdges(s *sema.CreateEdge, deltas []*graph.Delta) ([]graph.Edge, error) {
 	var edges []graph.Edge
-	exclude := make([]*bitmap.Bitmap, len(s.Sources))
+	exclude := make([][]uint32, len(s.Sources))
 	for p, d := range deltas {
 		if d == nil || len(d.Changed) == 0 {
 			continue
@@ -114,16 +113,19 @@ func deltaEdges(s *sema.CreateEdge, deltas []*graph.Delta) ([]graph.Edge, error)
 			return nil, err
 		}
 		edges = append(edges, added...)
-		exclude[p] = bitmap.FromSlice(sourceRows(s.Sources[p]), d.Changed)
+		exclude[p] = d.Changed
 	}
 	return edges, nil
 }
 
 // admitRow applies source i's single-source filter, and the exclusion of
-// rows an earlier delta term already covered, to one row.
-func admitRow(s *sema.CreateEdge, i int, r uint32, exclude []*bitmap.Bitmap) (bool, error) {
-	if exclude != nil && exclude[i] != nil && exclude[i].Get(r) {
-		return false, nil
+// rows an earlier delta term already covered (ascending, per source), to
+// one row.
+func admitRow(s *sema.CreateEdge, i int, r uint32, exclude [][]uint32) (bool, error) {
+	if exclude != nil {
+		if _, found := slices.BinarySearch(exclude[i], r); found {
+			return false, nil
+		}
 	}
 	if s.Filters[i] == nil {
 		return true, nil
@@ -188,7 +190,7 @@ func (w *workRel) tuple(ti int) []uint32 {
 // joinAll folds every join condition of the declaration into w, which
 // holds rows of one source: a condition between two joined sources filters
 // the tuples, one that reaches a new source brings it in through probeIn.
-func (w *workRel) joinAll(s *sema.CreateEdge, exclude []*bitmap.Bitmap) error {
+func (w *workRel) joinAll(s *sema.CreateEdge, exclude [][]uint32) error {
 	pending := slices.Clone(s.Joins)
 	for len(pending) > 0 {
 		progress := false
@@ -244,7 +246,7 @@ func (w *workRel) edges(s *sema.CreateEdge) []graph.Edge {
 // the tuples' values. Either way the output is in tuple order — each old
 // tuple's matches together, by ascending row of the new source — which is
 // the order edge ids are handed out in.
-func (w *workRel) probeIn(s *sema.CreateEdge, newSrc, newCol, oldSrc, oldCol int, exclude []*bitmap.Bitmap) error {
+func (w *workRel) probeIn(s *sema.CreateEdge, newSrc, newCol, oldSrc, oldCol int, exclude [][]uint32) error {
 	src, oldSource, oldPos := s.Sources[newSrc], s.Sources[oldSrc], w.pos(oldSrc)
 	n := w.count()
 	// Each hit extends tuple ti by one admitted row of the new source.

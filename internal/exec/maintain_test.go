@@ -442,8 +442,16 @@ func checkViewMaintenance(t *testing.T, sc maintSchema, seed int64, steps int) {
 			// Plain explain names the maintenance actions the write runs.
 			planned := explainedActions(t, inc, stmt)
 			var done []string
-			if done, err = tracedActions(inc, stmt); err == nil && !reflect.DeepEqual(planned, done) {
+			var rows int64
+			if done, rows, err = tracedActions(inc, stmt); err == nil && !reflect.DeepEqual(planned, done) {
 				t.Fatalf("%s: explain names %v, the write ran %v", what, planned, done)
+			}
+			if err == nil && rows == 0 {
+				// A write that matched no row publishes nothing.
+				if inc.Cat.Epoch() != epoch || inc.Cat.Graph() != before {
+					t.Fatalf("%s: matched no row, yet published", what)
+				}
+				return written
 			}
 		}
 		if err != nil {
@@ -581,22 +589,25 @@ func explainedActions(t *testing.T, e *Engine, stmt string) []string {
 }
 
 // tracedActions executes stmt under a trace and returns the
-// view-maintenance actions its write's spans name.
-func tracedActions(e *Engine, stmt string) ([]string, error) {
+// view-maintenance actions its write's spans name, and the rows its verb
+// span counts.
+func tracedActions(e *Engine, stmt string) (done []string, rows int64, err error) {
 	tr := obs.NewTrace(obs.TraceID{})
 	if _, err := e.WithTrace(tr, nil).ExecScript(stmt, nil); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var done []string
 	for _, root := range tr.Tree().Roots {
-		for _, k := range root.Children {
+		for i, k := range root.Children {
 			switch k.Action {
 			case carryVertex, patchVertex, carryEdge, patchEdge, rebuildEdge:
 				done = append(done, k.Action+" "+k.Detail)
 			}
+			if i == 0 {
+				rows = k.Rows
+			}
 		}
 	}
-	return done, nil
+	return done, rows, nil
 }
 
 // maintActions runs stmt under explain (plain, then analyze — which

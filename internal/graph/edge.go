@@ -57,6 +57,9 @@ type EdgeType struct {
 	// rewritten rows. nil when attrs is nil.
 	attrs        *table.Table
 	origAttrRows []uint32
+	// fwdTail lets a later version append to a column's fwd.nbr in place
+	// (table.Grow); nil when the column was frozen exactly.
+	fwdTail *table.Tail
 }
 
 // NewEdgeType freezes the given edge list into an indexed edge type of
@@ -109,7 +112,9 @@ func freeze(old *EdgeType, functional bool, src, dst *VertexType, carrySrc, carr
 	}
 	n, fwd := src.Count(), &et.fwd
 	if functional {
-		fwd.nbr = make([]uint32, n)
+		// A column that kept edges of old was re-frozen by a write: it
+		// gets headroom for the next to append (appendColumn).
+		fwd.nbr, et.fwdTail = grow(nil, nil, n, old.count == 0)
 		for i := range fwd.nbr {
 			fwd.nbr[i] = NoVertex
 		}

@@ -56,8 +56,11 @@ type VertexType struct {
 
 	baseRow  []uint32        // vid -> representative (first) base row
 	rowToVID []uint32        // base row -> vid (NoVertex if none)
-	keyIndex table.HashIndex // key cells of each vertex's base row -> vid
+	keyIndex table.HashIndex // key cells of each vertex's base row -> vid; a view of Count() ids
 	accepted int             // base rows that map to a vertex
+	// tails lets a later version append to baseRow and rowToVID in place
+	// (table.Grow); nil in a built type, whose arrays are exact.
+	tails struct{ baseRow, rowToVID *table.Tail }
 }
 
 // RowPred filters base rows during view construction; nil accepts all rows.
@@ -84,7 +87,8 @@ func (vt *VertexType) Count() int { return len(vt.baseRow) }
 func (vt *VertexType) VIDForRow(row uint32) VID { return vt.rowToVID[row] }
 
 // LookupKeyValues returns the vertex with the given key values, one per
-// key column and of the column's kind.
+// key column and of the column's kind. The key index may be shared with
+// later versions of the type; its view finds only vertices below Count().
 func (vt *VertexType) LookupKeyValues(vals []value.Value) (VID, bool) {
 	h, ok := table.HashValues(vals)
 	if !ok || len(vals) != len(vt.KeyCols) {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"unsafe"
@@ -78,16 +79,116 @@ func gatherData[T any](src []T, idx []uint32) []T {
 	return out
 }
 
-// intColumn stores integers and dates (days since epoch).
-type intColumn struct {
-	data  []int64
-	nulls bitmap.Mask
-	kind  value.Kind
+// cells is the storage of a fixed-width column: a slot per row and the
+// NULL mask, with the tails through which write-built versions share
+// their arrays (nil in a column built from scratch; see Grow).
+type cells[T any] struct {
+	data                []T
+	nulls               bitmap.Mask
+	dataTail, nullsTail *Tail
 }
 
-func (c *intColumn) Kind() value.Kind     { return c.kind }
-func (c *intColumn) Len() int             { return len(c.data) }
-func (c *intColumn) IsNull(i uint32) bool { return c.nulls.Get(i) }
+func (c *cells[T]) Len() int             { return len(c.data) }
+func (c *cells[T]) IsNull(i uint32) bool { return c.nulls.Get(i) }
+
+func (c *cells[T]) gather(idx []uint32) cells[T] {
+	return cells[T]{data: gatherData(c.data, idx), nulls: gatherNulls(c.nulls, idx)}
+}
+
+// extended returns the cells of a version holding c's rows and then
+// add's, appended in place where c's arrays end at their marks.
+func (c *cells[T]) extended(add *cells[T]) cells[T] {
+	n, out := len(c.data), cells[T]{}
+	out.data, out.dataTail = Grow(c.data, c.dataTail, len(add.data))
+	copy(out.data[n:], add.data)
+	out.nulls, out.nullsTail = extendNulls(c.nulls, c.nullsTail, n, add.nulls)
+	return out
+}
+
+// sliced returns the cells of rows [lo, hi), sharing c's data array.
+func (c *cells[T]) sliced(lo, hi int) cells[T] {
+	out := cells[T]{data: c.data[lo:hi], dataTail: c.dataTail}
+	out.nulls, out.nullsTail = sliceNulls(c.nulls, lo, hi)
+	return out
+}
+
+// kept returns c's rows idx in arrays with headroom.
+func (c *cells[T]) kept(idx []uint32) cells[T] {
+	var out cells[T]
+	out.data, out.dataTail = Grow([]T(nil), nil, len(idx))
+	for j, i := range idx {
+		out.data[j] = c.data[i]
+	}
+	if nulls := gatherNulls(c.nulls, idx); len(nulls) > 0 {
+		out.nulls, out.nullsTail = withRoom(nulls)
+	}
+	return out
+}
+
+// copied returns a copy of c with headroom, for a version to rewrite.
+func (c *cells[T]) copied() cells[T] {
+	var out cells[T]
+	out.data, out.dataTail = withRoom(c.data)
+	if len(c.nulls) > 0 {
+		out.nulls, out.nullsTail = withRoom(c.nulls)
+	}
+	return out
+}
+
+// extendNulls returns the NULL mask of a version whose rows from n on are
+// those add marks: nulls itself when add marks none. A word below
+// len(nulls) holds bits of published rows, so setting a bit in it copies
+// the mask; words past it are appended under tail.
+func extendNulls(nulls bitmap.Mask, tail *Tail, n int, add bitmap.Mask) (bitmap.Mask, *Tail) {
+	last := len(add) - 1
+	for last >= 0 && add[last] == 0 {
+		last--
+	}
+	if last < 0 {
+		return nulls, tail
+	}
+	words := (n+64*last+63-bits.LeadingZeros64(add[last]))/64 + 1
+	var out bitmap.Mask
+	if len(nulls) > n/64 {
+		out, tail = Grow(bitmap.Mask(nil), nil, words)
+		copy(out, nulls)
+	} else {
+		out, tail = Grow(nulls, tail, words-len(nulls))
+		clear(out[len(nulls):])
+	}
+	for w, word := range add[:last+1] {
+		for ; word != 0; word &= word - 1 {
+			out.Set(uint32(n + 64*w + bits.TrailingZeros64(word)))
+		}
+	}
+	return out, tail
+}
+
+// sliceNulls returns the NULL mask of rows [lo, hi) of nulls, renumbered
+// from 0: a copy with headroom, or nil when none of them is NULL.
+func sliceNulls(nulls bitmap.Mask, lo, hi int) (bitmap.Mask, *Tail) {
+	var out bitmap.Mask
+	for r := lo; r < hi && r/64 < len(nulls); r++ {
+		if nulls.Get(uint32(r)) {
+			if out == nil {
+				out = make(bitmap.Mask, 0, ((hi-lo)/64+1)*9/8)
+			}
+			out.Set(uint32(r - lo))
+		}
+	}
+	if out == nil {
+		return nil, nil
+	}
+	return out, NewTail(out)
+}
+
+// intColumn stores integers and dates (days since epoch).
+type intColumn struct {
+	cells[int64]
+	kind value.Kind
+}
+
+func (c *intColumn) Kind() value.Kind { return c.kind }
 
 func (c *intColumn) Value(i uint32) value.Value {
 	if c.nulls.Get(i) {
@@ -112,20 +213,13 @@ func (c *intColumn) Append(v value.Value) error {
 	return nil
 }
 
-func (c *intColumn) Gather(idx []uint32) Column {
-	return &intColumn{data: gatherData(c.data, idx), nulls: gatherNulls(c.nulls, idx), kind: c.kind}
-}
+func (c *intColumn) Gather(idx []uint32) Column { return &intColumn{c.gather(idx), c.kind} }
 
 func (c *intColumn) Distinct() int { return -1 }
 
-type floatColumn struct {
-	data  []float64
-	nulls bitmap.Mask
-}
+type floatColumn struct{ cells[float64] }
 
-func (c *floatColumn) Kind() value.Kind     { return value.KindFloat }
-func (c *floatColumn) Len() int             { return len(c.data) }
-func (c *floatColumn) IsNull(i uint32) bool { return c.nulls.Get(i) }
+func (c *floatColumn) Kind() value.Kind { return value.KindFloat }
 
 func (c *floatColumn) Value(i uint32) value.Value {
 	if c.nulls.Get(i) {
@@ -147,20 +241,13 @@ func (c *floatColumn) Append(v value.Value) error {
 	return nil
 }
 
-func (c *floatColumn) Gather(idx []uint32) Column {
-	return &floatColumn{data: gatherData(c.data, idx), nulls: gatherNulls(c.nulls, idx)}
-}
+func (c *floatColumn) Gather(idx []uint32) Column { return &floatColumn{c.gather(idx)} }
 
 func (c *floatColumn) Distinct() int { return -1 }
 
-type boolColumn struct {
-	data  []bool
-	nulls bitmap.Mask
-}
+type boolColumn struct{ cells[bool] }
 
-func (c *boolColumn) Kind() value.Kind     { return value.KindBool }
-func (c *boolColumn) Len() int             { return len(c.data) }
-func (c *boolColumn) IsNull(i uint32) bool { return c.nulls.Get(i) }
+func (c *boolColumn) Kind() value.Kind { return value.KindBool }
 
 func (c *boolColumn) Value(i uint32) value.Value {
 	if c.nulls.Get(i) {
@@ -182,9 +269,7 @@ func (c *boolColumn) Append(v value.Value) error {
 	return nil
 }
 
-func (c *boolColumn) Gather(idx []uint32) Column {
-	return &boolColumn{data: gatherData(c.data, idx), nulls: gatherNulls(c.nulls, idx)}
-}
+func (c *boolColumn) Gather(idx []uint32) Column { return &boolColumn{c.gather(idx)} }
 
 func (c *boolColumn) Distinct() int { return 2 }
 
@@ -196,22 +281,26 @@ func (c *boolColumn) Distinct() int { return 2 }
 // work on the codes.
 //
 // The string→code index is a HashIndex of codes, probed by the string's
-// hash and resolved by comparing dict[code]. Gather and clone copy the
-// codes and share the dictionary and its index: dict is capped at its
-// length, so appending a new string copies it rather than write into the
-// source's array, and an index once shared is never written again — the
-// first column to add a string copies it. Ingest copies the strings it
-// adds, so the dictionary never pins the record line they were cut from.
+// hash and resolved by comparing dict[code]. Gather, a write's new
+// version and every copy share the dictionary and its index's table, and
+// each holds a view of both that ends at its own length. The index's
+// high-water mark governs the dictionary's array as well: a column
+// appends a string in place only while its view holds every code the
+// table has, and otherwise copies both (HashIndex.Append). Ingest copies
+// the strings it adds, so the dictionary never pins the record line they
+// were cut from.
 type stringColumn struct {
-	codes []uint32
-	dict  []string
-	index *dictIndex // nil while dict is empty; else index.Len() == len(dict)
-	width int
+	codes     []uint32
+	codesTail *Tail
+	dict      []string
+	index     *dictIndex // nil while dict is empty; else index.Len() == len(dict)
+	width     int
 }
 
+// dictIndex is a column's view of its dictionary's index.
 type dictIndex struct {
 	HashIndex
-	shared atomic.Bool // a second column reads it: nothing writes it again
+	shared atomic.Bool // a second column holds this view: neither changes it again
 }
 
 const nullCode = ^uint32(0)
@@ -261,14 +350,18 @@ func (c *stringColumn) intern(s string, arena *arena) (uint32, error) {
 	case c.index == nil:
 		c.index = new(dictIndex)
 	case c.index.shared.Load():
-		c.index = &dictIndex{HashIndex: c.index.Clone()}
+		c.index = &dictIndex{HashIndex: c.index.HashIndex}
 	}
 	if arena != nil {
 		s = arena.copy(s)
 	}
+	if !c.index.Append(stringImage(s), func(code uint32) uint64 { return stringImage(c.dict[code]) }) {
+		// Another column added past this one's dictionary: its array's
+		// spare capacity is not this column's to write.
+		c.dict = slices.Clip(c.dict)
+	}
 	code := uint32(len(c.dict))
 	c.dict = append(c.dict, s)
-	c.index.Add(stringImage(s), code, func(code uint32) uint64 { return stringImage(c.dict[code]) })
 	return code, nil
 }
 
@@ -291,7 +384,9 @@ func (a *arena) copy(s string) string {
 }
 
 // codeOf returns the dictionary code of s. It only reads, so concurrent
-// scans of a published column may call it.
+// scans of a published column may call it. The index's table may hold
+// codes that later versions added; the view rejects any code at or past
+// this column's dictionary length.
 func (c *stringColumn) codeOf(s string) (uint32, bool) {
 	if c.index == nil {
 		return 0, false
@@ -299,13 +394,14 @@ func (c *stringColumn) codeOf(s string) (uint32, bool) {
 	return c.index.Find(stringImage(s), func(code uint32) bool { return c.dict[code] == s })
 }
 
-// share returns a column without rows over c's dictionary and index, and
-// marks the index shared: neither column writes it again.
+// share returns a column without rows over c's dictionary and index
+// view, and marks the view shared: the first of the two columns to add
+// a string takes a view of its own.
 func (c *stringColumn) share() *stringColumn {
 	if c.index != nil && !c.index.shared.Load() {
 		c.index.shared.Store(true)
 	}
-	return &stringColumn{dict: slices.Clip(c.dict), index: c.index, width: c.width}
+	return &stringColumn{dict: c.dict, index: c.index, width: c.width}
 }
 
 func (c *stringColumn) Gather(idx []uint32) Column {
@@ -352,23 +448,98 @@ func setCell(c Column, i uint32, v value.Value) error {
 	return nil
 }
 
-// cloneColumn returns a copy of c that shares nothing mutable with it.
-func cloneColumn(c Column) Column {
+// extendColumn returns the version of c followed by the cells of add, a
+// column of c's kind built from scratch (Table.Extend).
+func extendColumn(c, add Column) (Column, error) {
 	switch c := c.(type) {
 	case *intColumn:
-		return &intColumn{data: slices.Clone(c.data), nulls: slices.Clone(c.nulls), kind: c.kind}
+		return &intColumn{c.extended(&add.(*intColumn).cells), c.kind}, nil
 	case *floatColumn:
-		return &floatColumn{data: slices.Clone(c.data), nulls: slices.Clone(c.nulls)}
+		return &floatColumn{c.extended(&add.(*floatColumn).cells)}, nil
 	case *boolColumn:
-		return &boolColumn{data: slices.Clone(c.data), nulls: slices.Clone(c.nulls)}
+		return &boolColumn{c.extended(&add.(*boolColumn).cells)}, nil
+	case *stringColumn:
+		add := add.(*stringColumn)
+		out, code := c.share(), make([]uint32, len(add.dict))
+		for k, s := range add.dict {
+			var err error
+			if code[k], err = out.intern(s, nil); err != nil {
+				return nil, err
+			}
+		}
+		n := len(c.codes)
+		out.codes, out.codesTail = Grow(c.codes, c.codesTail, len(add.codes))
+		for j, k := range add.codes {
+			if k != nullCode {
+				k = code[k]
+			}
+			out.codes[n+j] = k
+		}
+		return out, nil
+	}
+	return nil, fmt.Errorf("graql: column of kind %s cannot be extended", c.Kind())
+}
+
+// sliceColumn returns rows [lo, hi) of c, sharing its arrays.
+func sliceColumn(c Column, lo, hi int) Column {
+	switch c := c.(type) {
+	case *intColumn:
+		return &intColumn{c.sliced(lo, hi), c.kind}
+	case *floatColumn:
+		return &floatColumn{c.sliced(lo, hi)}
+	case *boolColumn:
+		return &boolColumn{c.sliced(lo, hi)}
 	case *stringColumn:
 		out := c.share()
-		out.codes = slices.Clone(c.codes)
+		out.codes, out.codesTail = c.codes[lo:hi], c.codesTail
 		return out
 	}
-	idx := make([]uint32, c.Len())
-	for i := range idx {
-		idx[i] = uint32(i)
+	return c.Gather(rowRange(lo, hi))
+}
+
+// keepColumn returns c's rows idx in arrays with headroom.
+func keepColumn(c Column, idx []uint32) Column {
+	switch c := c.(type) {
+	case *intColumn:
+		return &intColumn{c.kept(idx), c.kind}
+	case *floatColumn:
+		return &floatColumn{c.kept(idx)}
+	case *boolColumn:
+		return &boolColumn{c.kept(idx)}
+	case *stringColumn:
+		out := c.share()
+		out.codes, out.codesTail = Grow([]uint32(nil), nil, len(idx))
+		for j, i := range idx {
+			out.codes[j] = c.codes[i]
+		}
+		return out
 	}
 	return c.Gather(idx)
+}
+
+// copyColumn returns a copy of c with headroom that shares nothing
+// mutable with it, for a new version to rewrite.
+func copyColumn(c Column) Column {
+	switch c := c.(type) {
+	case *intColumn:
+		return &intColumn{c.copied(), c.kind}
+	case *floatColumn:
+		return &floatColumn{c.copied()}
+	case *boolColumn:
+		return &boolColumn{c.copied()}
+	case *stringColumn:
+		out := c.share()
+		out.codes, out.codesTail = withRoom(c.codes)
+		return out
+	}
+	return c.Gather(rowRange(0, c.Len()))
+}
+
+// rowRange returns the rows lo … hi-1.
+func rowRange(lo, hi int) []uint32 {
+	idx := make([]uint32, hi-lo)
+	for i := range idx {
+		idx[i] = uint32(lo + i)
+	}
+	return idx
 }

@@ -334,13 +334,24 @@ func above[T int64 | float64](x, y T) bool { return x > y || y != y && x == x }
 
 // extremes tracks per group the first of the NULL-free rows of s holding
 // the least (sign -1) or greatest (sign +1) value of data. It keeps each
-// group's extreme value beside its row, so no row is read twice.
+// group's extreme value beside its row, so no row is read twice, and runs
+// one loop per direction, so the comparison is not chosen per row.
 func extremes[T int64 | float64](st *aggState, data []T, sign int, s span, ids []uint32) {
 	cnt, ext, best := st.cnt, st.ext, make([]T, len(st.ext))
+	if sign > 0 {
+		for i, g := range ids {
+			r := s.at(i)
+			cnt[g]++
+			if x := data[r]; ext[g] == noRow || above(x, best[g]) {
+				ext[g], best[g] = r, x
+			}
+		}
+		return
+	}
 	for i, g := range ids {
 		r := s.at(i)
 		cnt[g]++
-		if x := data[r]; ext[g] == noRow || sign > 0 && above(x, best[g]) || sign < 0 && above(best[g], x) {
+		if x := data[r]; ext[g] == noRow || above(best[g], x) {
 			ext[g], best[g] = r, x
 		}
 	}
@@ -391,7 +402,7 @@ func (st *aggState) accumulate(t *Table, a AggSpec, s span, ids []uint32) {
 // result renders the state as the aggregate's output column.
 func (st *aggState) result(t *Table, a AggSpec) (Column, error) {
 	if a.Func == AggCount {
-		return &intColumn{data: st.cnt, kind: value.KindInt}, nil
+		return &intColumn{cells[int64]{data: st.cnt}, value.KindInt}, nil
 	}
 	col := t.cols[a.Col]
 	if a.Func == AggMin || a.Func == AggMax {
@@ -401,7 +412,7 @@ func (st *aggState) result(t *Table, a AggSpec) (Column, error) {
 		return nil, fmt.Errorf("graql: %s over non-numeric column (%s)", a.Func, col.Kind())
 	}
 	if a.Func == AggSum && col.Kind() == value.KindInt {
-		out := &intColumn{data: st.sumI, kind: value.KindInt}
+		out := &intColumn{cells[int64]{data: st.sumI}, value.KindInt}
 		for g, n := range st.cnt {
 			if n == 0 {
 				out.nulls.Set(uint32(g)) // SQL: sum over no input is NULL
@@ -409,7 +420,7 @@ func (st *aggState) result(t *Table, a AggSpec) (Column, error) {
 		}
 		return out, nil
 	}
-	out := &floatColumn{data: st.sumF}
+	out := &floatColumn{cells[float64]{data: st.sumF}}
 	for g, n := range st.cnt {
 		switch {
 		case n == 0:

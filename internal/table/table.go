@@ -145,14 +145,83 @@ func (t *Table) Gather(name string, idx []uint32) *Table {
 	return out
 }
 
+// Empty returns a table without rows, with room for n, whose columns
+// take what t's take: the rows a write adds are built and checked there
+// before Extend adds them to a new version of t.
+func (t *Table) Empty(n int) *Table {
+	out := &Table{Name: t.Name, schema: t.schema, cols: make([]Column, len(t.cols))}
+	for i, c := range t.cols {
+		switch c := c.(type) {
+		case *intColumn:
+			out.cols[i] = &intColumn{cells[int64]{data: make([]int64, 0, n)}, c.kind}
+		case *floatColumn:
+			out.cols[i] = &floatColumn{cells[float64]{data: make([]float64, 0, n)}}
+		case *boolColumn:
+			out.cols[i] = &boolColumn{cells[bool]{data: make([]bool, 0, n)}}
+		case *stringColumn:
+			out.cols[i] = &stringColumn{codes: make([]uint32, 0, n), width: c.width}
+		default:
+			out.cols[i] = NewColumn(value.Type{Kind: c.Kind()})
+		}
+	}
+	return out
+}
+
+// Extend returns a new version of t holding t's rows and then add's, a
+// table built from t.Empty. It appends into the capacity past t's
+// arrays wherever they end at their high-water mark (Grow), so it costs
+// add's rows, not t's; every other array is copied with headroom. t and
+// every version before it read as they did.
+func (t *Table) Extend(add *Table) (*Table, error) {
+	out := &Table{Name: t.Name, schema: t.schema, rows: t.rows + add.rows, cols: make([]Column, len(t.cols))}
+	for i, c := range t.cols {
+		var err error
+		if out.cols[i], err = extendColumn(c, add.cols[i]); err != nil {
+			return nil, fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[i].Name, err)
+		}
+	}
+	return out, nil
+}
+
+// Delete returns a new version of t without the rows hit, which ascend.
+// When the rows it keeps form one run — a delete of the oldest rows, or
+// of the newest — each column is re-sliced and shares t's arrays; a
+// NULL mask is copied, shifted. Otherwise the kept rows are gathered
+// into arrays with headroom.
+func (t *Table) Delete(hit []uint32) *Table {
+	out := &Table{Name: t.Name, schema: t.schema, rows: t.rows - len(hit), cols: make([]Column, len(t.cols))}
+	lo := 0
+	for lo < len(hit) && hit[lo] == uint32(lo) {
+		lo++
+	}
+	if hi := lo + out.rows; lo == len(hit) || hit[lo] == uint32(hi) {
+		for i, c := range t.cols {
+			out.cols[i] = sliceColumn(c, lo, hi)
+		}
+		return out
+	}
+	keep := make([]uint32, 0, out.rows)
+	for r, h := uint32(0), 0; r < uint32(t.rows); r++ {
+		if h < len(hit) && hit[h] == r {
+			h++
+		} else {
+			keep = append(keep, r)
+		}
+	}
+	for i, c := range t.cols {
+		out.cols[i] = keepColumn(c, keep)
+	}
+	return out
+}
+
 // Patch returns a new version of t in which cell (rows[i], cols[j]) holds
 // vals[i][j], already of the column's kind. Only the columns in cols are
-// copied; every other column is shared with t, which nothing mutates once
-// it is published.
+// copied, with headroom; every other column is shared with t, which
+// nothing mutates once it is published.
 func (t *Table) Patch(cols []int, rows []uint32, vals [][]value.Value) (*Table, error) {
 	out := &Table{Name: t.Name, schema: t.schema, rows: t.rows, cols: slices.Clone(t.cols)}
 	for j, c := range cols {
-		col := cloneColumn(t.cols[c])
+		col := copyColumn(t.cols[c])
 		for i, r := range rows {
 			if err := setCell(col, r, vals[i][j]); err != nil {
 				return nil, fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[c].Name, err)
@@ -170,7 +239,7 @@ func (t *Table) Clone() *Table {
 	out := &Table{Name: t.Name, schema: t.schema.Clone(), rows: t.rows}
 	out.cols = make([]Column, len(t.cols))
 	for i, c := range t.cols {
-		out.cols[i] = cloneColumn(c)
+		out.cols[i] = copyColumn(c)
 	}
 	return out
 }
