@@ -178,8 +178,11 @@ echo "== race stress: shared dictionary indexes, readers during writes =="
 # (ScriptReadsOneVersion). Versions a write appended to in place, through
 # the capacity they share with the published one, are never torn:
 # readers of a pinned version miss every key and string a later version
-# added (AppendedVersionsNeverTorn).
-go test -race -count=10 -run 'SharedDictionary|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic|SeededReadsDuringWrites|IntoTableRacesViewDDL|ScriptReadsOneVersion|AppendedVersionsNeverTorn' ./internal/table ./internal/exec
+# added (AppendedVersionsNeverTorn). A string read from a published
+# version keeps its bytes while a writer interns new strings beside it,
+# from the newest version and from older ones
+# (DictionaryBytesNeverRewritten).
+go test -race -count=10 -run 'SharedDictionary|DictionaryBytesNeverRewritten|ConcurrentPrepareExecuteDML|SlowWriterDoesNotHoldReaders|IntoResultCrossTalk|ConcurrentReadersNeverTorn|ConcurrentGraphReadersNeverTorn|IngestIsAtomic|SeededReadsDuringWrites|IntoTableRacesViewDDL|ScriptReadsOneVersion|AppendedVersionsNeverTorn' ./internal/table ./internal/exec
 
 echo "== fuzz smoke (${FUZZTIME} per target) =="
 go test -run='^$' -fuzz='^FuzzParse$' -fuzztime="$FUZZTIME" ./internal/parser

@@ -75,6 +75,30 @@ func TestWriteCostFollowsDelta(t *testing.T) {
 	}
 }
 
+// TestWhereScanFollowsMatches: the where scan of an update or delete
+// allocates for the rows it matches, not for the table, so a 0-row update
+// at 12N rows allocates at most twice what it allocates at N.
+func TestWhereScanFollowsMatches(t *testing.T) {
+	const small, updates = 5000, 5
+	perUpdate := func(rows int) float64 {
+		e := newAppendEngine(t, rows, 10, false)
+		update := func() { mustExec(t, e, "update Node set name = 'x' where id = -1", nil) }
+		update()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range updates {
+			update()
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / updates
+	}
+	n, n12 := perUpdate(small), perUpdate(12*small)
+	t.Logf("0-row update at %d rows %.1f KiB, at %d rows %.1f KiB: %.2fx", small, n/1024, 12*small, n12/1024, n12/n)
+	if n12 > 2*n {
+		t.Errorf("a 0-row update at %d rows allocates %.2fx what it does at %d, want at most 2x", 12*small, n12/n, small)
+	}
+}
+
 // TestNoMatchWritePublishesNothing: an update or delete whose where clause
 // matches no row builds no table version, maintains no view, logs nothing
 // and leaves the epoch, so a prepared graph select over the views of the

@@ -325,16 +325,12 @@ func (e *Engine) buildDelete(s *sema.Delete, params map[string]value.Value) (*dm
 // ascending order, on which the bound condition is TRUE, found through the
 // same compiled filter a select uses. A nil condition matches every row.
 func matchingRows(t *table.Table, where expr.Expr) ([]uint32, error) {
-	rows := table.AllRows(t)
 	if where != nil {
-		var err error
-		if rows, err = table.CompileFilter(t, where).Select(rows, table.Par{}); err != nil {
-			return nil, err
-		}
+		return table.CompileFilter(t, where).Matches()
 	}
-	hit := make([]uint32, rows.Len())
+	hit := make([]uint32, t.NumRows())
 	for i := range hit {
-		hit[i] = rows.At(i)
+		hit[i] = uint32(i)
 	}
 	return hit, nil
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/bits"
-	"slices"
 
 	"graql/internal/bitmap"
 )
@@ -74,7 +73,9 @@ func (c *CSR) source(e, from uint32) uint32 {
 }
 
 // transpose returns et's reverse index: one counting sort by target
-// over IDs, so each row lists its ids ascending.
+// over IDs, so each row lists its ids ascending. The offsets are the
+// sort's cursors: placing an edge advances its target's offset, which so
+// ends at the start of the next row, and one shift puts them back.
 func (et *EdgeType) transpose() CSR {
 	numDst, fwd := et.Dst.Count(), &et.fwd
 	t := CSR{offsets: make([]uint32, numDst+1)}
@@ -91,13 +92,14 @@ func (et *EdgeType) transpose() CSR {
 	if fwd.offsets != nil {
 		t.eid = make([]uint32, len(t.nbr))
 	}
-	cursor := slices.Clone(t.offsets[:numDst])
 	for e, s := range et.IDs() {
 		// A column's id is its source: the two writes agree.
 		d := fwd.nbr[e]
-		t.nbr[cursor[d]], t.eid[cursor[d]] = s, e
-		cursor[d]++
+		t.nbr[t.offsets[d]], t.eid[t.offsets[d]] = s, e
+		t.offsets[d]++
 	}
+	copy(t.offsets[1:], t.offsets[:numDst])
+	t.offsets[0] = 0
 	return t
 }
 

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync/atomic"
@@ -132,6 +133,18 @@ func (c *cells[T]) copied() cells[T] {
 	if len(c.nulls) > 0 {
 		out.nulls, out.nullsTail = withRoom(c.nulls)
 	}
+	return out
+}
+
+func (c *cells[T]) fit() { c.data, c.nulls = exact(c.data), exact(c.nulls) }
+
+// exact returns s in an array of exactly its length.
+func exact[S ~[]T, T any](s S) S {
+	if len(s) == cap(s) {
+		return s
+	}
+	out := make(S, len(s))
+	copy(out, s)
 	return out
 }
 
@@ -281,20 +294,56 @@ func (c *boolColumn) Distinct() int { return 2 }
 // work on the codes.
 //
 // The string→code index is a HashIndex of codes, probed by the string's
-// hash and resolved by comparing dict[code]. Gather, a write's new
+// hash and resolved by comparing dict.at(code). Gather, a write's new
 // version and every copy share the dictionary and its index's table, and
 // each holds a view of both that ends at its own length. The index's
-// high-water mark governs the dictionary's array as well: a column
+// high-water mark governs the dictionary's two arrays as well: a column
 // appends a string in place only while its view holds every code the
-// table has, and otherwise copies both (HashIndex.Append). Ingest copies
-// the strings it adds, so the dictionary never pins the record line they
-// were cut from.
+// table has, and otherwise copies both (HashIndex.Append).
 type stringColumn struct {
 	codes     []uint32
 	codesTail *Tail
-	dict      []string
-	index     *dictIndex // nil while dict is empty; else index.Len() == len(dict)
+	dict      dictionary
+	index     *dictIndex // nil while dict is empty; else index.Len() == dict.len()
 	width     int
+}
+
+// A dictionary holds its entries back to back in one byte array, entry k
+// ending where entry k+1 starts, at ends[k]: 4 B per entry besides the
+// bytes, and no pointer for the collector to mark. Every string added is
+// copied in, so an entry never pins the buffer it came from (a CSV record
+// line). Bytes below a version's length are never written again, so an
+// entry read as a string over them (at) stays valid as long as anything
+// holds it, and keeps the whole array alive meanwhile.
+type dictionary struct {
+	bytes []byte
+	ends  []uint32
+}
+
+func (d *dictionary) len() int { return len(d.ends) }
+
+// at returns entry k.
+func (d *dictionary) at(k uint32) string {
+	lo := uint32(0)
+	if k > 0 {
+		lo = d.ends[k-1]
+	}
+	b := d.bytes[lo:d.ends[k]]
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// add appends a copy of s as entry len(), in the arrays' spare capacity
+// only when owned says that no other version has added past them.
+func (d *dictionary) add(s string, owned bool) {
+	if !owned {
+		d.bytes, d.ends = slices.Clip(d.bytes), slices.Clip(d.ends)
+	}
+	d.bytes = append(d.bytes, s...)
+	d.ends = append(d.ends, uint32(len(d.bytes)))
+}
+
+func (c *stringColumn) fit() {
+	c.codes, c.dict.bytes, c.dict.ends = exact(c.codes), exact(c.dict.bytes), exact(c.dict.ends)
 }
 
 // dictIndex is a column's view of its dictionary's index.
@@ -314,14 +363,10 @@ func (c *stringColumn) Value(i uint32) value.Value {
 	if code == nullCode {
 		return value.NewNull(value.KindString)
 	}
-	return value.NewString(c.dict[code])
+	return value.NewString(c.dict.at(code))
 }
 
-func (c *stringColumn) Append(v value.Value) error { return c.append(v, nil) }
-
-// append is Append. A non-nil arena says that v's string is cut from a
-// buffer the caller does not keep, so a new one is copied into the arena.
-func (c *stringColumn) append(v value.Value, arena *arena) error {
+func (c *stringColumn) Append(v value.Value) error {
 	if v.IsNull() {
 		c.codes = append(c.codes, nullCode)
 		return nil
@@ -329,7 +374,7 @@ func (c *stringColumn) append(v value.Value, arena *arena) error {
 	if v.Kind() != value.KindString {
 		return &value.TypeError{Op: "store", A: value.KindString, B: v.Kind()}
 	}
-	code, err := c.intern(v.Str(), arena)
+	code, err := c.intern(v.Str())
 	if err != nil {
 		return err
 	}
@@ -337,14 +382,17 @@ func (c *stringColumn) append(v value.Value, arena *arena) error {
 	return nil
 }
 
-// intern returns the dictionary code of s, adding s — or, with an arena, a
-// copy of it there — to the dictionary when it is new.
-func (c *stringColumn) intern(s string, arena *arena) (uint32, error) {
+// intern returns the dictionary code of s, adding a copy of s to the
+// dictionary when it is new.
+func (c *stringColumn) intern(s string) (uint32, error) {
 	if c.width > 0 && len(s) > c.width {
 		return 0, fmt.Errorf("graql: value %q exceeds varchar(%d)", s, c.width)
 	}
 	if code, ok := c.codeOf(s); ok {
 		return code, nil
+	}
+	if uint64(len(c.dict.bytes))+uint64(len(s)) > math.MaxUint32 {
+		return 0, fmt.Errorf("graql: a varchar dictionary holds at most 4 GiB")
 	}
 	switch {
 	case c.index == nil:
@@ -352,35 +400,12 @@ func (c *stringColumn) intern(s string, arena *arena) (uint32, error) {
 	case c.index.shared.Load():
 		c.index = &dictIndex{HashIndex: c.index.HashIndex}
 	}
-	if arena != nil {
-		s = arena.copy(s)
-	}
-	if !c.index.Append(stringImage(s), func(code uint32) uint64 { return stringImage(c.dict[code]) }) {
-		// Another column added past this one's dictionary: its array's
-		// spare capacity is not this column's to write.
-		c.dict = slices.Clip(c.dict)
-	}
-	code := uint32(len(c.dict))
-	c.dict = append(c.dict, s)
+	// Only the view that holds every code may write past this column's
+	// arrays: another column's entries may lie there.
+	owned := c.index.Append(stringImage(s), func(code uint32) uint64 { return stringImage(c.dict.at(code)) })
+	code := uint32(c.dict.len())
+	c.dict.add(s, owned)
 	return code, nil
-}
-
-// An arena holds the copies one ingest makes of the strings it adds to
-// dictionaries, in blocks of up to 16 KiB they share rather than one small
-// object each for the collector to mark. The ingest loop owns it; a
-// block's bytes are written once, below its length, and never change.
-type arena []byte
-
-// copy returns a copy of s in the arena.
-func (a *arena) copy(s string) string {
-	if s == "" {
-		return ""
-	}
-	if len(s) > cap(*a)-len(*a) {
-		*a = make(arena, 0, max(len(s), min(2*cap(*a), 16<<10), 64))
-	}
-	*a = append(*a, s...)
-	return unsafe.String(&(*a)[len(*a)-len(s)], len(s))
 }
 
 // codeOf returns the dictionary code of s. It only reads, so concurrent
@@ -391,7 +416,7 @@ func (c *stringColumn) codeOf(s string) (uint32, bool) {
 	if c.index == nil {
 		return 0, false
 	}
-	return c.index.Find(stringImage(s), func(code uint32) bool { return c.dict[code] == s })
+	return c.index.Find(stringImage(s), func(code uint32) bool { return c.dict.at(code) == s })
 }
 
 // share returns a column without rows over c's dictionary and index
@@ -416,7 +441,7 @@ func (c *stringColumn) Gather(idx []uint32) Column {
 	return out
 }
 
-func (c *stringColumn) Distinct() int { return len(c.dict) }
+func (c *stringColumn) Distinct() int { return c.dict.len() }
 
 // setCell overwrites cell i of c, a column no reader can see yet, with v.
 func setCell(c Column, i uint32, v value.Value) error {
@@ -436,7 +461,7 @@ func setCell(c Column, i uint32, v value.Value) error {
 	case *stringColumn:
 		c.codes[i] = nullCode
 		if !v.IsNull() {
-			code, err := c.intern(v.Str(), nil)
+			code, err := c.intern(v.Str())
 			if err != nil {
 				return err
 			}
@@ -460,10 +485,10 @@ func extendColumn(c, add Column) (Column, error) {
 		return &boolColumn{c.extended(&add.(*boolColumn).cells)}, nil
 	case *stringColumn:
 		add := add.(*stringColumn)
-		out, code := c.share(), make([]uint32, len(add.dict))
-		for k, s := range add.dict {
+		out, code := c.share(), make([]uint32, add.dict.len())
+		for k := range code {
 			var err error
-			if code[k], err = out.intern(s, nil); err != nil {
+			if code[k], err = out.intern(add.dict.at(uint32(k))); err != nil {
 				return nil, err
 			}
 		}

@@ -24,7 +24,6 @@ func LoadCSV(t *Table, r io.Reader) (*Table, error) {
 	cr.ReuseRecord = true
 	first := true
 	line := 0
-	var arena arena // the copies of the strings the load adds to dictionaries
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -40,10 +39,11 @@ func LoadCSV(t *Table, r io.Reader) (*Table, error) {
 				continue
 			}
 		}
-		if err := stage.appendStrings(rec, &arena); err != nil {
+		if err := stage.AppendStrings(rec); err != nil {
 			return nil, fmt.Errorf("graql: ingest %s line %d: %w", t.Name, line, err)
 		}
 	}
+	stage.fit()
 	return stage, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -53,7 +54,7 @@ func TestIngestDoesNotPinRecordLines(t *testing.T) {
 			t.Fatalf("row %d: key %q, want %q", r, got, want)
 		}
 	}
-	// Per row: the key (at most 6 bytes, copied into the load's arena), its
+	// Per row: the key (at most 6 bytes, copied into its dictionary), its
 	// code, dictionary entry and index slots, and the integer cells — each
 	// vector allowed twice its length for append's growth.
 	budget := float64(8 + 2*(4+16+4*4+8*payload))
@@ -62,6 +63,15 @@ func TestIngestDoesNotPinRecordLines(t *testing.T) {
 	if perRow > budget {
 		t.Errorf("ingest retains %.0f B per row, over the %.0f B its cells need (a record line is %.0f B)", perRow, budget, line)
 	}
+}
+
+// entries returns every entry of d, in code order.
+func (d *dictionary) entries() []string {
+	out := make([]string, d.len())
+	for k := range out {
+		out[k] = d.at(uint32(k))
+	}
+	return out
 }
 
 // dictModel is what a one-column varchar table must hold: its cells (nil
@@ -88,11 +98,11 @@ func (m *dictModel) derive(tb *Table, cells []*string) *dictModel {
 func (m *dictModel) check(t *testing.T, words []string) {
 	t.Helper()
 	c := m.tb.Col(0).(*stringColumn)
-	if m.tb.NumRows() != len(m.cells) || c.Len() != len(m.cells) || !slices.Equal(c.dict, m.dict) {
-		t.Fatalf("%s: %d rows, dictionary %q; want %d rows, %q", m.tb.Name, c.Len(), c.dict, len(m.cells), m.dict)
+	if m.tb.NumRows() != len(m.cells) || c.Len() != len(m.cells) || !slices.Equal(c.dict.entries(), m.dict) {
+		t.Fatalf("%s: %d rows, dictionary %q; want %d rows, %q", m.tb.Name, c.Len(), c.dict.entries(), len(m.cells), m.dict)
 	}
-	if c.index != nil && c.index.Len() != len(c.dict) || c.index == nil && len(c.dict) > 0 {
-		t.Fatalf("%s: index out of step with its %d-entry dictionary", m.tb.Name, len(c.dict))
+	if c.index != nil && c.index.Len() != c.dict.len() || c.index == nil && c.dict.len() > 0 {
+		t.Fatalf("%s: index out of step with its %d-entry dictionary", m.tb.Name, c.dict.len())
 	}
 	for r, s := range m.cells {
 		v, code := m.tb.Value(uint32(r), 0), c.codes[r]
@@ -167,7 +177,7 @@ func FuzzStringDictionary(f *testing.F) {
 				m.cells = append(m.cells, cell)
 				m.add(cell)
 				c := m.tb.Col(0).(*stringColumn)
-				if kept := c.dict[c.codes[len(c.codes)-1]]; isNew && field != "" && unsafe.StringData(kept) == unsafe.StringData(field) {
+				if kept := c.dict.at(c.codes[len(c.codes)-1]); isNew && field != "" && unsafe.StringData(kept) == unsafe.StringData(field) {
 					t.Fatalf("ingest kept %q as a slice of the record line", field)
 				}
 			case 2: // Gather every arg%3+1-th row, last first, plus a NULL
@@ -249,7 +259,104 @@ func TestSharedDictionaryConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if _, ok := src.Col(0).(*stringColumn).codeOf("w0-0"); ok || len(src.Col(0).(*stringColumn).dict) != 300 {
+	if _, ok := src.Col(0).(*stringColumn).codeOf("w0-0"); ok || src.Col(0).(*stringColumn).dict.len() != 300 {
 		t.Error("a worker's append showed through to the published column")
 	}
+}
+
+// TestDictionaryBytesNeverRewritten: a string read from a published
+// version points into its dictionary's bytes, so no later write may
+// change them. Readers hold the strings they read from the newest
+// version, each beside a copy taken when it was read, while one writer
+// interns new strings through Extend, Patch, gathers and writes that
+// fail on a string too wide for the column, building on the newest
+// version and on older ones. Every held string must stay equal to its
+// copy; run under -race, no write may touch bytes a reader reads.
+func TestDictionaryBytesNeverRewritten(t *testing.T) {
+	src := MustNew("T", Schema{{Name: "s", Type: value.Varchar(8)}})
+	for i := range 64 {
+		if err := src.AppendRow([]value.Value{value.NewString(fmt.Sprintf("b%d", i%16))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cur atomic.Pointer[Table]
+	cur.Store(src)
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held, copies []string
+			for last := false; !last; {
+				last = done.Load() // one more pass once the writer is done
+				v := cur.Load()
+				for r := range v.NumRows() {
+					s := v.Value(uint32(r), 0).Str()
+					held, copies = append(held, s), append(copies, strings.Clone(s))
+				}
+				if len(held) > 8192 {
+					held, copies = held[4096:], copies[4096:]
+				}
+				for i, s := range held {
+					if s != copies[i] {
+						t.Errorf("a held string changed from %q to %q", copies[i], s)
+						return
+					}
+				}
+			}
+		}()
+	}
+	versions := []*Table{src}
+	for step := range 400 {
+		from := versions[len(versions)-1]
+		if step%3 == 0 {
+			from = versions[step%len(versions)] // an older version: its arrays' spare capacity is not its own
+		}
+		fresh := func(j int) value.Value { return value.NewString(fmt.Sprintf("n%d.%d", step, j)) }
+		tooWide := value.NewString("far too wide")
+		var next *Table
+		var err error
+		switch step % 4 {
+		case 0:
+			add := from.Empty(3)
+			for _, v := range []value.Value{fresh(0), value.NewString("b3"), fresh(1)} {
+				if err := add.AppendRow([]value.Value{v}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			next, err = from.Extend(add)
+		case 1:
+			last := uint32(from.NumRows() - 1)
+			next, err = from.Patch([]int{0}, []uint32{0, last}, [][]value.Value{{fresh(0)}, {fresh(1)}})
+		case 2:
+			idx := make([]uint32, 0, from.NumRows()/2+1)
+			for r := 0; r < from.NumRows(); r += 2 {
+				idx = append(idx, uint32(r))
+			}
+			next = from.Gather("T", idx)
+			err = next.AppendRow([]value.Value{fresh(0)})
+		case 3:
+			// Each interns a new string before the wide one fails it, and
+			// publishes nothing.
+			if _, err := from.Patch([]int{0}, []uint32{0, 1}, [][]value.Value{{fresh(0)}, {tooWide}}); err == nil {
+				t.Fatal("a patch to a string wider than the column succeeded")
+			}
+			add := from.Empty(2)
+			if err := add.AppendRow([]value.Value{fresh(1)}); err != nil {
+				t.Fatal(err)
+			}
+			if add.AppendRow([]value.Value{tooWide}) == nil {
+				t.Fatal("an insert of a string wider than the column succeeded")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, next)
+		cur.Store(next)
+	}
+	done.Store(true)
+	wg.Wait()
 }

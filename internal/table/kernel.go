@@ -386,7 +386,7 @@ func bindCmpConst(col Column, op expr.Op, v value.Value) func(span, []uint32) []
 		return func(in span, out []uint32) []uint32 {
 			return selectRows(in, out, func(r uint32) bool {
 				rc := c.codes[r]
-				return rc != nullCode && holds(mask, cmp.Compare(c.dict[rc], v.S))
+				return rc != nullCode && holds(mask, cmp.Compare(c.dict.at(rc), v.S))
 			})
 		}
 	}
@@ -417,7 +417,7 @@ func bindCmpCols(a, b Column, op expr.Op) func(span, []uint32) []uint32 {
 			return func(in span, out []uint32) []uint32 {
 				return selectRows(in, out, func(r uint32) bool {
 					ca, cb := a.codes[r], b.codes[r]
-					return ca != nullCode && cb != nullCode && holds(mask, cmp.Compare(a.dict[ca], b.dict[cb]))
+					return ca != nullCode && cb != nullCode && holds(mask, cmp.Compare(a.dict.at(ca), b.dict.at(cb)))
 				})
 			}
 		}
@@ -591,4 +591,24 @@ func (f *Filter) Select(in Rows, p Par) (Rows, error) {
 		total += copy(buf[total:], parts[m])
 	}
 	return Rows{t: f.t, idx: buf[:total]}, nil
+}
+
+// Matches returns the rows of the filter's table on which it is TRUE, in
+// ascending order: the where scan of an update or delete. It evaluates one
+// morsel at a time into one morsel-sized buffer and keeps only the
+// matches, so it allocates for the rows it finds, not for the table.
+func (f *Filter) Matches() ([]uint32, error) {
+	n := uint32(f.t.rows)
+	buf := make([]uint32, min(n, morselSize))
+	var hit []uint32
+	for lo := uint32(0); lo < n; lo += morselSize {
+		in := span{lo: lo, hi: min(lo+morselSize, n)}
+		cx := evalCtx{t: f.t}
+		part, _ := f.root.eval(&cx, in, false, buf[:in.len()])
+		if cx.err != nil {
+			return nil, cx.err
+		}
+		hit = append(hit, part...)
+	}
+	return hit, nil
 }

@@ -63,7 +63,7 @@ func cellImage(c Column, i uint32) (uint64, bool) {
 		return boolImage(c.data[i]), !c.nulls.Get(i)
 	case *stringColumn:
 		if code := c.codes[i]; code != nullCode {
-			return stringImage(c.dict[code]), true
+			return stringImage(c.dict.at(code)), true
 		}
 		return 0, false
 	}
@@ -127,7 +127,7 @@ func (t *Table) HashKeys(rows []uint32, cols []int) (hashes []uint64, nulls bitm
 					nulls.Set(uint32(i))
 					continue
 				}
-				hashes[i] = mix(hashes[i], stringImage(c.dict[code]))
+				hashes[i] = mix(hashes[i], stringImage(c.dict.at(code)))
 			}
 		default:
 			for i, r := range rows {
@@ -170,7 +170,7 @@ func cellsEqual(a Column, i uint32, b Column, j uint32) bool {
 		if !ok || a.codes[i] == nullCode || b.codes[j] == nullCode {
 			return false
 		}
-		return a.dict[a.codes[i]] == b.dict[b.codes[j]]
+		return a.dict.at(a.codes[i]) == b.dict.at(b.codes[j])
 	}
 	return cellEqualsValue(a, i, b.Value(j))
 }
@@ -186,7 +186,7 @@ func cellEqualsValue(c Column, i uint32, v value.Value) bool {
 	case *floatColumn:
 		return value.FloatKey(c.data[i]) == value.FloatKey(v.F)
 	case *stringColumn:
-		return c.dict[c.codes[i]] == v.S
+		return c.dict.at(c.codes[i]) == v.S
 	}
 	return value.Equal(c.Value(i), v)
 }

@@ -169,13 +169,13 @@ func columnIDs(c Column, s span) ([]uint32, int) {
 	switch c := c.(type) {
 	case *stringColumn:
 		// NULL's code is above every other: min maps it to len(dict).
-		nullKey := uint32(len(c.dict))
-		if len(c.dict) >= 4*n+64 {
-			return denseIDs(n, len(c.dict)+1, func(i int) uint64 { return uint64(min(c.codes[s.at(i)], nullKey)) })
+		nullKey := uint32(c.dict.len())
+		if c.dict.len() >= 4*n+64 {
+			return denseIDs(n, c.dict.len()+1, func(i int) uint64 { return uint64(min(c.codes[s.at(i)], nullKey)) })
 		}
 		// slot holds id+1 per code, 0 for an unseen one; a new key takes
 		// the next id without a branch.
-		ids, slot, next := make([]uint32, n), make([]uint32, len(c.dict)+1), uint32(0)
+		ids, slot, next := make([]uint32, n), make([]uint32, c.dict.len()+1), uint32(0)
 		for i := range ids {
 			code := min(c.codes[s.at(i)], nullKey)
 			id := slot[code]
@@ -537,7 +537,7 @@ func (t *Table) keyCmp(k SortKey, errp *error) func(a, b uint32) int {
 			case cb == nullCode:
 				return 1
 			default:
-				return cmp.Compare(col.dict[ca], col.dict[cb])
+				return cmp.Compare(col.dict.at(ca), col.dict.at(cb))
 			}
 		}
 	default:

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"graql/internal/value"
 )
@@ -309,7 +310,7 @@ func TestGatherSharesDictionary(t *testing.T) {
 	sc := src.Col(0).(*stringColumn)
 	g := src.Gather("G", []uint32{3, 0})
 	gc := g.Col(0).(*stringColumn)
-	if gc.index != sc.index || &gc.dict[0] != &sc.dict[0] {
+	if gc.index != sc.index || unsafe.StringData(gc.dict.at(0)) != unsafe.StringData(sc.dict.at(0)) {
 		t.Fatal("gather must share the dictionary and its index")
 	}
 	if got := g.Col(0).Distinct(); got != 3 {
@@ -350,8 +351,8 @@ func TestGatherSharesDictionary(t *testing.T) {
 		if got := strings.Join(cells, " "); got != c.want {
 			t.Errorf("%s holds %q, want %q", c.tb.Name, got, c.want)
 		}
-		if sc := c.tb.Col(0).(*stringColumn); len(sc.dict) != 4 {
-			t.Errorf("%s: dictionary %v, want 4 entries (no duplicate of b)", c.tb.Name, sc.dict)
+		if sc := c.tb.Col(0).(*stringColumn); sc.dict.len() != 4 {
+			t.Errorf("%s: dictionary %v, want 4 entries (no duplicate of b)", c.tb.Name, sc.dict.entries())
 		}
 	}
 	// Each side finds the string it appended after the split, and no other.

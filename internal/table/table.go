@@ -83,21 +83,12 @@ func (t *Table) Value(row uint32, col int) value.Value {
 
 // AppendRow appends one row of typed values. The slice must have one value
 // per column with matching kinds.
-func (t *Table) AppendRow(vals []value.Value) error { return t.appendRow(vals, nil) }
-
-// appendRow is AppendRow; with an arena, dictionaries copy what they add.
-func (t *Table) appendRow(vals []value.Value, arena *arena) error {
+func (t *Table) AppendRow(vals []value.Value) error {
 	if len(vals) != len(t.cols) {
 		return fmt.Errorf("graql: table %s: row has %d values, want %d", t.Name, len(vals), len(t.cols))
 	}
 	for i, v := range vals {
-		var err error
-		if sc, ok := t.cols[i].(*stringColumn); ok {
-			err = sc.append(v, arena)
-		} else {
-			err = t.cols[i].Append(v)
-		}
-		if err != nil {
+		if err := t.cols[i].Append(v); err != nil {
 			return fmt.Errorf("graql: table %s column %s: %w", t.Name, t.schema[i].Name, err)
 		}
 	}
@@ -107,10 +98,7 @@ func (t *Table) appendRow(vals []value.Value, arena *arena) error {
 
 // AppendStrings parses and appends one textual record (e.g. a CSV record)
 // according to the schema's column types. It keeps no reference into rec.
-func (t *Table) AppendStrings(rec []string) error { return t.appendStrings(rec, new(arena)) }
-
-// appendStrings is AppendStrings copying new strings into arena.
-func (t *Table) appendStrings(rec []string, arena *arena) error {
+func (t *Table) AppendStrings(rec []string) error {
 	if len(rec) != len(t.cols) {
 		return fmt.Errorf("graql: table %s: record has %d fields, want %d", t.Name, len(rec), len(t.cols))
 	}
@@ -122,7 +110,19 @@ func (t *Table) appendStrings(rec []string, arena *arena) error {
 		}
 		vals[i] = v
 	}
-	return t.appendRow(vals, arena)
+	return t.AppendRow(vals)
+}
+
+// fit moves every array of t, a table no other version shares, into one
+// of exactly its length, as a view build allocates its arrays: the form a
+// finished ingest hands on. (A dictionary's index already has the size a
+// build gives it.)
+func (t *Table) fit() {
+	for _, c := range t.cols {
+		if c, ok := c.(interface{ fit() }); ok {
+			c.fit()
+		}
+	}
 }
 
 // Row materialises row i as a value slice (for display and tests; hot paths
